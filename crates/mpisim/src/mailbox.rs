@@ -15,17 +15,41 @@
 //! # Indexed storage
 //!
 //! Patterns always pin an exact `(context, tag)` pair (the libraries never
-//! wildcard those), so messages are bucketed by that key, and within a key
-//! by source. Each key keeps a **sorted vector** of its per-source FIFO
-//! heads ordered by `(arrival, src)`: an exact-source claim is a hash
-//! lookup, a wildcard claim is the first element — **O(log s) search in
-//! the number of distinct pending sources, independent of the number of
-//! pending messages**. (The index was a `BTreeSet` until PR 8; a sorted
-//! vector has identical ordering semantics, and unlike tree nodes its
-//! backing storage is retained across refills, which the allocation-free
-//! epoch path needs.) Drained source queues and drained `(context, tag)`
-//! buckets are likewise retained/recycled rather than freed, so a
-//! steady-state storm touches the allocator not at all.
+//! wildcard those) and per-source order is FIFO, so the only message of a
+//! `(context, tag, source)` triple a receive can ever take is the oldest
+//! one. Storage is three pieces per mailbox, none of which outlives the
+//! messages it indexes:
+//!
+//! * **Slab.** Every pending message lives in one `Vec` of
+//!   `{message, next}` nodes addressed by `u32` index. A claimed node goes
+//!   onto a LIFO free list threaded through `next`, and a deposit takes
+//!   the most recently freed node before growing the vector, so the slab's
+//!   length is the mailbox's peak pending count and a refill lands on
+//!   cache lines the last claim just touched.
+//! * **FIFO links.** One map `(context, tag, source) → (head, tail)`. The
+//!   nodes of a source's FIFO are chained head to tail through `next`; a
+//!   deposit links behind `tail`, a claim unlinks `head`. The entry exists
+//!   **iff** that source has a message pending under that `(context,
+//!   tag)`: it is removed by the claim that drains the FIFO, so the table
+//!   tracks pending sources, not sources ever heard from.
+//! * **Heads index.** One map `(context, tag) → sorted Vec<(arrival,
+//!   source)>` with exactly one element per FIFO of that bucket, keyed by
+//!   the arrival of the FIFO's *head* (unique, one head per source). It
+//!   changes only when a head changes: a deposit into an empty FIFO
+//!   inserts, a claim removes and re-inserts the successor's key. A bucket
+//!   whose vector empties is removed from the map and its vector kept (a
+//!   handful of them) for the next bucket that opens.
+//!
+//! An exact-source claim is two hash lookups and never looks at another
+//! source; a wildcard claim reads the first element of the heads vector
+//! (a filtered one the first element passing the predicate) and then
+//! proceeds as an exact claim: **expected O(1) for exact, O(log s) search
+//! for the heads update with s the bucket's pending *sources*, independent
+//! of the number of pending messages**. Both maps hash with a
+//! multiplicative word hasher (keys come from the simulation, not from
+//! outside the program). Slab, heads vectors and both tables only ever
+//! grow, to a size set by the peak pending population, so a steady-state
+//! storm touches the allocator not at all.
 //!
 //! # Blocking and wake-ups
 //!
@@ -36,11 +60,12 @@
 //! the subscribers whose pattern matches the new message, so a rank is only
 //! scheduled when its message actually arrived.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::{MpiError, Result};
 use crate::msg::{ContextId, MatchPattern, Message, MsgInfo, SrcFilter, Tag};
@@ -76,76 +101,94 @@ struct WaiterEntry {
     waker: Arc<dyn Wake>,
 }
 
-/// Messages of one `(context, tag)` bucket: per-source FIFO queues plus a
-/// sorted vector of the current heads keyed by `(arrival, src)` (unique —
-/// one head per source).
+/// Word-at-a-time multiplicative hasher (the Fx recipe) for the two
+/// index maps. Their keys are a handful of integers produced by the
+/// simulation itself, so SipHash's flood resistance buys nothing here.
 #[derive(Default)]
-struct KeyQueue {
-    per_src: HashMap<usize, VecDeque<Message>>,
-    heads: Vec<(Time, usize)>,
-}
+struct WordHasher(u64);
 
-impl KeyQueue {
-    fn insert_head(&mut self, key: (Time, usize)) {
-        let i = self.heads.binary_search(&key).unwrap_err();
-        self.heads.insert(i, key);
-    }
-
-    fn remove_head(&mut self, key: (Time, usize)) {
-        let i = self.heads.binary_search(&key).expect("head is indexed");
-        self.heads.remove(i);
-    }
-
-    fn push(&mut self, m: Message) {
-        let key = (m.arrival, m.src_global);
-        let q = self.per_src.entry(m.src_global).or_default();
-        let was_empty = q.is_empty();
-        q.push_back(m);
-        if was_empty {
-            self.insert_head(key);
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
         }
     }
 
-    /// Source of the best matching candidate under MPI semantics: per-source
-    /// FIFO heads only, earliest `(arrival, src)` among acceptable sources.
-    fn best_src(&self, src: &SrcFilter) -> Option<usize> {
-        match src {
-            // A drained source keeps its (empty) queue, so presence in the
-            // map alone is not enough.
-            SrcFilter::Exact(s) => self
-                .per_src
-                .get(s)
-                .is_some_and(|q| !q.is_empty())
-                .then_some(*s),
-            SrcFilter::Any => self.heads.first().map(|&(_, s)| s),
-            SrcFilter::Filter(f) => self.heads.iter().find(|&&(_, s)| f(s)).map(|&(_, s)| s),
-        }
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
     }
 
-    fn head(&self, src: usize) -> &Message {
-        self.per_src[&src].front().expect("non-empty source queue")
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 
-    fn pop(&mut self, src: usize) -> Message {
-        let q = self.per_src.get_mut(&src).expect("non-empty source queue");
-        let m = q.pop_front().expect("non-empty source queue");
-        // A drained source keeps its empty queue (capacity retained for
-        // the next refill); the heads index alone tracks liveness.
-        let next_key = q.front().map(|next| (next.arrival, src));
-        self.remove_head((m.arrival, src));
-        if let Some(key) = next_key {
-            self.insert_head(key);
-        }
-        m
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
     }
 
-    fn is_empty(&self) -> bool {
-        self.heads.is_empty()
+    /// The table takes its bucket from the low bits, which a multiply
+    /// leaves the weakest: fold the high half down.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
     }
 }
 
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// Slab index of "no node": end of a FIFO chain or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a pending message and its FIFO successor, or (with
+/// `msg` taken) a free slot and the next free one.
+struct Node {
+    msg: Option<Message>,
+    next: u32,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct FifoKey {
+    ctx: ContextId,
+    tag: Tag,
+    src: usize,
+}
+
+/// Slab indices of one source's oldest and newest pending message.
+struct Fifo {
+    head: u32,
+    tail: u32,
+}
+
+/// The `(arrival, src)` keys of one `(context, tag)` bucket's FIFO heads,
+/// sorted ascending.
+type Heads = Vec<(Time, usize)>;
+
+fn insert_head(heads: &mut Heads, key: (Time, usize)) {
+    let i = heads.binary_search(&key).unwrap_err();
+    heads.insert(i, key);
+}
+
+fn remove_head(heads: &mut Heads, key: (Time, usize)) {
+    let i = heads.binary_search(&key).expect("head is indexed");
+    heads.remove(i);
+}
+
+/// See the module docs ("Indexed storage") for the invariants tying
+/// `slab`, `fifos` and `heads` together.
 struct Inner {
-    keys: HashMap<(ContextId, Tag), KeyQueue>,
+    slab: Vec<Node>,
+    /// Most recently freed slab slot, [`NIL`] if none.
+    free: u32,
+    fifos: WordMap<FifoKey, Fifo>,
+    heads: WordMap<(ContextId, Tag), Heads>,
+    /// Emptied heads vectors of drained buckets (at most
+    /// [`Mailbox::SPARE_HEADS_CAP`]), capacity retained.
+    spare_heads: Vec<Heads>,
     count: usize,
     waiters: Vec<WaiterEntry>,
     next_token: u64,
@@ -154,10 +197,117 @@ struct Inner {
     /// cooperative backend the waiter set at each commit is a pure
     /// function of the epoch structure, so this count is worker-invariant.
     scans: u64,
-    /// Drained `(context, tag)` buckets kept for reuse (bounded by
-    /// [`Mailbox::FREE_QUEUE_CAP`]): their per-source queues and heads
-    /// vector retain capacity, so re-opening a bucket allocates nothing.
-    free_queues: Vec<KeyQueue>,
+    /// Thread-backend receivers currently blocked on the condvar; a
+    /// deposit notifies only when this is non-zero.
+    cv_waiters: u32,
+}
+
+impl Inner {
+    /// Store `m` in the most recently freed slab slot, or a new one, and
+    /// return its index.
+    fn alloc_node(&mut self, m: Message) -> u32 {
+        let idx = self.free;
+        if idx != NIL {
+            let node = &mut self.slab[idx as usize];
+            self.free = std::mem::replace(&mut node.next, NIL);
+            node.msg = Some(m);
+            return idx;
+        }
+        let idx = u32::try_from(self.slab.len())
+            .ok()
+            .filter(|&idx| idx != NIL)
+            .expect("fewer than 2^32 - 1 pending messages");
+        self.slab.push(Node {
+            msg: Some(m),
+            next: NIL,
+        });
+        idx
+    }
+
+    /// Index the message under its `(ctx, tag, src)` FIFO; a FIFO that
+    /// was empty also gains its entry in the bucket's heads vector.
+    fn enqueue(&mut self, m: Message) {
+        let (ctx, tag, src, arrival) = (m.ctx, m.tag, m.src_global, m.arrival);
+        let node = self.alloc_node(m);
+        match self.fifos.entry(FifoKey { ctx, tag, src }) {
+            Entry::Occupied(mut e) => {
+                let fifo = e.get_mut();
+                self.slab[fifo.tail as usize].next = node;
+                fifo.tail = node;
+            }
+            Entry::Vacant(e) => {
+                e.insert(Fifo {
+                    head: node,
+                    tail: node,
+                });
+                let spare = &mut self.spare_heads;
+                let heads = self
+                    .heads
+                    .entry((ctx, tag))
+                    .or_insert_with(|| spare.pop().unwrap_or_default());
+                insert_head(heads, (arrival, src));
+            }
+        }
+        self.count += 1;
+    }
+
+    /// Source of the best matching candidate under MPI semantics: per-source
+    /// FIFO heads only, earliest `(arrival, src)` among acceptable sources.
+    /// An `Exact` source is returned unchecked.
+    fn best_src(heads: &Heads, src: &SrcFilter) -> Option<usize> {
+        match src {
+            SrcFilter::Exact(s) => Some(*s),
+            SrcFilter::Any => heads.first().map(|&(_, s)| s),
+            SrcFilter::Filter(f) => heads.iter().find(|&&(_, s)| f(s)).map(|&(_, s)| s),
+        }
+    }
+
+    fn claim(&mut self, pat: &MatchPattern) -> Option<Message> {
+        let (ctx, tag) = (pat.ctx, pat.tag);
+        // Entries, not `get_mut`: the claim that drains a FIFO (or the
+        // bucket) removes it through the entry without a second probe.
+        let Entry::Occupied(mut bucket) = self.heads.entry((ctx, tag)) else {
+            return None;
+        };
+        let src = Self::best_src(bucket.get(), &pat.src)?;
+        let Entry::Occupied(mut fifo) = self.fifos.entry(FifoKey { ctx, tag, src }) else {
+            return None;
+        };
+        let head = fifo.get().head;
+        let node = &mut self.slab[head as usize];
+        let m = node.msg.take().expect("a linked node holds a message");
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = head;
+        self.count -= 1;
+
+        let heads = bucket.get_mut();
+        remove_head(heads, (m.arrival, src));
+        if next != NIL {
+            fifo.get_mut().head = next;
+            let successor = self.slab[next as usize]
+                .msg
+                .as_ref()
+                .expect("a linked node holds a message");
+            insert_head(heads, (successor.arrival, src));
+            return Some(m);
+        }
+        fifo.remove();
+        if heads.is_empty() {
+            let heads = bucket.remove();
+            if self.spare_heads.len() < Mailbox::SPARE_HEADS_CAP {
+                self.spare_heads.push(heads);
+            }
+        }
+        Some(m)
+    }
+
+    fn probe(&self, pat: &MatchPattern) -> Option<MsgInfo> {
+        let (ctx, tag) = (pat.ctx, pat.tag);
+        let src = Self::best_src(self.heads.get(&(ctx, tag))?, &pat.src)?;
+        let fifo = self.fifos.get(&FifoKey { ctx, tag, src })?;
+        let head = self.slab[fifo.head as usize].msg.as_ref();
+        Some(head.expect("a linked node holds a message").info())
+    }
 }
 
 /// One rank's incoming-message queue with MPI matching semantics:
@@ -179,20 +329,24 @@ impl Mailbox {
     pub fn new() -> Mailbox {
         Mailbox {
             inner: Mutex::new(Inner {
-                keys: HashMap::new(),
+                slab: Vec::new(),
+                free: NIL,
+                fifos: WordMap::default(),
+                heads: WordMap::default(),
+                spare_heads: Vec::new(),
                 count: 0,
                 waiters: Vec::new(),
                 next_token: 0,
                 scans: 0,
-                free_queues: Vec::new(),
+                cv_waiters: 0,
             }),
             cv: Condvar::new(),
         }
     }
 
-    /// Bound on recycled `(context, tag)` buckets kept in
-    /// [`Inner::free_queues`]; drained buckets beyond it are dropped.
-    const FREE_QUEUE_CAP: usize = 8;
+    /// Bound on emptied heads vectors kept in [`Inner::spare_heads`];
+    /// those of further drained buckets are dropped.
+    const SPARE_HEADS_CAP: usize = 8;
 
     /// Deposit one message under the held lock: remove every matching
     /// subscription (appending `(idx, waker)` pairs to `fired`, in
@@ -212,13 +366,7 @@ impl Mailbox {
                 i += 1;
             }
         }
-        let Inner {
-            keys, free_queues, ..
-        } = g;
-        keys.entry((m.ctx, m.tag))
-            .or_insert_with(|| free_queues.pop().unwrap_or_default())
-            .push(m);
-        g.count += 1;
+        g.enqueue(m);
     }
 
     /// Deposit a message and wake blocked receivers — the condvar for
@@ -226,8 +374,14 @@ impl Mailbox {
     /// subscribers for cooperative ones.
     pub fn push(&self, m: Message) {
         let mut fired: Vec<(usize, Arc<dyn Wake>)> = Vec::new();
-        Self::deposit(&mut self.inner.lock(), 0, m, &mut fired);
-        self.cv.notify_all();
+        let blocked = {
+            let mut g = self.inner.lock();
+            Self::deposit(&mut g, 0, m, &mut fired);
+            g.cv_waiters > 0
+        };
+        if blocked {
+            self.cv.notify_all();
+        }
         for (_, w) in fired {
             w.wake();
         }
@@ -247,19 +401,22 @@ impl Mailbox {
     /// the caller fires them. `msgs` is drained, not consumed, so the
     /// caller's batch buffer (and `fired`) keep their capacity for the next
     /// segment — the commit hot path reuses both through the pool. The
-    /// condvar is still notified for any thread-backend receiver parked on
+    /// condvar is still notified if a thread-backend receiver is parked on
     /// this mailbox.
     pub fn push_batch(&self, msgs: &mut Vec<Message>, fired: &mut Vec<(usize, Arc<dyn Wake>)>) {
         if msgs.is_empty() {
             return;
         }
-        {
+        let blocked = {
             let mut g = self.inner.lock();
             for (idx, m) in msgs.drain(..).enumerate() {
                 Self::deposit(&mut g, idx, m, fired);
             }
+            g.cv_waiters > 0
+        };
+        if blocked {
+            self.cv.notify_all();
         }
-        self.cv.notify_all();
     }
 
     /// Number of messages currently queued.
@@ -278,34 +435,6 @@ impl Mailbox {
         self.len() == 0
     }
 
-    fn claim_inner(g: &mut Inner, pat: &MatchPattern) -> Option<Message> {
-        let key = (pat.ctx, pat.tag);
-        let (m, empty) = {
-            let kq = g.keys.get_mut(&key)?;
-            let src = kq.best_src(&pat.src)?;
-            let m = kq.pop(src);
-            (m, kq.is_empty())
-        };
-        if empty {
-            // Recycle the drained bucket rather than dropping it: its
-            // per-source queues and heads vector keep their capacity, so
-            // the next deposit under this (or any) key allocates nothing.
-            if let Some(kq) = g.keys.remove(&key) {
-                if g.free_queues.len() < Self::FREE_QUEUE_CAP {
-                    g.free_queues.push(kq);
-                }
-            }
-        }
-        g.count -= 1;
-        Some(m)
-    }
-
-    fn probe_inner(g: &Inner, pat: &MatchPattern) -> Option<MsgInfo> {
-        let kq = g.keys.get(&(pat.ctx, pat.tag))?;
-        let src = kq.best_src(&pat.src)?;
-        Some(kq.head(src).info())
-    }
-
     fn subscribe(g: &mut Inner, pat: &MatchPattern, waker: &Arc<dyn Wake>) -> WaitToken {
         let token = g.next_token;
         g.next_token += 1;
@@ -319,12 +448,12 @@ impl Mailbox {
 
     /// Remove and return the best matching message, if any.
     pub fn try_claim(&self, pat: &MatchPattern) -> Option<Message> {
-        Self::claim_inner(&mut self.inner.lock(), pat)
+        self.inner.lock().claim(pat)
     }
 
     /// Non-destructive probe.
     pub fn probe(&self, pat: &MatchPattern) -> Option<MsgInfo> {
-        Self::probe_inner(&self.inner.lock(), pat)
+        self.inner.lock().probe(pat)
     }
 
     /// Claim the best match, or — if nothing matches — subscribe `waker` to
@@ -337,7 +466,7 @@ impl Mailbox {
         waker: &Arc<dyn Wake>,
     ) -> Subscribed<Message> {
         let mut g = self.inner.lock();
-        if let Some(m) = Self::claim_inner(&mut g, pat) {
+        if let Some(m) = g.claim(pat) {
             return Subscribed::Hit(m);
         }
         Subscribed::Waiting(Self::subscribe(&mut g, pat, waker))
@@ -351,7 +480,7 @@ impl Mailbox {
         waker: &Arc<dyn Wake>,
     ) -> Subscribed<MsgInfo> {
         let mut g = self.inner.lock();
-        if let Some(info) = Self::probe_inner(&g, pat) {
+        if let Some(info) = g.probe(pat) {
             return Subscribed::Hit(info);
         }
         Subscribed::Waiting(Self::subscribe(&mut g, pat, waker))
@@ -361,6 +490,16 @@ impl Mailbox {
     /// already removed their entry.
     pub fn unsubscribe(&self, token: WaitToken) {
         self.inner.lock().waiters.retain(|w| w.token != token.0);
+    }
+
+    /// Wait on the condvar for a deposit, counted in `cv_waiters` for the
+    /// whole wait (the count changes only under the lock, so a deposit
+    /// either sees it or the waiter sees the deposit). True on timeout.
+    fn wait_timed_out(&self, g: &mut MutexGuard<'_, Inner>, timeout: Duration) -> bool {
+        g.cv_waiters += 1;
+        let timed_out = self.cv.wait_for(g, timeout).timed_out();
+        g.cv_waiters -= 1;
+        timed_out
     }
 
     /// Block (in wall-clock time) until a matching message can be claimed.
@@ -373,10 +512,10 @@ impl Mailbox {
     ) -> Result<Message> {
         let mut g = self.inner.lock();
         loop {
-            if let Some(m) = Self::claim_inner(&mut g, pat) {
+            if let Some(m) = g.claim(pat) {
                 return Ok(m);
             }
-            if self.cv.wait_for(&mut g, timeout).timed_out() {
+            if self.wait_timed_out(&mut g, timeout) {
                 return Err(MpiError::Timeout {
                     rank,
                     waited_for: format!("recv({:?}, tag={}, {})", pat.src, pat.tag, pat.ctx),
@@ -399,10 +538,10 @@ impl Mailbox {
     ) -> Result<MsgInfo> {
         let mut g = self.inner.lock();
         loop {
-            if let Some(info) = Self::probe_inner(&g, pat) {
+            if let Some(info) = g.probe(pat) {
                 return Ok(info);
             }
-            if self.cv.wait_for(&mut g, timeout).timed_out() {
+            if self.wait_timed_out(&mut g, timeout) {
                 return Err(MpiError::Timeout {
                     rank,
                     waited_for: format!("probe({:?}, tag={}, {})", pat.src, pat.tag, pat.ctx),
@@ -511,6 +650,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, MpiError::Timeout { rank: 3, .. }));
+        assert_eq!(mb.inner.lock().cv_waiters, 0, "the wait un-counted itself");
     }
 
     #[test]
@@ -561,6 +701,37 @@ mod tests {
         let (v, _) = mb.try_claim(&p).unwrap().take::<u64>().unwrap();
         assert_eq!(v, vec![2]);
         assert!(mb.is_empty());
+    }
+
+    #[test]
+    fn index_tracks_pending_sources_and_slab_slots_are_reused() {
+        let mb = Mailbox::new();
+        for round in 0..3 {
+            for src in 0..4 {
+                mb.push(msg(src, 5, 0, 10 + src as u64, 0));
+                mb.push(msg(src, 5, 0, 20, 1));
+            }
+            {
+                let g = mb.inner.lock();
+                assert_eq!((g.fifos.len(), g.heads.len(), g.slab.len()), (4, 1, 8));
+            }
+            // Drain by exact source in odd rounds, by wildcard in even ones.
+            for src in 0..4 {
+                let src = if round % 2 == 1 {
+                    SrcFilter::Exact(src)
+                } else {
+                    SrcFilter::Any
+                };
+                assert!(mb.try_claim(&pat(src.clone(), 5, 0)).is_some());
+                assert!(mb.try_claim(&pat(src, 5, 0)).is_some());
+            }
+            // Every entry died with its last message; the slab did not
+            // grow past the peak and all of it is on the free list.
+            let g = mb.inner.lock();
+            assert!(g.fifos.is_empty() && g.heads.is_empty());
+            assert_eq!((g.slab.len(), g.spare_heads.len(), g.count), (8, 1, 0));
+            assert!(g.slab.iter().all(|n| n.msg.is_none()) && g.free != NIL);
+        }
     }
 
     struct CountWake(AtomicUsize);

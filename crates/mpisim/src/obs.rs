@@ -516,7 +516,9 @@ impl MetricsSnapshot {
 pub struct WorkerProfile {
     /// Nanoseconds spent resuming task fibers.
     pub run_ns: u64,
-    /// Nanoseconds spent pushing commit shards / finishing rounds.
+    /// Nanoseconds spent pushing commit shards and advancing phases:
+    /// gathering and ordering an epoch's staged messages and, on the
+    /// inline (one-shard) path, delivering them.
     pub commit_ns: u64,
     /// Nanoseconds spent merging staged-message runs.
     pub merge_ns: u64,

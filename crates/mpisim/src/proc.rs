@@ -250,6 +250,8 @@ pub struct StallDeadline {
     timeout: Duration,
     deadline: Instant,
     stamp: u64,
+    /// Calls to `stalled` so far; every `CLOCK_STRIDE`-th reads the clock.
+    calls: u32,
 }
 
 impl StallDeadline {
@@ -262,14 +264,22 @@ impl StallDeadline {
             timeout,
             deadline: Instant::now() + timeout,
             stamp: router.map_or(0, |r| r.progress_stamp(max_age)),
+            calls: 0,
         }
     }
 
+    /// The detector is a backstop measured in seconds and is asked once
+    /// per unproductive poll, so only every this-many-th call pays for a
+    /// clock read; the others answer "not stalled".
+    const CLOCK_STRIDE: u32 = 64;
+
     /// True once the deadline has passed with no global progress since the
-    /// last (re-)arming. The hot path is one `Instant` comparison; the
-    /// stamp is consulted only on expiry.
+    /// last (re-)arming, as observed on one of the calls that read the
+    /// clock (every 64th). The hot path is a counter increment; the stamp
+    /// is consulted only on expiry.
     pub fn stalled(&mut self) -> bool {
-        if Instant::now() <= self.deadline {
+        self.calls = self.calls.wrapping_add(1);
+        if !self.calls.is_multiple_of(Self::CLOCK_STRIDE) || Instant::now() <= self.deadline {
             return false;
         }
         if let Some(r) = &self.router {
@@ -798,21 +808,23 @@ mod tests {
         // Zero timeout => probe age zero => every check recomputes the
         // stamp, so the test never races the coarse cache.
         let mut stall = StallDeadline::new(Some(router), Duration::ZERO);
+        // One stride of calls contains exactly one that reads the clock.
+        let stride = |s: &mut StallDeadline| (0..StallDeadline::CLOCK_STRIDE).any(|_| s.stalled());
         std::thread::sleep(Duration::from_millis(2));
         // Progress since arming (a clock charge) re-arms the deadline.
         procs[1].advance(Time::from_micros(3));
-        assert!(!stall.stalled(), "clock progress must re-arm");
+        assert!(!stride(&mut stall), "clock progress must re-arm");
         std::thread::sleep(Duration::from_millis(2));
         // A send is progress too.
         procs[0].send_global::<u64>(1, 7, ContextId::WORLD, vec![1], CostScale::NEUTRAL);
-        assert!(!stall.stalled(), "send progress must re-arm");
+        assert!(!stride(&mut stall), "send progress must re-arm");
         // No progress at all: the detector fires.
         std::thread::sleep(Duration::from_millis(2));
-        assert!(stall.stalled(), "no progress => stalled");
+        assert!(stride(&mut stall), "no progress => stalled");
         // Routerless detectors degrade to a fixed deadline.
         let mut fixed = StallDeadline::new(None, Duration::ZERO);
         std::thread::sleep(Duration::from_millis(2));
-        assert!(fixed.stalled());
+        assert!(stride(&mut fixed));
     }
 
     #[test]

@@ -1125,10 +1125,16 @@ mod imp {
                             // (single-threaded by construction — every
                             // other worker is either waiting on the gate,
                             // sweeping other universes, or about to).
+                            // The advance orders and, on the inline path,
+                            // delivers the epoch's messages: commit time.
+                            let t0 = self.profile.then(std::time::Instant::now);
                             match &work {
                                 Work::Tasks(round) => self.finish_round(round),
                                 Work::Merge(mw) => self.finish_merge(mw),
                                 Work::Commit(cw) => self.finish_commit(cw),
+                            }
+                            if let Some(t0) = t0 {
+                                prof.commit_ns += t0.elapsed().as_nanos() as u64;
                             }
                         }
                     }

@@ -1,0 +1,437 @@
+//! Differential test of the mailbox's indexed storage: random operation
+//! sequences run against [`Mailbox`] and against a reference that keeps a
+//! flat `Vec` of messages in deposit order and applies the matching rules
+//! of the `mpisim::mailbox` module docs by literal scan. Every step must
+//! return the same message, fire the same subscriptions in the same order,
+//! and leave the same `len` and `scans`.
+//!
+//! Plus one deep-bucket case whose run time would explode if any path
+//! became linear in the number of pending messages.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::{Arc, Mutex};
+
+use mpisim::mailbox::{Mailbox, Subscribed, WaitToken, Wake};
+use mpisim::msg::{ContextId, MatchPattern, Message, MsgInfo, SrcFilter};
+use mpisim::Time;
+use proptest::prelude::*;
+
+const CTXS: [ContextId; 3] = [
+    ContextId::Small(0),
+    ContextId::Small(7),
+    ContextId::Wide {
+        a: 1,
+        b: 2,
+        f: 0,
+        l: 5,
+        c: 0,
+    },
+];
+const TAGS: u64 = 3;
+const SRCS: usize = 6;
+
+/// Xorshift stream: the vendored proptest shim has no collection
+/// strategies, so a case is a seed and the operations are drawn from it.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum RefSrc {
+    Exact(usize),
+    Any,
+    /// Sources congruent to `.1` modulo `.0`.
+    Mod(usize, usize),
+}
+
+impl RefSrc {
+    fn accepts(self, src: usize) -> bool {
+        match self {
+            RefSrc::Exact(s) => s == src,
+            RefSrc::Any => true,
+            RefSrc::Mod(m, r) => src % m == r,
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+struct RefPat {
+    ctx: ContextId,
+    tag: u64,
+    src: RefSrc,
+}
+
+impl RefPat {
+    fn draw(rng: &mut Rng) -> RefPat {
+        let src = match rng.below(4) {
+            0 | 1 => RefSrc::Exact(rng.below(SRCS as u64) as usize),
+            2 => RefSrc::Any,
+            _ => {
+                let m = 2 + rng.below(2) as usize;
+                RefSrc::Mod(m, rng.below(m as u64) as usize)
+            }
+        };
+        RefPat {
+            ctx: CTXS[rng.below(CTXS.len() as u64) as usize],
+            tag: rng.below(TAGS),
+            src,
+        }
+    }
+
+    fn real(self) -> MatchPattern {
+        MatchPattern {
+            ctx: self.ctx,
+            tag: self.tag,
+            src: match self.src {
+                RefSrc::Exact(s) => SrcFilter::Exact(s),
+                RefSrc::Any => SrcFilter::Any,
+                RefSrc::Mod(m, r) => SrcFilter::Filter(Arc::new(move |s| s % m == r)),
+            },
+        }
+    }
+
+    fn matches(self, m: &RefMsg) -> bool {
+        m.ctx == self.ctx && m.tag == self.tag && self.src.accepts(m.src)
+    }
+}
+
+/// A message as the reference sees it; `id` is unique and travels in the
+/// real message's payload (`1 + id % 3` copies of it, so probes differ too).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct RefMsg {
+    ctx: ContextId,
+    tag: u64,
+    src: usize,
+    arrival: u64,
+    id: u64,
+}
+
+impl RefMsg {
+    fn draw(rng: &mut Rng, id: u64) -> RefMsg {
+        RefMsg {
+            ctx: CTXS[rng.below(CTXS.len() as u64) as usize],
+            tag: rng.below(TAGS),
+            src: rng.below(SRCS as u64) as usize,
+            arrival: rng.below(40),
+            id,
+        }
+    }
+
+    fn count(&self) -> usize {
+        1 + (self.id % 3) as usize
+    }
+
+    fn real(&self) -> Message {
+        Message::new::<u64>(
+            self.src,
+            self.tag,
+            self.ctx,
+            vec![self.id; self.count()],
+            Time::ZERO,
+            Time(self.arrival),
+        )
+    }
+
+    fn info(&self) -> MsgInfo {
+        MsgInfo {
+            src_global: self.src,
+            tag: self.tag,
+            count: self.count(),
+            bytes: self.count() * 8,
+            arrival: Time(self.arrival),
+        }
+    }
+}
+
+/// The naive mailbox: messages in deposit order, subscriptions in
+/// subscription order, every rule applied by scanning.
+#[derive(Default)]
+struct RefBox {
+    msgs: Vec<RefMsg>,
+    waiters: Vec<(u64, RefPat)>,
+    scans: u64,
+}
+
+impl RefBox {
+    /// Deposit `m` as message `idx` of its batch; returns the fired
+    /// subscriptions as `(idx, waiter id)` in subscription order.
+    fn deposit(&mut self, idx: usize, m: RefMsg) -> Vec<(usize, u64)> {
+        self.scans += self.waiters.len() as u64;
+        let mut fired = Vec::new();
+        self.waiters.retain(|&(id, pat)| {
+            let hit = pat.matches(&m);
+            if hit {
+                fired.push((idx, id));
+            }
+            !hit
+        });
+        self.msgs.push(m);
+        fired
+    }
+
+    /// Index into `msgs` of the message a receive with `pat` takes: per
+    /// source only the oldest message under `(ctx, tag)` is a candidate;
+    /// among the acceptable sources' candidates the smallest
+    /// `(arrival, src)` wins.
+    fn best(&self, pat: RefPat) -> Option<usize> {
+        let mut seen = [false; SRCS];
+        let mut best: Option<usize> = None;
+        for (i, m) in self.msgs.iter().enumerate() {
+            if m.ctx != pat.ctx || m.tag != pat.tag || seen[m.src] {
+                continue;
+            }
+            seen[m.src] = true;
+            if !pat.src.accepts(m.src) {
+                continue;
+            }
+            if best.is_none_or(|b| (m.arrival, m.src) < (self.msgs[b].arrival, self.msgs[b].src)) {
+                best = Some(i);
+            }
+        }
+        best
+    }
+
+    fn claim(&mut self, pat: RefPat) -> Option<RefMsg> {
+        self.best(pat).map(|i| self.msgs.remove(i))
+    }
+
+    fn probe(&self, pat: RefPat) -> Option<RefMsg> {
+        self.best(pat).map(|i| self.msgs[i])
+    }
+}
+
+/// Waker that records its subscription id in a shared log when fired.
+struct LogWake {
+    id: u64,
+    log: Arc<Mutex<Vec<u64>>>,
+}
+
+impl Wake for LogWake {
+    fn wake(&self) {
+        self.log.lock().unwrap().push(self.id);
+    }
+}
+
+fn assert_same_message(got: Option<Message>, want: Option<RefMsg>) {
+    match (got, want) {
+        (None, None) => {}
+        (Some(m), Some(r)) => {
+            let (payload, info) = m.take::<u64>().unwrap();
+            assert_eq!(payload, vec![r.id; r.count()]);
+            assert_eq!(info, r.info());
+        }
+        (got, want) => panic!("mailbox returned {got:?}, reference {want:?}"),
+    }
+}
+
+fn run_case(seed: u64, steps: usize) {
+    let mut rng = Rng(seed | 1);
+    let mb = Mailbox::new();
+    let mut rf = RefBox::default();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    // Live and already-fired subscriptions: (token, waiter id).
+    let mut tokens: Vec<(WaitToken, u64)> = Vec::new();
+    let mut next_msg = 0u64;
+    let mut next_waiter = 0u64;
+    let mut fresh_msg = |rng: &mut Rng| {
+        next_msg += 1;
+        RefMsg::draw(rng, next_msg)
+    };
+    let fired_ids = |log: &Arc<Mutex<Vec<u64>>>| std::mem::take(&mut *log.lock().unwrap());
+
+    for _ in 0..steps {
+        match rng.below(10) {
+            0..=2 => {
+                let m = fresh_msg(&mut rng);
+                mb.push(m.real());
+                let want: Vec<u64> = rf.deposit(0, m).into_iter().map(|(_, id)| id).collect();
+                assert_eq!(fired_ids(&log), want, "push fires inline, in order");
+            }
+            3 => {
+                let batch: Vec<RefMsg> = (0..rng.below(6)).map(|_| fresh_msg(&mut rng)).collect();
+                let mut real: Vec<Message> = batch.iter().map(RefMsg::real).collect();
+                let mut fired = Vec::new();
+                mb.push_batch(&mut real, &mut fired);
+                assert!(real.is_empty());
+                assert!(fired_ids(&log).is_empty(), "push_batch defers wakes");
+                let got: Vec<(usize, u64)> = fired
+                    .into_iter()
+                    .map(|(idx, w)| {
+                        w.wake();
+                        (idx, fired_ids(&log)[0])
+                    })
+                    .collect();
+                let want: Vec<(usize, u64)> = batch
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(idx, m)| rf.deposit(idx, *m))
+                    .collect();
+                assert_eq!(got, want);
+            }
+            4 | 5 => {
+                let pat = RefPat::draw(&mut rng);
+                assert_same_message(mb.try_claim(&pat.real()), rf.claim(pat));
+            }
+            6 => {
+                let pat = RefPat::draw(&mut rng);
+                assert_eq!(mb.probe(&pat.real()), rf.probe(pat).map(|m| m.info()));
+            }
+            7 | 8 => {
+                let pat = RefPat::draw(&mut rng);
+                next_waiter += 1;
+                let waker: Arc<dyn Wake> = Arc::new(LogWake {
+                    id: next_waiter,
+                    log: Arc::clone(&log),
+                });
+                // Alternate the two subscribing flavours; they differ only
+                // in whether a hit removes the message.
+                let want = rf.probe(pat);
+                let token = if next_waiter.is_multiple_of(2) {
+                    match mb.claim_or_subscribe(&pat.real(), &waker) {
+                        Subscribed::Hit(m) => {
+                            assert_same_message(Some(m), rf.claim(pat));
+                            None
+                        }
+                        Subscribed::Waiting(t) => Some(t),
+                    }
+                } else {
+                    match mb.probe_or_subscribe(&pat.real(), &waker) {
+                        Subscribed::Hit(info) => {
+                            assert_eq!(Some(info), want.map(|m| m.info()));
+                            None
+                        }
+                        Subscribed::Waiting(t) => Some(t),
+                    }
+                };
+                assert_eq!(
+                    token.is_none(),
+                    want.is_some(),
+                    "hit iff the reference has a match"
+                );
+                if let Some(t) = token {
+                    tokens.push((t, next_waiter));
+                    rf.waiters.push((next_waiter, pat));
+                }
+            }
+            _ => {
+                // Cancel a random subscription, fired or not (idempotent).
+                if !tokens.is_empty() {
+                    let i = rng.below(tokens.len() as u64) as usize;
+                    let (token, id) = tokens.swap_remove(i);
+                    mb.unsubscribe(token);
+                    rf.waiters.retain(|&(w, _)| w != id);
+                }
+            }
+        }
+        assert_eq!(mb.len(), rf.msgs.len());
+        assert_eq!(mb.scans(), rf.scans);
+    }
+
+    // Drain what is left through the wildcard path, bucket by bucket.
+    for ctx in CTXS {
+        for tag in 0..TAGS {
+            let pat = RefPat {
+                ctx,
+                tag,
+                src: RefSrc::Any,
+            };
+            while let Some(want) = rf.claim(pat) {
+                assert_same_message(mb.try_claim(&pat.real()), Some(want));
+            }
+            assert!(mb.try_claim(&pat.real()).is_none());
+        }
+    }
+    assert!(mb.is_empty() && rf.msgs.is_empty());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+    #[test]
+    fn mailbox_matches_flat_scan_reference(seed in any::<u64>(), steps in 1usize..400) {
+        run_case(seed, steps);
+    }
+}
+
+/// 2^14 sources with two messages each pending under one `(ctx, tag)`:
+/// drained once by exact claims in reverse source order and once by
+/// wildcard claims. A scan over pending messages per claim would make this
+/// ~10^9 message visits.
+#[test]
+fn deep_bucket_drains_without_scanning_pending_messages() {
+    const SOURCES: usize = 1 << 14;
+    let ctx = ContextId::Small(3);
+    // Head arrivals scrambled over the sources; the second message of a
+    // source arrives earlier than its first for every third source (it
+    // still must not overtake).
+    let arrival = |src: usize, seq: u64| -> u64 {
+        let head = (src as u64 * 7919) % 10_007;
+        match (seq, src % 3) {
+            (0, _) => head,
+            (_, 0) => head / 2,
+            _ => head + 1 + (src as u64 % 5),
+        }
+    };
+    let fill = |mb: &Mailbox| {
+        for seq in 0..2u64 {
+            let mut batch: Vec<Message> = (0..SOURCES)
+                .map(|src| {
+                    let word = src as u64 * 2 + seq;
+                    Message::new::<u64>(
+                        src,
+                        9,
+                        ctx,
+                        vec![word],
+                        Time::ZERO,
+                        Time(arrival(src, seq)),
+                    )
+                })
+                .collect();
+            mb.push_batch(&mut batch, &mut Vec::new());
+        }
+        assert_eq!(mb.len(), 2 * SOURCES);
+    };
+    let word = |m: Message| m.take::<u64>().unwrap().0[0];
+
+    let mb = Mailbox::new();
+    fill(&mb);
+    for src in (0..SOURCES).rev() {
+        let pat = MatchPattern {
+            ctx,
+            tag: 9,
+            src: SrcFilter::Exact(src),
+        };
+        for seq in 0..2 {
+            assert_eq!(word(mb.try_claim(&pat).unwrap()), src as u64 * 2 + seq);
+        }
+        assert!(mb.try_claim(&pat).is_none());
+    }
+    assert!(mb.is_empty());
+
+    // Wildcard order from a heap of FIFO heads: pop the smallest
+    // (arrival, src), then that source's successor becomes a head.
+    fill(&mb);
+    let any = MatchPattern {
+        ctx,
+        tag: 9,
+        src: SrcFilter::Any,
+    };
+    let mut heads: BinaryHeap<Reverse<(u64, usize, u64)>> = (0..SOURCES)
+        .map(|src| Reverse((arrival(src, 0), src, 0)))
+        .collect();
+    while let Some(Reverse((_, src, seq))) = heads.pop() {
+        assert_eq!(word(mb.try_claim(&any).unwrap()), src as u64 * 2 + seq);
+        if seq == 0 {
+            heads.push(Reverse((arrival(src, 1), src, 1)));
+        }
+    }
+    assert!(mb.is_empty());
+}
