@@ -5,12 +5,14 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use jquick::assign::greedy_assignment;
+use jquick::basecase::merge_kept_half;
 use jquick::layout::{Layout, TaskRange};
 use jquick::partition::{partition, sample_median, Strictness};
 use mpisim::context::CtxPool;
 use mpisim::mailbox::Mailbox;
 use mpisim::msg::{ContextId, MatchPattern, Message, SrcFilter};
-use mpisim::{Group, Time};
+use mpisim::{Group, SortKey, Time};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn bench_group_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("group");
@@ -103,11 +105,29 @@ fn bench_mailbox(c: &mut Criterion) {
 
 fn bench_jquick_local(c: &mut Criterion) {
     let mut g = c.benchmark_group("jquick_local");
-    let data: Vec<f64> = (0..(1 << 16))
-        .map(|i| ((i * 2654435761u64) % 100_000) as f64)
-        .collect();
+    // Seeded uniform keys, as the workloads sort: a periodic sequence lets
+    // the branch predictor learn a data-dependent partition loop and hides
+    // what it costs on real input. The strictness arrives at run time, as
+    // it does from `Strictness::for_level`.
+    let mut rng = StdRng::seed_from_u64(2018);
+    let data: Vec<f64> = (0..(1 << 16)).map(|_| rng.gen_range(-1e9..1e9)).collect();
     g.bench_function("partition_64k", |b| {
-        b.iter(|| partition(black_box(data.clone()), &50_000.0, Strictness::Lt))
+        b.iter(|| partition(black_box(data.clone()), &0.0, black_box(Strictness::Lt)))
+    });
+    // One pair base case at n/p = 2^13, the host work of both partners:
+    // each sorts its own run once, then merges out the half it keeps.
+    g.bench_function("base_pair_16k", |b| {
+        let (left, right) = data[..1 << 14].split_at(1 << 13);
+        b.iter(|| {
+            let (mut left, mut right) = (black_box(left.to_vec()), black_box(right.to_vec()));
+            left.sort_unstable_by(f64::cmp_key);
+            right.sort_unstable_by(f64::cmp_key);
+            let cap_left = black_box(left.len());
+            (
+                merge_kept_half(&left, &right, cap_left, true),
+                merge_kept_half(&left, &right, cap_left, false),
+            )
+        })
     });
     g.bench_function("sample_median_256", |b| {
         let sample: Vec<f64> = data.iter().take(256).copied().collect();

@@ -6,16 +6,21 @@
 //! sorting a base case." All base-case machines run concurrently, again so
 //! that a process holding several of them cannot deadlock its partners.
 //!
-//! Two-process case: both sides exchange their elements, build the *same*
-//! union sequence (left process's elements first), sort it with the same
-//! deterministic total order, and keep complementary slices — the left
-//! process the first `cap_left` elements, the right the rest. This is
-//! equivalent to the paper's receive + quickselect + local sort but makes
-//! the duplicate-key split manifestly complementary on both sides.
+//! Two-process case: each side sorts *its own run once* and ships it; on
+//! receipt it merges the two sorted runs only as far as the share it keeps
+//! (the left process the first `cap_left` elements of the merge, the right
+//! the rest). The merge takes the left process's run first on ties, so the
+//! two shares are exactly the two slices of the stable sort of
+//! `left ++ right`: complementary on duplicates, and identical to what both
+//! sides sorting the whole union would give, at a fraction of the host
+//! work. The *charge* is still that union sort's `m log m`, at the point the
+//! partner's run arrives: the model prices the paper's receive + select +
+//! local sort, not this host shortcut (DESIGN.md, "Local kernels").
 
 use mpisim::{Result, SortKey, Src, Tag, Transport};
 
 use crate::layout::{Layout, TaskRange};
+use crate::partition::{charge_sort, local_sort_charged};
 
 /// Base-case data exchange tag. A single constant suffices: two distinct
 /// 2-process base tasks can never involve the same process pair (tasks are
@@ -41,8 +46,8 @@ pub struct Settled<T> {
 }
 
 /// State machine settling a base-case task covering one or two processes:
-/// solo tasks sort locally; pair tasks swap data with the partner, sort the
-/// union identically on both sides, and keep their own window's share.
+/// solo tasks sort locally; pair tasks swap sorted runs with the partner and
+/// merge out their own window's share.
 pub enum BaseSm<T: SortKey, C: Transport> {
     /// Task lies within one process window: local sort only.
     Solo {
@@ -61,7 +66,7 @@ pub enum BaseSm<T: SortKey, C: Transport> {
         me: u64,
         /// The partner's global process index.
         partner: u64,
-        /// My elements of the task (sent to the partner at start).
+        /// My elements of the task, sorted (sent to the partner at start).
         mine: Vec<T>,
         /// The partner's elements, once received.
         theirs: Option<Vec<T>>,
@@ -78,7 +83,7 @@ impl<T: SortKey + mpisim::Datum, C: Transport> BaseSm<T, C> {
         debug_assert!(l - f <= 1, "base case covers at most two processes");
         if f == l {
             let mut data = bt.data;
-            sort_charged(world, &mut data);
+            local_sort_charged(world, &mut data);
             return Ok(BaseSm::Solo {
                 out: Some(Settled {
                     lo: bt.task.lo,
@@ -87,14 +92,17 @@ impl<T: SortKey + mpisim::Datum, C: Transport> BaseSm<T, C> {
             });
         }
         let partner = if me == f { l } else { f };
-        world.send(&bt.data, partner as usize, BASE_TAG)?;
+        // Uncharged here: the union's sort is charged when it is complete.
+        let mut mine = bt.data;
+        mine.sort_unstable_by(T::cmp_key);
+        world.send(&mine, partner as usize, BASE_TAG)?;
         let mut sm = BaseSm::Pair {
             c: world.clone(),
             task: bt.task,
             layout,
             me,
             partner,
-            mine: bt.data,
+            mine,
             theirs: None,
             out: None,
         };
@@ -126,25 +134,18 @@ impl<T: SortKey + mpisim::Datum, C: Transport> BaseSm<T, C> {
                     }
                 }
                 let theirs = theirs.take().expect("received");
-                let mine_v = std::mem::take(mine);
+                let mine = std::mem::take(mine);
                 let i_am_left = *me < *partner;
-                // Identical union sequence on both sides: left's data first.
-                let mut union = if i_am_left {
-                    let mut u = mine_v;
-                    u.extend(theirs);
-                    u
-                } else {
-                    let mut u = theirs;
-                    u.extend(mine_v);
-                    u
-                };
-                sort_charged(c, &mut union);
+                charge_sort(c, mine.len() + theirs.len());
                 let (f, _) = task.procs(layout);
                 let cap_left = task.load_of(layout, f) as usize;
                 let (keep, lo) = if i_am_left {
-                    (union[..cap_left].to_vec(), task.lo)
+                    (merge_kept_half(&mine, &theirs, cap_left, true), task.lo)
                 } else {
-                    (union[cap_left..].to_vec(), task.lo + cap_left as u64)
+                    (
+                        merge_kept_half(&theirs, &mine, cap_left, false),
+                        task.lo + cap_left as u64,
+                    )
                 };
                 *out = Some(Settled { lo, data: keep });
                 Ok(true)
@@ -160,14 +161,56 @@ impl<T: SortKey + mpisim::Datum, C: Transport> BaseSm<T, C> {
     }
 }
 
-/// Local comparison sort with an O(m log m) virtual-time charge.
-fn sort_charged<T: SortKey>(tr: &impl Transport, data: &mut [T]) {
-    let m = data.len();
-    if m > 1 {
-        let log_m = (usize::BITS - (m - 1).leading_zeros()) as usize;
-        tr.charge_compute(m * log_m);
+/// One partner's share of a pair base case: of the stable merge of the
+/// sorted runs `left` and `right` (`left` first on ties, i.e. the stable
+/// sort of `left ++ right`), the first `cap_left` elements if `keep_left`,
+/// the remaining ones otherwise. Merges only the kept share.
+pub fn merge_kept_half<T: SortKey>(
+    left: &[T],
+    right: &[T],
+    cap_left: usize,
+    keep_left: bool,
+) -> Vec<T> {
+    let (i, j) = co_rank(left, right, cap_left);
+    if keep_left {
+        merge(&left[..i], &right[..j])
+    } else {
+        merge(&left[i..], &right[j..])
     }
-    data.sort_by(T::cmp_key);
+}
+
+/// How many elements of `left` and of `right` the first `k` elements of
+/// their stable merge hold.
+fn co_rank<T: SortKey>(left: &[T], right: &[T], k: usize) -> (usize, usize) {
+    debug_assert!(k <= left.len() + right.len());
+    let (mut lo, mut hi) = (k.saturating_sub(right.len()), k.min(left.len()));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        // With `mid` taken from `left`, `right[k - mid - 1]` is the last one
+        // taken from `right`; `left[mid]` goes before it unless greater.
+        if left[mid].cmp_key(&right[k - mid - 1]).is_le() {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo, k - lo)
+}
+
+/// Stable merge of two sorted runs, `left` first on ties. The source is
+/// selected, not branched on: on random keys either run is as likely.
+fn merge<T: SortKey>(left: &[T], right: &[T]) -> Vec<T> {
+    let mut out = Vec::with_capacity(left.len() + right.len());
+    let (mut i, mut j) = (0, 0);
+    while i < left.len() && j < right.len() {
+        let take_right = right[j].cmp_key(&left[i]).is_lt();
+        out.push(if take_right { right[j] } else { left[i] });
+        i += usize::from(!take_right);
+        j += usize::from(take_right);
+    }
+    out.extend_from_slice(&left[i..]);
+    out.extend_from_slice(&right[j..]);
+    out
 }
 
 #[cfg(test)]

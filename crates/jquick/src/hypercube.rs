@@ -10,7 +10,7 @@
 
 use mpisim::{coll, Datum, MpiError, Result, SortKey, Src, Transport};
 
-use crate::partition::{partition, sample_median, Strictness};
+use crate::partition::{local_sort_charged, partition, sample_median, Strictness};
 use crate::pivot::{draw_samples, PivotCfg};
 
 const TAG_SAMPLES: u64 = 84;
@@ -100,12 +100,7 @@ pub fn hypercube_sort<T: SortKey + Datum>(
         data = merged;
     }
 
-    let m = data.len();
-    if m > 1 {
-        let log_m = (usize::BITS - (m - 1).leading_zeros()) as usize;
-        world.charge_compute(m * log_m);
-    }
-    data.sort_by(T::cmp_key);
+    local_sort_charged(world, &mut data);
     Ok(data)
 }
 

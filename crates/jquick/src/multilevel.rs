@@ -18,6 +18,7 @@
 use mpisim::{coll, MpiError, Result, SortKey, Src, Transport};
 use rbc::RbcComm;
 
+use crate::partition::local_sort_charged;
 use crate::pivot::draw_samples;
 use crate::verify::KeyBits;
 
@@ -82,7 +83,7 @@ pub fn multilevel_sample_sort<T: SortKey + mpisim::Datum>(
             Some(per_rank) => {
                 let mut all: Vec<T> = per_rank.into_iter().flatten().collect();
                 comm.charge_compute(all.len() * 4);
-                all.sort_by(T::cmp_key);
+                all.sort_unstable_by(T::cmp_key);
                 if all.is_empty() {
                     Vec::new()
                 } else {
@@ -140,12 +141,7 @@ pub fn multilevel_sample_sort<T: SortKey + mpisim::Datum>(
         stats.group_splits += 1;
     }
 
-    let m = data.len();
-    if m > 1 {
-        let log_m = (usize::BITS - (m - 1).leading_zeros()) as usize;
-        comm.charge_compute(m * log_m);
-    }
-    data.sort_by(T::cmp_key);
+    local_sort_charged(&comm, &mut data);
     Ok((data, stats))
 }
 

@@ -8,6 +8,7 @@
 
 use mpisim::{coll, Datum, Result, SortKey, Transport};
 
+use crate::partition::local_sort_charged;
 use crate::pivot::draw_samples;
 use crate::verify::KeyBits;
 
@@ -37,7 +38,7 @@ pub fn sample_sort<T: SortKey + Datum>(
     let p = world.size();
     if p == 1 {
         let mut data = data;
-        data.sort_by(T::cmp_key);
+        data.sort_unstable_by(T::cmp_key);
         return Ok(data);
     }
 
@@ -59,12 +60,7 @@ pub fn sample_sort<T: SortKey + Datum>(
     //    sort of the received pieces.
     let received = coll::alltoallv(world, buckets, TAG_A2A)?;
     let mut out: Vec<T> = received.into_iter().flatten().collect();
-    let m = out.len();
-    if m > 1 {
-        let log_m = (usize::BITS - (m - 1).leading_zeros()) as usize;
-        world.charge_compute(m * log_m);
-    }
-    out.sort_by(T::cmp_key);
+    local_sort_charged(world, &mut out);
     Ok(out)
 }
 

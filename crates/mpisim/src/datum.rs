@@ -56,6 +56,15 @@ macro_rules! impl_zeroed {
 impl_zeroed!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
 
 /// A total order usable for sorting keys. `f64` gets IEEE-754 `total_cmp`.
+///
+/// **Tie contract:** `a.cmp_key(&b) == Ordering::Equal` implies that `a`
+/// and `b` are interchangeable bit for bit: the order looks at the whole
+/// value, never at a key field beside a payload. Every impl here keeps it
+/// (`total_cmp` tells `-0.0` from `0.0` and NaN payloads apart; tuples
+/// compare every field). It is what lets the sorters use unstable sorts,
+/// selection and run merges and still produce the byte-identical output a
+/// stable sort would; an impl that orders records by a prefix breaks that
+/// determinism guarantee.
 pub trait SortKey: Datum {
     /// Total-order comparison of two keys.
     fn cmp_key(&self, other: &Self) -> Ordering;

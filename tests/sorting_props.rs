@@ -3,11 +3,14 @@
 //! duplicate patterns), the output must be globally sorted, perfectly
 //! balanced (JQuick), and a permutation of the input.
 
+use jquick::basecase::{merge_kept_half, BaseSm, BaseTask};
+use jquick::partition::{partition, Strictness};
 use jquick::{
-    fingerprint, hypercube, jquick_sort, samplesort, verify_sorted, AssignmentKind, JQuickConfig,
-    Layout, PivotCfg, RbcBackend, SampleSortCfg, Schedule,
+    fingerprint, generate_workload, hypercube, jquick_sort, jquick_sort_async, samplesort,
+    verify_sorted, AssignmentKind, Dist, JQuickConfig, Layout, PivotCfg, RbcBackend, SampleSortCfg,
+    Schedule, TaskRange,
 };
-use mpisim::{SimConfig, Transport, Universe};
+use mpisim::{Backend, SimConfig, SortKey, Transport, Universe};
 use proptest::prelude::*;
 
 /// Generate each rank's input slice from a seed + distribution selector.
@@ -128,6 +131,235 @@ proptest! {
         }
     }
 }
+
+/// `partition` against the push loop it replaced (`Iterator::partition` is
+/// that loop): both sides exactly, order included, both comparators.
+/// Elements are compared through `cmp_key`, which by the tie contract is
+/// bit equality and, unlike `==`, also holds for NaN against itself and
+/// tells `-0.0` from `0.0`.
+fn check_partition<T: SortKey + std::fmt::Debug>(data: &[T], pivot: T) {
+    let same = |got: &[T], want: &[T]| {
+        got.len() == want.len() && got.iter().zip(want).all(|(g, w)| g.cmp_key(w).is_eq())
+    };
+    for strict in [Strictness::Lt, Strictness::Le] {
+        let want: (Vec<T>, Vec<T>) = data.iter().partition(|&x| strict.is_small(x, &pivot));
+        let got = partition(data.to_vec(), &pivot, strict);
+        assert!(
+            same(&got.0, &want.0) && same(&got.1, &want.1),
+            "{strict:?} pivot {pivot:?} data {data:?}: got {got:?}, want {want:?}"
+        );
+        assert_eq!(got.0.capacity(), got.0.len(), "small is exactly sized");
+        assert_eq!(got.1.capacity(), got.1.len(), "large is exactly sized");
+    }
+}
+
+const F64_EDGES: [f64; 8] = [
+    -0.0,
+    0.0,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1.5,
+    -1.5,
+    1.5,
+];
+
+/// `len` keys below `modulus` from a seeded xorshift stream.
+fn keys(seed: u64, len: usize, modulus: u64) -> Vec<u64> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % modulus
+        })
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn partition_matches_push_loop_u64(
+        len in 0usize..200,
+        seed in any::<u64>(),
+        pivot in 0u64..8,
+    ) {
+        let data = keys(seed, len, 8);
+        check_partition(&data, pivot);
+        // All-small and all-large under one of the two comparators.
+        check_partition(&data, 0);
+        check_partition(&data, 8);
+        let wide = keys(seed, len, u64::MAX);
+        check_partition(&wide, wide.first().copied().unwrap_or(pivot));
+    }
+
+    #[test]
+    fn partition_matches_push_loop_f64(
+        len in 0usize..200,
+        seed in any::<u64>(),
+        pivot in 0usize..8,
+    ) {
+        // Duplicates of every edge value, NaN pivot included.
+        let data: Vec<f64> = keys(seed, len, 8).iter().map(|&i| F64_EDGES[i as usize]).collect();
+        check_partition(&data, F64_EDGES[pivot]);
+    }
+
+    #[test]
+    fn partition_matches_push_loop_pairs(
+        len in 0usize..200,
+        seed in any::<u64>(),
+        pivot in 0u64..16,
+    ) {
+        let data: Vec<(u64, u64)> = keys(seed, len, 16).iter().map(|&k| (k / 4, k % 4)).collect();
+        check_partition(&data, (pivot / 4, pivot % 4));
+    }
+
+    // Every split of a multiset into two sorted runs, every `cap_left`: the
+    // two kept halves are the two slices of the stable sort of
+    // `left ++ right`. The second field tags the run an element came from
+    // without taking part in the order (deliberately outside the tie
+    // contract), so "left first on ties" is visible.
+    #[test]
+    fn base_pair_halves_are_slices_of_the_stable_sort(
+        len in 0usize..48,
+        split in 0usize..49,
+        seed in any::<u64>(),
+        modulus in 1u64..7,
+    ) {
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        struct Tagged(u64, bool);
+        impl mpisim::Datum for Tagged {}
+        impl SortKey for Tagged {
+            fn cmp_key(&self, other: &Self) -> std::cmp::Ordering {
+                self.0.cmp(&other.0)
+            }
+        }
+        let keys = keys(seed, len, modulus);
+        let split = split.min(len);
+        let mut left: Vec<Tagged> = keys[..split].iter().map(|&k| Tagged(k, false)).collect();
+        let mut right: Vec<Tagged> = keys[split..].iter().map(|&k| Tagged(k, true)).collect();
+        left.sort_by(Tagged::cmp_key);
+        right.sort_by(Tagged::cmp_key);
+        let mut union = left.clone();
+        union.extend(&right);
+        union.sort_by(Tagged::cmp_key);
+        for cap_left in 0..=len {
+            prop_assert_eq!(&merge_kept_half(&left, &right, cap_left, true)[..], &union[..cap_left]);
+            prop_assert_eq!(&merge_kept_half(&left, &right, cap_left, false)[..], &union[cap_left..]);
+        }
+    }
+}
+
+#[test]
+fn partition_edge_lengths() {
+    check_partition::<u64>(&[], 3);
+    check_partition(&[3u64], 3);
+    check_partition(&[3u64], 2);
+    check_partition(&[4u64, 3], 3);
+    check_partition(&[3u64, 3], 3);
+    check_partition(&[(1u64, 2u64), (1, 1)], (1, 2));
+}
+
+/// The pair base case end to end: two ranks drive `BaseSm` over every task
+/// window that straddles their boundary, duplicates across the cut.
+#[test]
+fn base_pair_through_the_state_machine() {
+    let n = 12u64; // windows [0, 6) and [6, 12)
+    for lo in 0..6u64 {
+        for hi in 7..=12u64 {
+            // Keys 0..3, so that every cut falls inside a run of equals.
+            let input = move |me: u64, load: u64| -> Vec<u64> {
+                (0..load).map(|i| (i * 7 + me * 5 + lo) % 3).collect()
+            };
+            let res = Universe::run(2, SimConfig::default(), move |env| {
+                let w = &env.world;
+                let layout = Layout::new(n, 2);
+                let task = TaskRange { lo, hi };
+                let me = w.rank() as u64;
+                let load = task.load_of(&layout, me);
+                let bt = BaseTask {
+                    task,
+                    data: input(me, load),
+                };
+                let mut sm = BaseSm::start(w, layout, me, bt).unwrap();
+                while !sm.poll().unwrap() {
+                    std::thread::yield_now();
+                }
+                let s = sm.take().unwrap();
+                (s.lo, s.data, load)
+            });
+            let (lo0, d0, load0) = &res.per_rank[0];
+            let (lo1, d1, load1) = &res.per_rank[1];
+            assert_eq!((*lo0, *lo1), (lo, lo + load0));
+            assert_eq!((d0.len() as u64, d1.len() as u64), (*load0, *load1));
+            // Sorted and a permutation of the input: the sorted input itself.
+            let mut want = input(0, *load0);
+            want.extend(input(1, *load1));
+            want.sort_unstable();
+            let got: Vec<u64> = d0.iter().chain(d1).copied().collect();
+            assert_eq!(got, want, "task [{lo}, {hi})");
+        }
+    }
+}
+
+/// One p = 64 poll-backend JQuick run: `(max_time ns, messages, bytes,
+/// FNV-1a digest over every rank's SortStats fields and output keys, in
+/// rank order)`.
+fn golden_run(dist: Dist) -> (u64, u64, u64, u64) {
+    let (p, n) = (64usize, 64 * 200 + 17u64);
+    let cfg = SimConfig::default()
+        .with_backend(Backend::Poll)
+        .with_workers(1)
+        .with_seed(2018);
+    let res = Universe::run_poll(p, cfg, move |env| async move {
+        let w = &env.world;
+        let layout = Layout::new(n, p as u64);
+        let data = generate_workload(&layout, w.rank() as u64, 2018, dist);
+        let (out, stats) = jquick_sort_async(&RbcBackend, w, data, n, &JQuickConfig::default())
+            .await
+            .unwrap();
+        (stats, out)
+    });
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |word: u64| {
+        for b in word.to_le_bytes() {
+            digest = (digest ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (s, out) in &res.per_rank {
+        fold(s.max_level as u64);
+        fold(s.comm_creations as u64);
+        fold(s.base_1 as u64);
+        fold(s.base_2 as u64);
+        fold(s.stuck_retries as u64);
+        fold(s.settled_equal as u64);
+        fold(s.distributed_end.as_nanos());
+        out.iter().for_each(|x| fold(x.to_bits()));
+    }
+    (
+        res.max_time().as_nanos(),
+        res.metrics.messages,
+        res.metrics.bytes,
+        digest,
+    )
+}
+
+/// Host-only changes to the local kernels must leave the model untouched.
+/// The numbers were recorded at the commit *before* the branch-free
+/// partition and the sort-once / merge-half base case (PR 12's head) and
+/// must never be edited to make a kernel change pass.
+#[test]
+fn golden_model_counts_p64_poll() {
+    assert_eq!(golden_run(Dist::Uniform), GOLDEN_UNIFORM);
+    assert_eq!(golden_run(Dist::Skewed), GOLDEN_SKEWED);
+    assert_eq!(golden_run(Dist::FewValues(5)), GOLDEN_FEW_VALUES);
+}
+
+// `Skewed` is a monotone map of the same draws as `Uniform`, so the two
+// runs have one shape and differ in the keys (the digest) only.
+const GOLDEN_UNIFORM: (u64, u64, u64, u64) = (915_976, 3897, 676_496, 4192105137056254916);
+const GOLDEN_SKEWED: (u64, u64, u64, u64) = (915_976, 3897, 676_496, 14228742574624561680);
+const GOLDEN_FEW_VALUES: (u64, u64, u64, u64) = (1_592_250, 4327, 312_232, 17442870204075713340);
 
 /// Deterministic regression corpus: configurations that exercised bugs
 /// during development (degenerate pivots, janus chains, ragged layouts).
