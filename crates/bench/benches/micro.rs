@@ -228,14 +228,11 @@ fn bench_payload_pool(c: &mut Criterion) {
 /// uses. The storm repeats for several rounds inside one universe so the
 /// epoch commit (the ordering step under measurement) amortises the
 /// fiber/universe setup out of the numbers.
-fn commit_storm(p: usize, per: usize, algo: mpisim::SortAlgo) -> mpisim::Time {
+fn commit_storm(p: usize, per: usize) -> mpisim::Time {
     use mpisim::{SimConfig, Src, Transport, Universe};
     const OFFSETS: [usize; 4] = [1, 4, 9, 16];
     const ROUNDS: usize = 4;
-    let cfg = SimConfig::cooperative()
-        .with_seed(7)
-        .with_workers(4)
-        .with_sort_algo(algo);
+    let cfg = SimConfig::cooperative().with_seed(7).with_workers(4);
     let res = Universe::run(p, cfg, |env| {
         let w = &env.world;
         let r = w.rank();
@@ -267,21 +264,15 @@ fn commit_storm(p: usize, per: usize, algo: mpisim::SortAlgo) -> mpisim::Time {
     res.clocks[0]
 }
 
-fn bench_commit_sort(c: &mut Criterion) {
-    use mpisim::SortAlgo;
-    let mut g = c.benchmark_group("commit_sort");
+fn bench_commit_storm(c: &mut Criterion) {
+    let mut g = c.benchmark_group("commit_storm");
     // (ranks, steps): m = p·per·4 staged messages per epoch wave, across
-    // p tasks — small/medium/wide shapes. The 8192-message epochs cross
-    // the publish threshold and exercise the parallel chunked merge
-    // round; the smaller ones merge inline on the finishing worker.
+    // p tasks — small/medium/wide shapes, the widest sharding its commit
+    // over the 4-worker pool.
     for &(p, per) in &[(64usize, 2usize), (64, 8), (64, 32), (256, 8)] {
-        for (name, algo) in [("merge", SortAlgo::Merge), ("sort", SortAlgo::Sort)] {
-            g.bench_with_input(
-                BenchmarkId::new(name, format!("p{p}x{per}")),
-                &(p, per),
-                |b, &(p, per)| b.iter(|| commit_storm(black_box(p), black_box(per), algo)),
-            );
-        }
+        g.bench_function(&format!("p{p}x{per}"), |b| {
+            b.iter(|| commit_storm(black_box(p), black_box(per)))
+        });
     }
     g.finish();
 }
@@ -294,6 +285,6 @@ criterion_group!(
     bench_jquick_local,
     bench_exchange_encoding,
     bench_payload_pool,
-    bench_commit_sort
+    bench_commit_storm
 );
 criterion_main!(benches);

@@ -147,8 +147,7 @@ fn jquick_time(p: usize, n_per: u64) -> Time {
 ///
 /// * `results/largep_trace.txt` — the canonical text rendering of the
 ///   deterministic trace. CI byte-diffs this file across
-///   `MPISIM_COOP_WORKERS`, `MPISIM_COOP_COMMIT`, and `MPISIM_BACKEND`
-///   settings; any difference means scheduling leaked into the model.
+///   `MPISIM_COOP_WORKERS` and `MPISIM_BACKEND` settings; any difference means scheduling leaked into the model.
 /// * Chrome `trace_event` JSON (default `results/largep_trace.json`,
 ///   overridable via `MPISIM_TRACE_OUT`) — drop into Perfetto /
 ///   `chrome://tracing`, one track per rank in virtual microseconds.

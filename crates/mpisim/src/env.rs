@@ -7,15 +7,14 @@
 //! default, a well-formed value configures, and anything else **panics**
 //! with a message naming the variable and the expected shape. A mistyped
 //! sweep knob silently falling back to the default would make the
-//! experiment vacuous — `MPISIM_COOP_COMMIT=seral` running the sharded
-//! path would "confirm" the serial oracle against itself, and
-//! `MPISIM_TRACE=yes` silently tracing nothing would byte-diff two empty
-//! traces. The only deliberately lenient knobs are `MPISIM_COOP_WORKERS`
-//! (a machine-shape hint, not an experiment axis) and `MPISIM_TRACE_OUT`
-//! (a path, any string is plausible).
+//! experiment vacuous — `MPISIM_BACKEND=pol` running fibers would
+//! "confirm" the poll backend against itself, and `MPISIM_TRACE=yes`
+//! silently tracing nothing would byte-diff two empty traces. The only
+//! deliberately lenient knobs are `MPISIM_COOP_WORKERS` and
+//! `MPISIM_FLEET_INFLIGHT` (machine-shape hints, not experiment axes) and
+//! `MPISIM_TRACE_OUT` (a path, any string is plausible).
 
 use crate::faults::SlowdownSpec;
-use crate::model::{CommitAlgo, SortAlgo};
 use crate::time::Time;
 
 /// Read an environment variable as a `String` (`None` when unset or not
@@ -26,7 +25,7 @@ pub fn var(name: &str) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Cooperative-scheduler knobs (MPISIM_COOP_*)
+// Scheduler knobs (MPISIM_COOP_WORKERS, MPISIM_FLEET_INFLIGHT, MPISIM_BACKEND)
 // ---------------------------------------------------------------------------
 
 /// Parse `MPISIM_COOP_WORKERS` (a positive worker count). Deliberately
@@ -70,43 +69,6 @@ pub fn backend_from(var: Option<&str>) -> crate::Backend {
              (expected \"fiber\", \"poll\", or \"threads\")"
         ),
     }
-}
-
-/// Parse `MPISIM_COOP_COMMIT` into a [`CommitAlgo`]. Unset, blank, or
-/// `sharded` selects the production sharded commit; `serial` selects the
-/// single-pass oracle; anything else panics (a typo silently running the
-/// default would defeat an oracle-comparison sweep).
-pub fn commit_algo_from(var: Option<&str>) -> CommitAlgo {
-    match var.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
-        None | Some("") | Some("sharded") => CommitAlgo::Sharded,
-        Some("serial") => CommitAlgo::Serial,
-        Some(other) => panic!(
-            "MPISIM_COOP_COMMIT={other:?} is not a commit algorithm \
-             (expected \"sharded\" or \"serial\")"
-        ),
-    }
-}
-
-/// Parse `MPISIM_COOP_SORT` into a [`SortAlgo`]. Unset, blank, or `merge`
-/// selects the production parallel k-way merge; `sort` selects the
-/// single-worker sort oracle; anything else panics (a typo silently
-/// running the default would compare the merge against itself).
-pub fn coop_sort_from(var: Option<&str>) -> SortAlgo {
-    match var.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
-        None | Some("") | Some("merge") => SortAlgo::Merge,
-        Some("sort") => SortAlgo::Sort,
-        Some(other) => panic!(
-            "MPISIM_COOP_SORT={other:?} is not a commit sort algorithm \
-             (expected \"merge\" or \"sort\")"
-        ),
-    }
-}
-
-/// Parse `MPISIM_COOP_COMMIT_SHARDS` (a shard count; 0 or anything
-/// unparsable means "auto" — sized from the worker count at commit time).
-pub fn commit_shards_from(var: Option<&str>) -> usize {
-    var.and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -292,42 +254,6 @@ mod tests {
     #[should_panic(expected = "MPISIM_BACKEND")]
     fn backend_knob_rejects_garbage() {
         backend_from(Some("fibers"));
-    }
-
-    #[test]
-    fn commit_algo_knob_parses_strictly() {
-        assert_eq!(commit_algo_from(None), CommitAlgo::Sharded);
-        assert_eq!(commit_algo_from(Some("")), CommitAlgo::Sharded);
-        assert_eq!(commit_algo_from(Some("sharded")), CommitAlgo::Sharded);
-        assert_eq!(commit_algo_from(Some(" Serial ")), CommitAlgo::Serial);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a commit algorithm")]
-    fn commit_algo_knob_rejects_typos() {
-        commit_algo_from(Some("seral"));
-    }
-
-    #[test]
-    fn coop_sort_knob_parses_strictly() {
-        assert_eq!(coop_sort_from(None), SortAlgo::Merge);
-        assert_eq!(coop_sort_from(Some("")), SortAlgo::Merge);
-        assert_eq!(coop_sort_from(Some("merge")), SortAlgo::Merge);
-        assert_eq!(coop_sort_from(Some(" Sort ")), SortAlgo::Sort);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a commit sort algorithm")]
-    fn coop_sort_knob_rejects_typos() {
-        coop_sort_from(Some("mergesort"));
-    }
-
-    #[test]
-    fn commit_shards_knob_parses_with_auto_fallback() {
-        assert_eq!(commit_shards_from(None), 0);
-        assert_eq!(commit_shards_from(Some("")), 0);
-        assert_eq!(commit_shards_from(Some("garbage")), 0);
-        assert_eq!(commit_shards_from(Some(" 12 ")), 12);
     }
 
     // ---- observability knobs ----------------------------------------------

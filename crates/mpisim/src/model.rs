@@ -149,46 +149,29 @@ pub enum SplitAlgo {
 /// itself costs no virtual time — it is the mechanism that realises the
 /// α–β model's arrival order, so only its wall-clock cost differs. The
 /// same worker-count invariance is what lets a fleet co-schedule
-/// universes over one pool (pinning each universe's shard and merge
-/// thresholds to the pool size) without perturbing any universe's
-/// output — see DESIGN.md §11.
+/// universes over one pool (pinning each universe's shard threshold to
+/// the pool size) without perturbing any universe's output — see
+/// DESIGN.md §11.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CommitAlgo {
-    /// Destination-major commit: after the global sort the entry run is
-    /// partitioned into per-destination-rank segments and idle workers
+    /// Destination-major commit: the staged run is sorted in place by
+    /// `(dest, matchable_time, sender, seq)` (a unique key, so the
+    /// allocation-free unstable sort is deterministic; DESIGN.md §10),
+    /// partitioned into per-destination-rank segments, and idle workers
     /// claim segments lock-free, pushing into disjoint mailboxes in
     /// parallel. Wake-ups are deferred and merged in global
     /// `(matchable_time, sender, seq)` order after the push barrier, so
     /// the next round's order stays a pure function of `(program, seed)`.
     #[default]
     Sharded,
-    /// The original single-threaded commit: one worker pushes every
-    /// staged message in global `(matchable_time, sender, seq)` order.
-    /// Kept as the correctness oracle for the sharded variant.
+    /// The original single-threaded commit: one worker stable-sorts the
+    /// staged run by the global `(matchable_time, sender, seq)` key and
+    /// pushes every message itself, in that order. Kept as the
+    /// correctness reference for the sharded variant — a different sort
+    /// algorithm, key and delivery path — and selectable only through
+    /// [`SimConfig::with_commit_algo`](crate::SimConfig::with_commit_algo)
+    /// (no environment knob).
     Serial,
-}
-
-/// Which algorithm the cooperative scheduler uses to put an epoch's staged
-/// messages into commit order (see [`crate::sched`] and DESIGN.md §10).
-///
-/// Like [`CommitAlgo`], this is a *simulator* knob, not a simulated-MPI
-/// one: both variants produce bit-identical simulations (delivery orders,
-/// clocks, traces, figure CSVs) for every worker count and commit
-/// algorithm. Per-task staging buffers are already sorted by construction,
-/// so ordering the epoch is a merge problem; the global sort is kept as
-/// the correctness oracle for the merge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SortAlgo {
-    /// Parallel k-way merge: workers claim pre-sorted per-task runs from a
-    /// `Merge` work phase (the same generation-tagged lock-free cursor as
-    /// the task and commit phases) and merge them pairwise/tournament
-    /// style; no Θ(m log m) single-worker stretch and no sort scratch
-    /// allocation.
-    #[default]
-    Merge,
-    /// The original single-worker commit sort (`sort_by_key` over the
-    /// whole staged run). Kept as the correctness oracle for the merge.
-    Sort,
 }
 
 /// An MPI implementation personality.

@@ -520,7 +520,12 @@ pub struct WorkerProfile {
     /// gathering and ordering an epoch's staged messages and, on the
     /// inline (one-shard) path, delivering them.
     pub commit_ns: u64,
-    /// Nanoseconds spent merging staged-message runs.
+    /// Always 0: the published k-way merge round this timed is gone
+    /// (ordering is one in-place sort, counted under `commit_ns`). The
+    /// field stays because the perf ledger (`benchmark/`) reads it through
+    /// the `pub` surface and is byte-frozen for a PR that changes the
+    /// code it measures; a `benchmark`-only PR drops its
+    /// `sched.merge_ns` row, after which this field can go.
     pub merge_ns: u64,
     /// Nanoseconds spent parked on the epoch gate.
     pub idle_ns: u64,
@@ -528,7 +533,8 @@ pub struct WorkerProfile {
     pub tasks: u64,
     /// Commit shards this worker claimed.
     pub shards: u64,
-    /// Pre-sorted runs this worker consumed across merge rounds.
+    /// Always 0, and kept for the same reason as `merge_ns` (the
+    /// ledger's `sched.merge_runs` row).
     pub merge_runs: u64,
 }
 
@@ -545,7 +551,7 @@ pub struct WorkerProfile {
 pub struct SchedProfile {
     /// One entry per worker, indexed by worker id.
     pub workers: Vec<WorkerProfile>,
-    /// Entry-vector pool reuses across all commits (shards + merge runs).
+    /// Entry-vector pool reuses across all commits (shard vectors).
     pub pool_hits: u64,
     /// Entry-vector pool allocations across all commits.
     pub pool_misses: u64,

@@ -15,7 +15,7 @@
 //! the state a solo `Scheduler` run has. A fleet worker *sweeps* the
 //! active set: for each universe it calls
 //! `Scheduler::drain_phases`, which claims and executes
-//! `Work::{Tasks, Merge, Commit}` units through that universe's own
+//! `Work::{Tasks, Commit}` units through that universe's own
 //! `(gen, cursor)` pair until the universe completes or the tail of its
 //! current phase is owned by another worker — then moves on to the next
 //! universe. Only when *no* universe yields work does the worker park on
@@ -315,7 +315,6 @@ where
         cfg.coop_stack_size,
         Arc::clone(&router),
         cfg.commit_algo,
-        cfg.sort_algo,
         cfg.coop_commit_shards,
         cfg.sched_profile,
         Arc::clone(&inner.pools),

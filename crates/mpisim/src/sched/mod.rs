@@ -43,9 +43,9 @@
 //! Step 2 runs under one of two algorithms
 //! ([`CommitAlgo`](crate::model::CommitAlgo)):
 //!
-//! * **Serial** (the oracle): the committing worker sorts the staged run
-//!   by the global key and pushes every message itself, waking receivers
-//!   as it goes.
+//! * **Serial** (the reference tests compare against): the committing
+//!   worker stable-sorts the staged run by the global key and pushes every
+//!   message itself, waking receivers as it goes.
 //! * **Sharded** (the default): the run is sorted *destination-major* —
 //!   `(dest, matchable_time, sender, seq)` — so each destination rank's
 //!   messages form one contiguous segment whose internal order is exactly
@@ -58,23 +58,13 @@
 //!   push barrier the finishing worker merges them in global key order —
 //!   reproducing the serial wake order bit for bit. See DESIGN.md §7.
 //!
-//! Orthogonally, *how* the staged run reaches delivery order is itself
-//! selectable ([`SortAlgo`](crate::model::SortAlgo)): each task's staged
-//! run is already sorted by the global key **by construction** (the key's
-//! time component is a running max and `seq` increases along program
-//! order), so ordering the epoch is a merge problem, not a sort. The
-//! default **Merge** path k-way merges the pre-sorted per-task runs in a
-//! single heap-driven pass that moves each entry exactly once — inline
-//! for small epochs and 1-worker pools, else as one published merge
-//! round whose chunk units every idle worker claims through the same
-//! epoch-tagged cursor — while the **Sort** oracle keeps the original
-//! global `sort_by_key`. The commit key is unique over the epoch, so both
-//! produce the *same* unique sorted order regardless of merge-tree shape
-//! (DESIGN.md §10): this knob too is invisible in every simulation
-//! output. The merge path additionally recycles every epoch-commit
-//! buffer (runs, shards, wake records, round vectors) through
-//! [`crate::pool`], making the steady-state epoch allocation-free at one
-//! worker.
+//! Either way the epoch's staged messages are gathered into one reused
+//! buffer. The commit key is unique over the epoch, so there is exactly
+//! one sorted order: the sharded commit's in-place unstable sort is
+//! deterministic and allocates nothing (DESIGN.md §10). Every other commit
+//! buffer (shards, wake records, round vectors) is recycled through
+//! [`crate::pool`], which makes the steady-state epoch allocation-free at
+//! one worker.
 //!
 //! Every input to this procedure — the round order, each task's behaviour
 //! against a frozen mailbox state, the staged-message sort key, the wake
@@ -317,7 +307,7 @@ pub fn on_poll_body() -> bool {
 mod imp {
     use super::*;
     use crate::faults::RoundBlame;
-    use crate::model::{CommitAlgo, SortAlgo};
+    use crate::model::CommitAlgo;
     use crate::pool::Pool;
     use crate::proc::Router;
     use parking_lot::Condvar;
@@ -583,57 +573,12 @@ mod imp {
     unsafe impl Send for CommitWork {}
     unsafe impl Sync for CommitWork {}
 
-    /// The one published round of the parallel k-way merge
-    /// ([`SortAlgo::Merge`]): the epoch's staged entries sit flat in
-    /// `flat`, cut into per-task runs by `bounds` (each run sorted by
-    /// the global commit key by construction). The worker that claims
-    /// unit `i` presorts the runs of chunk `ranges[i]` in place
-    /// (destination-major, when the commit is sharded) and k-way merges
-    /// them into `outputs[i]` in a single pass. The finishing worker
-    /// then k-way merges the ≤ 2·workers partial outputs inline and
-    /// delivers, exactly as the sort path would.
-    struct MergeWork {
-        /// The epoch's staged entries, on loan from the scheduler's
-        /// `commit_buf`. Entries are moved out by `ptr::read` during the
-        /// round; the finisher resets the length to 0 and returns the
-        /// storage. Only `base` touches the contents while the round is
-        /// in flight — no `&mut Vec` is ever formed concurrently.
-        flat: std::cell::UnsafeCell<Vec<CommitEntry>>,
-        /// `flat.as_mut_ptr()`, cached at publish time so claim units
-        /// never materialise an aliasing `&mut Vec`.
-        base: *mut CommitEntry,
-        /// Per-task `[start, end)` entry ranges of `flat`, disjoint and
-        /// non-empty.
-        bounds: Vec<(usize, usize)>,
-        /// `ranges[i]` is the disjoint `[lo, hi)` chunk of `bounds` that
-        /// claim unit `i` merges; every chunk is non-empty.
-        ranges: Vec<(usize, usize)>,
-        /// One partial output run per claim unit.
-        outputs: Vec<std::cell::UnsafeCell<Vec<CommitEntry>>>,
-        /// Merge key: destination-major (sharded commit) vs the plain
-        /// global commit key (serial commit).
-        dest_major: bool,
-        /// Tasks that yielded during the epoch, threaded through the
-        /// round to the eventual commit.
-        next: Mutex<Vec<usize>>,
-    }
-
-    // Safety: the entry ranges `bounds[ranges[i].0..ranges[i].1]` of
-    // `flat` and `outputs[i]` are only touched by the single worker that
-    // claimed unit `i` through the cursor CAS (the ranges are disjoint),
-    // and by the finishing worker after the round barrier.
-    unsafe impl Send for MergeWork {}
-    unsafe impl Sync for MergeWork {}
-
-    /// What the workers are currently claiming: an epoch's task round, a
-    /// merge round ordering the staged messages, or the sharded commit of
-    /// the ordered run.
+    /// What the workers are currently claiming: an epoch's task round or
+    /// the sharded commit of its ordered staged messages.
     #[derive(Clone)]
     enum Work {
         /// Tasks of the current epoch, in deterministic order.
         Tasks(Arc<Vec<usize>>),
-        /// The chunked k-way merge round of the staged-message commit.
-        Merge(Arc<MergeWork>),
         /// Shards of the finished epoch's staged messages.
         Commit(Arc<CommitWork>),
     }
@@ -643,7 +588,6 @@ mod imp {
         fn units(&self) -> usize {
             match self {
                 Work::Tasks(round) => round.len(),
-                Work::Merge(mw) => mw.outputs.len(),
                 Work::Commit(cw) => cw.shards.len(),
             }
         }
@@ -666,14 +610,6 @@ mod imp {
     /// small commits stay on the committing worker.
     const MIN_SHARD_ENTRIES: usize = 64;
 
-    /// Below this many staged entries a *published* merge round cannot
-    /// amortise its claim round-trips; the committing worker merges
-    /// inline instead (identical output by construction). The inline
-    /// single-pass merge costs ~100 ns/entry, so the published round's
-    /// gate round-trip (~100–200 µs) only pays off on epochs committing
-    /// thousands of messages.
-    const MIN_MERGE_ENTRIES: usize = 8192;
-
     /// Consecutive no-progress epochs (no message staged, no task woken,
     /// no task finished — pure yields) tolerated while a crash-stop fault
     /// is armed before the scheduler declares the run stalled and poisons
@@ -692,9 +628,9 @@ mod imp {
     /// payload pool ([`crate::pool`]) is shared the same way.
     #[derive(Default)]
     pub(crate) struct SchedPools {
-        /// Recycled entry vectors serving both commit shards and merge
-        /// runs: every drained (capacity-retaining) vector returns here,
-        /// so steady-state commits allocate nothing per epoch.
+        /// Recycled commit-shard entry vectors: every drained
+        /// (capacity-retaining) vector returns here, so steady-state
+        /// commits allocate nothing per epoch.
         entry_pool: Pool<Vec<CommitEntry>>,
         /// Recycled round/next index vectors.
         idx_pool: Pool<Vec<usize>>,
@@ -772,15 +708,9 @@ mod imp {
         /// Claim units of the current phase that have completed; the
         /// worker that completes the last one advances the phase.
         round_done: AtomicUsize,
-        /// The one big staged-entry vector every epoch gathers into
-        /// (reused across epochs): the [`SortAlgo::Sort`] oracle sorts it
-        /// in place; the [`SortAlgo::Merge`] path sorts it in place for
-        /// small epochs and lends its storage to the published merge
-        /// round for wide ones.
+        /// The one staged-entry vector every epoch gathers into and sorts
+        /// in place (reused across epochs).
         commit_buf: Mutex<Vec<CommitEntry>>,
-        /// Reusable per-task run boundary list (`[start, end)` ranges of
-        /// `commit_buf`) of the merge path.
-        bounds_buf: Mutex<Vec<(usize, usize)>>,
         /// The commit-scratch pools — private to this scheduler for a
         /// solo run, shared across universes under a fleet (see
         /// [`SchedPools`]).
@@ -795,13 +725,8 @@ mod imp {
         /// when no worker still holds a clone (always true at 1 worker),
         /// so steady-state round publishing is allocation-free.
         round_pool: Mutex<Vec<Arc<Vec<usize>>>>,
-        /// The reusable partial-output run list of the merge finisher.
-        runs_buf: Mutex<Vec<Vec<CommitEntry>>>,
         /// How the epoch commit delivers staged messages.
         commit_algo: CommitAlgo,
-        /// How the epoch commit orders staged messages (merge vs the
-        /// global-sort oracle; see the module docs).
-        sort_algo: SortAlgo,
         /// Requested shard-count cap (0 = auto from the worker count).
         commit_shards: usize,
         /// Effective worker count of the current run (set by `run`).
@@ -835,8 +760,8 @@ mod imp {
         /// set — poll slots hold a [`poll::RankBody`] instead of a fiber
         /// and are stepped in place, so no stack slab is reserved at all.
         /// `router` is where committed messages are delivered;
-        /// `commit_algo`/`sort_algo`/`commit_shards` select and size the
-        /// commit pipeline (see [`CommitAlgo`] and [`SortAlgo`]).
+        /// `commit_algo`/`commit_shards` select and size the commit
+        /// pipeline (see [`CommitAlgo`]).
         /// `pools` supplies the commit-scratch pools (a fresh private set
         /// for solo runs, the fleet-shared set under a fleet) and
         /// `signal` the owning fleet's wake channel, if any.
@@ -846,7 +771,6 @@ mod imp {
             stack_size: usize,
             router: Arc<Router>,
             commit_algo: CommitAlgo,
-            sort_algo: SortAlgo,
             commit_shards: usize,
             profile: bool,
             pools: Arc<SchedPools>,
@@ -905,10 +829,7 @@ mod imp {
                 pools,
                 signal,
                 round_pool: Mutex::new(Vec::new()),
-                runs_buf: Mutex::new(Vec::new()),
-                bounds_buf: Mutex::new(Vec::new()),
                 commit_algo,
-                sort_algo,
                 commit_shards,
                 workers: AtomicUsize::new(1),
                 epoch_msgs: AtomicUsize::new(0),
@@ -964,8 +885,8 @@ mod imp {
         }
 
         /// Arm the gate for a run: record the effective worker count
-        /// (a pure throughput knob — it sizes shard/merge heuristics that
-        /// never affect simulation output) and publish epoch 1 in
+        /// (a pure throughput knob — it sizes the shard heuristic, which
+        /// never affects simulation output) and publish epoch 1 in
         /// `initial_order`. Solo runs call this through [`Scheduler::run`];
         /// a fleet calls it at admission and lets its sweeping workers
         /// drive the gate via [`Scheduler::drain_phases`].
@@ -1097,10 +1018,8 @@ mod imp {
                 match self.try_claim(gen, work.units()) {
                     Some(i) => {
                         let t0 = self.profile.then(std::time::Instant::now);
-                        let mut merged_runs = 0u64;
                         match &work {
                             Work::Tasks(round) => self.run_task(round[i]),
-                            Work::Merge(mw) => merged_runs = self.merge_unit(mw, i),
                             Work::Commit(cw) => self.push_shard(cw, i),
                         }
                         if let Some(t0) = t0 {
@@ -1109,10 +1028,6 @@ mod imp {
                                 Work::Tasks(_) => {
                                     prof.run_ns += ns;
                                     prof.tasks += 1;
-                                }
-                                Work::Merge(_) => {
-                                    prof.merge_ns += ns;
-                                    prof.merge_runs += merged_runs;
                                 }
                                 Work::Commit(_) => {
                                     prof.commit_ns += ns;
@@ -1130,7 +1045,6 @@ mod imp {
                             let t0 = self.profile.then(std::time::Instant::now);
                             match &work {
                                 Work::Tasks(round) => self.finish_round(round),
-                                Work::Merge(mw) => self.finish_merge(mw),
                                 Work::Commit(cw) => self.finish_commit(cw),
                             }
                             if let Some(t0) = t0 {
@@ -1209,7 +1123,8 @@ mod imp {
         }
 
         /// The executed round is complete: requeue yielded tasks, gather
-        /// the epoch's staged messages, and run — or publish — the commit.
+        /// and order the epoch's staged messages, and run — or publish —
+        /// the commit.
         fn finish_round(&self, round: &[usize]) {
             // 1. Yielded tasks re-enter first, in their epoch order.
             let mut next = self.pools.idx_pool.take();
@@ -1223,16 +1138,6 @@ mod imp {
             // max), so per-sender FIFO is preserved; across senders it
             // makes wake-up order — and hence the next round's tail —
             // follow virtual time.
-            match self.sort_algo {
-                SortAlgo::Sort => self.finish_round_sort(round, next),
-                SortAlgo::Merge => self.finish_round_merge(round, next),
-            }
-        }
-
-        /// The [`SortAlgo::Sort`] oracle: gather every staged message into
-        /// one vector and sort it globally — the reference the merge path
-        /// is checked against.
-        fn finish_round_sort(&self, round: &[usize], next: Vec<usize>) {
             let mut staged = self.commit_buf.lock();
             for &tid in round {
                 let out = unsafe { &mut *self.slots[tid].staged.get() };
@@ -1250,12 +1155,13 @@ mod imp {
             }
             // Progress signal for the crash-stagnation detector: how many
             // messages this epoch stages (a pure function of the epoch
-            // contents, so identical under every worker count, commit
-            // algorithm, and sort algorithm). Read back by `finish_epoch`.
+            // contents, so identical under every worker count and commit
+            // algorithm). Read back by `finish_epoch`.
             self.epoch_msgs.store(staged.len(), Ordering::Relaxed);
             if self.commit_algo == CommitAlgo::Serial {
-                // Serial oracle: one global (matchable, src, seq)-ordered
-                // push loop on this worker; wakes fire inline, in order.
+                // Serial reference: a stable sort on the global key and one
+                // (matchable, src, seq)-ordered push loop on this worker;
+                // wakes fire inline, in order.
                 staged.sort_by_key(CommitEntry::key);
                 for e in staged.drain(..) {
                     self.router.mailboxes[e.dest].push(e.msg);
@@ -1268,222 +1174,14 @@ mod imp {
             // segment is contiguous and internally ordered by the global
             // key — exactly the serial commit's per-mailbox subsequence —
             // so segments can be pushed concurrently without perturbing
-            // any mailbox's state.
-            staged.sort_by_key(|e| (e.dest, e.matchable, e.src, e.seq));
-            let mut buf = std::mem::take(&mut *staged);
-            drop(staged);
-            self.deliver_sorted(&mut buf, next);
-            *self.commit_buf.lock() = buf;
-        }
-
-        /// The [`SortAlgo::Merge`] path: per-task staged runs are already
-        /// sorted by the global commit key by construction. Entries are
-        /// gathered into the shared flat `commit_buf` with per-task run
-        /// boundaries recorded on the side. Wide epochs publish one
-        /// chunked [`Work::Merge`] round the whole pool claims — each
-        /// unit k-way merges a contiguous slice of runs in a single
-        /// heap-driven pass that moves every entry exactly once. Small
-        /// epochs (and 1-worker pools) instead sort the flat buffer in
-        /// place with the allocation-free unstable sort: the commit key
-        /// is globally *unique*, so every strategy lands on the same
-        /// sorted order — DESIGN.md §10 proves the result bit-identical
-        /// to the [`SortAlgo::Sort`] oracle either way.
-        fn finish_round_merge(&self, round: &[usize], next: Vec<usize>) {
-            let dest_major = self.commit_algo != CommitAlgo::Serial;
-            let mut staged = self.commit_buf.lock();
-            let mut bounds = std::mem::take(&mut *self.bounds_buf.lock());
-            for &tid in round {
-                let out = unsafe { &mut *self.slots[tid].staged.get() };
-                if out.is_empty() {
-                    continue;
-                }
-                let start = staged.len();
-                let mut matchable = Time::ZERO;
-                for (seq, (dest, msg)) in out.drain(..).enumerate() {
-                    matchable = matchable.max(msg.arrival);
-                    staged.push(CommitEntry {
-                        matchable,
-                        src: tid,
-                        seq: seq as u32,
-                        dest,
-                        msg,
-                    });
-                }
-                bounds.push((start, staged.len()));
-            }
-            let total = staged.len();
-            self.epoch_msgs.store(total, Ordering::Relaxed);
-            let workers = self.workers.load(Ordering::Relaxed).max(1);
-            if workers > 1 && bounds.len() > 2 && total >= MIN_MERGE_ENTRIES {
-                let flat = std::mem::take(&mut *staged);
-                drop(staged);
-                self.publish_merge(flat, bounds, dest_major, next);
-                return;
-            }
-            bounds.clear();
-            *self.bounds_buf.lock() = bounds;
-            // Inline fast path: below the publish threshold a claim
-            // round-trip costs more than the ordering itself, so order
-            // the flat buffer in place. The unstable sort is
-            // deterministic here because the key is unique, and unlike
-            // the oracle's stable sort it allocates no scratch.
-            if self.commit_algo == CommitAlgo::Serial {
-                staged.sort_unstable_by_key(CommitEntry::key);
-                for e in staged.drain(..) {
-                    self.router.mailboxes[e.dest].push(e.msg);
-                }
-                drop(staged);
-                self.finish_epoch(next);
-                return;
-            }
+            // any mailbox's state. The key is unique (`(src, seq)` alone
+            // is), so the in-place unstable sort has exactly one possible
+            // result and allocates no scratch.
             staged.sort_unstable_by_key(|e| (e.dest, e.matchable, e.src, e.seq));
             let mut buf = std::mem::take(&mut *staged);
             drop(staged);
             self.deliver_sorted(&mut buf, next);
             *self.commit_buf.lock() = buf;
-        }
-
-        /// [`merge_k`] with heap/cursor scratch drawn from the index pool.
-        fn merge_k_pooled(
-            &self,
-            runs: &mut [Vec<CommitEntry>],
-            out: &mut Vec<CommitEntry>,
-            dest_major: bool,
-        ) {
-            let mut pos = self.pools.idx_pool.take();
-            let mut heap = self.pools.idx_pool.take();
-            merge_k(runs, out, dest_major, &mut pos, &mut heap);
-            pos.clear();
-            self.pools.idx_pool.put(pos);
-            self.pools.idx_pool.put(heap);
-        }
-
-        /// Publish the one chunked merge round over the flat staged
-        /// buffer: ~2 claim units per worker, each k-way merging a
-        /// contiguous chunk of per-task runs into one partial output in
-        /// a single pass.
-        fn publish_merge(
-            &self,
-            mut flat: Vec<CommitEntry>,
-            bounds: Vec<(usize, usize)>,
-            dest_major: bool,
-            next: Vec<usize>,
-        ) {
-            let workers = self.workers.load(Ordering::Relaxed).max(1);
-            let units = (bounds.len() / 2).clamp(1, 2 * workers);
-            let per = bounds.len().div_ceil(units);
-            let ranges: Vec<(usize, usize)> = (0..units)
-                .map(|i| (i * per, ((i + 1) * per).min(bounds.len())))
-                .filter(|&(lo, hi)| lo < hi)
-                .collect();
-            let outputs = (0..ranges.len())
-                .map(|_| std::cell::UnsafeCell::new(self.pools.entry_pool.take()))
-                .collect();
-            // Cache the data pointer while this worker still holds the
-            // buffer exclusively — claim units must never materialise an
-            // aliasing `&mut Vec` of their own.
-            let base = flat.as_mut_ptr();
-            let mw = Arc::new(MergeWork {
-                flat: std::cell::UnsafeCell::new(flat),
-                base,
-                bounds,
-                ranges,
-                outputs,
-                dest_major,
-                next: Mutex::new(next),
-            });
-            self.publish(Work::Merge(mw));
-        }
-
-        /// Claimed merge unit `i`: k-way merge the flat-buffer runs of
-        /// chunk `ranges[i]` into `outputs[i]`, presorting each run
-        /// slice destination-major first when the commit is sharded.
-        /// Returns the number of input runs consumed (profile data).
-        fn merge_unit(&self, mw: &MergeWork, i: usize) -> u64 {
-            let (lo, hi) = mw.ranges[i];
-            let chunk = &mw.bounds[lo..hi];
-            // Safety: unit `i` was claimed exclusively through the cursor
-            // CAS; the bound ranges are disjoint, so only this worker
-            // touches these entries of `flat` (through `base`, never
-            // through the `Vec`) and `outputs[i]` until the round
-            // barrier.
-            let out = unsafe { &mut *mw.outputs[i].get() };
-            let mut total = 0;
-            for &(s, e) in chunk {
-                if mw.dest_major {
-                    let run = unsafe { std::slice::from_raw_parts_mut(mw.base.add(s), e - s) };
-                    presort_run(run);
-                }
-                total += e - s;
-            }
-            out.reserve(total);
-            let mut pos = self.pools.idx_pool.take();
-            let mut heap = self.pools.idx_pool.take();
-            // Safety: `out` has capacity for the whole chunk, and each
-            // entry in `chunk`'s bound ranges is moved out exactly once
-            // (the finisher resets `flat`'s length before the moved-out
-            // entries could drop through the `Vec`).
-            unsafe { merge_k_flat(mw.base, chunk, out, mw.dest_major, &mut pos, &mut heap) };
-            pos.clear();
-            self.pools.idx_pool.put(pos);
-            self.pools.idx_pool.put(heap);
-            (hi - lo) as u64
-        }
-
-        /// All units of the merge round are done: every staged entry has
-        /// been moved into a partial output, so forget the flat buffer's
-        /// contents and return its storage, then k-way merge the partial
-        /// outputs inline and deliver.
-        fn finish_merge(&self, mw: &MergeWork) {
-            // Safety: the round barrier has passed; no worker holds a
-            // unit any more. Every entry of `flat` was `ptr::read` out by
-            // some unit (the ranges tile `bounds`, the bounds tile the
-            // buffer), so resetting the length forgets moved-from
-            // entries only.
-            let flat = unsafe { &mut *mw.flat.get() };
-            unsafe { flat.set_len(0) };
-            *self.commit_buf.lock() = std::mem::take(flat);
-            let mut runs = std::mem::take(&mut *self.runs_buf.lock());
-            let mut total = 0;
-            for cell in &mw.outputs {
-                let out = std::mem::take(unsafe { &mut *cell.get() });
-                total += out.len();
-                runs.push(out);
-            }
-            let mut merged = self.pools.entry_pool.take();
-            merged.reserve(total);
-            self.merge_k_pooled(&mut runs, &mut merged, mw.dest_major);
-            for run in runs.drain(..) {
-                if run.capacity() > 0 {
-                    self.pools.entry_pool.put(run);
-                }
-            }
-            *self.runs_buf.lock() = runs;
-            let next = std::mem::take(&mut *mw.next.lock());
-            self.deliver_merged(&mut merged, next, mw.dest_major);
-            if merged.capacity() > 0 {
-                self.pools.entry_pool.put(merged);
-            }
-        }
-
-        /// Deliver the fully merged run: a serial commit pushes inline in
-        /// global key order (wakes fire in push order — the oracle's own
-        /// order); a sharded commit hands the destination-major run to
-        /// the shard pipeline.
-        fn deliver_merged(
-            &self,
-            merged: &mut Vec<CommitEntry>,
-            next: Vec<usize>,
-            dest_major: bool,
-        ) {
-            if dest_major {
-                self.deliver_sorted(merged, next);
-            } else {
-                for e in merged.drain(..) {
-                    self.router.mailboxes[e.dest].push(e.msg);
-                }
-                self.finish_epoch(next);
-            }
         }
 
         /// Deliver a destination-major-ordered commit run: inline on this
@@ -1758,7 +1456,7 @@ mod imp {
             }
             // The displaced round vector feeds a later `publish_tasks`
             // (its `Arc` becomes unique once every worker re-reads the
-            // gate); merge/commit work is dropped as usual.
+            // gate); commit work is dropped as usual.
             if let Work::Tasks(arc) = prev {
                 let mut pool = self.round_pool.lock();
                 if pool.len() < 4 {
@@ -1908,200 +1606,6 @@ mod imp {
             s.batch.push(e.msg);
         }
         flush(router, dest, s, wakes);
-    }
-
-    /// The merge comparator: destination-major for sharded commits
-    /// (matching the oracle's `(dest, matchable, src, seq)` sort key),
-    /// the plain global commit key for serial ones (leading 0). Total
-    /// *and unique* over an epoch's staged messages either way, so
-    /// merging sorted runs by it reproduces the oracle's sorted order
-    /// exactly, independent of the merge-tree shape.
-    fn merge_key(e: &CommitEntry, dest_major: bool) -> (usize, Time, usize, u32) {
-        (
-            if dest_major { e.dest } else { 0 },
-            e.matchable,
-            e.src,
-            e.seq,
-        )
-    }
-
-    /// Sort one per-task run destination-major. Within a run `src` is
-    /// constant and `seq` unique, so this key is unique — the unstable
-    /// sort is therefore deterministic, and unlike the stable sort it
-    /// allocates nothing (in-place pdqsort).
-    fn presort_run(run: &mut [CommitEntry]) {
-        run.sort_unstable_by_key(|e| (e.dest, e.matchable, e.seq));
-    }
-
-    /// Single-pass k-way merge of runs sorted by [`merge_key`] into
-    /// `out` (appending), emptying every input — capacity is retained
-    /// for recycling. A binary min-heap of run indices pops the globally
-    /// smallest head `m` times, so every entry is **moved exactly once**
-    /// (`CommitEntry` is large; the pairwise-rounds alternative moves
-    /// each entry once per halving round and loses to the sort oracle on
-    /// wide epochs). The key is unique across runs, so the result is the
-    /// unique sorted order of the union — no tie-breaking needed.
-    ///
-    /// `pos` (per-run read cursor) and `heap` are caller-provided
-    /// scratch, cleared here. **`out` must already have capacity for
-    /// every entry**: the `ptr::read` moves below rely on `out.push`
-    /// never panicking mid-merge (a reallocation cannot panic into a
-    /// state where moved-out entries would double-drop, but reserving up
-    /// front keeps the hot loop allocation-free anyway and makes the
-    /// reasoning trivial).
-    fn merge_k(
-        runs: &mut [Vec<CommitEntry>],
-        out: &mut Vec<CommitEntry>,
-        dest_major: bool,
-        pos: &mut Vec<usize>,
-        heap: &mut Vec<usize>,
-    ) {
-        pos.clear();
-        pos.resize(runs.len(), 0);
-        heap.clear();
-        heap.extend((0..runs.len()).filter(|&r| !runs[r].is_empty()));
-        for i in (0..heap.len() / 2).rev() {
-            sift_down(heap, i, runs, pos, dest_major);
-        }
-        while let Some(&r) = heap.first() {
-            // Safety: each `(run, index)` is read exactly once (`pos[r]`
-            // strictly advances past it) and every run's length is reset
-            // to 0 below before any of its moved-out entries could drop
-            // through the `Vec`; `out` was reserved by the caller, so
-            // the push cannot panic mid-merge.
-            unsafe {
-                out.push(std::ptr::read(runs[r].as_ptr().add(pos[r])));
-            }
-            pos[r] += 1;
-            if pos[r] == runs[r].len() {
-                let last = heap.len() - 1;
-                heap.swap(0, last);
-                heap.pop();
-            }
-            if !heap.is_empty() {
-                sift_down(heap, 0, runs, pos, dest_major);
-            }
-        }
-        for run in runs.iter_mut() {
-            // Every entry was moved out above; forget them all without
-            // dropping (safety: len 0 ≤ capacity, elements 0..old_len
-            // are semantically moved-from).
-            unsafe { run.set_len(0) };
-        }
-    }
-
-    /// Restore the min-heap property at `heap[i]`: sift the run index
-    /// down while a child's head entry has a smaller [`merge_key`].
-    fn sift_down(
-        heap: &mut [usize],
-        mut i: usize,
-        runs: &[Vec<CommitEntry>],
-        pos: &[usize],
-        dest_major: bool,
-    ) {
-        let key = |r: usize| merge_key(&runs[r][pos[r]], dest_major);
-        loop {
-            let l = 2 * i + 1;
-            if l >= heap.len() {
-                return;
-            }
-            let r = l + 1;
-            let c = if r < heap.len() && key(heap[r]) < key(heap[l]) {
-                r
-            } else {
-                l
-            };
-            if key(heap[c]) < key(heap[i]) {
-                heap.swap(i, c);
-                i = c;
-            } else {
-                return;
-            }
-        }
-    }
-
-    /// [`merge_k`] over runs living as `bounds` slices of one flat
-    /// buffer (the published merge round's layout): `pos[r]` is the
-    /// absolute flat-buffer cursor of run `r`, advancing from
-    /// `bounds[r].0` to `bounds[r].1`. Entries are moved out through
-    /// `base` with `ptr::read`; the caller's finisher forgets them all
-    /// at once by resetting the owning `Vec`'s length.
-    ///
-    /// # Safety
-    ///
-    /// - `base` must point to a live allocation covering every index in
-    ///   `bounds`, with every such entry initialised and not yet moved
-    ///   from, and no other reference to those entries live for the
-    ///   duration of the call.
-    /// - `out` must already have capacity for every entry in `bounds`:
-    ///   the `ptr::read` moves rely on `out.push` never panicking
-    ///   mid-merge.
-    /// - The caller must treat the read entries as moved-from (reset the
-    ///   owning buffer's length without dropping them).
-    unsafe fn merge_k_flat(
-        base: *mut CommitEntry,
-        bounds: &[(usize, usize)],
-        out: &mut Vec<CommitEntry>,
-        dest_major: bool,
-        pos: &mut Vec<usize>,
-        heap: &mut Vec<usize>,
-    ) {
-        pos.clear();
-        pos.extend(bounds.iter().map(|&(s, _)| s));
-        heap.clear();
-        heap.extend((0..bounds.len()).filter(|&r| bounds[r].0 < bounds[r].1));
-        for i in (0..heap.len() / 2).rev() {
-            sift_down_flat(heap, i, base, pos, dest_major);
-        }
-        while let Some(&r) = heap.first() {
-            out.push(std::ptr::read(base.add(pos[r])));
-            pos[r] += 1;
-            if pos[r] == bounds[r].1 {
-                let last = heap.len() - 1;
-                heap.swap(0, last);
-                heap.pop();
-            }
-            if !heap.is_empty() {
-                sift_down_flat(heap, 0, base, pos, dest_major);
-            }
-        }
-    }
-
-    /// [`sift_down`] for the flat-buffer layout: run heads live at
-    /// `base.add(pos[r])`.
-    ///
-    /// # Safety
-    ///
-    /// Every `pos[r]` for `r` in `heap` must index a live, initialised
-    /// entry of the `base` allocation (guaranteed by [`merge_k_flat`]'s
-    /// loop invariant: a run leaves the heap before its cursor passes
-    /// its bound).
-    unsafe fn sift_down_flat(
-        heap: &mut [usize],
-        mut i: usize,
-        base: *const CommitEntry,
-        pos: &[usize],
-        dest_major: bool,
-    ) {
-        let key = |r: usize| merge_key(&*base.add(pos[r]), dest_major);
-        loop {
-            let l = 2 * i + 1;
-            if l >= heap.len() {
-                return;
-            }
-            let r = l + 1;
-            let c = if r < heap.len() && key(heap[r]) < key(heap[l]) {
-                r
-            } else {
-                l
-            };
-            if key(heap[c]) < key(heap[i]) {
-                heap.swap(i, c);
-                i = c;
-            } else {
-                return;
-            }
-        }
     }
 
     /// Entry point every fiber starts in (called by the asm trampoline with

@@ -35,7 +35,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::comm::Comm;
 use crate::faults::{FaultPlan, FaultState};
-use crate::model::{CommitAlgo, CostModel, SortAlgo, VendorProfile};
+use crate::model::{CommitAlgo, CostModel, VendorProfile};
 use crate::proc::{ProcState, Router};
 use crate::sched;
 use crate::time::Time;
@@ -108,25 +108,20 @@ pub struct SimConfig {
     /// for rank bodies with deep recursion.
     pub coop_stack_size: usize,
     /// How the cooperative scheduler's epoch commit delivers staged
-    /// messages: [`CommitAlgo::Sharded`] (default) partitions the
-    /// globally sorted run by destination rank and lets all idle workers
-    /// push segments in parallel; [`CommitAlgo::Serial`] is the original
-    /// single-threaded commit, kept as the correctness oracle. Both
-    /// produce bit-identical output for every worker count; only
-    /// wall-clock speed differs. Ignored by [`Backend::Threads`].
+    /// messages: [`CommitAlgo::Sharded`] (default) sorts the staged run
+    /// destination-major in place and lets all idle workers push
+    /// per-destination segments in parallel; [`CommitAlgo::Serial`] is
+    /// the original single-threaded commit, kept as the correctness
+    /// reference for tests ([`SimConfig::with_commit_algo`]; there is no
+    /// environment knob). Both produce bit-identical output for every
+    /// worker count; only wall-clock speed differs. Ignored by
+    /// [`Backend::Threads`].
     pub commit_algo: CommitAlgo,
-    /// How the cooperative scheduler puts an epoch's staged messages into
-    /// commit order: [`SortAlgo::Merge`] (default) merges the pre-sorted
-    /// per-task runs in a parallel work phase; [`SortAlgo::Sort`] is the
-    /// original single-worker global sort, kept as the correctness
-    /// oracle. Both produce bit-identical output for every worker count
-    /// and commit algorithm; only wall-clock speed (and allocation
-    /// behaviour) differs. Ignored by [`Backend::Threads`].
-    pub sort_algo: SortAlgo,
     /// Upper bound on the claim units of one sharded commit (0 = auto:
     /// ~2 shards per worker, with small commits staying inline on the
-    /// committing worker). Like `coop_workers`, this is purely a
-    /// throughput knob — any value yields identical output.
+    /// committing worker). Any value yields identical output; tests set
+    /// it through [`SimConfig::with_commit_shards`] to force shard
+    /// geometry (there is no environment knob).
     pub coop_commit_shards: usize,
     /// Seeded fault-injection plan (stragglers, crash-stop, message
     /// jitter); the default plan injects nothing. Faults are a pure
@@ -162,7 +157,6 @@ impl Default for SimConfig {
             coop_workers: 1,
             coop_stack_size: 128 << 10,
             commit_algo: CommitAlgo::Sharded,
-            sort_algo: SortAlgo::Merge,
             coop_commit_shards: 0,
             faults: FaultPlan::default(),
             trace: false,
@@ -174,16 +168,10 @@ impl Default for SimConfig {
 impl SimConfig {
     /// Default configuration on the cooperative scheduler backend. The
     /// worker-pool size honours the `MPISIM_COOP_WORKERS` environment
-    /// variable (default 1), the commit algorithm honours
-    /// `MPISIM_COOP_COMMIT` (`sharded`, the default, or `serial` for the
-    /// oracle), the commit-ordering algorithm honours `MPISIM_COOP_SORT`
-    /// (`merge`, the default, or `sort` for the single-worker oracle),
-    /// and the shard cap honours `MPISIM_COOP_COMMIT_SHARDS`
-    /// (0 = auto) — so sweeps and CI can exercise the whole matrix
-    /// without code changes. Results are identical for every combination.
-    /// The fault plan honours the `MPISIM_FAULT_SEED` / `MPISIM_FAULT_SLOW`
+    /// variable (default 1) — results are identical for every value — and
+    /// the fault plan honours the `MPISIM_FAULT_SEED` / `MPISIM_FAULT_SLOW`
     /// / `MPISIM_FAULT_CRASH` / `MPISIM_FAULT_JITTER` knobs (strict
-    /// parsing; see [`FaultPlan::from_env`]) — unlike the commit knobs,
+    /// parsing; see [`FaultPlan::from_env`]) — unlike the worker count,
     /// a fault plan *does* change what is simulated, deterministically.
     /// `MPISIM_TRACE=1` turns on the deterministic event trace and
     /// `MPISIM_SCHED_PROFILE=1` the wall-clock scheduler profile (both
@@ -196,11 +184,6 @@ impl SimConfig {
         SimConfig {
             backend: env::backend_from(env::var("MPISIM_BACKEND").as_deref()),
             coop_workers: env::coop_workers_from(env::var("MPISIM_COOP_WORKERS").as_deref()),
-            commit_algo: env::commit_algo_from(env::var("MPISIM_COOP_COMMIT").as_deref()),
-            sort_algo: env::coop_sort_from(env::var("MPISIM_COOP_SORT").as_deref()),
-            coop_commit_shards: env::commit_shards_from(
-                env::var("MPISIM_COOP_COMMIT_SHARDS").as_deref(),
-            ),
             faults: FaultPlan::from_env(),
             trace: env::trace_from(env::var("MPISIM_TRACE").as_deref()),
             sched_profile: env::sched_profile_from(env::var("MPISIM_SCHED_PROFILE").as_deref()),
@@ -229,19 +212,11 @@ impl SimConfig {
 
     /// Replace the cooperative scheduler's epoch-commit algorithm (the
     /// single-threaded [`CommitAlgo::Serial`] survives as the correctness
-    /// oracle for the default destination-sharded commit; output is
-    /// bit-identical either way).
+    /// reference for the default destination-sharded commit; output is
+    /// bit-identical either way). This setter is the only way to select
+    /// it.
     pub fn with_commit_algo(mut self, algo: CommitAlgo) -> SimConfig {
         self.commit_algo = algo;
-        self
-    }
-
-    /// Replace the cooperative scheduler's commit-ordering algorithm (the
-    /// single-worker [`SortAlgo::Sort`] survives as the correctness oracle
-    /// for the default parallel merge; output is bit-identical either
-    /// way).
-    pub fn with_sort_algo(mut self, algo: SortAlgo) -> SimConfig {
-        self.sort_algo = algo;
         self
     }
 
@@ -551,7 +526,6 @@ impl Universe {
             cfg.coop_stack_size,
             Arc::clone(router),
             cfg.commit_algo,
-            cfg.sort_algo,
             cfg.coop_commit_shards,
             cfg.sched_profile,
             // A solo run owns a private pool set; only a fleet
@@ -634,7 +608,6 @@ impl Universe {
             cfg.coop_stack_size,
             Arc::clone(router),
             cfg.commit_algo,
-            cfg.sort_algo,
             cfg.coop_commit_shards,
             cfg.sched_profile,
             Arc::new(sched::SchedPools::default()),

@@ -8,8 +8,8 @@
 //!
 //! The measurement only holds at `workers = 1`: the scheduler then runs
 //! its worker loop on the calling thread (no allocating thread spawns,
-//! no `Arc`-published commit/merge phases — `shard_target` returns 1 and
-//! the merge rounds stay inline), and the payload pool's thread-local
+//! no `Arc`-published commit phase — `shard_target` returns 1 and the
+//! commit stays inline), and the payload pool's thread-local
 //! caches live on this one thread across `Universe::run` calls. This
 //! file is its own integration-test binary with a single `#[test]` so
 //! no concurrent test pollutes the counter.
@@ -23,7 +23,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mpisim::{coll, distsort, ops, pool, SimConfig, SortAlgo, Src, Transport, Universe};
+use mpisim::{coll, distsort, ops, pool, SimConfig, Src, Transport, Universe};
 
 /// Counts every allocation event (alloc, alloc_zeroed, and realloc —
 /// a realloc that moves is a fresh allocation for our purposes); frees
@@ -126,14 +126,12 @@ fn storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
     snaps
 }
 
-/// Every knob the measurement depends on, pinned: 1 worker (inline
-/// commits, shared thread-locals) and the merge ordering (the sort
-/// oracle's stable `sort_by_key` allocates scratch by design).
+/// The one knob the measurement depends on, pinned: 1 worker (inline
+/// commits, shared thread-locals). The default sharded commit orders
+/// with the in-place unstable sort; the serial reference's stable
+/// `sort_by_key` allocates scratch by design and is never the default.
 fn storm_cfg(seed: u64) -> SimConfig {
-    SimConfig::cooperative()
-        .with_seed(seed)
-        .with_workers(1)
-        .with_sort_algo(SortAlgo::Merge)
+    SimConfig::cooperative().with_seed(seed).with_workers(1)
 }
 
 /// One full solo storm run. Returns rank 0's allocation-counter

@@ -2,19 +2,25 @@
 //! (`CommitAlgo::Sharded`, the default) must be **byte-identical** to the
 //! single-threaded serial commit (`CommitAlgo::Serial`, the oracle) — on
 //! delivery logs, per-rank results, and virtual clocks — for every worker
-//! count and every shard cap. Since PR 8 the matrix also crosses the
-//! commit **ordering** algorithm: the k-way merge of pre-sorted per-task
-//! runs (`SortAlgo::Merge`, the default) against the global
-//! `sort_by_key` oracle (`SortAlgo::Sort`). The storms here are built to
-//! stress exactly the commit phase: wildcard receives (wake order is
-//! observable), colliding tags (several matching streams per mailbox),
-//! heavy fan-in (long per-destination segments), and nonblocking
-//! collectives (library-internal traffic interleaved with user traffic).
+//! count and every shard cap. The two differ in sort algorithm (stable
+//! vs in-place unstable), sort key (global vs destination-major) and
+//! delivery path (inline pushes vs batched segments with a deferred wake
+//! merge), so the reference shares nothing with the default but the
+//! gather loop. The storms here are built to stress exactly the commit
+//! phase: wildcard receives (wake order is observable), colliding tags
+//! (several matching streams per mailbox), heavy fan-in (long
+//! per-destination segments), and nonblocking collectives
+//! (library-internal traffic interleaved with user traffic).
+//!
+//! A fixed-seed golden additionally pins the p = 1024 storm to constants
+//! recorded at the last commit that ordered wide epochs with a published
+//! k-way merge round, so the single in-place sort that replaced it is
+//! checked against that commit's output and not only against itself.
 
 use std::sync::{Arc, Mutex};
 
 use mpisim::nbcoll;
-use mpisim::{ops, CommitAlgo, SimConfig, SortAlgo, Src, Time, Transport, Universe};
+use mpisim::{ops, CommitAlgo, MetricsSnapshot, SimConfig, Src, Time, Transport, Universe};
 use proptest::prelude::*;
 
 /// One rank's full observation of a storm run: the exact `(source, tag,
@@ -31,16 +37,16 @@ fn tag_of(k: usize) -> u64 {
     (k % 3) as u64
 }
 
-/// Run the storm and capture every rank's observation.
+/// Run the storm and capture every rank's observation plus the run's
+/// deterministic model counters.
 fn storm_log(
     p: usize,
     per: usize,
     seed: u64,
     workers: usize,
     algo: CommitAlgo,
-    sort: SortAlgo,
     shards: usize,
-) -> Vec<RankLog> {
+) -> (Vec<RankLog>, MetricsSnapshot) {
     assert!(p > *FANOUT_OFFSETS.iter().max().unwrap());
     type LogStore = Arc<Mutex<Vec<Vec<(usize, u64, u64)>>>>;
     let logs: LogStore = Arc::new(Mutex::new(vec![Vec::new(); p]));
@@ -49,7 +55,6 @@ fn storm_log(
         .with_seed(seed)
         .with_workers(workers)
         .with_commit_algo(algo)
-        .with_sort_algo(sort)
         .with_commit_shards(shards);
     let res = Universe::run(p, cfg, move |env| {
         let w = &env.world;
@@ -84,35 +89,29 @@ fn storm_log(
         sum
     });
     let logs = Arc::try_unwrap(logs).unwrap().into_inner().unwrap();
-    logs.into_iter()
+    let logs = logs
+        .into_iter()
         .zip(res.per_rank)
         .zip(res.clocks)
         .map(|((log, sum), clock)| (log, sum, clock))
-        .collect()
+        .collect();
+    (logs, res.metrics)
 }
 
-/// Assert the full worker × shard × sort-algorithm matrix reproduces the
-/// serial 1-worker `sort_by_key` oracle bit for bit.
+/// Assert the full worker × shard matrix reproduces the serial 1-worker
+/// reference bit for bit, model counters included.
 fn assert_sharded_matches_serial(p: usize, per: usize, seed: u64, shard_caps: &[usize]) {
-    let oracle = storm_log(p, per, seed, 1, CommitAlgo::Serial, SortAlgo::Sort, 0);
-    // The serial oracle itself must be worker-invariant (PR 3 property),
-    // under both commit orderings (merge added in PR 8).
-    for sort in [SortAlgo::Sort, SortAlgo::Merge] {
-        let serial8 = storm_log(p, per, seed, 8, CommitAlgo::Serial, sort, 0);
-        assert_eq!(
-            oracle, serial8,
-            "serial commit diverged at 8 workers (sort={sort:?})"
-        );
-    }
+    let oracle = storm_log(p, per, seed, 1, CommitAlgo::Serial, 0);
+    // The serial reference itself must be worker-invariant.
+    let serial8 = storm_log(p, per, seed, 8, CommitAlgo::Serial, 0);
+    assert_eq!(oracle, serial8, "serial commit diverged at 8 workers");
     for &workers in &[1usize, 4, 8] {
         for &shards in shard_caps {
-            for sort in [SortAlgo::Sort, SortAlgo::Merge] {
-                let got = storm_log(p, per, seed, workers, CommitAlgo::Sharded, sort, shards);
-                assert_eq!(
-                    oracle, got,
-                    "sharded commit diverged (workers={workers}, shards={shards}, sort={sort:?})"
-                );
-            }
+            let got = storm_log(p, per, seed, workers, CommitAlgo::Sharded, shards);
+            assert_eq!(
+                oracle, got,
+                "sharded commit diverged (workers={workers}, shards={shards})"
+            );
         }
     }
 }
@@ -136,65 +135,53 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 2, ..ProptestConfig::default() })]
 
     // p = 1024: the paper-scale regime; auto and forced-wide sharding.
-    // per = 2 stages 8192 messages per epoch wave — exactly the publish
-    // threshold — so the multi-worker runs exercise the *published*
-    // chunked merge round, not just the inline in-place sort.
+    // per = 2 stages 8192 messages per epoch wave, wide enough that the
+    // multi-worker runs publish a multi-shard commit phase.
     #[test]
     fn sharded_commit_identical_to_serial_p1024(seed in any::<u64>()) {
         assert_sharded_matches_serial(1024, 2, seed, &[0, 48]);
     }
 }
 
-/// The `MPISIM_COOP_COMMIT*` and `MPISIM_COOP_SORT` knobs must reach the
-/// scheduler through `SimConfig::cooperative()` exactly like
-/// `MPISIM_COOP_WORKERS` does. Checked in a child process: `set_var` in a
-/// threaded test binary is a data race against concurrent env reads, so
-/// the parent only *reads* its (unset) environment here and the mutation
-/// happens in the child.
-#[test]
-fn commit_env_knobs_are_honoured() {
-    // Only assert the defaults when the suite itself was launched with
-    // the knobs unset — running `MPISIM_COOP_COMMIT=serial cargo test`
-    // is documented usage and must not fail this test.
-    if std::env::var_os("MPISIM_COOP_COMMIT").is_none()
-        && std::env::var_os("MPISIM_COOP_COMMIT_SHARDS").is_none()
-        && std::env::var_os("MPISIM_COOP_SORT").is_none()
-    {
-        let cfg = SimConfig::cooperative();
-        assert_eq!(cfg.commit_algo, CommitAlgo::Sharded);
-        assert_eq!(cfg.coop_commit_shards, 0);
-        assert_eq!(cfg.sort_algo, SortAlgo::Merge);
+/// FNV-1a over every rank's full observation, in rank order.
+fn digest(logs: &[RankLog]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |w: u64| {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (log, sum, clock) in logs {
+        eat(log.len() as u64);
+        for &(src, tag, v) in log {
+            eat(src as u64);
+            eat(tag);
+            eat(v);
+        }
+        eat(*sum);
+        eat(clock.as_nanos());
     }
-    // Re-run the quickstart-sized probe under the oracle env in a child
-    // process and make sure the knobs arrive (the child simply runs any
-    // cooperative universe; a bad parse would panic it).
-    let exe = std::env::current_exe().unwrap();
-    let out = std::process::Command::new(exe)
-        .args([
-            "child_probe_commit_env",
-            "--ignored",
-            "--exact",
-            "--nocapture",
-        ])
-        .env("MPISIM_COOP_COMMIT", "Serial")
-        .env("MPISIM_COOP_COMMIT_SHARDS", "7")
-        .env("MPISIM_COOP_SORT", "Sort")
-        .output()
-        .expect("spawn child test process");
-    assert!(
-        out.status.success(),
-        "child env probe failed:\n{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
+    h
 }
 
-/// Child half of `commit_env_knobs_are_honoured` (runs only when invoked
-/// with `--ignored` by the parent, with the env vars set).
+/// `(max clock in ns, messages, epochs, wakeups, digest of every RankLog)` of
+/// the seed-`GOLDEN_SEED` p = 1024, per = 2 storm, recorded at commit
+/// 03ee533 — the last one whose multi-worker runs ordered these
+/// 8192-entry waves (its publish threshold) with the k-way merge round.
+const GOLDEN_SEED: u64 = 0x5eed_1024;
+const GOLDEN: (u64, u64, u64, u64, u64) = (216_170, 10_238, 21, 1024, 9_424_414_640_993_364_611);
+
 #[test]
-#[ignore = "spawned as a child process by commit_env_knobs_are_honoured"]
-fn child_probe_commit_env() {
-    let cfg = SimConfig::cooperative();
-    assert_eq!(cfg.commit_algo, CommitAlgo::Serial);
-    assert_eq!(cfg.coop_commit_shards, 7);
-    assert_eq!(cfg.sort_algo, SortAlgo::Sort);
+fn golden_storm_p1024_matches_the_published_merge_commit() {
+    for workers in [1usize, 2, 8] {
+        for algo in [CommitAlgo::Serial, CommitAlgo::Sharded] {
+            let (logs, m) = storm_log(1024, 2, GOLDEN_SEED, workers, algo, 0);
+            let clock = logs.iter().map(|l| l.2.as_nanos()).max().unwrap();
+            assert_eq!(
+                (clock, m.messages, m.epochs, m.wakeups, digest(&logs)),
+                GOLDEN,
+                "storm diverged from the recorded output (workers={workers}, {algo:?})"
+            );
+        }
+    }
 }
