@@ -6,9 +6,9 @@
 //!
 //! * a simulated-rank runtime ([`Universe`]) with MPI matching semantics —
 //!   `(context, source, tag)` matching, `ANY_SOURCE` wildcards,
-//!   non-overtaking per sender and context — under two backends: one OS
-//!   thread per rank, or the cooperative fiber scheduler ([`sched`]) that
-//!   multiplexes up to 2^15 ranks over a small worker pool with
+//!   non-overtaking per sender and context — under three backends: one OS
+//!   thread per rank, or the epoch scheduler ([`sched`]) that multiplexes
+//!   2^15 stackful or 2^20 stackless ranks over a small worker pool with
 //!   seed-deterministic message-delivery order;
 //! * native communicators ([`Comm`]) whose construction runs the *real*
 //!   algorithms (all-gather for `MPI_Comm_split`, context-ID-mask
@@ -65,8 +65,8 @@ pub use obs::{MetricsSnapshot, OpClass, SchedProfile, Trace, TraceEvent, WorkerP
 pub use proc::WaitReason;
 #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
 pub use sched::fleet::{Fleet, FleetHandle};
-pub use sched::poll::{block_inline, yield_now_async, RankBody, Step};
-pub use sched::yield_now;
+pub use sched::poll::{block_inline, RankBody, Step};
+pub use sched::{yield_now, yield_now_async};
 pub use time::{Time, VirtualClock};
 pub use transport::{probe_async, recv_async, recv_shared_async, Scaled, Src, Status, Transport};
 pub use universe::{Backend, ProcEnv, SimConfig, SimResult, Universe};

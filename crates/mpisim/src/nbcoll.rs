@@ -20,6 +20,7 @@ use crate::error::{MpiError, Result};
 use crate::msg::Tag;
 use crate::obs::{self, OpClass};
 use crate::proc::{ProcState, StallDeadline};
+use crate::sched::poll::block_inline;
 use crate::transport::{RecvReq, Src, Transport};
 
 /// Wall-clock ceiling for spin-waiting on a request without observing any
@@ -83,10 +84,9 @@ impl Request {
         wait_on(&mut *self.0)
     }
 
-    /// [`Request::wait`] as a maybe-async core: the polling loop yields
-    /// through [`crate::sched::poll::yield_now_async`], so it suspends one
-    /// epoch per unproductive poll under `Backend::Poll` instead of
-    /// panicking in the sync yield.
+    /// The core of [`Request::wait`]: the polling loop yields through
+    /// [`crate::yield_now_async`], one epoch per unproductive poll on a
+    /// scheduler task.
     pub async fn wait_async(&mut self) -> Result<()> {
         wait_on_async(&mut *self.0).await
     }
@@ -113,19 +113,7 @@ fn wait_timeout_err(state: Option<&Arc<ProcState>>, waited_for: &str) -> MpiErro
 }
 
 fn wait_on(p: &mut dyn Progress) -> Result<()> {
-    let mut stall = stall_guard(p.proc_state());
-    loop {
-        if p.poll()? {
-            return Ok(());
-        }
-        if stall.stalled() {
-            return Err(wait_timeout_err(
-                p.proc_state(),
-                "nonblocking operation (wait)",
-            ));
-        }
-        crate::sched::yield_now();
-    }
+    block_inline(wait_on_async(p))
 }
 
 async fn wait_on_async(p: &mut dyn Progress) -> Result<()> {
@@ -140,7 +128,7 @@ async fn wait_on_async(p: &mut dyn Progress) -> Result<()> {
                 "nonblocking operation (wait)",
             ));
         }
-        crate::sched::poll::yield_now_async().await;
+        crate::sched::yield_now_async().await;
     }
 }
 
@@ -155,19 +143,7 @@ pub fn testall(reqs: &mut [Request]) -> Result<bool> {
 
 /// `rbc::Waitall`: repeatedly calls `testall` until all complete.
 pub fn waitall(reqs: &mut [Request]) -> Result<()> {
-    let mut stall = stall_guard(reqs.iter().find_map(|r| r.0.proc_state()));
-    loop {
-        if testall(reqs)? {
-            return Ok(());
-        }
-        if stall.stalled() {
-            return Err(wait_timeout_err(
-                reqs.iter().find_map(|r| r.0.proc_state()),
-                "nonblocking operations (waitall)",
-            ));
-        }
-        crate::sched::yield_now();
-    }
+    block_inline(waitall_async(reqs))
 }
 
 /// [`waitall`] as a maybe-async core (see [`Request::wait_async`]).
@@ -183,7 +159,7 @@ pub async fn waitall_async(reqs: &mut [Request]) -> Result<()> {
                 "nonblocking operations (waitall)",
             ));
         }
-        crate::sched::poll::yield_now_async().await;
+        crate::sched::yield_now_async().await;
     }
 }
 

@@ -20,6 +20,7 @@ use crate::mailbox::Mailbox;
 use crate::model::{CostModel, CostScale, VendorProfile};
 use crate::msg::{ContextId, MatchPattern, Message, MsgInfo, SrcFilter, Tag};
 use crate::obs::{MetricsSnapshot, OpClass, Trace, TraceEvent};
+use crate::sched::poll::block_inline;
 use crate::time::Time;
 
 /// Why a rank is parked at a blocking point — the explicit wait state a
@@ -575,7 +576,7 @@ impl ProcState {
         }
     }
 
-    /// Hand a finished message to the fabric. On a scheduler fiber the
+    /// Hand a finished message to the fabric. On a scheduler task the
     /// message is staged with the current task and committed — in global
     /// virtual-time order — at the next epoch boundary, which is what makes
     /// multi-worker cooperative runs deterministic; on a plain thread it is
@@ -644,21 +645,18 @@ impl ProcState {
     }
 
     /// Blocking receive matching `pat`; applies the virtual-time rule
-    /// `clock = max(clock, arrival) + recv_overhead`. On a scheduler fiber
-    /// the wait yields to the cooperative scheduler; on a rank thread it
-    /// parks on the mailbox condvar.
-    pub fn recv_match(&self, pat: &MatchPattern) -> Result<Message> {
+    /// `clock = max(clock, arrival) + recv_overhead`. The one receive core
+    /// of every backend: on a scheduler task the wait is the scheduler's
+    /// claim future (a stackless body suspends through it, a fiber
+    /// resolves it in place); on a plain rank thread it parks on the
+    /// mailbox condvar.
+    pub async fn recv_match_async(&self, pat: &MatchPattern) -> Result<Message> {
         if self.crashed() {
             return Err(self.crashed_err("recv", pat));
         }
-        assert!(
-            !crate::sched::on_poll_body(),
-            "synchronous recv inside a poll-mode rank body: under Backend::Poll \
-             use recv_match_async (the *_async API) so the body can suspend"
-        );
         let mb = &self.router.mailboxes[self.global_rank];
-        let m = if crate::sched::on_fiber() {
-            crate::sched::claim_coop(mb, pat, self.global_rank, self.now())
+        let m = if crate::sched::on_task() {
+            crate::sched::claim(mb, pat, self.global_rank, self.now()).await
         } else {
             mb.claim_blocking(pat, self.router.recv_timeout, self.global_rank, self.now())
         }
@@ -666,28 +664,13 @@ impl ProcState {
         Ok(self.account_delivery(m))
     }
 
-    /// [`ProcState::recv_match`] for maybe-async workloads: on a poll-mode
-    /// body the wait suspends the future (same announce/subscribe protocol
-    /// as the fiber park); on the other backends this resolves in a single
-    /// poll via the synchronous path. Clock and trace accounting are
-    /// identical on all three.
-    pub async fn recv_match_async(&self, pat: &MatchPattern) -> Result<Message> {
-        if !crate::sched::on_poll_body() {
-            return self.recv_match(pat);
-        }
-        if self.crashed() {
-            return Err(self.crashed_err("recv", pat));
-        }
-        let mb = &self.router.mailboxes[self.global_rank];
-        let m = crate::sched::poll::claim_poll(mb, pat, self.global_rank, self.now())
-            .await
-            .map_err(|e| self.enrich_timeout(e, Some(pat)))?;
-        Ok(self.account_delivery(m))
+    /// [`ProcState::recv_match_async`] for synchronous rank programs.
+    pub fn recv_match(&self, pat: &MatchPattern) -> Result<Message> {
+        block_inline(self.recv_match_async(pat))
     }
 
     /// The post-claim half of every receive: virtual-time rule plus the
-    /// `Deliver` trace event, shared verbatim by the sync and async paths
-    /// so the backends cannot drift.
+    /// `Deliver` trace event.
     fn account_delivery(&self, m: Message) -> Message {
         self.advance_to(m.arrival);
         self.advance(self.router.cost.recv_overhead);
@@ -707,15 +690,7 @@ impl ProcState {
             return Err(self.crashed_err("try_recv", pat));
         }
         match self.router.mailboxes[self.global_rank].try_claim(pat) {
-            Some(m) => {
-                self.advance_to(m.arrival);
-                self.advance(self.router.cost.recv_overhead);
-                self.trace_push(|| TraceEvent::Deliver {
-                    src: m.src_global,
-                    bytes: m.bytes,
-                });
-                Ok(Some(m))
-            }
+            Some(m) => Ok(Some(self.account_delivery(m))),
             None if crate::sched::current_poisoned() => Err(self.poisoned_err("try_recv", pat)),
             None => Ok(None),
         }
@@ -723,38 +698,24 @@ impl ProcState {
 
     /// Blocking probe: waits until a matching message is available, without
     /// removing it. Does not advance the clock past the arrival (the
-    /// subsequent receive does).
-    pub fn probe_match(&self, pat: &MatchPattern) -> Result<MsgInfo> {
+    /// subsequent receive does). Waits like
+    /// [`ProcState::recv_match_async`].
+    pub async fn probe_match_async(&self, pat: &MatchPattern) -> Result<MsgInfo> {
         if self.crashed() {
             return Err(self.crashed_err("probe", pat));
         }
-        assert!(
-            !crate::sched::on_poll_body(),
-            "synchronous probe inside a poll-mode rank body: under Backend::Poll \
-             use probe_match_async (the *_async API) so the body can suspend"
-        );
         let mb = &self.router.mailboxes[self.global_rank];
-        if crate::sched::on_fiber() {
-            crate::sched::probe_coop(mb, pat, self.global_rank, self.now())
+        if crate::sched::on_task() {
+            crate::sched::probe(mb, pat, self.global_rank, self.now()).await
         } else {
             mb.probe_blocking(pat, self.router.recv_timeout, self.global_rank, self.now())
         }
         .map_err(|e| self.enrich_timeout(e, Some(pat)))
     }
 
-    /// [`ProcState::probe_match`] for maybe-async workloads; see
-    /// [`ProcState::recv_match_async`] for the dispatch contract.
-    pub async fn probe_match_async(&self, pat: &MatchPattern) -> Result<MsgInfo> {
-        if !crate::sched::on_poll_body() {
-            return self.probe_match(pat);
-        }
-        if self.crashed() {
-            return Err(self.crashed_err("probe", pat));
-        }
-        let mb = &self.router.mailboxes[self.global_rank];
-        crate::sched::poll::probe_poll(mb, pat, self.global_rank, self.now())
-            .await
-            .map_err(|e| self.enrich_timeout(e, Some(pat)))
+    /// [`ProcState::probe_match_async`] for synchronous rank programs.
+    pub fn probe_match(&self, pat: &MatchPattern) -> Result<MsgInfo> {
+        block_inline(self.probe_match_async(pat))
     }
 
     /// Nonblocking probe. Fails on self-crash and task poisoning exactly

@@ -69,12 +69,44 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use super::imp::{Drain, FleetSignal, SchedPools, Scheduler};
-use super::record_panic;
+use super::epoch::{Drain, Scheduler};
+use super::fiber::{FiberBody, StackSlab};
+use super::SchedPools;
 use crate::comm::Comm;
-use crate::faults::FaultState;
-use crate::proc::{ProcState, Router};
-use crate::universe::{assemble_result, seeded_order, ProcEnv, SimConfig, SimResult};
+use crate::universe::{assemble_result, build_fabric, seeded_order, ProcEnv, SimConfig, SimResult};
+
+/// Wake channel between schedulers and the fleet worker pool: a versioned
+/// condvar. Every event a sweeping worker could be waiting on — a
+/// universe publishing a multi-unit phase, a universe completing, an
+/// admission, shutdown — bumps the version and wakes the pool, so a
+/// worker that reads the version *before* sweeping can sleep on
+/// `wait_past` without lost-wakeup races.
+struct FleetSignal {
+    version: Mutex<u64>,
+    cv: Condvar,
+}
+
+impl FleetSignal {
+    /// Current version; read before a sweep, passed to `wait_past`.
+    fn version(&self) -> u64 {
+        *self.version.lock()
+    }
+
+    /// Record an event and wake every sleeping fleet worker.
+    fn notify(&self) {
+        *self.version.lock() += 1;
+        self.cv.notify_all();
+    }
+
+    /// Sleep until the version moves past `seen` (returns immediately if
+    /// it already has).
+    fn wait_past(&self, seen: u64) {
+        let mut v = self.version.lock();
+        while *v == seen {
+            self.cv.wait(&mut v);
+        }
+    }
+}
 
 /// A universe's completion outcome as stored in its handle slot: the
 /// assembled result, or the first rank panic to re-throw at `join`.
@@ -179,7 +211,10 @@ impl Fleet {
         let inner = Arc::new(FleetInner {
             workers,
             inflight: inflight.max(1),
-            signal: Arc::new(FleetSignal::new()),
+            signal: Arc::new(FleetSignal {
+                version: Mutex::new(0),
+                cv: Condvar::new(),
+            }),
             pools: Arc::new(SchedPools::default()),
             state: Mutex::new(FleetState {
                 queue: VecDeque::new(),
@@ -279,11 +314,10 @@ impl Drop for Fleet {
     }
 }
 
-/// Build a universe's runtime — the exact mirror of the solo
-/// [`Universe::run`](crate::Universe::run) + `run_coop` construction:
-/// same router, same per-rank states, same seeded epoch-1 order, same
-/// result assembly — so fleet and solo runs of one `(program, config)`
-/// cannot diverge by construction.
+/// Build a universe's runtime from the same pieces as the solo
+/// [`Universe::run`](crate::Universe::run) — `build_fabric`, fiber bodies,
+/// `seeded_order`, `assemble_result` — so fleet and solo runs of one
+/// `(program, config)` cannot diverge by construction.
 fn admit<R, F>(
     inner: &FleetInner,
     p: usize,
@@ -295,55 +329,33 @@ where
     R: Send + 'static,
     F: Fn(ProcEnv) -> R + Send + Sync + 'static,
 {
-    let mut router = Router::new(
-        p,
-        cfg.cost.clone(),
-        cfg.vendor.clone(),
-        cfg.recv_timeout,
-        FaultState::resolve(&cfg.faults, p),
-    );
-    if cfg.trace {
-        router.enable_trace();
-    }
-    let router = Arc::new(router);
-    let states: Vec<Arc<ProcState>> = (0..p)
-        .map(|r| ProcState::new(r, Arc::clone(&router), cfg.seed))
-        .collect();
+    let (router, states) = build_fabric(p, &cfg);
     let results: Arc<Mutex<Vec<Option<R>>>> = Arc::new(Mutex::new((0..p).map(|_| None).collect()));
-    let sched = Scheduler::new(
+    let signal = Arc::clone(&inner.signal);
+    let mut sched = Scheduler::new(
         p,
-        cfg.coop_stack_size,
         Arc::clone(&router),
         cfg.commit_algo,
         cfg.coop_commit_shards,
         cfg.sched_profile,
         Arc::clone(&inner.pools),
-        Some(Arc::clone(&inner.signal)),
-        false,
+        Some(Box::new(move || signal.notify())),
     );
     let store = sched.panic_store();
+    let stacks = Arc::new(StackSlab::new(p, cfg.coop_stack_size));
     for (rank, state) in states.iter().enumerate() {
         let state = Arc::clone(state);
-        let store = Arc::clone(&store);
         let program = Arc::clone(&program);
         let results = Arc::clone(&results);
-        let body = move || {
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                program(ProcEnv {
-                    world: Comm::world(state),
-                })
-            }));
-            match out {
-                Ok(v) => results.lock()[rank] = Some(v),
-                Err(e) => record_panic(&store, rank, e),
-            }
-        };
-        // Safety: unlike the solo path, the body owns (`Arc`s) everything
-        // it captures, so it genuinely is `'static` — no lifetime erasure
-        // involved.
-        unsafe {
-            sched.spawn(rank, Box::new(body));
-        }
+        // Unlike the solo path, the body owns (`Arc`s) everything it
+        // captures, so it genuinely is `'static`.
+        let body = FiberBody::new(&stacks, rank, Arc::clone(&store), move || {
+            let out = program(ProcEnv {
+                world: Comm::world(state),
+            });
+            results.lock()[rank] = Some(out);
+        });
+        sched.spawn(rank, body);
     }
     let order = seeded_order(p, cfg.seed);
     sched.prepare(inner.workers, &order);

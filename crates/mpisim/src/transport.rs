@@ -15,6 +15,7 @@ use crate::error::{MpiError, Result};
 use crate::model::CostScale;
 use crate::msg::{ContextId, MatchPattern, MsgInfo, SrcFilter, Tag};
 use crate::proc::ProcState;
+use crate::sched::poll::block_inline;
 use crate::time::Time;
 
 /// Source argument of receives/probes, in communicator rank space.
@@ -147,14 +148,7 @@ pub trait Transport: Clone + Send + 'static {
     /// the receive path of fan-out stages that forward the buffer onward
     /// with [`Transport::send_shared`].
     fn recv_shared<T: Datum>(&self, src: Src, tag: Tag) -> Result<(Arc<Vec<T>>, Status)> {
-        if let Src::Rank(r) = src {
-            self.check_rank(r)?;
-        }
-        let pat = self.pattern(src, tag);
-        let m = self.state().recv_match(&pat)?;
-        let (data, info) = m.take_shared::<T>()?;
-        let st = self.status_of(&info);
-        Ok((data, st))
+        block_inline(recv_shared_async(self, src, tag))
     }
 
     /// Nonblocking shared-receive attempt (see [`Transport::recv_shared`]).
@@ -179,14 +173,7 @@ pub trait Transport: Clone + Send + 'static {
 
     /// Blocking receive.
     fn recv<T: Datum>(&self, src: Src, tag: Tag) -> Result<(Vec<T>, Status)> {
-        if let Src::Rank(r) = src {
-            self.check_rank(r)?;
-        }
-        let pat = self.pattern(src, tag);
-        let m = self.state().recv_match(&pat)?;
-        let (data, info) = m.take::<T>()?;
-        let st = self.status_of(&info);
-        Ok((data, st))
+        block_inline(recv_async(self, src, tag))
     }
 
     /// Nonblocking receive attempt.
@@ -207,12 +194,7 @@ pub trait Transport: Clone + Send + 'static {
 
     /// Blocking probe (`MPI_Probe`).
     fn probe(&self, src: Src, tag: Tag) -> Result<Status> {
-        if let Src::Rank(r) = src {
-            self.check_rank(r)?;
-        }
-        let pat = self.pattern(src, tag);
-        let info = self.state().probe_match(&pat)?;
-        Ok(self.status_of(&info))
+        block_inline(probe_async(self, src, tag))
     }
 
     /// Nonblocking probe (`MPI_Iprobe`).
@@ -253,14 +235,13 @@ pub trait Transport: Clone + Send + 'static {
 }
 
 // ---------------------------------------------------------------------------
-// Maybe-async blocking primitives
+// The blocking primitives' cores
 // ---------------------------------------------------------------------------
 // Free functions rather than trait methods so `Transport` stays object- and
 // vtable-simple: an `async fn` in the trait would force every implementor
 // through return-position-impl-trait plumbing for three operations whose
-// bodies are identical anyway. Off poll mode these resolve in a single poll
-// (see `crate::sched::poll::block_inline`); on a poll-mode body the wait
-// suspends the rank future through the scheduler's park protocol.
+// bodies are identical anyway. `Transport::{recv, recv_shared, probe}` are
+// `block_inline` over these (see `crate::sched::poll::block_inline`).
 
 /// [`Transport::recv`] for maybe-async workloads.
 pub async fn recv_async<T: Datum, C: Transport>(
@@ -331,11 +312,8 @@ impl<T: Datum, C: Transport> RecvReq<T, C> {
     }
 
     /// Block until complete, returning the data (`MPI_Wait`).
-    pub fn wait(mut self) -> Result<(Vec<T>, Status)> {
-        if let Some(hit) = self.done.take() {
-            return Ok(hit);
-        }
-        self.tr.recv::<T>(self.src, self.tag)
+    pub fn wait(self) -> Result<(Vec<T>, Status)> {
+        block_inline(self.wait_async())
     }
 
     /// [`RecvReq::wait`] for maybe-async workloads.

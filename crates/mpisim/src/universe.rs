@@ -1,7 +1,8 @@
-//! The universe: runs `p` simulated MPI processes under one of two
-//! backends — an OS thread per rank, or the cooperative fiber scheduler
-//! ([`crate::sched`]) that multiplexes all ranks over a small worker pool
-//! and scales to the paper's 2^15 processes.
+//! The universe: runs `p` simulated MPI processes under one of three
+//! backends — an OS thread per rank, or the epoch scheduler
+//! ([`crate::sched`]) that multiplexes all ranks over a small worker pool,
+//! with a stack per rank (the paper's 2^15 processes) or a stackless
+//! `async` body per rank (2^20 and beyond).
 //!
 //! ```
 //! use mpisim::{Universe, SimConfig, Transport};
@@ -37,7 +38,7 @@ use crate::comm::Comm;
 use crate::faults::{FaultPlan, FaultState};
 use crate::model::{CommitAlgo, CostModel, VendorProfile};
 use crate::proc::{ProcState, Router};
-use crate::sched;
+use crate::sched::{self, poll::RankBody};
 use crate::time::Time;
 
 /// Which runtime executes the rank bodies.
@@ -52,8 +53,8 @@ pub enum Backend {
     /// for any worker count** — message deliveries commit at epoch
     /// boundaries in global virtual-time order (see [`crate::sched`] and
     /// DESIGN.md §5). Required for the paper's large-p regime (up to 2^15
-    /// ranks). On targets without fiber support this falls back to
-    /// `Threads`.
+    /// ranks). Off unix x86-64 / AArch64 there is no fiber implementation
+    /// and this falls back to `Threads`.
     Cooperative,
     /// The same epoch scheduler, but every rank is a **pollable state
     /// machine** ([`crate::sched::poll::RankBody`]) instead of a stackful
@@ -64,8 +65,8 @@ pub enum Backend {
     /// generation-tagged rounds, stage sends into the same per-task
     /// buffers, and commit through the unchanged epoch discipline, so
     /// output is **byte-identical to [`Backend::Cooperative`]** at every
-    /// p both can run. Rank bodies must be async
-    /// ([`Universe::run_poll`]); the synchronous [`Universe::run`]
+    /// p both can run, and it runs on every target. Rank bodies must be
+    /// async ([`Universe::run_poll`]); the synchronous [`Universe::run`]
     /// panics under this backend.
     Poll,
 }
@@ -358,33 +359,30 @@ impl Universe {
         R: Send,
         F: Fn(ProcEnv) -> R + Send + Sync,
     {
-        assert!(p >= 1, "need at least one process");
-        let mut router = Router::new(
-            p,
-            cfg.cost.clone(),
-            cfg.vendor.clone(),
-            cfg.recv_timeout,
-            FaultState::resolve(&cfg.faults, p),
-        );
-        if cfg.trace {
-            router.enable_trace();
-        }
-        let router = Arc::new(router);
-        let states: Vec<Arc<ProcState>> = (0..p)
-            .map(|r| ProcState::new(r, Arc::clone(&router), cfg.seed))
-            .collect();
+        let (router, states) = build_fabric(p, &cfg);
         let results: Mutex<Vec<Option<R>>> = Mutex::new((0..p).map(|_| None).collect());
+        let rank_main = |state: Arc<ProcState>| {
+            let rank = state.global_rank;
+            let out = f(ProcEnv {
+                world: Comm::world(state),
+            });
+            results.lock()[rank] = Some(out);
+        };
 
         let (sched_counters, sched_profile) = match cfg.backend {
             Backend::Poll => panic!(
                 "Backend::Poll runs async rank bodies: use Universe::run_poll \
                  (the synchronous Universe::run cannot drive poll-mode tasks)"
             ),
-            Backend::Cooperative if sched::SUPPORTED => {
-                Self::run_coop(p, &cfg, &f, &router, &states, &results)
+            #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
+            Backend::Cooperative => {
+                let stacks = Arc::new(sched::fiber::StackSlab::new(p, cfg.coop_stack_size));
+                Self::run_sched(&cfg, &router, &states, |rank, state, store| {
+                    sched::fiber::FiberBody::new(&stacks, rank, store, || rank_main(state))
+                })
             }
             _ => {
-                Self::run_threads(p, &cfg, &f, &states, &results);
+                Self::run_threads(&cfg, &rank_main, &states);
                 ((0, 0, 0), None)
             }
         };
@@ -400,11 +398,11 @@ impl Universe {
 
     /// Run the async rank body `f` on `p` simulated processes. This is
     /// the entry point for [`Backend::Poll`]: each rank's future becomes
-    /// a pollable state machine stepped by the epoch scheduler — no
-    /// fiber stack, no VMA cost — so universes can reach p = 2^20 and
-    /// beyond. Under [`Backend::Threads`] or [`Backend::Cooperative`]
-    /// the same future is driven to completion synchronously
-    /// ([`crate::block_inline`]: every await resolves in place), so one
+    /// a stackless task stepped by the epoch scheduler — no fiber stack,
+    /// no VMA cost — so universes can reach p = 2^20 and beyond. Under
+    /// [`Backend::Threads`] or [`Backend::Cooperative`] the same future is
+    /// driven to completion by [`Universe::run`] through
+    /// [`crate::block_inline`] (every await resolves in place), so one
     /// async program serves all three backends with byte-identical
     /// output. Panics in any rank propagate.
     pub fn run_poll<R, F, Fut>(p: usize, cfg: SimConfig, f: F) -> SimResult<R>
@@ -413,52 +411,23 @@ impl Universe {
         F: Fn(ProcEnv) -> Fut + Send + Sync,
         Fut: std::future::Future<Output = R> + Send,
     {
-        assert!(p >= 1, "need at least one process");
-        let mut router = Router::new(
-            p,
-            cfg.cost.clone(),
-            cfg.vendor.clone(),
-            cfg.recv_timeout,
-            FaultState::resolve(&cfg.faults, p),
-        );
-        if cfg.trace {
-            router.enable_trace();
+        if cfg.backend != Backend::Poll {
+            return Universe::run(p, cfg, |env| crate::block_inline(f(env)));
         }
-        let router = Arc::new(router);
-        let states: Vec<Arc<ProcState>> = (0..p)
-            .map(|r| ProcState::new(r, Arc::clone(&router), cfg.seed))
-            .collect();
+        let (router, states) = build_fabric(p, &cfg);
         let results: Mutex<Vec<Option<R>>> = Mutex::new((0..p).map(|_| None).collect());
-
-        let (sched_counters, sched_profile) = match cfg.backend {
-            Backend::Poll if sched::SUPPORTED => {
-                Self::run_poll_coop(p, &cfg, &f, &router, &states, &results)
-            }
-            Backend::Cooperative if sched::SUPPORTED => {
-                // Fiber backend: the future never suspends (every await
-                // parks the fiber inside the poll), so one inline poll
-                // per rank body reproduces the sync path exactly.
-                Self::run_coop(
-                    p,
-                    &cfg,
-                    &|env| crate::sched::poll::block_inline(f(env)),
-                    &router,
-                    &states,
-                    &results,
-                )
-            }
-            _ => {
-                Self::run_threads(
-                    p,
-                    &cfg,
-                    &|env| crate::sched::poll::block_inline(f(env)),
-                    &states,
-                    &results,
-                );
-                ((0, 0, 0), None)
-            }
-        };
-
+        let (f, results_ref) = (&f, &results);
+        let (sched_counters, sched_profile) =
+            Self::run_sched(&cfg, &router, &states, |rank, state, store| {
+                let fut = async move {
+                    let out = f(ProcEnv {
+                        world: Comm::world(state),
+                    })
+                    .await;
+                    results_ref.lock()[rank] = Some(out);
+                };
+                Box::new(sched::poll::FutureBody::new(fut, rank, store))
+            });
         assemble_result(
             &router,
             &states,
@@ -469,31 +438,19 @@ impl Universe {
     }
 
     /// Thread backend: one scoped OS thread per rank.
-    fn run_threads<R, F>(
-        p: usize,
+    fn run_threads(
         cfg: &SimConfig,
-        f: &F,
+        rank_main: &(impl Fn(Arc<ProcState>) + Sync),
         states: &[Arc<ProcState>],
-        results: &Mutex<Vec<Option<R>>>,
-    ) where
-        R: Send,
-        F: Fn(ProcEnv) -> R + Send + Sync,
-    {
+    ) {
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
+            let mut handles = Vec::with_capacity(states.len());
             for state in states {
                 let state = Arc::clone(state);
                 let h = std::thread::Builder::new()
                     .name(format!("rank{}", state.global_rank))
                     .stack_size(cfg.stack_size)
-                    .spawn_scoped(scope, move || {
-                        let rank = state.global_rank;
-                        let env = ProcEnv {
-                            world: Comm::world(state),
-                        };
-                        let out = f(env);
-                        results.lock()[rank] = Some(out);
-                    })
+                    .spawn_scoped(scope, move || rank_main(state))
                     .expect("spawn rank thread");
                 handles.push(h);
             }
@@ -505,141 +462,39 @@ impl Universe {
         });
     }
 
-    /// Cooperative backend: every rank is a fiber on the shared scheduler.
-    /// Returns the scheduler's deterministic `(epochs, wakeups, switches)`
-    /// counters and — when profiling — its wall-clock phase profile.
-    #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-    fn run_coop<R, F>(
-        p: usize,
+    /// Scheduler backends: every rank is one task on the epoch scheduler,
+    /// its body built by `body_of(rank, state, panic store)`; the two
+    /// backends differ only there. Returns the scheduler's deterministic
+    /// `(epochs, wakeups, switches)` counters and, when profiling, its
+    /// wall-clock phase profile.
+    fn run_sched<'a>(
         cfg: &SimConfig,
-        f: &F,
         router: &Arc<Router>,
         states: &[Arc<ProcState>],
-        results: &Mutex<Vec<Option<R>>>,
-    ) -> ((u64, u64, u64), Option<crate::obs::SchedProfile>)
-    where
-        R: Send,
-        F: Fn(ProcEnv) -> R + Send + Sync,
-    {
-        let scheduler = sched::Scheduler::new(
-            p,
-            cfg.coop_stack_size,
+        body_of: impl Fn(usize, Arc<ProcState>, Arc<sched::SchedShared>) -> Box<dyn RankBody + 'a>,
+    ) -> ((u64, u64, u64), Option<crate::obs::SchedProfile>) {
+        let mut scheduler = sched::Scheduler::new(
+            states.len(),
             Arc::clone(router),
             cfg.commit_algo,
             cfg.coop_commit_shards,
             cfg.sched_profile,
-            // A solo run owns a private pool set; only a fleet
-            // ([`crate::sched::fleet::Fleet`]) shares one across universes.
+            // A solo run owns a private pool set; only a fleet shares one
+            // across universes.
             Arc::new(sched::SchedPools::default()),
             None,
-            false,
         );
         let store = scheduler.panic_store();
         for (rank, state) in states.iter().enumerate() {
-            let state = Arc::clone(state);
-            let store = Arc::clone(&store);
-            let body = move || {
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let env = ProcEnv {
-                        world: Comm::world(state),
-                    };
-                    f(env)
-                }));
-                match out {
-                    Ok(v) => results.lock()[rank] = Some(v),
-                    Err(e) => sched::record_panic(&store, rank, e),
-                }
-            };
-            // Safety: `run` below drives every fiber to completion before
-            // returning, so the body's borrows of `f` and `results` never
-            // outlive this stack frame.
-            unsafe {
-                scheduler.spawn(rank, erase_body_lifetime(Box::new(body)));
-            }
+            let body = body_of(rank, Arc::clone(state), Arc::clone(&store));
+            // SAFETY: `run` below drives every body to completion (or
+            // poisons it into completing) before returning, and a finished
+            // body is dropped on the spot, so what the body borrows for
+            // `'a` is never touched after this function returns.
+            let body: Box<dyn RankBody> = unsafe { std::mem::transmute(body) };
+            scheduler.spawn(rank, body);
         }
-        let order = seeded_order(p, cfg.seed);
-        if let Some((_rank, payload)) = scheduler.run(cfg.coop_workers, &order) {
-            std::panic::resume_unwind(payload);
-        }
-        (scheduler.counters(), scheduler.take_profile())
-    }
-
-    /// Fallback for targets without a fiber implementation: the dispatch
-    /// in [`Universe::run`] never reaches this arm there (`sched::SUPPORTED`
-    /// is false), but the call must still compile.
-    #[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
-    fn run_coop<R, F>(
-        p: usize,
-        cfg: &SimConfig,
-        f: &F,
-        _router: &Arc<Router>,
-        states: &[Arc<ProcState>],
-        results: &Mutex<Vec<Option<R>>>,
-    ) -> ((u64, u64, u64), Option<crate::obs::SchedProfile>)
-    where
-        R: Send,
-        F: Fn(ProcEnv) -> R + Send + Sync,
-    {
-        Self::run_threads(p, cfg, f, states, results);
-        ((0, 0, 0), None)
-    }
-
-    /// Poll backend: every rank is a stackless poll-mode state machine
-    /// (`crate::sched::poll::FutureBody`) on the shared epoch
-    /// scheduler. Mirrors [`Universe::run_coop`] — same seeded order,
-    /// same panic handling, same counters — with `spawn_poll` in place
-    /// of fiber spawn.
-    #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-    fn run_poll_coop<R, F, Fut>(
-        p: usize,
-        cfg: &SimConfig,
-        f: &F,
-        router: &Arc<Router>,
-        states: &[Arc<ProcState>],
-        results: &Mutex<Vec<Option<R>>>,
-    ) -> ((u64, u64, u64), Option<crate::obs::SchedProfile>)
-    where
-        R: Send,
-        F: Fn(ProcEnv) -> Fut + Send + Sync,
-        Fut: std::future::Future<Output = R> + Send,
-    {
-        let scheduler = sched::Scheduler::new(
-            p,
-            cfg.coop_stack_size,
-            Arc::clone(router),
-            cfg.commit_algo,
-            cfg.coop_commit_shards,
-            cfg.sched_profile,
-            Arc::new(sched::SchedPools::default()),
-            None,
-            true,
-        );
-        let store = scheduler.panic_store();
-        for (rank, state) in states.iter().enumerate() {
-            let state = Arc::clone(state);
-            let fut = async move {
-                let env = ProcEnv {
-                    world: Comm::world(state),
-                };
-                let out = f(env).await;
-                results.lock()[rank] = Some(out);
-            };
-            // Panics inside the future are caught per poll step by
-            // `FutureBody::proceed` and recorded first-wins, exactly
-            // like the fiber body's `catch_unwind`.
-            let body = sched::poll::FutureBody::new(
-                // Safety: `run` below drives every body to completion
-                // before returning, so the future's borrows of `f` and
-                // `results` never outlive this stack frame.
-                unsafe { erase_future_lifetime(Box::pin(fut)) },
-                rank,
-                Arc::clone(&store),
-            );
-            unsafe {
-                scheduler.spawn_poll(rank, Box::new(body));
-            }
-        }
-        let order = seeded_order(p, cfg.seed);
+        let order = seeded_order(states.len(), cfg.seed);
         if let Some((_rank, payload)) = scheduler.run(cfg.coop_workers, &order) {
             std::panic::resume_unwind(payload);
         }
@@ -654,6 +509,28 @@ impl Universe {
     {
         Universe::run(p, SimConfig::default(), f)
     }
+}
+
+/// The fabric of a `p`-rank universe under `cfg`: the router (tracing
+/// enabled when asked) and one [`ProcState`] per rank. Shared by
+/// [`Universe::run`], [`Universe::run_poll`] and fleet admission.
+pub(crate) fn build_fabric(p: usize, cfg: &SimConfig) -> (Arc<Router>, Vec<Arc<ProcState>>) {
+    assert!(p >= 1, "need at least one process");
+    let mut router = Router::new(
+        p,
+        cfg.cost.clone(),
+        cfg.vendor.clone(),
+        cfg.recv_timeout,
+        FaultState::resolve(&cfg.faults, p),
+    );
+    if cfg.trace {
+        router.enable_trace();
+    }
+    let router = Arc::new(router);
+    let states = (0..p)
+        .map(|r| ProcState::new(r, Arc::clone(&router), cfg.seed))
+        .collect();
+    (router, states)
 }
 
 /// The deterministic seeded initial run order of a cooperative run: a
@@ -703,24 +580,6 @@ pub(crate) fn assemble_result<R>(
         trace,
         sched_profile,
     }
-}
-
-/// Erase a rank body's borrow lifetime so it can live in a task slot; see
-/// the safety comment at the call site.
-#[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-unsafe fn erase_body_lifetime<'a>(
-    b: Box<dyn FnOnce() + Send + 'a>,
-) -> Box<dyn FnOnce() + Send + 'static> {
-    std::mem::transmute(b)
-}
-
-/// Erase a poll-mode rank future's borrow lifetime so it can live in a
-/// task slot; same safety argument as [`erase_body_lifetime`].
-#[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-unsafe fn erase_future_lifetime<'a>(
-    b: std::pin::Pin<Box<dyn std::future::Future<Output = ()> + Send + 'a>>,
-) -> std::pin::Pin<Box<dyn std::future::Future<Output = ()> + Send + 'static>> {
-    std::mem::transmute(b)
 }
 
 #[cfg(test)]

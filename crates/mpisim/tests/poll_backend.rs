@@ -191,15 +191,100 @@ fn sync_run_rejects_poll_backend() {
         )
     })
     .unwrap_err();
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
+    let msg = panic_message(err);
     assert!(
         msg.contains("run_poll"),
         "panic should point at run_poll: {msg}"
     );
+}
+
+fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
+    err.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+// A synchronous call that has to wait inside a poll body cannot suspend
+// the body: it must panic, naming the API to use instead, whichever
+// primitive it bottoms out in (a receive, a collective's receive, a yield).
+#[test]
+fn sync_waits_inside_poll_bodies_panic_naming_the_async_api() {
+    type SyncOp = fn(&mpisim::Comm);
+    let ops: [(&str, SyncOp); 3] = [
+        ("recv", |w| {
+            let peer = (w.rank() + 1) % w.size();
+            w.recv::<u64>(Src::Rank(peer), 9).map(drop).unwrap()
+        }),
+        ("barrier", |w| coll::barrier(w, 11).unwrap()),
+        ("yield_now", |_| mpisim::yield_now()),
+    ];
+    for (name, op) in ops {
+        let err = std::panic::catch_unwind(|| {
+            Universe::run_poll(
+                2,
+                SimConfig::cooperative().with_backend(Backend::Poll),
+                move |env| async move { op(&env.world) },
+            )
+        })
+        .expect_err(name);
+        let msg = panic_message(err);
+        assert!(
+            msg.contains("_async API"),
+            "sync {name} in a poll body should point at the *_async API: {msg}"
+        );
+    }
+}
+
+// Both kinds of body park through one protocol and are poisoned by one
+// detector, so a deadlocked wait must report the same `MpiError::Timeout`
+// (rank, what it waited for, virtual time, blame) under either backend.
+#[test]
+fn deadlock_errors_match_across_backends() {
+    async fn recv_cycle(env: mpisim::ProcEnv) -> String {
+        let w = env.world;
+        let peer = (w.rank() + 1) % w.size();
+        let err = mpisim::recv_async::<u64, _>(&w, Src::Rank(peer), 3).await;
+        format!("{:?}", err.unwrap_err())
+    }
+    async fn lonely_probe(env: mpisim::ProcEnv) -> String {
+        // Real traffic first, so the clocks in the error are not all zero.
+        let w = env.world;
+        w.barrier_async().await.unwrap();
+        let err = mpisim::probe_async(&w, Src::Any, 99).await;
+        format!("{:?}", err.unwrap_err())
+    }
+    fn run<Fut>(backend: Backend, workers: usize, body: fn(mpisim::ProcEnv) -> Fut) -> Vec<String>
+    where
+        Fut: std::future::Future<Output = String> + Send,
+    {
+        let cfg = SimConfig::cooperative()
+            .with_workers(workers)
+            .with_backend(backend);
+        match backend {
+            Backend::Poll => Universe::run_poll(3, cfg, body),
+            _ => Universe::run(3, cfg, move |env| block_inline(body(env))),
+        }
+        .per_rank
+    }
+    for workers in [1, 4] {
+        for (what, verb) in [(0, "recv("), (1, "probe(")] {
+            let on = |backend| match what {
+                0 => run(backend, workers, recv_cycle),
+                _ => run(backend, workers, lonely_probe),
+            };
+            let fiber = on(Backend::Cooperative);
+            let poll = on(Backend::Poll);
+            assert_eq!(fiber, poll, "{verb}..) at {workers} workers");
+            for (rank, e) in fiber.iter().enumerate() {
+                assert!(
+                    e.starts_with(&format!("Timeout {{ rank: {rank}, waited_for: \"{verb}"))
+                        && e.contains("cooperative deadlock"),
+                    "rank {rank}: {e}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
