@@ -1,4 +1,5 @@
-//! Fleet-mode throughput + oracle artefacts (`results/BENCH_fleet.json`).
+//! Fleet-mode throughput (`results/host/fleet_throughput.csv`) + the
+//! fleet-vs-solo oracle artefacts.
 
 fn main() {
     #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]

@@ -8,14 +8,45 @@
 //! * JQuick schedule ablation: alternating vs cascaded (§VIII-C reports
 //!   native MPI collapsing under cascades while RBC is indifferent).
 
-use jquick::{jquick_sort, AssignmentKind, JQuickConfig, Layout, MpiBackend, RbcBackend, Schedule};
+use jquick::{
+    jquick_sort_async, AssignmentKind, Backend, JQuickConfig, Layout, MpiBackend, RbcBackend,
+    Schedule,
+};
 use mpisim::icomm::icomm_create_group;
-use mpisim::{Group, SimConfig, Transport, VendorProfile};
+use mpisim::{Group, SimConfig, Time, Transport, VendorProfile};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rbc::RbcComm;
 
 use crate::figs::scale;
-use crate::{measure, ms, pow2_sweep, reps, Table};
+use crate::{measure, measure_async, ms, pow2_sweep, reps, Table};
+
+/// Mean makespan of one JQuick sort of `n` seeded random doubles on `p`
+/// ranks; `seed_stride` keeps the two ablations' inputs apart.
+fn jquick_time<B>(
+    backend: B,
+    p: usize,
+    n: u64,
+    sim: SimConfig,
+    cfg: &JQuickConfig,
+    seed_stride: u64,
+) -> Time
+where
+    B: Backend + Copy,
+    B::C: Sync,
+{
+    measure_async(p, sim, reps(5), move |env, rep| async move {
+        let w = &env.world;
+        let layout = Layout::new(n, p as u64);
+        let mut rng = StdRng::seed_from_u64(rep as u64 * seed_stride + w.rank() as u64);
+        let data: Vec<f64> = (0..layout.cap(w.rank() as u64))
+            .map(|_| rng.gen())
+            .collect();
+        w.barrier_async().await.unwrap();
+        let t0 = env.now();
+        jquick_sort_async(&backend, w, data, n, cfg).await.unwrap();
+        env.now() - t0
+    })
+}
 
 /// Greedy vs staged exchange assignment (paper §VII-B choice).
 pub fn assignment_ablation() -> Table {
@@ -33,18 +64,7 @@ pub fn assignment_ablation() -> Table {
                 assignment: kind,
                 ..JQuickConfig::default()
             };
-            let time = measure(p, SimConfig::default(), reps(5), move |env, rep| {
-                let w = &env.world;
-                let layout = Layout::new(n, p as u64);
-                let mut rng = StdRng::seed_from_u64(rep as u64 * 31 + w.rank() as u64);
-                let data: Vec<f64> = (0..layout.cap(w.rank() as u64))
-                    .map(|_| rng.gen())
-                    .collect();
-                w.barrier().unwrap();
-                let t0 = env.now();
-                jquick_sort(&RbcBackend, w, data, n, &cfg).unwrap();
-                env.now() - t0
-            });
+            let time = jquick_time(RbcBackend, p, n, SimConfig::cooperative(), &cfg, 31);
             vals.push(ms(time));
         }
         t.push(n_per, vals);
@@ -73,27 +93,12 @@ pub fn schedule_ablation() -> Table {
                 schedule,
                 ..JQuickConfig::default()
             };
-            let time = measure(
-                p,
-                SimConfig::default().with_vendor(VendorProfile::intel_like()),
-                reps(5),
-                move |env, rep| {
-                    let w = &env.world;
-                    let layout = Layout::new(n, p as u64);
-                    let mut rng = StdRng::seed_from_u64(rep as u64 * 131 + w.rank() as u64);
-                    let data: Vec<f64> = (0..layout.cap(w.rank() as u64))
-                        .map(|_| rng.gen())
-                        .collect();
-                    w.barrier().unwrap();
-                    let t0 = env.now();
-                    if use_rbc {
-                        jquick_sort(&RbcBackend, w, data, n, &cfg).unwrap();
-                    } else {
-                        jquick_sort(&MpiBackend, w, data, n, &cfg).unwrap();
-                    }
-                    env.now() - t0
-                },
-            );
+            let sim = SimConfig::cooperative().with_vendor(VendorProfile::intel_like());
+            let time = if use_rbc {
+                jquick_time(RbcBackend, p, n, sim, &cfg, 131)
+            } else {
+                jquick_time(MpiBackend, p, n, sim, &cfg, 131)
+            };
             vals.push(ms(time));
         }
         t.push(idx, vals);
@@ -120,7 +125,7 @@ pub fn icomm_ablation() -> Table {
         let vendor = VendorProfile::intel_like();
         let blocking = measure(
             p,
-            SimConfig::default().with_vendor(vendor.clone()),
+            SimConfig::cooperative().with_vendor(vendor.clone()),
             reps(5),
             move |env, rep| {
                 let w = &env.world;
@@ -135,7 +140,7 @@ pub fn icomm_ablation() -> Table {
                 env.now() - t0
             },
         );
-        let range = measure(p, SimConfig::default(), reps(5), move |env, _| {
+        let range = measure(p, SimConfig::cooperative(), reps(5), move |env, _| {
             let w = &env.world;
             let g = if w.rank() < p / 2 {
                 Group::range(0, 1, p / 2)
@@ -148,7 +153,7 @@ pub fn icomm_ablation() -> Table {
             let _ = req.wait_comm().unwrap();
             env.now() - t0
         });
-        let irregular = measure(p, SimConfig::default(), reps(5), move |env, rep| {
+        let irregular = measure(p, SimConfig::cooperative(), reps(5), move |env, rep| {
             let w = &env.world;
             // Odd/even interleave: NOT a contiguous range -> broadcast path.
             let which = w.rank() % 2;
@@ -164,7 +169,7 @@ pub fn icomm_ablation() -> Table {
             let _ = req.wait_comm().unwrap();
             env.now() - t0
         });
-        let rbc = measure(p, SimConfig::default(), reps(5), move |env, _| {
+        let rbc = measure(p, SimConfig::cooperative(), reps(5), move |env, _| {
             let world = RbcComm::create(&env.world);
             let r = world.rank();
             let (f, l) = if r < p / 2 {

@@ -9,8 +9,8 @@
 //! path differently depending on how many rounds each algorithm runs) and
 //! max/avg output imbalance (which must stay at 1.0 for JQuick — perfect
 //! balance is by construction, not by luck, so faults cannot break it).
-//! Everything is deterministic in the perturbation seed, so these numbers
-//! are exactly reproducible and CI-gateable.
+//! Everything is deterministic in the perturbation seed, so the CSVs are
+//! golden files (`results/golden/`).
 
 use jquick::{
     imbalance_factor, jquick_sort, multilevel, samplesort, workloads, JQuickConfig, Layout,
@@ -20,7 +20,7 @@ use mpisim::{FaultPlan, SimConfig, Time, Transport};
 use rbc::RbcComm;
 
 use crate::figs::scale;
-use crate::{measure, ms, reps, write_bench_json, Table};
+use crate::{measure, ms, reps, Table};
 
 /// Fraction of ranks slowed in every faulted configuration.
 const STRAGGLER_FRAC: f64 = 0.25;
@@ -83,11 +83,8 @@ fn faulted_sort_time(algo: &'static str, p: usize, n_per: u64, max_factor: f64) 
     (t, imb.into_inner().unwrap())
 }
 
-/// Regenerate the straggler-degradation tables, write their CSVs and
-/// `results/BENCH_faults.json`.
+/// Regenerate the straggler-degradation tables and write their CSVs.
 pub fn run() -> Vec<Table> {
-    let workers = SimConfig::cooperative().coop_workers;
-    let t_start = std::time::Instant::now();
     let p = scale::p_elems();
     let n_per = 64u64;
     let algos = [
@@ -145,7 +142,5 @@ pub fn run() -> Vec<Table> {
     imb.write_csv("faults_imbalance");
     degr.print();
     degr.write_csv("faults_degradation");
-    let tables = vec![t, imb, degr];
-    write_bench_json("faults", &tables, t_start.elapsed().as_secs_f64(), workers);
-    tables
+    vec![t, imb, degr]
 }

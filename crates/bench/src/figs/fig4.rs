@@ -5,39 +5,34 @@
 //! dominated); for large n/p RBC outperforms the vendor scans by up to an
 //! order of magnitude (paper: factor up to 16).
 
-use mpisim::nbcoll::Progress;
-use mpisim::{ops, SimConfig, Time, VendorProfile};
+use mpisim::{nbcoll, ops, SimConfig, Time, VendorProfile};
 use rbc::RbcComm;
 
 use crate::figs::scale;
-use crate::{measure, ms, pow2_sweep, reps, Table};
+use crate::{measure_async, ms, pow2_sweep, reps, Table};
 
 fn vendor_iscan(p: usize, n_per: usize, vendor: VendorProfile) -> Time {
-    let cfg = SimConfig::default().with_vendor(vendor);
-    measure(p, cfg, reps(5), move |env, rep| {
+    let cfg = SimConfig::cooperative().with_vendor(vendor);
+    measure_async(p, cfg, reps(5), move |env, rep| async move {
         let w = &env.world;
         let data: Vec<f64> = (0..n_per).map(|i| (i + rep) as f64).collect();
-        w.barrier().unwrap();
+        w.barrier_async().await.unwrap();
         let t0 = env.now();
         let mut sm = w.iscan(&data, ops::sum::<f64>()).unwrap();
-        while !sm.poll().unwrap() {
-            mpisim::yield_now();
-        }
+        nbcoll::wait_async(&mut sm).await.unwrap();
         env.now() - t0
     })
 }
 
 fn rbc_iscan(p: usize, n_per: usize, vendor: VendorProfile) -> Time {
-    let cfg = SimConfig::default().with_vendor(vendor);
-    measure(p, cfg, reps(5), move |env, rep| {
+    let cfg = SimConfig::cooperative().with_vendor(vendor);
+    measure_async(p, cfg, reps(5), move |env, rep| async move {
         let w = RbcComm::create(&env.world);
         let data: Vec<f64> = (0..n_per).map(|i| (i + rep) as f64).collect();
-        w.barrier().unwrap();
+        w.barrier_async().await.unwrap();
         let t0 = env.now();
         let mut sm = w.iscan(&data, ops::sum::<f64>(), None).unwrap();
-        while !sm.poll().unwrap() {
-            mpisim::yield_now();
-        }
+        rbc::wait_async(&mut sm).await.unwrap();
         env.now() - t0
     })
 }

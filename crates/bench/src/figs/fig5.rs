@@ -11,7 +11,7 @@ use mpisim::{Group, SimConfig, Time, Transport, VendorProfile};
 use rbc::RbcComm;
 
 use crate::figs::scale;
-use crate::{measure, ms, pow2_sweep, reps, Table};
+use crate::{measure_async, ms, pow2_sweep, reps, Table};
 
 fn halves_group(p: usize, rank: usize) -> Group {
     if rank < p / 2 {
@@ -22,51 +22,56 @@ fn halves_group(p: usize, rank: usize) -> Group {
 }
 
 fn create_group_time(p: usize, vendor: VendorProfile) -> Time {
-    measure(
+    measure_async(
         p,
-        SimConfig::default().with_vendor(vendor),
+        SimConfig::cooperative().with_vendor(vendor),
         reps(5),
-        move |env, rep| {
+        move |env, rep| async move {
             let w = &env.world;
             let g = halves_group(p, w.rank());
-            w.barrier().unwrap();
+            w.barrier_async().await.unwrap();
             let t0 = env.now();
-            let _c = w.create_group(&g, 100 + rep as u64).unwrap();
+            let _c = w.create_group_async(&g, 100 + rep as u64).await.unwrap();
             env.now() - t0
         },
     )
 }
 
 fn split_time(p: usize, vendor: VendorProfile) -> Time {
-    measure(
+    measure_async(
         p,
-        SimConfig::default().with_vendor(vendor),
+        SimConfig::cooperative().with_vendor(vendor),
         reps(5),
-        move |env, _| {
+        move |env, _| async move {
             let w = &env.world;
             let color = u64::from(w.rank() >= p / 2);
-            w.barrier().unwrap();
+            w.barrier_async().await.unwrap();
             let t0 = env.now();
-            let _c = w.split(color, w.rank() as u64).unwrap();
+            let _c = w.split_async(color, w.rank() as u64).await.unwrap();
             env.now() - t0
         },
     )
 }
 
 fn rbc_time(p: usize) -> Time {
-    measure(p, SimConfig::default(), reps(5), move |env, _| {
-        let world = RbcComm::create(&env.world);
-        let r = world.rank();
-        let (f, l) = if r < p / 2 {
-            (0, p / 2 - 1)
-        } else {
-            (p / 2, p - 1)
-        };
-        world.barrier().unwrap();
-        let t0 = env.now();
-        let _c = world.split(f, l).unwrap();
-        env.now() - t0
-    })
+    measure_async(
+        p,
+        SimConfig::cooperative(),
+        reps(5),
+        move |env, _| async move {
+            let world = RbcComm::create(&env.world);
+            let r = world.rank();
+            let (f, l) = if r < p / 2 {
+                (0, p / 2 - 1)
+            } else {
+                (p / 2, p - 1)
+            };
+            world.barrier_async().await.unwrap();
+            let t0 = env.now();
+            let _c = world.split(f, l).unwrap();
+            env.now() - t0
+        },
+    )
 }
 
 /// Regenerate this figure's tables and write their CSVs.

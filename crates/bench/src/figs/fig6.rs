@@ -13,7 +13,7 @@ use mpisim::{Group, SimConfig, Time, Transport, VendorProfile};
 use rbc::RbcComm;
 
 use crate::figs::scale;
-use crate::{measure, ms, pow2_sweep, reps, Table};
+use crate::{measure_async, ms, pow2_sweep, reps, Table};
 
 /// Group k covers ranks 3k..=3k+3; usable p is 3m+1.
 fn usable_p(p: usize) -> usize {
@@ -49,11 +49,11 @@ enum Sched {
 
 fn native_overlap(p: usize, sched: Sched) -> Time {
     let p = usable_p(p);
-    measure(
+    measure_async(
         p,
-        SimConfig::default().with_vendor(VendorProfile::intel_like()),
+        SimConfig::cooperative().with_vendor(VendorProfile::intel_like()),
         reps(3),
-        move |env, _| {
+        move |env, _| async move {
             let w = &env.world;
             let mut gs = my_groups(p, w.rank());
             // gs is in (left, right) order; flip for alternating on odd
@@ -61,11 +61,11 @@ fn native_overlap(p: usize, sched: Sched) -> Time {
             if sched == Sched::Alternating && gs.len() == 2 && (w.rank() / 3) % 2 == 1 {
                 gs.reverse();
             }
-            w.barrier().unwrap();
+            w.barrier_async().await.unwrap();
             let t0 = env.now();
             for k in gs {
                 let group = Group::range(3 * k, 1, 4);
-                let _c = w.create_group(&group, 200 + k as u64).unwrap();
+                let _c = w.create_group_async(&group, 200 + k as u64).await.unwrap();
             }
             env.now() - t0
         },
@@ -74,19 +74,24 @@ fn native_overlap(p: usize, sched: Sched) -> Time {
 
 fn rbc_overlap(p: usize, sched: Sched) -> Time {
     let p = usable_p(p);
-    measure(p, SimConfig::default(), reps(3), move |env, _| {
-        let world = RbcComm::create(&env.world);
-        let mut gs = my_groups(p, world.rank());
-        if sched == Sched::Alternating && gs.len() == 2 && (world.rank() / 3) % 2 == 1 {
-            gs.reverse();
-        }
-        world.barrier().unwrap();
-        let t0 = env.now();
-        for k in gs {
-            let _c = world.split(3 * k, 3 * k + 3).unwrap();
-        }
-        env.now() - t0
-    })
+    measure_async(
+        p,
+        SimConfig::cooperative(),
+        reps(3),
+        move |env, _| async move {
+            let world = RbcComm::create(&env.world);
+            let mut gs = my_groups(p, world.rank());
+            if sched == Sched::Alternating && gs.len() == 2 && (world.rank() / 3) % 2 == 1 {
+                gs.reverse();
+            }
+            world.barrier_async().await.unwrap();
+            let t0 = env.now();
+            for k in gs {
+                let _c = world.split(3 * k, 3 * k + 3).unwrap();
+            }
+            env.now() - t0
+        },
+    )
 }
 
 /// Regenerate this figure's tables and write their CSVs.

@@ -10,12 +10,11 @@
 //! decaying toward 1 as n grows; the 50-broadcast ratios sit below the
 //! 1-broadcast ratios (creation amortised).
 
-use mpisim::nbcoll::Progress;
-use mpisim::{Group, SimConfig, Time, Transport, VendorProfile};
+use mpisim::{nbcoll, Group, SimConfig, Time, Transport, VendorProfile};
 use rbc::RbcComm;
 
 use crate::figs::scale;
-use crate::{measure, pow2_sweep, reps, Table};
+use crate::{measure_async, pow2_sweep, reps, Table};
 
 #[derive(Clone, Copy)]
 enum NativeCreate {
@@ -30,14 +29,14 @@ fn native_time(
     vendor: VendorProfile,
     how: NativeCreate,
 ) -> Time {
-    measure(
+    measure_async(
         p,
-        SimConfig::default().with_vendor(vendor),
+        SimConfig::cooperative().with_vendor(vendor),
         reps(5),
-        move |env, rep| {
+        move |env, rep| async move {
             let w = &env.world;
             let in_range = w.rank() < p / 2;
-            w.barrier().unwrap();
+            w.barrier_async().await.unwrap();
             let t0 = env.now();
             let sub = match how {
                 NativeCreate::CreateGroup => {
@@ -45,12 +44,16 @@ fn native_time(
                         // create_group is collective over the new group only.
                         return Time::ZERO;
                     }
-                    w.create_group(&Group::range(0, 1, p / 2), 300 + rep as u64)
+                    w.create_group_async(&Group::range(0, 1, p / 2), 300 + rep as u64)
+                        .await
                         .unwrap()
                 }
                 NativeCreate::Split => {
                     // split must be called by ALL processes of the parent.
-                    let c = w.split(u64::from(!in_range), w.rank() as u64).unwrap();
+                    let c = w
+                        .split_async(u64::from(!in_range), w.rank() as u64)
+                        .await
+                        .unwrap();
                     if !in_range {
                         return env.now() - t0;
                     }
@@ -60,9 +63,7 @@ fn native_time(
             for _ in 0..bcasts {
                 let data = (sub.rank() == 0).then(|| vec![1.0f64; n]);
                 let mut sm = sub.ibcast(data, 0).unwrap();
-                while !sm.poll().unwrap() {
-                    mpisim::yield_now();
-                }
+                nbcoll::wait_async(&mut sm).await.unwrap();
             }
             env.now() - t0
         },
@@ -70,13 +71,13 @@ fn native_time(
 }
 
 fn rbc_time(p: usize, n: usize, bcasts: usize, vendor: VendorProfile) -> Time {
-    measure(
+    measure_async(
         p,
-        SimConfig::default().with_vendor(vendor),
+        SimConfig::cooperative().with_vendor(vendor),
         reps(5),
-        move |env, _| {
+        move |env, _| async move {
             let world = RbcComm::create(&env.world);
-            world.barrier().unwrap();
+            world.barrier_async().await.unwrap();
             if world.rank() >= p / 2 {
                 return Time::ZERO;
             }
@@ -85,9 +86,7 @@ fn rbc_time(p: usize, n: usize, bcasts: usize, vendor: VendorProfile) -> Time {
             for _ in 0..bcasts {
                 let data = (sub.rank() == 0).then(|| vec![1.0f64; n]);
                 let mut sm = sub.ibcast(data, 0, None).unwrap();
-                while !sm.poll().unwrap() {
-                    mpisim::yield_now();
-                }
+                rbc::wait_async(&mut sm).await.unwrap();
             }
             env.now() - t0
         },

@@ -8,18 +8,22 @@
 //! the curves converge as n/p grows; the Intel-like runs fluctuate at large
 //! n/p (p2p jitter), affecting both RBC-on-Intel and native Intel.
 
-use jquick::{jquick_sort, workloads, Backend, JQuickConfig, Layout, MpiBackend, RbcBackend};
+use jquick::{jquick_sort_async, workloads, Backend, JQuickConfig, Layout, MpiBackend, RbcBackend};
 use mpisim::{SimConfig, Time, Transport, VendorProfile};
 
 use crate::figs::scale;
-use crate::{measure, ms, pow2_sweep, Table};
+use crate::{measure_async, ms, pow2_sweep, Table};
 
 fn gen(layout: &Layout, rank: u64, seed: u64) -> Vec<f64> {
     workloads::generate(layout, rank, seed, workloads::Dist::Uniform)
 }
 
 /// Mean JQuick sort makespan on `p` ranks with `n_per` elements each.
-pub fn sort_time<B: Backend>(backend: B, p: usize, n_per: u64, vendor: VendorProfile) -> Time {
+pub fn sort_time<B>(backend: B, p: usize, n_per: u64, vendor: VendorProfile) -> Time
+where
+    B: Backend + Copy,
+    B::C: Sync,
+{
     // Paper protocol: 7 reps for moderate sizes, 3 for large.
     let reps = if crate::quick_mode() {
         2
@@ -29,18 +33,19 @@ pub fn sort_time<B: Backend>(backend: B, p: usize, n_per: u64, vendor: VendorPro
         3
     };
     let n = n_per * p as u64;
-    measure(
+    measure_async(
         p,
-        SimConfig::default().with_vendor(vendor),
+        SimConfig::cooperative().with_vendor(vendor),
         reps,
-        move |env, rep| {
+        move |env, rep| async move {
             let w = &env.world;
             let layout = Layout::new(n, p as u64);
             let data = gen(&layout, w.rank() as u64, rep as u64 * 7919 + 1);
-            w.barrier().unwrap();
+            w.barrier_async().await.unwrap();
             let t0 = env.now();
-            let (_out, _stats) =
-                jquick_sort(&backend, w, data, n, &JQuickConfig::default()).unwrap();
+            let (_out, _stats) = jquick_sort_async(&backend, w, data, n, &JQuickConfig::default())
+                .await
+                .unwrap();
             env.now() - t0
         },
     )

@@ -7,12 +7,11 @@
 //! broadcast/reduce, with jitter) fall behind — "our range-based
 //! communicator creation does not come with hidden overheads".
 
-use mpisim::nbcoll::Progress;
-use mpisim::{ops, SimConfig, Time, Transport, VendorProfile};
+use mpisim::{ops, Request, SimConfig, Time, Transport, VendorProfile};
 use rbc::RbcComm;
 
 use crate::figs::scale;
-use crate::{measure, ms, pow2_sweep, reps, Table};
+use crate::{measure_async, ms, pow2_sweep, reps, Table};
 
 /// The collective operation a Fig. 9 panel benchmarks.
 #[derive(Clone, Copy, PartialEq)]
@@ -38,73 +37,33 @@ impl Op {
     }
 }
 
-fn run_native(env: &mpisim::ProcEnv, op: Op, n: usize, rep: usize) -> Time {
+async fn run_native(env: mpisim::ProcEnv, op: Op, n: usize, rep: usize) -> Time {
     let w = &env.world;
     let data: Vec<f64> = (0..n).map(|i| (i + rep) as f64).collect();
-    w.barrier().unwrap();
+    w.barrier_async().await.unwrap();
     let t0 = env.now();
-    match op {
-        Op::Bcast => {
-            let payload = (w.rank() == 0).then(|| data.clone());
-            let mut sm = w.ibcast(payload, 0).unwrap();
-            while !sm.poll().unwrap() {
-                mpisim::yield_now();
-            }
-        }
-        Op::Reduce => {
-            let mut sm = w.ireduce(&data, 0, ops::sum::<f64>()).unwrap();
-            while !sm.poll().unwrap() {
-                mpisim::yield_now();
-            }
-        }
-        Op::Scan => {
-            let mut sm = w.iscan(&data, ops::sum::<f64>()).unwrap();
-            while !sm.poll().unwrap() {
-                mpisim::yield_now();
-            }
-        }
-        Op::Gather => {
-            let mut sm = w.igather(data, 0).unwrap();
-            while !sm.poll().unwrap() {
-                mpisim::yield_now();
-            }
-        }
-    }
+    let mut req = match op {
+        Op::Bcast => Request::new(w.ibcast((w.rank() == 0).then_some(data), 0).unwrap()),
+        Op::Reduce => Request::new(w.ireduce(&data, 0, ops::sum::<f64>()).unwrap()),
+        Op::Scan => Request::new(w.iscan(&data, ops::sum::<f64>()).unwrap()),
+        Op::Gather => Request::new(w.igather(data, 0).unwrap()),
+    };
+    req.wait_async().await.unwrap();
     env.now() - t0
 }
 
-fn run_rbc(env: &mpisim::ProcEnv, op: Op, n: usize, rep: usize) -> Time {
+async fn run_rbc(env: mpisim::ProcEnv, op: Op, n: usize, rep: usize) -> Time {
     let w = RbcComm::create(&env.world);
     let data: Vec<f64> = (0..n).map(|i| (i + rep) as f64).collect();
-    w.barrier().unwrap();
+    w.barrier_async().await.unwrap();
     let t0 = env.now();
-    match op {
-        Op::Bcast => {
-            let payload = (w.rank() == 0).then(|| data.clone());
-            let mut sm = w.ibcast(payload, 0, None).unwrap();
-            while !sm.poll().unwrap() {
-                mpisim::yield_now();
-            }
-        }
-        Op::Reduce => {
-            let mut sm = w.ireduce(&data, 0, ops::sum::<f64>(), None).unwrap();
-            while !sm.poll().unwrap() {
-                mpisim::yield_now();
-            }
-        }
-        Op::Scan => {
-            let mut sm = w.iscan(&data, ops::sum::<f64>(), None).unwrap();
-            while !sm.poll().unwrap() {
-                mpisim::yield_now();
-            }
-        }
-        Op::Gather => {
-            let mut sm = w.igather(data, 0, None).unwrap();
-            while !sm.poll().unwrap() {
-                mpisim::yield_now();
-            }
-        }
-    }
+    let mut req = match op {
+        Op::Bcast => Request::new(w.ibcast((w.rank() == 0).then_some(data), 0, None).unwrap()),
+        Op::Reduce => Request::new(w.ireduce(&data, 0, ops::sum::<f64>(), None).unwrap()),
+        Op::Scan => Request::new(w.iscan(&data, ops::sum::<f64>(), None).unwrap()),
+        Op::Gather => Request::new(w.igather(data, 0, None).unwrap()),
+    };
+    req.wait_async().await.unwrap();
     env.now() - t0
 }
 
@@ -124,16 +83,16 @@ pub fn panel(op: Op, vendor: VendorProfile) -> Table {
     for n in pow2_sweep(0, max_exp) {
         let n = n as usize;
         let v = vendor.clone();
-        let native = measure(
+        let native = measure_async(
             p,
-            SimConfig::default().with_vendor(v.clone()),
+            SimConfig::cooperative().with_vendor(v.clone()),
             reps(5),
             move |env, rep| run_native(env, op, n, rep),
         );
         let v = vendor.clone();
-        let rbc = measure(
+        let rbc = measure_async(
             p,
-            SimConfig::default().with_vendor(v),
+            SimConfig::cooperative().with_vendor(v),
             reps(5),
             move |env, rep| run_rbc(env, op, n, rep),
         );

@@ -41,7 +41,7 @@ use jquick::{jquick_sort_async, JQuickConfig, Layout, RbcBackend};
 use mpisim::{coll, Backend, SimConfig, Time, Transport, Universe};
 use rbc::RbcComm;
 
-use crate::{measure_async, ms, quick_mode, reps, write_artifact, write_bench_json, Table};
+use crate::{measure_async, ms, quick_mode, reps, write_artifact, Table};
 
 /// Largest process exponent of the fiber-backed part of the sweep
 /// (paper: 2^15).
@@ -151,10 +151,10 @@ fn jquick_time(p: usize, n_per: u64) -> Time {
 /// * Chrome `trace_event` JSON (default `results/largep_trace.json`,
 ///   overridable via `MPISIM_TRACE_OUT`) — drop into Perfetto /
 ///   `chrome://tracing`, one track per rank in virtual microseconds.
-/// * `results/BENCH_sched_profile.json` — the host wall-clock scheduler
-///   profile (per-worker run/commit/idle split, shard claims, stack-pool
-///   hits). Deliberately *not* a gated artefact: it measures this
-///   machine, not the model.
+/// * `results/host/BENCH_sched_profile.json` — the host wall-clock
+///   scheduler profile (per-worker run/commit/idle split, shard claims,
+///   stack-pool hits). It measures this machine, not the model, so it
+///   lives under `results/host/`, which no check reads.
 pub fn traced_slice() {
     let p = 1usize << 10;
     let n = 8 * p as u64;
@@ -182,22 +182,18 @@ pub fn traced_slice() {
         trace.events.len()
     );
     let profile = res.sched_profile.expect("profiling was requested");
-    write_artifact("results/BENCH_sched_profile.json", profile.to_json());
-    eprintln!("largep: wrote results/BENCH_sched_profile.json");
+    write_artifact("results/host/BENCH_sched_profile.json", profile.to_json());
+    eprintln!("largep: wrote results/host/BENCH_sched_profile.json");
 }
 
-/// Regenerate the large-p tables and write their CSVs plus a
-/// machine-readable `results/BENCH_largep.json` (virtual times, per-point
-/// host wall-clock, and the cooperative worker count — the artefact CI
-/// diffs byte-wise across worker counts **and backends**: the
-/// virtual-time columns must be identical for any `MPISIM_COOP_WORKERS`
-/// and, at shared p, for `MPISIM_BACKEND=poll` vs fiber; only wall-clock
-/// may differ, which is why wall-clock lives in the JSON and not the
-/// CSVs).
+/// Regenerate the large-p tables and write their CSVs. The two
+/// virtual-time tables are golden files: identical for any
+/// `MPISIM_COOP_WORKERS` and, at shared p, for `MPISIM_BACKEND=poll` vs
+/// fiber. The per-point host wall-clock goes to
+/// `results/host/largep_wall.csv`.
 pub fn run() -> Vec<Table> {
     let cfg = SimConfig::cooperative();
     let (workers, backend) = (cfg.coop_workers, cfg.backend);
-    let t_start = std::time::Instant::now();
     let mut comms = Table::new(
         "Large p — splitting a communicator of p processes into halves (cooperative backend)",
         "p",
@@ -234,8 +230,7 @@ pub fn run() -> Vec<Table> {
     sort.print();
     sort.write_csv("largep_jquick");
     wall.print();
-    let tables = vec![comms, sort, wall];
-    write_bench_json("largep", &tables, t_start.elapsed().as_secs_f64(), workers);
+    wall.write_csv("host/largep_wall");
     traced_slice();
-    tables
+    vec![comms, sort, wall]
 }

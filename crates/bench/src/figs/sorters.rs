@@ -30,7 +30,7 @@ fn sort_time(algo: &'static str, p: usize, n_per: u64) -> (Time, f64) {
     let imb = std::sync::Mutex::new(1.0f64);
     let t = {
         let imb = &imb;
-        measure(p, SimConfig::default(), reps(3), move |env, rep| {
+        measure(p, SimConfig::cooperative(), reps(3), move |env, rep| {
             let w = &env.world;
             let layout = Layout::new(n, p as u64);
             let data = workloads::generate(

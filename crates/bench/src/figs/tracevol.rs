@@ -1,11 +1,11 @@
 //! Per-collective communication-volume figure (`tracevol`).
 //!
-//! Runs each blocking collective in isolation on the cooperative backend
+//! Runs each blocking collective in isolation on the epoch scheduler
 //! and reports the deterministic per-class counters from
 //! [`mpisim::MetricsSnapshot`]: total messages, the maximum number of
 //! messages any single rank sends, and total payload bytes. Every value is
-//! a **pure function of `(program, p)`** — the tables are written in unit
-//! `count`, which the bench gate diffs at exact equality.
+//! a **pure function of `(program, p)`**, so the three CSVs are golden
+//! files (`results/golden/`).
 //!
 //! The figure also *checks* the paper's volume bounds in-process (§V-D:
 //! the collectives are binomial-tree / dissemination shaped):
@@ -23,21 +23,20 @@
 //! collective's communication structure changed, which no timing table
 //! would catch as crisply.
 
-use mpisim::{OpClass, SimConfig, Universe};
+use mpisim::{OpClass, ProcEnv, SimConfig, Universe};
 
-use crate::{pow2_sweep, write_bench_json, Table};
+use crate::{pow2_sweep, Table};
 
 /// `⌈log₂ p⌉` (0 for p = 1).
 fn ceil_log2(p: u64) -> u64 {
     64 - (p.max(1) - 1).leading_zeros() as u64
 }
 
-/// One collective under measurement: how to run it on a rank, which
-/// [`OpClass`] its volume lands in, and its exact expected message totals.
+/// One collective under measurement: which [`OpClass`] it is (and its
+/// volume lands in) and its exact expected message totals.
 struct CollOp {
     name: &'static str,
     class: OpClass,
-    body: fn(&mpisim::ProcEnv),
     /// Exact total messages the collective moves at `p` ranks.
     expected_total: fn(u64) -> u64,
     /// Upper bound on messages sent by any single rank at `p` ranks.
@@ -49,19 +48,12 @@ fn ops() -> Vec<CollOp> {
         CollOp {
             name: "bcast",
             class: OpClass::Bcast,
-            body: |env| {
-                let mut x = vec![env.rank() as u64];
-                env.world.bcast(&mut x, 0).unwrap();
-            },
             expected_total: |p| p - 1,
             max_rank_bound: ceil_log2,
         },
         CollOp {
             name: "reduce",
             class: OpClass::Reduce,
-            body: |env| {
-                env.world.reduce(&[1u64], 0, |a, b| a + b).unwrap();
-            },
             expected_total: |p| p - 1,
             // Every non-root sends exactly one partial to its parent.
             max_rank_bound: |_| 1,
@@ -69,9 +61,6 @@ fn ops() -> Vec<CollOp> {
         CollOp {
             name: "scan",
             class: OpClass::Scan,
-            body: |env| {
-                env.world.scan(&[1u64], |a, b| a + b).unwrap();
-            },
             expected_total: |p| {
                 let mut total = 0;
                 let mut d = 1;
@@ -86,9 +75,6 @@ fn ops() -> Vec<CollOp> {
         CollOp {
             name: "gatherv",
             class: OpClass::Gather,
-            body: |env| {
-                env.world.gatherv(vec![env.rank() as u64], 0).unwrap();
-            },
             // Two messages per tree edge: metadata then payload.
             expected_total: |p| 2 * (p - 1),
             max_rank_bound: |_| 2,
@@ -96,21 +82,32 @@ fn ops() -> Vec<CollOp> {
         CollOp {
             name: "barrier",
             class: OpClass::Barrier,
-            body: |env| {
-                env.world.barrier().unwrap();
-            },
             expected_total: |p| p * ceil_log2(p),
             max_rank_bound: ceil_log2,
         },
     ]
 }
 
+/// Run the blocking collective of `class` once on this rank.
+async fn run_collective(class: OpClass, env: ProcEnv) {
+    let (w, me) = (&env.world, env.rank() as u64);
+    match class {
+        OpClass::Bcast => w.bcast_async(&mut vec![me], 0).await.unwrap(),
+        OpClass::Reduce => drop(w.reduce_async(&[1u64], 0, |a, b| a + b).await.unwrap()),
+        OpClass::Scan => drop(w.scan_async(&[1u64], |a, b| a + b).await.unwrap()),
+        OpClass::Gather => drop(w.gatherv_async(vec![me], 0).await.unwrap()),
+        OpClass::Barrier => w.barrier_async().await.unwrap(),
+        other => unreachable!("tracevol does not measure {other:?}"),
+    }
+}
+
 /// Measured volume of one collective at `p` ranks:
 /// `(total msgs, max msgs by any rank, total bytes)`.
-fn volumes(p: usize, op: &CollOp) -> (u64, u64, u64) {
-    let body = op.body;
-    let res = Universe::run(p, SimConfig::cooperative(), move |env| body(&env));
-    let c = op.class as usize;
+fn volumes(p: usize, class: OpClass) -> (u64, u64, u64) {
+    let res = Universe::run_poll(p, SimConfig::cooperative(), move |env| {
+        run_collective(class, env)
+    });
+    let c = class as usize;
     (
         res.metrics.class_msgs[c],
         res.metrics.class_max_rank_msgs[c],
@@ -118,15 +115,13 @@ fn volumes(p: usize, op: &CollOp) -> (u64, u64, u64) {
     )
 }
 
-/// Regenerate the volume tables, check the exact totals and O(log p)
-/// per-rank bounds, and write `results/BENCH_tracevol.json`.
+/// Regenerate the volume tables, checking the exact totals and the
+/// O(log p) per-rank bounds on the way.
 pub fn run() -> Vec<Table> {
-    let workers = SimConfig::cooperative().coop_workers;
-    let t_start = std::time::Instant::now();
     let ops = ops();
     let names: Vec<&str> = ops.iter().map(|o| o.name).collect();
     let mut total = Table::with_unit(
-        "Trace volumes — total messages per collective (deterministic, exact-gated)",
+        "Trace volumes — total messages per collective (deterministic)",
         "p",
         &names,
         "count",
@@ -148,7 +143,7 @@ pub fn run() -> Vec<Table> {
         let mut row_max = Vec::new();
         let mut row_bytes = Vec::new();
         for op in &ops {
-            let (msgs, per_rank, by) = volumes(p as usize, op);
+            let (msgs, per_rank, by) = volumes(p as usize, op.class);
             let want = (op.expected_total)(p);
             assert_eq!(
                 msgs, want,
@@ -176,12 +171,5 @@ pub fn run() -> Vec<Table> {
     max_rank.write_csv("tracevol_max_rank");
     bytes.print();
     bytes.write_csv("tracevol_bytes");
-    let tables = vec![total, max_rank, bytes];
-    write_bench_json(
-        "tracevol",
-        &tables,
-        t_start.elapsed().as_secs_f64(),
-        workers,
-    );
-    tables
+    vec![total, max_rank, bytes]
 }

@@ -12,10 +12,9 @@
 use std::fs;
 
 pub mod figs;
-pub mod gate;
 use std::path::Path;
 
-use mpisim::{SimConfig, Time};
+use mpisim::{Backend, SimConfig, Time};
 
 /// Number of repetitions, scaled down in quick mode.
 pub fn reps(full: usize) -> usize {
@@ -123,82 +122,32 @@ impl Table {
         out
     }
 
-    /// Write `results/<name>.csv`.
+    /// Write `results/<name>.csv`, panicking with the path on failure:
+    /// the golden check byte-diffs these files, so a write that fails
+    /// quietly would leave the previous run's file to pass in its place.
+    /// Host-time tables pass `host/<name>`, a directory the check ignores.
     pub fn write_csv(&self, name: &str) {
-        let dir = Path::new("results");
-        let _ = fs::create_dir_all(dir);
-        let path = dir.join(format!("{name}.csv"));
-        if fs::write(&path, self.to_csv()).is_ok() {
-            eprintln!("wrote {}", path.display());
-        }
-    }
-
-    /// Serialise the table as a JSON object (title, unit, series, rows).
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"title\":{:?},\"xlabel\":{:?},\"unit\":{:?},\"series\":[",
-            self.title, self.xlabel, self.unit
-        );
-        for (i, name) in self.series.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{name:?}"));
-        }
-        s.push_str("],\"rows\":[");
-        for (i, (x, vals)) in self.rows.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{{\"x\":{x},\"values\":["));
-            for (j, v) in vals.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                // NaN is not JSON; emit null for skipped cells.
-                if v.is_finite() {
-                    s.push_str(&format!("{v:.6}"));
-                } else {
-                    s.push_str("null");
-                }
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-        s
-    }
-}
-
-/// Write `results/BENCH_<name>.json`: the machine-readable counterpart of a
-/// figure run — every table plus the run's wall-clock seconds and relevant
-/// environment (worker count), so CI can archive and diff bench results
-/// without scraping stdout.
-pub fn write_bench_json(name: &str, tables: &[Table], wall_clock_s: f64, workers: usize) {
-    let dir = Path::new("results");
-    let _ = fs::create_dir_all(dir);
-    let mut out = format!(
-        "{{\"bench\":{name:?},\"workers\":{workers},\"wall_clock_s\":{wall_clock_s:.3},\"tables\":["
-    );
-    for (i, t) in tables.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&t.to_json());
-    }
-    out.push_str("]}\n");
-    let path = dir.join(format!("BENCH_{name}.json"));
-    if fs::write(&path, out).is_ok() {
-        eprintln!("wrote {}", path.display());
+        let path = format!("results/{name}.csv");
+        write_artifact(&path, self.to_csv());
+        eprintln!("wrote {path}");
     }
 }
 
 /// Run `op` on `p` ranks `reps` times and report the mean over reps of the
 /// per-rep makespan (max over ranks of virtual elapsed time). The closure
 /// receives `(env, rep_index)` and must return its elapsed virtual time.
+///
+/// The kernel is synchronous, so it runs on the fiber backend whatever
+/// `cfg.backend` says: never on `Backend::Threads`, where wildcard
+/// receives match in wall-clock order and the CSVs would differ run to
+/// run, and never on `Backend::Poll`, which cannot drive a synchronous
+/// body. Only kernels whose callees have no `*_async` core use this
+/// (hypercube, sample sort, multi-level sample sort, `icomm`).
 pub fn measure<F>(p: usize, cfg: SimConfig, reps: usize, op: F) -> Time
 where
     F: Fn(&mpisim::ProcEnv, usize) -> Time + Send + Sync,
 {
+    let cfg = cfg.with_backend(Backend::Cooperative);
     let res = mpisim::Universe::run(p, cfg, |env| {
         let mut times = Vec::with_capacity(reps);
         for rep in 0..reps {
@@ -209,11 +158,13 @@ where
     makespan_mean(&res.per_rank, reps)
 }
 
-/// Maybe-async twin of [`measure`]: the per-rep operation is an `async fn`,
-/// so one kernel serves every backend — under the fiber or thread backend
-/// it completes inside `block_inline`, and under `Backend::Poll` it
-/// suspends at blocking calls and runs as a stackless poll-mode rank body,
-/// which is what lets sweeps continue past the fiber ceiling (p > 2^15).
+/// Async twin of [`measure`]: the per-rep operation is an `async fn`, so
+/// one kernel serves both scheduler backends. On the fiber it completes
+/// inside `block_inline`; under `MPISIM_BACKEND=poll` it suspends at
+/// blocking calls and runs as a stackless rank body, which is what lets
+/// sweeps continue past the fiber ceiling (p > 2^15). Both produce the
+/// same bytes. Callers pass `SimConfig::cooperative()`, which selects
+/// between exactly those two.
 pub fn measure_async<F, Fut>(p: usize, cfg: SimConfig, reps: usize, op: F) -> Time
 where
     F: Fn(mpisim::ProcEnv, usize) -> Fut + Send + Sync,
@@ -292,13 +243,9 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_cells_serialise_as_empty_and_null() {
+    fn non_finite_cells_serialise_as_empty() {
         let mut t = Table::new("t", "x", &["a", "b"]);
         t.push(1, vec![0.5, f64::NAN]);
-        let json = t.to_json();
-        assert!(json.contains("null"), "{json}");
-        assert!(!json.contains("NaN"), "{json}");
-        // CSV rendering of a non-finite cell is an empty field.
         let csv = t.to_csv();
         assert!(csv.lines().any(|l| l == "1,0.500000,"), "{csv}");
         assert!(!csv.contains("NaN"), "{csv}");

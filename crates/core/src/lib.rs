@@ -84,27 +84,10 @@ pub fn test(req: &mut impl Progress) -> Result<bool> {
 
 /// `rbc::Wait` — repeatedly test until complete.
 pub fn wait(req: &mut impl Progress) -> Result<()> {
-    let mut stall = mpisim::nbcoll::stall_guard(req.proc_state());
-    loop {
-        if req.poll()? {
-            return Ok(());
-        }
-        if stall.stalled() {
-            return Err(match req.proc_state() {
-                Some(s) => mpisim::MpiError::Timeout {
-                    rank: s.global_rank,
-                    waited_for: "rbc::wait".into(),
-                    virtual_now: s.now(),
-                    blame: s.stall_blame(),
-                },
-                None => mpisim::MpiError::Timeout {
-                    rank: usize::MAX,
-                    waited_for: "rbc::wait".into(),
-                    virtual_now: mpisim::Time::ZERO,
-                    blame: mpisim::RoundBlame::default(),
-                },
-            });
-        }
-        mpisim::yield_now();
-    }
+    mpisim::nbcoll::wait(req)
+}
+
+/// [`wait`] as a maybe-async core, usable inside a poll-mode rank body.
+pub async fn wait_async(req: &mut impl Progress) -> Result<()> {
+    mpisim::nbcoll::wait_async(req).await
 }

@@ -2,7 +2,9 @@
 //! collectives through RBC, recursion chains, and the exact §V-A overlap
 //! contract.
 
-use mpisim::{ops, MpiError, SimConfig, Src, Time, Transport, Universe};
+use mpisim::{
+    ops, Backend, FaultPlan, MpiError, Request, SimConfig, Src, Time, Transport, Universe,
+};
 use rbc::RbcComm;
 
 #[test]
@@ -231,4 +233,59 @@ fn rbc_creation_generates_zero_messages() {
         "RBC created log2(16) communicators per rank with zero messages"
     );
     assert_eq!(res.traffic.bytes, 0);
+}
+
+/// `rbc::wait_async` on an `ibcast` over 8 poll-mode ranks: the broadcast
+/// value, or the error it ended in. `crash_root` crash-stops the root at
+/// time zero, so its sends are dropped and every other rank stalls.
+/// `erased` waits through `Request::wait_async` instead.
+fn poll_ibcast_wait(crash_root: bool, erased: bool) -> Vec<Result<u64, MpiError>> {
+    let plan = if crash_root {
+        FaultPlan::default().with_crash(0, Time::ZERO)
+    } else {
+        FaultPlan::default()
+    };
+    let cfg = SimConfig::cooperative()
+        .with_backend(Backend::Poll)
+        .with_faults(plan);
+    Universe::run_poll(8, cfg, move |env| async move {
+        let world = RbcComm::create(&env.world);
+        let payload = (world.rank() == 0).then(|| vec![7u64]);
+        let mut req = world.ibcast(payload, 0, None)?;
+        if erased {
+            let mut req = Request::new(req);
+            req.wait_async().await.map(|()| 0)
+        } else {
+            rbc::wait_async(&mut req).await?;
+            Ok(req.into_data().expect("complete")[0])
+        }
+    })
+    .per_rank
+}
+
+#[test]
+fn wait_async_completes_an_ibcast_in_a_poll_mode_body() {
+    assert_eq!(poll_ibcast_wait(false, false), vec![Ok(7); 8]);
+}
+
+#[test]
+fn stalled_wait_async_reports_the_blame_of_request_wait_async() {
+    let direct = poll_ibcast_wait(true, false);
+    for (r, res) in direct.iter().enumerate().skip(1) {
+        match res {
+            Err(MpiError::Timeout { rank, blame, .. }) => {
+                assert_eq!(*rank, r);
+                assert_eq!(
+                    blame.ranks(),
+                    vec![0],
+                    "rank {r} must blame the crashed root"
+                );
+            }
+            other => panic!("rank {r}: expected Timeout, got {other:?}"),
+        }
+    }
+    // Rank 0 completes locally (its sends are dropped), with a value only
+    // the typed request can hand back: compare the failures.
+    let errs = |v: Vec<Result<u64, MpiError>>| v.into_iter().map(Result::err).collect::<Vec<_>>();
+    assert_eq!(errs(direct), errs(poll_ibcast_wait(true, true)));
 }

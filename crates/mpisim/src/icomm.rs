@@ -125,29 +125,8 @@ impl IcommCreate {
 
     /// Block until creation completes and return the communicator.
     pub fn wait_comm(mut self) -> Result<Comm> {
-        let mut stall = nbcoll::stall_guard(self.proc_state());
-        loop {
-            if self.poll()? {
-                return Ok(self.take().expect("completed creation yields a comm"));
-            }
-            if stall.stalled() {
-                return Err(match self.proc_state() {
-                    Some(s) => MpiError::Timeout {
-                        rank: s.global_rank,
-                        waited_for: "icomm_create_group".into(),
-                        virtual_now: s.now(),
-                        blame: s.stall_blame(),
-                    },
-                    None => MpiError::Timeout {
-                        rank: usize::MAX,
-                        waited_for: "icomm_create_group".into(),
-                        virtual_now: Time::ZERO,
-                        blame: crate::faults::RoundBlame::default(),
-                    },
-                });
-            }
-            crate::sched::yield_now();
-        }
+        nbcoll::wait(&mut self)?;
+        Ok(self.take().expect("completed creation yields a comm"))
     }
 }
 

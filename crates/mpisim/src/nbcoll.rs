@@ -31,7 +31,7 @@ pub const WAIT_TIMEOUT: Duration = Duration::from_secs(30);
 /// timeout (falling back to [`WAIT_TIMEOUT`] for detached machines),
 /// re-armed on global progress so huge-but-live universes never trip it
 /// (see [`StallDeadline`]).
-pub fn stall_guard(state: Option<&Arc<ProcState>>) -> StallDeadline {
+fn stall_guard(state: Option<&Arc<ProcState>>) -> StallDeadline {
     let timeout = state.map_or(WAIT_TIMEOUT, |s| s.router.recv_timeout);
     StallDeadline::new(state.map(|s| &s.router), timeout)
 }
@@ -81,14 +81,12 @@ impl Request {
     /// `rbc::Wait`: "takes a request and repeatedly calls rbc::Test until
     /// the operation is completed" (§V-B).
     pub fn wait(&mut self) -> Result<()> {
-        wait_on(&mut *self.0)
+        wait(&mut *self.0)
     }
 
-    /// The core of [`Request::wait`]: the polling loop yields through
-    /// [`crate::yield_now_async`], one epoch per unproductive poll on a
-    /// scheduler task.
+    /// [`Request::wait`] as a maybe-async core (see [`wait_async`]).
     pub async fn wait_async(&mut self) -> Result<()> {
-        wait_on_async(&mut *self.0).await
+        wait_async(&mut *self.0).await
     }
 }
 
@@ -112,11 +110,18 @@ fn wait_timeout_err(state: Option<&Arc<ProcState>>, waited_for: &str) -> MpiErro
     }
 }
 
-fn wait_on(p: &mut dyn Progress) -> Result<()> {
-    block_inline(wait_on_async(p))
+/// Poll `p` until it is locally complete, yielding between unproductive
+/// polls: the loop behind [`Request::wait`], every machine's `wait_*`
+/// method and `rbc::wait`. A stall ends in [`MpiError::Timeout`] carrying
+/// the [`crate::faults::RoundBlame`] of `p`'s rank.
+pub fn wait(p: &mut dyn Progress) -> Result<()> {
+    block_inline(wait_async(p))
 }
 
-async fn wait_on_async(p: &mut dyn Progress) -> Result<()> {
+/// [`wait`] as a maybe-async core: yields through
+/// [`crate::yield_now_async`], one epoch per unproductive poll on a
+/// scheduler task, so it also runs inside a poll-mode rank body.
+pub async fn wait_async(p: &mut dyn Progress) -> Result<()> {
     let mut stall = stall_guard(p.proc_state());
     loop {
         if p.poll()? {
@@ -277,7 +282,7 @@ impl<T: Datum, C: Transport> Ibcast<T, C> {
 
     /// Block until complete and return the payload.
     pub fn wait_data(mut self) -> Result<Vec<T>> {
-        wait_on(&mut self)?;
+        wait(&mut self)?;
         Ok(self.into_data().expect("completed"))
     }
 }
@@ -381,7 +386,7 @@ where
 
     /// Block until complete; the reduction lands `Some` only on the root.
     pub fn wait_result(mut self) -> Result<Option<Vec<T>>> {
-        wait_on(&mut self)?;
+        wait(&mut self)?;
         Ok(self.is_root.then_some(self.acc))
     }
 }
@@ -475,10 +480,10 @@ where
 
     /// Block until complete and return the result.
     pub fn wait_result(mut self) -> Result<Vec<T>> {
-        wait_on(&mut self)?;
+        wait(&mut self)?;
         match self.phase {
             IallreducePhase::Done(v) => Ok(v),
-            _ => unreachable!("wait_on returned complete"),
+            _ => unreachable!("wait returned complete"),
         }
     }
 }
@@ -586,7 +591,7 @@ where
 
     /// Block until complete, returning `(inclusive, exclusive)` prefixes.
     pub fn wait_scan(mut self) -> Result<(Vec<T>, Option<Vec<T>>)> {
-        wait_on(&mut self)?;
+        wait(&mut self)?;
         Ok((self.incl, self.excl))
     }
 }
@@ -713,7 +718,7 @@ impl<T: Datum, C: Transport> Igatherv<T, C> {
 
     /// Block until complete; per-rank blocks land `Some` only on the root.
     pub fn wait_result(mut self) -> Result<Option<Vec<Vec<T>>>> {
-        wait_on(&mut self)?;
+        wait(&mut self)?;
         Ok(self.result())
     }
 }
@@ -798,7 +803,7 @@ impl<T: Datum, C: Transport> Igather<T, C> {
 
     /// Block until complete and return the concatenated data at the root.
     pub fn wait_result(mut self) -> Result<Option<Vec<T>>> {
-        wait_on(&mut self)?;
+        wait(&mut self)?;
         Ok(self.result())
     }
 }

@@ -456,7 +456,7 @@ impl ClassCell {
 /// The deterministic model-metric snapshot of a run. Every field is a
 /// pure function of `(program, seed, fault seed)` — identical for every
 /// worker count and commit algorithm — so CI compares these at **exact
-/// equality** (`bench_gate` zero-tolerance `count` metrics).
+/// equality** (the `tracevol` CSVs are golden files, `results/golden/`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Total messages sent (priced; crash-dropped sends not included).
@@ -541,7 +541,7 @@ pub struct WorkerProfile {
 /// The wall-clock scheduler profile: host-time phase attribution for the
 /// cooperative backend. **Outside the deterministic domain** — values
 /// differ run to run and worker count to worker count; they are emitted to
-/// `BENCH_sched_profile.json`, which the bench gate never diffs.
+/// `results/host/BENCH_sched_profile.json`, which no check reads.
 ///
 /// Universes run inside a fleet report the pool counters but an **empty
 /// worker list**: a fleet worker interleaves many universes, so

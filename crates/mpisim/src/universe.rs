@@ -671,8 +671,8 @@ mod tests {
         });
     }
 
-    // The env-knob parser tests (commit algorithm, shard cap, trace, …)
-    // live with the parsers in `crate::env`.
+    // The env-knob parser tests (workers, backend, faults, trace, …) live
+    // with the parsers in `crate::env`.
 
     #[test]
     fn coop_bcast_works() {
