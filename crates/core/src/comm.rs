@@ -142,9 +142,23 @@ impl Transport for RbcComm {
     fn any_source_filter(&self) -> SrcFilter {
         // §V-C: on a wildcard we may only accept messages whose source is a
         // member of THIS range — other traffic in the shared context must
-        // be left alone.
-        let me = self.clone();
-        SrcFilter::Filter(Arc::new(move |global| me.rank_of_global(global).is_some()))
+        // be left alone. Over a base communicator in Range format (the
+        // world, any RBC-style base) the members are an arithmetic
+        // progression of global ranks: plain data, so a polling loop's
+        // wildcard per sweep allocates nothing.
+        let strided = self.base.group().as_range().and_then(|(first, stride, _)| {
+            Some(SrcFilter::Strided {
+                first: first + stride * self.first,
+                stride: u32::try_from(stride * self.stride).ok()?,
+                len: u32::try_from(self.size()).ok()?,
+            })
+        });
+        // An irregular base has no such closed form: test membership
+        // through the base's rank table.
+        strided.unwrap_or_else(|| {
+            let me = self.clone();
+            SrcFilter::Filter(Arc::new(move |global| me.rank_of_global(global).is_some()))
+        })
     }
 
     fn cost_scale(&self) -> CostScale {
@@ -268,6 +282,43 @@ mod tests {
             left.overlap_count(&right)
         });
         assert_eq!(res.per_rank[3], 1);
+    }
+
+    #[test]
+    fn wildcard_filter_is_range_membership_without_a_closure() {
+        let res = Universe::run_default(16, |env| {
+            let world = RbcComm::create(&env.world);
+            if !world.rank().is_multiple_of(4) {
+                return true;
+            }
+            // Base ranks 0, 4, 8, 12 through two strided splits.
+            let evens = world.split_strided(0, 15, 2).unwrap();
+            let fourth = evens.split_strided(0, 7, 2).unwrap();
+            let filter = fourth.any_source_filter();
+            matches!(filter, SrcFilter::Strided { .. })
+                && (0..16).all(|g| filter.matches(g) == fourth.rank_of_global(g).is_some())
+        });
+        assert!(res.per_rank.iter().all(|&ok| ok));
+    }
+
+    #[test]
+    fn wildcard_filter_over_an_irregular_base_uses_its_rank_table() {
+        let res = Universe::run_default(6, |env| {
+            let members = [4usize, 0, 3, 1];
+            if !members.contains(&env.world.rank()) {
+                return true;
+            }
+            let group = mpisim::Group::from_ranks(members.to_vec());
+            let base = env.world.create_group(&group, 5).unwrap();
+            // Base ranks 1..=3 are globals 0, 3, 1.
+            let Ok(sub) = RbcComm::create(&base).split(1, 3) else {
+                return true; // global 4 is not in the sub-range
+            };
+            let filter = sub.any_source_filter();
+            matches!(filter, SrcFilter::Filter(_))
+                && (0..6).all(|g| filter.matches(g) == [0, 3, 1].contains(&g))
+        });
+        assert!(res.per_rank.iter().all(|&ok| ok));
     }
 
     #[test]

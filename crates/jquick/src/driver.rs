@@ -35,8 +35,10 @@ const WAVE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Arm the per-wave stall detector: twice the configured blocking-receive
 /// timeout, so the point-to-point deadlock detector (which carries exact
-/// blame) gets to fire first; this is the backstop for pure polling
-/// loops. The deadline re-arms on global progress — one wave at p = 2^18
+/// blame) gets to fire first; this is the backstop for the polling loops
+/// on plain rank threads (on a scheduler task they park between sweeps
+/// and the structural deadlock detector ends a wave nobody can finish).
+/// The deadline re-arms on global progress — one wave at p = 2^18
 /// on a single core legitimately outlives any fixed budget while every
 /// rank stays live (see [`StallDeadline`]).
 fn wave_stall(state: &Arc<ProcState>) -> StallDeadline {
@@ -133,7 +135,7 @@ where
 
 /// Maybe-async core of [`jquick_sort`]: the identical algorithm, but every
 /// blocking agreement (the all-equal min/max all-reduce, native
-/// `create_group`, and the polling loops' yields) suspends instead of
+/// `create_group`, and the polling loops' waits) suspends instead of
 /// parking, so the whole sort can run as a `Backend::Poll` rank body at
 /// process counts beyond the fiber ceiling.
 pub async fn jquick_sort_async<T, B>(
@@ -357,7 +359,9 @@ where
                 blame: state.stall_blame(),
             });
         }
-        mpisim::yield_now_async().await;
+        // `BaseSm` keeps `Progress::poll`'s contract: `Ok(false)` only
+        // after a receive missed.
+        world.proc_state().park_until_deposit().await;
     }
     for mut sm in bsms {
         settled.push(sm.take().expect("base complete"));
@@ -428,7 +432,10 @@ where
                 blame: state.stall_blame(),
             });
         }
-        mpisim::yield_now_async().await;
+        // Every level machine that is not done stopped at a receive that
+        // missed (`Progress::poll`'s contract): nothing changes for this
+        // rank, janus or not, before its mailbox does.
+        state.park_until_deposit().await;
     }
 }
 

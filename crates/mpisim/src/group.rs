@@ -93,6 +93,15 @@ impl Group {
         matches!(self.repr, Repr::Range { .. })
     }
 
+    /// `(first, stride, len)` of the members' global ranks when stored in
+    /// the O(1) Range format.
+    pub fn as_range(&self) -> Option<(usize, usize, usize)> {
+        match self.repr {
+            Repr::Range { first, stride, len } => Some((first, stride, len)),
+            Repr::Dense(_) => None,
+        }
+    }
+
     /// Group rank -> global rank.
     pub fn translate(&self, rank: usize) -> usize {
         match &self.repr {

@@ -58,7 +58,11 @@
 //! Cooperative-backend receivers instead subscribe a [`Wake`] hook with
 //! their pattern ([`Mailbox::claim_or_subscribe`]); a push wakes exactly
 //! the subscribers whose pattern matches the new message, so a rank is only
-//! scheduled when its message actually arrived.
+//! scheduled when its message actually arrived. A rank that *polls* several
+//! patterns (a nonblocking machine, a janus sweeping two levels) cannot
+//! name one pattern to wait for; it arms the mailbox's single **owner-wait
+//! slot** instead ([`Mailbox::arm_owner_wait`]), which the next deposit of
+//! any message takes and fires.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -72,10 +76,9 @@ use crate::msg::{ContextId, MatchPattern, Message, MsgInfo, SrcFilter, Tag};
 use crate::time::Time;
 
 /// Wake-up hook subscribed by a parked cooperative task. Under the epoch
-/// scheduler every push — and therefore every wake — happens during the
-/// single-threaded commit phase, in the deterministic global delivery
-/// order (see [`crate::sched`]); the woken tasks join the next epoch in
-/// exactly that order.
+/// scheduler every push happens during the commit phase and every wake
+/// is fired by the one worker that finishes it (see [`crate::sched`]);
+/// the woken tasks join the next epoch's round, which is ordered by rank.
 pub trait Wake: Send + Sync {
     /// Make the subscriber runnable again.
     fn wake(&self);
@@ -192,6 +195,11 @@ struct Inner {
     count: usize,
     waiters: Vec<WaiterEntry>,
     next_token: u64,
+    /// The owner-wait slot: the waker of this mailbox's rank while it is
+    /// parked until *any* deposit. One `Option`, not a pattern-less entry
+    /// of `waiters`: an empty mailbox allocates nothing for it and
+    /// cancelling is a store, not a `retain`.
+    owner_wait: Option<Arc<dyn Wake>>,
     /// Waiter-pattern match checks performed by deposits — the mailbox's
     /// share of the deterministic [`crate::obs::MetricsSnapshot`]. On the
     /// cooperative backend the waiter set at each commit is a pure
@@ -258,7 +266,10 @@ impl Inner {
         match src {
             SrcFilter::Exact(s) => Some(*s),
             SrcFilter::Any => heads.first().map(|&(_, s)| s),
-            SrcFilter::Filter(f) => heads.iter().find(|&&(_, s)| f(s)).map(|&(_, s)| s),
+            filter => heads
+                .iter()
+                .find(|&&(_, s)| filter.matches(s))
+                .map(|&(_, s)| s),
         }
     }
 
@@ -337,6 +348,7 @@ impl Mailbox {
                 count: 0,
                 waiters: Vec::new(),
                 next_token: 0,
+                owner_wait: None,
                 scans: 0,
                 cv_waiters: 0,
             }),
@@ -348,15 +360,20 @@ impl Mailbox {
     /// those of further drained buckets are dropped.
     const SPARE_HEADS_CAP: usize = 8;
 
-    /// Deposit one message under the held lock: remove every matching
-    /// subscription (appending `(idx, waker)` pairs to `fired`, in
-    /// subscription order) and insert the message. Both push flavours go
+    /// Deposit one message under the held lock: take the owner-wait slot
+    /// if it is armed, remove every matching subscription (appending
+    /// `(idx, waker)` pairs to `fired`, the owner first, then in
+    /// subscription order) and insert the message. The owner-wait slot is
+    /// not a pattern check and adds nothing to `scans`. Both push flavours go
     /// through this single helper so their matching semantics can never
     /// drift apart — the sharded commit's serial-oracle equivalence
     /// (DESIGN.md §7) depends on [`Mailbox::push`] and
     /// [`Mailbox::push_batch`] agreeing exactly.
     #[inline]
     fn deposit(g: &mut Inner, idx: usize, m: Message, fired: &mut Vec<(usize, Arc<dyn Wake>)>) {
+        if let Some(owner) = g.owner_wait.take() {
+            fired.push((idx, owner));
+        }
         g.scans += g.waiters.len() as u64;
         let mut i = 0;
         while i < g.waiters.len() {
@@ -392,9 +409,9 @@ impl Mailbox {
     ///
     /// This is the sharded epoch commit's entry point: the scheduler pushes
     /// each destination's globally-ordered message segment as one batch
-    /// (amortising the mailbox lock over the whole fan-in), and must defer
-    /// every wake-up past its push barrier so the wake order can be merged
-    /// deterministically across shards (see [`crate::sched`]). Matching
+    /// (amortising the mailbox lock over the whole fan-in), and defers
+    /// every wake-up past its push barrier, so that one worker fires them
+    /// all (see [`crate::sched`]). Matching
     /// subscriptions are removed here — under the lock, exactly as
     /// [`Mailbox::push`] would — and appended to `fired` as `(index of the
     /// triggering message within the batch, waker)` pairs in trigger order;
@@ -490,6 +507,22 @@ impl Mailbox {
     /// already removed their entry.
     pub fn unsubscribe(&self, token: WaitToken) {
         self.inner.lock().waiters.retain(|w| w.token != token.0);
+    }
+
+    /// Arm the owner-wait slot: `waker` fires on the next deposit of *any*
+    /// message into this mailbox, once, and the deposit disarms the slot.
+    /// Only the mailbox's own rank arms it (there is one slot), after a
+    /// sweep of non-blocking receives found nothing and before it
+    /// suspends; nothing is deposited in between because scheduler tasks
+    /// run only between commits (DESIGN.md §4).
+    pub fn arm_owner_wait(&self, waker: &Arc<dyn Wake>) {
+        self.inner.lock().owner_wait = Some(Arc::clone(waker));
+    }
+
+    /// Disarm the owner-wait slot. Idempotent: a deposit already emptied
+    /// it.
+    pub fn cancel_owner_wait(&self) {
+        self.inner.lock().owner_wait = None;
     }
 
     /// Wait on the condvar for a deposit, counted in `cv_waiters` for the
@@ -827,6 +860,53 @@ mod tests {
         mb.push_batch(&mut batch, &mut fired);
         let idxs: Vec<usize> = fired.iter().map(|(i, _)| *i).collect();
         assert_eq!(idxs, vec![0, 1]);
+    }
+
+    #[test]
+    fn owner_wait_fires_once_per_batch_on_any_deposit() {
+        let mb = Mailbox::new();
+        let owner = Arc::new(CountWake(AtomicUsize::new(0)));
+        let pattern = Arc::new(CountWake(AtomicUsize::new(0)));
+        let w_owner: Arc<dyn Wake> = Arc::<CountWake>::clone(&owner);
+        let w_pattern: Arc<dyn Wake> = Arc::<CountWake>::clone(&pattern);
+        // The slot coexists with a pattern waiter on the same mailbox.
+        assert!(matches!(
+            mb.claim_or_subscribe(&pat(SrcFilter::Exact(2), 5, 0), &w_pattern),
+            Subscribed::Waiting(_)
+        ));
+        mb.arm_owner_wait(&w_owner);
+        let mut batch = vec![
+            msg(1, 9, 0, 1, 0), // matches no pattern: still the owner's trigger
+            msg(2, 5, 0, 2, 0), // the pattern waiter's trigger
+            msg(1, 9, 0, 3, 0),
+        ];
+        let mut fired = Vec::new();
+        mb.push_batch(&mut batch, &mut fired);
+        // Once per batch, tagged with the batch's first message, ahead of
+        // the pattern waiter that a later message triggered.
+        let idxs: Vec<usize> = fired.iter().map(|(i, _)| *i).collect();
+        assert_eq!(idxs, vec![0, 1]);
+        for (_, w) in fired.drain(..) {
+            w.wake();
+        }
+        assert_eq!(owner.0.load(Ordering::SeqCst), 1);
+        assert_eq!(pattern.0.load(Ordering::SeqCst), 1);
+        // Only the pattern waiter was a pattern check: one per message
+        // deposited while it was subscribed.
+        assert_eq!(mb.scans(), 2);
+        // The deposit cleared the slot: nothing fires until it is re-armed.
+        mb.push(msg(1, 9, 0, 4, 0));
+        assert_eq!(owner.0.load(Ordering::SeqCst), 1);
+        mb.arm_owner_wait(&w_owner);
+        mb.push(msg(1, 9, 0, 5, 0));
+        assert_eq!(owner.0.load(Ordering::SeqCst), 2);
+        // Cancel clears it too, and is idempotent.
+        mb.arm_owner_wait(&w_owner);
+        mb.cancel_owner_wait();
+        mb.cancel_owner_wait();
+        mb.push(msg(1, 9, 0, 6, 0));
+        assert_eq!(owner.0.load(Ordering::SeqCst), 2);
+        assert_eq!(mb.scans(), 2, "the slot is not a pattern check");
     }
 
     #[test]

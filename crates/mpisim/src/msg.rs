@@ -88,6 +88,20 @@ pub enum SrcFilter {
     /// RBC uses this for `ANY_SOURCE` on a sub-range communicator: probe any
     /// message, then test whether its source lies in the range (§V-C).
     Filter(Arc<dyn Fn(usize) -> bool + Send + Sync>),
+    /// The same restriction as plain data, for the one shape RBC needs:
+    /// the global ranks `first, first + stride, ...`, `len` of them.
+    /// Building it allocates nothing, so a polling loop can afford a
+    /// fresh wildcard per `try_recv`. `stride` and `len` are `u32` so that
+    /// the enum stays three words: a pattern is copied into every mailbox
+    /// subscription.
+    Strided {
+        /// First member (global rank).
+        first: usize,
+        /// Distance between members, at least 1.
+        stride: u32,
+        /// Number of members.
+        len: u32,
+    },
 }
 
 impl SrcFilter {
@@ -97,6 +111,11 @@ impl SrcFilter {
             SrcFilter::Exact(r) => *r == global_src,
             SrcFilter::Any => true,
             SrcFilter::Filter(f) => f(global_src),
+            SrcFilter::Strided { first, stride, len } => {
+                global_src.checked_sub(*first).is_some_and(|off| {
+                    off.is_multiple_of(*stride as usize) && off / (*stride as usize) < *len as usize
+                })
+            }
         }
     }
 }
@@ -106,7 +125,9 @@ impl fmt::Debug for SrcFilter {
         match self {
             SrcFilter::Exact(r) => write!(f, "Exact({r})"),
             SrcFilter::Any => write!(f, "Any"),
-            SrcFilter::Filter(_) => write!(f, "Filter(..)"),
+            // `Strided` prints as the predicate it stands for: the text
+            // is part of every timeout diagnostic of an RBC wildcard.
+            SrcFilter::Filter(_) | SrcFilter::Strided { .. } => write!(f, "Filter(..)"),
         }
     }
 }
@@ -507,6 +528,24 @@ mod tests {
             tag: 1,
         };
         assert!(!out_of_range.matches(&m));
+    }
+
+    #[test]
+    fn strided_filter_is_the_membership_predicate() {
+        let strided = SrcFilter::Strided {
+            first: 10,
+            stride: 3,
+            len: 4,
+        };
+        let members: Vec<usize> = (0..40).filter(|&g| strided.matches(g)).collect();
+        assert_eq!(members, vec![10, 13, 16, 19]);
+        // It prints like the closure it replaces (the text is in timeout
+        // errors) and keeps the enum at the closure variant's size.
+        assert_eq!(format!("{strided:?}"), "Filter(..)");
+        assert_eq!(
+            std::mem::size_of::<SrcFilter>(),
+            3 * std::mem::size_of::<usize>()
+        );
     }
 
     #[test]

@@ -41,14 +41,26 @@ fn stall_guard(state: Option<&Arc<ProcState>>) -> StallDeadline {
 /// may still be buffered — same semantics as the paper's `rbc::Test`).
 pub trait Progress: Send {
     /// Drive the operation one step; `Ok(true)` once locally complete.
+    ///
+    /// **Contract.** `Ok(false)` from a machine that names its rank
+    /// ([`Progress::proc_state`] is `Some`) means: *blocked until my
+    /// mailbox changes*. The machine ran until a non-blocking receive
+    /// missed, and polling it again before a message is deposited into
+    /// its rank's mailbox would miss again and change nothing (a miss
+    /// moves no clock, draws no random number and sends nothing). The
+    /// waits below rely on it: they do not poll such a machine again
+    /// until a deposit arrives. A machine that can make progress without
+    /// one (it watches a flag, a timer, another thread) must return
+    /// `None` from `proc_state`.
     fn poll(&mut self) -> Result<bool>;
 
     /// The per-rank simulator state behind this operation, when one is
-    /// reachable. Lets [`Request::wait`]/[`waitall`] use the configured
+    /// reachable. Lets [`Request::wait`]/[`waitall`] sleep until the
+    /// rank's mailbox changes (see [`Progress::poll`]), use the configured
     /// deadlock timeout and attribute a stall to the ranks it is waiting
     /// on (a [`crate::faults::RoundBlame`]). The default `None` keeps
-    /// foreign `Progress` implementations working with the wall-clock
-    /// fallback.
+    /// foreign `Progress` implementations working: they are polled once
+    /// per epoch under the wall-clock fallback.
     fn proc_state(&self) -> Option<&Arc<ProcState>> {
         None
     }
@@ -110,17 +122,32 @@ fn wait_timeout_err(state: Option<&Arc<ProcState>>, waited_for: &str) -> MpiErro
     }
 }
 
-/// Poll `p` until it is locally complete, yielding between unproductive
-/// polls: the loop behind [`Request::wait`], every machine's `wait_*`
-/// method and `rbc::wait`. A stall ends in [`MpiError::Timeout`] carrying
-/// the [`crate::faults::RoundBlame`] of `p`'s rank.
+/// What a wait does between two unproductive sweeps. Every unfinished
+/// machine of the sweep named its rank: sleep until that rank's mailbox
+/// changes ([`Progress::poll`]'s contract). Otherwise run again next
+/// epoch.
+async fn idle(state: Option<&Arc<ProcState>>) {
+    match state {
+        Some(s) => s.park_until_deposit().await,
+        None => crate::sched::yield_now_async().await,
+    }
+}
+
+/// Poll `p` until it is locally complete: the loop behind
+/// [`Request::wait`], every machine's `wait_*` method and `rbc::wait`. A
+/// stall ends in [`MpiError::Timeout`] carrying the
+/// [`crate::faults::RoundBlame`] of `p`'s rank.
 pub fn wait(p: &mut dyn Progress) -> Result<()> {
     block_inline(wait_async(p))
 }
 
-/// [`wait`] as a maybe-async core: yields through
-/// [`crate::yield_now_async`], one epoch per unproductive poll on a
-/// scheduler task, so it also runs inside a poll-mode rank body.
+/// [`wait`] as a maybe-async core, so it also runs inside a poll-mode
+/// rank body. Between unproductive polls a machine that names its rank
+/// sleeps until that rank's mailbox changes ([`Progress::poll`]'s
+/// contract); on a scheduler task a wait nobody will ever satisfy is then
+/// ended by the deadlock detector (the poisoned receive inside `p.poll()`
+/// returns the error). The stall deadline guards plain rank threads and
+/// foreign machines, which are polled once per epoch.
 pub async fn wait_async(p: &mut dyn Progress) -> Result<()> {
     let mut stall = stall_guard(p.proc_state());
     loop {
@@ -133,7 +160,7 @@ pub async fn wait_async(p: &mut dyn Progress) -> Result<()> {
                 "nonblocking operation (wait)",
             ));
         }
-        crate::sched::yield_now_async().await;
+        idle(p.proc_state()).await;
     }
 }
 
@@ -151,20 +178,29 @@ pub fn waitall(reqs: &mut [Request]) -> Result<()> {
     block_inline(waitall_async(reqs))
 }
 
-/// [`waitall`] as a maybe-async core (see [`Request::wait_async`]).
+/// [`waitall`] as a maybe-async core (see [`wait_async`]).
 pub async fn waitall_async(reqs: &mut [Request]) -> Result<()> {
     let mut stall = stall_guard(reqs.iter().find_map(|r| r.0.proc_state()));
     loop {
-        if testall(reqs)? {
+        // `testall`, also noting whether an unfinished request is foreign
+        // (completed ones may have dropped their transport, so the
+        // question is asked of the unfinished only).
+        let (mut all, mut foreign) = (true, false);
+        for r in reqs.iter_mut() {
+            if !r.test()? {
+                all = false;
+                foreign |= r.0.proc_state().is_none();
+            }
+        }
+        if all {
             return Ok(());
         }
+        // All requests of one wait belong to the calling rank.
+        let state = reqs.iter().find_map(|r| r.0.proc_state());
         if stall.stalled() {
-            return Err(wait_timeout_err(
-                reqs.iter().find_map(|r| r.0.proc_state()),
-                "nonblocking operations (waitall)",
-            ));
+            return Err(wait_timeout_err(state, "nonblocking operations (waitall)"));
         }
-        crate::sched::yield_now_async().await;
+        idle(state.filter(|_| !foreign)).await;
     }
 }
 
@@ -172,18 +208,23 @@ pub async fn waitall_async(reqs: &mut [Request]) -> Result<()> {
 // Binomial-tree shape helpers (shared by the machines below).
 // ---------------------------------------------------------------------------
 
-/// Parent and children of `rel` (rank relative to the root) in the binomial
-/// tree over `p` nodes used by bcast/reduce/gather. Children are listed in
-/// descending subtree size, matching the blocking implementations.
-fn binom_tree(rel: usize, p: usize) -> (Option<usize>, Vec<usize>) {
+/// Parent of `rel` (rank relative to the root, not the root itself) in
+/// the binomial tree used by bcast/reduce/gather: `rel` with its lowest
+/// set bit cleared.
+fn binom_parent(rel: usize) -> usize {
+    debug_assert!(rel != 0, "the root has no parent");
+    rel & (rel - 1)
+}
+
+/// Children of `rel` in the binomial tree over `p` nodes, in descending
+/// subtree size, matching the blocking implementations.
+fn binom_children(rel: usize, p: usize) -> Vec<usize> {
     debug_assert!(rel < p);
-    let top = p.next_power_of_two();
     let lsb = if rel == 0 {
-        top
+        p.next_power_of_two()
     } else {
         rel & rel.wrapping_neg()
     };
-    let parent = (rel != 0).then(|| rel - lsb);
     let mut children = Vec::new();
     let mut m = lsb >> 1;
     while m > 0 {
@@ -192,7 +233,7 @@ fn binom_tree(rel: usize, p: usize) -> (Option<usize>, Vec<usize>) {
         }
         m >>= 1;
     }
-    (parent, children)
+    children
 }
 
 fn from_rel(rel: usize, root: usize, p: usize) -> usize {
@@ -215,7 +256,6 @@ pub struct Ibcast<T: Datum, C: Transport> {
     root: usize,
     tag: Tag,
     data: Option<Arc<Vec<T>>>,
-    started: bool,
     done: bool,
 }
 
@@ -237,7 +277,6 @@ pub fn ibcast<T: Datum, C: Transport>(
         root,
         tag,
         data: data.map(Arc::new),
-        started: false,
         done: false,
     };
     sm.poll()?; // execute the first state immediately (paper §V-D)
@@ -245,16 +284,13 @@ pub fn ibcast<T: Datum, C: Transport>(
 }
 
 impl<T: Datum, C: Transport> Ibcast<T, C> {
-    fn forward(&mut self) -> Result<()> {
-        let p = self.tr.size();
-        let rel = to_rel(self.tr.rank(), self.root, p);
-        let (_, children) = binom_tree(rel, p);
-        let data = self.data.as_ref().expect("data present when forwarding");
-        for c in children {
-            self.tr
-                .send_shared(data, from_rel(c, self.root, p), self.tag)?;
+    /// Send the payload on to this rank's children.
+    fn forward(tr: &C, root: usize, tag: Tag, data: &Arc<Vec<T>>) -> Result<()> {
+        let p = tr.size();
+        let rel = to_rel(tr.rank(), root, p);
+        for c in binom_children(rel, p) {
+            tr.send_shared(data, from_rel(c, root, p), tag)?;
         }
-        self.done = true;
         Ok(())
     }
 
@@ -299,29 +335,21 @@ impl<T: Datum, C: Transport> Progress for Ibcast<T, C> {
         // Attribution only — the machines are polled many times per
         // logical operation, so per-poll trace spans would drown the
         // trace; sends priced inside a poll still count under the class.
-        // (The Arc clone frees `self` for the `&mut self` helpers below.)
-        let state = Arc::clone(self.tr.state());
-        let _class = obs::class_guard(&state, OpClass::Bcast);
+        let _class = obs::class_guard(self.tr.state(), OpClass::Bcast);
         let p = self.tr.size();
         let rel = to_rel(self.tr.rank(), self.root, p);
-        if !self.started {
-            self.started = true;
-            if rel == 0 {
-                self.forward()?;
-                return Ok(true);
+        if rel != 0 {
+            // Interior/leaf rank: wait for the parent's message.
+            let parent = from_rel(binom_parent(rel), self.root, p);
+            match self.tr.try_recv_shared::<T>(Src::Rank(parent), self.tag)? {
+                None => return Ok(false),
+                Some((v, _)) => self.data = Some(v),
             }
         }
-        // Interior/leaf rank: wait for the parent's message.
-        let (parent, _) = binom_tree(rel, p);
-        let parent = from_rel(parent.expect("non-root has parent"), self.root, p);
-        match self.tr.try_recv_shared::<T>(Src::Rank(parent), self.tag)? {
-            None => Ok(false),
-            Some((v, _)) => {
-                self.data = Some(v);
-                self.forward()?;
-                Ok(true)
-            }
-        }
+        let data = self.data.as_ref().expect("the root supplied the data");
+        Self::forward(&self.tr, self.root, self.tag, data)?;
+        self.done = true;
+        Ok(true)
     }
 }
 
@@ -358,7 +386,7 @@ where
     tr.check_rank(root)?;
     let p = tr.size();
     let rel = to_rel(tr.rank(), root, p);
-    let (_, children) = binom_tree(rel, p);
+    let children = binom_children(rel, p);
     let mut sm = Ireduce {
         tr: tr.clone(),
         root,
@@ -424,8 +452,7 @@ where
             if !self.is_root {
                 let p = self.tr.size();
                 let rel = to_rel(self.tr.rank(), self.root, p);
-                let (parent, _) = binom_tree(rel, p);
-                let parent = from_rel(parent.expect("non-root"), self.root, p);
+                let parent = from_rel(binom_parent(rel), self.root, p);
                 self.tr.send(&self.acc, parent, self.tag)?;
             }
             self.done = true;
@@ -681,7 +708,7 @@ pub fn igatherv<T: Datum, C: Transport>(
     let p = tr.size();
     let r = tr.rank();
     let rel = to_rel(r, root, p);
-    let (_, children) = binom_tree(rel, p);
+    let children = binom_children(rel, p);
     let mut sm = Igatherv {
         tr: tr.clone(),
         root,
@@ -762,8 +789,7 @@ impl<T: Datum, C: Transport> Progress for Igatherv<T, C> {
             if !self.is_root {
                 let p = self.tr.size();
                 let rel = to_rel(self.tr.rank(), self.root, p);
-                let (parent, _) = binom_tree(rel, p);
-                let parent = from_rel(parent.expect("non-root"), self.root, p);
+                let parent = from_rel(binom_parent(rel), self.root, p);
                 self.tr.send(&self.meta, parent, self.tag)?;
                 self.tr.send(&self.payload, parent, self.tag + 1)?;
             }

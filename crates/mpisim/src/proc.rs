@@ -518,8 +518,8 @@ impl ProcState {
         } else {
             match pat.map(|p| &p.src) {
                 Some(SrcFilter::Exact(g)) => (vec![*g], 0),
-                Some(SrcFilter::Filter(f)) => {
-                    let all: Vec<usize> = (0..p).filter(|&r| r != me && f(r)).collect();
+                Some(f @ (SrcFilter::Filter(_) | SrcFilter::Strided { .. })) => {
+                    let all: Vec<usize> = (0..p).filter(|&r| r != me && f.matches(r)).collect();
                     let omitted = all.len().saturating_sub(BLAME_CAP);
                     (all.into_iter().take(BLAME_CAP).collect(), omitted)
                 }
@@ -694,6 +694,19 @@ impl ProcState {
             None if crate::sched::current_poisoned() => Err(self.poisoned_err("try_recv", pat)),
             None => Ok(None),
         }
+    }
+
+    /// Wait until this rank's mailbox receives a deposit: what a polling
+    /// loop does between two sweeps of [`ProcState::try_recv_match`] /
+    /// [`ProcState::iprobe_match`] that found nothing (the contract on
+    /// [`crate::nbcoll::Progress::poll`]). On a scheduler task the rank is
+    /// not stepped again before a commit delivers it a message, or the
+    /// deadlock detector poisons it, in which case the next sweep fails
+    /// with the poisoned receive's [`MpiError::Timeout`]; on a plain rank
+    /// thread, where deposits land at any moment, it yields the thread
+    /// once and the caller's own stall deadline bounds the loop.
+    pub async fn park_until_deposit(&self) {
+        crate::sched::park_until_deposit(&self.router.mailboxes[self.global_rank]).await
     }
 
     /// Blocking probe: waits until a matching message is available, without

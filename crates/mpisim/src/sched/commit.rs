@@ -1,12 +1,12 @@
 //! The epoch commit: order a round's staged messages and deliver them.
 //!
 //! **Invariant:** every mailbox receives its messages in ascending
-//! [`CommitKey`] order, and wakers fire in ascending key order of the
-//! message that triggered them, whatever the worker count, shard geometry
-//! or [`CommitAlgo`]. The key is `(matchable, sender, seq)`: `matchable`
-//! is the running maximum of arrival times along the sender's program
-//! order (per-sender monotone, so MPI non-overtaking holds), `seq` the
-//! sender's per-epoch send counter. `(sender, seq)` alone is unique, so
+//! [`CommitKey`] order and a commit fires the same *set* of wakers,
+//! whatever the worker count, shard geometry or [`CommitAlgo`]. The key
+//! is `(matchable, sender, seq)`: `matchable` is the running maximum of
+//! arrival times along the sender's program order (per-sender monotone,
+//! so MPI non-overtaking holds), `seq` the sender's per-epoch send
+//! counter. `(sender, seq)` alone is unique, so
 //! there is exactly one sorted order and an unstable in-place sort is
 //! deterministic.
 //!
@@ -21,9 +21,9 @@
 //!   subsequence. Small commits are pushed inline; wide ones are cut into
 //!   shards at segment boundaries, which the epoch layer publishes for
 //!   all workers to claim. Pushes into disjoint mailboxes cannot
-//!   interfere; wake-ups are *recorded* as `(key of the triggering
-//!   message, waker)` and fired after the push barrier in key order,
-//!   which reproduces the serial wake order bit for bit (DESIGN.md §7).
+//!   interfere; wake-ups are *recorded* and fired by the finishing worker
+//!   after the push barrier. Their order is not kept: the woken tasks
+//!   join a round that the epoch layer sorts by rank (DESIGN.md §7).
 //!
 //! Every buffer here (the gather run, shard and wake vectors, batch
 //! scratch) is reused through [`SchedPools`], so a steady-state epoch at
@@ -62,17 +62,7 @@ impl CommitEntry {
 }
 
 /// A wake-up recorded during a push, deferred past the push barrier.
-struct WakeRec {
-    key: CommitKey,
-    /// Tie-break for several waiters of the *same* message: the push
-    /// index within the recording shard's wake vector, with the shard
-    /// index OR-ed into the high bits when shards are concatenated.
-    /// Makes `(key, ord)` unique, so the wake merge can use an
-    /// allocation-free unstable sort and still reproduce the stable
-    /// concatenation order exactly.
-    ord: u64,
-    waker: Arc<dyn Wake>,
-}
+type WakeRec = Arc<dyn Wake>;
 
 /// A sharded commit in flight: per-shard slices of the destination-major
 /// run, claimed by workers through the epoch cursor like round tasks.
@@ -81,8 +71,8 @@ pub(super) struct CommitWork {
     shards: Vec<UnsafeCell<Vec<CommitEntry>>>,
     /// Shard `i`'s deferred wake records.
     wakes: Vec<UnsafeCell<Vec<WakeRec>>>,
-    /// The head of the next round (the tasks that yielded), handed
-    /// through to the finishing worker.
+    /// The next round so far (the tasks that yielded), handed through to
+    /// the finishing worker.
     next: Mutex<Vec<usize>>,
 }
 
@@ -100,12 +90,11 @@ impl CommitWork {
 }
 
 /// Reusable scratch of one `push_segments` call: the per-destination
-/// message batch, its parallel key array, and the fired-subscription
-/// buffer handed to [`crate::mailbox::Mailbox::push_batch`].
+/// message batch and the fired-subscription buffer handed to
+/// [`crate::mailbox::Mailbox::push_batch`].
 #[derive(Default)]
 struct CommitScratch {
     batch: Vec<Message>,
-    keys: Vec<CommitKey>,
     fired: Vec<(usize, Arc<dyn Wake>)>,
 }
 
@@ -131,7 +120,7 @@ const MIN_SHARD_ENTRIES: usize = 64;
 
 /// What [`Commit::begin`] did with the round's messages.
 pub(super) enum Begun {
-    /// Delivered on the calling worker; carries the next round's head
+    /// Delivered on the calling worker; carries the next round so far
     /// back.
     Delivered(Vec<usize>),
     /// Cut into shards: publish them, then call [`Commit::finish`].
@@ -273,11 +262,11 @@ impl Commit {
     fn push_inline(&self, run: &mut Vec<CommitEntry>) {
         let mut wakes = self.pools.wake_pool.take();
         self.push_segments(run, &mut wakes);
-        fire_wakes_merged(&mut wakes);
+        fire_wakes(&mut wakes);
         self.pools.wake_pool.put(wakes);
     }
 
-    /// Push one claimed shard, deferring every wake-up as a keyed record.
+    /// Push one claimed shard, deferring every wake-up it triggers.
     pub(super) fn push_shard(&self, cw: &CommitWork, i: usize) {
         // SAFETY: unit `i` was claimed exclusively through the cursor CAS;
         // only this worker touches its vectors until the push barrier.
@@ -285,19 +274,13 @@ impl Commit {
         self.push_segments(entries, wakes);
     }
 
-    /// All shards are pushed: fire the deferred wake-ups in global key
-    /// order and return the next round's head.
+    /// All shards are pushed: fire the deferred wake-ups and return the
+    /// next round so far.
     pub(super) fn finish(&self, cw: &CommitWork) -> Vec<usize> {
-        let mut recs = self.pools.wake_pool.take();
-        for (s, (wakes, shard)) in cw.wakes.iter().zip(&cw.shards).enumerate() {
+        for (wakes, shard) in cw.wakes.iter().zip(&cw.shards) {
             // SAFETY: the push barrier has passed; no worker holds a unit.
             let (ws, es) = unsafe { (&mut *wakes.get(), &mut *shard.get()) };
-            for mut r in ws.drain(..) {
-                // Stamp the shard into the high ord bits so the
-                // concatenation order survives the unstable sort.
-                r.ord |= (s as u64) << 32;
-                recs.push(r);
-            }
+            fire_wakes(ws);
             // Recycle the drained vectors (their capacity).
             let (ws, es) = (std::mem::take(ws), std::mem::take(es));
             if ws.capacity() > 0 {
@@ -307,16 +290,13 @@ impl Commit {
                 self.pools.entry_pool.put(es);
             }
         }
-        fire_wakes_merged(&mut recs);
-        self.pools.wake_pool.put(recs);
         std::mem::take(&mut *cw.next.lock())
     }
 
     /// Push a destination-major-sorted run: one
     /// [`push_batch`](crate::mailbox::Mailbox::push_batch) per destination
     /// segment (one lock acquisition per destination, however large its
-    /// fan-in), recording every triggered wake-up as a [`WakeRec`] keyed by
-    /// the triggering message instead of firing it.
+    /// fan-in), recording every triggered wake-up instead of firing it.
     fn push_segments(&self, entries: &mut Vec<CommitEntry>, wakes: &mut Vec<WakeRec>) {
         let mut s = self.pools.scratch_pool.take();
         let mut flush = |dest: usize, s: &mut CommitScratch| {
@@ -324,14 +304,7 @@ impl Commit {
                 return;
             }
             self.router.mailboxes[dest].push_batch(&mut s.batch, &mut s.fired);
-            for (idx, waker) in s.fired.drain(..) {
-                wakes.push(WakeRec {
-                    key: s.keys[idx],
-                    ord: wakes.len() as u64,
-                    waker,
-                });
-            }
-            s.keys.clear();
+            wakes.extend(s.fired.drain(..).map(|(_, waker)| waker));
         };
         let mut dest = usize::MAX;
         for e in entries.drain(..) {
@@ -339,7 +312,6 @@ impl Commit {
                 flush(dest, &mut s);
                 dest = e.dest;
             }
-            s.keys.push(e.key());
             s.batch.push(e.msg);
         }
         flush(dest, &mut s);
@@ -347,14 +319,11 @@ impl Commit {
     }
 }
 
-/// Fire deferred wake-ups in ascending global-key order. `(key, ord)` is
-/// unique (see [`WakeRec::ord`]), so the allocation-free unstable sort
-/// reproduces what a stable by-key sort of the shard concatenation would:
-/// several waiters triggered by the *same* message keep their
-/// subscription order, as under the serial commit's inline `push`.
-fn fire_wakes_merged(recs: &mut Vec<WakeRec>) {
-    recs.sort_unstable_by_key(|r| (r.key, r.ord));
-    for r in recs.drain(..) {
-        r.waker.wake();
+/// Fire deferred wake-ups, in the order they were recorded. The order
+/// decides nothing: each waker moves its task into the set the epoch
+/// layer sorts by rank before publishing it.
+fn fire_wakes(recs: &mut Vec<WakeRec>) {
+    for waker in recs.drain(..) {
+        waker.wake();
     }
 }

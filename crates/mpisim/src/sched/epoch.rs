@@ -10,10 +10,9 @@
 //! while tasks run, and clocks, RNG streams and context pools are
 //! per-rank. When every task of the round has switched out, the worker
 //! that completed the last unit commits the epoch (`sched/commit.rs`) and
-//! publishes the next round: the tasks that yielded, in their round
-//! order, then the tasks the commit woke, in commit order. An empty next
-//! round with live tasks is a deadlock; its tasks are poisoned
-//! (`sched/task.rs`).
+//! publishes the next round: the tasks that yielded and the tasks the
+//! commit woke, in ascending rank order. An empty next round with live
+//! tasks is a deadlock; its tasks are poisoned (`sched/task.rs`).
 //!
 //! **Invariant:** a phase (a task round, or the shards of a wide commit)
 //! is identified by a generation number that the claim cursor carries in
@@ -21,9 +20,12 @@
 //! from the gate, so a worker holding a stale phase can never take a unit
 //! of the next one, and exactly one worker — the one whose completion
 //! brings the done-count to the phase's unit count — advances the phase.
-//! Round order, each task's behaviour against frozen mailboxes, the commit
-//! order and the wake order are pure functions of `(program, seed)`;
-//! which worker runs what is not an input to any of them.
+//! Round membership, each task's behaviour against frozen mailboxes and
+//! the commit order are pure functions of `(program, seed)`; which worker
+//! runs what is not an input to any of them. The *order* of a round is
+//! not an input either (its tasks are isolated from one another), so it
+//! is chosen for the host: rank order walks the per-rank state and the
+//! mailboxes the destination-major commit just filled in address order.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -362,8 +364,8 @@ impl Scheduler {
         }
     }
 
-    /// The executed round is complete: yielded tasks head the next round
-    /// in their epoch order, then the commit runs here or is published.
+    /// The executed round is complete: collect the tasks that yielded,
+    /// then the commit runs here or is published.
     fn finish_round(&self, round: &[usize]) {
         let mut next = self.commit.pools.idx_pool.take();
         next.extend(round.iter().filter(|&&tid| self.slots[tid].yielded()));
@@ -379,11 +381,12 @@ impl Scheduler {
         }
     }
 
-    /// Deliveries are committed: append woken receivers to the next
-    /// round, detect stagnation and deadlock, and publish the next round.
+    /// Deliveries are committed: add the woken receivers to the next
+    /// round, detect stagnation and deadlock, and publish the next round
+    /// in rank order.
     fn finish_epoch(&self, mut next: Vec<usize>) {
         self.shared.epochs.fetch_add(1, Ordering::Relaxed);
-        // Receivers woken by the committed deliveries, in commit order.
+        // Receivers woken by the committed deliveries.
         let woken_count;
         {
             let mut w = self.shared.woken.lock();
@@ -394,9 +397,11 @@ impl Scheduler {
             .wakeups
             .fetch_add(woken_count as u64, Ordering::Relaxed);
         // Crash-stop stagnation detector. With a crashed rank in the
-        // fault plan, a peer *polling* for its messages (nonblocking
-        // collectives, sorter wave loops) yields forever: the round never
-        // empties, so the exact deadlock detector below cannot fire.
+        // fault plan, a peer that polls for its messages in a *yield*
+        // loop (a user program's `yield_now` loop, a wait on a foreign
+        // `Progress`; the libraries' own loops park and end in the
+        // deadlock detector below) yields forever: the round never
+        // empties, so the exact detector cannot fire.
         // Progress is epoch-observable — a message staged, a task woken,
         // a task finished. STAGNANT_EPOCH_LIMIT epochs of pure yields
         // while crashes are armed mean no progress is possible any more:
@@ -419,8 +424,8 @@ impl Scheduler {
             }
         }
         // Nothing runnable but tasks remain: deadlock. The poisoned
-        // tasks' wake-ups queue them (in rank order) so their waits can
-        // return the timeout error.
+        // tasks' wake-ups queue them so their waits can return the
+        // timeout error.
         if next.is_empty() && live > 0 {
             poison(&self.slots, &self.shared, true);
             next.append(&mut self.shared.woken.lock());
@@ -441,6 +446,10 @@ impl Scheduler {
                 notify();
             }
         } else {
+            // Members are unique (a task is woken out of `ST_BLOCKED` at
+            // most once and a yielded task is never blocked), so the
+            // unstable sort has one result.
+            next.sort_unstable();
             self.publish_tasks(next);
         }
     }

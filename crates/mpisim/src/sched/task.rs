@@ -29,9 +29,23 @@
 //! future it sits in never observes `Pending`; that is why
 //! [`block_inline`](super::poll::block_inline) may assume one poll. A
 //! stackless body answers `false` and the leaf returns `Pending` up the
-//! await chain. A yield is the same with a yield intent and no
-//! subscription. Off a scheduler task (`Backend::Threads`) none of this
+//! await chain. Off a scheduler task (`Backend::Threads`) none of this
 //! runs: the callers block on the mailbox condvar instead.
+//!
+//! Three leaves run that protocol:
+//!
+//! | leaf | step 2 subscribes | runs again |
+//! |---|---|---|
+//! | [`claim`] / [`probe`] | the pattern, in the mailbox's waiter list | when a matching message is deposited |
+//! | [`park_until_deposit`] | nothing to match: arms the mailbox's owner-wait slot | when *any* message is deposited into the rank's own mailbox |
+//! | [`yield_now_async`] | nothing (yield intent) | next epoch, unconditionally |
+//!
+//! The second is how the libraries' polling loops wait (`nbcoll` waits,
+//! the JQuick driver): a sweep of `try_recv`s that all missed can only
+//! turn out differently after a deposit, and deposits happen only at the
+//! commit, so the epochs it sleeps through are exactly the ones in which
+//! the sweep would have missed again. The third is left for user programs
+//! that poll something other than their mailbox.
 //!
 //! # Poisoning
 //!
@@ -88,9 +102,9 @@ struct TaskCore {
 
 /// Scheduler state shared between workers, wakers and rank bodies.
 pub(crate) struct SchedShared {
-    /// Tasks woken during the current commit, in commit order: the tail
-    /// of the next round. Only the committing worker fires wakers, so the
-    /// order is deterministic.
+    /// Tasks woken during the current commit; they join the next round,
+    /// which is sorted by rank before it is published. Only the
+    /// committing worker fires wakers.
     pub(super) woken: Mutex<Vec<usize>>,
     /// Unfinished tasks.
     pub(super) live: AtomicUsize,
@@ -207,8 +221,8 @@ impl TaskSlot {
         *self.body.get_mut() = Some(body);
     }
 
-    /// Whether the last step ended in a yield: such tasks head the next
-    /// round, in their epoch order.
+    /// Whether the last step ended in a yield: such tasks are in the next
+    /// round whatever the commit delivers.
     pub(super) fn yielded(&self) -> bool {
         self.intent.load(Ordering::Acquire) == INTENT_YIELD
     }
@@ -428,8 +442,52 @@ pub(crate) fn probe<'a>(
     }
 }
 
+/// The future of [`park_until_deposit`]: one suspension with the task's
+/// waker in its mailbox's owner-wait slot.
+struct DepositFut<'a> {
+    mb: &'a Mailbox,
+    armed: bool,
+}
+
+impl Future for DepositFut<'_> {
+    type Output = ();
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        let Some(slot) = current_slot() else {
+            std::thread::yield_now();
+            return Poll::Ready(());
+        };
+        if !self.armed {
+            slot.core.status.store(ST_BLOCKING, Ordering::Release);
+            self.mb.arm_owner_wait(&slot.waker);
+            self.armed = true;
+            slot.intent.store(INTENT_BLOCK, Ordering::Release);
+            if !suspend_in_place(slot) {
+                return Poll::Pending;
+            }
+        }
+        // Stepped again. A deposit emptied the slot when it woke us; the
+        // poison path wakes without one, and the caller's next sweep
+        // turns the poison into its `MpiError::Timeout`.
+        if slot.core.poisoned.load(Ordering::Acquire) {
+            self.mb.cancel_owner_wait();
+        }
+        Poll::Ready(())
+    }
+}
+
+/// Park the current task until `mb`, its own mailbox, receives any
+/// deposit: the wait of a polling loop whose sweep of non-blocking
+/// receives all missed. Nothing is deposited between that sweep and the
+/// arming (tasks run only between commits), so no wake-up is lost; a
+/// deposit between the arming and the suspension would find
+/// `ST_BLOCKING` and requeue the task (see the module docs). Off a
+/// scheduler task it yields the OS thread, as [`yield_now_async`] does.
+pub(crate) fn park_until_deposit(mb: &Mailbox) -> impl Future<Output = ()> + '_ {
+    DepositFut { mb, armed: false }
+}
+
 /// The future of [`yield_now_async`]: one suspension, no subscription, so
-/// the task heads the next round.
+/// the task runs again next epoch whatever the commit delivers.
 struct YieldFut {
     fired: bool,
 }
@@ -457,7 +515,11 @@ impl Future for YieldFut {
 /// Cooperatively yield on every backend: a scheduler task finishes its
 /// epoch slice and runs again in the next epoch, after all staged
 /// deliveries commit; a plain thread calls `std::thread::yield_now`.
-/// Polling loops in the libraries yield through this.
+/// For user programs that poll something the scheduler cannot see; a
+/// loop that polls its own mailbox costs one task step per epoch this
+/// way and should wait through
+/// [`ProcState::park_until_deposit`](crate::proc::ProcState::park_until_deposit)
+/// instead, as the libraries' loops do.
 pub fn yield_now_async() -> impl Future<Output = ()> {
     YieldFut { fired: false }
 }

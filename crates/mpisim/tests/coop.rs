@@ -41,8 +41,9 @@ fn coop_message_storm_all_to_one() {
 
 #[test]
 fn coop_nonblocking_collectives_progress() {
-    // Nonblocking machines poll with `mpisim::yield_now()`, which under the
-    // scheduler must hand the worker to other ranks instead of spinning.
+    // A wait on nonblocking machines parks the rank between sweeps
+    // (`ProcState::park_until_deposit`), which under the scheduler must
+    // hand the worker to other ranks instead of spinning.
     let res = Universe::run(12, SimConfig::cooperative(), |env| {
         let w = &env.world;
         let mut reqs: Vec<nbcoll::Request> = (0..4u64)
@@ -131,6 +132,46 @@ fn coop_yield_fairness_under_polling() {
         }
     });
     assert_eq!(res.per_rank[0].0, 42);
+}
+
+#[test]
+fn coop_yield_loop_starved_by_a_crash_ends_in_the_stagnation_detector() {
+    // A hand-written poll loop yields, so the round never empties and the
+    // deadlock detector cannot see that its peer crashed: the stagnation
+    // detector must (64 epochs without a message, a wake or a finish),
+    // identically for every worker count. The libraries' own loops park
+    // and never get this far (tests/poll_backend.rs).
+    let run = |workers: usize| {
+        let cfg = SimConfig::cooperative()
+            .with_workers(workers)
+            .with_faults(mpisim::FaultPlan::default().with_crash(1, Time::ZERO));
+        let res = Universe::run(3, cfg, |env| {
+            let w = &env.world;
+            if w.rank() == 1 {
+                // Crashed at time zero: the send is dropped.
+                w.send(&[42u64], 0, 5).unwrap();
+                return None;
+            }
+            loop {
+                match w.try_recv::<u64>(Src::Rank(1), 5) {
+                    Ok(Some(_)) => panic!("a crashed rank's message was delivered"),
+                    Ok(None) => mpisim::yield_now(),
+                    Err(e) => return Some(format!("{e:?}")),
+                }
+            }
+        });
+        (res.per_rank, res.metrics.epochs)
+    };
+    let (errs, epochs) = run(1);
+    for rank in [0, 2] {
+        let e = errs[rank].as_ref().expect("the poll loop must fail");
+        assert!(
+            e.contains("cooperative stall") && e.contains("Crashed"),
+            "rank {rank}: {e}"
+        );
+    }
+    assert!(epochs >= 64, "poisoned after {epochs} epochs");
+    assert_eq!(run(4), (errs, epochs));
 }
 
 /// Per-rank storm observation: the sequence of `(source, value)` pairs

@@ -7,7 +7,9 @@
 //! That identity is what lets the large-p figure switch backends above
 //! the fiber ceiling without a validation gap (DESIGN.md §12).
 
-use mpisim::{block_inline, coll, nbcoll, ops, Backend, SimConfig, Src, Transport, Universe};
+use mpisim::{
+    block_inline, coll, nbcoll, ops, Backend, MetricsSnapshot, SimConfig, Src, Transport, Universe,
+};
 use proptest::prelude::*;
 
 /// What one rank observed: wildcard delivery log of the storm phase plus
@@ -298,4 +300,213 @@ fn run_poll_under_fiber_backend_still_works() {
             .unwrap()[0]
     });
     assert_eq!(res.per_rank, vec![4, 4, 4, 4]);
+}
+
+// ---------------------------------------------------------------------------
+// Wake on deposit: the libraries' polling loops park between sweeps
+// ---------------------------------------------------------------------------
+
+/// JQuick over RBC communicators at p = 256, n/p = 8 (the latency regime:
+/// every level is a handful of one-word messages per rank): per-rank
+/// output, makespan and the deterministic counters.
+fn jquick_p256(backend: Backend, workers: usize) -> (Vec<Vec<u64>>, mpisim::Time, MetricsSnapshot) {
+    const P: usize = 256;
+    const PER: u64 = 8;
+    let cfg = SimConfig::default()
+        .with_seed(17)
+        .with_workers(workers)
+        .with_backend(backend);
+    let body = |env: mpisim::ProcEnv| async move {
+        let w = env.world;
+        let r = w.rank() as u64;
+        let data: Vec<u64> = (0..PER)
+            .map(|i| (r * PER + i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20)
+            .collect();
+        let cfg = jquick::JQuickConfig::default();
+        jquick::jquick_sort_async(&jquick::RbcBackend, &w, data, P as u64 * PER, &cfg)
+            .await
+            .unwrap()
+            .0
+    };
+    let res = match backend {
+        Backend::Poll => Universe::run_poll(P, cfg, body),
+        _ => Universe::run(P, cfg, move |env| block_inline(body(env))),
+    };
+    let max_time = res.max_time();
+    (res.per_rank, max_time, res.metrics)
+}
+
+// A rank whose sweep of `try_recv`s missed is stepped again only after a
+// deposit into its mailbox. While the loops yielded instead, every live
+// rank was stepped in every epoch: 1.45 task steps per message at this
+// size, 0.56 now. What is simulated must not notice.
+#[test]
+fn jquick_steps_fewer_tasks_than_it_sends_messages() {
+    let poll = jquick_p256(Backend::Poll, 1);
+    let out: Vec<u64> = poll.0.iter().flatten().copied().collect();
+    assert_eq!(out.len(), 256 * 8);
+    assert!(out.windows(2).all(|w| w[0] <= w[1]), "globally sorted");
+    assert!(poll.0.iter().all(|o| o.len() == 8), "perfectly balanced");
+    let m = &poll.2;
+    assert!(
+        m.switches < m.messages,
+        "busy polling is back: {} task steps for {} messages",
+        m.switches,
+        m.messages
+    );
+    assert!(m.wakeups > 0, "parked ranks are woken by deposits");
+    for (backend, workers) in [
+        (Backend::Poll, 4),
+        (Backend::Cooperative, 1),
+        (Backend::Cooperative, 4),
+    ] {
+        assert_eq!(
+            jquick_p256(backend, workers),
+            poll,
+            "{backend:?} at {workers} workers"
+        );
+    }
+}
+
+/// A `Progress` that is not a machine over a rank's mailbox: it completes
+/// on its `n`-th poll, whatever is or is not delivered in between.
+struct NthPoll {
+    polls: u32,
+    n: u32,
+}
+
+impl nbcoll::Progress for NthPoll {
+    fn poll(&mut self) -> mpisim::Result<bool> {
+        self.polls += 1;
+        Ok(self.polls >= self.n)
+    }
+}
+
+// `proc_state() == None` means "I may make progress without a deposit":
+// the waits must keep polling such a request once per epoch, and must
+// not park the rank while one is unfinished.
+#[test]
+fn a_foreign_progress_is_polled_every_epoch_not_parked() {
+    for backend in [Backend::Poll, Backend::Cooperative] {
+        let cfg = SimConfig::default().with_backend(backend);
+        let body = |env: mpisim::ProcEnv| async move {
+            let w = env.world;
+            let mut alone = NthPoll { polls: 0, n: 3 };
+            nbcoll::wait_async(&mut alone).await.unwrap();
+            // Next to a real receive that is satisfied long before the
+            // foreign request's fifth poll.
+            let peer = (w.rank() + 1) % w.size();
+            w.send(&[w.rank() as u64], peer, 4).unwrap();
+            let mut reqs = vec![
+                nbcoll::Request::new(NthPoll { polls: 0, n: 5 }),
+                nbcoll::Request::new(w.irecv::<u64>(Src::Any, 4)),
+            ];
+            nbcoll::waitall_async(&mut reqs).await.unwrap();
+            alone.polls
+        };
+        let res = match backend {
+            Backend::Poll => Universe::run_poll(2, cfg, body),
+            _ => Universe::run(2, cfg, move |env| block_inline(body(env))),
+        };
+        assert_eq!(res.per_rank, vec![3, 3], "{backend:?}");
+        // 1 + 2 yields, then 1 + 4: every step but the last ended in a
+        // yield, none in a park (a park would need the deadlock detector
+        // to get the foreign request polled again).
+        assert_eq!(res.metrics.wakeups, 0, "{backend:?}");
+        assert_eq!(res.metrics.switches, 2 * 7, "{backend:?}");
+    }
+}
+
+// A polling wait nobody will ever satisfy parks, the round empties, and
+// the structural deadlock detector poisons it at once: the error is the
+// poisoned receive's, identical for every worker count and both kinds of
+// body, and the wall-clock backstop (30 s here) is never consulted.
+#[test]
+fn an_unanswered_polling_wait_ends_in_the_deadlock_detector() {
+    const P: usize = 8;
+    async fn lonely_wait(env: mpisim::ProcEnv) -> Option<String> {
+        let w = env.world;
+        let peer = (w.rank() + 1) % w.size();
+        let mut req = w.irecv::<u64>(Src::Rank(peer), 5);
+        let err = nbcoll::wait_async(&mut req).await;
+        Some(format!("{:?}", err.unwrap_err()))
+    }
+    async fn lonely_waitall(env: mpisim::ProcEnv) -> Option<String> {
+        // Real traffic first, so the clocks in the error are not all zero;
+        // then a broadcast whose root never starts it, next to a receive
+        // that does complete.
+        let w = env.world;
+        w.barrier_async().await.unwrap();
+        let peer = (w.rank() + 1) % w.size();
+        w.send(&[1u64], peer, 6).unwrap();
+        if w.rank() == 0 {
+            return None;
+        }
+        let mut reqs = vec![
+            nbcoll::Request::new(w.irecv::<u64>(Src::Any, 6)),
+            nbcoll::Request::new(nbcoll::ibcast::<u64, _>(&w, None, 0, 330).unwrap()),
+        ];
+        let err = nbcoll::waitall_async(&mut reqs).await;
+        Some(format!("{:?}", err.unwrap_err()))
+    }
+    async fn lonely_jquick(env: mpisim::ProcEnv) -> Option<String> {
+        // The last rank never joins the sort.
+        let w = env.world;
+        if w.rank() == P - 1 {
+            return None;
+        }
+        let data: Vec<u64> = (0..8).map(|i| (w.rank() * 8 + i) as u64).collect();
+        let cfg = jquick::JQuickConfig::default();
+        let err =
+            jquick::jquick_sort_async(&jquick::RbcBackend, &w, data, 8 * P as u64, &cfg).await;
+        Some(format!("{:?}", err.unwrap_err()))
+    }
+    fn run<Fut>(
+        backend: Backend,
+        workers: usize,
+        body: fn(mpisim::ProcEnv) -> Fut,
+    ) -> Vec<Option<String>>
+    where
+        Fut: std::future::Future<Output = Option<String>> + Send,
+    {
+        let cfg = SimConfig::default()
+            .with_timeout(std::time::Duration::from_secs(30))
+            .with_workers(workers)
+            .with_backend(backend);
+        let t0 = std::time::Instant::now();
+        let res = match backend {
+            Backend::Poll => Universe::run_poll(P, cfg, body),
+            _ => Universe::run(P, cfg, move |env| block_inline(body(env))),
+        };
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(1),
+            "a structural deadlock took {:?}: the wall-clock backstop fired?",
+            t0.elapsed()
+        );
+        res.per_rank
+    }
+    for what in ["wait", "waitall", "jquick"] {
+        let on = |backend, workers| match what {
+            "wait" => run(backend, workers, lonely_wait),
+            "waitall" => run(backend, workers, lonely_waitall),
+            _ => run(backend, workers, lonely_jquick),
+        };
+        let poll = on(Backend::Poll, 1);
+        assert_eq!(poll, on(Backend::Poll, 4), "{what} at 4 workers");
+        assert_eq!(poll, on(Backend::Cooperative, 1), "{what} on the fiber");
+        assert_eq!(
+            poll,
+            on(Backend::Cooperative, 4),
+            "{what} on the fiber, 4 workers"
+        );
+        assert!(poll.iter().flatten().count() >= P - 1, "{what}: {poll:?}");
+        for (rank, e) in poll.iter().enumerate() {
+            let Some(e) = e else { continue };
+            assert!(
+                e.starts_with(&format!("Timeout {{ rank: {rank}, waited_for: \"try_recv("))
+                    && e.contains("cooperative stall: no further progress possible"),
+                "{what}, rank {rank}: {e}"
+            );
+        }
+    }
 }
