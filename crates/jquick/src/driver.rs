@@ -19,6 +19,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use mpisim::nbcoll::sweep_until_done;
 use mpisim::proc::{ProcState, StallDeadline};
 use mpisim::{coll, Comm, Datum, MpiError, Result, SortKey, Time, Transport};
 
@@ -341,28 +342,12 @@ where
         }
         bsms.push(BaseSm::start(&wc, layout, me, bt)?);
     }
-    let mut stall = wave_stall(world.proc_state());
-    loop {
-        let mut all = true;
-        for sm in bsms.iter_mut() {
-            all &= sm.poll()?;
-        }
-        if all {
-            break;
-        }
-        if stall.stalled() {
-            let state = world.proc_state();
-            return Err(MpiError::Timeout {
-                rank: me as usize,
-                waited_for: "base case phase".into(),
-                virtual_now: state.now(),
-                blame: state.stall_blame(),
-            });
-        }
-        // `BaseSm` keeps `Progress::poll`'s contract: `Ok(false)` only
-        // after a receive missed.
-        world.proc_state().park_until_deposit().await;
-    }
+    let state = world.proc_state();
+    sweep_until_done(state, wave_stall(state), "base case phase", || {
+        bsms.iter_mut()
+            .try_fold(true, |all, sm| Ok(all & sm.poll()?))
+    })
+    .await?;
     for mut sm in bsms {
         settled.push(sm.take().expect("base complete"));
     }
@@ -415,28 +400,14 @@ where
     T: SortKey + Datum,
     C: Transport,
 {
-    let mut stall = wave_stall(state);
-    loop {
-        let mut all = true;
-        for sm in sms.iter_mut() {
-            all &= sm.poll()?;
-        }
-        if all {
-            return Ok(());
-        }
-        if stall.stalled() {
-            return Err(MpiError::Timeout {
-                rank: state.global_rank,
-                waited_for: "level state machines".into(),
-                virtual_now: state.now(),
-                blame: state.stall_blame(),
-            });
-        }
-        // Every level machine that is not done stopped at a receive that
-        // missed (`Progress::poll`'s contract): nothing changes for this
-        // rank, janus or not, before its mailbox does.
-        state.park_until_deposit().await;
-    }
+    // Every level machine that is not done stopped at a receive that
+    // missed (`Progress::poll`'s contract): nothing changes for this
+    // rank, janus or not, before its mailbox does.
+    sweep_until_done(state, wave_stall(state), "level state machines", || {
+        sms.iter_mut()
+            .try_fold(true, |all, sm| Ok(all & sm.poll()?))
+    })
+    .await
 }
 
 /// Apply the janus splitting schedule: with two pending creations, one

@@ -55,18 +55,19 @@
 //!
 //! Thread-backend receivers block on the internal condvar with a wall-clock
 //! timeout that acts as a deadlock detector ([`MpiError::Timeout`]).
-//! Cooperative-backend receivers instead subscribe a [`Wake`] hook with
-//! their pattern ([`Mailbox::claim_or_subscribe`]); a push wakes exactly
-//! the subscribers whose pattern matches the new message, so a rank is only
-//! scheduled when its message actually arrived. A rank that *polls* several
-//! patterns (a nonblocking machine, a janus sweeping two levels) cannot
-//! name one pattern to wait for; it arms the mailbox's single **owner-wait
-//! slot** instead ([`Mailbox::arm_owner_wait`]), which the next deposit of
-//! any message takes and fires.
+//! A scheduler task instead arms the mailbox's one **wait slot** and
+//! suspends. A mailbox has one reader, its own rank, and a suspended rank
+//! sits in one wait, so one slot is all there is: a pattern
+//! ([`Mailbox::claim_or_wait`], [`Mailbox::probe_or_wait`]) that only a
+//! matching deposit satisfies, or, for a rank that *polls* several
+//! patterns and cannot name one (a nonblocking machine, a janus sweeping
+//! two levels), "any deposit" ([`Mailbox::wait_any`]). The deposit that
+//! satisfies the wait clears it and says so to its caller; the epoch
+//! commit, which knows whose mailbox it is pushing into, wakes that rank
+//! (see [`crate::sched`]).
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -75,33 +76,12 @@ use crate::error::{MpiError, Result};
 use crate::msg::{ContextId, MatchPattern, Message, MsgInfo, SrcFilter, Tag};
 use crate::time::Time;
 
-/// Wake-up hook subscribed by a parked cooperative task. Under the epoch
-/// scheduler every push happens during the commit phase and every wake
-/// is fired by the one worker that finishes it (see [`crate::sched`]);
-/// the woken tasks join the next epoch's round, which is ordered by rank.
-pub trait Wake: Send + Sync {
-    /// Make the subscriber runnable again.
-    fn wake(&self);
-}
-
-/// Handle for cancelling a subscription made by
-/// [`Mailbox::claim_or_subscribe`] / [`Mailbox::probe_or_subscribe`].
-#[derive(Debug)]
-pub struct WaitToken(u64);
-
-/// Outcome of a claim-or-subscribe style operation.
-pub enum Subscribed<T> {
-    /// A matching message/probe hit was available immediately.
-    Hit(T),
-    /// Nothing matched; the waker was subscribed and will fire on a
-    /// matching push. Cancel with [`Mailbox::unsubscribe`].
-    Waiting(WaitToken),
-}
-
-struct WaiterEntry {
-    token: u64,
-    pat: MatchPattern,
-    waker: Arc<dyn Wake>,
+/// What the mailbox's rank is suspended on; see the module docs.
+enum Wait {
+    /// A `recv` / `probe`: satisfied by a deposit matching the pattern.
+    Match(MatchPattern),
+    /// A polling loop between sweeps: satisfied by any deposit.
+    AnyDeposit,
 }
 
 /// Word-at-a-time multiplicative hasher (the Fx recipe) for the two
@@ -193,17 +173,14 @@ struct Inner {
     /// [`Mailbox::SPARE_HEADS_CAP`]), capacity retained.
     spare_heads: Vec<Heads>,
     count: usize,
-    waiters: Vec<WaiterEntry>,
-    next_token: u64,
-    /// The owner-wait slot: the waker of this mailbox's rank while it is
-    /// parked until *any* deposit. One `Option`, not a pattern-less entry
-    /// of `waiters`: an empty mailbox allocates nothing for it and
-    /// cancelling is a store, not a `retain`.
-    owner_wait: Option<Arc<dyn Wake>>,
-    /// Waiter-pattern match checks performed by deposits — the mailbox's
-    /// share of the deterministic [`crate::obs::MetricsSnapshot`]. On the
-    /// cooperative backend the waiter set at each commit is a pure
-    /// function of the epoch structure, so this count is worker-invariant.
+    /// The wait slot. Armed only by this mailbox's own rank, cleared by
+    /// the deposit that satisfies it.
+    wait: Option<Wait>,
+    /// Pattern checks performed by deposits (one per deposit while a
+    /// pattern is armed): the mailbox's share of the deterministic
+    /// [`crate::obs::MetricsSnapshot`]. On the cooperative backend the
+    /// armed wait at each commit is a pure function of the epoch
+    /// structure, so this count is worker-invariant.
     scans: u64,
     /// Thread-backend receivers currently blocked on the condvar; a
     /// deposit notifies only when this is non-zero.
@@ -346,9 +323,7 @@ impl Mailbox {
                 heads: WordMap::default(),
                 spare_heads: Vec::new(),
                 count: 0,
-                waiters: Vec::new(),
-                next_token: 0,
-                owner_wait: None,
+                wait: None,
                 scans: 0,
                 cv_waiters: 0,
             }),
@@ -360,74 +335,61 @@ impl Mailbox {
     /// those of further drained buckets are dropped.
     const SPARE_HEADS_CAP: usize = 8;
 
-    /// Deposit one message under the held lock: take the owner-wait slot
-    /// if it is armed, remove every matching subscription (appending
-    /// `(idx, waker)` pairs to `fired`, the owner first, then in
-    /// subscription order) and insert the message. The owner-wait slot is
-    /// not a pattern check and adds nothing to `scans`. Both push flavours go
-    /// through this single helper so their matching semantics can never
-    /// drift apart — the sharded commit's serial-oracle equivalence
-    /// (DESIGN.md §7) depends on [`Mailbox::push`] and
-    /// [`Mailbox::push_batch`] agreeing exactly.
+    /// Deposit one message under the held lock; true if it satisfied the
+    /// armed wait, which it then cleared. `AnyDeposit` is not a pattern
+    /// check and adds nothing to `scans`. Both push flavours go through
+    /// this single helper so their matching semantics can never drift
+    /// apart: the sharded commit's serial-oracle equivalence (DESIGN.md
+    /// §7) depends on [`Mailbox::push`] and [`Mailbox::push_batch`]
+    /// agreeing exactly.
     #[inline]
-    fn deposit(g: &mut Inner, idx: usize, m: Message, fired: &mut Vec<(usize, Arc<dyn Wake>)>) {
-        if let Some(owner) = g.owner_wait.take() {
-            fired.push((idx, owner));
-        }
-        g.scans += g.waiters.len() as u64;
-        let mut i = 0;
-        while i < g.waiters.len() {
-            if g.waiters[i].pat.matches(&m) {
-                fired.push((idx, g.waiters.remove(i).waker));
-            } else {
-                i += 1;
+    fn deposit(g: &mut Inner, m: Message) -> bool {
+        let satisfied = match &g.wait {
+            None => false,
+            Some(Wait::AnyDeposit) => true,
+            Some(Wait::Match(pat)) => {
+                g.scans += 1;
+                pat.matches(&m)
             }
+        };
+        if satisfied {
+            g.wait = None;
         }
         g.enqueue(m);
+        satisfied
     }
 
-    /// Deposit a message and wake blocked receivers — the condvar for
-    /// thread-backend receivers, and exactly the matching [`Wake`]
-    /// subscribers for cooperative ones.
-    pub fn push(&self, m: Message) {
-        let mut fired: Vec<(usize, Arc<dyn Wake>)> = Vec::new();
-        let blocked = {
+    /// Deposit a message and notify the condvar if a thread-backend
+    /// receiver is blocked on it. True if the message satisfied the armed
+    /// wait: the caller wakes this mailbox's rank.
+    pub fn push(&self, m: Message) -> bool {
+        let (satisfied, blocked) = {
             let mut g = self.inner.lock();
-            Self::deposit(&mut g, 0, m, &mut fired);
-            g.cv_waiters > 0
+            (Self::deposit(&mut g, m), g.cv_waiters > 0)
         };
         if blocked {
             self.cv.notify_all();
         }
-        for (_, w) in fired {
-            w.wake();
-        }
+        satisfied
     }
 
-    /// Deposit a batch of messages under **one** lock acquisition,
-    /// *without* firing wakers.
-    ///
-    /// This is the sharded epoch commit's entry point: the scheduler pushes
-    /// each destination's globally-ordered message segment as one batch
-    /// (amortising the mailbox lock over the whole fan-in), and defers
-    /// every wake-up past its push barrier, so that one worker fires them
-    /// all (see [`crate::sched`]). Matching
-    /// subscriptions are removed here — under the lock, exactly as
-    /// [`Mailbox::push`] would — and appended to `fired` as `(index of the
-    /// triggering message within the batch, waker)` pairs in trigger order;
-    /// the caller fires them. `msgs` is drained, not consumed, so the
-    /// caller's batch buffer (and `fired`) keep their capacity for the next
-    /// segment — the commit hot path reuses both through the pool. The
-    /// condvar is still notified if a thread-backend receiver is parked on
-    /// this mailbox.
-    pub fn push_batch(&self, msgs: &mut Vec<Message>, fired: &mut Vec<(usize, Arc<dyn Wake>)>) {
+    /// Deposit a batch of messages under **one** lock acquisition: the
+    /// sharded epoch commit's entry point, which pushes each destination's
+    /// globally-ordered message segment as one batch. If a message
+    /// satisfied the armed wait, its index within the batch is appended to
+    /// `fired` (at most one per call: the first satisfaction clears the
+    /// slot). `msgs` is drained, not consumed, so the caller's batch
+    /// buffer keeps its capacity for the next segment.
+    pub fn push_batch(&self, msgs: &mut Vec<Message>, fired: &mut Vec<usize>) {
         if msgs.is_empty() {
             return;
         }
         let blocked = {
             let mut g = self.inner.lock();
             for (idx, m) in msgs.drain(..).enumerate() {
-                Self::deposit(&mut g, idx, m, fired);
+                if Self::deposit(&mut g, m) {
+                    fired.push(idx);
+                }
             }
             g.cv_waiters > 0
         };
@@ -441,7 +403,7 @@ impl Mailbox {
         self.inner.lock().count
     }
 
-    /// Cumulative waiter-pattern match checks performed by deposits into
+    /// Cumulative wait-pattern match checks performed by deposits into
     /// this mailbox (see [`crate::obs::MetricsSnapshot::mailbox_scans`]).
     pub fn scans(&self) -> u64 {
         self.inner.lock().scans
@@ -450,17 +412,6 @@ impl Mailbox {
     /// Whether no messages are queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    fn subscribe(g: &mut Inner, pat: &MatchPattern, waker: &Arc<dyn Wake>) -> WaitToken {
-        let token = g.next_token;
-        g.next_token += 1;
-        g.waiters.push(WaiterEntry {
-            token,
-            pat: pat.clone(),
-            waker: Arc::clone(waker),
-        });
-        WaitToken(token)
     }
 
     /// Remove and return the best matching message, if any.
@@ -473,56 +424,37 @@ impl Mailbox {
         self.inner.lock().probe(pat)
     }
 
-    /// Claim the best match, or — if nothing matches — subscribe `waker` to
-    /// fire on the next matching push. The check and the subscription are
-    /// one atomic step under the mailbox lock, so a push can never slip
-    /// between them.
-    pub fn claim_or_subscribe(
-        &self,
-        pat: &MatchPattern,
-        waker: &Arc<dyn Wake>,
-    ) -> Subscribed<Message> {
+    /// Claim the best match, or, if nothing matches, arm the wait slot
+    /// with `pat` (replacing whatever it held). The check and the arming
+    /// are one step under the mailbox lock; a hit clears the slot.
+    pub fn claim_or_wait(&self, pat: &MatchPattern) -> Option<Message> {
         let mut g = self.inner.lock();
-        if let Some(m) = g.claim(pat) {
-            return Subscribed::Hit(m);
-        }
-        Subscribed::Waiting(Self::subscribe(&mut g, pat, waker))
+        let hit = g.claim(pat);
+        g.wait = hit.is_none().then(|| Wait::Match(pat.clone()));
+        hit
     }
 
-    /// Probe the best match, or subscribe `waker` as in
-    /// [`Mailbox::claim_or_subscribe`].
-    pub fn probe_or_subscribe(
-        &self,
-        pat: &MatchPattern,
-        waker: &Arc<dyn Wake>,
-    ) -> Subscribed<MsgInfo> {
+    /// Probe the best match, or arm the wait slot as
+    /// [`Mailbox::claim_or_wait`] does.
+    pub fn probe_or_wait(&self, pat: &MatchPattern) -> Option<MsgInfo> {
         let mut g = self.inner.lock();
-        if let Some(info) = g.probe(pat) {
-            return Subscribed::Hit(info);
-        }
-        Subscribed::Waiting(Self::subscribe(&mut g, pat, waker))
+        let hit = g.probe(pat);
+        g.wait = hit.is_none().then(|| Wait::Match(pat.clone()));
+        hit
     }
 
-    /// Cancel a subscription. Idempotent: wake-ups triggered by a push
-    /// already removed their entry.
-    pub fn unsubscribe(&self, token: WaitToken) {
-        self.inner.lock().waiters.retain(|w| w.token != token.0);
+    /// Arm the wait slot for the next deposit of *any* message. Called by
+    /// the mailbox's rank after a sweep of non-blocking receives found
+    /// nothing and before it suspends; nothing is deposited in between
+    /// because scheduler tasks run only between commits (DESIGN.md §4).
+    pub fn wait_any(&self) {
+        self.inner.lock().wait = Some(Wait::AnyDeposit);
     }
 
-    /// Arm the owner-wait slot: `waker` fires on the next deposit of *any*
-    /// message into this mailbox, once, and the deposit disarms the slot.
-    /// Only the mailbox's own rank arms it (there is one slot), after a
-    /// sweep of non-blocking receives found nothing and before it
-    /// suspends; nothing is deposited in between because scheduler tasks
-    /// run only between commits (DESIGN.md §4).
-    pub fn arm_owner_wait(&self, waker: &Arc<dyn Wake>) {
-        self.inner.lock().owner_wait = Some(Arc::clone(waker));
-    }
-
-    /// Disarm the owner-wait slot. Idempotent: a deposit already emptied
-    /// it.
-    pub fn cancel_owner_wait(&self) {
-        self.inner.lock().owner_wait = None;
+    /// Disarm the wait slot. Idempotent: the deposit that satisfied the
+    /// wait already emptied it.
+    pub fn clear_wait(&self) {
+        self.inner.lock().wait = None;
     }
 
     /// Wait on the condvar for a deposit, counted in `cv_waiters` for the
@@ -590,7 +522,6 @@ impl Mailbox {
 mod tests {
     use super::*;
     use crate::msg::{ContextId, SrcFilter};
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn msg(src: usize, tag: u64, ctx: u32, arrival: u64, val: u64) -> Message {
@@ -767,57 +698,33 @@ mod tests {
         }
     }
 
-    struct CountWake(AtomicUsize);
-    impl Wake for CountWake {
-        fn wake(&self) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
+    #[test]
+    fn pattern_wait_is_satisfied_only_by_a_match_and_cleared_by_it() {
+        let mb = Mailbox::new();
+        assert!(mb.claim_or_wait(&pat(SrcFilter::Exact(1), 5, 0)).is_none());
+        assert!(!mb.push(msg(2, 5, 0, 1, 0)), "wrong source");
+        assert!(!mb.push(msg(1, 6, 0, 1, 0)), "wrong tag");
+        assert!(mb.push(msg(1, 5, 0, 1, 0)), "the match satisfies the wait");
+        assert!(!mb.push(msg(1, 5, 0, 2, 0)), "and cleared it");
+        // One pattern check per deposit while the pattern was armed.
+        assert_eq!(mb.scans(), 3);
     }
 
     #[test]
-    fn subscription_fires_only_on_match() {
+    fn push_batch_reports_the_trigger_once_and_keeps_deposit_order() {
         let mb = Mailbox::new();
-        let counter = Arc::new(CountWake(AtomicUsize::new(0)));
-        let waker: Arc<dyn Wake> = Arc::<CountWake>::clone(&counter);
-        let token = match mb.claim_or_subscribe(&pat(SrcFilter::Exact(1), 5, 0), &waker) {
-            Subscribed::Waiting(t) => t,
-            Subscribed::Hit(_) => panic!("mailbox is empty"),
-        };
-        mb.push(msg(2, 5, 0, 1, 0)); // wrong source: no wake
-        assert_eq!(counter.0.load(Ordering::SeqCst), 0);
-        mb.push(msg(1, 6, 0, 1, 0)); // wrong tag: no wake
-        assert_eq!(counter.0.load(Ordering::SeqCst), 0);
-        mb.push(msg(1, 5, 0, 1, 0)); // match: wake fires and unsubscribes
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1);
-        mb.push(msg(1, 5, 0, 2, 0)); // already unsubscribed: no second wake
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1);
-        mb.unsubscribe(token); // idempotent
-    }
-
-    #[test]
-    fn push_batch_preserves_order_and_defers_wakes() {
-        let mb = Mailbox::new();
-        let counter = Arc::new(CountWake(AtomicUsize::new(0)));
-        let waker: Arc<dyn Wake> = Arc::<CountWake>::clone(&counter);
-        let token = match mb.claim_or_subscribe(&pat(SrcFilter::Any, 5, 0), &waker) {
-            Subscribed::Waiting(t) => t,
-            Subscribed::Hit(_) => panic!("mailbox is empty"),
-        };
+        assert!(mb.probe_or_wait(&pat(SrcFilter::Any, 5, 0)).is_none());
         let mut batch = vec![
-            msg(1, 6, 0, 1, 10), // wrong tag: not a trigger
+            msg(1, 6, 0, 1, 10), // wrong tag: not the trigger
             msg(1, 5, 0, 2, 11), // first match: the trigger, index 1
-            msg(1, 5, 0, 3, 12), // waiter already removed
+            msg(1, 5, 0, 3, 12), // wait already cleared
             msg(2, 5, 0, 1, 13),
         ];
         let mut fired = Vec::new();
         mb.push_batch(&mut batch, &mut fired);
         assert!(batch.is_empty(), "the batch buffer is drained for reuse");
-        // The waker came back unfired, tagged with the triggering index.
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].0, 1);
-        assert_eq!(counter.0.load(Ordering::SeqCst), 0);
-        fired[0].1.wake();
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1);
+        assert_eq!(fired, vec![1]);
+        assert_eq!(mb.scans(), 2);
         // Messages landed with per-source FIFO and wildcard order exactly
         // as a sequence of single pushes would have left them.
         let p5 = pat(SrcFilter::Any, 5, 0);
@@ -831,82 +738,38 @@ mod tests {
             1
         );
         assert!(mb.is_empty());
-        mb.unsubscribe(token); // idempotent after the wake consumed it
     }
 
     #[test]
-    fn push_batch_fires_each_subscription_once() {
-        // Two waiters with different patterns: each is triggered by the
-        // first batch message matching *its* pattern, independently.
+    fn any_deposit_wait_fires_once_and_is_not_a_pattern_check() {
         let mb = Mailbox::new();
-        let c1 = Arc::new(CountWake(AtomicUsize::new(0)));
-        let c2 = Arc::new(CountWake(AtomicUsize::new(0)));
-        let w1: Arc<dyn Wake> = Arc::<CountWake>::clone(&c1);
-        let w2: Arc<dyn Wake> = Arc::<CountWake>::clone(&c2);
-        assert!(matches!(
-            mb.claim_or_subscribe(&pat(SrcFilter::Exact(7), 5, 0), &w1),
-            Subscribed::Waiting(_)
-        ));
-        assert!(matches!(
-            mb.probe_or_subscribe(&pat(SrcFilter::Exact(8), 5, 0), &w2),
-            Subscribed::Waiting(_)
-        ));
-        let mut batch = vec![
-            msg(8, 5, 0, 1, 0), // triggers w2 at index 0
-            msg(7, 5, 0, 2, 0), // triggers w1 at index 1
-            msg(8, 5, 0, 3, 0), // w2 already removed
-        ];
+        mb.wait_any();
+        let mut batch = vec![msg(1, 9, 0, 1, 0), msg(2, 5, 0, 2, 0)];
         let mut fired = Vec::new();
         mb.push_batch(&mut batch, &mut fired);
-        let idxs: Vec<usize> = fired.iter().map(|(i, _)| *i).collect();
-        assert_eq!(idxs, vec![0, 1]);
+        assert_eq!(fired, vec![0], "once per batch, by its first message");
+        assert!(!mb.push(msg(1, 9, 0, 3, 0)), "the deposit cleared the slot");
+        mb.wait_any();
+        assert!(mb.push(msg(1, 9, 0, 4, 0)), "re-armed");
+        // `clear_wait` disarms, and is idempotent.
+        mb.wait_any();
+        mb.clear_wait();
+        mb.clear_wait();
+        assert!(!mb.push(msg(1, 9, 0, 5, 0)));
+        assert_eq!(mb.scans(), 0);
     }
 
     #[test]
-    fn owner_wait_fires_once_per_batch_on_any_deposit() {
+    fn a_later_arming_replaces_an_earlier_one() {
         let mb = Mailbox::new();
-        let owner = Arc::new(CountWake(AtomicUsize::new(0)));
-        let pattern = Arc::new(CountWake(AtomicUsize::new(0)));
-        let w_owner: Arc<dyn Wake> = Arc::<CountWake>::clone(&owner);
-        let w_pattern: Arc<dyn Wake> = Arc::<CountWake>::clone(&pattern);
-        // The slot coexists with a pattern waiter on the same mailbox.
-        assert!(matches!(
-            mb.claim_or_subscribe(&pat(SrcFilter::Exact(2), 5, 0), &w_pattern),
-            Subscribed::Waiting(_)
-        ));
-        mb.arm_owner_wait(&w_owner);
-        let mut batch = vec![
-            msg(1, 9, 0, 1, 0), // matches no pattern: still the owner's trigger
-            msg(2, 5, 0, 2, 0), // the pattern waiter's trigger
-            msg(1, 9, 0, 3, 0),
-        ];
-        let mut fired = Vec::new();
-        mb.push_batch(&mut batch, &mut fired);
-        // Once per batch, tagged with the batch's first message, ahead of
-        // the pattern waiter that a later message triggered.
-        let idxs: Vec<usize> = fired.iter().map(|(i, _)| *i).collect();
-        assert_eq!(idxs, vec![0, 1]);
-        for (_, w) in fired.drain(..) {
-            w.wake();
-        }
-        assert_eq!(owner.0.load(Ordering::SeqCst), 1);
-        assert_eq!(pattern.0.load(Ordering::SeqCst), 1);
-        // Only the pattern waiter was a pattern check: one per message
-        // deposited while it was subscribed.
-        assert_eq!(mb.scans(), 2);
-        // The deposit cleared the slot: nothing fires until it is re-armed.
-        mb.push(msg(1, 9, 0, 4, 0));
-        assert_eq!(owner.0.load(Ordering::SeqCst), 1);
-        mb.arm_owner_wait(&w_owner);
-        mb.push(msg(1, 9, 0, 5, 0));
-        assert_eq!(owner.0.load(Ordering::SeqCst), 2);
-        // Cancel clears it too, and is idempotent.
-        mb.arm_owner_wait(&w_owner);
-        mb.cancel_owner_wait();
-        mb.cancel_owner_wait();
-        mb.push(msg(1, 9, 0, 6, 0));
-        assert_eq!(owner.0.load(Ordering::SeqCst), 2);
-        assert_eq!(mb.scans(), 2, "the slot is not a pattern check");
+        assert!(mb.claim_or_wait(&pat(SrcFilter::Exact(7), 5, 0)).is_none());
+        assert!(mb.probe_or_wait(&pat(SrcFilter::Exact(8), 5, 0)).is_none());
+        assert!(!mb.push(msg(7, 5, 0, 1, 0)), "the first pattern is gone");
+        mb.wait_any();
+        assert!(mb.push(msg(9, 9, 0, 2, 0)), "any deposit, not source 8");
+        assert!(mb.claim_or_wait(&pat(SrcFilter::Exact(8), 5, 0)).is_none());
+        assert!(!mb.push(msg(9, 9, 0, 3, 0)), "a pattern again");
+        assert!(mb.push(msg(8, 5, 0, 4, 0)));
     }
 
     #[test]
@@ -919,16 +782,15 @@ mod tests {
     }
 
     #[test]
-    fn immediate_hit_does_not_subscribe() {
+    fn immediate_hit_does_not_arm_and_clears_a_stale_wait() {
         let mb = Mailbox::new();
         mb.push(msg(1, 5, 0, 1, 42));
-        let counter = Arc::new(CountWake(AtomicUsize::new(0)));
-        let waker: Arc<dyn Wake> = Arc::<CountWake>::clone(&counter);
-        match mb.claim_or_subscribe(&pat(SrcFilter::Any, 5, 0), &waker) {
-            Subscribed::Hit(m) => assert_eq!(m.src_global, 1),
-            Subscribed::Waiting(_) => panic!("message was present"),
-        }
-        mb.push(msg(1, 5, 0, 2, 0));
-        assert_eq!(counter.0.load(Ordering::SeqCst), 0);
+        mb.wait_any();
+        let m = mb.claim_or_wait(&pat(SrcFilter::Any, 5, 0)).unwrap();
+        assert_eq!(m.src_global, 1);
+        assert!(!mb.push(msg(1, 5, 0, 2, 0)));
+        assert!(mb.probe_or_wait(&pat(SrcFilter::Any, 5, 0)).is_some());
+        assert!(!mb.push(msg(1, 5, 0, 3, 0)));
+        assert_eq!(mb.scans(), 0);
     }
 }

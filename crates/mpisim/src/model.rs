@@ -159,9 +159,9 @@ pub enum CommitAlgo {
     /// allocation-free unstable sort is deterministic; DESIGN.md §10),
     /// partitioned into per-destination-rank segments, and idle workers
     /// claim segments lock-free, pushing into disjoint mailboxes in
-    /// parallel. Wake-ups are deferred and merged in global
-    /// `(matchable_time, sender, seq)` order after the push barrier, so
-    /// the next round's order stays a pure function of `(program, seed)`.
+    /// parallel. Each push reports whether it satisfied the destination's
+    /// armed wait; the woken ranks join the next round, which is sorted by
+    /// rank, so it stays a pure function of `(program, seed)`.
     #[default]
     Sharded,
     /// The original single-threaded commit: one worker stable-sorts the

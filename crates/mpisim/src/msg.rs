@@ -92,8 +92,8 @@ pub enum SrcFilter {
     /// the global ranks `first, first + stride, ...`, `len` of them.
     /// Building it allocates nothing, so a polling loop can afford a
     /// fresh wildcard per `try_recv`. `stride` and `len` are `u32` so that
-    /// the enum stays three words: a pattern is copied into every mailbox
-    /// subscription.
+    /// the enum stays three words: a pattern is copied into the mailbox's
+    /// wait slot by every receive that has to wait.
     Strided {
         /// First member (global rank).
         first: usize,

@@ -164,6 +164,27 @@ pub async fn wait_async(p: &mut dyn Progress) -> Result<()> {
     }
 }
 
+/// The polling wait of a rank that sweeps several machines of its own
+/// (the JQuick driver's levels and base cases): run `sweep` until it
+/// reports all done, parking between sweeps until the rank's mailbox
+/// changes. Every machine swept must keep [`Progress::poll`]'s contract
+/// (`Ok(false)` only after a receive missed). On a plain rank thread
+/// `stall` bounds the loop and the error names `waited_for`.
+pub async fn sweep_until_done(
+    state: &Arc<ProcState>,
+    mut stall: StallDeadline,
+    waited_for: &str,
+    mut sweep: impl FnMut() -> Result<bool>,
+) -> Result<()> {
+    while !sweep()? {
+        if stall.stalled() {
+            return Err(wait_timeout_err(Some(state), waited_for));
+        }
+        state.park_until_deposit().await;
+    }
+    Ok(())
+}
+
 /// `rbc::Testall`: polls every request, true iff all are complete.
 pub fn testall(reqs: &mut [Request]) -> Result<bool> {
     let mut all = true;

@@ -470,7 +470,7 @@ pub struct MetricsSnapshot {
     /// Per class, the maximum over ranks of messages sent in that class —
     /// the quantity the paper's O(log p) per-rank bounds cap.
     pub class_max_rank_msgs: [u64; OpClass::COUNT],
-    /// Waiter-pattern match checks performed by mailbox deposits.
+    /// Wait-pattern match checks performed by mailbox deposits.
     pub mailbox_scans: u64,
     /// Cooperative-scheduler epochs committed (0 on the thread backend).
     pub epochs: u64,

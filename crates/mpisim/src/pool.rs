@@ -5,7 +5,7 @@
 //!
 //! * [`Pool<T>`] — a plain value pool (a mutexed free list with hit/miss
 //!   counters). The scheduler keeps one per buffer family (commit shard
-//!   vectors, wake-record vectors, runnable-index vectors, …), replacing
+//!   vectors, runnable-index vectors, …), replacing
 //!   the hand-rolled `shard_pool` of PR 5.
 //! * the **payload pool** ([`take_vec`] / [`recycle_vec`]) — a global,
 //!   size-classed (power-of-two element capacities), `TypeId`-keyed pool

@@ -1,9 +1,10 @@
 //! Per-rank state and the router connecting ranks.
 //!
-//! Each simulated MPI process is an OS thread owning a [`ProcState`]: its
-//! global rank, its virtual clock, its RNG, and its context-ID pool. The
-//! [`Router`] holds one mailbox per rank plus the cost model; sends deposit
-//! messages directly into the destination mailbox (buffered semantics).
+//! Each simulated MPI process (an OS thread or a scheduler task, by
+//! backend) owns a [`ProcState`]: its global rank, its virtual clock, its
+//! RNG, and its context-ID pool. The [`Router`] holds one mailbox per rank
+//! plus the cost model; sends are buffered: a thread deposits into the
+//! destination mailbox directly, a task stages for the epoch commit.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;

@@ -1,7 +1,7 @@
 //! The epoch commit: order a round's staged messages and deliver them.
 //!
 //! **Invariant:** every mailbox receives its messages in ascending
-//! [`CommitKey`] order and a commit fires the same *set* of wakers,
+//! [`CommitKey`] order and a commit wakes the same *set* of ranks,
 //! whatever the worker count, shard geometry or [`CommitAlgo`]. The key
 //! is `(matchable, sender, seq)`: `matchable` is the running maximum of
 //! arrival times along the sender's program order (per-sender monotone,
@@ -13,17 +13,20 @@
 //! Two deliveries of that one order exist:
 //!
 //! * **Serial** (the reference tests compare against): a stable sort on
-//!   the key and one push loop on the committing worker; wakers fire
-//!   inline.
+//!   the key and one push loop on the committing worker.
 //! * **Sharded** (the default): the run is sorted *destination-major*,
 //!   `(dest, key)`, so each destination's messages form one contiguous
 //!   segment whose internal order is the serial commit's per-mailbox
 //!   subsequence. Small commits are pushed inline; wide ones are cut into
 //!   shards at segment boundaries, which the epoch layer publishes for
 //!   all workers to claim. Pushes into disjoint mailboxes cannot
-//!   interfere; wake-ups are *recorded* and fired by the finishing worker
-//!   after the push barrier. Their order is not kept: the woken tasks
-//!   join a round that the epoch layer sorts by rank (DESIGN.md §7).
+//!   interfere.
+//!
+//! A wake-up is a rank number: a push reports whether it satisfied the
+//! destination mailbox's armed wait, and the destination is appended to
+//! the next round (per shard, then joined by the finishing worker). Their
+//! order is not kept: the epoch layer sorts the round by rank (DESIGN.md
+//! §7).
 //!
 //! Every buffer here (the gather run, shard and wake vectors, batch
 //! scratch) is reused through [`SchedPools`], so a steady-state epoch at
@@ -36,7 +39,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use super::task::TaskSlot;
-use crate::mailbox::Wake;
 use crate::model::CommitAlgo;
 use crate::msg::Message;
 use crate::pool::Pool;
@@ -61,19 +63,18 @@ impl CommitEntry {
     }
 }
 
-/// A wake-up recorded during a push, deferred past the push barrier.
-type WakeRec = Arc<dyn Wake>;
-
 /// A sharded commit in flight: per-shard slices of the destination-major
 /// run, claimed by workers through the epoch cursor like round tasks.
 pub(super) struct CommitWork {
     /// Shard `i`'s contiguous run of whole per-destination segments.
     shards: Vec<UnsafeCell<Vec<CommitEntry>>>,
-    /// Shard `i`'s deferred wake records.
-    wakes: Vec<UnsafeCell<Vec<WakeRec>>>,
+    /// The destinations shard `i`'s pushes woke.
+    wakes: Vec<UnsafeCell<Vec<usize>>>,
     /// The next round so far (the tasks that yielded), handed through to
     /// the finishing worker.
     next: Mutex<Vec<usize>>,
+    /// How many they are: where [`Commit::finish`] starts appending.
+    pub(super) yielded: usize,
 }
 
 // SAFETY: `shards[i]` / `wakes[i]` are touched only by the one worker that
@@ -90,12 +91,12 @@ impl CommitWork {
 }
 
 /// Reusable scratch of one `push_segments` call: the per-destination
-/// message batch and the fired-subscription buffer handed to
+/// message batch and the trigger-index buffer handed to
 /// [`crate::mailbox::Mailbox::push_batch`].
 #[derive(Default)]
 struct CommitScratch {
     batch: Vec<Message>,
-    fired: Vec<(usize, Arc<dyn Wake>)>,
+    fired: Vec<usize>,
 }
 
 /// The commit-scratch pool families of a scheduler, split out so a
@@ -107,9 +108,9 @@ struct CommitScratch {
 pub(crate) struct SchedPools {
     /// Commit-shard entry vectors.
     pub(super) entry_pool: Pool<Vec<CommitEntry>>,
-    /// Round / next-round index vectors (used by the epoch layer).
+    /// Round / next-round index vectors (used by the epoch layer) and
+    /// the shards' woken-destination vectors.
     pub(super) idx_pool: Pool<Vec<usize>>,
-    wake_pool: Pool<Vec<WakeRec>>,
     scratch_pool: Pool<CommitScratch>,
 }
 
@@ -121,7 +122,7 @@ const MIN_SHARD_ENTRIES: usize = 64;
 /// What [`Commit::begin`] did with the round's messages.
 pub(super) enum Begun {
     /// Delivered on the calling worker; carries the next round so far
-    /// back.
+    /// (the tasks that yielded, then the ranks the pushes woke) back.
     Delivered(Vec<usize>),
     /// Cut into shards: publish them, then call [`Commit::finish`].
     Sharded(Arc<CommitWork>),
@@ -184,7 +185,7 @@ impl Commit {
         &self,
         round: &[usize],
         slots: &[TaskSlot],
-        next: Vec<usize>,
+        mut next: Vec<usize>,
     ) -> (Begun, usize) {
         let mut staged = self.buf.lock();
         for &tid in round {
@@ -206,14 +207,16 @@ impl Commit {
         if self.algo == CommitAlgo::Serial {
             staged.sort_by_key(CommitEntry::key);
             for e in staged.drain(..) {
-                self.router.mailboxes[e.dest].push(e.msg);
+                if self.router.mailboxes[e.dest].push(e.msg) {
+                    next.push(e.dest);
+                }
             }
             return (Begun::Delivered(next), msgs);
         }
         staged.sort_unstable_by_key(|e| (e.dest, e.matchable, e.src, e.seq));
         let target = self.shard_target(msgs);
         if target <= 1 {
-            self.push_inline(&mut staged);
+            self.push_segments(&mut staged, &mut next);
             return (Begun::Delivered(next), msgs);
         }
         // Cut the run into ≤ target shards at segment boundaries (a
@@ -241,32 +244,24 @@ impl Commit {
         if shards.is_empty() {
             // One giant destination segment (pure all-to-one fan-in): a
             // single mailbox must be pushed in order anyway.
-            self.push_inline(&mut cur);
+            self.push_segments(&mut cur, &mut next);
             self.pools.entry_pool.put(cur);
             return (Begun::Delivered(next), msgs);
         }
         shards.push(UnsafeCell::new(cur));
         let wakes = (0..shards.len())
-            .map(|_| UnsafeCell::new(self.pools.wake_pool.take()))
+            .map(|_| UnsafeCell::new(self.pools.idx_pool.take()))
             .collect();
         let cw = CommitWork {
             shards,
             wakes,
+            yielded: next.len(),
             next: Mutex::new(next),
         };
         (Begun::Sharded(Arc::new(cw)), msgs)
     }
 
-    /// Push a destination-major run on the calling worker and fire its
-    /// wake-ups. `run` is drained (capacity retained).
-    fn push_inline(&self, run: &mut Vec<CommitEntry>) {
-        let mut wakes = self.pools.wake_pool.take();
-        self.push_segments(run, &mut wakes);
-        fire_wakes(&mut wakes);
-        self.pools.wake_pool.put(wakes);
-    }
-
-    /// Push one claimed shard, deferring every wake-up it triggers.
+    /// Push one claimed shard, recording the destinations it woke.
     pub(super) fn push_shard(&self, cw: &CommitWork, i: usize) {
         // SAFETY: unit `i` was claimed exclusively through the cursor CAS;
         // only this worker touches its vectors until the push barrier.
@@ -274,37 +269,39 @@ impl Commit {
         self.push_segments(entries, wakes);
     }
 
-    /// All shards are pushed: fire the deferred wake-ups and return the
-    /// next round so far.
+    /// All shards are pushed: return the next round so far, the woken
+    /// destinations of every shard appended.
     pub(super) fn finish(&self, cw: &CommitWork) -> Vec<usize> {
+        let mut next = std::mem::take(&mut *cw.next.lock());
         for (wakes, shard) in cw.wakes.iter().zip(&cw.shards) {
             // SAFETY: the push barrier has passed; no worker holds a unit.
             let (ws, es) = unsafe { (&mut *wakes.get(), &mut *shard.get()) };
-            fire_wakes(ws);
+            next.append(ws);
             // Recycle the drained vectors (their capacity).
             let (ws, es) = (std::mem::take(ws), std::mem::take(es));
             if ws.capacity() > 0 {
-                self.pools.wake_pool.put(ws);
+                self.pools.idx_pool.put(ws);
             }
             if es.capacity() > 0 {
                 self.pools.entry_pool.put(es);
             }
         }
-        std::mem::take(&mut *cw.next.lock())
+        next
     }
 
     /// Push a destination-major-sorted run: one
     /// [`push_batch`](crate::mailbox::Mailbox::push_batch) per destination
     /// segment (one lock acquisition per destination, however large its
-    /// fan-in), recording every triggered wake-up instead of firing it.
-    fn push_segments(&self, entries: &mut Vec<CommitEntry>, wakes: &mut Vec<WakeRec>) {
+    /// fan-in), appending to `woken` every destination whose armed wait a
+    /// message of its segment satisfied.
+    fn push_segments(&self, entries: &mut Vec<CommitEntry>, woken: &mut Vec<usize>) {
         let mut s = self.pools.scratch_pool.take();
         let mut flush = |dest: usize, s: &mut CommitScratch| {
             if s.batch.is_empty() {
                 return;
             }
             self.router.mailboxes[dest].push_batch(&mut s.batch, &mut s.fired);
-            wakes.extend(s.fired.drain(..).map(|(_, waker)| waker));
+            woken.extend(s.fired.drain(..).map(|_| dest));
         };
         let mut dest = usize::MAX;
         for e in entries.drain(..) {
@@ -316,14 +313,5 @@ impl Commit {
         }
         flush(dest, &mut s);
         self.pools.scratch_pool.put(s);
-    }
-}
-
-/// Fire deferred wake-ups, in the order they were recorded. The order
-/// decides nothing: each waker moves its task into the set the epoch
-/// layer sorts by rank before publishing it.
-fn fire_wakes(recs: &mut Vec<WakeRec>) {
-    for waker in recs.drain(..) {
-        waker.wake();
     }
 }

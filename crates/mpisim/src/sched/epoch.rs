@@ -145,7 +145,7 @@ impl Scheduler {
     ) -> Scheduler {
         let shared = Arc::new(SchedShared::new(p));
         Scheduler {
-            slots: (0..p).map(|rank| TaskSlot::new(rank, &shared)).collect(),
+            slots: (0..p).map(|_| TaskSlot::new()).collect(),
             shared,
             crashes_armed: router.faults.has_crashes(),
             commit: Commit::new(router, commit_algo, commit_shards, pools),
@@ -180,15 +180,15 @@ impl Scheduler {
 
     /// Arm the gate for a run: record the effective worker count (it
     /// sizes the shard heuristic, which never affects simulation output)
-    /// and publish epoch 1 in `initial_order`. Solo runs call this through
-    /// [`Scheduler::run`]; a fleet calls it at admission and lets its
-    /// sweeping workers drive the gate via [`Scheduler::drain_phases`].
-    pub fn prepare(&self, workers: usize, initial_order: &[usize]) {
+    /// and publish epoch 1, every task in rank order. Solo runs call this
+    /// through [`Scheduler::run`]; a fleet calls it at admission and lets
+    /// its sweeping workers drive the gate via [`Scheduler::drain_phases`].
+    pub fn prepare(&self, workers: usize) {
         self.commit.workers.store(workers.max(1), Ordering::Relaxed);
         let mut g = self.gate.lock();
-        g.work = Work::Tasks(Arc::new(initial_order.to_vec()));
+        g.work = Work::Tasks(Arc::new((0..self.slots.len()).collect()));
         g.gen = 1;
-        g.done = initial_order.is_empty();
+        g.done = self.slots.is_empty();
         self.round_done.store(0, Ordering::Relaxed);
         self.cursor.store(1 << 32, Ordering::Release);
     }
@@ -199,16 +199,11 @@ impl Scheduler {
         self.shared.panic.lock().take()
     }
 
-    /// Run every spawned task to completion on `workers` OS threads,
-    /// starting epoch 1 in `initial_order`. Returns the first recorded
-    /// panic.
-    pub fn run(
-        &self,
-        workers: usize,
-        initial_order: &[usize],
-    ) -> Option<(usize, Box<dyn Any + Send>)> {
+    /// Run every spawned task to completion on `workers` OS threads.
+    /// Returns the first recorded panic.
+    pub fn run(&self, workers: usize) -> Option<(usize, Box<dyn Any + Send>)> {
         let workers = workers.max(1);
-        self.prepare(workers, initial_order);
+        self.prepare(workers);
         if workers == 1 {
             self.worker_loop(0);
         } else {
@@ -308,7 +303,7 @@ impl Scheduler {
             };
             let t0 = self.profile.then(std::time::Instant::now);
             match &work {
-                Work::Tasks(round) => self.slots[round[i]].step(&self.shared),
+                Work::Tasks(round) => self.slots[round[i]].step(round[i], &self.shared),
                 Work::Commit(cw) => self.commit.push_shard(cw, i),
             }
             if let Some(t0) = t0 {
@@ -333,7 +328,7 @@ impl Scheduler {
                 let t0 = self.profile.then(std::time::Instant::now);
                 match &work {
                     Work::Tasks(round) => self.finish_round(round),
-                    Work::Commit(cw) => self.finish_epoch(self.commit.finish(cw)),
+                    Work::Commit(cw) => self.finish_epoch(self.commit.finish(cw), cw.yielded),
                 }
                 if let Some(t0) = t0 {
                     prof.commit_ns += t0.elapsed().as_nanos() as u64;
@@ -367,32 +362,39 @@ impl Scheduler {
     /// The executed round is complete: collect the tasks that yielded,
     /// then the commit runs here or is published.
     fn finish_round(&self, round: &[usize]) {
+        // Every member was stepped exactly once.
+        self.shared
+            .switches
+            .fetch_add(round.len() as u64, Ordering::Relaxed);
         let mut next = self.commit.pools.idx_pool.take();
         next.extend(round.iter().filter(|&&tid| self.slots[tid].yielded()));
+        let yielded = next.len();
         let (begun, msgs) = self.commit.begin(round, &self.slots, next);
         // Progress signal for the stagnation detector below: a pure
         // function of the epoch contents.
         self.epoch_msgs.store(msgs, Ordering::Relaxed);
         match begun {
-            Begun::Delivered(next) => self.finish_epoch(next),
+            Begun::Delivered(next) => self.finish_epoch(next, yielded),
             // This worker re-enters its claim loop and takes shards
             // alongside the woken pool.
             Begun::Sharded(cw) => self.publish(Work::Commit(cw)),
         }
     }
 
-    /// Deliveries are committed: add the woken receivers to the next
-    /// round, detect stagnation and deadlock, and publish the next round
-    /// in rank order.
-    fn finish_epoch(&self, mut next: Vec<usize>) {
+    /// Deliveries are committed: `next[..yielded]` are the tasks that
+    /// yielded, the rest the ranks whose armed wait a delivery satisfied.
+    /// Wake those, detect stagnation and deadlock, and publish the next
+    /// round in rank order.
+    fn finish_epoch(&self, mut next: Vec<usize>, yielded: usize) {
         self.shared.epochs.fetch_add(1, Ordering::Relaxed);
-        // Receivers woken by the committed deliveries.
-        let woken_count;
-        {
-            let mut w = self.shared.woken.lock();
-            woken_count = w.len();
-            next.append(&mut w);
-        }
+        // A wait left armed by a body that then panicked out of its leaf
+        // sits on a task that is not blocked: drop that one, wake the rest.
+        let mut seen = 0;
+        next.retain(|&tid| {
+            seen += 1;
+            seen <= yielded || self.slots[tid].unblock()
+        });
+        let woken_count = next.len() - yielded;
         self.shared
             .wakeups
             .fetch_add(woken_count as u64, Ordering::Relaxed);
@@ -418,17 +420,15 @@ impl Scheduler {
             } else if self.stagnant.fetch_add(1, Ordering::Relaxed) + 1 >= STAGNANT_EPOCH_LIMIT {
                 self.stagnant.store(0, Ordering::Relaxed);
                 // Yielded (polling) tasks are already in `next`; blocked
-                // ones join it through their wake.
-                poison(&self.slots, &self.shared, false);
-                next.append(&mut self.shared.woken.lock());
+                // ones join it.
+                poison(&self.slots, &mut next, false);
             }
         }
         // Nothing runnable but tasks remain: deadlock. The poisoned
-        // tasks' wake-ups queue them so their waits can return the
-        // timeout error.
+        // tasks run once more so their waits can return the timeout
+        // error.
         if next.is_empty() && live > 0 {
-            poison(&self.slots, &self.shared, true);
-            next.append(&mut self.shared.woken.lock());
+            poison(&self.slots, &mut next, true);
             if next.is_empty() {
                 eprintln!(
                     "mpisim: scheduler invariant broken: {live} live tasks, none \

@@ -48,7 +48,7 @@ use std::os::raw::{c_int, c_long};
 use std::sync::Arc;
 
 use super::poll::{RankBody, Step};
-use super::task::{current_slot, record_panic, suspended_step, SchedShared, TaskSlot};
+use super::task::{current_slot, record_panic, SchedShared, TaskSlot};
 
 /// Written to the lowest word of every fiber stack; checked on finish.
 const STACK_CANARY: u64 = 0xB0A7_F1BE_25C0_FFEE;
@@ -519,7 +519,7 @@ impl RankBody for FiberBody<'_> {
             (*this).fiber.resume();
             RESUMED.with(|r| r.set(prev));
             if !(*this).finished {
-                return suspended_step((*this).rank);
+                return Step::Suspended;
             }
         }
         // The fiber has finished: `self` is the only way left to the body.

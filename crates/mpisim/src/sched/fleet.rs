@@ -73,7 +73,7 @@ use super::epoch::{Drain, Scheduler};
 use super::fiber::{FiberBody, StackSlab};
 use super::SchedPools;
 use crate::comm::Comm;
-use crate::universe::{assemble_result, build_fabric, seeded_order, ProcEnv, SimConfig, SimResult};
+use crate::universe::{assemble_result, build_fabric, ProcEnv, SimConfig, SimResult};
 
 /// Wake channel between schedulers and the fleet worker pool: a versioned
 /// condvar. Every event a sweeping worker could be waiting on — a
@@ -316,7 +316,7 @@ impl Drop for Fleet {
 
 /// Build a universe's runtime from the same pieces as the solo
 /// [`Universe::run`](crate::Universe::run) — `build_fabric`, fiber bodies,
-/// `seeded_order`, `assemble_result` — so fleet and solo runs of one
+/// `assemble_result` — so fleet and solo runs of one
 /// `(program, config)` cannot diverge by construction.
 fn admit<R, F>(
     inner: &FleetInner,
@@ -357,8 +357,7 @@ where
         });
         sched.spawn(rank, body);
     }
-    let order = seeded_order(p, cfg.seed);
-    sched.prepare(inner.workers, &order);
+    sched.prepare(inner.workers);
     let finish: Box<dyn FnOnce(&Scheduler) + Send> = Box::new(move |sched| {
         let outcome = match sched.take_panic() {
             Some((_rank, payload)) => Err(payload),

@@ -5,7 +5,7 @@
 //! thread per rank, which tops out around a few hundred ranks, far short
 //! of the paper's 2^15-process evaluations. Here every rank is a task that
 //! *suspends* at a blocking point instead of parking an OS thread, and the
-//! mailbox layer wakes exactly the ranks whose matching message arrived
+//! commit wakes exactly the ranks whose matching message arrived
 //! (a rank in a polling loop: whose mailbox received anything at all).
 //! Merged delivery order, and with it every simulation output, is
 //! bit-for-bit identical for any `coop_workers`, either commit algorithm
@@ -16,8 +16,8 @@
 //! | module | owns | invariant in one line |
 //! |---|---|---|
 //! | `epoch` | gate, claim cursor, publish (rounds in rank order), worker loop, deadlock and stagnation detection | one generation-tagged phase at a time; the last completed unit advances it |
-//! | `commit` | commit key, the one ordering, shard push, deferred wakes, scratch pools | every mailbox sees ascending key order; the set of wakers fired is worker-invariant |
-//! | `task` | slot, states, staging, poisoning, **how a rank waits**: the three wait leaves (`claim` / `probe` on a pattern, `park_until_deposit` on any deposit, `yield_now_async`) | one worker touches a task at a time; announce, subscribe, suspend |
+//! | `commit` | commit key, the one ordering, shard push, the woken ranks, scratch pools | every mailbox sees ascending key order; the set of ranks woken is worker-invariant |
+//! | `task` | slot, states, staging, poisoning, **how a rank waits**: the three wait leaves (`claim` / `probe` on a pattern, `park_until_deposit` on any deposit, `yield_now_async`) | one worker touches a task at a time; check and arm, store the state, suspend |
 //! | [`poll`] | [`RankBody`](poll::RankBody), [`Step`](poll::Step), the stackless body, [`block_inline`](poll::block_inline) | a body suspends only through the wait leaves |
 //! | `fiber` | context switch, stack slab, the stackful body (unix x86-64 / AArch64 only) | one worker on a stack at a time; the slab outlives its fibers |
 //! | `fleet` | many universes over one worker pool (needs `fiber`) | universes share workers and scratch capacity, nothing else |

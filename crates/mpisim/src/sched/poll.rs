@@ -9,10 +9,10 @@
 //! fiber module's `FiberBody` wraps a synchronous closure on its own
 //! stack ([`crate::Backend::Cooperative`]).
 //!
-//! **Invariant:** a body returns [`Step::Yielded`] or [`Step::Blocked`]
-//! only after one of the scheduler's wait leaves (`sched/task.rs`) stored
-//! the matching intent; a `Pending` from anything else has no wake-up
-//! source and aborts the process.
+//! **Invariant:** a body returns [`Step::Suspended`] only after one of
+//! the scheduler's wait leaves (`sched/task.rs`) stored how the task runs
+//! again; a `Pending` from anything else has no wake-up source and aborts
+//! the process.
 //!
 //! # One implementation per workload
 //!
@@ -30,16 +30,14 @@ use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
-use super::task::{record_panic, suspended_step, SchedShared};
+use super::task::{record_panic, SchedShared};
 
 /// What a step of a [`RankBody`] did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
-    /// Made progress and wants another slice next epoch.
-    Yielded,
-    /// Parked on a mailbox subscription; only a commit-time wake-up
-    /// reschedules it.
-    Blocked,
+    /// Suspended in a wait leaf, which recorded whether the task runs
+    /// again next epoch (a yield) or when the commit wakes it.
+    Suspended,
     /// The body is done and will never be stepped again.
     Finished,
 }
@@ -51,7 +49,7 @@ pub trait RankBody: Send {
     fn proceed(&mut self) -> Step;
 }
 
-// The scheduler's wake path is the mailbox subscription, never
+// The scheduler's wake path is the mailbox's wait slot, never
 // `Waker::wake`: a parked body is rescheduled by the epoch commit. The
 // context handed to futures therefore carries a no-op waker.
 const NOOP_VTABLE: RawWakerVTable = RawWakerVTable::new(|_| NOOP_RAW, |_| {}, |_| {}, |_| {});
@@ -89,9 +87,8 @@ pub fn block_inline<F: Future>(fut: F) -> F::Output {
 }
 
 /// The stackless [`RankBody`]: a pinned rank future polled once per step.
-/// `Ready` finishes the task, `Pending` means what the suspending wait
-/// leaf stored (yield or block); a panic in the rank program is recorded
-/// first-wins and finishes the task.
+/// `Ready` finishes the task, `Pending` comes from a wait leaf; a panic in
+/// the rank program is recorded first-wins and finishes the task.
 pub(crate) struct FutureBody<'a> {
     fut: Pin<Box<dyn Future<Output = ()> + Send + 'a>>,
     rank: usize,
@@ -121,7 +118,7 @@ impl RankBody for FutureBody<'_> {
         }));
         match polled {
             Ok(Poll::Ready(())) => Step::Finished,
-            Ok(Poll::Pending) => suspended_step(self.rank),
+            Ok(Poll::Pending) => Step::Suspended,
             Err(payload) => {
                 record_panic(&self.store, self.rank, payload);
                 Step::Finished

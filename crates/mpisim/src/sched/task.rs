@@ -1,27 +1,30 @@
 //! One rank as a schedulable task: its slot, its states, and the one
 //! protocol by which it waits.
 //!
-//! **Invariant:** a slot's `body` and `staged` are touched only by the
-//! worker that holds the task in `ST_RUNNING` (claimed through the epoch
-//! cursor), by the body itself while that worker is inside `proceed`, or
-//! by the committing worker after the round barrier, when no task of the
-//! round is running. Everything a waker can reach lives in the
-//! `Arc<TaskCore>`, so a stray waker never dangles.
+//! **Invariant:** a slot is touched only by the worker that holds the
+//! task in `ST_RUNNING` (claimed through the epoch cursor), by the body
+//! itself while that worker is inside `proceed`, or by the committing
+//! worker after the round barrier, when no task of the round is running.
 //!
 //! # How a rank waits
 //!
 //! A wait that finds no matching message runs, in this order:
 //!
-//! 1. store `ST_BLOCKING` (announce intent),
-//! 2. claim-or-subscribe the task's waker *under the mailbox lock*,
-//! 3. store the block intent and **suspend**,
-//! 4. on resumption drop the stale subscription and start over.
+//! 1. check the mailbox and arm its wait slot, in one step *under the
+//!    mailbox lock*,
+//! 2. store how the task runs again (`ST_BLOCKED`: when the commit wakes
+//!    it; `ST_READY`: next epoch),
+//! 3. **suspend**; on resumption a poisoned task clears the slot and
+//!    fails, any other starts over.
 //!
-//! Announcing before subscribing means a wake-up that arrives between
-//! steps 2 and 3 finds `ST_BLOCKING`, marks the task `ST_WOKEN_EARLY`, and
-//! the worker requeues it instead of parking it. Under the epoch
-//! discipline every wake-up fires at commit time, when the whole round has
-//! parked, so that path is a backstop, not a code path.
+//! No wake-up can be lost between the steps: a wake-up is a deposit that
+//! satisfies the armed wait, deposits happen only at the commit, and the
+//! commit runs when every task of the round has suspended. The committing
+//! worker is the only waker: the mailbox tells it that a deposit satisfied
+//! the wait and it moves the mailbox's rank into the next round. There is
+//! one slot because a rank sits in one wait at a time: a later arming
+//! replaces an earlier one, so a body must not keep two wait leaves
+//! pending at once (a hand-rolled `join` of two receives).
 //!
 //! "Suspend" is the only step that depends on the kind of body, and it is
 //! one question: [`suspend_in_place`]. A fiber answers by switching to its
@@ -34,11 +37,11 @@
 //!
 //! Three leaves run that protocol:
 //!
-//! | leaf | step 2 subscribes | runs again |
+//! | leaf | step 1 arms | runs again |
 //! |---|---|---|
-//! | [`claim`] / [`probe`] | the pattern, in the mailbox's waiter list | when a matching message is deposited |
-//! | [`park_until_deposit`] | nothing to match: arms the mailbox's owner-wait slot | when *any* message is deposited into the rank's own mailbox |
-//! | [`yield_now_async`] | nothing (yield intent) | next epoch, unconditionally |
+//! | [`claim`] / [`probe`] | the pattern | when a matching message is deposited |
+//! | [`park_until_deposit`] | "any deposit" (nothing to match) | when *any* message is deposited into the rank's own mailbox |
+//! | [`yield_now_async`] | nothing (`ST_READY`) | next epoch, unconditionally |
 //!
 //! The second is how the libraries' polling loops wait (`nbcoll` waits,
 //! the JQuick driver): a sweep of `try_recv`s that all missed can only
@@ -51,16 +54,16 @@
 //!
 //! Sends never block, so an epoch that commits with nothing runnable and
 //! nothing woken can make no further progress. The epoch layer then
-//! *poisons* the blocked tasks: each is woken, and step 4 above returns
-//! [`MpiError::Timeout`] naming what it waited for, an exact and
-//! immediate replacement for the thread backend's wall-clock timeout.
+//! *poisons* the blocked tasks: each joins the next round, and step 3
+//! above returns [`MpiError::Timeout`] naming what it waited for, an
+//! exact and immediate replacement for the thread backend's wall-clock
+//! timeout.
 
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::task::{Context, Poll};
 
 use parking_lot::Mutex;
@@ -69,43 +72,24 @@ use super::poll::{block_inline, RankBody, Step};
 use super::suspend_in_place;
 use crate::error::{MpiError, Result};
 use crate::faults::RoundBlame;
-use crate::mailbox::{Mailbox, Subscribed, WaitToken, Wake};
+use crate::mailbox::Mailbox;
 use crate::msg::{MatchPattern, Message, MsgInfo};
 use crate::proc::WaitReason;
 use crate::time::Time;
 
-/// In a round (or about to be placed in one).
+/// In a round, or about to be placed in one: a task that yielded, or that
+/// the commit woke.
 const ST_READY: u8 = 0;
 /// Executing on some worker right now.
 const ST_RUNNING: u8 = 1;
-/// Announced intent to block; still switching out on its worker.
-const ST_BLOCKING: u8 = 2;
-/// Fully parked; only a wake-up can move it.
-const ST_BLOCKED: u8 = 3;
-/// Woken while still in `Blocking`; the worker re-enqueues instead of parking.
-const ST_WOKEN_EARLY: u8 = 4;
+/// Suspended with its mailbox's wait slot armed; only the commit (a
+/// deposit that satisfies the wait, or poison) can move it.
+const ST_BLOCKED: u8 = 2;
 /// Body returned; never scheduled again.
-const ST_FINISHED: u8 = 5;
+const ST_FINISHED: u8 = 3;
 
-const INTENT_NONE: u8 = 0;
-const INTENT_YIELD: u8 = 1;
-const INTENT_BLOCK: u8 = 2;
-
-/// Task state shared with mailbox wakers.
-struct TaskCore {
-    rank: usize,
-    status: AtomicU8,
-    /// Set by the deadlock and stagnation detectors; waits observe it and
-    /// return `MpiError::Timeout` instead of parking again.
-    poisoned: AtomicBool,
-}
-
-/// Scheduler state shared between workers, wakers and rank bodies.
+/// Scheduler state shared between workers and rank bodies.
 pub(crate) struct SchedShared {
-    /// Tasks woken during the current commit; they join the next round,
-    /// which is sorted by rank before it is published. Only the
-    /// committing worker fires wakers.
-    pub(super) woken: Mutex<Vec<usize>>,
     /// Unfinished tasks.
     pub(super) live: AtomicUsize,
     /// Task steps performed (deterministic model metric).
@@ -121,7 +105,6 @@ pub(crate) struct SchedShared {
 impl SchedShared {
     pub(super) fn new(p: usize) -> SchedShared {
         SchedShared {
-            woken: Mutex::new(Vec::new()),
             live: AtomicUsize::new(p),
             switches: AtomicU64::new(0),
             epochs: AtomicU64::new(0),
@@ -140,51 +123,15 @@ pub(crate) fn record_panic(store: &SchedShared, rank: usize, payload: Box<dyn An
     }
 }
 
-/// Moves a task out of its blocked state into the next round. Called by
-/// mailbox pushes (through [`TaskWaker`]) and by [`poison`], both only
-/// ever during an epoch commit.
-fn wake_core(core: &TaskCore, shared: &SchedShared) {
-    loop {
-        let (from, to) = match core.status.load(Ordering::Acquire) {
-            ST_BLOCKED => (ST_BLOCKED, ST_READY),
-            ST_BLOCKING => (ST_BLOCKING, ST_WOKEN_EARLY),
-            // Ready / Running / WokenEarly / Finished: already awake (or
-            // past caring); the wait loop re-checks the mailbox anyway.
-            _ => return,
-        };
-        if core
-            .status
-            .compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            if to == ST_READY {
-                shared.woken.lock().push(core.rank);
-            }
-            return;
-        }
-    }
-}
-
-/// The waker subscribed into mailboxes while a task is parked.
-struct TaskWaker {
-    core: Arc<TaskCore>,
-    shared: Arc<SchedShared>,
-}
-
-impl Wake for TaskWaker {
-    fn wake(&self) {
-        wake_core(&self.core, &self.shared);
-    }
-}
-
 /// One rank's scheduling state; see the module invariant for who may
 /// touch what.
 pub(super) struct TaskSlot {
-    core: Arc<TaskCore>,
-    /// Pre-built waker, cloned into mailbox subscriptions.
-    waker: Arc<dyn Wake>,
-    /// What the wait leaf asked for when the body last suspended.
-    intent: AtomicU8,
+    /// One of the `ST_*` states. A wait leaf stores `ST_READY` or
+    /// `ST_BLOCKED` before it suspends the body.
+    status: AtomicU8,
+    /// Set by the deadlock and stagnation detectors; waits observe it and
+    /// return `MpiError::Timeout` instead of parking again.
+    poisoned: AtomicBool,
     /// Messages sent by this task during the current epoch, in program
     /// order; drained by the commit.
     staged: UnsafeCell<Vec<(usize, Message)>>,
@@ -199,19 +146,10 @@ pub(super) struct TaskSlot {
 unsafe impl Sync for TaskSlot {}
 
 impl TaskSlot {
-    pub(super) fn new(rank: usize, shared: &Arc<SchedShared>) -> TaskSlot {
-        let core = Arc::new(TaskCore {
-            rank,
+    pub(super) fn new() -> TaskSlot {
+        TaskSlot {
             status: AtomicU8::new(ST_READY),
             poisoned: AtomicBool::new(false),
-        });
-        TaskSlot {
-            waker: Arc::new(TaskWaker {
-                core: Arc::clone(&core),
-                shared: Arc::clone(shared),
-            }),
-            core,
-            intent: AtomicU8::new(INTENT_NONE),
             staged: UnsafeCell::new(Vec::new()),
             body: UnsafeCell::new(None),
         }
@@ -224,7 +162,16 @@ impl TaskSlot {
     /// Whether the last step ended in a yield: such tasks are in the next
     /// round whatever the commit delivers.
     pub(super) fn yielded(&self) -> bool {
-        self.intent.load(Ordering::Acquire) == INTENT_YIELD
+        self.status.load(Ordering::Acquire) == ST_READY
+    }
+
+    /// Move a blocked task into the next round; false (and nothing
+    /// happens) in every other state. Only the committing worker calls
+    /// this, when no task runs.
+    pub(super) fn unblock(&self) -> bool {
+        self.status
+            .compare_exchange(ST_BLOCKED, ST_READY, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
     }
 
     /// The messages this task staged during the round.
@@ -237,56 +184,45 @@ impl TaskSlot {
         &mut *self.staged.get()
     }
 
-    /// Run one slice of this task on the calling worker: step the body
-    /// until it yields, parks or finishes, then settle its status.
+    /// Run one slice of this task (of `rank`) on the calling worker: step
+    /// the body until it yields, parks or finishes. A body that suspended
+    /// through anything but a wait leaf (a foreign future) has no wake-up
+    /// source; treating it as a yield would spin forever.
     #[inline]
-    pub(super) fn step(&self, shared: &SchedShared) {
-        self.core.status.store(ST_RUNNING, Ordering::Release);
-        self.intent.store(INTENT_NONE, Ordering::Release);
-        shared.switches.fetch_add(1, Ordering::Relaxed);
+    pub(super) fn step(&self, rank: usize, shared: &SchedShared) {
+        self.status.store(ST_RUNNING, Ordering::Release);
         let prev = CURRENT.with(|c| c.replace(self));
         // SAFETY: this worker claimed the task through the cursor CAS and
         // holds it in `ST_RUNNING`; nobody else touches `body`.
         let body = unsafe { &mut *self.body.get() };
         let step = body.as_mut().expect("body installed").proceed();
         CURRENT.with(|c| c.set(prev));
-        match step {
-            // Re-entry happens at commit (the intent scan), which keeps
-            // the next round's order deterministic.
-            Step::Yielded => self.core.status.store(ST_READY, Ordering::Release),
-            Step::Blocked => {
-                if self
-                    .core
-                    .status
-                    .compare_exchange(ST_BLOCKING, ST_BLOCKED, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
-                {
-                    // WokenEarly: convert to a yield so the commit scan
-                    // re-enqueues it.
-                    self.core.status.store(ST_READY, Ordering::Release);
-                    self.intent.store(INTENT_YIELD, Ordering::Release);
-                }
-            }
-            Step::Finished => {
-                self.core.status.store(ST_FINISHED, Ordering::Release);
-                *body = None;
-                shared.live.fetch_sub(1, Ordering::AcqRel);
-            }
+        if step == Step::Finished {
+            self.status.store(ST_FINISHED, Ordering::Release);
+            *body = None;
+            shared.live.fetch_sub(1, Ordering::AcqRel);
+        } else if self.status.load(Ordering::Acquire) == ST_RUNNING {
+            eprintln!(
+                "mpisim: rank {rank} suspended outside a wait leaf \
+                 (awaited a non-mpisim future?)"
+            );
+            std::process::abort();
         }
     }
 }
 
-/// Poison every unfinished task (`only_blocked`: every fully parked one)
-/// and wake it, so its pending or next wait fails instead of parking.
-/// Woken tasks queue on `shared.woken` in rank order; for the other
-/// states `wake_core` is a no-op and the task observes the flag on its
-/// next mailbox operation.
-pub(super) fn poison(slots: &[TaskSlot], shared: &SchedShared, only_blocked: bool) {
-    for slot in slots {
-        let st = slot.core.status.load(Ordering::Acquire);
+/// Poison every unfinished task (`only_blocked`: every blocked one) so
+/// its pending or next wait fails instead of parking. Blocked tasks join
+/// `next`, in rank order; the others observe the flag on their next
+/// mailbox operation.
+pub(super) fn poison(slots: &[TaskSlot], next: &mut Vec<usize>, only_blocked: bool) {
+    for (rank, slot) in slots.iter().enumerate() {
+        let st = slot.status.load(Ordering::Acquire);
         if st == ST_BLOCKED || (!only_blocked && st != ST_FINISHED) {
-            slot.core.poisoned.store(true, Ordering::Release);
-            wake_core(&slot.core, shared);
+            slot.poisoned.store(true, Ordering::Release);
+            if slot.unblock() {
+                next.push(rank);
+            }
         }
     }
 }
@@ -326,25 +262,7 @@ pub(crate) fn try_stage_send(dest: usize, msg: Message) -> Option<Message> {
 /// Whether the current task has been poisoned. Always `false` off a
 /// scheduler task (thread-backend polling relies on wall-clock timeouts).
 pub(crate) fn current_poisoned() -> bool {
-    current_slot().is_some_and(|s| s.core.poisoned.load(Ordering::Acquire))
-}
-
-/// What the wait leaf that just suspended the current task asked for.
-/// A body that suspended through anything else (a foreign future) has no
-/// wake-up source; treating it as a yield would spin forever.
-pub(super) fn suspended_step(rank: usize) -> Step {
-    let slot = current_slot().expect("a body is stepped on a scheduler task");
-    match slot.intent.load(Ordering::Acquire) {
-        INTENT_BLOCK => Step::Blocked,
-        INTENT_YIELD => Step::Yielded,
-        other => {
-            eprintln!(
-                "mpisim: rank {rank} suspended with invalid intent {other} \
-                 (awaited a non-mpisim future?)"
-            );
-            std::process::abort();
-        }
-    }
+    current_slot().is_some_and(|s| s.poisoned.load(Ordering::Acquire))
 }
 
 fn deadlock_err(rank: usize, reason: WaitReason, vnow: Time) -> MpiError {
@@ -358,49 +276,35 @@ fn deadlock_err(rank: usize, reason: WaitReason, vnow: Time) -> MpiError {
     }
 }
 
-/// A wait on the current task's mailbox (steps 1–4 of the module docs);
+/// A wait on the current task's mailbox (steps 1–3 of the module docs);
 /// [`claim`] and [`probe`] are its two instantiations.
-struct WaitFut<'a, S> {
+struct WaitFut<'a, T> {
     mb: &'a Mailbox,
     pat: &'a MatchPattern,
     rank: usize,
     vnow: Time,
     reason: fn(MatchPattern) -> WaitReason,
-    subscribe: S,
-    token: Option<WaitToken>,
+    check_or_arm: fn(&Mailbox, &MatchPattern) -> Option<T>,
 }
 
-impl<T, S> Future for WaitFut<'_, S>
-where
-    S: Fn(&Mailbox, &MatchPattern, &Arc<dyn Wake>) -> Subscribed<T> + Unpin,
-{
+impl<T> Future for WaitFut<'_, T> {
     type Output = Result<T>;
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Result<T>> {
-        let this = self.get_mut();
         let slot = current_slot().expect("scheduler waits run on a scheduler task");
         loop {
-            if let Some(t) = this.token.take() {
-                // Normal wake-ups remove the subscription; the poison
-                // path does not. Idempotent either way.
-                this.mb.unsubscribe(t);
+            if slot.poisoned.load(Ordering::Acquire) {
+                // The poison path wakes without a deposit: the slot may
+                // still hold this wait.
+                self.mb.clear_wait();
+                let reason = (self.reason)(self.pat.clone());
+                return Poll::Ready(Err(deadlock_err(self.rank, reason, self.vnow)));
             }
-            if slot.core.poisoned.load(Ordering::Acquire) {
-                let reason = (this.reason)(this.pat.clone());
-                return Poll::Ready(Err(deadlock_err(this.rank, reason, this.vnow)));
+            if let Some(v) = (self.check_or_arm)(self.mb, self.pat) {
+                return Poll::Ready(Ok(v));
             }
-            slot.core.status.store(ST_BLOCKING, Ordering::Release);
-            match (this.subscribe)(this.mb, this.pat, &slot.waker) {
-                Subscribed::Hit(v) => {
-                    slot.core.status.store(ST_RUNNING, Ordering::Release);
-                    return Poll::Ready(Ok(v));
-                }
-                Subscribed::Waiting(token) => {
-                    this.token = Some(token);
-                    slot.intent.store(INTENT_BLOCK, Ordering::Release);
-                    if !suspend_in_place(slot) {
-                        return Poll::Pending;
-                    }
-                }
+            slot.status.store(ST_BLOCKED, Ordering::Release);
+            if !suspend_in_place(slot) {
+                return Poll::Pending;
             }
         }
     }
@@ -419,8 +323,7 @@ pub(crate) fn claim<'a>(
         rank,
         vnow,
         reason: WaitReason::Recv,
-        subscribe: Mailbox::claim_or_subscribe,
-        token: None,
+        check_or_arm: Mailbox::claim_or_wait,
     }
 }
 
@@ -437,13 +340,12 @@ pub(crate) fn probe<'a>(
         rank,
         vnow,
         reason: WaitReason::Probe,
-        subscribe: Mailbox::probe_or_subscribe,
-        token: None,
+        check_or_arm: Mailbox::probe_or_wait,
     }
 }
 
-/// The future of [`park_until_deposit`]: one suspension with the task's
-/// waker in its mailbox's owner-wait slot.
+/// The future of [`park_until_deposit`]: one suspension with the mailbox's
+/// wait slot armed for any deposit.
 struct DepositFut<'a> {
     mb: &'a Mailbox,
     armed: bool,
@@ -457,10 +359,9 @@ impl Future for DepositFut<'_> {
             return Poll::Ready(());
         };
         if !self.armed {
-            slot.core.status.store(ST_BLOCKING, Ordering::Release);
-            self.mb.arm_owner_wait(&slot.waker);
+            self.mb.wait_any();
             self.armed = true;
-            slot.intent.store(INTENT_BLOCK, Ordering::Release);
+            slot.status.store(ST_BLOCKED, Ordering::Release);
             if !suspend_in_place(slot) {
                 return Poll::Pending;
             }
@@ -468,8 +369,8 @@ impl Future for DepositFut<'_> {
         // Stepped again. A deposit emptied the slot when it woke us; the
         // poison path wakes without one, and the caller's next sweep
         // turns the poison into its `MpiError::Timeout`.
-        if slot.core.poisoned.load(Ordering::Acquire) {
-            self.mb.cancel_owner_wait();
+        if slot.poisoned.load(Ordering::Acquire) {
+            self.mb.clear_wait();
         }
         Poll::Ready(())
     }
@@ -478,15 +379,14 @@ impl Future for DepositFut<'_> {
 /// Park the current task until `mb`, its own mailbox, receives any
 /// deposit: the wait of a polling loop whose sweep of non-blocking
 /// receives all missed. Nothing is deposited between that sweep and the
-/// arming (tasks run only between commits), so no wake-up is lost; a
-/// deposit between the arming and the suspension would find
-/// `ST_BLOCKING` and requeue the task (see the module docs). Off a
-/// scheduler task it yields the OS thread, as [`yield_now_async`] does.
+/// suspension (tasks run only between commits), so no wake-up is lost.
+/// Off a scheduler task it yields the OS thread, as [`yield_now_async`]
+/// does.
 pub(crate) fn park_until_deposit(mb: &Mailbox) -> impl Future<Output = ()> + '_ {
     DepositFut { mb, armed: false }
 }
 
-/// The future of [`yield_now_async`]: one suspension, no subscription, so
+/// The future of [`yield_now_async`]: one suspension, nothing armed, so
 /// the task runs again next epoch whatever the commit delivers.
 struct YieldFut {
     fired: bool,
@@ -503,7 +403,7 @@ impl Future for YieldFut {
             std::thread::yield_now();
             return Poll::Ready(());
         };
-        slot.intent.store(INTENT_YIELD, Ordering::Release);
+        slot.status.store(ST_READY, Ordering::Release);
         if suspend_in_place(slot) {
             Poll::Ready(())
         } else {

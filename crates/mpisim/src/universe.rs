@@ -31,8 +31,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::comm::Comm;
 use crate::faults::{FaultPlan, FaultState};
@@ -81,8 +79,7 @@ pub struct SimConfig {
     /// Wall-clock deadlock-detection timeout for blocking operations
     /// (thread backend; the cooperative backend detects deadlock exactly).
     pub recv_timeout: Duration,
-    /// Base seed for per-rank deterministic RNG streams and the cooperative
-    /// scheduler's initial run order.
+    /// Base seed for per-rank deterministic RNG streams.
     pub seed: u64,
     /// OS thread stack size per rank under [`Backend::Threads`].
     pub stack_size: usize,
@@ -494,8 +491,7 @@ impl Universe {
             let body: Box<dyn RankBody> = unsafe { std::mem::transmute(body) };
             scheduler.spawn(rank, body);
         }
-        let order = seeded_order(states.len(), cfg.seed);
-        if let Some((_rank, payload)) = scheduler.run(cfg.coop_workers, &order) {
+        if let Some((_rank, payload)) = scheduler.run(cfg.coop_workers) {
             std::panic::resume_unwind(payload);
         }
         (scheduler.counters(), scheduler.take_profile())
@@ -531,24 +527,6 @@ pub(crate) fn build_fabric(p: usize, cfg: &SimConfig) -> (Arc<Router>, Vec<Arc<P
         .map(|r| ProcState::new(r, Arc::clone(&router), cfg.seed))
         .collect();
     (router, states)
-}
-
-/// The deterministic seeded initial run order of a cooperative run: a
-/// Fisher–Yates shuffle of `0..p` driven by a hash of the config seed.
-/// Shared verbatim by [`Universe::run`] and fleet admission
-/// ([`crate::sched::fleet::Fleet::submit`]) so a universe starts from the
-/// same epoch-1 order whichever path launched it.
-pub(crate) fn seeded_order(p: usize, seed: u64) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..p).collect();
-    let mut rng = StdRng::seed_from_u64(
-        seed.wrapping_mul(0xD1B5_4A32_D192_ED03)
-            .wrapping_add(0x9E6D),
-    );
-    for i in (1..p).rev() {
-        let j = rng.gen_range(0..i + 1);
-        order.swap(i, j);
-    }
-    order
 }
 
 /// Assemble a [`SimResult`] from a completed run's raw state. Shared by

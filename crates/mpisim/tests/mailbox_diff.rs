@@ -2,17 +2,17 @@
 //! sequences run against [`Mailbox`] and against a reference that keeps a
 //! flat `Vec` of messages in deposit order and applies the matching rules
 //! of the `mpisim::mailbox` module docs by literal scan. Every step must
-//! return the same message, fire the same subscriptions in the same order,
-//! and leave the same `len` and `scans`.
+//! return the same message, give the same verdict on the armed wait, and
+//! leave the same `len` and `scans`.
 //!
 //! Plus one deep-bucket case whose run time would explode if any path
 //! became linear in the number of pending messages.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use mpisim::mailbox::{Mailbox, Subscribed, WaitToken, Wake};
+use mpisim::mailbox::Mailbox;
 use mpisim::msg::{ContextId, MatchPattern, Message, MsgInfo, SrcFilter};
 use mpisim::Time;
 use proptest::prelude::*;
@@ -151,30 +151,27 @@ impl RefMsg {
     }
 }
 
-/// The naive mailbox: messages in deposit order, subscriptions in
-/// subscription order, every rule applied by scanning.
+/// The naive mailbox: messages in deposit order, every rule applied by
+/// scanning, and the wait slot (`Some(None)`: armed for any deposit).
 #[derive(Default)]
 struct RefBox {
     msgs: Vec<RefMsg>,
-    waiters: Vec<(u64, RefPat)>,
+    wait: Option<Option<RefPat>>,
     scans: u64,
 }
 
 impl RefBox {
-    /// Deposit `m` as message `idx` of its batch; returns the fired
-    /// subscriptions as `(idx, waiter id)` in subscription order.
-    fn deposit(&mut self, idx: usize, m: RefMsg) -> Vec<(usize, u64)> {
-        self.scans += self.waiters.len() as u64;
-        let mut fired = Vec::new();
-        self.waiters.retain(|&(id, pat)| {
-            let hit = pat.matches(&m);
-            if hit {
-                fired.push((idx, id));
-            }
-            !hit
-        });
+    /// Deposit `m`; true if it satisfied the armed wait (and cleared it).
+    fn deposit(&mut self, m: RefMsg) -> bool {
+        self.scans += u64::from(matches!(self.wait, Some(Some(_))));
+        let satisfied = self
+            .wait
+            .is_some_and(|w| w.is_none_or(|pat| pat.matches(&m)));
+        if satisfied {
+            self.wait = None;
+        }
         self.msgs.push(m);
-        fired
+        satisfied
     }
 
     /// Index into `msgs` of the message a receive with `pat` takes: per
@@ -208,18 +205,6 @@ impl RefBox {
     }
 }
 
-/// Waker that records its subscription id in a shared log when fired.
-struct LogWake {
-    id: u64,
-    log: Arc<Mutex<Vec<u64>>>,
-}
-
-impl Wake for LogWake {
-    fn wake(&self) {
-        self.log.lock().unwrap().push(self.id);
-    }
-}
-
 fn assert_same_message(got: Option<Message>, want: Option<RefMsg>) {
     match (got, want) {
         (None, None) => {}
@@ -236,24 +221,17 @@ fn run_case(seed: u64, steps: usize) {
     let mut rng = Rng(seed | 1);
     let mb = Mailbox::new();
     let mut rf = RefBox::default();
-    let log = Arc::new(Mutex::new(Vec::new()));
-    // Live and already-fired subscriptions: (token, waiter id).
-    let mut tokens: Vec<(WaitToken, u64)> = Vec::new();
     let mut next_msg = 0u64;
-    let mut next_waiter = 0u64;
+    let mut arms = 0u64;
     let mut fresh_msg = |rng: &mut Rng| {
         next_msg += 1;
         RefMsg::draw(rng, next_msg)
     };
-    let fired_ids = |log: &Arc<Mutex<Vec<u64>>>| std::mem::take(&mut *log.lock().unwrap());
-
     for _ in 0..steps {
         match rng.below(10) {
             0..=2 => {
                 let m = fresh_msg(&mut rng);
-                mb.push(m.real());
-                let want: Vec<u64> = rf.deposit(0, m).into_iter().map(|(_, id)| id).collect();
-                assert_eq!(fired_ids(&log), want, "push fires inline, in order");
+                assert_eq!(mb.push(m.real()), rf.deposit(m));
             }
             3 => {
                 let batch: Vec<RefMsg> = (0..rng.below(6)).map(|_| fresh_msg(&mut rng)).collect();
@@ -261,20 +239,10 @@ fn run_case(seed: u64, steps: usize) {
                 let mut fired = Vec::new();
                 mb.push_batch(&mut real, &mut fired);
                 assert!(real.is_empty());
-                assert!(fired_ids(&log).is_empty(), "push_batch defers wakes");
-                let got: Vec<(usize, u64)> = fired
-                    .into_iter()
-                    .map(|(idx, w)| {
-                        w.wake();
-                        (idx, fired_ids(&log)[0])
-                    })
+                let want: Vec<usize> = (0..batch.len())
+                    .filter(|&idx| rf.deposit(batch[idx]))
                     .collect();
-                let want: Vec<(usize, u64)> = batch
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(idx, m)| rf.deposit(idx, *m))
-                    .collect();
-                assert_eq!(got, want);
+                assert_eq!(fired, want);
             }
             4 | 5 => {
                 let pat = RefPat::draw(&mut rng);
@@ -285,49 +253,27 @@ fn run_case(seed: u64, steps: usize) {
                 assert_eq!(mb.probe(&pat.real()), rf.probe(pat).map(|m| m.info()));
             }
             7 | 8 => {
+                // Arm (or re-arm) a pattern, alternating the two flavours;
+                // they differ only in whether a hit removes the message.
                 let pat = RefPat::draw(&mut rng);
-                next_waiter += 1;
-                let waker: Arc<dyn Wake> = Arc::new(LogWake {
-                    id: next_waiter,
-                    log: Arc::clone(&log),
-                });
-                // Alternate the two subscribing flavours; they differ only
-                // in whether a hit removes the message.
+                arms += 1;
                 let want = rf.probe(pat);
-                let token = if next_waiter.is_multiple_of(2) {
-                    match mb.claim_or_subscribe(&pat.real(), &waker) {
-                        Subscribed::Hit(m) => {
-                            assert_same_message(Some(m), rf.claim(pat));
-                            None
-                        }
-                        Subscribed::Waiting(t) => Some(t),
-                    }
+                if arms.is_multiple_of(2) {
+                    assert_same_message(mb.claim_or_wait(&pat.real()), rf.claim(pat));
                 } else {
-                    match mb.probe_or_subscribe(&pat.real(), &waker) {
-                        Subscribed::Hit(info) => {
-                            assert_eq!(Some(info), want.map(|m| m.info()));
-                            None
-                        }
-                        Subscribed::Waiting(t) => Some(t),
-                    }
-                };
-                assert_eq!(
-                    token.is_none(),
-                    want.is_some(),
-                    "hit iff the reference has a match"
-                );
-                if let Some(t) = token {
-                    tokens.push((t, next_waiter));
-                    rf.waiters.push((next_waiter, pat));
+                    assert_eq!(mb.probe_or_wait(&pat.real()), want.map(|m| m.info()));
                 }
+                // A miss arms the slot over whatever it held, a hit clears it.
+                rf.wait = want.is_none().then_some(Some(pat));
             }
             _ => {
-                // Cancel a random subscription, fired or not (idempotent).
-                if !tokens.is_empty() {
-                    let i = rng.below(tokens.len() as u64) as usize;
-                    let (token, id) = tokens.swap_remove(i);
-                    mb.unsubscribe(token);
-                    rf.waiters.retain(|&(w, _)| w != id);
+                // Arm for any deposit, or clear (idempotent).
+                if rng.below(2) == 0 {
+                    mb.wait_any();
+                    rf.wait = Some(None);
+                } else {
+                    mb.clear_wait();
+                    rf.wait = None;
                 }
             }
         }

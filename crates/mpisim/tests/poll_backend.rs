@@ -238,6 +238,49 @@ fn sync_waits_inside_poll_bodies_panic_naming_the_async_api() {
     }
 }
 
+// The receive of a synchronous call arms the rank's wait slot before the
+// call panics out of it, so the slot stays armed on a finished task. The
+// peers' messages then satisfy it at the commit: that rank must not be
+// put into a round again. Its panic is re-thrown, the peers finish.
+#[test]
+fn a_wait_left_armed_by_a_panicking_leaf_wakes_nobody() {
+    use mpisim::CommitAlgo;
+    for (workers, algo) in [
+        (1, CommitAlgo::Sharded),
+        (4, CommitAlgo::Sharded),
+        (1, CommitAlgo::Serial),
+        (4, CommitAlgo::Serial),
+    ] {
+        let cfg = SimConfig::cooperative()
+            .with_backend(Backend::Poll)
+            .with_workers(workers)
+            .with_commit_algo(algo)
+            // Two shards for the six messages of epoch 1: rank 0's
+            // segment and the peers' ring.
+            .with_commit_shards(2);
+        let err = std::panic::catch_unwind(|| {
+            Universe::run_poll(4, cfg, |env| async move {
+                let w = env.world;
+                if w.rank() == 0 {
+                    w.recv::<u64>(Src::Rank(1), 9).map(drop).unwrap();
+                    return;
+                }
+                // Into the panicked rank's mailbox, then once around the
+                // ring of the other three so the run outlives the commit.
+                w.send(&[w.rank() as u64], 0, 9).unwrap();
+                w.send(&[0u64], w.rank() % 3 + 1, 10).unwrap();
+                let prev = (w.rank() + 1) % 3 + 1;
+                mpisim::recv_async::<u64, _>(&w, Src::Rank(prev), 10)
+                    .await
+                    .unwrap();
+            })
+        })
+        .expect_err("rank 0's panic is re-thrown");
+        let msg = panic_message(err);
+        assert!(msg.contains("_async API"), "{workers} {algo:?}: {msg}");
+    }
+}
+
 // Both kinds of body park through one protocol and are poisoned by one
 // detector, so a deadlocked wait must report the same `MpiError::Timeout`
 // (rank, what it waited for, virtual time, blame) under either backend.
