@@ -44,7 +44,7 @@ const WAVE_TIMEOUT: Duration = Duration::from_secs(60);
 /// rank stays live (see [`StallDeadline`]).
 fn wave_stall(state: &Arc<ProcState>) -> StallDeadline {
     let t = state.router.recv_timeout.min(WAVE_TIMEOUT / 2);
-    StallDeadline::new(Some(&state.router), t * 2)
+    StallDeadline::new(t * 2)
 }
 
 /// User tags for the driver's blocking agreements.

@@ -142,12 +142,22 @@ impl<T: SortKey + mpisim::Datum, C: Transport> LevelSm<T, C> {
     /// Drive the machine; `Ok(true)` when the outcome is available.
     pub fn poll(&mut self) -> Result<bool> {
         loop {
+            // The step in flight is polled where it sits; the state (some
+            // 150 bytes) moves only on a transition.
+            let step_done = match &mut self.state {
+                LState::Gather(g) => g.poll()?,
+                LState::PivotBcast(bc) => bc.poll()?,
+                LState::Scan { scan, .. } => scan.poll()?,
+                LState::Total { bc, .. } => bc.poll()?,
+                LState::Exchange { x, .. } => x.poll()?,
+                LState::Done(_) => return Ok(true),
+                LState::Poisoned => unreachable!("poll reentered poisoned state"),
+            };
+            if !step_done {
+                return Ok(false);
+            }
             match std::mem::replace(&mut self.state, LState::Poisoned) {
-                LState::Gather(mut g) => {
-                    if !g.poll()? {
-                        self.state = LState::Gather(g);
-                        return Ok(false);
-                    }
+                LState::Gather(g) => {
                     // Root computes the sample median and broadcasts it.
                     let payload = g.result().map(|per_rank| {
                         let all: Vec<T> = per_rank.into_iter().flatten().collect();
@@ -158,11 +168,7 @@ impl<T: SortKey + mpisim::Datum, C: Transport> LevelSm<T, C> {
                     let bc = nbcoll::ibcast(&coll, payload, 0, ltags::PIVOT)?;
                     self.state = LState::PivotBcast(bc);
                 }
-                LState::PivotBcast(mut bc) => {
-                    if !bc.poll()? {
-                        self.state = LState::PivotBcast(bc);
-                        return Ok(false);
-                    }
+                LState::PivotBcast(bc) => {
                     let pivot = bc.into_data().expect("bcast complete")[0];
                     // Step 2: local partition (O(n/p) charged).
                     let strict = Strictness::for_level(self.level);
@@ -175,15 +181,7 @@ impl<T: SortKey + mpisim::Datum, C: Transport> LevelSm<T, C> {
                         nbcoll::iscan(&coll, &[small.len() as u64], ltags::SCAN, add as SumFn)?;
                     self.state = LState::Scan { small, large, scan };
                 }
-                LState::Scan {
-                    small,
-                    large,
-                    mut scan,
-                } => {
-                    if !scan.poll()? {
-                        self.state = LState::Scan { small, large, scan };
-                        return Ok(false);
-                    }
+                LState::Scan { small, large, scan } => {
                     let incl = scan.inclusive().expect("scan complete")[0];
                     let s_excl = incl - small.len() as u64;
                     // The last process broadcasts the total small count.
@@ -202,17 +200,8 @@ impl<T: SortKey + mpisim::Datum, C: Transport> LevelSm<T, C> {
                     small,
                     large,
                     s_excl,
-                    mut bc,
+                    bc,
                 } => {
-                    if !bc.poll()? {
-                        self.state = LState::Total {
-                            small,
-                            large,
-                            s_excl,
-                            bc,
-                        };
-                        return Ok(false);
-                    }
                     let s_total = bc.into_data().expect("bcast complete")[0];
                     if s_total == 0 || s_total == self.task.len() {
                         // Degenerate split: keep the data, let the driver
@@ -238,10 +227,6 @@ impl<T: SortKey + mpisim::Datum, C: Transport> LevelSm<T, C> {
                     self.state = LState::Exchange { s_total, x };
                 }
                 LState::Exchange { s_total, mut x } => {
-                    if !x.poll()? {
-                        self.state = LState::Exchange { s_total, x };
-                        return Ok(false);
-                    }
                     let Exchanged { small, large } = x.take().expect("exchange complete");
                     self.state = LState::Done(Some(LevelOutcome::Split {
                         s_total,
@@ -250,11 +235,7 @@ impl<T: SortKey + mpisim::Datum, C: Transport> LevelSm<T, C> {
                     }));
                     return Ok(true);
                 }
-                LState::Done(out) => {
-                    self.state = LState::Done(out);
-                    return Ok(true);
-                }
-                LState::Poisoned => unreachable!("poll reentered poisoned state"),
+                LState::Done(_) | LState::Poisoned => unreachable!("matched above"),
             }
         }
     }

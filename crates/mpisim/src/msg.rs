@@ -3,10 +3,19 @@
 //! A message carries its sender's *global* rank, a tag, and the context ID
 //! of the communicator it was sent over — exactly the header fields MPI uses
 //! for matching (§III of the paper). Payloads are typed `Vec<T>` stored as
-//! raw parts plus a `TypeId` (no serialization, and no per-message `Box`
-//! allocation); an exclusively-owned payload that is dropped untaken
-//! returns its allocation to the payload pool ([`crate::pool`]), which is
-//! what lets steady-state epochs run allocation-free.
+//! raw parts plus a reference to the element type's `&'static`
+//! `ElemType` table: type id, name, width and the recycling routine,
+//! one table per `T` however many messages carry it (no serialization,
+//! and no per-message `Box` allocation). Element count, byte size and
+//! type name are read through that table ([`Message::count`],
+//! [`Message::bytes`], [`Message::type_name`]) instead of being stored, so
+//! a message is 88 bytes: the simulator moves one by value at every hop
+//! of a send (stage, commit, mailbox slab, claim), and below roughly a
+//! hundred bytes such a move is a few inline vector stores where the
+//! former 136-byte header was a `memcpy` call each time. An
+//! exclusively-owned payload that is dropped untaken returns its
+//! allocation to the payload pool ([`crate::pool`]), which is what lets
+//! steady-state epochs run allocation-free.
 //!
 //! # Zero-copy fan-out
 //!
@@ -26,6 +35,7 @@
 use std::any::{Any, TypeId};
 use std::fmt;
 use std::mem::ManuallyDrop;
+use std::ptr::NonNull;
 use std::sync::Arc;
 
 use crate::datum::Datum;
@@ -174,17 +184,57 @@ pub struct Message {
     pub tag: Tag,
     /// Context ID of the communicator it was sent over.
     pub ctx: ContextId,
-    /// Number of payload elements.
-    pub count: usize,
-    /// Payload size in bytes.
-    pub bytes: usize,
-    /// `type_name` of the payload element type, for mismatch diagnostics.
-    pub type_name: &'static str,
     /// Sender's virtual clock when the send was issued.
     pub send_time: Time,
     /// `send_time + α + bytes·β` under the sender's cost model.
     pub arrival: Time,
     payload: Payload,
+}
+
+/// What a message knows about its payload's element type once the static
+/// `T` is erased: one `&'static` table per `T` (a promoted constant, see
+/// [`ElemType::of`]), referenced by every payload of that type.
+struct ElemType {
+    id: TypeId,
+    /// `type_name::<T>`, for mismatch diagnostics (not yet a `const fn`,
+    /// hence a pointer).
+    name: fn() -> &'static str,
+    /// `T::width`.
+    width: fn() -> usize,
+    /// Returns an owned payload's buffer to [`crate::pool`] as the empty
+    /// `Vec<T>` it came from.
+    recycle: unsafe fn(NonNull<u8>, usize),
+}
+
+struct ElemTypeOf<T>(std::marker::PhantomData<T>);
+
+impl<T: Datum> ElemTypeOf<T> {
+    const TABLE: ElemType = ElemType {
+        id: TypeId::of::<T>(),
+        name: std::any::type_name::<T>,
+        width: T::width,
+        recycle: recycle_as::<T>,
+    };
+}
+
+impl ElemType {
+    fn of<T: Datum>() -> &'static ElemType {
+        &ElemTypeOf::<T>::TABLE
+    }
+
+    /// The error of taking a payload of this type as a `Vec<T>`.
+    fn mismatch<T: Datum>(&self) -> MpiError {
+        MpiError::TypeMismatch {
+            expected: std::any::type_name::<T>(),
+            got: (self.name)(),
+        }
+    }
+}
+
+/// Returns a payload buffer to the pool as the empty `Vec<T>` it came
+/// from (elements are `Copy`, so no destructors are skipped).
+unsafe fn recycle_as<T: Datum>(ptr: NonNull<u8>, cap: usize) {
+    crate::pool::recycle_vec(unsafe { Vec::from_raw_parts(ptr.as_ptr().cast::<T>(), 0, cap) });
 }
 
 /// Payload storage: exclusively owned (ordinary point-to-point) or shared
@@ -194,7 +244,25 @@ enum Payload {
     Owned(OwnedVec),
     /// A `Vec<T>` behind an `Arc`, shared with the sibling messages of a
     /// one-to-many send (and possibly with the sender itself).
-    Shared(Arc<dyn Any + Send + Sync>),
+    Shared(Arc<dyn SharedVec>),
+}
+
+/// An `Arc<Vec<T>>` with `T` erased: it reports its length and element
+/// table from behind the `Arc`, and upcasts to `dyn Any` for the typed
+/// downcast of a take.
+trait SharedVec: Any + Send + Sync {
+    fn len(&self) -> usize;
+    fn elem(&self) -> &'static ElemType;
+}
+
+impl<T: Datum> SharedVec for Vec<T> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn elem(&self) -> &'static ElemType {
+        ElemType::of::<T>()
+    }
 }
 
 /// The raw parts of an exclusively-owned `Vec<T>` payload. Compared with
@@ -204,35 +272,27 @@ enum Payload {
 /// and later dropped (or type-mismatched) feeds the next send.
 ///
 /// Safety invariant: `(ptr, len, cap)` are the raw parts of a live
-/// `Vec<T>` with `TypeId::of::<T>() == tid`, exclusively owned by this
-/// value, and `recycle` is monomorphized for that same `T`.
+/// `Vec<T>` exclusively owned by this value, and `elem` is the table of
+/// that same `T`.
 struct OwnedVec {
-    ptr: *mut u8,
+    ptr: NonNull<u8>,
     len: usize,
     cap: usize,
-    tid: TypeId,
-    recycle: unsafe fn(*mut u8, usize),
+    elem: &'static ElemType,
 }
 
 // SAFETY: the buffer is exclusively owned (moved out of a unique `Vec`)
 // and `T: Datum` implies `T: Send`.
 unsafe impl Send for OwnedVec {}
 
-/// Returns a payload buffer to the pool as the empty `Vec<T>` it came
-/// from (elements are `Copy`, so no destructors are skipped).
-unsafe fn recycle_as<T: Datum>(ptr: *mut u8, cap: usize) {
-    crate::pool::recycle_vec(unsafe { Vec::from_raw_parts(ptr.cast::<T>(), 0, cap) });
-}
-
 impl OwnedVec {
     fn new<T: Datum>(data: Vec<T>) -> OwnedVec {
         let mut data = ManuallyDrop::new(data);
         OwnedVec {
-            ptr: data.as_mut_ptr().cast::<u8>(),
+            ptr: NonNull::new(data.as_mut_ptr().cast::<u8>()).expect("a Vec's pointer is non-null"),
             len: data.len(),
             cap: data.capacity(),
-            tid: TypeId::of::<T>(),
-            recycle: recycle_as::<T>,
+            elem: ElemType::of::<T>(),
         }
     }
 
@@ -240,25 +300,26 @@ impl OwnedVec {
     /// mismatch (in which case dropping `self` recycles the buffer under
     /// its true type).
     fn take<T: Datum>(self) -> Option<Vec<T>> {
-        if self.tid != TypeId::of::<T>() {
+        if self.elem.id != TypeId::of::<T>() {
             return None;
         }
         let this = ManuallyDrop::new(self);
         // SAFETY: the type just matched, so these are the raw parts of a
         // Vec<T>; ManuallyDrop forgoes the recycling drop.
-        Some(unsafe { Vec::from_raw_parts(this.ptr.cast::<T>(), this.len, this.cap) })
+        Some(unsafe { Vec::from_raw_parts(this.ptr.as_ptr().cast::<T>(), this.len, this.cap) })
     }
 }
 
 impl Drop for OwnedVec {
     fn drop(&mut self) {
-        // SAFETY: struct invariant — `recycle` matches the buffer's type.
-        unsafe { (self.recycle)(self.ptr, self.cap) }
+        // SAFETY: struct invariant — `elem` is the table of the buffer's
+        // element type, so its `recycle` is monomorphized for it.
+        unsafe { (self.elem.recycle)(self.ptr, self.cap) }
     }
 }
 
 impl Message {
-    /// Package `data` into a message with precomputed size and arrival time.
+    /// Package `data` into a message with precomputed arrival time.
     pub fn new<T: Datum>(
         src_global: usize,
         tag: Tag,
@@ -271,9 +332,6 @@ impl Message {
             src_global,
             tag,
             ctx,
-            count: data.len(),
-            bytes: data.len() * T::width(),
-            type_name: std::any::type_name::<T>(),
             send_time,
             arrival,
             payload: Payload::Owned(OwnedVec::new(data)),
@@ -295,46 +353,59 @@ impl Message {
             src_global,
             tag,
             ctx,
-            count: data.len(),
-            bytes: data.len() * T::width(),
-            type_name: std::any::type_name::<T>(),
             send_time,
             arrival,
             payload: Payload::Shared(data),
         }
     }
 
-    /// The status header of this message.
-    pub fn info(&self) -> MsgInfo {
-        MsgInfo {
+    /// The status header and the payload's element table, whichever way
+    /// the payload is stored.
+    fn header(&self) -> (MsgInfo, &'static ElemType) {
+        let (count, elem) = match &self.payload {
+            Payload::Owned(v) => (v.len, v.elem),
+            Payload::Shared(a) => (a.len(), a.elem()),
+        };
+        let info = MsgInfo {
             src_global: self.src_global,
             tag: self.tag,
-            count: self.count,
-            bytes: self.bytes,
+            count,
+            bytes: count * (elem.width)(),
             arrival: self.arrival,
-        }
+        };
+        (info, elem)
+    }
+
+    /// The status header of this message.
+    pub fn info(&self) -> MsgInfo {
+        self.header().0
+    }
+
+    /// Number of payload elements.
+    pub fn count(&self) -> usize {
+        self.info().count
+    }
+
+    /// Payload size in bytes (elements × element width).
+    pub fn bytes(&self) -> usize {
+        self.info().bytes
+    }
+
+    /// `type_name` of the payload element type, for mismatch diagnostics.
+    pub fn type_name(&self) -> &'static str {
+        (self.header().1.name)()
     }
 
     /// Consume the message, extracting its typed payload. A shared payload
     /// is unwrapped without copying when this message holds the last
     /// reference, and cloned otherwise (at most one copy per receiver).
     pub fn take<T: Datum>(self) -> Result<(Vec<T>, MsgInfo)> {
-        let info = self.info();
-        let type_name = self.type_name;
-        let mismatch = || MpiError::TypeMismatch {
-            expected: std::any::type_name::<T>(),
-            got: type_name,
+        let (info, elem) = self.header();
+        let data = match self.payload {
+            Payload::Owned(b) => b.take::<T>(),
+            Payload::Shared(a) => downcast::<T>(a).map(Arc::unwrap_or_clone),
         };
-        match self.payload {
-            Payload::Owned(b) => match b.take::<T>() {
-                Some(v) => Ok((v, info)),
-                None => Err(mismatch()),
-            },
-            Payload::Shared(a) => match a.downcast::<Vec<T>>() {
-                Ok(v) => Ok((Arc::unwrap_or_clone(v), info)),
-                Err(_) => Err(mismatch()),
-            },
-        }
+        data.map(|v| (v, info)).ok_or_else(|| elem.mismatch::<T>())
     }
 
     /// Consume the message, extracting its payload behind an `Arc` without
@@ -342,23 +413,20 @@ impl Message {
     /// forward the buffer. An owned payload is wrapped in a fresh `Arc`
     /// (moves the `Vec`, no element copy).
     pub fn take_shared<T: Datum>(self) -> Result<(Arc<Vec<T>>, MsgInfo)> {
-        let info = self.info();
-        let type_name = self.type_name;
-        let mismatch = || MpiError::TypeMismatch {
-            expected: std::any::type_name::<T>(),
-            got: type_name,
+        let (info, elem) = self.header();
+        let data = match self.payload {
+            Payload::Owned(b) => b.take::<T>().map(Arc::new),
+            Payload::Shared(a) => downcast::<T>(a),
         };
-        match self.payload {
-            Payload::Owned(b) => match b.take::<T>() {
-                Some(v) => Ok((Arc::new(v), info)),
-                None => Err(mismatch()),
-            },
-            Payload::Shared(a) => match a.downcast::<Vec<T>>() {
-                Ok(v) => Ok((v, info)),
-                Err(_) => Err(mismatch()),
-            },
-        }
+        data.map(|v| (v, info)).ok_or_else(|| elem.mismatch::<T>())
     }
+}
+
+/// The typed `Arc` behind a shared payload, `None` on an element-type
+/// mismatch.
+fn downcast<T: Datum>(shared: Arc<dyn SharedVec>) -> Option<Arc<Vec<T>>> {
+    let any: Arc<dyn Any + Send + Sync> = shared;
+    any.downcast().ok()
 }
 
 impl fmt::Debug for Message {
@@ -366,7 +434,11 @@ impl fmt::Debug for Message {
         write!(
             f,
             "Message{{src={}, tag={}, {}, count={}, arrival={}}}",
-            self.src_global, self.tag, self.ctx, self.count, self.arrival
+            self.src_global,
+            self.tag,
+            self.ctx,
+            self.count(),
+            self.arrival
         )
     }
 }
@@ -396,7 +468,7 @@ mod tests {
             Message::new_shared::<u64>(0, 1, ContextId::WORLD, Arc::clone(&buf), Time(0), Time(5));
         let b =
             Message::new_shared::<u64>(0, 1, ContextId::WORLD, Arc::clone(&buf), Time(0), Time(5));
-        assert_eq!(a.bytes, 24);
+        assert_eq!(a.bytes(), 24);
         // Reader path: no copy, still shared.
         let (shared, info) = a.take_shared::<u64>().unwrap();
         assert_eq!(*shared, vec![1, 2, 3]);
@@ -546,6 +618,46 @@ mod tests {
             std::mem::size_of::<SrcFilter>(),
             3 * std::mem::size_of::<usize>()
         );
+    }
+
+    #[test]
+    fn a_message_moves_inline_and_its_option_is_free() {
+        // Every hop of a send moves a `Message` by value, and the staging
+        // vectors and mailbox slab hold `Option<Message>`: past ~100 bytes
+        // each move is a `memcpy` call (see the module docs).
+        assert!(std::mem::size_of::<Message>() <= 96);
+        assert_eq!(
+            std::mem::size_of::<Option<Message>>(),
+            std::mem::size_of::<Message>()
+        );
+    }
+
+    #[test]
+    fn count_bytes_and_type_name_on_owned_and_shared_payloads() {
+        let owned = Message::new::<u32>(0, 0, ContextId::WORLD, vec![7; 5], Time(0), Time(1));
+        let shared = Message::new_shared::<(u64, u64)>(
+            0,
+            0,
+            ContextId::WORLD,
+            Arc::new(vec![(1, 2); 3]),
+            Time(0),
+            Time(1),
+        );
+        assert_eq!((owned.count(), owned.bytes()), (5, 20));
+        assert_eq!(owned.type_name(), "u32");
+        assert_eq!((shared.count(), shared.bytes()), (3, 48));
+        assert_eq!(shared.type_name(), "(u64, u64)");
+        assert_eq!((shared.info().count, shared.info().bytes), (3, 48));
+        // The diagnostic names both types, whichever way the payload is
+        // stored and whichever take was asked for.
+        for (m, got) in [(owned, "u32"), (shared, "(u64, u64)")] {
+            match m.take_shared::<f64>().unwrap_err() {
+                MpiError::TypeMismatch { expected, got: g } => {
+                    assert_eq!((expected, g), ("f64", got));
+                }
+                other => panic!("expected TypeMismatch, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::datum::Datum;
 use crate::error::{MpiError, Result};
 use crate::msg::Tag;
 use crate::obs::{self, OpClass};
-use crate::proc::{ProcState, StallDeadline};
+use crate::proc::{ProcState, Router, StallDeadline};
 use crate::sched::poll::block_inline;
 use crate::transport::{RecvReq, Src, Transport};
 
@@ -32,8 +32,12 @@ pub const WAIT_TIMEOUT: Duration = Duration::from_secs(30);
 /// re-armed on global progress so huge-but-live universes never trip it
 /// (see [`StallDeadline`]).
 fn stall_guard(state: Option<&Arc<ProcState>>) -> StallDeadline {
-    let timeout = state.map_or(WAIT_TIMEOUT, |s| s.router.recv_timeout);
-    StallDeadline::new(state.map(|s| &s.router), timeout)
+    StallDeadline::new(state.map_or(WAIT_TIMEOUT, |s| s.router.recv_timeout))
+}
+
+/// The router whose progress re-arms a stall deadline of `state`'s rank.
+fn router_of(state: Option<&Arc<ProcState>>) -> Option<&Router> {
+    state.map(|s| &*s.router)
 }
 
 /// Anything that can be driven to completion by repeated polling.
@@ -154,7 +158,7 @@ pub async fn wait_async(p: &mut dyn Progress) -> Result<()> {
         if p.poll()? {
             return Ok(());
         }
-        if stall.stalled() {
+        if stall.stalled(router_of(p.proc_state())) {
             return Err(wait_timeout_err(
                 p.proc_state(),
                 "nonblocking operation (wait)",
@@ -177,7 +181,7 @@ pub async fn sweep_until_done(
     mut sweep: impl FnMut() -> Result<bool>,
 ) -> Result<()> {
     while !sweep()? {
-        if stall.stalled() {
+        if stall.stalled(Some(&state.router)) {
             return Err(wait_timeout_err(Some(state), waited_for));
         }
         state.park_until_deposit().await;
@@ -218,7 +222,7 @@ pub async fn waitall_async(reqs: &mut [Request]) -> Result<()> {
         }
         // All requests of one wait belong to the calling rank.
         let state = reqs.iter().find_map(|r| r.0.proc_state());
-        if stall.stalled() {
+        if stall.stalled(router_of(state)) {
             return Err(wait_timeout_err(state, "nonblocking operations (waitall)"));
         }
         idle(state.filter(|_| !foreign)).await;
@@ -552,31 +556,32 @@ where
 
     fn poll(&mut self) -> Result<bool> {
         loop {
+            // The phase in flight is polled where it sits; it moves only
+            // on a transition.
+            let phase_done = match &mut self.phase {
+                IallreducePhase::Reduce { sm, .. } => sm.poll()?,
+                IallreducePhase::Bcast(bc) => bc.poll()?,
+                IallreducePhase::Done(_) => return Ok(true),
+                IallreducePhase::Poisoned => unreachable!("poll reentered poisoned state"),
+            };
+            if !phase_done {
+                return Ok(false);
+            }
             match std::mem::replace(&mut self.phase, IallreducePhase::Poisoned) {
-                IallreducePhase::Reduce { mut sm, tag } => {
-                    if !sm.poll()? {
-                        self.phase = IallreducePhase::Reduce { sm, tag };
-                        return Ok(false);
-                    }
+                IallreducePhase::Reduce { sm, tag } => {
                     let tr = sm.tr.clone();
                     let root_data = sm.is_root.then(|| sm.acc.clone());
                     let bc = ibcast(&tr, root_data, 0, tag + 1)?;
                     self.phase = IallreducePhase::Bcast(bc);
                 }
-                IallreducePhase::Bcast(mut bc) => {
-                    if !bc.poll()? {
-                        self.phase = IallreducePhase::Bcast(bc);
-                        return Ok(false);
-                    }
+                IallreducePhase::Bcast(bc) => {
                     let v = bc.into_data().expect("bcast complete");
                     self.phase = IallreducePhase::Done(v);
                     return Ok(true);
                 }
-                IallreducePhase::Done(v) => {
-                    self.phase = IallreducePhase::Done(v);
-                    return Ok(true);
+                IallreducePhase::Done(_) | IallreducePhase::Poisoned => {
+                    unreachable!("matched above")
                 }
-                IallreducePhase::Poisoned => unreachable!("poll reentered poisoned state"),
             }
         }
     }

@@ -551,9 +551,9 @@ pub struct WorkerProfile {
 pub struct SchedProfile {
     /// One entry per worker, indexed by worker id.
     pub workers: Vec<WorkerProfile>,
-    /// Entry-vector pool reuses across all commits (shard vectors).
+    /// Commit-shard pool reuses across all commits (a shard's vectors).
     pub pool_hits: u64,
-    /// Entry-vector pool allocations across all commits.
+    /// Commit-shard pool misses (fresh shards) across all commits.
     pub pool_misses: u64,
     /// Payload-pool buffer reuses during the run ([`crate::pool`]).
     pub payload_hits: u64,

@@ -248,24 +248,22 @@ impl Router {
 /// loop. Wall clocks never influence a run's output: the stamp is read
 /// solely to decide whether to fail.
 pub struct StallDeadline {
-    router: Option<Arc<Router>>,
     timeout: Duration,
-    deadline: Instant,
-    stamp: u64,
+    /// Deadline and progress stamp of the window being watched: armed by
+    /// the first call that reads the clock, not at construction (a wait
+    /// that completes within a stride of polls, which on a scheduler task
+    /// is nearly every wait, never reads the clock or the stamp).
+    window: Option<(Instant, u64)>,
     /// Calls to `stalled` so far; every `CLOCK_STRIDE`-th reads the clock.
     calls: u32,
 }
 
 impl StallDeadline {
-    /// Arm with `timeout`. Without a router (detached nonblocking
-    /// machines) the detector degrades to a fixed deadline.
-    pub fn new(router: Option<&Arc<Router>>, timeout: Duration) -> StallDeadline {
-        let max_age = Self::probe_age(timeout);
+    /// A detector that fires after `timeout` without global progress.
+    pub fn new(timeout: Duration) -> StallDeadline {
         StallDeadline {
-            router: router.cloned(),
             timeout,
-            deadline: Instant::now() + timeout,
-            stamp: router.map_or(0, |r| r.progress_stamp(max_age)),
+            window: None,
             calls: 0,
         }
     }
@@ -275,24 +273,27 @@ impl StallDeadline {
     /// clock read; the others answer "not stalled".
     const CLOCK_STRIDE: u32 = 64;
 
-    /// True once the deadline has passed with no global progress since the
-    /// last (re-)arming, as observed on one of the calls that read the
-    /// clock (every 64th). The hot path is a counter increment; the stamp
-    /// is consulted only on expiry.
-    pub fn stalled(&mut self) -> bool {
+    /// True once a full timeout window has passed with no progress on
+    /// `router` since the window was (re-)armed, as observed on one of the
+    /// calls that read the clock (every 64th). The hot path is a counter
+    /// increment; the stamp is consulted only on arming and expiry.
+    /// Without a router (detached nonblocking machines) the stamp never
+    /// moves and the detector degrades to a fixed deadline.
+    pub fn stalled(&mut self, router: Option<&Router>) -> bool {
         self.calls = self.calls.wrapping_add(1);
-        if !self.calls.is_multiple_of(Self::CLOCK_STRIDE) || Instant::now() <= self.deadline {
+        if !self.calls.is_multiple_of(Self::CLOCK_STRIDE) {
             return false;
         }
-        if let Some(r) = &self.router {
-            let stamp = r.progress_stamp(Self::probe_age(self.timeout));
-            if stamp != self.stamp {
-                self.stamp = stamp;
-                self.deadline = Instant::now() + self.timeout;
-                return false;
-            }
+        let now = Instant::now();
+        if self.window.is_some_and(|(deadline, _)| now <= deadline) {
+            return false;
         }
-        true
+        let stamp = router.map_or(0, |r| r.progress_stamp(Self::probe_age(self.timeout)));
+        if self.window.is_some_and(|(_, seen)| seen == stamp) {
+            return true;
+        }
+        self.window = Some((now + self.timeout, stamp));
+        false
     }
 
     /// Stamp-cache tolerance: a fraction of the timeout (so short test
@@ -582,8 +583,11 @@ impl ProcState {
     /// virtual-time order — at the next epoch boundary, which is what makes
     /// multi-worker cooperative runs deterministic; on a plain thread it is
     /// deposited into the destination mailbox immediately.
+    #[inline]
     fn dispatch(&self, dest_global: usize, msg: Message) {
-        if let Some(msg) = crate::sched::try_stage_send(dest_global, msg) {
+        if crate::sched::on_task() {
+            crate::sched::stage_send(dest_global, msg);
+        } else {
             self.router.mailboxes[dest_global].push(msg);
         }
     }
@@ -610,7 +614,7 @@ impl ProcState {
         let msg = Message::new(self.global_rank, tag, ctx, data, t0, arrival);
         self.trace_push(|| TraceEvent::Send {
             dest: dest_global,
-            bytes: msg.bytes,
+            bytes: msg.bytes(),
             class: self.cur_class(),
             arrival,
         });
@@ -638,7 +642,7 @@ impl ProcState {
         let msg = Message::new_shared(self.global_rank, tag, ctx, data, t0, arrival);
         self.trace_push(|| TraceEvent::Send {
             dest: dest_global,
-            bytes: msg.bytes,
+            bytes: msg.bytes(),
             class: self.cur_class(),
             arrival,
         });
@@ -662,7 +666,8 @@ impl ProcState {
             mb.claim_blocking(pat, self.router.recv_timeout, self.global_rank, self.now())
         }
         .map_err(|e| self.enrich_timeout(e, Some(pat)))?;
-        Ok(self.account_delivery(m))
+        self.account_delivery(&m);
+        Ok(m)
     }
 
     /// [`ProcState::recv_match_async`] for synchronous rank programs.
@@ -672,14 +677,13 @@ impl ProcState {
 
     /// The post-claim half of every receive: virtual-time rule plus the
     /// `Deliver` trace event.
-    fn account_delivery(&self, m: Message) -> Message {
+    fn account_delivery(&self, m: &Message) {
         self.advance_to(m.arrival);
         self.advance(self.router.cost.recv_overhead);
         self.trace_push(|| TraceEvent::Deliver {
             src: m.src_global,
-            bytes: m.bytes,
+            bytes: m.bytes(),
         });
-        m
     }
 
     /// Nonblocking receive attempt. On a hit, applies the same clock rule
@@ -690,11 +694,15 @@ impl ProcState {
         if self.crashed() {
             return Err(self.crashed_err("try_recv", pat));
         }
-        match self.router.mailboxes[self.global_rank].try_claim(pat) {
-            Some(m) => Ok(Some(self.account_delivery(m))),
-            None if crate::sched::current_poisoned() => Err(self.poisoned_err("try_recv", pat)),
-            None => Ok(None),
+        let hit = self.router.mailboxes[self.global_rank].try_claim(pat);
+        match &hit {
+            Some(m) => self.account_delivery(m),
+            None if crate::sched::current_poisoned() => {
+                return Err(self.poisoned_err("try_recv", pat));
+            }
+            None => {}
         }
+        Ok(hit)
     }
 
     /// Wait until this rank's mailbox receives a deposit: what a polling
@@ -782,24 +790,35 @@ mod tests {
         let router = &procs[0].router;
         // Zero timeout => probe age zero => every check recomputes the
         // stamp, so the test never races the coarse cache.
-        let mut stall = StallDeadline::new(Some(router), Duration::ZERO);
+        let mut stall = StallDeadline::new(Duration::ZERO);
         // One stride of calls contains exactly one that reads the clock.
-        let stride = |s: &mut StallDeadline| (0..StallDeadline::CLOCK_STRIDE).any(|_| s.stalled());
+        let stride = |s: &mut StallDeadline, r: Option<&Router>| {
+            (0..StallDeadline::CLOCK_STRIDE).any(|_| s.stalled(r))
+        };
+        // The first clock-reading call arms the window.
+        assert!(!stride(&mut stall, Some(router)), "arming is not a stall");
         std::thread::sleep(Duration::from_millis(2));
         // Progress since arming (a clock charge) re-arms the deadline.
         procs[1].advance(Time::from_micros(3));
-        assert!(!stride(&mut stall), "clock progress must re-arm");
+        assert!(
+            !stride(&mut stall, Some(router)),
+            "clock progress must re-arm"
+        );
         std::thread::sleep(Duration::from_millis(2));
         // A send is progress too.
         procs[0].send_global::<u64>(1, 7, ContextId::WORLD, vec![1], CostScale::NEUTRAL);
-        assert!(!stride(&mut stall), "send progress must re-arm");
+        assert!(
+            !stride(&mut stall, Some(router)),
+            "send progress must re-arm"
+        );
         // No progress at all: the detector fires.
         std::thread::sleep(Duration::from_millis(2));
-        assert!(stride(&mut stall), "no progress => stalled");
+        assert!(stride(&mut stall, Some(router)), "no progress => stalled");
         // Routerless detectors degrade to a fixed deadline.
-        let mut fixed = StallDeadline::new(None, Duration::ZERO);
+        let mut fixed = StallDeadline::new(Duration::ZERO);
+        assert!(!stride(&mut fixed, None));
         std::thread::sleep(Duration::from_millis(2));
-        assert!(stride(&mut fixed));
+        assert!(stride(&mut fixed, None));
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The epoch commit: order a round's staged messages and deliver them.
 //!
-//! **Invariant:** every mailbox receives its messages in ascending
-//! [`CommitKey`] order and a commit wakes the same *set* of ranks,
-//! whatever the worker count, shard geometry or [`CommitAlgo`]. The key
-//! is `(matchable, sender, seq)`: `matchable` is the running maximum of
-//! arrival times along the sender's program order (per-sender monotone,
-//! so MPI non-overtaking holds), `seq` the sender's per-epoch send
-//! counter. `(sender, seq)` alone is unique, so
-//! there is exactly one sorted order and an unstable in-place sort is
-//! deterministic.
+//! **Invariant:** every mailbox receives its messages in ascending key
+//! order and a commit wakes the same *set* of ranks, whatever the worker
+//! count, shard geometry or [`CommitAlgo`]; and a message moves once on
+//! its way. The key ([`CommitKey::global`]) is `(matchable, sender,
+//! seq)`: `matchable` is the running maximum of arrival times along the
+//! sender's program order (per-sender monotone, so MPI non-overtaking
+//! holds), `seq` the sender's per-epoch send counter. `(sender, seq)`
+//! alone is unique, so there is exactly one sorted order and an unstable
+//! in-place sort is deterministic.
 //!
 //! Two deliveries of that one order exist:
 //!
@@ -22,19 +22,28 @@
 //!   all workers to claim. Pushes into disjoint mailboxes cannot
 //!   interfere.
 //!
+//! Neither delivery sorts messages. What is ordered is a vector of
+//! 32-byte [`CommitKey`]s, one per message: `(dest, matchable, sender,
+//! seq)`, of which `(sender, seq)` is also the message's address,
+//! `slots[sender].staged[seq]`. The committing worker then moves each
+//! message once: from where its sender staged it straight into the
+//! destination mailbox's slab (serial and inline deliveries), or into its
+//! shard's vector, from which the worker that claims the shard moves it
+//! into the slab. (Sorting the messages themselves, as this module used
+//! to, moved each about 4.5 times before the first push.)
+//!
 //! A wake-up is a rank number: a push reports whether it satisfied the
 //! destination mailbox's armed wait, and the destination is appended to
 //! the next round (per shard, then joined by the finishing worker). Their
 //! order is not kept: the epoch layer sorts the round by rank (DESIGN.md
 //! §7).
 //!
-//! Every buffer here (the gather run, shard and wake vectors, batch
-//! scratch) is reused through [`SchedPools`], so a steady-state epoch at
+//! Every buffer here (the key vector, shard message and wake vectors) is
+//! reused, the shards' through [`SchedPools`], so a steady-state epoch at
 //! one worker allocates nothing (DESIGN.md §10).
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use parking_lot::Mutex;
 
@@ -45,31 +54,41 @@ use crate::pool::Pool;
 use crate::proc::Router;
 use crate::time::Time;
 
-/// A staged message annotated with its global commit key.
-pub(super) struct CommitEntry {
+/// Where a staged message goes, when, and where it sits; see the module
+/// docs. The derived order is the destination-major one; the serial
+/// reference orders by [`CommitKey::global`].
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct CommitKey {
+    dest: usize,
     matchable: Time,
     src: usize,
     seq: u32,
-    dest: usize,
-    msg: Message,
 }
 
-/// See the module invariant.
-type CommitKey = (Time, usize, u32);
-
-impl CommitEntry {
-    fn key(&self) -> CommitKey {
+impl CommitKey {
+    /// The module invariant's key.
+    fn global(&self) -> (Time, usize, u32) {
         (self.matchable, self.src, self.seq)
     }
 }
 
-/// A sharded commit in flight: per-shard slices of the destination-major
-/// run, claimed by workers through the epoch cursor like round tasks.
+/// One claimable unit of a sharded commit: a run of whole per-destination
+/// segments of the key order, its messages already moved here.
+#[derive(Default)]
+pub(super) struct Shard {
+    /// The shard's keys are `keys[first..first + msgs.len()]`.
+    first: usize,
+    msgs: Vec<Message>,
+    /// The destinations this shard's pushes woke.
+    woken: Vec<usize>,
+}
+
+/// A sharded commit in flight, its shards claimed by workers through the
+/// epoch cursor like round tasks. The lock of a shard is never contended:
+/// it is held by the one worker that claimed the unit, then by the
+/// finishing worker after the push barrier.
 pub(super) struct CommitWork {
-    /// Shard `i`'s contiguous run of whole per-destination segments.
-    shards: Vec<UnsafeCell<Vec<CommitEntry>>>,
-    /// The destinations shard `i`'s pushes woke.
-    wakes: Vec<UnsafeCell<Vec<usize>>>,
+    shards: Vec<Mutex<Shard>>,
     /// The next round so far (the tasks that yielded), handed through to
     /// the finishing worker.
     next: Mutex<Vec<usize>>,
@@ -77,26 +96,11 @@ pub(super) struct CommitWork {
     pub(super) yielded: usize,
 }
 
-// SAFETY: `shards[i]` / `wakes[i]` are touched only by the one worker that
-// claimed unit `i` through the cursor CAS, and by the finishing worker
-// after the push barrier (the AcqRel count of completed units).
-unsafe impl Send for CommitWork {}
-unsafe impl Sync for CommitWork {}
-
 impl CommitWork {
     /// Claimable units (shards).
     pub(super) fn units(&self) -> usize {
         self.shards.len()
     }
-}
-
-/// Reusable scratch of one `push_segments` call: the per-destination
-/// message batch and the trigger-index buffer handed to
-/// [`crate::mailbox::Mailbox::push_batch`].
-#[derive(Default)]
-struct CommitScratch {
-    batch: Vec<Message>,
-    fired: Vec<usize>,
 }
 
 /// The commit-scratch pool families of a scheduler, split out so a
@@ -106,12 +110,10 @@ struct CommitScratch {
 /// only their *capacity* survives a universe boundary.
 #[derive(Default)]
 pub(crate) struct SchedPools {
-    /// Commit-shard entry vectors.
-    pub(super) entry_pool: Pool<Vec<CommitEntry>>,
-    /// Round / next-round index vectors (used by the epoch layer) and
-    /// the shards' woken-destination vectors.
+    /// Commit shards (their message and wake vectors).
+    pub(super) entry_pool: Pool<Shard>,
+    /// Round / next-round index vectors (used by the epoch layer).
     pub(super) idx_pool: Pool<Vec<usize>>,
-    scratch_pool: Pool<CommitScratch>,
 }
 
 /// Auto-sharding floor: a shard below this many entries amortises neither
@@ -136,8 +138,9 @@ pub(super) struct Commit {
     shard_cap: usize,
     /// Effective worker count of the current run.
     pub(super) workers: AtomicUsize,
-    /// The one vector every epoch gathers into and sorts in place.
-    buf: Mutex<Vec<CommitEntry>>,
+    /// The epoch's keys: written (gathered and sorted in place) by
+    /// [`Commit::begin`], read by the workers pushing its shards.
+    keys: RwLock<Vec<CommitKey>>,
     pub(super) pools: Arc<SchedPools>,
 }
 
@@ -153,7 +156,7 @@ impl Commit {
             algo,
             shard_cap,
             workers: AtomicUsize::new(1),
-            buf: Mutex::new(Vec::new()),
+            keys: RwLock::new(Vec::new()),
             pools,
         }
     }
@@ -177,84 +180,79 @@ impl Commit {
         (entries / MIN_SHARD_ENTRIES).clamp(1, 2 * w)
     }
 
-    /// Gather and order everything the tasks of `round` staged, then
-    /// deliver it here or hand back shards. Returns what happened and how
-    /// many messages the epoch staged. Must be called after the round
-    /// barrier, by one worker.
+    /// Gather and order the keys of everything the tasks of `round`
+    /// staged, then deliver the messages here or hand back shards.
+    /// Returns what happened and how many messages the epoch staged. Must
+    /// be called after the round barrier, by one worker.
     pub(super) fn begin(
         &self,
         round: &[usize],
         slots: &[TaskSlot],
         mut next: Vec<usize>,
     ) -> (Begun, usize) {
-        let mut staged = self.buf.lock();
-        for &tid in round {
+        let mut keys = self.keys.write().expect("no commit panicked");
+        keys.clear();
+        for &src in round {
             // SAFETY: past the round barrier, single committing worker.
-            let out = unsafe { slots[tid].staged() };
+            let staged = unsafe { slots[src].staged() };
             let mut matchable = Time::ZERO;
-            for (seq, (dest, msg)) in out.drain(..).enumerate() {
+            for (seq, (dest, msg)) in staged.iter().enumerate() {
+                let msg = msg.as_ref().expect("staged this round");
                 matchable = matchable.max(msg.arrival);
-                staged.push(CommitEntry {
+                keys.push(CommitKey {
+                    dest: *dest,
                     matchable,
-                    src: tid,
+                    src,
                     seq: seq as u32,
-                    dest,
-                    msg,
                 });
             }
         }
-        let msgs = staged.len();
-        if self.algo == CommitAlgo::Serial {
-            staged.sort_by_key(CommitEntry::key);
-            for e in staged.drain(..) {
-                if self.router.mailboxes[e.dest].push(e.msg) {
-                    next.push(e.dest);
+        let msgs = keys.len();
+        // Move a message out of the place its sender staged it in.
+        let take = |key: &CommitKey| {
+            // SAFETY: as above, wherever this is called below.
+            let staged = unsafe { slots[key.src].staged() };
+            let msg = staged[key.seq as usize].1.take();
+            msg.expect("a key is delivered once")
+        };
+        let ranges = if self.algo == CommitAlgo::Serial {
+            keys.sort_by_key(CommitKey::global);
+            for key in keys.iter() {
+                if self.router.mailboxes[key.dest].push(take(key)) {
+                    next.push(key.dest);
                 }
             }
-            return (Begun::Delivered(next), msgs);
-        }
-        staged.sort_unstable_by_key(|e| (e.dest, e.matchable, e.src, e.seq));
-        let target = self.shard_target(msgs);
-        if target <= 1 {
-            self.push_segments(&mut staged, &mut next);
-            return (Begun::Delivered(next), msgs);
-        }
-        // Cut the run into ≤ target shards at segment boundaries (a
-        // change of `dest` marks a legal cut). Every shard except
-        // possibly the last holds ≥ ⌈n/target⌉ entries. Shard vectors are
-        // recycled, so steady state moves each entry once without
-        // allocating. (Handing claimers disjoint raw sub-slices of the
-        // run would avoid even that move, but needs `ptr::read`-style
-        // moves out of aliased storage; one 64-byte memcpy per message
-        // isn't worth that unsafety.)
-        let per = msgs.div_ceil(target);
-        let take_shard = || {
-            let mut v = self.pools.entry_pool.take();
-            v.reserve(per + 8);
-            v
-        };
-        let mut shards: Vec<UnsafeCell<Vec<CommitEntry>>> = Vec::new();
-        let mut cur = take_shard();
-        for e in staged.drain(..) {
-            if cur.len() >= per && cur.last().is_some_and(|l| l.dest != e.dest) {
-                shards.push(UnsafeCell::new(std::mem::replace(&mut cur, take_shard())));
+            Vec::new()
+        } else {
+            keys.sort_unstable();
+            let ranges = cut(&keys, self.shard_target(msgs));
+            if ranges.is_empty() {
+                self.push_segments(&keys, keys.iter().map(take), &mut next);
             }
-            cur.push(e);
+            ranges
+        };
+        // Shard vectors are recycled, so steady state moves each message
+        // into its shard without allocating. (Letting the claimers take
+        // from the staging vectors themselves would save that move, but
+        // two workers would then write into one rank's vector.)
+        let shards: Vec<Mutex<Shard>> = ranges
+            .into_iter()
+            .map(|range| {
+                let mut shard = self.pools.entry_pool.take();
+                shard.first = range.start;
+                shard.msgs.extend(keys[range].iter().map(take));
+                Mutex::new(shard)
+            })
+            .collect();
+        for &src in round {
+            // SAFETY: as above. Every message was taken: only `None`s go.
+            unsafe { slots[src].staged() }.clear();
         }
         if shards.is_empty() {
-            // One giant destination segment (pure all-to-one fan-in): a
-            // single mailbox must be pushed in order anyway.
-            self.push_segments(&mut cur, &mut next);
-            self.pools.entry_pool.put(cur);
             return (Begun::Delivered(next), msgs);
         }
-        shards.push(UnsafeCell::new(cur));
-        let wakes = (0..shards.len())
-            .map(|_| UnsafeCell::new(self.pools.idx_pool.take()))
-            .collect();
         let cw = CommitWork {
             shards,
-            wakes,
             yielded: next.len(),
             next: Mutex::new(next),
         };
@@ -263,55 +261,69 @@ impl Commit {
 
     /// Push one claimed shard, recording the destinations it woke.
     pub(super) fn push_shard(&self, cw: &CommitWork, i: usize) {
-        // SAFETY: unit `i` was claimed exclusively through the cursor CAS;
-        // only this worker touches its vectors until the push barrier.
-        let (entries, wakes) = unsafe { (&mut *cw.shards[i].get(), &mut *cw.wakes[i].get()) };
-        self.push_segments(entries, wakes);
+        let keys = self.keys.read().expect("no commit panicked");
+        let mut shard = cw.shards[i].lock();
+        let Shard { first, msgs, woken } = &mut *shard;
+        self.push_segments(&keys[*first..][..msgs.len()], msgs.drain(..), woken);
     }
 
     /// All shards are pushed: return the next round so far, the woken
     /// destinations of every shard appended.
     pub(super) fn finish(&self, cw: &CommitWork) -> Vec<usize> {
         let mut next = std::mem::take(&mut *cw.next.lock());
-        for (wakes, shard) in cw.wakes.iter().zip(&cw.shards) {
-            // SAFETY: the push barrier has passed; no worker holds a unit.
-            let (ws, es) = unsafe { (&mut *wakes.get(), &mut *shard.get()) };
-            next.append(ws);
+        for shard in &cw.shards {
+            let mut shard = std::mem::take(&mut *shard.lock());
+            next.append(&mut shard.woken);
             // Recycle the drained vectors (their capacity).
-            let (ws, es) = (std::mem::take(ws), std::mem::take(es));
-            if ws.capacity() > 0 {
-                self.pools.idx_pool.put(ws);
-            }
-            if es.capacity() > 0 {
-                self.pools.entry_pool.put(es);
-            }
+            self.pools.entry_pool.put(shard);
         }
         next
     }
 
-    /// Push a destination-major-sorted run: one
-    /// [`push_batch`](crate::mailbox::Mailbox::push_batch) per destination
+    /// Push the messages of a destination-major run of keys, `msgs`
+    /// yielding them in key order: one
+    /// [`push_all`](crate::mailbox::Mailbox::push_all) per destination
     /// segment (one lock acquisition per destination, however large its
     /// fan-in), appending to `woken` every destination whose armed wait a
     /// message of its segment satisfied.
-    fn push_segments(&self, entries: &mut Vec<CommitEntry>, woken: &mut Vec<usize>) {
-        let mut s = self.pools.scratch_pool.take();
-        let mut flush = |dest: usize, s: &mut CommitScratch| {
-            if s.batch.is_empty() {
-                return;
+    fn push_segments(
+        &self,
+        keys: &[CommitKey],
+        mut msgs: impl Iterator<Item = Message>,
+        woken: &mut Vec<usize>,
+    ) {
+        for segment in keys.chunk_by(|a, b| a.dest == b.dest) {
+            let dest = segment[0].dest;
+            let run = msgs.by_ref().take(segment.len());
+            if self.router.mailboxes[dest].push_all(run).is_some() {
+                woken.push(dest);
             }
-            self.router.mailboxes[dest].push_batch(&mut s.batch, &mut s.fired);
-            woken.extend(s.fired.drain(..).map(|_| dest));
-        };
-        let mut dest = usize::MAX;
-        for e in entries.drain(..) {
-            if e.dest != dest {
-                flush(dest, &mut s);
-                dest = e.dest;
-            }
-            s.batch.push(e.msg);
         }
-        flush(dest, &mut s);
-        self.pools.scratch_pool.put(s);
     }
+}
+
+/// Cut a destination-major run of keys into at most `target` ranges at
+/// segment boundaries (a change of `dest` marks a legal cut). Every range
+/// except possibly the last holds ≥ ⌈n/target⌉ keys. Empty when there is
+/// nothing to publish: one range would do, be it because the target is 1
+/// or because one giant destination segment (pure all-to-one fan-in) can
+/// only be pushed in order anyway.
+fn cut(keys: &[CommitKey], target: usize) -> Vec<std::ops::Range<usize>> {
+    let mut ranges = Vec::new();
+    if target <= 1 {
+        return ranges;
+    }
+    let per = keys.len().div_ceil(target);
+    let (mut first, mut end) = (0, 0);
+    for segment in keys.chunk_by(|a, b| a.dest == b.dest) {
+        if end - first >= per {
+            ranges.push(first..end);
+            first = end;
+        }
+        end += segment.len();
+    }
+    if !ranges.is_empty() {
+        ranges.push(first..end);
+    }
+    ranges
 }

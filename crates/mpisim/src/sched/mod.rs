@@ -38,7 +38,7 @@ mod task;
 pub(crate) use commit::SchedPools;
 pub(crate) use epoch::Scheduler;
 pub(crate) use task::{
-    claim, current_poisoned, on_task, park_until_deposit, probe, try_stage_send, SchedShared,
+    claim, current_poisoned, on_task, park_until_deposit, probe, stage_send, SchedShared,
 };
 pub use task::{yield_now, yield_now_async};
 

@@ -132,9 +132,10 @@ pub(super) struct TaskSlot {
     /// Set by the deadlock and stagnation detectors; waits observe it and
     /// return `MpiError::Timeout` instead of parking again.
     poisoned: AtomicBool,
-    /// Messages sent by this task during the current epoch, in program
-    /// order; drained by the commit.
-    staged: UnsafeCell<Vec<(usize, Message)>>,
+    /// Messages sent by this task during the current epoch, each with its
+    /// destination, in program order. The commit takes every message out
+    /// of its place (leaving `None`) and then clears the vector.
+    staged: UnsafeCell<Vec<(usize, Option<Message>)>>,
     /// The rank program; dropped on finish, so at 2^20 ranks the tail of a
     /// run does not hold every completed body's captures live.
     body: UnsafeCell<Option<Box<dyn RankBody>>>,
@@ -180,7 +181,7 @@ impl TaskSlot {
     /// Only after the round barrier (no task of the round is running) and
     /// only from the one committing worker.
     #[allow(clippy::mut_from_ref)]
-    pub(super) unsafe fn staged(&self) -> &mut Vec<(usize, Message)> {
+    pub(super) unsafe fn staged(&self) -> &mut Vec<(usize, Option<Message>)> {
         &mut *self.staged.get()
     }
 
@@ -246,17 +247,13 @@ pub(crate) fn on_task() -> bool {
 }
 
 /// Stage an outgoing message with the current task for delivery at the
-/// next epoch commit. Hands the message back when the caller is not on a
-/// scheduler task (thread backend: deliver immediately).
-pub(crate) fn try_stage_send(dest: usize, msg: Message) -> Option<Message> {
-    match current_slot() {
-        None => Some(msg),
-        Some(slot) => {
-            // SAFETY: the running task is the only one touching its slot.
-            unsafe { (*slot.staged.get()).push((dest, msg)) };
-            None
-        }
-    }
+/// next epoch commit. Only on a scheduler task ([`on_task`]); a plain rank
+/// thread deposits into the destination mailbox itself.
+#[inline]
+pub(crate) fn stage_send(dest: usize, msg: Message) {
+    let slot = current_slot().expect("staging runs on a scheduler task");
+    // SAFETY: the running task is the only one touching its slot.
+    unsafe { (*slot.staged.get()).push((dest, Some(msg))) };
 }
 
 /// Whether the current task has been poisoned. Always `false` off a

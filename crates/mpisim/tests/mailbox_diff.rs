@@ -5,11 +5,20 @@
 //! return the same message, give the same verdict on the armed wait, and
 //! leave the same `len` and `scans`.
 //!
+//! The walk runs in three shapes: the mixed one (3 contexts × 3 tags × 6
+//! sources, 200 random cases), a *wide bucket* (one `(ctx, tag)`, 96
+//! sources, at least 64 of them pending at once) and *many buckets* (24
+//! `(ctx, tag)` pairs, at least 16 live at once, drained out of order):
+//! the last two reach the tails of the index's linear walks (position
+//! search over a bucket's sources, the sorted insert and the move of a
+//! re-keyed source, the swap of a drained bucket behind the live ones),
+//! which the traffic of the first never does.
+//!
 //! Plus one deep-bucket case whose run time would explode if any path
 //! became linear in the number of pending messages.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use mpisim::mailbox::Mailbox;
@@ -28,8 +37,20 @@ const CTXS: [ContextId; 3] = [
         c: 0,
     },
 ];
-const TAGS: u64 = 3;
-const SRCS: usize = 6;
+
+/// How many contexts (of [`CTXS`]), tags and sources a walk draws from.
+#[derive(Clone, Copy)]
+struct Shape {
+    ctxs: usize,
+    tags: u64,
+    srcs: usize,
+}
+
+const MIXED: Shape = Shape {
+    ctxs: 3,
+    tags: 3,
+    srcs: 6,
+};
 
 /// Xorshift stream: the vendored proptest shim has no collection
 /// strategies, so a case is a seed and the operations are drawn from it.
@@ -70,9 +91,9 @@ struct RefPat {
 }
 
 impl RefPat {
-    fn draw(rng: &mut Rng) -> RefPat {
+    fn draw(rng: &mut Rng, shape: Shape) -> RefPat {
         let src = match rng.below(4) {
-            0 | 1 => RefSrc::Exact(rng.below(SRCS as u64) as usize),
+            0 | 1 => RefSrc::Exact(rng.below(shape.srcs as u64) as usize),
             2 => RefSrc::Any,
             _ => {
                 let m = 2 + rng.below(2) as usize;
@@ -80,8 +101,8 @@ impl RefPat {
             }
         };
         RefPat {
-            ctx: CTXS[rng.below(CTXS.len() as u64) as usize],
-            tag: rng.below(TAGS),
+            ctx: CTXS[rng.below(shape.ctxs as u64) as usize],
+            tag: rng.below(shape.tags),
             src,
         }
     }
@@ -115,11 +136,11 @@ struct RefMsg {
 }
 
 impl RefMsg {
-    fn draw(rng: &mut Rng, id: u64) -> RefMsg {
+    fn draw(rng: &mut Rng, shape: Shape, id: u64) -> RefMsg {
         RefMsg {
-            ctx: CTXS[rng.below(CTXS.len() as u64) as usize],
-            tag: rng.below(TAGS),
-            src: rng.below(SRCS as u64) as usize,
+            ctx: CTXS[rng.below(shape.ctxs as u64) as usize],
+            tag: rng.below(shape.tags),
+            src: rng.below(shape.srcs as u64) as usize,
             arrival: rng.below(40),
             id,
         }
@@ -179,13 +200,12 @@ impl RefBox {
     /// among the acceptable sources' candidates the smallest
     /// `(arrival, src)` wins.
     fn best(&self, pat: RefPat) -> Option<usize> {
-        let mut seen = [false; SRCS];
+        let mut seen = BTreeSet::new();
         let mut best: Option<usize> = None;
         for (i, m) in self.msgs.iter().enumerate() {
-            if m.ctx != pat.ctx || m.tag != pat.tag || seen[m.src] {
+            if m.ctx != pat.ctx || m.tag != pat.tag || !seen.insert(m.src) {
                 continue;
             }
-            seen[m.src] = true;
             if !pat.src.accepts(m.src) {
                 continue;
             }
@@ -203,6 +223,16 @@ impl RefBox {
     fn probe(&self, pat: RefPat) -> Option<RefMsg> {
         self.best(pat).map(|i| self.msgs[i])
     }
+
+    /// `(live buckets, pending sources of the widest bucket)`.
+    fn population(&self) -> (usize, usize) {
+        let mut sources: HashMap<(ContextId, u64), BTreeSet<usize>> = HashMap::new();
+        for m in &self.msgs {
+            sources.entry((m.ctx, m.tag)).or_default().insert(m.src);
+        }
+        let widest = sources.values().map(BTreeSet::len).max();
+        (sources.len(), widest.unwrap_or(0))
+    }
 }
 
 fn assert_same_message(got: Option<Message>, want: Option<RefMsg>) {
@@ -217,17 +247,19 @@ fn assert_same_message(got: Option<Message>, want: Option<RefMsg>) {
     }
 }
 
-fn run_case(seed: u64, steps: usize) {
+/// Walk `steps` random operations; returns the peak [`RefBox::population`].
+fn run_case(seed: u64, steps: usize, shape: Shape) -> (usize, usize) {
     let mut rng = Rng(seed | 1);
     let mb = Mailbox::new();
     let mut rf = RefBox::default();
     let mut next_msg = 0u64;
     let mut arms = 0u64;
+    let mut peak = (0, 0);
     let mut fresh_msg = |rng: &mut Rng| {
         next_msg += 1;
-        RefMsg::draw(rng, next_msg)
+        RefMsg::draw(rng, shape, next_msg)
     };
-    for _ in 0..steps {
+    for step in 0..steps {
         match rng.below(10) {
             0..=2 => {
                 let m = fresh_msg(&mut rng);
@@ -245,17 +277,17 @@ fn run_case(seed: u64, steps: usize) {
                 assert_eq!(fired, want);
             }
             4 | 5 => {
-                let pat = RefPat::draw(&mut rng);
+                let pat = RefPat::draw(&mut rng, shape);
                 assert_same_message(mb.try_claim(&pat.real()), rf.claim(pat));
             }
             6 => {
-                let pat = RefPat::draw(&mut rng);
+                let pat = RefPat::draw(&mut rng, shape);
                 assert_eq!(mb.probe(&pat.real()), rf.probe(pat).map(|m| m.info()));
             }
             7 | 8 => {
                 // Arm (or re-arm) a pattern, alternating the two flavours;
                 // they differ only in whether a hit removes the message.
-                let pat = RefPat::draw(&mut rng);
+                let pat = RefPat::draw(&mut rng, shape);
                 arms += 1;
                 let want = rf.probe(pat);
                 if arms.is_multiple_of(2) {
@@ -279,23 +311,30 @@ fn run_case(seed: u64, steps: usize) {
         }
         assert_eq!(mb.len(), rf.msgs.len());
         assert_eq!(mb.scans(), rf.scans);
-    }
-
-    // Drain what is left through the wildcard path, bucket by bucket.
-    for ctx in CTXS {
-        for tag in 0..TAGS {
-            let pat = RefPat {
-                ctx,
-                tag,
-                src: RefSrc::Any,
-            };
-            while let Some(want) = rf.claim(pat) {
-                assert_same_message(mb.try_claim(&pat.real()), Some(want));
-            }
-            assert!(mb.try_claim(&pat.real()).is_none());
+        if step % 16 == 0 {
+            let now = rf.population();
+            peak = (peak.0.max(now.0), peak.1.max(now.1));
         }
     }
+
+    // Drain what is left through the wildcard path, bucket by bucket,
+    // starting somewhere in the middle.
+    let buckets = shape.ctxs as u64 * shape.tags;
+    let start = rng.below(buckets);
+    for k in 0..buckets {
+        let b = (start + k) % buckets;
+        let pat = RefPat {
+            ctx: CTXS[(b / shape.tags) as usize],
+            tag: b % shape.tags,
+            src: RefSrc::Any,
+        };
+        while let Some(want) = rf.claim(pat) {
+            assert_same_message(mb.try_claim(&pat.real()), Some(want));
+        }
+        assert!(mb.try_claim(&pat.real()).is_none());
+    }
     assert!(mb.is_empty() && rf.msgs.is_empty());
+    peak
 }
 
 proptest! {
@@ -303,7 +342,37 @@ proptest! {
 
     #[test]
     fn mailbox_matches_flat_scan_reference(seed in any::<u64>(), steps in 1usize..400) {
-        run_case(seed, steps);
+        run_case(seed, steps, MIXED);
+    }
+}
+
+/// One `(ctx, tag)` with up to 96 sources pending: exact, filtered and
+/// wildcard claims interleaved with deposits while the bucket is wide.
+#[test]
+fn wide_bucket_matches_flat_scan_reference() {
+    let shape = Shape {
+        ctxs: 1,
+        tags: 1,
+        srcs: 96,
+    };
+    for seed in 1..=12u64 {
+        let (_, widest) = run_case(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15), 1500, shape);
+        assert!(widest >= 64, "only {widest} sources were pending at once");
+    }
+}
+
+/// 24 `(ctx, tag)` pairs of few sources each: buckets open, drain and
+/// reopen in no particular order while most of them are live.
+#[test]
+fn many_live_buckets_match_flat_scan_reference() {
+    let shape = Shape {
+        ctxs: 3,
+        tags: 8,
+        srcs: 4,
+    };
+    for seed in 1..=12u64 {
+        let (live, _) = run_case(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15), 600, shape);
+        assert!(live >= 16, "only {live} buckets were live at once");
     }
 }
 
