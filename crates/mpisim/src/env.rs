@@ -10,9 +10,9 @@
 //! experiment vacuous — `MPISIM_BACKEND=pol` running fibers would
 //! "confirm" the poll backend against itself, and `MPISIM_TRACE=yes`
 //! silently tracing nothing would byte-diff two empty traces. The only
-//! deliberately lenient knobs are `MPISIM_COOP_WORKERS` and
-//! `MPISIM_FLEET_INFLIGHT` (machine-shape hints, not experiment axes) and
-//! `MPISIM_TRACE_OUT` (a path, any string is plausible).
+//! deliberately lenient knobs are `MPISIM_COOP_WORKERS` (a machine-shape
+//! hint, not an experiment axis) and `MPISIM_TRACE_OUT` (a path, any
+//! string is plausible).
 
 use crate::faults::SlowdownSpec;
 use crate::time::Time;
@@ -25,7 +25,7 @@ pub fn var(name: &str) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler knobs (MPISIM_COOP_WORKERS, MPISIM_FLEET_INFLIGHT, MPISIM_BACKEND)
+// Scheduler knobs (MPISIM_COOP_WORKERS, MPISIM_BACKEND)
 // ---------------------------------------------------------------------------
 
 /// Parse `MPISIM_COOP_WORKERS` (a positive worker count). Deliberately
@@ -36,19 +36,6 @@ pub fn coop_workers_from(var: Option<&str>) -> usize {
     var.and_then(|v| v.trim().parse::<usize>().ok())
         .unwrap_or(1)
         .max(1)
-}
-
-/// Parse `MPISIM_FLEET_INFLIGHT` — a fleet's admission window (maximum
-/// concurrently running universes; see [`crate::Fleet`]). Like
-/// `MPISIM_COOP_WORKERS` this is a lenient machine-shape hint, not a
-/// model parameter: the window bounds peak memory and cannot change any
-/// universe's output, so unset, blank, unparsable, or `0` silently fall
-/// back to the default window of 4.
-pub fn fleet_inflight_from(var: Option<&str>) -> usize {
-    match var.and_then(|v| v.trim().parse::<usize>().ok()) {
-        None | Some(0) => 4,
-        Some(n) => n,
-    }
 }
 
 /// Parse `MPISIM_BACKEND` into a [`Backend`](crate::Backend) for
@@ -225,16 +212,6 @@ mod tests {
         assert_eq!(coop_workers_from(Some("garbage")), 1);
         assert_eq!(coop_workers_from(Some("0")), 1);
         assert_eq!(coop_workers_from(Some(" 8 ")), 8);
-    }
-
-    #[test]
-    fn fleet_inflight_knob_is_lenient() {
-        assert_eq!(fleet_inflight_from(None), 4);
-        assert_eq!(fleet_inflight_from(Some("")), 4);
-        assert_eq!(fleet_inflight_from(Some("garbage")), 4);
-        assert_eq!(fleet_inflight_from(Some("0")), 4);
-        assert_eq!(fleet_inflight_from(Some(" 16 ")), 16);
-        assert_eq!(fleet_inflight_from(Some("1")), 1);
     }
 
     #[test]

@@ -63,8 +63,6 @@ pub use msg::{ContextId, MsgInfo, Tag};
 pub use nbcoll::{Progress, Request};
 pub use obs::{MetricsSnapshot, OpClass, SchedProfile, Trace, TraceEvent, WorkerProfile};
 pub use proc::WaitReason;
-#[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-pub use sched::fleet::{Fleet, FleetHandle};
 pub use sched::poll::{block_inline, RankBody, Step};
 pub use sched::{yield_now, yield_now_async};
 pub use time::{Time, VirtualClock};

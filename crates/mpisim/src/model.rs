@@ -147,11 +147,7 @@ pub enum SplitAlgo {
 /// CSVs) for every worker count, exactly like [`SplitAlgo`] keeps the
 /// all-gather split as the oracle for the distributed sort. The commit
 /// itself costs no virtual time — it is the mechanism that realises the
-/// α–β model's arrival order, so only its wall-clock cost differs. The
-/// same worker-count invariance is what lets a fleet co-schedule
-/// universes over one pool (pinning each universe's shard threshold to
-/// the pool size) without perturbing any universe's output — see
-/// DESIGN.md §11.
+/// α–β model's arrival order, so only its wall-clock cost differs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CommitAlgo {
     /// Destination-major commit: the staged run is sorted in place by

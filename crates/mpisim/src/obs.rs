@@ -542,11 +542,6 @@ pub struct WorkerProfile {
 /// cooperative backend. **Outside the deterministic domain** — values
 /// differ run to run and worker count to worker count; they are emitted to
 /// `results/host/BENCH_sched_profile.json`, which no check reads.
-///
-/// Universes run inside a fleet report the pool counters but an **empty
-/// worker list**: a fleet worker interleaves many universes, so
-/// per-worker wall-clock attribution for any single universe would be a
-/// lie, and the profile declines to tell it (DESIGN.md §11).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedProfile {
     /// One entry per worker, indexed by worker id.

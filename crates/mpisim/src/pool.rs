@@ -19,14 +19,12 @@
 //! clocks, delivery orders, and traces are identical whether a buffer is
 //! fresh or recycled. The only observable artifacts are the wall-clock
 //! hit/miss/overflow counters exported (never gated) through
-//! [`crate::obs::SchedProfile`]. Unobservability is also what lets a
-//! fleet share both pool faces *across universes*: the scheduler pools
-//! are handed to every universe a fleet admits, and the payload pool's
-//! per-thread caches live on the long-lived fleet workers, so a warm
-//! fleet admits a new universe of an already-seen shape without
-//! touching the allocator in the epoch hot path (`tests/alloc_free.rs`).
-//! Capacity is the single thing that crosses a universe boundary —
-//! never bytes, lengths, or ordering (DESIGN.md §11).
+//! [`crate::obs::SchedProfile`]. The payload pool is process-global, so
+//! it is the one thing universes running in the same process share (its
+//! per-thread caches outlive a `Universe::run` on the calling thread, its
+//! overflow tier and counters are common to all threads): capacity
+//! crosses a universe boundary, never bytes, lengths, or ordering
+//! (DESIGN.md §11).
 //!
 //! # Safety model of the payload pool
 //!

@@ -103,13 +103,10 @@ impl CommitWork {
     }
 }
 
-/// The commit-scratch pool families of a scheduler, split out so a
-/// `Fleet` can share one set across every universe it
-/// admits (a solo scheduler owns a private set). Sharing is unobservable
-/// in simulation output: pooled buffers are always handed out drained, so
-/// only their *capacity* survives a universe boundary.
+/// The commit-scratch pool families of one scheduler. Pooled buffers are
+/// always handed out drained, so only their *capacity* survives an epoch.
 #[derive(Default)]
-pub(crate) struct SchedPools {
+pub(super) struct SchedPools {
     /// Commit shards (their message and wake vectors).
     pub(super) entry_pool: Pool<Shard>,
     /// Round / next-round index vectors (used by the epoch layer).
@@ -141,23 +138,18 @@ pub(super) struct Commit {
     /// The epoch's keys: written (gathered and sorted in place) by
     /// [`Commit::begin`], read by the workers pushing its shards.
     keys: RwLock<Vec<CommitKey>>,
-    pub(super) pools: Arc<SchedPools>,
+    pub(super) pools: SchedPools,
 }
 
 impl Commit {
-    pub(super) fn new(
-        router: Arc<Router>,
-        algo: CommitAlgo,
-        shard_cap: usize,
-        pools: Arc<SchedPools>,
-    ) -> Commit {
+    pub(super) fn new(router: Arc<Router>, algo: CommitAlgo, shard_cap: usize) -> Commit {
         Commit {
             router,
             algo,
             shard_cap,
             workers: AtomicUsize::new(1),
             keys: RwLock::new(Vec::new()),
-            pools,
+            pools: SchedPools::default(),
         }
     }
 

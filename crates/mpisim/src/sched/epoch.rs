@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use super::commit::{Begun, Commit, CommitWork, SchedPools};
+use super::commit::{Begun, Commit, CommitWork};
 use super::poll::RankBody;
 use super::task::{poison, SchedShared, TaskSlot};
 use crate::model::CommitAlgo;
@@ -75,22 +75,6 @@ struct EpochGate {
 /// the detector is off entirely when the fault plan schedules no crashes.
 const STAGNANT_EPOCH_LIMIT: usize = 64;
 
-/// Why [`Scheduler::drain_phases`] returned.
-pub(crate) enum Drain {
-    /// The universe completed: every task finished and the gate is `done`.
-    Done,
-    /// No unit of the current phase is claimable and the phase is not
-    /// advancing under this worker: another worker owns the phase tail and
-    /// will publish the next phase. Carries the stalled generation so a
-    /// solo worker can sleep on the gate until it moves.
-    Stalled(u64),
-}
-
-/// Called whenever a multi-unit phase is published or the universe
-/// completes: how a fleet's workers, parked on the fleet's condvar rather
-/// than this scheduler's, learn of new work.
-pub(crate) type Notify = Box<dyn Fn() + Send + Sync>;
-
 /// The epoch scheduler of one universe run.
 pub(crate) struct Scheduler {
     shared: Arc<SchedShared>,
@@ -105,7 +89,6 @@ pub(crate) struct Scheduler {
     /// Units of the current phase that have completed.
     round_done: AtomicUsize,
     commit: Commit,
-    notify: Option<Notify>,
     /// Displaced round `Arc`s: `publish_tasks` reuses one when no worker
     /// still holds a clone (always true at 1 worker), so steady-state
     /// round publishing is allocation-free.
@@ -131,24 +114,20 @@ pub(crate) struct Scheduler {
 impl Scheduler {
     /// `p` empty task slots delivering through `router`.
     /// `commit_algo` / `commit_shards` select and size the commit
-    /// pipeline, `pools` supplies its scratch (a private set for solo
-    /// runs, the fleet-shared set under a fleet) and `notify` is the
-    /// owning fleet's wake hook, if any.
+    /// pipeline.
     pub fn new(
         p: usize,
         router: Arc<Router>,
         commit_algo: CommitAlgo,
         commit_shards: usize,
         profile: bool,
-        pools: Arc<SchedPools>,
-        notify: Option<Notify>,
     ) -> Scheduler {
         let shared = Arc::new(SchedShared::new(p));
         Scheduler {
             slots: (0..p).map(|_| TaskSlot::new()).collect(),
             shared,
             crashes_armed: router.faults.has_crashes(),
-            commit: Commit::new(router, commit_algo, commit_shards, pools),
+            commit: Commit::new(router, commit_algo, commit_shards),
             gate: Mutex::new(EpochGate {
                 work: Work::Tasks(Arc::new(Vec::new())),
                 gen: 0,
@@ -157,7 +136,6 @@ impl Scheduler {
             gate_cv: Condvar::new(),
             cursor: AtomicU64::new(0),
             round_done: AtomicUsize::new(0),
-            notify,
             round_pool: Mutex::new(Vec::new()),
             epoch_msgs: AtomicUsize::new(0),
             stagnant: AtomicUsize::new(0),
@@ -178,32 +156,21 @@ impl Scheduler {
         self.slots[rank].install(body);
     }
 
-    /// Arm the gate for a run: record the effective worker count (it
-    /// sizes the shard heuristic, which never affects simulation output)
-    /// and publish epoch 1, every task in rank order. Solo runs call this
-    /// through [`Scheduler::run`]; a fleet calls it at admission and lets
-    /// its sweeping workers drive the gate via [`Scheduler::drain_phases`].
-    pub fn prepare(&self, workers: usize) {
-        self.commit.workers.store(workers.max(1), Ordering::Relaxed);
-        let mut g = self.gate.lock();
-        g.work = Work::Tasks(Arc::new((0..self.slots.len()).collect()));
-        g.gen = 1;
-        g.done = self.slots.is_empty();
-        self.round_done.store(0, Ordering::Relaxed);
-        self.cursor.store(1 << 32, Ordering::Release);
-    }
-
-    /// The first recorded rank panic, if any (taken, so a second call
-    /// returns `None`).
-    pub fn take_panic(&self) -> Option<(usize, Box<dyn Any + Send>)> {
-        self.shared.panic.lock().take()
-    }
-
     /// Run every spawned task to completion on `workers` OS threads.
     /// Returns the first recorded panic.
     pub fn run(&self, workers: usize) -> Option<(usize, Box<dyn Any + Send>)> {
         let workers = workers.max(1);
-        self.prepare(workers);
+        // The worker count sizes the shard heuristic, which never affects
+        // simulation output. Epoch 1 is every task, in rank order.
+        self.commit.workers.store(workers, Ordering::Relaxed);
+        {
+            let mut g = self.gate.lock();
+            g.work = Work::Tasks(Arc::new((0..self.slots.len()).collect()));
+            g.gen = 1;
+            g.done = self.slots.is_empty();
+            self.round_done.store(0, Ordering::Relaxed);
+            self.cursor.store(1 << 32, Ordering::Release);
+        }
         if workers == 1 {
             self.worker_loop(0);
         } else {
@@ -216,7 +183,7 @@ impl Scheduler {
                 }
             });
         }
-        self.take_panic()
+        self.shared.panic.lock().take()
     }
 
     /// The scheduler's deterministic model counters after a run:
@@ -272,84 +239,67 @@ impl Scheduler {
         }
     }
 
-    /// Claim and execute units of the current phase — and every phase it
-    /// chains into — until the universe completes or the phase tail is
-    /// owned by another worker. Never blocks: a solo worker sleeps on the
-    /// gate between calls ([`Scheduler::worker_loop`]), a fleet worker
-    /// moves on to the next runnable universe. Claims validate this
-    /// scheduler's own `(gen, cursor)` pair, so which universes a fleet
-    /// worker visits, in what order, cannot leak a unit across universes
-    /// or perturb the phase sequence within one.
-    pub fn drain_phases(&self, prof: &mut WorkerProfile) -> Drain {
-        let (mut gen, mut work) = {
-            let g = self.gate.lock();
-            if g.done {
-                return Drain::Done;
-            }
-            (g.gen, g.work.clone())
-        };
-        loop {
-            let Some(i) = self.try_claim(gen, work.units()) else {
-                let g = self.gate.lock();
-                if g.done {
-                    return Drain::Done;
-                }
-                if g.gen == gen {
-                    return Drain::Stalled(gen);
-                }
-                gen = g.gen;
-                work = g.work.clone();
-                continue;
-            };
-            let t0 = self.profile.then(std::time::Instant::now);
-            match &work {
-                Work::Tasks(round) => self.slots[round[i]].step(round[i], &self.shared),
-                Work::Commit(cw) => self.commit.push_shard(cw, i),
-            }
-            if let Some(t0) = t0 {
-                let ns = t0.elapsed().as_nanos() as u64;
-                match &work {
-                    Work::Tasks(_) => {
-                        prof.run_ns += ns;
-                        prof.tasks += 1;
-                    }
-                    Work::Commit(_) => {
-                        prof.commit_ns += ns;
-                        prof.shards += 1;
-                    }
-                }
-            }
-            if self.round_done.fetch_add(1, Ordering::AcqRel) + 1 == work.units() {
-                // Last unit of the phase: advance it (single-threaded by
-                // construction — every other worker is waiting on the
-                // gate, sweeping other universes, or about to). The
-                // advance orders and, on the inline path, delivers the
-                // epoch's messages: commit time.
-                let t0 = self.profile.then(std::time::Instant::now);
-                match &work {
-                    Work::Tasks(round) => self.finish_round(round),
-                    Work::Commit(cw) => self.finish_epoch(self.commit.finish(cw), cw.yielded),
-                }
-                if let Some(t0) = t0 {
-                    prof.commit_ns += t0.elapsed().as_nanos() as u64;
-                }
-            }
-        }
-    }
-
+    /// One worker: claim and execute units of the current phase, and of
+    /// every phase it chains into, until the universe completes. When no
+    /// unit is claimable and the phase has not advanced, another worker
+    /// owns its tail and will publish the next one: sleep on the gate until
+    /// it does.
     fn worker_loop(&self, widx: usize) {
         let mut prof = WorkerProfile::default();
-        while let Drain::Stalled(gen) = self.drain_phases(&mut prof) {
-            let idle0 = self.profile.then(std::time::Instant::now);
-            let mut g = self.gate.lock();
-            while !g.done && g.gen == gen {
-                self.gate_cv.wait(&mut g);
-            }
+        let mut g = self.gate.lock();
+        while !g.done {
+            let (gen, work) = (g.gen, g.work.clone());
             drop(g);
-            if let Some(t) = idle0 {
-                prof.idle_ns += t.elapsed().as_nanos() as u64;
+            while let Some(i) = self.try_claim(gen, work.units()) {
+                let t0 = self.profile.then(std::time::Instant::now);
+                match &work {
+                    Work::Tasks(round) => self.slots[round[i]].step(round[i], &self.shared),
+                    Work::Commit(cw) => self.commit.push_shard(cw, i),
+                }
+                if let Some(t0) = t0 {
+                    let ns = t0.elapsed().as_nanos() as u64;
+                    match &work {
+                        Work::Tasks(_) => {
+                            prof.run_ns += ns;
+                            prof.tasks += 1;
+                        }
+                        Work::Commit(_) => {
+                            prof.commit_ns += ns;
+                            prof.shards += 1;
+                        }
+                    }
+                }
+                if self.round_done.fetch_add(1, Ordering::AcqRel) + 1 == work.units() {
+                    // Last unit of the phase: advance it (single-threaded
+                    // by construction: every other worker is waiting on
+                    // the gate or about to). The advance orders and, on
+                    // the inline path, delivers the epoch's messages:
+                    // commit time.
+                    let t0 = self.profile.then(std::time::Instant::now);
+                    match &work {
+                        Work::Tasks(round) => self.finish_round(round),
+                        Work::Commit(cw) => self.finish_epoch(self.commit.finish(cw), cw.yielded),
+                    }
+                    if let Some(t0) = t0 {
+                        prof.commit_ns += t0.elapsed().as_nanos() as u64;
+                    }
+                }
+            }
+            // Not held across the sleep: `publish_tasks` reuses a displaced
+            // round vector once no worker shares it.
+            drop(work);
+            g = self.gate.lock();
+            if !g.done && g.gen == gen {
+                let idle0 = self.profile.then(std::time::Instant::now);
+                while !g.done && g.gen == gen {
+                    self.gate_cv.wait(&mut g);
+                }
+                if let Some(t) = idle0 {
+                    prof.idle_ns += t.elapsed().as_nanos() as u64;
+                }
             }
         }
+        drop(g);
         if self.profile {
             let mut ps = self.profiles.lock();
             if ps.len() <= widx {
@@ -441,10 +391,6 @@ impl Scheduler {
             let mut g = self.gate.lock();
             g.done = true;
             self.gate_cv.notify_all();
-            drop(g);
-            if let Some(notify) = &self.notify {
-                notify();
-            }
         } else {
             // Members are unique (a task is woken out of `ST_BLOCKED` at
             // most once and a yielded task is never blocked), so the
@@ -494,16 +440,11 @@ impl Scheduler {
         // — waking the pool for it would just thrash the sleeping workers
         // during serial phases of the program. They stay parked until a
         // wider phase (or `done`) arrives; the publisher alone keeps the
-        // simulation live. Same rule for a fleet's pool.
+        // simulation live.
         if units > 1 {
             self.gate_cv.notify_all();
         }
         drop(g);
-        if units > 1 {
-            if let Some(notify) = &self.notify {
-                notify();
-            }
-        }
         // The displaced round vector feeds a later `publish_tasks` (its
         // `Arc` becomes unique once every worker re-reads the gate);
         // commit work is dropped as usual.

@@ -20,22 +20,18 @@
 //! | `task` | slot, states, staging, poisoning, **how a rank waits**: the three wait leaves (`claim` / `probe` on a pattern, `park_until_deposit` on any deposit, `yield_now_async`) | one worker touches a task at a time; check and arm, store the state, suspend |
 //! | [`poll`] | [`RankBody`](poll::RankBody), [`Step`](poll::Step), the stackless body, [`block_inline`](poll::block_inline) | a body suspends only through the wait leaves |
 //! | `fiber` | context switch, stack slab, the stackful body (unix x86-64 / AArch64 only) | one worker on a stack at a time; the slab outlives its fibers |
-//! | `fleet` | many universes over one worker pool (needs `fiber`) | universes share workers and scratch capacity, nothing else |
 //!
 //! DESIGN.md §4 argues the wait protocol, §5 why committing deliveries at
 //! epoch boundaries preserves MPI matching semantics, §7 and §10 the
-//! commit, §11 the fleet, §12 what is specific to stackless bodies.
+//! commit, §12 what is specific to stackless bodies.
 
 mod commit;
 mod epoch;
 #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
 pub(crate) mod fiber;
-#[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-pub mod fleet;
 pub mod poll;
 mod task;
 
-pub(crate) use commit::SchedPools;
 pub(crate) use epoch::Scheduler;
 pub(crate) use task::{
     claim, current_poisoned, on_task, park_until_deposit, probe, stage_send, SchedShared,

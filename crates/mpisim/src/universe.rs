@@ -476,10 +476,6 @@ impl Universe {
             cfg.commit_algo,
             cfg.coop_commit_shards,
             cfg.sched_profile,
-            // A solo run owns a private pool set; only a fleet shares one
-            // across universes.
-            Arc::new(sched::SchedPools::default()),
-            None,
         );
         let store = scheduler.panic_store();
         for (rank, state) in states.iter().enumerate() {
@@ -508,9 +504,8 @@ impl Universe {
 }
 
 /// The fabric of a `p`-rank universe under `cfg`: the router (tracing
-/// enabled when asked) and one [`ProcState`] per rank. Shared by
-/// [`Universe::run`], [`Universe::run_poll`] and fleet admission.
-pub(crate) fn build_fabric(p: usize, cfg: &SimConfig) -> (Arc<Router>, Vec<Arc<ProcState>>) {
+/// enabled when asked) and one [`ProcState`] per rank.
+fn build_fabric(p: usize, cfg: &SimConfig) -> (Arc<Router>, Vec<Arc<ProcState>>) {
     assert!(p >= 1, "need at least one process");
     let mut router = Router::new(
         p,
@@ -529,12 +524,11 @@ pub(crate) fn build_fabric(p: usize, cfg: &SimConfig) -> (Arc<Router>, Vec<Arc<P
     (router, states)
 }
 
-/// Assemble a [`SimResult`] from a completed run's raw state. Shared by
-/// [`Universe::run`] and fleet completion so the two paths can never
-/// drift: per-rank values, final clocks, traffic, the deterministic
-/// metrics snapshot (with the scheduler's epoch/wakeup/switch counters
-/// spliced in), the optional trace, and the optional wall-clock profile.
-pub(crate) fn assemble_result<R>(
+/// Assemble a [`SimResult`] from a completed run's raw state: per-rank
+/// values, final clocks, traffic, the deterministic metrics snapshot
+/// (with the scheduler's epoch/wakeup/switch counters spliced in), the
+/// optional trace, and the optional wall-clock profile.
+fn assemble_result<R>(
     router: &Arc<Router>,
     states: &[Arc<ProcState>],
     results: Vec<Option<R>>,

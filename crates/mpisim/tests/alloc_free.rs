@@ -67,8 +67,7 @@ const WARMUP: usize = ITERS / 2;
 /// into its size class in one take.
 const CHUNK: usize = 16;
 
-/// The storm program, as a plain `fn` so the same body (and thus the
-/// same allocation profile) runs both solo and under a [`mpisim::Fleet`].
+/// The storm program.
 fn storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
     let w = &env.world;
     let r = w.rank();
@@ -115,9 +114,8 @@ fn storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
         pool::recycle_vec(rruns);
         pool::recycle_vec(decoded);
         // Quiesce the iteration, then snapshot the global counter.
-        // With one worker everything — rank fibers and the commit
-        // machinery — runs on this very thread, so the read races
-        // with nothing.
+        // With one worker everything, rank bodies and the commit, runs
+        // on this very thread, so the read races with nothing.
         coll::barrier(w, 400).unwrap();
         if r == 0 {
             snaps.push(ALLOCS.load(Ordering::Relaxed));
@@ -144,20 +142,6 @@ fn storm_run(seed: u64) -> (Vec<u64>, u64) {
     let snaps = res.per_rank.into_iter().next().unwrap();
     assert_eq!(snaps.len(), ITERS);
     (snaps, total)
-}
-
-/// The same storm admitted into a persistent single-worker fleet. The
-/// rank fibers and the whole commit machinery run on the one fleet
-/// worker thread, so that thread's pool caches — not this thread's —
-/// are the ones being warmed, and the in-body counter snapshots still
-/// race with nothing: the submitter blocks in `join` and the sweep's
-/// own bookkeeping happens strictly outside the program body.
-#[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-fn fleet_storm_run(fleet: &mpisim::Fleet, seed: u64) -> Vec<u64> {
-    let res = fleet.submit(P, storm_cfg(seed), storm_body).join();
-    let snaps = res.per_rank.into_iter().next().unwrap();
-    assert_eq!(snaps.len(), ITERS);
-    snaps
 }
 
 #[test]
@@ -188,8 +172,8 @@ fn steady_state_epochs_allocate_nothing() {
     );
     // And warm runs must go allocation-free well before the cold run's
     // warm-up bound: the payload pool is already hot, so only the
-    // universe-local buffers (mailbox key tables, per-task staging,
-    // commit vectors) still grow — empirically for ~3 iterations; 8 is
+    // universe-local buffers (mailbox slabs and indexes, per-task
+    // staging, commit vectors) still grow — empirically for ~3 iterations; 8 is
     // the asserted bound.
     const UNIVERSE_WARMUP: usize = 8;
     for (label, s) in [("run2", &snaps2), ("run3", &snaps3)] {
@@ -202,30 +186,5 @@ fn steady_state_epochs_allocate_nothing() {
             deltas.iter().all(|&d| d == 0),
             "{label} iterations allocated despite warm pools: {deltas:?}"
         );
-    }
-
-    // Fleet mode: the shared worker pool hands its `SchedPools` and its
-    // worker thread's payload-pool caches to every admitted universe.
-    // Universe #1 warms the fleet (its worker thread starts cold);
-    // universe #2 of an already-seen shape must then go allocation-free
-    // inside the universe warm-up bound, exactly like a warm solo run —
-    // admitting a fresh universe into a warm fleet costs setup only.
-    #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        let fleet = mpisim::Fleet::new(1, 1);
-        let _cold = fleet_storm_run(&fleet, 42);
-        for run in 2..=3 {
-            let snaps = fleet_storm_run(&fleet, 42);
-            let deltas: Vec<u64> = snaps
-                .windows(2)
-                .skip(UNIVERSE_WARMUP - 1)
-                .map(|w| w[1] - w[0])
-                .collect();
-            assert!(
-                deltas.iter().all(|&d| d == 0),
-                "fleet run {run} allocated in the epoch hot path despite \
-                 a warm fleet: {deltas:?}"
-            );
-        }
     }
 }

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mpisim::nbcoll;
-use mpisim::{coll, ops, MpiError, SimConfig, Src, Time, Transport, Universe};
+use mpisim::{coll, ops, FaultPlan, MpiError, SimConfig, Src, Time, Transport, Universe};
 use proptest::prelude::*;
 
 #[test]
@@ -278,4 +278,124 @@ fn coop_many_sequential_universes() {
         assert!(res.per_rank.iter().all(|&v| v == 8 * round));
     }
     assert_eq!(launches.load(Ordering::Relaxed), 80);
+}
+
+/// One universe of [`concurrent_solo_universes_match_their_solo_runs`].
+enum Prog {
+    /// Fan-out sends, wildcard receives on colliding tags and a
+    /// concurrent nonblocking all-reduce (the fault-scenario storm).
+    Storm,
+    /// A reduce, a scan and a barrier per iteration.
+    Colls,
+    /// Rank 2 panics.
+    Panic,
+}
+
+/// Everything a traced run produced: per-rank output (delivery log and
+/// outcome, `RoundBlame` text included), clocks, the exact metrics and the
+/// event trace as text.
+type Observation = (Vec<String>, Vec<Time>, mpisim::MetricsSnapshot, String);
+
+fn observe(p: usize, cfg: &SimConfig, prog: &Prog) -> Observation {
+    let cfg = cfg.clone().with_workers(1).with_trace(true);
+    let res = Universe::run(p, cfg, |env| {
+        let w = &env.world;
+        let r = w.rank();
+        let body = || -> mpisim::Result<String> {
+            let mut out = String::new();
+            match prog {
+                Prog::Storm => {
+                    for (k, off) in [1usize, 4, 9, 16].into_iter().enumerate() {
+                        w.send(&[(r * 10 + k) as u64], (r + off) % p, k as u64 % 3)?;
+                    }
+                    let coll = nbcoll::iallreduce(w, &[r as u64 + 1], 300, ops::sum::<u64>())?;
+                    for (t, n) in [(0u64, 2), (1, 1), (2, 1)] {
+                        for _ in 0..n {
+                            let (v, st) = w.recv::<u64>(Src::Any, t)?;
+                            out.push_str(&format!("{}:{} ", st.source, v[0]));
+                        }
+                    }
+                    out.push_str(&format!("ok:{}", coll.wait_result()?[0]));
+                }
+                Prog::Colls => {
+                    for i in 0..4u64 {
+                        let red = coll::reduce(w, &[r as u64 + i], 0, 200, ops::sum::<u64>())?;
+                        let scan = coll::scan(w, &[i + 1], 300, ops::sum::<u64>())?;
+                        coll::barrier(w, 400)?;
+                        out.push_str(&format!("{red:?}/{} ", scan[0]));
+                    }
+                }
+                Prog::Panic if r == 2 => panic!("boom on rank {r}"),
+                Prog::Panic => {}
+            }
+            Ok(out)
+        };
+        body().unwrap_or_else(|e| format!("{e}"))
+    });
+    let trace = res.trace.expect("traced run").to_text();
+    (res.per_rank, res.clocks, res.metrics, trace)
+}
+
+/// "Many universes" is a loop of solo runs on as many threads as there
+/// are cores (DESIGN.md §11). Universes share nothing but the process-wide
+/// payload pool (its overflow tier and counters), so a universe run among
+/// concurrent neighbours must equal the same universe run alone, and a
+/// rank panic must surface on the thread that ran that universe only.
+#[test]
+fn concurrent_solo_universes_match_their_solo_runs() {
+    let jitter = |s: u64| {
+        FaultPlan::default()
+            .with_perturb_seed(s)
+            .with_slowdown(0.3, 4.0)
+            .with_jitter(Time::from_micros(2))
+    };
+    let crash = |s: u64| {
+        FaultPlan::default()
+            .with_perturb_seed(1)
+            .with_crash(3 + s as usize % 17, Time::ZERO)
+    };
+    let mut batch: Vec<(usize, SimConfig, Prog)> = Vec::new();
+    for s in 0..4u64 {
+        let cfg = |k: u64| SimConfig::cooperative().with_seed(s * 10 + k);
+        batch.push((20 + s as usize, cfg(0), Prog::Storm));
+        batch.push((24, cfg(1).with_faults(jitter(s)), Prog::Storm));
+        batch.push((20, cfg(2).with_faults(crash(s)), Prog::Storm));
+        batch.push((13 + s as usize, cfg(3), Prog::Colls));
+    }
+    batch.insert(5, (4, SimConfig::cooperative(), Prog::Panic));
+
+    // `Err` carries the panic message `catch_unwind` saw.
+    let observe_caught = |(p, cfg, prog): &(usize, SimConfig, Prog)| {
+        let run = std::panic::AssertUnwindSafe(|| observe(*p, cfg, prog));
+        std::panic::catch_unwind(run)
+            .map_err(|e| e.downcast_ref::<String>().cloned().unwrap_or_default())
+    };
+    let next = AtomicUsize::new(0);
+    let start = std::sync::Barrier::new(4);
+    let got: Vec<Mutex<Option<Result<Observation, String>>>> =
+        batch.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                start.wait();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(uni) = batch.get(i) else { break };
+                    *got[i].lock().unwrap() = Some(observe_caught(uni));
+                }
+            });
+        }
+    });
+    for (i, (uni, got)) in batch.iter().zip(got).enumerate() {
+        let got = got.into_inner().unwrap().expect("every universe ran");
+        assert_eq!(got, observe_caught(uni), "universe {i} diverged");
+        match uni.2 {
+            Prog::Panic => assert!(got.unwrap_err().contains("boom on rank 2")),
+            Prog::Storm if !uni.1.faults.crashes.is_empty() => {
+                let outs = got.unwrap().0;
+                assert!(outs.iter().any(|out| out.contains("waiting on: rank")));
+            }
+            _ => assert!(got.is_ok()),
+        }
+    }
 }

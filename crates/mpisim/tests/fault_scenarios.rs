@@ -9,10 +9,10 @@
 //! so the `RoundBlame` diagnostics themselves are checked for
 //! worker-invariance.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use mpisim::{nbcoll, FaultPlan, Fleet};
-use mpisim::{ops, CommitAlgo, SimConfig, SimResult, Src, Time, Transport, Universe};
+use mpisim::{nbcoll, FaultPlan};
+use mpisim::{ops, CommitAlgo, SimConfig, Src, Time, Transport, Universe};
 use proptest::prelude::*;
 
 /// One rank's full observation of a faulted storm: the exact `(source,
@@ -29,17 +29,27 @@ fn tag_of(k: usize) -> u64 {
     (k % 3) as u64
 }
 
-/// Per-run store for the wildcard delivery logs.
-type LogStore = Arc<Mutex<Vec<Vec<(usize, u64, u64)>>>>;
-
-/// The storm program as a `'static` closure, so the same body serves both
-/// a solo [`Universe::run`] and a [`Fleet::submit`] batch.
-fn storm_program(
+/// Run the storm under `plan` and capture every rank's observation.
+/// Ranks that hit a fault-induced error (their own crash, or a stall
+/// poisoned by the stagnation detector) record the error display instead
+/// of a sum — including the blame text, which must itself be
+/// deterministic.
+fn faulted_storm_log(
     p: usize,
     per: usize,
-    logs: LogStore,
-) -> impl Fn(mpisim::ProcEnv) -> String + Send + Sync + 'static {
-    move |env| {
+    seed: u64,
+    plan: &FaultPlan,
+    workers: usize,
+    algo: CommitAlgo,
+) -> Vec<RankLog> {
+    assert!(p > *FANOUT_OFFSETS.iter().max().unwrap());
+    let logs: Mutex<Vec<Vec<(usize, u64, u64)>>> = Mutex::new(vec![Vec::new(); p]);
+    let cfg = SimConfig::cooperative()
+        .with_seed(seed)
+        .with_workers(workers)
+        .with_commit_algo(algo)
+        .with_faults(plan.clone());
+    let res = Universe::run(p, cfg, |env| {
         let w = &env.world;
         let r = w.rank();
         let body = || -> mpisim::Result<u64> {
@@ -66,21 +76,8 @@ fn storm_program(
             Ok(sum) => format!("ok:{sum}"),
             Err(e) => format!("{e}"),
         }
-    }
-}
-
-/// The storm's config under `plan` (worker count comes from the runner —
-/// `with_workers` for solo runs, `Fleet::new` for fleet batches).
-fn storm_cfg(seed: u64, algo: CommitAlgo, plan: &FaultPlan) -> SimConfig {
-    SimConfig::cooperative()
-        .with_seed(seed)
-        .with_commit_algo(algo)
-        .with_faults(plan.clone())
-}
-
-/// Zip a run's delivery logs with its outcomes and clocks.
-fn zip_logs(logs: &LogStore, res: SimResult<String>) -> Vec<RankLog> {
-    let logs = logs.lock().unwrap().clone();
+    });
+    let logs = logs.into_inner().unwrap();
     logs.into_iter()
         .zip(res.per_rank)
         .zip(res.clocks)
@@ -88,50 +85,13 @@ fn zip_logs(logs: &LogStore, res: SimResult<String>) -> Vec<RankLog> {
         .collect()
 }
 
-/// Run the storm solo under `plan` and capture every rank's observation.
-/// Ranks that hit a fault-induced error (their own crash, or a stall
-/// poisoned by the stagnation detector) record the error display instead
-/// of a sum — including the blame text, which must itself be
-/// deterministic.
-fn faulted_storm_log(
-    p: usize,
-    per: usize,
-    seed: u64,
-    plan: &FaultPlan,
-    workers: usize,
-    algo: CommitAlgo,
-) -> Vec<RankLog> {
-    assert!(p > *FANOUT_OFFSETS.iter().max().unwrap());
-    let logs: LogStore = Arc::new(Mutex::new(vec![Vec::new(); p]));
-    let cfg = storm_cfg(seed, algo, plan).with_workers(workers);
-    let res = Universe::run(p, cfg, storm_program(p, per, Arc::clone(&logs)));
-    zip_logs(&logs, res)
-}
-
 /// Assert the worker × commit-algo matrix reproduces the serial 1-worker
-/// oracle bit for bit under `plan`. The matrix runs through
-/// [`Fleet::submit`] batches — both commit algorithms co-scheduled over
-/// one worker pool — so fault injection is additionally checked against
-/// fleet multiplexing (faults are per-universe state and must not leak
-/// across co-scheduled universes or depend on the pool's interleaving).
+/// oracle bit for bit under `plan`.
 fn assert_fault_plan_deterministic(p: usize, per: usize, seed: u64, plan: &FaultPlan) {
     let oracle = faulted_storm_log(p, per, seed, plan, 1, CommitAlgo::Serial);
     for &workers in &[1usize, 4, 8] {
-        let fleet = Fleet::new(workers, 2);
-        let batch: Vec<_> = [CommitAlgo::Sharded, CommitAlgo::Serial]
-            .into_iter()
-            .map(|algo| {
-                let logs: LogStore = Arc::new(Mutex::new(vec![Vec::new(); p]));
-                let handle = fleet.submit(
-                    p,
-                    storm_cfg(seed, algo, plan),
-                    storm_program(p, per, Arc::clone(&logs)),
-                );
-                (algo, logs, handle)
-            })
-            .collect();
-        for (algo, logs, handle) in batch {
-            let got = zip_logs(&logs, handle.join());
+        for algo in [CommitAlgo::Sharded, CommitAlgo::Serial] {
+            let got = faulted_storm_log(p, per, seed, plan, workers, algo);
             assert_eq!(
                 oracle, got,
                 "faulted run diverged (workers={workers}, algo={algo:?}, plan={plan:?})"
