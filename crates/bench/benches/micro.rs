@@ -227,13 +227,14 @@ fn bench_payload_pool(c: &mut Criterion) {
 /// wildcard-drains its in-degree — the exact shape `tests/commit_shard.rs`
 /// uses. The storm repeats for several rounds inside one universe so the
 /// epoch commit (the ordering step under measurement) amortises the
-/// fiber/universe setup out of the numbers.
+/// universe setup out of the numbers. The ranks are future bodies: a
+/// synchronous body would add two thread hand-offs to every task step.
 fn commit_storm(p: usize, per: usize) -> mpisim::Time {
-    use mpisim::{SimConfig, Src, Transport, Universe};
+    use mpisim::{recv_async, SimConfig, Src, Transport, Universe};
     const OFFSETS: [usize; 4] = [1, 4, 9, 16];
     const ROUNDS: usize = 4;
     let cfg = SimConfig::cooperative().with_seed(7).with_workers(4);
-    let res = Universe::run(p, cfg, |env| {
+    let res = Universe::run_poll(p, cfg, |env| async move {
         let w = &env.world;
         let r = w.rank();
         for _round in 0..ROUNDS {
@@ -255,7 +256,7 @@ fn commit_storm(p: usize, per: usize) -> mpisim::Time {
                         .filter(|(k, _)| k % 3 == t as usize)
                         .count();
                 for _ in 0..n {
-                    let (v, _) = w.recv::<u64>(Src::Any, t).unwrap();
+                    let (v, _) = recv_async::<u64, _>(w, Src::Any, t).await.unwrap();
                     mpisim::pool::recycle_vec(v);
                 }
             }

@@ -18,7 +18,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use rbc::RbcComm;
 
 use crate::figs::scale;
-use crate::{measure, measure_async, ms, pow2_sweep, reps, Table};
+use crate::{measure_async, ms, pow2_sweep, reps, Table};
 
 /// Mean makespan of one JQuick sort of `n` seeded random doubles on `p`
 /// ranks; `seed_stride` keeps the two ablations' inputs apart.
@@ -123,37 +123,38 @@ pub fn icomm_ablation() -> Table {
     for p in pow2_sweep(4, scale::max_proc_exp()) {
         let p = p as usize;
         let vendor = VendorProfile::intel_like();
-        let blocking = measure(
-            p,
-            SimConfig::cooperative().with_vendor(vendor.clone()),
-            reps(5),
-            move |env, rep| {
-                let w = &env.world;
-                let g = if w.rank() < p / 2 {
-                    Group::range(0, 1, p / 2)
-                } else {
-                    Group::range(p / 2, 1, p - p / 2)
-                };
-                w.barrier().unwrap();
-                let t0 = env.now();
-                let _ = w.create_group(&g, 400 + rep as u64).unwrap();
-                env.now() - t0
-            },
-        );
-        let range = measure(p, SimConfig::cooperative(), reps(5), move |env, _| {
-            let w = &env.world;
-            let g = if w.rank() < p / 2 {
+        // The lower or the upper half of the world, whichever holds `rank`.
+        let half_of = move |rank: usize| {
+            if rank < p / 2 {
                 Group::range(0, 1, p / 2)
             } else {
                 Group::range(p / 2, 1, p - p / 2)
-            };
-            w.barrier().unwrap();
+            }
+        };
+        let coop = SimConfig::cooperative;
+        let blocking = measure_async(
+            p,
+            coop().with_vendor(vendor.clone()),
+            reps(5),
+            move |env, rep| async move {
+                let w = &env.world;
+                let g = half_of(w.rank());
+                w.barrier_async().await.unwrap();
+                let t0 = env.now();
+                let _ = w.create_group_async(&g, 400 + rep as u64).await.unwrap();
+                env.now() - t0
+            },
+        );
+        let range = measure_async(p, coop(), reps(5), move |env, _| async move {
+            let w = &env.world;
+            let g = half_of(w.rank());
+            w.barrier_async().await.unwrap();
             let t0 = env.now();
             let req = icomm_create_group(w, &g, 5).unwrap();
-            let _ = req.wait_comm().unwrap();
+            let _ = req.wait_comm_async().await.unwrap();
             env.now() - t0
         });
-        let irregular = measure(p, SimConfig::cooperative(), reps(5), move |env, rep| {
+        let irregular = measure_async(p, coop(), reps(5), move |env, rep| async move {
             let w = &env.world;
             // Odd/even interleave: NOT a contiguous range -> broadcast path.
             let which = w.rank() % 2;
@@ -163,13 +164,13 @@ pub fn icomm_ablation() -> Table {
             let mut ranks = ranks;
             ranks.rotate_left(1 + (rep % 2));
             let g = Group::from_ranks(ranks);
-            w.barrier().unwrap();
+            w.barrier_async().await.unwrap();
             let t0 = env.now();
             let req = icomm_create_group(w, &g, 7 + which as u64).unwrap();
-            let _ = req.wait_comm().unwrap();
+            let _ = req.wait_comm_async().await.unwrap();
             env.now() - t0
         });
-        let rbc = measure(p, SimConfig::cooperative(), reps(5), move |env, _| {
+        let rbc = measure_async(p, coop(), reps(5), move |env, _| async move {
             let world = RbcComm::create(&env.world);
             let r = world.rank();
             let (f, l) = if r < p / 2 {
@@ -177,7 +178,7 @@ pub fn icomm_ablation() -> Table {
             } else {
                 (p / 2, p - 1)
             };
-            world.barrier().unwrap();
+            world.barrier_async().await.unwrap();
             let t0 = env.now();
             let _ = world.split(f, l).unwrap();
             env.now() - t0

@@ -12,23 +12,18 @@
 //! Everything is deterministic in the perturbation seed, so the CSVs are
 //! golden files (`results/golden/`).
 
-use jquick::{
-    imbalance_factor, jquick_sort, multilevel, samplesort, workloads, JQuickConfig, Layout,
-    RbcBackend, SampleSortCfg,
-};
-use mpisim::{FaultPlan, SimConfig, Time, Transport};
-use rbc::RbcComm;
+use mpisim::{FaultPlan, SimConfig, Time};
 
 use crate::figs::scale;
-use crate::{measure, ms, reps, Table};
+use crate::figs::sorters::{sort_time, Sorter};
+use crate::{ms, reps, Table};
 
 /// Fraction of ranks slowed in every faulted configuration.
 const STRAGGLER_FRAC: f64 = 0.25;
 
 /// One data point: virtual makespan and max/avg output imbalance of
 /// `algo` under a straggler plan capped at `max_factor`.
-fn faulted_sort_time(algo: &'static str, p: usize, n_per: u64, max_factor: f64) -> (Time, f64) {
-    let n = n_per * p as u64;
+fn faulted_sort_time(algo: Sorter, p: usize, n_per: u64, max_factor: f64) -> (Time, f64) {
     let plan = if max_factor > 1.0 {
         FaultPlan::default()
             .with_perturb_seed(1)
@@ -37,50 +32,7 @@ fn faulted_sort_time(algo: &'static str, p: usize, n_per: u64, max_factor: f64) 
         FaultPlan::default()
     };
     let cfg = SimConfig::cooperative().with_faults(plan);
-    let imb = std::sync::Mutex::new(1.0f64);
-    let t = {
-        let imb = &imb;
-        measure(p, cfg, reps(3), move |env, rep| {
-            let w = &env.world;
-            let layout = Layout::new(n, p as u64);
-            let data = workloads::generate(
-                &layout,
-                w.rank() as u64,
-                rep as u64 * 13 + 1,
-                workloads::Dist::Skewed,
-            );
-            w.barrier().unwrap();
-            let t0 = env.now();
-            let out = match algo {
-                "jquick" => {
-                    jquick_sort(&RbcBackend, w, data, n, &JQuickConfig::default())
-                        .unwrap()
-                        .0
-                }
-                "samplesort" => {
-                    samplesort::sample_sort(w, data, &SampleSortCfg::default()).unwrap()
-                }
-                _ => {
-                    let world = RbcComm::create(w);
-                    multilevel::multilevel_sample_sort(
-                        &world,
-                        data,
-                        &multilevel::MultiLevelCfg::default(),
-                    )
-                    .unwrap()
-                    .0
-                }
-            };
-            let dt = env.now() - t0;
-            let f = imbalance_factor(w, out.len()).unwrap();
-            if w.rank() == 0 {
-                let mut g = imb.lock().unwrap();
-                *g = g.max(f);
-            }
-            dt
-        })
-    };
-    (t, imb.into_inner().unwrap())
+    sort_time(algo, p, n_per, cfg, reps(3))
 }
 
 /// Regenerate the straggler-degradation tables and write their CSVs.
@@ -88,9 +40,9 @@ pub fn run() -> Vec<Table> {
     let p = scale::p_elems();
     let n_per = 64u64;
     let algos = [
-        ("jquick", "JQuick (RBC)"),
-        ("multilevel", "Multi-level (k=4)"),
-        ("samplesort", "Sample sort"),
+        (Sorter::JQuick, "JQuick (RBC)"),
+        (Sorter::MultiLevel(4), "Multi-level (k=4)"),
+        (Sorter::SampleSort, "Sample sort"),
     ];
     let names: Vec<&str> = algos.iter().map(|&(_, n)| n).collect();
     let mut t = Table::new(

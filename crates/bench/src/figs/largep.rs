@@ -1,10 +1,8 @@
-//! Large-p sweep: the paper's headline regime and beyond — p = 2^10 ..
-//! 2^15 on the cooperative fiber backend, and up to **p = 2^20** under
-//! `MPISIM_BACKEND=poll`, where every rank is a stackless poll-mode body
-//! (a few hundred bytes of future state instead of a 128 KiB fiber stack
-//! plus guard-page VMAs). Rows at shared p are **byte-identical** across
-//! the two backends — CI diffs the CSVs — so the tail of the sweep is a
-//! genuine extension of the same experiment, not a different one.
+//! Large-p sweep: the paper's headline regime and beyond, p = 2^10 ..
+//! 2^15 and, on request, up to **p = 2^20**. Every rank is a future body
+//! on the epoch scheduler (a few hundred bytes of future state, no OS
+//! thread), so the tail of the sweep is the same experiment at a larger
+//! p, not a different one.
 //!
 //! Two tables:
 //!
@@ -28,23 +26,20 @@
 //! dominated by α·log p, plus the √p-element leader sorts); JQuick's
 //! makespan polylogarithmic in p at fixed n/p.
 //!
-//! Sweep control: `BENCH_QUICK=1` caps the sweep at 2^12 (both backends —
-//! the quick poll and fiber sweeps cover the same p, which is what the CI
-//! byte-diff compares); the poll backend otherwise extends the fiber range
-//! with the sparse tail {2^16, 2^18, 2^20}. `LARGEP_MAX_EXP=<e>` caps the
-//! sweep at 2^e (lenient: unparsable values are ignored), and under the
-//! poll backend an explicit cap opts the tail in even in quick mode, so
-//! CI can run `BENCH_QUICK=1 LARGEP_MAX_EXP=18` as a bounded
-//! past-the-ceiling smoke.
+//! Sweep control: `BENCH_QUICK=1` caps the contiguous range at 2^12 (the
+//! golden rows). `LARGEP_MAX_EXP=<e>` caps the sweep at 2^e (lenient:
+//! unparsable values are ignored) and is also what opts the sparse tail
+//! {2^16, 2^18, 2^20} in, up to 2^e, in quick mode too, so CI can run
+//! `BENCH_QUICK=1 LARGEP_MAX_EXP=18` as a bounded smoke past 2^15.
 
 use jquick::{jquick_sort_async, JQuickConfig, Layout, RbcBackend};
-use mpisim::{coll, Backend, SimConfig, Time, Transport, Universe};
+use mpisim::{coll, SimConfig, Time, Transport, Universe};
 use rbc::RbcComm;
 
 use crate::{measure_async, ms, quick_mode, reps, write_artifact, Table};
 
-/// Largest process exponent of the fiber-backed part of the sweep
-/// (paper: 2^15).
+/// Largest process exponent of the contiguous part of the sweep (paper:
+/// 2^15).
 fn max_exp() -> u32 {
     if quick_mode() {
         12
@@ -53,25 +48,19 @@ fn max_exp() -> u32 {
     }
 }
 
-/// The swept process exponents for the configured backend: the shared
-/// fiber range, plus the sparse poll-only tail {2^16, 2^18, 2^20} past
-/// the fiber ceiling. `LARGEP_MAX_EXP` caps both parts — and, under the
-/// poll backend, an explicit cap opts the tail in even in quick mode, so
-/// CI can run e.g. `BENCH_QUICK=1 LARGEP_MAX_EXP=18` as a bounded
-/// past-the-ceiling smoke without paying for the full fiber range.
-fn exps(backend: Backend) -> Vec<u32> {
+/// The swept process exponents: the contiguous range from 2^10, plus as
+/// much of the sparse tail {2^16, 2^18, 2^20} as an explicit
+/// `LARGEP_MAX_EXP` admits. The cap applies to both parts.
+fn exps() -> Vec<u32> {
     let cap = std::env::var("LARGEP_MAX_EXP")
         .ok()
         .and_then(|s| s.trim().parse::<u32>().ok());
     let mut v: Vec<u32> = (10..=max_exp().min(cap.unwrap_or(u32::MAX))).collect();
-    if backend == Backend::Poll {
-        let tail_cap = match cap {
-            Some(c) => c,
-            None if quick_mode() => 0,
-            None => 20,
-        };
-        v.extend([16u32, 18, 20].into_iter().filter(|&e| e <= tail_cap));
-    }
+    v.extend(
+        [16u32, 18, 20]
+            .into_iter()
+            .filter(|&e| e <= cap.unwrap_or(0)),
+    );
     v
 }
 
@@ -147,7 +136,8 @@ fn jquick_time(p: usize, n_per: u64) -> Time {
 ///
 /// * `results/largep_trace.txt` — the canonical text rendering of the
 ///   deterministic trace. CI byte-diffs this file across
-///   `MPISIM_COOP_WORKERS` and `MPISIM_BACKEND` settings; any difference means scheduling leaked into the model.
+///   `MPISIM_COOP_WORKERS` settings; any difference means scheduling
+///   leaked into the model.
 /// * Chrome `trace_event` JSON (default `results/largep_trace.json`,
 ///   overridable via `MPISIM_TRACE_OUT`) — drop into Perfetto /
 ///   `chrome://tracing`, one track per rank in virtual microseconds.
@@ -188,12 +178,10 @@ pub fn traced_slice() {
 
 /// Regenerate the large-p tables and write their CSVs. The two
 /// virtual-time tables are golden files: identical for any
-/// `MPISIM_COOP_WORKERS` and, at shared p, for `MPISIM_BACKEND=poll` vs
-/// fiber. The per-point host wall-clock goes to
+/// `MPISIM_COOP_WORKERS`. The per-point host wall-clock goes to
 /// `results/host/largep_wall.csv`.
 pub fn run() -> Vec<Table> {
-    let cfg = SimConfig::cooperative();
-    let (workers, backend) = (cfg.coop_workers, cfg.backend);
+    let workers = SimConfig::cooperative().coop_workers;
     let mut comms = Table::new(
         "Large p — splitting a communicator of p processes into halves (cooperative backend)",
         "p",
@@ -210,7 +198,7 @@ pub fn run() -> Vec<Table> {
         &["JQuick sweep wall-clock"],
         "s",
     );
-    for e in exps(backend) {
+    for e in exps() {
         let p = 1usize << e;
         comms.push(
             p as u64,

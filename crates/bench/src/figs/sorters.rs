@@ -16,110 +16,81 @@
 //! level while JQuick stays perfectly balanced by construction.
 
 use jquick::{
-    hypercube, imbalance_factor, jquick_sort, multilevel, samplesort, workloads, JQuickConfig,
-    Layout, PivotCfg, RbcBackend, SampleSortCfg,
+    hypercube, imbalance_factor_async, jquick_sort_async, multilevel, samplesort, workloads,
+    JQuickConfig, Layout, PivotCfg, RbcBackend, SampleSortCfg,
 };
 use mpisim::{SimConfig, Time, Transport};
 use rbc::RbcComm;
 
 use crate::figs::scale;
-use crate::{measure, ms, pow2_sweep, reps, Table};
+use crate::{measure_async, ms, pow2_sweep, reps, Table};
 
-fn sort_time(algo: &'static str, p: usize, n_per: u64) -> (Time, f64) {
-    let n = n_per * p as u64;
-    let imb = std::sync::Mutex::new(1.0f64);
-    let t = {
-        let imb = &imb;
-        measure(p, SimConfig::cooperative(), reps(3), move |env, rep| {
-            let w = &env.world;
-            let layout = Layout::new(n, p as u64);
-            let data = workloads::generate(
-                &layout,
-                w.rank() as u64,
-                rep as u64 * 13 + 1,
-                workloads::Dist::Skewed,
-            );
-            w.barrier().unwrap();
-            let t0 = env.now();
-            let out = match algo {
-                "jquick" => {
-                    jquick_sort(&RbcBackend, w, data, n, &JQuickConfig::default())
-                        .unwrap()
-                        .0
-                }
-                "hypercube" => hypercube::hypercube_sort(w, data, &PivotCfg::default()).unwrap(),
-                "samplesort" => {
-                    samplesort::sample_sort(w, data, &SampleSortCfg::default()).unwrap()
-                }
-                _ => {
-                    let world = RbcComm::create(w);
-                    multilevel::multilevel_sample_sort(
-                        &world,
-                        data,
-                        &multilevel::MultiLevelCfg::default(),
-                    )
-                    .unwrap()
-                    .0
-                }
-            };
-            let dt = env.now() - t0;
-            let f = imbalance_factor(w, out.len()).unwrap();
-            if w.rank() == 0 {
-                let mut g = imb.lock().unwrap();
-                *g = g.max(f);
-            }
-            dt
-        })
-    };
-    (t, imb.into_inner().unwrap())
+/// A §IV sorter as the figures run it, each with its default
+/// configuration.
+#[derive(Clone, Copy)]
+pub(crate) enum Sorter {
+    JQuick,
+    Hypercube,
+    SampleSort,
+    /// Multi-level sample sort with this fan-out.
+    MultiLevel(usize),
 }
 
-/// One large-p data point: virtual makespan and max/avg output imbalance.
-fn largep_sort_time(algo: &'static str, fanout: usize, p: usize, n_per: u64) -> (Time, f64) {
+/// One data point: virtual makespan (mean over `reps`) and max/avg output
+/// imbalance of `algo` on skewed input under `cfg`.
+pub(crate) fn sort_time(
+    algo: Sorter,
+    p: usize,
+    n_per: u64,
+    cfg: SimConfig,
+    reps: usize,
+) -> (Time, f64) {
     let n = n_per * p as u64;
     let imb = std::sync::Mutex::new(1.0f64);
-    let t = {
-        let imb = &imb;
-        measure(p, SimConfig::cooperative(), 1, move |env, rep| {
-            let w = &env.world;
-            let layout = Layout::new(n, p as u64);
-            let data = workloads::generate(
-                &layout,
-                w.rank() as u64,
-                rep as u64 * 13 + 1,
-                workloads::Dist::Skewed,
-            );
-            w.barrier().unwrap();
-            let t0 = env.now();
-            let out = match algo {
-                "jquick" => {
-                    jquick_sort(&RbcBackend, w, data, n, &JQuickConfig::default())
-                        .unwrap()
-                        .0
-                }
-                _ => {
-                    let world = RbcComm::create(w);
-                    multilevel::multilevel_sample_sort(
-                        &world,
-                        data,
-                        &multilevel::MultiLevelCfg {
-                            fanout,
-                            ..Default::default()
-                        },
-                    )
+    let imb_ref = &imb;
+    let t = measure_async(p, cfg, reps, move |env, rep| async move {
+        let w = &env.world;
+        let layout = Layout::new(n, p as u64);
+        let data = workloads::generate(
+            &layout,
+            w.rank() as u64,
+            rep as u64 * 13 + 1,
+            workloads::Dist::Skewed,
+        );
+        w.barrier_async().await.unwrap();
+        let t0 = env.now();
+        let out = match algo {
+            Sorter::JQuick => {
+                jquick_sort_async(&RbcBackend, w, data, n, &JQuickConfig::default())
+                    .await
                     .unwrap()
                     .0
-                }
-            };
-            let dt = env.now() - t0;
-            let f = imbalance_factor(w, out.len()).unwrap();
-            if w.rank() == 0 {
-                let mut g = imb.lock().unwrap();
-                *g = g.max(f);
             }
-            dt
-        })
-    };
+            Sorter::Hypercube => hypercube::hypercube_sort_async(w, data, &PivotCfg::default())
+                .await
+                .unwrap(),
+            Sorter::SampleSort => samplesort::sample_sort_async(w, data, &SampleSortCfg::default())
+                .await
+                .unwrap(),
+            Sorter::MultiLevel(fanout) => {
+                let cfg = multilevel::MultiLevelCfg {
+                    fanout,
+                    ..Default::default()
+                };
+                multilevel::multilevel_sample_sort_async(&RbcComm::create(w), data, &cfg)
+                    .await
+                    .unwrap()
+                    .0
+            }
+        };
+        let dt = env.now() - t0;
+        let f = imbalance_factor_async(w, out.len()).await.unwrap();
+        if w.rank() == 0 {
+            let mut g = imb_ref.lock().unwrap();
+            *g = g.max(f);
+        }
+        dt
+    });
     (t, imb.into_inner().unwrap())
 }
 
@@ -129,12 +100,12 @@ fn run_largep() -> Vec<Table> {
     let max_exp = if crate::quick_mode() { 12 } else { 15 };
     let n_per = 64u64;
     let series = [
-        ("jquick", 0usize, "JQuick (RBC)"),
-        ("multilevel", 2, "Multi-level k=2"),
-        ("multilevel", 8, "Multi-level k=8"),
-        ("multilevel", 32, "Multi-level k=32"),
+        (Sorter::JQuick, "JQuick (RBC)"),
+        (Sorter::MultiLevel(2), "Multi-level k=2"),
+        (Sorter::MultiLevel(8), "Multi-level k=8"),
+        (Sorter::MultiLevel(32), "Multi-level k=32"),
     ];
-    let names: Vec<&str> = series.iter().map(|&(_, _, n)| n).collect();
+    let names: Vec<&str> = series.iter().map(|&(_, n)| n).collect();
     let mut t = Table::new(
         &format!(
             "Extension — §IV families at large p (n/p = {n_per}, skewed, cooperative backend)"
@@ -152,8 +123,8 @@ fn run_largep() -> Vec<Table> {
         let p = 1usize << e;
         let mut times = Vec::new();
         let mut imbs = Vec::new();
-        for &(algo, fanout, _) in &series {
-            let (dt, f) = largep_sort_time(algo, fanout, p, n_per);
+        for &(algo, _) in &series {
+            let (dt, f) = sort_time(algo, p, n_per, SimConfig::cooperative(), 1);
             times.push(ms(dt));
             imbs.push(f);
         }
@@ -171,32 +142,29 @@ fn run_largep() -> Vec<Table> {
 /// Regenerate the sorter-comparison tables and write their CSVs.
 pub fn run() -> Vec<Table> {
     let p = scale::p_elems().next_power_of_two() / 2; // hypercube needs 2^k
+    let series = [
+        (Sorter::JQuick, "JQuick (RBC)"),
+        (Sorter::Hypercube, "Hypercube qsort"),
+        (Sorter::SampleSort, "Sample sort"),
+        (Sorter::MultiLevel(4), "Multi-level (k=4)"),
+    ];
+    let names: Vec<&str> = series.iter().map(|&(_, n)| n).collect();
     let mut t = Table::new(
         &format!("Extension — §IV sorting algorithms on {p} cores (skewed doubles)"),
         "n/p",
-        &[
-            "JQuick (RBC)",
-            "Hypercube qsort",
-            "Sample sort",
-            "Multi-level (k=4)",
-        ],
+        &names,
     );
     let mut imb = Table::with_unit(
         &format!("Extension — max/avg output size on {p} cores (skewed doubles)"),
         "n/p",
-        &[
-            "JQuick (RBC)",
-            "Hypercube qsort",
-            "Sample sort",
-            "Multi-level (k=4)",
-        ],
+        &names,
         "ratio",
     );
     for n_per in pow2_sweep(2, scale::max_elem_exp().min(12)) {
         let mut times = Vec::new();
         let mut imbs = Vec::new();
-        for algo in ["jquick", "hypercube", "samplesort", "multilevel"] {
-            let (dt, f) = sort_time(algo, p, n_per);
+        for &(algo, _) in &series {
+            let (dt, f) = sort_time(algo, p, n_per, SimConfig::cooperative(), reps(3));
             times.push(ms(dt));
             imbs.push(f);
         }

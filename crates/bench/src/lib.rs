@@ -14,7 +14,7 @@ use std::fs;
 pub mod figs;
 use std::path::Path;
 
-use mpisim::{Backend, SimConfig, Time};
+use mpisim::{SimConfig, Time};
 
 /// Number of repetitions, scaled down in quick mode.
 pub fn reps(full: usize) -> usize {
@@ -133,38 +133,15 @@ impl Table {
     }
 }
 
-/// Run `op` on `p` ranks `reps` times and report the mean over reps of the
-/// per-rep makespan (max over ranks of virtual elapsed time). The closure
-/// receives `(env, rep_index)` and must return its elapsed virtual time.
-///
-/// The kernel is synchronous, so it runs on the fiber backend whatever
-/// `cfg.backend` says: never on `Backend::Threads`, where wildcard
-/// receives match in wall-clock order and the CSVs would differ run to
-/// run, and never on `Backend::Poll`, which cannot drive a synchronous
-/// body. Only kernels whose callees have no `*_async` core use this
-/// (hypercube, sample sort, multi-level sample sort, `icomm`).
-pub fn measure<F>(p: usize, cfg: SimConfig, reps: usize, op: F) -> Time
-where
-    F: Fn(&mpisim::ProcEnv, usize) -> Time + Send + Sync,
-{
-    let cfg = cfg.with_backend(Backend::Cooperative);
-    let res = mpisim::Universe::run(p, cfg, |env| {
-        let mut times = Vec::with_capacity(reps);
-        for rep in 0..reps {
-            times.push(op(&env, rep));
-        }
-        times
-    });
-    makespan_mean(&res.per_rank, reps)
-}
-
-/// Async twin of [`measure`]: the per-rep operation is an `async fn`, so
-/// one kernel serves both scheduler backends. On the fiber it completes
-/// inside `block_inline`; under `MPISIM_BACKEND=poll` it suspends at
-/// blocking calls and runs as a stackless rank body, which is what lets
-/// sweeps continue past the fiber ceiling (p > 2^15). Both produce the
-/// same bytes. Callers pass `SimConfig::cooperative()`, which selects
-/// between exactly those two.
+/// Run the async `op` on `p` ranks `reps` times and report the mean over
+/// reps of the per-rep makespan (max over ranks of virtual elapsed time).
+/// The closure receives `(env, rep_index)` and must return its elapsed
+/// virtual time. With `SimConfig::cooperative()`, as every figure passes,
+/// each rank is a future body on the epoch scheduler: a few hundred bytes
+/// and no OS thread per rank, which is what lets the sweeps reach 2^15
+/// ranks and `largep` 2^20, and the output is the same bytes for every
+/// worker count. Every figure kernel enters here; there is no synchronous
+/// twin (a synchronous body would cost an OS thread per rank).
 pub fn measure_async<F, Fut>(p: usize, cfg: SimConfig, reps: usize, op: F) -> Time
 where
     F: Fn(mpisim::ProcEnv, usize) -> Fut + Send + Sync,
@@ -262,22 +239,22 @@ mod tests {
     }
 
     #[test]
-    fn measure_async_matches_measure() {
-        let cfg = || SimConfig::cooperative().with_seed(9);
-        let sync = measure(4, cfg(), 2, |env, _| {
-            env.world.barrier().unwrap();
-            env.now()
-        });
-        let fut = measure_async(4, cfg(), 2, |env, _| async move {
-            env.world.barrier_async().await.unwrap();
-            env.now()
-        });
-        assert_eq!(sync, fut);
+    fn measure_async_is_the_same_on_every_backend_and_worker_count() {
+        let on = |cfg: SimConfig| {
+            measure_async(4, cfg.with_seed(9), 2, |env, _| async move {
+                env.world.barrier_async().await.unwrap();
+                env.now()
+            })
+        };
+        let one = on(SimConfig::cooperative());
+        assert!(one > Time::ZERO);
+        assert_eq!(one, on(SimConfig::cooperative().with_workers(4)));
+        assert_eq!(one, on(SimConfig::default()), "thread backend");
     }
 
     #[test]
-    fn measure_reports_makespan_mean() {
-        let t = measure(3, SimConfig::default(), 2, |env, rep| {
+    fn measure_async_reports_makespan_mean() {
+        let t = measure_async(3, SimConfig::default(), 2, |env, rep| async move {
             let dt = Time::from_millis((env.rank() as u64 + 1) * (rep as u64 + 1));
             env.state().charge(dt);
             dt

@@ -1,7 +1,7 @@
 //! The figure harness is a pure function of `(program, seed)`: kernels
 //! whose receives are wildcards (JQuick's exchange, the gather and reduce
-//! trees) report the same virtual times on every run, for every worker
-//! count and on both scheduler backends. On `Backend::Threads`, where
+//! trees) report the same virtual times on every run and for every worker
+//! count. On `Backend::Threads`, where
 //! these kernels used to run, wildcard receives match in wall-clock order
 //! and the numbers differed run to run.
 //!
@@ -26,20 +26,12 @@ fn observe() -> (Vec<Time>, Vec<Rows>) {
 }
 
 #[test]
-fn wildcard_kernels_repeat_for_any_worker_count_and_backend() {
+fn wildcard_kernels_repeat_for_any_worker_count() {
     std::env::set_var("BENCH_QUICK", "1");
-    let runs = [
-        ("fiber", "1"),
-        ("fiber", "1"),
-        ("fiber", "4"),
-        ("poll", "2"),
-    ]
-    .map(|(backend, workers)| {
-        std::env::set_var("MPISIM_BACKEND", backend);
+    let runs = ["1", "1", "4"].map(|workers| {
         std::env::set_var("MPISIM_COOP_WORKERS", workers);
         observe()
     });
     assert_eq!(runs[0], runs[1], "two runs at one worker differ");
     assert_eq!(runs[0], runs[2], "1 and 4 workers differ");
-    assert_eq!(runs[0], runs[3], "fiber and poll differ");
 }

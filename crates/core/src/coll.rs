@@ -54,8 +54,8 @@ impl RbcComm {
     }
 
     /// Maybe-async twin of [`RbcComm::barrier`]: identical rounds and
-    /// tags, but suspends instead of blocking so it can run inside a
-    /// poll-mode rank body (`Backend::Poll`).
+    /// tags, but suspends instead of blocking so it can run inside an
+    /// async rank body (`Universe::run_poll`).
     pub async fn barrier_async(&self) -> Result<()> {
         coll::barrier_async(self, tags::BARRIER).await
     }

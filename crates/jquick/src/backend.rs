@@ -56,7 +56,7 @@ pub trait Backend: Send + Sync {
 
     /// Maybe-async twin of [`Backend::split_range`]: identical result, but
     /// any communication suspends instead of blocking, so the driver can
-    /// run as a poll-mode rank body (`Backend::Poll`). RBC resolves
+    /// run as an async rank body (`Universe::run_poll`). RBC resolves
     /// synchronously (the split is local); native MPI awaits the
     /// `create_group` collective.
     fn split_range_async(

@@ -137,8 +137,8 @@ where
 /// Maybe-async core of [`jquick_sort`]: the identical algorithm, but every
 /// blocking agreement (the all-equal min/max all-reduce, native
 /// `create_group`, and the polling loops' waits) suspends instead of
-/// parking, so the whole sort can run as a `Backend::Poll` rank body at
-/// process counts beyond the fiber ceiling.
+/// parking, so the whole sort can run as a future body
+/// (`Universe::run_poll`) at process counts no thread per rank reaches.
 pub async fn jquick_sort_async<T, B>(
     backend: &B,
     world: &Comm,

@@ -8,7 +8,7 @@
 //! maintained**: a process can end up with far more (or fewer) than n/p
 //! elements, which is exactly the weakness JQuick's assignment step fixes.
 
-use mpisim::{coll, Datum, MpiError, Result, SortKey, Src, Transport};
+use mpisim::{block_inline, coll, recv_async, Datum, MpiError, Result, SortKey, Src, Transport};
 
 use crate::partition::{local_sort_charged, partition, sample_median, Strictness};
 use crate::pivot::{draw_samples, PivotCfg};
@@ -21,6 +21,17 @@ const TAG_XCHG: u64 = 88;
 /// power of two). Returns this process's sorted slice — sizes may be
 /// imbalanced.
 pub fn hypercube_sort<T: SortKey + Datum>(
+    world: &impl Transport,
+    data: Vec<T>,
+    pivot_cfg: &PivotCfg,
+) -> Result<Vec<T>> {
+    block_inline(hypercube_sort_async(world, data, pivot_cfg))
+}
+
+/// [`hypercube_sort`] as a maybe-async core (see [`mpisim::coll`]'s
+/// module docs): the same sends and receives in the same order, awaiting
+/// where the synchronous function blocks.
+pub async fn hypercube_sort_async<T: SortKey + Datum>(
     world: &impl Transport,
     mut data: Vec<T>,
     pivot_cfg: &PivotCfg,
@@ -54,7 +65,9 @@ pub fn hypercube_sort<T: SortKey + Datum>(
             if my_sub & mask == 0 {
                 let src = my_sub | mask;
                 if src < group_size {
-                    let (v, _) = world.recv::<T>(Src::Rank(group_first + src), TAG_SAMPLES)?;
+                    let (v, _) =
+                        recv_async::<T, _>(world, Src::Rank(group_first + src), TAG_SAMPLES)
+                            .await?;
                     pool.extend(v);
                 }
             } else {
@@ -78,7 +91,7 @@ pub fn hypercube_sort<T: SortKey + Datum>(
             Vec::new()
         };
         // Broadcast within the group via a rank-shifted binomial tree.
-        group_bcast(world, group_first, group_size, &mut pivot_buf)?;
+        group_bcast(world, group_first, group_size, &mut pivot_buf).await?;
 
         // Partition and exchange with the partner in the other half.
         let strict = Strictness::for_level(level);
@@ -94,7 +107,7 @@ pub fn hypercube_sort<T: SortKey + Datum>(
             (large, small)
         };
         world.send_vec(send, partner, TAG_XCHG)?;
-        let (recvd, _) = world.recv::<T>(Src::Rank(partner), TAG_XCHG)?;
+        let (recvd, _) = recv_async::<T, _>(world, Src::Rank(partner), TAG_XCHG).await?;
         let mut merged = keep;
         merged.extend(recvd);
         data = merged;
@@ -106,7 +119,7 @@ pub fn hypercube_sort<T: SortKey + Datum>(
 
 /// Binomial broadcast from `group_first` within the rank window
 /// `[group_first, group_first + group_size)`.
-fn group_bcast<T: Datum>(
+async fn group_bcast<T: Datum>(
     world: &impl Transport,
     group_first: usize,
     group_size: usize,
@@ -116,7 +129,8 @@ fn group_bcast<T: Datum>(
     let mut mask = 1usize;
     while mask < group_size {
         if my_sub & mask != 0 {
-            let (v, _) = world.recv::<T>(Src::Rank(group_first + (my_sub - mask)), TAG_PIVOT)?;
+            let src = Src::Rank(group_first + (my_sub - mask));
+            let (v, _) = recv_async::<T, _>(world, src, TAG_PIVOT).await?;
             *data = v;
             break;
         }

@@ -56,11 +56,13 @@ pub mod workloads;
 pub use backend::{Backend, MpiBackend, RbcBackend, Schedule};
 pub use driver::{jquick_sort, jquick_sort_async, JQuickConfig, SortStats};
 pub use exchange::AssignmentKind;
-pub use hypercube::hypercube_sort;
+pub use hypercube::{hypercube_sort, hypercube_sort_async};
 pub use layout::{Layout, TaskRange};
-pub use multilevel::{multilevel_sample_sort, MultiLevelCfg};
+pub use multilevel::{multilevel_sample_sort, multilevel_sample_sort_async, MultiLevelCfg};
 pub use pivot::PivotCfg;
 pub use quickhull::{quickhull, Point};
-pub use samplesort::{sample_sort, SampleSortCfg};
-pub use verify::{fingerprint, imbalance_factor, verify_sorted, VerifyReport};
+pub use samplesort::{sample_sort, sample_sort_async, SampleSortCfg};
+pub use verify::{
+    fingerprint, imbalance_factor, imbalance_factor_async, verify_sorted, VerifyReport,
+};
 pub use workloads::{generate as generate_workload, Dist};

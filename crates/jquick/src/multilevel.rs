@@ -15,7 +15,7 @@
 //! the group sizes are fixed fractions of p — the two §IV weaknesses
 //! JQuick was designed to fix.
 
-use mpisim::{coll, MpiError, Result, SortKey, Src, Transport};
+use mpisim::{block_inline, coll, recv_async, tags, MpiError, Result, SortKey, Src, Transport};
 use rbc::RbcComm;
 
 use crate::partition::local_sort_charged;
@@ -58,6 +58,16 @@ pub struct MlStats {
 /// approximately) plus statistics.
 pub fn multilevel_sample_sort<T: SortKey + mpisim::Datum>(
     comm: &RbcComm,
+    data: Vec<T>,
+    cfg: &MultiLevelCfg,
+) -> Result<(Vec<T>, MlStats)> {
+    block_inline(multilevel_sample_sort_async(comm, data, cfg))
+}
+
+/// [`multilevel_sample_sort`] as a maybe-async core (see
+/// [`mpisim::coll`]'s module docs).
+pub async fn multilevel_sample_sort_async<T: SortKey + mpisim::Datum>(
+    comm: &RbcComm,
     mut data: Vec<T>,
     cfg: &MultiLevelCfg,
 ) -> Result<(Vec<T>, MlStats)> {
@@ -78,7 +88,7 @@ pub fn multilevel_sample_sort<T: SortKey + mpisim::Datum>(
 
         // 1. Agree on k-1 splitters from a gathered sample.
         let samples = draw_samples(&data, cfg.oversample, comm.state());
-        let gathered = comm.gatherv(samples, 0)?;
+        let gathered = coll::gatherv_async(&comm, samples, 0, tags::GATHERV).await?;
         let mut splitters: Vec<T> = match gathered {
             Some(per_rank) => {
                 let mut all: Vec<T> = per_rank.into_iter().flatten().collect();
@@ -92,7 +102,7 @@ pub fn multilevel_sample_sort<T: SortKey + mpisim::Datum>(
             }
             None => Vec::new(),
         };
-        coll::bcast(&comm, &mut splitters, 0, TAG_SPLITTERS)?;
+        coll::bcast_async(&comm, &mut splitters, 0, TAG_SPLITTERS).await?;
 
         // 2. Partition into k pieces and route piece i to group i.
         //    Groups are contiguous rank ranges of near-equal size.
@@ -131,7 +141,7 @@ pub fn multilevel_sample_sort<T: SortKey + mpisim::Datum>(
             }
         }
         for _ in 0..expected_senders {
-            let (v, _) = comm.recv::<T>(Src::Any, route_tag)?;
+            let (v, _) = recv_async::<T, _>(&comm, Src::Any, route_tag).await?;
             data.extend(v);
         }
 

@@ -139,19 +139,27 @@ pub fn verify_sorted<T: SortKey + Datum + KeyBits>(
 /// Max/avg imbalance of output sizes relative to n/p (hypercube quicksort
 /// produces imbalance; JQuick must not).
 pub fn imbalance_factor(world: &impl Transport, local_len: usize) -> Result<f64> {
+    mpisim::block_inline(imbalance_factor_async(world, local_len))
+}
+
+/// [`imbalance_factor`] as a maybe-async core (see [`mpisim::coll`]'s
+/// module docs).
+pub async fn imbalance_factor_async(world: &impl Transport, local_len: usize) -> Result<f64> {
     let p = world.size() as u64;
-    let totals = coll::allreduce(
+    let totals = coll::allreduce_async(
         world,
         &[local_len as u64, local_len as u64],
         TAG_CHECK + 2,
         |a: &u64, b: &u64| a + b, // first slot: sum
-    )?;
-    let max = coll::allreduce(
+    )
+    .await?;
+    let max = coll::allreduce_async(
         world,
         &[local_len as u64],
         TAG_CHECK + 4,
         |a: &u64, b: &u64| (*a).max(*b),
-    )?[0];
+    )
+    .await?[0];
     let avg = totals[0] as f64 / p as f64;
     Ok(max as f64 / avg.max(1.0))
 }

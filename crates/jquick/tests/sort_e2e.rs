@@ -401,3 +401,60 @@ fn moderate_scale_smoke() {
     // O(log p) with overwhelming probability; log2(64) = 6, allow slack.
     assert!(depth <= 20, "depth {depth}");
 }
+
+// ---- the baseline sorters' async cores --------------------------------
+
+/// A baseline's synchronous function under `Universe::run` (thread
+/// bodies) and its `*_async` core under `Universe::run_poll` (future
+/// bodies) are one program: same per-rank output, same clocks.
+fn async_core_matches_sync<R, Fut>(
+    p: usize,
+    sync: impl Fn(&mpisim::Comm, Vec<f64>) -> R + Send + Sync,
+    core: impl Fn(mpisim::Comm, Vec<f64>) -> Fut + Send + Sync,
+) where
+    R: PartialEq + std::fmt::Debug + Send,
+    Fut: std::future::Future<Output = R> + Send,
+{
+    let cfg = || SimConfig::cooperative().with_seed(11);
+    let layout = Layout::new(40 * p as u64, p as u64);
+    let input = |rank: usize| gen_input(&layout, rank as u64, 5, Dist::Skewed);
+    let a = Universe::run(p, cfg(), |env| sync(&env.world, input(env.rank())));
+    let b = Universe::run_poll(p, cfg(), |env| core(env.world.clone(), input(env.rank())));
+    assert!(a.clocks.iter().all(|&t| t > mpisim::Time::ZERO));
+    assert_eq!((a.per_rank, a.clocks), (b.per_rank, b.clocks));
+}
+
+#[test]
+fn hypercube_async_core_matches_sync() {
+    let cfg = jquick::PivotCfg::default();
+    async_core_matches_sync(
+        8,
+        |w, data| jquick::hypercube_sort(w, data, &cfg).unwrap(),
+        |w, data| async move { jquick::hypercube_sort_async(&w, data, &cfg).await.unwrap() },
+    );
+}
+
+#[test]
+fn samplesort_async_core_matches_sync() {
+    let cfg = jquick::SampleSortCfg::default();
+    async_core_matches_sync(
+        7,
+        |w, data| jquick::sample_sort(w, data, &cfg).unwrap(),
+        |w, data| async move { jquick::sample_sort_async(&w, data, &cfg).await.unwrap() },
+    );
+}
+
+#[test]
+fn multilevel_async_core_matches_sync() {
+    let cfg = jquick::MultiLevelCfg::default();
+    async_core_matches_sync(
+        9,
+        |w, data| jquick::multilevel_sample_sort(&rbc::RbcComm::create(w), data, &cfg).unwrap(),
+        |w, data| async move {
+            let world = rbc::RbcComm::create(&w);
+            jquick::multilevel_sample_sort_async(&world, data, &cfg)
+                .await
+                .unwrap()
+        },
+    );
+}

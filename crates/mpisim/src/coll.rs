@@ -18,11 +18,12 @@
 //! blocking receives go through the maybe-async transport primitives
 //! ([`crate::transport::recv_async`] and friends); the synchronous
 //! function of the same name drives the core with
-//! [`crate::sched::poll::block_inline`]. Off the poll backend every await
-//! resolves in place, so the sync wrappers behave exactly as before; on
-//! [`crate::Backend::Poll`] the cores suspend at each blocked receive and
-//! the scheduler re-polls them — one implementation, three backends, and
-//! byte-identical output by construction (DESIGN.md §12).
+//! [`crate::sched::poll::block_inline`]. Off a future body every await
+//! resolves in place, so the sync wrappers behave exactly as before; in
+//! one ([`crate::Universe::run_poll`]) the cores suspend at each blocked
+//! receive and the scheduler re-polls them: one implementation for every
+//! way a rank runs, and byte-identical output by construction (DESIGN.md
+//! §12).
 
 use std::sync::Arc;
 

@@ -7,9 +7,9 @@
 //! default, a well-formed value configures, and anything else **panics**
 //! with a message naming the variable and the expected shape. A mistyped
 //! sweep knob silently falling back to the default would make the
-//! experiment vacuous — `MPISIM_BACKEND=pol` running fibers would
-//! "confirm" the poll backend against itself, and `MPISIM_TRACE=yes`
-//! silently tracing nothing would byte-diff two empty traces. The only
+//! experiment vacuous: `MPISIM_TRACE=yes` silently tracing nothing would
+//! byte-diff two empty traces, and a mistyped `MPISIM_FAULT_CRASH`
+//! injecting nothing would measure a fault sweep without faults. The only
 //! deliberately lenient knobs are `MPISIM_COOP_WORKERS` (a machine-shape
 //! hint, not an experiment axis) and `MPISIM_TRACE_OUT` (a path, any
 //! string is plausible).
@@ -25,7 +25,7 @@ pub fn var(name: &str) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler knobs (MPISIM_COOP_WORKERS, MPISIM_BACKEND)
+// Scheduler knob (MPISIM_COOP_WORKERS)
 // ---------------------------------------------------------------------------
 
 /// Parse `MPISIM_COOP_WORKERS` (a positive worker count). Deliberately
@@ -36,26 +36,6 @@ pub fn coop_workers_from(var: Option<&str>) -> usize {
     var.and_then(|v| v.trim().parse::<usize>().ok())
         .unwrap_or(1)
         .max(1)
-}
-
-/// Parse `MPISIM_BACKEND` into a [`Backend`](crate::Backend) for
-/// [`crate::SimConfig::cooperative`]. Unset, blank, `fiber`, `coop`, or
-/// `cooperative` selects the stackful fiber backend; `poll` selects the
-/// stackless poll backend; `threads` selects one OS thread per rank;
-/// anything else panics (a typo silently running fibers would make a
-/// fiber-vs-poll determinism sweep compare fibers against themselves).
-pub fn backend_from(var: Option<&str>) -> crate::Backend {
-    match var.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
-        None | Some("") | Some("fiber") | Some("coop") | Some("cooperative") => {
-            crate::Backend::Cooperative
-        }
-        Some("poll") => crate::Backend::Poll,
-        Some("threads") => crate::Backend::Threads,
-        Some(other) => panic!(
-            "MPISIM_BACKEND={other:?} is not a simulator backend \
-             (expected \"fiber\", \"poll\", or \"threads\")"
-        ),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -212,25 +192,6 @@ mod tests {
         assert_eq!(coop_workers_from(Some("garbage")), 1);
         assert_eq!(coop_workers_from(Some("0")), 1);
         assert_eq!(coop_workers_from(Some(" 8 ")), 8);
-    }
-
-    #[test]
-    fn backend_knob_parses_strictly() {
-        use crate::Backend;
-        assert_eq!(backend_from(None), Backend::Cooperative);
-        assert_eq!(backend_from(Some("")), Backend::Cooperative);
-        assert_eq!(backend_from(Some("fiber")), Backend::Cooperative);
-        assert_eq!(backend_from(Some(" Coop ")), Backend::Cooperative);
-        assert_eq!(backend_from(Some("cooperative")), Backend::Cooperative);
-        assert_eq!(backend_from(Some("poll")), Backend::Poll);
-        assert_eq!(backend_from(Some(" POLL ")), Backend::Poll);
-        assert_eq!(backend_from(Some("threads")), Backend::Threads);
-    }
-
-    #[test]
-    #[should_panic(expected = "MPISIM_BACKEND")]
-    fn backend_knob_rejects_garbage() {
-        backend_from(Some("fibers"));
     }
 
     // ---- observability knobs ----------------------------------------------

@@ -100,9 +100,8 @@ impl FaultPlan {
 
     /// Build a plan from the `MPISIM_FAULT_*` environment knobs (see the
     /// parsers below). Unset knobs leave their field at the default;
-    /// malformed values **panic** — exactly like `MPISIM_BACKEND`, a
-    /// mistyped fault sweep silently running fault-free would make every
-    /// faulted-vs-clean diff vacuously green.
+    /// malformed values **panic**: a mistyped fault sweep silently running
+    /// fault-free would make every faulted-vs-clean diff vacuously green.
     pub fn from_env() -> FaultPlan {
         FaultPlan {
             perturb_seed: fault_seed_from(crate::env::var("MPISIM_FAULT_SEED").as_deref()),

@@ -124,8 +124,14 @@ impl IcommCreate {
     }
 
     /// Block until creation completes and return the communicator.
-    pub fn wait_comm(mut self) -> Result<Comm> {
-        nbcoll::wait(&mut self)?;
+    pub fn wait_comm(self) -> Result<Comm> {
+        crate::block_inline(self.wait_comm_async())
+    }
+
+    /// [`IcommCreate::wait_comm`] as a maybe-async core (see
+    /// [`nbcoll::wait_async`]).
+    pub async fn wait_comm_async(mut self) -> Result<Comm> {
+        nbcoll::wait_async(&mut self).await?;
         Ok(self.take().expect("completed creation yields a comm"))
     }
 }

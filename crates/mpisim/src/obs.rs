@@ -168,8 +168,8 @@ pub struct TraceRecord {
 }
 
 /// Per-rank trace buffer, cache-line aligned like the router's traffic
-/// cells. Only the owning rank's fiber/thread ever appends, so the mutex
-/// is uncontended; it exists because fibers migrate across workers.
+/// cells. Only the owning rank's body ever appends, so the mutex is
+/// uncontended; it exists because future bodies migrate across workers.
 #[repr(align(64))]
 #[derive(Default)]
 pub(crate) struct TraceCell(Mutex<Vec<(Time, TraceEvent)>>);
@@ -369,9 +369,10 @@ fn json_str(s: &str) -> String {
 // ---------------------------------------------------------------------------
 
 /// RAII guard opened by [`span`]: restores the previous operation class on
-/// drop and closes the trace span. Lives on the rank's own (fiber) stack —
-/// **not** a thread-local, because fibers yield mid-collective and resume
-/// on a different worker thread.
+/// drop and closes the trace span. Lives in the rank's own body (its
+/// future state or its stack), **not** in a thread-local, because a future
+/// body suspends mid-collective and is polled again on a different worker
+/// thread.
 pub struct SpanGuard<'a> {
     state: &'a ProcState,
     prev: u8,
@@ -476,7 +477,8 @@ pub struct MetricsSnapshot {
     pub epochs: u64,
     /// Tasks woken across all epoch commits (0 on the thread backend).
     pub wakeups: u64,
-    /// Fiber context switches (0 on the thread backend).
+    /// Task steps: one per rank body per round it ran in (0 on the thread
+    /// backend).
     pub switches: u64,
 }
 
@@ -514,7 +516,7 @@ impl MetricsSnapshot {
 /// One worker's wall-clock phase breakdown.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerProfile {
-    /// Nanoseconds spent resuming task fibers.
+    /// Nanoseconds spent stepping rank bodies.
     pub run_ns: u64,
     /// Nanoseconds spent pushing commit shards and advancing phases:
     /// gathering and ordering an epoch's staged messages and, on the

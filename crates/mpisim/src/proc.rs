@@ -320,9 +320,9 @@ pub struct ProcState {
     /// coordinate: worker-count invariant by construction.
     send_seq: AtomicU64,
     /// The [`OpClass`] currently attributed to this rank's sends, managed
-    /// by the RAII guards in [`crate::obs`]. Lives here — not in a
-    /// thread-local — because fibers yield mid-collective and resume on a
-    /// different worker thread.
+    /// by the RAII guards in [`crate::obs`]. Lives here, not in a
+    /// thread-local, because a future body suspends mid-collective and is
+    /// polled again on a different worker thread.
     op_class: AtomicU8,
 }
 
@@ -652,9 +652,9 @@ impl ProcState {
     /// Blocking receive matching `pat`; applies the virtual-time rule
     /// `clock = max(clock, arrival) + recv_overhead`. The one receive core
     /// of every backend: on a scheduler task the wait is the scheduler's
-    /// claim future (a stackless body suspends through it, a fiber
-    /// resolves it in place); on a plain rank thread it parks on the
-    /// mailbox condvar.
+    /// claim future (a future body suspends through it, a thread body
+    /// resolves it in place); on a free-running rank thread it parks on
+    /// the mailbox condvar.
     pub async fn recv_match_async(&self, pat: &MatchPattern) -> Result<Message> {
         if self.crashed() {
             return Err(self.crashed_err("recv", pat));

@@ -2,12 +2,13 @@
 //!
 //! The scheduler knows one kind of task: a [`RankBody`], stepped once per
 //! claimed unit with [`RankBody::proceed`] until it reports
-//! [`Step::Finished`]. Two implementations exist. `FutureBody` wraps an
-//! `async` rank program: the compiler's async transform keeps exactly the
-//! live locals of the current await point, so a rank costs a few hundred
-//! bytes and a 2^20-rank universe fits ([`crate::Backend::Poll`]). The
-//! fiber module's `FiberBody` wraps a synchronous closure on its own
-//! stack ([`crate::Backend::Cooperative`]).
+//! [`Step::Finished`]. Two implementations exist, one per entry point.
+//! `FutureBody` wraps an `async` rank program
+//! ([`crate::Universe::run_poll`]): the compiler's async transform keeps
+//! exactly the live locals of the current await point, so a rank costs a
+//! few hundred bytes and a 2^20-rank universe fits. `ThreadBody`
+//! (`sched/thread.rs`) wraps a synchronous closure on a parked OS thread
+//! of its own ([`crate::Universe::run`]).
 //!
 //! **Invariant:** a body returns [`Step::Suspended`] only after one of
 //! the scheduler's wait leaves (`sched/task.rs`) stored how the task runs
@@ -18,12 +19,13 @@
 //!
 //! Every blocking core of the library (`coll`, the `nbcoll` waits,
 //! `Comm::split`, `create_group`, RBC, the JQuick driver) is written once
-//! as an `async fn` over those wait leaves. A stackless body suspends by
+//! as an `async fn` over those wait leaves. A future body suspends by
 //! returning `Pending` through the await chain; everywhere else the leaf
-//! resolves in place (a fiber switches stacks inside it, a plain thread
-//! blocks on the mailbox condvar), so [`block_inline`] completes the whole
-//! future in a single poll. The synchronous public API is
-//! `block_inline(<the async core>)` all the way down.
+//! resolves in place (a thread body's rank thread hands its baton back
+//! inside it, a free-running rank thread blocks on the mailbox condvar),
+//! so [`block_inline`] completes the whole future in a single poll. The
+//! synchronous public API is `block_inline(<the async core>)` all the way
+//! down.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -62,7 +64,7 @@ fn noop_waker() -> Waker {
 
 /// Drive a workload future to completion in one poll.
 ///
-/// Off a stackless body every wait leaf resolves in place (see the module
+/// Off a future body every wait leaf resolves in place (see the module
 /// docs), so the first poll returns `Ready`; this is how the synchronous
 /// public API (`Transport::recv`, `Comm::bcast`, `jquick_sort`, …) runs
 /// the shared async cores.
@@ -70,8 +72,8 @@ fn noop_waker() -> Waker {
 /// # Panics
 ///
 /// Panics if the future suspends, which happens exactly when a
-/// synchronous call has to wait *inside* a poll-mode rank body: those
-/// must use the `*_async` API end to end.
+/// synchronous call has to wait *inside* a future body: an async rank
+/// program must use the `*_async` API end to end.
 pub fn block_inline<F: Future>(fut: F) -> F::Output {
     let mut fut = std::pin::pin!(fut);
     let waker = noop_waker();
@@ -79,14 +81,16 @@ pub fn block_inline<F: Future>(fut: F) -> F::Output {
     match fut.as_mut().poll(&mut cx) {
         Poll::Ready(v) => v,
         Poll::Pending => panic!(
-            "synchronous MPI call suspended inside a poll-mode rank body: \
-             under Backend::Poll every blocking operation must go through \
-             the *_async API (and the universe through Universe::run_poll)"
+            "synchronous MPI call had to wait inside an async rank body: \
+             under Universe::run_poll every blocking operation must go \
+             through the *_async API (a synchronous rank program enters \
+             through Universe::run)"
         ),
     }
 }
 
-/// The stackless [`RankBody`]: a pinned rank future polled once per step.
+/// The future body, the stackless [`RankBody`]: a pinned rank future
+/// polled once per step.
 /// `Ready` finishes the task, `Pending` comes from a wait leaf; a panic in
 /// the rank program is recorded first-wins and finishes the task.
 pub(crate) struct FutureBody<'a> {

@@ -3,8 +3,10 @@
 //!
 //! **Invariant:** a slot is touched only by the worker that holds the
 //! task in `ST_RUNNING` (claimed through the epoch cursor), by the body
-//! itself while that worker is inside `proceed`, or by the committing
-//! worker after the round barrier, when no task of the round is running.
+//! itself while that worker is inside `proceed` (on that worker's thread,
+//! or on the rank thread a thread body lends its turn to), or by the
+//! committing worker after the round barrier, when no task of the round
+//! is running.
 //!
 //! # How a rank waits
 //!
@@ -27,11 +29,12 @@
 //! pending at once (a hand-rolled `join` of two receives).
 //!
 //! "Suspend" is the only step that depends on the kind of body, and it is
-//! one question: [`suspend_in_place`]. A fiber answers by switching to its
-//! worker and returns `true` when it is resumed, so the leaf loops and the
-//! future it sits in never observes `Pending`; that is why
+//! one question: [`suspend_in_place`]. A thread body answers on its rank
+//! thread by handing the baton back to its worker and returns `true` when
+//! it is stepped again, so the leaf loops and the future it sits in never
+//! observes `Pending`; that is why
 //! [`block_inline`](super::poll::block_inline) may assume one poll. A
-//! stackless body answers `false` and the leaf returns `Pending` up the
+//! future body answers `false` and the leaf returns `Pending` up the
 //! await chain. Off a scheduler task (`Backend::Threads`) none of this
 //! runs: the callers block on the mailbox condvar instead.
 //!
@@ -229,19 +232,31 @@ pub(super) fn poison(slots: &[TaskSlot], next: &mut Vec<usize>, only_blocked: bo
 }
 
 thread_local! {
-    /// The task this worker thread is stepping (null outside `step`).
+    /// The task this thread runs the body of: on a worker the one it is
+    /// stepping (null outside `step`), on a thread body's rank thread its
+    /// own ([`adopt`]).
     static CURRENT: Cell<*const TaskSlot> = const { Cell::new(std::ptr::null()) };
 }
 
 pub(super) fn current_slot() -> Option<&'static TaskSlot> {
-    // SAFETY: `CURRENT` is non-null only inside `TaskSlot::step`, whose
-    // `&self` outlives the body's execution; the 'static never escapes
-    // this module's leaves.
+    // SAFETY: `CURRENT` is followed only inside `TaskSlot::step`, whose
+    // `&self` outlives the body's execution: a worker's is non-null only
+    // there, and a rank thread (`adopt`) runs only while a worker is
+    // blocked there for the same slot. The 'static reaches this module's
+    // leaves and the thread body's baton, nothing that outlives the step.
     unsafe { CURRENT.with(|c| c.get()).as_ref() }
 }
 
+/// Make `slot` the calling thread's current task for the rest of the
+/// thread's life. For the rank thread of a thread body, which runs the
+/// program a worker's `step` of `slot` is blocked on, so that staging,
+/// poisoning and the wait leaves find the slot there.
+pub(super) fn adopt(slot: &'static TaskSlot) {
+    CURRENT.with(|c| c.set(slot));
+}
+
 /// Whether the calling code runs inside a scheduler task (as opposed to a
-/// plain rank thread of `Backend::Threads`).
+/// free-running rank thread of `Backend::Threads`).
 pub(crate) fn on_task() -> bool {
     current_slot().is_some()
 }
@@ -422,8 +437,7 @@ pub fn yield_now_async() -> impl Future<Output = ()> {
 }
 
 /// [`yield_now_async`] for synchronous rank programs (panics inside a
-/// poll-mode rank body, like every synchronous wait; see
-/// [`block_inline`]).
+/// future body, like every synchronous wait; see [`block_inline`]).
 pub fn yield_now() {
     block_inline(yield_now_async());
 }

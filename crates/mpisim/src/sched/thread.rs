@@ -1,0 +1,192 @@
+//! The thread body: a synchronous closure on its own OS thread, stepped
+//! by the scheduler like any other [`RankBody`].
+//!
+//! A synchronous rank program waits in the middle of its call stack, so
+//! it needs a stack of its own, and an OS thread is one. The rank thread
+//! and the worker that steps it pass a **baton** (one `Mutex<Turn>`, one
+//! `Condvar`): [`RankBody::proceed`] hands it to the parked rank thread
+//! and blocks until it comes back; [`suspend_in_place`], reached from a
+//! wait leaf on the rank thread, hands it back and blocks until the next
+//! `proceed`. A step is two futex hand-offs, tens of microseconds where a
+//! future body pays tens of nanoseconds (DESIGN.md §4), so thread bodies
+//! serve synchronous programs to about 2^12 ranks and everything larger
+//! enters through [`crate::Universe::run_poll`].
+//!
+//! **Invariant:** the rank thread runs only while a worker is blocked in
+//! `proceed` inside [`TaskSlot::step`] for its task. It is therefore "the
+//! body itself" of the `sched/task.rs` invariant: it adopts that slot as
+//! its current task, and staging, poisoning and the wait leaves work on
+//! it unchanged. The mutex hand-off orders what the two sides wrote.
+
+use std::cell::{Cell, RefCell};
+use std::sync::Arc;
+use std::thread::{Builder, Scope};
+
+use parking_lot::{Condvar, Mutex};
+
+use super::poll::{RankBody, Step};
+use super::task::{adopt, current_slot, record_panic, SchedShared, TaskSlot};
+
+/// Who holds the baton.
+enum Turn {
+    /// The scheduler: the rank thread is parked (or not yet started).
+    Worker,
+    /// The rank thread, for the task a worker is inside `step` of.
+    Rank(&'static TaskSlot),
+    /// Nobody any more: the closure returned or panicked, or the body was
+    /// dropped before its first step.
+    Finished,
+}
+
+struct Baton {
+    turn: Mutex<Turn>,
+    moved: Condvar,
+}
+
+impl Baton {
+    fn hand(&self, turn: Turn) {
+        *self.turn.lock() = turn;
+        self.moved.notify_one();
+    }
+
+    /// Rank side: park until a worker hands the baton over. `None` when
+    /// the body was dropped instead.
+    fn await_turn(&self) -> Option<&'static TaskSlot> {
+        let mut turn = self.turn.lock();
+        loop {
+            match *turn {
+                Turn::Worker => self.moved.wait(&mut turn),
+                Turn::Rank(slot) => return Some(slot),
+                Turn::Finished => return None,
+            }
+        }
+    }
+}
+
+thread_local! {
+    /// The task this thread is the rank thread of (null on every other
+    /// thread). Only ever compared, never followed.
+    static MY_SLOT: Cell<*const TaskSlot> = const { Cell::new(std::ptr::null()) };
+    /// This rank thread's baton.
+    static MY_BATON: RefCell<Option<Arc<Baton>>> = const { RefCell::new(None) };
+}
+
+/// The synchronous [`RankBody`]: `proceed` lends the calling worker's
+/// turn to the rank's own thread.
+pub(crate) struct ThreadBody {
+    baton: Arc<Baton>,
+}
+
+impl ThreadBody {
+    /// Spawn the parked thread of `rank` (of `p`) in `scope`; it runs
+    /// `body` from the first `proceed` on. A panic in `body` is recorded
+    /// in `store` first-wins and finishes the task.
+    ///
+    /// # Panics
+    ///
+    /// When the OS refuses another thread.
+    pub(crate) fn spawn<'scope>(
+        scope: &'scope Scope<'scope, '_>,
+        stack_size: usize,
+        (rank, p): (usize, usize),
+        store: Arc<SchedShared>,
+        body: impl FnOnce() + Send + 'scope,
+    ) -> ThreadBody {
+        let baton = Arc::new(Baton {
+            turn: Mutex::new(Turn::Worker),
+            moved: Condvar::new(),
+        });
+        let mine = Arc::clone(&baton);
+        let spawned = Builder::new()
+            .name(format!("rank{rank}"))
+            .stack_size(stack_size)
+            .spawn_scoped(scope, move || {
+                let Some(slot) = mine.await_turn() else {
+                    return;
+                };
+                adopt(slot);
+                MY_SLOT.with(|s| s.set(slot));
+                MY_BATON.with(|b| *b.borrow_mut() = Some(Arc::clone(&mine)));
+                if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
+                    record_panic(&store, rank, payload);
+                }
+                mine.hand(Turn::Finished);
+            });
+        if let Err(e) = spawned {
+            panic!(
+                "cannot spawn the thread of rank {rank} in a universe of p = {p}: {e}; \
+                 synchronous bodies take one OS thread per rank; use \
+                 `Universe::run_poll` for universes this large"
+            );
+        }
+        ThreadBody { baton }
+    }
+}
+
+impl RankBody for ThreadBody {
+    fn proceed(&mut self) -> Step {
+        let slot = current_slot().expect("a body is stepped inside TaskSlot::step");
+        let mut turn = self.baton.turn.lock();
+        *turn = Turn::Rank(slot);
+        self.baton.moved.notify_one();
+        loop {
+            self.baton.moved.wait(&mut turn);
+            match *turn {
+                Turn::Rank(_) => {}
+                Turn::Worker => return Step::Suspended,
+                Turn::Finished => return Step::Finished,
+            }
+        }
+    }
+}
+
+impl Drop for ThreadBody {
+    /// Release a rank thread that was never stepped (a later rank's spawn
+    /// failed), so the scope can join it. A body that ran has finished:
+    /// the scheduler drops bodies only then.
+    fn drop(&mut self) {
+        self.baton.hand(Turn::Finished);
+    }
+}
+
+/// The scheduler's suspension seam. On the rank thread of `slot`'s task:
+/// hand the baton back to the worker and return `true` once the task is
+/// stepped again. Anywhere else (a future body on a worker, also one of a
+/// universe nested inside a rank thread) return `false`.
+#[inline]
+pub(super) fn suspend_in_place(slot: &TaskSlot) -> bool {
+    // Out of line so that the future body's path, which always answers
+    // `false`, carries one call and no thread-local access sequence.
+    #[inline(never)]
+    fn my_slot() -> *const TaskSlot {
+        MY_SLOT.with(|s| s.get())
+    }
+    if !std::ptr::eq(my_slot(), slot) {
+        return false;
+    }
+    let baton = MY_BATON.with(|b| b.borrow().clone());
+    let baton = baton.expect("a rank thread holds its baton");
+    baton.hand(Turn::Worker);
+    baton
+        .await_turn()
+        .expect("a body that started is stepped until it finishes");
+    true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_body_dropped_before_its_first_step_lets_the_scope_end() {
+        let ran = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let store = Arc::new(SchedShared::new(1));
+            let body = ThreadBody::spawn(scope, 64 << 10, (0, 1), store, || {
+                ran.store(true, std::sync::atomic::Ordering::SeqCst);
+            });
+            drop(body);
+        });
+        assert!(!ran.into_inner(), "an unstepped body never runs");
+    }
+}

@@ -1,8 +1,11 @@
-//! The universe: runs `p` simulated MPI processes under one of three
-//! backends — an OS thread per rank, or the epoch scheduler
-//! ([`crate::sched`]) that multiplexes all ranks over a small worker pool,
-//! with a stack per rank (the paper's 2^15 processes) or a stackless
-//! `async` body per rank (2^20 and beyond).
+//! The universe: runs `p` simulated MPI processes either free-running,
+//! an OS thread per rank, or on the epoch scheduler ([`crate::sched`]),
+//! which steps all ranks deterministically from a small worker pool. On
+//! the scheduler the entry point decides what a rank body is:
+//! [`Universe::run`] takes a synchronous closure and gives each rank a
+//! parked OS thread to keep its stack on (to about 2^12 ranks),
+//! [`Universe::run_poll`] takes an `async` body and a rank is a few
+//! hundred bytes of future state (the paper's 2^15 processes, and 2^20).
 //!
 //! ```
 //! use mpisim::{Universe, SimConfig, Transport};
@@ -16,7 +19,8 @@
 //! assert_eq!(res.per_rank, vec![0, 0, 0, 0]);
 //! ```
 //!
-//! The same program at 2^15 ranks, which the thread backend cannot reach:
+//! The same program at 2^10 ranks on the scheduler, bit-for-bit
+//! reproducible:
 //!
 //! ```
 //! use mpisim::{Universe, SimConfig, Transport};
@@ -36,36 +40,36 @@ use crate::comm::Comm;
 use crate::faults::{FaultPlan, FaultState};
 use crate::model::{CommitAlgo, CostModel, VendorProfile};
 use crate::proc::{ProcState, Router};
-use crate::sched::{self, poll::RankBody};
+use crate::sched::{
+    self,
+    poll::{FutureBody, RankBody},
+    thread::ThreadBody,
+};
 use crate::time::Time;
 
 /// Which runtime executes the rank bodies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// One OS thread per simulated rank. Simple and preemptive; practical
-    /// up to a few hundred ranks.
+    /// One free-running OS thread per simulated rank, blocking on its
+    /// mailbox's condvar. Simple and preemptive; value-deterministic
+    /// only; practical up to a few hundred ranks.
     Threads,
-    /// The cooperative fiber scheduler: all ranks multiplexed over
+    /// The epoch scheduler: all ranks stepped from
     /// [`SimConfig::coop_workers`] OS threads under an epoch discipline
     /// that makes runs **bit-for-bit deterministic in `(program, seed)`
-    /// for any worker count** — message deliveries commit at epoch
+    /// for any worker count**: message deliveries commit at epoch
     /// boundaries in global virtual-time order (see [`crate::sched`] and
-    /// DESIGN.md §5). Required for the paper's large-p regime (up to 2^15
-    /// ranks). Off unix x86-64 / AArch64 there is no fiber implementation
-    /// and this falls back to `Threads`.
+    /// DESIGN.md §5). What a rank body is follows from the entry point,
+    /// not from this value: [`Universe::run`] builds thread bodies (a
+    /// parked OS thread per rank, two hand-offs per step; synchronous
+    /// programs to about 2^12 ranks), [`Universe::run_poll`] builds future
+    /// bodies (the paper's 2^15 ranks, and 2^20). Output is byte-identical
+    /// between the two for the same program.
     Cooperative,
-    /// The same epoch scheduler, but every rank is a **pollable state
-    /// machine** ([`crate::sched::poll::RankBody`]) instead of a stackful
-    /// fiber: per-rank cost drops from a stack (128 KiB + guard-page
-    /// VMAs) to the few hundred bytes of `Future` state the compiler's
-    /// async transform retains, unlocking universes past the fiber
-    /// ceiling — p = 2^20 and beyond. Poll steps claim the same
-    /// generation-tagged rounds, stage sends into the same per-task
-    /// buffers, and commit through the unchanged epoch discipline, so
-    /// output is **byte-identical to [`Backend::Cooperative`]** at every
-    /// p both can run, and it runs on every target. Rank bodies must be
-    /// async ([`Universe::run_poll`]); the synchronous [`Universe::run`]
-    /// panics under this backend.
+    /// A synonym of [`Backend::Cooperative`]: the epoch scheduler. No
+    /// library code distinguishes the two; both names stay until the perf
+    /// ledger under `benchmark/`, which spells both, is revised (ROADMAP
+    /// item 1(a)).
     Poll,
 }
 
@@ -81,7 +85,9 @@ pub struct SimConfig {
     pub recv_timeout: Duration,
     /// Base seed for per-rank deterministic RNG streams.
     pub seed: u64,
-    /// OS thread stack size per rank under [`Backend::Threads`].
+    /// OS thread stack size per rank, wherever a rank has a thread:
+    /// [`Backend::Threads`], and the thread bodies [`Universe::run`] builds
+    /// on the scheduler.
     pub stack_size: usize,
     /// Which runtime executes rank bodies.
     pub backend: Backend,
@@ -92,19 +98,6 @@ pub struct SimConfig {
     /// run independent ranks of each epoch in parallel with identical
     /// output.
     pub coop_workers: usize,
-    /// Fiber stack size per rank under [`Backend::Cooperative`]. All fiber
-    /// stacks are carved from one commit-on-touch `mmap` slab with a
-    /// `PROT_NONE` **guard page** below each stack, so an overrun faults
-    /// instead of corrupting the neighbouring fiber (plus a bottom-of-stack
-    /// canary as a second line). Guards cost ~2·p kernel VMAs, so above
-    /// roughly 30k ranks (half the default Linux `vm.max_map_count`) the
-    /// slab stays a single unguarded mapping and the canary is the only
-    /// line — as is the rare `mmap`-unavailable heap fallback. The virtual
-    /// reservation is about `p * (coop_stack_size + page)` — the 128 KiB
-    /// default keeps a 2^15-rank universe at a ~4 GiB `MAP_NORESERVE`
-    /// reservation, of which only touched pages are committed. Raise it
-    /// for rank bodies with deep recursion.
-    pub coop_stack_size: usize,
     /// How the cooperative scheduler's epoch commit delivers staged
     /// messages: [`CommitAlgo::Sharded`] (default) sorts the staged run
     /// destination-major in place and lets all idle workers push
@@ -153,7 +146,6 @@ impl Default for SimConfig {
             stack_size: 1 << 20,
             backend: Backend::Threads,
             coop_workers: 1,
-            coop_stack_size: 128 << 10,
             commit_algo: CommitAlgo::Sharded,
             coop_commit_shards: 0,
             faults: FaultPlan::default(),
@@ -164,7 +156,7 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Default configuration on the cooperative scheduler backend. The
+    /// Default configuration on the epoch scheduler. The
     /// worker-pool size honours the `MPISIM_COOP_WORKERS` environment
     /// variable (default 1) — results are identical for every value — and
     /// the fault plan honours the `MPISIM_FAULT_SEED` / `MPISIM_FAULT_SLOW`
@@ -173,14 +165,11 @@ impl SimConfig {
     /// a fault plan *does* change what is simulated, deterministically.
     /// `MPISIM_TRACE=1` turns on the deterministic event trace and
     /// `MPISIM_SCHED_PROFILE=1` the wall-clock scheduler profile (both
-    /// strict boolean knobs; see [`crate::env`]). `MPISIM_BACKEND`
-    /// selects the execution mode (`fiber`, the default, or `poll` for
-    /// stackless poll-mode rank bodies — which requires the program to
-    /// go through [`Universe::run_poll`]).
+    /// strict boolean knobs; see [`crate::env`]).
     pub fn cooperative() -> SimConfig {
         use crate::env;
         SimConfig {
-            backend: env::backend_from(env::var("MPISIM_BACKEND").as_deref()),
+            backend: Backend::Cooperative,
             coop_workers: env::coop_workers_from(env::var("MPISIM_COOP_WORKERS").as_deref()),
             faults: FaultPlan::from_env(),
             trace: env::trace_from(env::var("MPISIM_TRACE").as_deref()),
@@ -245,15 +234,9 @@ impl SimConfig {
         self
     }
 
-    /// Replace the per-rank OS thread stack size (thread backend).
+    /// Replace the per-rank OS thread stack size.
     pub fn with_stack_size(mut self, bytes: usize) -> SimConfig {
         self.stack_size = bytes;
-        self
-    }
-
-    /// Replace the per-rank fiber stack size (cooperative backend).
-    pub fn with_coop_stack_size(mut self, bytes: usize) -> SimConfig {
-        self.coop_stack_size = bytes;
         self
     }
 
@@ -349,8 +332,15 @@ impl<R> SimResult<R> {
 pub struct Universe;
 
 impl Universe {
-    /// Run `f` on `p` simulated processes under `cfg.backend` and collect
-    /// results. Panics in any rank propagate.
+    /// Run the synchronous rank body `f` on `p` simulated processes under
+    /// `cfg.backend` and collect results. Either way a rank is an OS
+    /// thread: free-running under [`Backend::Threads`], parked and stepped
+    /// by the epoch scheduler otherwise (a thread body: one scoped thread
+    /// of [`SimConfig::stack_size`] per rank, two hand-offs per step). The
+    /// host's thread limits (`ulimit -u`, `vm.max_map_count`) put the
+    /// ceiling somewhere past 2^12 ranks; larger universes, and every
+    /// figure kernel, go through [`Universe::run_poll`]. A panic in any
+    /// rank propagates with its payload once every rank thread has exited.
     pub fn run<R, F>(p: usize, cfg: SimConfig, f: F) -> SimResult<R>
     where
         R: Send,
@@ -366,72 +356,60 @@ impl Universe {
             results.lock()[rank] = Some(out);
         };
 
-        let (sched_counters, sched_profile) = match cfg.backend {
-            Backend::Poll => panic!(
-                "Backend::Poll runs async rank bodies: use Universe::run_poll \
-                 (the synchronous Universe::run cannot drive poll-mode tasks)"
-            ),
-            #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-            Backend::Cooperative => {
-                let stacks = Arc::new(sched::fiber::StackSlab::new(p, cfg.coop_stack_size));
-                Self::run_sched(&cfg, &router, &states, |rank, state, store| {
-                    sched::fiber::FiberBody::new(&stacks, rank, store, || rank_main(state))
-                })
-            }
-            _ => {
+        let sched = match cfg.backend {
+            Backend::Threads => {
                 Self::run_threads(&cfg, &rank_main, &states);
                 ((0, 0, 0), None)
             }
+            Backend::Cooperative | Backend::Poll => std::thread::scope(|scope| {
+                let rank_main = &rank_main;
+                Self::run_sched(&cfg, &router, &states, |rank, state, store| {
+                    let body = move || rank_main(state);
+                    Box::new(ThreadBody::spawn(
+                        scope,
+                        cfg.stack_size,
+                        (rank, p),
+                        store,
+                        body,
+                    ))
+                })
+            }),
         };
-
-        assemble_result(
-            &router,
-            &states,
-            results.into_inner(),
-            sched_counters,
-            sched_profile,
-        )
+        assemble_result(&router, &states, results.into_inner(), sched)
     }
 
-    /// Run the async rank body `f` on `p` simulated processes. This is
-    /// the entry point for [`Backend::Poll`]: each rank's future becomes
-    /// a stackless task stepped by the epoch scheduler — no fiber stack,
-    /// no VMA cost — so universes can reach p = 2^20 and beyond. Under
-    /// [`Backend::Threads`] or [`Backend::Cooperative`] the same future is
-    /// driven to completion by [`Universe::run`] through
-    /// [`crate::block_inline`] (every await resolves in place), so one
-    /// async program serves all three backends with byte-identical
-    /// output. Panics in any rank propagate.
+    /// Run the async rank body `f` on `p` simulated processes. On the
+    /// epoch scheduler each rank's future is a future body: a stackless
+    /// task polled once per step, a few hundred bytes and no OS thread
+    /// per rank, so universes reach p = 2^20 and beyond. Under
+    /// [`Backend::Threads`] the same future is driven to completion by
+    /// [`Universe::run`] through [`crate::block_inline`] (every await
+    /// resolves in place), so one async program serves every backend, with
+    /// byte-identical output wherever the scheduler runs it. Panics in any
+    /// rank propagate.
     pub fn run_poll<R, F, Fut>(p: usize, cfg: SimConfig, f: F) -> SimResult<R>
     where
         R: Send,
         F: Fn(ProcEnv) -> Fut + Send + Sync,
         Fut: std::future::Future<Output = R> + Send,
     {
-        if cfg.backend != Backend::Poll {
+        if cfg.backend == Backend::Threads {
             return Universe::run(p, cfg, |env| crate::block_inline(f(env)));
         }
         let (router, states) = build_fabric(p, &cfg);
         let results: Mutex<Vec<Option<R>>> = Mutex::new((0..p).map(|_| None).collect());
         let (f, results_ref) = (&f, &results);
-        let (sched_counters, sched_profile) =
-            Self::run_sched(&cfg, &router, &states, |rank, state, store| {
-                let fut = async move {
-                    let out = f(ProcEnv {
-                        world: Comm::world(state),
-                    })
-                    .await;
-                    results_ref.lock()[rank] = Some(out);
-                };
-                Box::new(sched::poll::FutureBody::new(fut, rank, store))
-            });
-        assemble_result(
-            &router,
-            &states,
-            results.into_inner(),
-            sched_counters,
-            sched_profile,
-        )
+        let sched = Self::run_sched(&cfg, &router, &states, |rank, state, store| {
+            let fut = async move {
+                let out = f(ProcEnv {
+                    world: Comm::world(state),
+                })
+                .await;
+                results_ref.lock()[rank] = Some(out);
+            };
+            Box::new(FutureBody::new(fut, rank, store))
+        });
+        assemble_result(&router, &states, results.into_inner(), sched)
     }
 
     /// Thread backend: one scoped OS thread per rank.
@@ -459,9 +437,9 @@ impl Universe {
         });
     }
 
-    /// Scheduler backends: every rank is one task on the epoch scheduler,
-    /// its body built by `body_of(rank, state, panic store)`; the two
-    /// backends differ only there. Returns the scheduler's deterministic
+    /// Every rank is one task on the epoch scheduler, its body built by
+    /// `body_of(rank, state, panic store)`; the two entry points differ
+    /// only there. Returns the scheduler's deterministic
     /// `(epochs, wakeups, switches)` counters and, when profiling, its
     /// wall-clock phase profile.
     fn run_sched<'a>(
@@ -532,8 +510,7 @@ fn assemble_result<R>(
     router: &Arc<Router>,
     states: &[Arc<ProcState>],
     results: Vec<Option<R>>,
-    sched_counters: (u64, u64, u64),
-    sched_profile: Option<crate::obs::SchedProfile>,
+    (sched_counters, sched_profile): ((u64, u64, u64), Option<crate::obs::SchedProfile>),
 ) -> SimResult<R> {
     let per_rank = results
         .into_iter()

@@ -6,13 +6,17 @@
 //! payload pool and the scheduler's commit buffers are warm, and that
 //! the total allocation count of a warm run is itself deterministic.
 //!
-//! The measurement only holds at `workers = 1`: the scheduler then runs
-//! its worker loop on the calling thread (no allocating thread spawns,
-//! no `Arc`-published commit phase — `shard_target` returns 1 and the
-//! commit stays inline), and the payload pool's thread-local
-//! caches live on this one thread across `Universe::run` calls. This
-//! file is its own integration-test binary with a single `#[test]` so
-//! no concurrent test pollutes the counter.
+//! The measurement only holds with everything on one thread: rank code,
+//! commit and the payload pool's thread-local tier. So the storm is an
+//! async program under `Universe::run_poll` (a future body is polled on
+//! the worker's thread; a synchronous body would run on a thread of its
+//! own) at `workers = 1`: the scheduler then runs its worker loop on the
+//! calling thread (no allocating thread spawns, no `Arc`-published commit
+//! phase: `shard_target` returns 1 and the commit stays inline), and the
+//! payload pool's thread-local caches live on this one thread across
+//! `Universe::run_poll` calls. This file is its own integration-test
+//! binary with a single `#[test]` so no concurrent test pollutes the
+//! counter.
 //!
 //! The collectives in the storm are the pooled ones (`reduce`, `scan`,
 //! `barrier`); `bcast`/`allreduce` publish through an `Arc` per call and
@@ -23,7 +27,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mpisim::{coll, distsort, ops, pool, SimConfig, Src, Transport, Universe};
+use mpisim::{coll, distsort, ops, pool, recv_async, SimConfig, Src, Transport, Universe};
 
 /// Counts every allocation event (alloc, alloc_zeroed, and realloc —
 /// a realloc that moves is a fresh allocation for our purposes); frees
@@ -68,7 +72,7 @@ const WARMUP: usize = ITERS / 2;
 const CHUNK: usize = 16;
 
 /// The storm program.
-fn storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
+async fn storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
     let w = &env.world;
     let r = w.rank();
     let p = w.size();
@@ -83,15 +87,18 @@ fn storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
     for i in 0..ITERS {
         // Ring point-to-point: the staged-exchange payload path.
         w.send(&payload, next, 100).unwrap();
-        let (v, st) = w.recv::<u64>(Src::Rank(prev), 100).unwrap();
+        let (v, st) = recv_async::<u64, _>(w, Src::Rank(prev), 100).await.unwrap();
         assert_eq!((st.source, v.len()), (prev, CHUNK));
         pool::recycle_vec(v);
         // Binomial reduce to rank 0 (pooled accumulator).
-        if let Some(acc) = coll::reduce(w, &payload, 0, 200, ops::sum::<u64>()).unwrap() {
+        let acc = coll::reduce_async(w, &payload, 0, 200, ops::sum::<u64>()).await;
+        if let Some(acc) = acc.unwrap() {
             pool::recycle_vec(acc);
         }
         // Hillis–Steele inclusive scan (pooled accumulator).
-        let s = coll::scan(w, &payload, 300, ops::sum::<u64>()).unwrap();
+        let s = coll::scan_async(w, &payload, 300, ops::sum::<u64>())
+            .await
+            .unwrap();
         pool::recycle_vec(s);
         // JQuick-style staged exchange: tag a locally sorted chunk
         // with positions, run-length encode, ship both frames to
@@ -107,8 +114,10 @@ fn storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
         w.send(&runs, next, 500).unwrap();
         w.send_vec(vals, next, 501).unwrap();
         pool::recycle_vec(runs);
-        let (rruns, _) = w.recv::<(u64, u64)>(Src::Rank(prev), 500).unwrap();
-        let (rvals, _) = w.recv::<u64>(Src::Rank(prev), 501).unwrap();
+        let (rruns, _) = recv_async::<(u64, u64), _>(w, Src::Rank(prev), 500)
+            .await
+            .unwrap();
+        let (rvals, _) = recv_async::<u64, _>(w, Src::Rank(prev), 501).await.unwrap();
         let decoded = distsort::decode_runs(&rruns, rvals);
         assert_eq!(decoded.len(), CHUNK);
         pool::recycle_vec(rruns);
@@ -116,7 +125,7 @@ fn storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
         // Quiesce the iteration, then snapshot the global counter.
         // With one worker everything, rank bodies and the commit, runs
         // on this very thread, so the read races with nothing.
-        coll::barrier(w, 400).unwrap();
+        coll::barrier_async(w, 400).await.unwrap();
         if r == 0 {
             snaps.push(ALLOCS.load(Ordering::Relaxed));
         }
@@ -137,7 +146,7 @@ fn storm_cfg(seed: u64) -> SimConfig {
 /// total count.
 fn storm_run(seed: u64) -> (Vec<u64>, u64) {
     let before = ALLOCS.load(Ordering::Relaxed);
-    let res = Universe::run(P, storm_cfg(seed), storm_body);
+    let res = Universe::run_poll(P, storm_cfg(seed), storm_body);
     let total = ALLOCS.load(Ordering::Relaxed) - before;
     let snaps = res.per_rank.into_iter().next().unwrap();
     assert_eq!(snaps.len(), ITERS);

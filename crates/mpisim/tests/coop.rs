@@ -265,8 +265,8 @@ proptest! {
 
 #[test]
 fn coop_many_sequential_universes() {
-    // Scheduler state must not leak between runs (fresh slots, stacks,
-    // thread-local CURRENT restored).
+    // Scheduler state must not leak between runs (fresh slots, rank
+    // threads joined, thread-local CURRENT restored).
     let launches = Arc::new(AtomicUsize::new(0));
     for round in 0..10u64 {
         let launches = Arc::clone(&launches);
@@ -397,5 +397,99 @@ fn concurrent_solo_universes_match_their_solo_runs() {
             }
             _ => assert!(got.is_ok()),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Thread bodies: what `Universe::run` builds on the scheduler
+// ---------------------------------------------------------------------------
+
+/// A ring exchange and an all-reduce on 6 ranks, one worker, as thread
+/// bodies (`sync`) or future bodies.
+fn inner_universe(sync: bool) -> (Vec<u64>, Vec<Time>) {
+    let cfg = SimConfig::cooperative().with_seed(3).with_workers(1);
+    let program = |env: mpisim::ProcEnv| async move {
+        let w = &env.world;
+        w.send(&[w.rank() as u64], (w.rank() + 1) % 6, 1).unwrap();
+        let (v, _) = mpisim::recv_async::<u64, _>(w, Src::Any, 1).await.unwrap();
+        let sum = w.allreduce_async(&[v[0] * 10], ops::sum::<u64>()).await;
+        sum.unwrap()[0] + v[0]
+    };
+    let res = if sync {
+        Universe::run(6, cfg, |env| mpisim::block_inline(program(env)))
+    } else {
+        Universe::run_poll(6, cfg, program)
+    };
+    (res.per_rank, res.clocks)
+}
+
+// A universe run from inside a rank body. With one inner worker the inner
+// scheduler runs on the outer body's thread, so an inner wait reaches
+// `suspend_in_place` on a thread that is the rank thread of *another*
+// task: it must suspend the inner body (the slot comparison), not hand
+// the outer baton back.
+#[test]
+fn a_universe_nested_in_a_rank_body_matches_its_solo_run() {
+    let solo = inner_universe(true);
+    assert_eq!(solo, inner_universe(false));
+    for workers in [1, 4] {
+        let cfg = || SimConfig::cooperative().with_workers(workers);
+        for inner_sync in [false, true] {
+            let nested = Universe::run(3, cfg(), move |env| {
+                env.world.barrier().unwrap();
+                let got = inner_universe(inner_sync);
+                env.world.barrier().unwrap();
+                got
+            });
+            assert!(nested.per_rank.iter().all(|got| *got == solo));
+        }
+        let nested = Universe::run_poll(3, cfg(), |env| async move {
+            env.world.barrier_async().await.unwrap();
+            let got = inner_universe(true);
+            env.world.barrier_async().await.unwrap();
+            got
+        });
+        assert!(nested.per_rank.iter().all(|got| *got == solo));
+    }
+}
+
+// A rank panic on a thread body is recorded, the structural detector
+// poisons the waits it leaves unanswerable, every other rank thread runs
+// to its end, and only then does `Universe::run` re-throw the payload.
+#[test]
+fn a_thread_body_panic_is_rethrown_once_every_rank_thread_has_exited() {
+    struct Boom(usize);
+    for workers in [1, 4] {
+        let poisoned = AtomicUsize::new(0);
+        let run = std::panic::AssertUnwindSafe(|| {
+            Universe::run(6, SimConfig::cooperative().with_workers(workers), |env| {
+                let w = &env.world;
+                w.barrier().unwrap();
+                if w.rank() == 2 {
+                    std::panic::panic_any(Boom(w.rank()));
+                }
+                match w.recv::<u64>(Src::Rank(2), 1) {
+                    Err(MpiError::Timeout { .. }) => poisoned.fetch_add(1, Ordering::SeqCst),
+                    other => panic!("expected a poisoned wait, got {other:?}"),
+                };
+            })
+        });
+        let payload = std::panic::catch_unwind(run).expect_err("rank 2's panic propagates");
+        assert_eq!(payload.downcast_ref::<Boom>().map(|b| b.0), Some(2));
+        assert_eq!(poisoned.load(Ordering::SeqCst), 5, "{workers} workers");
+    }
+}
+
+// A synchronous body is an OS thread; when the OS refuses one, the panic
+// says how large the universe was and which entry point has no such limit.
+#[test]
+fn thread_exhaustion_names_the_way_out() {
+    // No host maps a stack of a quarter of the address space.
+    let cfg = SimConfig::cooperative().with_stack_size(usize::MAX / 4);
+    let payload =
+        std::panic::catch_unwind(|| Universe::run(4, cfg, |_env| ())).expect_err("the spawn fails");
+    let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+    for part in ["p = 4", "one OS thread per rank", "Universe::run_poll"] {
+        assert!(msg.contains(part), "{msg}");
     }
 }

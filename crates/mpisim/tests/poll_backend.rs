@@ -1,16 +1,47 @@
-//! Poll-backend semantics: `Backend::Poll` drives every rank as a
-//! stackless future through the same epoch scheduler as the fiber
-//! backend, so a run's **entire observable output** — per-rank results,
-//! wildcard delivery order, virtual clocks, traffic, deterministic
-//! metrics, and the event trace — must be byte-identical to
-//! `Backend::Cooperative` at every `(program, seed, p)` both can run.
-//! That identity is what lets the large-p figure switch backends above
-//! the fiber ceiling without a validation gap (DESIGN.md §12).
+//! The two kinds of rank body: `Universe::run_poll` steps every rank as a
+//! stackless future, `Universe::run` as a synchronous closure on its own
+//! parked OS thread, through one epoch scheduler. A run's **entire
+//! observable output** (per-rank results, wildcard delivery order,
+//! virtual clocks, traffic, deterministic metrics and the event trace)
+//! must be byte-identical between the two for every `(program, seed, p)`
+//! both can run. That identity is what lets the figures and the large-p
+//! tests run as future bodies while the small synchronous tests keep
+//! validating the same library code (DESIGN.md §12).
 
 use mpisim::{
-    block_inline, coll, nbcoll, ops, Backend, MetricsSnapshot, SimConfig, Src, Transport, Universe,
+    block_inline, coll, nbcoll, ops, Backend, MetricsSnapshot, ProcEnv, SimConfig, SimResult, Src,
+    Transport, Universe,
 };
 use proptest::prelude::*;
+
+/// How the shared async rank program is run on the scheduler.
+#[derive(Clone, Copy, Debug)]
+enum Body {
+    /// `Universe::run` over `block_inline`: every await resolves in place
+    /// on the rank's own thread.
+    Thread,
+    /// `Universe::run_poll`: every await that has to wait suspends.
+    Future,
+}
+
+fn run_as<R, F, Fut>(body: Body, p: usize, cfg: SimConfig, f: F) -> SimResult<R>
+where
+    R: Send,
+    F: Fn(ProcEnv) -> Fut + Send + Sync,
+    Fut: std::future::Future<Output = R> + Send,
+{
+    match body {
+        Body::Future => Universe::run_poll(p, cfg, f),
+        Body::Thread => Universe::run(p, cfg, move |env| block_inline(f(env))),
+    }
+}
+
+/// The epoch scheduler with `workers` workers.
+fn sched(workers: usize) -> SimConfig {
+    SimConfig::default()
+        .with_backend(Backend::Cooperative)
+        .with_workers(workers)
+}
 
 /// What one rank observed: wildcard delivery log of the storm phase plus
 /// the value-level results of the collective / communicator phases.
@@ -89,13 +120,13 @@ async fn rank_program(env: mpisim::ProcEnv, per: usize) -> RankLog {
     (deliveries, vals)
 }
 
-/// Full observable output of one run under `backend`.
+/// Full observable output of one run as `body`.
 fn observe(
     p: usize,
     per: usize,
     seed: u64,
     workers: usize,
-    backend: Backend,
+    body: Body,
 ) -> (
     Vec<RankLog>,
     Vec<mpisim::Time>,
@@ -103,15 +134,8 @@ fn observe(
     mpisim::MetricsSnapshot,
     String,
 ) {
-    let cfg = SimConfig::cooperative()
-        .with_seed(seed)
-        .with_workers(workers)
-        .with_backend(backend)
-        .with_trace(true);
-    let res = match backend {
-        Backend::Poll => Universe::run_poll(p, cfg, move |env| rank_program(env, per)),
-        _ => Universe::run(p, cfg, move |env| block_inline(rank_program(env, per))),
-    };
+    let cfg = sched(workers).with_seed(seed).with_trace(true);
+    let res = run_as(body, p, cfg, move |env| rank_program(env, per));
     let trace = res.trace.as_ref().map(|t| t.to_text()).unwrap_or_default();
     (res.per_rank, res.clocks, res.traffic, res.metrics, trace)
 }
@@ -119,85 +143,79 @@ fn observe(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    // The tentpole identity: poll output is byte-identical to fiber
-    // output for any (p, seed, worker count) — same delivery order, same
+    // The identity: a future body's output is byte-identical to a thread
+    // body's for any (p, seed, worker count): same delivery order, same
     // clocks, same traffic and metrics counters, same trace text.
     #[test]
-    fn poll_matches_fiber_exactly(
+    fn future_body_matches_thread_body_exactly(
         p in 2usize..12,
         per in 1usize..4,
         seed in any::<u64>(),
         workers in 1usize..=4,
     ) {
-        let fiber = observe(p, per, seed, workers, Backend::Cooperative);
-        let poll = observe(p, per, seed, workers, Backend::Poll);
-        prop_assert_eq!(fiber, poll);
+        let thread = observe(p, per, seed, workers, Body::Thread);
+        let future = observe(p, per, seed, workers, Body::Future);
+        prop_assert_eq!(thread, future);
     }
 }
 
-// The acceptance ladder: byte-identity at every power of two both
-// backends can run. Debug builds stop at 2^12 (the storm is O(p²));
-// release runs the full fiber range 2^10..2^15 with a lighter program.
+// The ladder: the two bodies agree at 2^10, where a thread per rank is
+// still cheap, and above that future bodies agree with themselves across
+// worker counts, to 2^12 in debug builds and the paper's 2^15 in release.
 #[test]
-fn poll_matches_fiber_on_pow2_ladder() {
-    let exps: std::ops::RangeInclusive<u32> = if cfg!(debug_assertions) {
-        10..=12
-    } else {
-        10..=15
-    };
-    for exp in exps {
-        let p = 1usize << exp;
-        let run = |backend: Backend| {
-            let cfg = SimConfig::cooperative()
-                .with_seed(42)
-                .with_workers(4)
-                .with_backend(backend);
-            let body = |env: mpisim::ProcEnv| async move {
-                let w = env.world.clone();
-                let r = w.rank() as u64;
-                let s = w
-                    .allreduce_async(&[r + 1], ops::sum::<u64>())
-                    .await
-                    .unwrap()[0];
-                let sub = w.split_async(w.rank() as u64 % 2, r).await.unwrap();
-                let g = sub
-                    .allreduce_async(&[1u64], ops::sum::<u64>())
-                    .await
-                    .unwrap()[0];
-                (s, g)
-            };
-            match backend {
-                Backend::Poll => Universe::run_poll(p, cfg, body),
-                _ => Universe::run(p, cfg, move |env| block_inline(body(env))),
-            }
+fn bodies_match_at_2_10_and_worker_counts_up_the_pow2_ladder() {
+    let run = |body: Body, exp: u32, workers: usize| {
+        let program = |env: ProcEnv| async move {
+            let w = env.world.clone();
+            let r = w.rank() as u64;
+            let s = w
+                .allreduce_async(&[r + 1], ops::sum::<u64>())
+                .await
+                .unwrap()[0];
+            let sub = w.split_async(w.rank() as u64 % 2, r).await.unwrap();
+            let g = sub
+                .allreduce_async(&[1u64], ops::sum::<u64>())
+                .await
+                .unwrap()[0];
+            (s, g)
         };
-        let fiber = run(Backend::Cooperative);
-        let poll = run(Backend::Poll);
-        assert_eq!(fiber.per_rank, poll.per_rank, "p = 2^{exp}");
-        assert_eq!(fiber.clocks, poll.clocks, "p = 2^{exp}");
-        assert_eq!(fiber.traffic, poll.traffic, "p = 2^{exp}");
-        assert_eq!(fiber.metrics, poll.metrics, "p = 2^{exp}");
+        let res = run_as(body, 1 << exp, sched(workers).with_seed(42), program);
+        (res.per_rank, res.clocks, res.traffic, res.metrics)
+    };
+    assert_eq!(run(Body::Thread, 10, 4), run(Body::Future, 10, 4));
+    let top = if cfg!(debug_assertions) { 12 } else { 15 };
+    for exp in 10..=top {
+        assert_eq!(
+            run(Body::Future, exp, 1),
+            run(Body::Future, exp, 4),
+            "p = 2^{exp}"
+        );
     }
 }
 
-// Guard rails: the sync API must fail loudly inside poll bodies, and the
-// sync entry point must reject the poll backend, so a mixed-up program
-// cannot silently wedge a worker thread.
+// `Backend::Cooperative` and `Backend::Poll` are two names of the epoch
+// scheduler: a synchronous program under either gets thread bodies and the
+// same bytes, at any worker count.
 #[test]
-fn sync_run_rejects_poll_backend() {
-    let err = std::panic::catch_unwind(|| {
-        Universe::run(
-            2,
-            SimConfig::cooperative().with_backend(Backend::Poll),
-            |_env| 0u64,
-        )
-    })
-    .unwrap_err();
-    let msg = panic_message(err);
-    assert!(
-        msg.contains("run_poll"),
-        "panic should point at run_poll: {msg}"
-    );
+fn sync_run_under_poll_equals_sync_run_under_cooperative() {
+    let on = |backend: Backend, workers: usize| {
+        let cfg = sched(workers)
+            .with_backend(backend)
+            .with_seed(5)
+            .with_trace(true);
+        let res = Universe::run(12, cfg, |env| block_inline(rank_program(env, 2)));
+        let trace = res.trace.expect("tracing was requested").to_text();
+        (res.per_rank, res.clocks, res.traffic, res.metrics, trace)
+    };
+    let coop = on(Backend::Cooperative, 1);
+    assert!(coop.3.switches > 0 && !coop.4.is_empty());
+    for (backend, workers) in [
+        (Backend::Poll, 1),
+        (Backend::Poll, 4),
+        (Backend::Cooperative, 4),
+    ] {
+        assert_eq!(coop, on(backend, workers), "{backend:?}, {workers} workers");
+    }
 }
 
 fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
@@ -207,9 +225,10 @@ fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_default()
 }
 
-// A synchronous call that has to wait inside a poll body cannot suspend
+// A synchronous call that has to wait inside a future body cannot suspend
 // the body: it must panic, naming the API to use instead, whichever
-// primitive it bottoms out in (a receive, a collective's receive, a yield).
+// primitive it bottoms out in (a receive, a collective's receive, a yield)
+// and whichever name the scheduler was configured by.
 #[test]
 fn sync_waits_inside_poll_bodies_panic_naming_the_async_api() {
     type SyncOp = fn(&mpisim::Comm);
@@ -221,20 +240,20 @@ fn sync_waits_inside_poll_bodies_panic_naming_the_async_api() {
         ("barrier", |w| coll::barrier(w, 11).unwrap()),
         ("yield_now", |_| mpisim::yield_now()),
     ];
-    for (name, op) in ops {
-        let err = std::panic::catch_unwind(|| {
-            Universe::run_poll(
-                2,
-                SimConfig::cooperative().with_backend(Backend::Poll),
-                move |env| async move { op(&env.world) },
-            )
-        })
-        .expect_err(name);
-        let msg = panic_message(err);
-        assert!(
-            msg.contains("_async API"),
-            "sync {name} in a poll body should point at the *_async API: {msg}"
-        );
+    for backend in [Backend::Poll, Backend::Cooperative] {
+        for (name, op) in ops {
+            let err = std::panic::catch_unwind(|| {
+                Universe::run_poll(2, sched(1).with_backend(backend), move |env| async move {
+                    op(&env.world)
+                })
+            })
+            .expect_err(name);
+            let msg = panic_message(err);
+            assert!(
+                msg.contains("_async API"),
+                "sync {name} in a future body should point at the *_async API: {msg}"
+            );
+        }
     }
 }
 
@@ -251,9 +270,7 @@ fn a_wait_left_armed_by_a_panicking_leaf_wakes_nobody() {
         (1, CommitAlgo::Serial),
         (4, CommitAlgo::Serial),
     ] {
-        let cfg = SimConfig::cooperative()
-            .with_backend(Backend::Poll)
-            .with_workers(workers)
+        let cfg = sched(workers)
             .with_commit_algo(algo)
             // Two shards for the six messages of epoch 1: rank 0's
             // segment and the peers' ring.
@@ -283,9 +300,9 @@ fn a_wait_left_armed_by_a_panicking_leaf_wakes_nobody() {
 
 // Both kinds of body park through one protocol and are poisoned by one
 // detector, so a deadlocked wait must report the same `MpiError::Timeout`
-// (rank, what it waited for, virtual time, blame) under either backend.
+// (rank, what it waited for, virtual time, blame) from either.
 #[test]
-fn deadlock_errors_match_across_backends() {
+fn deadlock_errors_match_across_bodies() {
     async fn recv_cycle(env: mpisim::ProcEnv) -> String {
         let w = env.world;
         let peer = (w.rank() + 1) % w.size();
@@ -299,29 +316,15 @@ fn deadlock_errors_match_across_backends() {
         let err = mpisim::probe_async(&w, Src::Any, 99).await;
         format!("{:?}", err.unwrap_err())
     }
-    fn run<Fut>(backend: Backend, workers: usize, body: fn(mpisim::ProcEnv) -> Fut) -> Vec<String>
-    where
-        Fut: std::future::Future<Output = String> + Send,
-    {
-        let cfg = SimConfig::cooperative()
-            .with_workers(workers)
-            .with_backend(backend);
-        match backend {
-            Backend::Poll => Universe::run_poll(3, cfg, body),
-            _ => Universe::run(3, cfg, move |env| block_inline(body(env))),
-        }
-        .per_rank
-    }
     for workers in [1, 4] {
         for (what, verb) in [(0, "recv("), (1, "probe(")] {
-            let on = |backend| match what {
-                0 => run(backend, workers, recv_cycle),
-                _ => run(backend, workers, lonely_probe),
+            let on = |body| match what {
+                0 => run_as(body, 3, sched(workers), recv_cycle).per_rank,
+                _ => run_as(body, 3, sched(workers), lonely_probe).per_rank,
             };
-            let fiber = on(Backend::Cooperative);
-            let poll = on(Backend::Poll);
-            assert_eq!(fiber, poll, "{verb}..) at {workers} workers");
-            for (rank, e) in fiber.iter().enumerate() {
+            let thread = on(Body::Thread);
+            assert_eq!(thread, on(Body::Future), "{verb}..) at {workers} workers");
+            for (rank, e) in thread.iter().enumerate() {
                 assert!(
                     e.starts_with(&format!("Timeout {{ rank: {rank}, waited_for: \"{verb}"))
                         && e.contains("cooperative deadlock"),
@@ -332,19 +335,6 @@ fn deadlock_errors_match_across_backends() {
     }
 }
 
-#[test]
-fn run_poll_under_fiber_backend_still_works() {
-    // run_poll with a non-poll backend drives the same async body through
-    // block_inline — a convenience that keeps call sites backend-agnostic.
-    let res = Universe::run_poll(4, SimConfig::cooperative(), |env| async move {
-        env.world
-            .allreduce_async(&[1u64], ops::sum::<u64>())
-            .await
-            .unwrap()[0]
-    });
-    assert_eq!(res.per_rank, vec![4, 4, 4, 4]);
-}
-
 // ---------------------------------------------------------------------------
 // Wake on deposit: the libraries' polling loops park between sweeps
 // ---------------------------------------------------------------------------
@@ -352,14 +342,10 @@ fn run_poll_under_fiber_backend_still_works() {
 /// JQuick over RBC communicators at p = 256, n/p = 8 (the latency regime:
 /// every level is a handful of one-word messages per rank): per-rank
 /// output, makespan and the deterministic counters.
-fn jquick_p256(backend: Backend, workers: usize) -> (Vec<Vec<u64>>, mpisim::Time, MetricsSnapshot) {
+fn jquick_p256(body: Body, workers: usize) -> (Vec<Vec<u64>>, mpisim::Time, MetricsSnapshot) {
     const P: usize = 256;
     const PER: u64 = 8;
-    let cfg = SimConfig::default()
-        .with_seed(17)
-        .with_workers(workers)
-        .with_backend(backend);
-    let body = |env: mpisim::ProcEnv| async move {
+    let program = |env: mpisim::ProcEnv| async move {
         let w = env.world;
         let r = w.rank() as u64;
         let data: Vec<u64> = (0..PER)
@@ -371,10 +357,7 @@ fn jquick_p256(backend: Backend, workers: usize) -> (Vec<Vec<u64>>, mpisim::Time
             .unwrap()
             .0
     };
-    let res = match backend {
-        Backend::Poll => Universe::run_poll(P, cfg, body),
-        _ => Universe::run(P, cfg, move |env| block_inline(body(env))),
-    };
+    let res = run_as(body, P, sched(workers).with_seed(17), program);
     let max_time = res.max_time();
     (res.per_rank, max_time, res.metrics)
 }
@@ -385,7 +368,7 @@ fn jquick_p256(backend: Backend, workers: usize) -> (Vec<Vec<u64>>, mpisim::Time
 // size, 0.56 now. What is simulated must not notice.
 #[test]
 fn jquick_steps_fewer_tasks_than_it_sends_messages() {
-    let poll = jquick_p256(Backend::Poll, 1);
+    let poll = jquick_p256(Body::Future, 1);
     let out: Vec<u64> = poll.0.iter().flatten().copied().collect();
     assert_eq!(out.len(), 256 * 8);
     assert!(out.windows(2).all(|w| w[0] <= w[1]), "globally sorted");
@@ -398,15 +381,11 @@ fn jquick_steps_fewer_tasks_than_it_sends_messages() {
         m.messages
     );
     assert!(m.wakeups > 0, "parked ranks are woken by deposits");
-    for (backend, workers) in [
-        (Backend::Poll, 4),
-        (Backend::Cooperative, 1),
-        (Backend::Cooperative, 4),
-    ] {
+    for (body, workers) in [(Body::Future, 4), (Body::Thread, 1), (Body::Thread, 4)] {
         assert_eq!(
-            jquick_p256(backend, workers),
+            jquick_p256(body, workers),
             poll,
-            "{backend:?} at {workers} workers"
+            "{body:?} at {workers} workers"
         );
     }
 }
@@ -430,9 +409,8 @@ impl nbcoll::Progress for NthPoll {
 // not park the rank while one is unfinished.
 #[test]
 fn a_foreign_progress_is_polled_every_epoch_not_parked() {
-    for backend in [Backend::Poll, Backend::Cooperative] {
-        let cfg = SimConfig::default().with_backend(backend);
-        let body = |env: mpisim::ProcEnv| async move {
+    for body in [Body::Future, Body::Thread] {
+        let program = |env: mpisim::ProcEnv| async move {
             let w = env.world;
             let mut alone = NthPoll { polls: 0, n: 3 };
             nbcoll::wait_async(&mut alone).await.unwrap();
@@ -447,16 +425,13 @@ fn a_foreign_progress_is_polled_every_epoch_not_parked() {
             nbcoll::waitall_async(&mut reqs).await.unwrap();
             alone.polls
         };
-        let res = match backend {
-            Backend::Poll => Universe::run_poll(2, cfg, body),
-            _ => Universe::run(2, cfg, move |env| block_inline(body(env))),
-        };
-        assert_eq!(res.per_rank, vec![3, 3], "{backend:?}");
+        let res = run_as(body, 2, sched(1), program);
+        assert_eq!(res.per_rank, vec![3, 3], "{body:?}");
         // 1 + 2 yields, then 1 + 4: every step but the last ended in a
         // yield, none in a park (a park would need the deadlock detector
         // to get the foreign request polled again).
-        assert_eq!(res.metrics.wakeups, 0, "{backend:?}");
-        assert_eq!(res.metrics.switches, 2 * 7, "{backend:?}");
+        assert_eq!(res.metrics.wakeups, 0, "{body:?}");
+        assert_eq!(res.metrics.switches, 2 * 7, "{body:?}");
     }
 }
 
@@ -505,22 +480,16 @@ fn an_unanswered_polling_wait_ends_in_the_deadlock_detector() {
         Some(format!("{:?}", err.unwrap_err()))
     }
     fn run<Fut>(
-        backend: Backend,
+        body: Body,
         workers: usize,
-        body: fn(mpisim::ProcEnv) -> Fut,
+        program: fn(mpisim::ProcEnv) -> Fut,
     ) -> Vec<Option<String>>
     where
         Fut: std::future::Future<Output = Option<String>> + Send,
     {
-        let cfg = SimConfig::default()
-            .with_timeout(std::time::Duration::from_secs(30))
-            .with_workers(workers)
-            .with_backend(backend);
+        let cfg = sched(workers).with_timeout(std::time::Duration::from_secs(30));
         let t0 = std::time::Instant::now();
-        let res = match backend {
-            Backend::Poll => Universe::run_poll(P, cfg, body),
-            _ => Universe::run(P, cfg, move |env| block_inline(body(env))),
-        };
+        let res = run_as(body, P, cfg, program);
         assert!(
             t0.elapsed() < std::time::Duration::from_secs(1),
             "a structural deadlock took {:?}: the wall-clock backstop fired?",
@@ -529,18 +498,18 @@ fn an_unanswered_polling_wait_ends_in_the_deadlock_detector() {
         res.per_rank
     }
     for what in ["wait", "waitall", "jquick"] {
-        let on = |backend, workers| match what {
-            "wait" => run(backend, workers, lonely_wait),
-            "waitall" => run(backend, workers, lonely_waitall),
-            _ => run(backend, workers, lonely_jquick),
+        let on = |body, workers| match what {
+            "wait" => run(body, workers, lonely_wait),
+            "waitall" => run(body, workers, lonely_waitall),
+            _ => run(body, workers, lonely_jquick),
         };
-        let poll = on(Backend::Poll, 1);
-        assert_eq!(poll, on(Backend::Poll, 4), "{what} at 4 workers");
-        assert_eq!(poll, on(Backend::Cooperative, 1), "{what} on the fiber");
+        let poll = on(Body::Future, 1);
+        assert_eq!(poll, on(Body::Future, 4), "{what} at 4 workers");
+        assert_eq!(poll, on(Body::Thread, 1), "{what} on thread bodies");
         assert_eq!(
             poll,
-            on(Backend::Cooperative, 4),
-            "{what} on the fiber, 4 workers"
+            on(Body::Thread, 4),
+            "{what} on thread bodies, 4 workers"
         );
         assert!(poll.iter().flatten().count() >= P - 1, "{what}: {poll:?}");
         for (rank, e) in poll.iter().enumerate() {

@@ -45,10 +45,14 @@ fn split_tables(
     assign: &[(Option<u64>, u64)],
 ) -> (Vec<SplitView>, Vec<mpisim::Time>) {
     let assign = assign.to_vec();
-    let res = Universe::run(p, cfg, move |env| {
+    // One async program for every configuration: free-running threads
+    // drive it in place, the scheduler polls it as a future body (these
+    // universes go to p = 1024, sixteen of them per case).
+    let assign = &assign;
+    let res = Universe::run_poll(p, cfg, move |env| async move {
         let w = &env.world;
         let (color, key) = assign[w.rank()];
-        w.split_with(color, key).unwrap().map(|c| {
+        w.split_with_async(color, key).await.unwrap().map(|c| {
             (
                 c.rank(),
                 c.size(),
