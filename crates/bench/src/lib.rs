@@ -136,8 +136,8 @@ impl Table {
 /// Run the async `op` on `p` ranks `reps` times and report the mean over
 /// reps of the per-rep makespan (max over ranks of virtual elapsed time).
 /// The closure receives `(env, rep_index)` and must return its elapsed
-/// virtual time. With `SimConfig::cooperative()`, as every figure passes,
-/// each rank is a future body on the epoch scheduler: a few hundred bytes
+/// virtual time. Each rank is a future body on the epoch scheduler (every
+/// figure passes `SimConfig::cooperative()`): a few hundred bytes
 /// and no OS thread per rank, which is what lets the sweeps reach 2^15
 /// ranks and `largep` 2^20, and the output is the same bytes for every
 /// worker count. Every figure kernel enters here; there is no synchronous
@@ -239,7 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn measure_async_is_the_same_on_every_backend_and_worker_count() {
+    fn measure_async_is_the_same_on_every_worker_count() {
         let on = |cfg: SimConfig| {
             measure_async(4, cfg.with_seed(9), 2, |env, _| async move {
                 env.world.barrier_async().await.unwrap();
@@ -249,7 +249,6 @@ mod tests {
         let one = on(SimConfig::cooperative());
         assert!(one > Time::ZERO);
         assert_eq!(one, on(SimConfig::cooperative().with_workers(4)));
-        assert_eq!(one, on(SimConfig::default()), "thread backend");
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! The figure harness is a pure function of `(program, seed)`: kernels
 //! whose receives are wildcards (JQuick's exchange, the gather and reduce
 //! trees) report the same virtual times on every run and for every worker
-//! count. On `Backend::Threads`, where
-//! these kernels used to run, wildcard receives match in wall-clock order
-//! and the numbers differed run to run.
+//! count.
 //!
 //! One test on purpose: it sets process-wide environment variables.
 

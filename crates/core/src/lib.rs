@@ -33,8 +33,9 @@
 //!     let mut req = range.ibcast(payload, 0, None).unwrap();
 //!     let mut flag = false;
 //!     while !flag {
-//!         // Do something else.
 //!         flag = rbc::test(&mut req).unwrap();
+//!         // Do something else: here, give the other ranks their turn.
+//!         mpisim::yield_now();
 //!     }
 //!     req.into_data().unwrap()[0] as usize
 //! });

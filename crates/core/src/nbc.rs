@@ -137,31 +137,45 @@ mod tests {
     /// Figure 1 of the paper, verbatim: nonblocking broadcast from rank 0
     /// to ranks 0..s/2−1 and from rank s/2 to ranks s/2..s−1, both RBC
     /// communicators created locally without synchronization, progressed
-    /// with `Test` in a work loop.
+    /// with `Test` in a work loop whose "do something else" gives up the
+    /// rank's turn. Returns the broadcast value and the loop's iterations.
+    async fn paper_fig1(env: mpisim::ProcEnv) -> (u64, u64) {
+        let world = RbcComm::create(&env.world);
+        let r = world.rank();
+        let s = world.size();
+        let (f, l) = if r < s / 2 {
+            (0, s / 2 - 1)
+        } else {
+            (s / 2, s - 1)
+        };
+        let range = world.split(f, l).unwrap();
+        let payload = (range.rank() == 0).then(|| vec![f as u64]);
+        let mut req = range.ibcast(payload, 0, None).unwrap();
+        let (mut flag, mut iterations) = (false, 0);
+        while !flag {
+            iterations += 1;
+            flag = crate::test(&mut req).unwrap();
+            // Do something else.
+            mpisim::yield_now_async().await;
+        }
+        (req.into_data().unwrap()[0], iterations)
+    }
+
+    /// The Fig. 1 program is a function of its seed alone: the values and
+    /// the iteration column (one more than the rank's depth in its half's
+    /// binomial tree) are the same at 1 and 4 workers, as thread bodies
+    /// and as future bodies.
     #[test]
     fn paper_fig1_two_half_broadcasts() {
-        let s = 8;
-        let res = Universe::run_default(s, |env| {
-            let world = RbcComm::create(&env.world);
-            let r = world.rank();
-            let s = world.size();
-            let (f, l) = if r < s / 2 {
-                (0, s / 2 - 1)
-            } else {
-                (s / 2, s - 1)
-            };
-            let range = world.split(f, l).unwrap();
-            let payload = (range.rank() == 0).then(|| vec![f as u64]);
-            let mut req = range.ibcast(payload, 0, None).unwrap();
-            let mut flag = false;
-            while !flag {
-                // Do something else.
-                flag = req.poll().unwrap();
-                std::thread::yield_now();
-            }
-            req.into_data().unwrap()[0]
-        });
-        assert_eq!(res.per_rank, vec![0, 0, 0, 0, 4, 4, 4, 4]);
+        let half = |root: u64| [(root, 1), (root, 2), (root, 2), (root, 3)];
+        let want: Vec<(u64, u64)> = half(0).into_iter().chain(half(4)).collect();
+        for workers in [1, 4] {
+            let cfg = || mpisim::SimConfig::default().with_workers(workers);
+            let threads = Universe::run(8, cfg(), |env| mpisim::block_inline(paper_fig1(env)));
+            assert_eq!(threads.per_rank, want, "thread bodies, {workers} workers");
+            let futures = Universe::run_poll(8, cfg(), paper_fig1);
+            assert_eq!(futures.per_rank, want, "future bodies, {workers} workers");
+        }
     }
 
     /// §V-A overlap rule: two RBC communicators sharing exactly ONE process
@@ -188,7 +202,7 @@ mod tests {
                 if da && db {
                     break;
                 }
-                std::thread::yield_now();
+                mpisim::yield_now();
             }
             if let Some(x) = a {
                 out.push(x.result().unwrap()[0]);
@@ -225,7 +239,7 @@ mod tests {
                 if da && db {
                     break;
                 }
-                std::thread::yield_now();
+                mpisim::yield_now();
             }
             (
                 a.map(|x| x.result().unwrap()[0]),
@@ -263,8 +277,9 @@ mod tests {
                 }
                 2 => {
                     let range = world.split(1, 3).unwrap();
-                    // Give rank 0's message time to land first (physically).
-                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    // Let rank 0's message land first: it is delivered at
+                    // the end of this epoch.
+                    mpisim::yield_now();
                     range.send(&[42u64], 0, 5).unwrap();
                     0
                 }
@@ -292,8 +307,8 @@ mod tests {
                 }
                 _ => {
                     let sub = world.split(1, 2).unwrap();
-                    // Wait until both messages are physically present.
-                    std::thread::sleep(std::time::Duration::from_millis(30));
+                    // Both messages are delivered at the end of this epoch.
+                    mpisim::yield_now();
                     // Probe on the subrange: only rank 1's message counts.
                     let hit = sub.iprobe(Src::Any, 9).unwrap();
                     let filtered = matches!(hit, Some(st) if st.source == 0);

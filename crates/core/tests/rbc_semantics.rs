@@ -2,9 +2,7 @@
 //! collectives through RBC, recursion chains, and the exact §V-A overlap
 //! contract.
 
-use mpisim::{
-    ops, Backend, FaultPlan, MpiError, Request, SimConfig, Src, Time, Transport, Universe,
-};
+use mpisim::{ops, FaultPlan, MpiError, Request, SimConfig, Src, Time, Transport, Universe};
 use rbc::RbcComm;
 
 #[test]
@@ -96,8 +94,9 @@ fn point_to_point_any_source_across_nested_ranges() {
             }
             2 | 4 => {
                 let outer = world.split(1, 6).unwrap();
-                // Let rank 0's decoy land first.
-                std::thread::sleep(std::time::Duration::from_millis(15));
+                // Let rank 0's decoy land first: it is delivered at the
+                // end of this epoch.
+                mpisim::yield_now();
                 let inner = outer.split(1, 4).unwrap(); // world ranks 2..=5
                 inner.send(&[r as u64], 1, 4).unwrap(); // to world rank 3
                 0
@@ -176,19 +175,15 @@ fn same_range_twice_shares_traffic_context_carefully() {
 #[test]
 fn errors_are_usage_not_hangs_for_foreign_process() {
     // A process outside the range cannot construct the sub-communicator.
-    let res = Universe::run(
-        4,
-        SimConfig::default().with_timeout(std::time::Duration::from_millis(60)),
-        |env| {
-            let world = RbcComm::create(&env.world);
-            if world.rank() == 0 {
-                world.split(1, 3).err()
-            } else {
-                world.split(1, 3).ok();
-                None
-            }
-        },
-    );
+    let res = Universe::run_default(4, |env| {
+        let world = RbcComm::create(&env.world);
+        if world.rank() == 0 {
+            world.split(1, 3).err()
+        } else {
+            world.split(1, 3).ok();
+            None
+        }
+    });
     assert!(matches!(res.per_rank[0], Some(MpiError::Usage(_))));
 }
 
@@ -245,9 +240,7 @@ fn poll_ibcast_wait(crash_root: bool, erased: bool) -> Vec<Result<u64, MpiError>
     } else {
         FaultPlan::default()
     };
-    let cfg = SimConfig::cooperative()
-        .with_backend(Backend::Poll)
-        .with_faults(plan);
+    let cfg = SimConfig::cooperative().with_faults(plan);
     Universe::run_poll(8, cfg, move |env| async move {
         let world = RbcComm::create(&env.world);
         let payload = (world.rank() == 0).then(|| vec![7u64]);

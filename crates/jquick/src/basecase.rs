@@ -248,7 +248,7 @@ mod tests {
             let bt = BaseTask { task, data };
             let mut sm = BaseSm::start(w, layout, w.rank() as u64, bt).unwrap();
             while !sm.poll().unwrap() {
-                std::thread::yield_now();
+                mpisim::yield_now();
             }
             let s = sm.take().unwrap();
             (s.lo, s.data)
@@ -272,7 +272,7 @@ mod tests {
             let bt = BaseTask { task, data };
             let mut sm = BaseSm::start(w, layout, w.rank() as u64, bt).unwrap();
             while !sm.poll().unwrap() {
-                std::thread::yield_now();
+                mpisim::yield_now();
             }
             sm.take().unwrap().data
         });
@@ -298,7 +298,7 @@ mod tests {
             let bt = BaseTask { task, data };
             let mut sm = BaseSm::start(w, layout, w.rank() as u64, bt).unwrap();
             while !sm.poll().unwrap() {
-                std::thread::yield_now();
+                mpisim::yield_now();
             }
             let s = sm.take().unwrap();
             (s.lo, s.data)

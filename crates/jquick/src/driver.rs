@@ -15,12 +15,16 @@
 //!
 //! When no active tasks remain, phase 2 executes all queued base cases
 //! concurrently, and the settled pieces are assembled into the output.
+//!
+//! Both polling phases park between sweeps until the rank's mailbox
+//! changes ([`sweep_until_done`]). A wave nobody can finish (a crashed
+//! peer, a rank that never joined) ends in the scheduler's structural
+//! deadlock detector with a `RoundBlame`, never in a wall-clock deadline.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use mpisim::nbcoll::sweep_until_done;
-use mpisim::proc::{ProcState, StallDeadline};
+use mpisim::proc::ProcState;
 use mpisim::{coll, Comm, Datum, MpiError, Result, SortKey, Time, Transport};
 
 use crate::backend::{Backend, Schedule};
@@ -29,23 +33,6 @@ use crate::exchange::AssignmentKind;
 use crate::layout::{Layout, TaskRange};
 use crate::level::{LevelOutcome, LevelSm};
 use crate::pivot::PivotCfg;
-
-/// Wall-clock ceiling per wave (last-resort deadlock detector when the
-/// configured receive timeout cannot be consulted).
-const WAVE_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Arm the per-wave stall detector: twice the configured blocking-receive
-/// timeout, so the point-to-point deadlock detector (which carries exact
-/// blame) gets to fire first; this is the backstop for the polling loops
-/// on plain rank threads (on a scheduler task they park between sweeps
-/// and the structural deadlock detector ends a wave nobody can finish).
-/// The deadline re-arms on global progress — one wave at p = 2^18
-/// on a single core legitimately outlives any fixed budget while every
-/// rank stays live (see [`StallDeadline`]).
-fn wave_stall(state: &Arc<ProcState>) -> StallDeadline {
-    let t = state.router.recv_timeout.min(WAVE_TIMEOUT / 2);
-    StallDeadline::new(t * 2)
-}
 
 /// User tags for the driver's blocking agreements.
 const TAG_MINMAX: u64 = 70;
@@ -343,7 +330,7 @@ where
         bsms.push(BaseSm::start(&wc, layout, me, bt)?);
     }
     let state = world.proc_state();
-    sweep_until_done(state, wave_stall(state), "base case phase", || {
+    sweep_until_done(state, || {
         bsms.iter_mut()
             .try_fold(true, |all, sm| Ok(all & sm.poll()?))
     })
@@ -402,8 +389,9 @@ where
 {
     // Every level machine that is not done stopped at a receive that
     // missed (`Progress::poll`'s contract): nothing changes for this
-    // rank, janus or not, before its mailbox does.
-    sweep_until_done(state, wave_stall(state), "level state machines", || {
+    // rank, janus or not, before its mailbox does. A wave nobody can
+    // finish ends in the scheduler's deadlock detector.
+    sweep_until_done(state, || {
         sms.iter_mut()
             .try_fold(true, |all, sm| Ok(all & sm.poll()?))
     })

@@ -53,14 +53,12 @@ pub fn draw_samples<T: SortKey>(data: &[T], m: u64, state: &ProcState) -> Vec<T>
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
 
     fn mk_state() -> Arc<ProcState> {
         let router = Arc::new(mpisim::proc::Router::new(
             1,
             mpisim::CostModel::default(),
             mpisim::VendorProfile::neutral(),
-            Duration::from_secs(1),
             mpisim::faults::FaultState::default(),
         ));
         ProcState::new(0, router, 7)

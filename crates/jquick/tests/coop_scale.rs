@@ -1,8 +1,8 @@
-//! Janus Quicksort under the cooperative scheduler backend — including the
-//! large-p regime the thread backend cannot reach. This is the acceptance
-//! scenario of the scheduler subsystem: RBC split + barrier + a small
-//! JQuick sort at thousands of simulated ranks with zero per-rank OS
-//! threads.
+//! Janus Quicksort on the epoch scheduler's thread bodies at a thousand
+//! ranks, the scale synchronous programs reach. This is the acceptance
+//! scenario of the scheduler subsystem for synchronous programs: RBC
+//! split + barrier + a small JQuick sort at a thousand simulated ranks,
+//! one parked OS thread each.
 
 use jquick::{fingerprint, jquick_sort, verify_sorted, JQuickConfig, Layout, RbcBackend};
 use mpisim::{coll, SimConfig, Transport, Universe};
@@ -17,7 +17,7 @@ fn gen_input(layout: &Layout, rank: u64, p: u64) -> Vec<u64> {
 }
 
 /// Barrier + small JQuick sort at `p` ranks, `n_per` elements per rank,
-/// under the cooperative backend, with distributed verification.
+/// as thread bodies, with distributed verification.
 fn coop_jquick(p: usize, n_per: u64) {
     let n = n_per * p as u64;
     let res = Universe::run(p, SimConfig::cooperative(), move |env| {

@@ -12,15 +12,16 @@ use crate::time::Time;
 /// Errors surfaced by simulator operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MpiError {
-    /// A blocking receive/probe waited longer (in wall-clock time) than the
-    /// configured deadlock timeout. This is the simulator's deadlock
-    /// detector: a correct program never hits it.
+    /// A blocking operation can never complete: the scheduler's deadlock
+    /// or stagnation detector poisoned the wait, the rank itself has
+    /// crash-stopped, or a wait on a foreign nonblocking machine outlived
+    /// [`crate::nbcoll::WAIT_TIMEOUT`]. A correct program never hits it.
     Timeout {
         /// Rank that timed out.
         rank: usize,
         /// Human-readable description of the blocked operation.
         waited_for: String,
-        /// Virtual clock of the rank when the wall-clock timeout fired.
+        /// Virtual clock of the rank when the wait failed.
         virtual_now: Time,
         /// Which ranks the stalled operation was waiting on, with their
         /// last virtual-time activity and crashed/slowed/live status.

@@ -6,11 +6,10 @@
 //!
 //! * a simulated-rank runtime ([`Universe`]) with MPI matching semantics —
 //!   `(context, source, tag)` matching, `ANY_SOURCE` wildcards,
-//!   non-overtaking per sender and context: one free-running OS thread per
-//!   rank, or the epoch scheduler ([`sched`]) that steps the ranks from a
-//!   small worker pool with seed-deterministic message-delivery order
-//!   (synchronous programs on a parked thread per rank, `async` ones as
-//!   stackless futures up to 2^20 ranks);
+//!   non-overtaking per sender and context: the epoch scheduler ([`sched`])
+//!   steps the ranks from a small worker pool with seed-deterministic
+//!   message-delivery order (synchronous programs on a parked thread per
+//!   rank, `async` ones as stackless futures up to 2^20 ranks);
 //! * native communicators ([`Comm`]) whose construction runs the *real*
 //!   algorithms (all-gather for `MPI_Comm_split`, context-ID-mask
 //!   all-reduce for `MPI_Comm_create_group`) so that their costs emerge

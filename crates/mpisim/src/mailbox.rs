@@ -67,11 +67,10 @@
 //!
 //! # Blocking and wake-ups
 //!
-//! Thread-backend receivers block on the internal condvar with a wall-clock
-//! timeout that acts as a deadlock detector ([`MpiError::Timeout`]).
-//! A scheduler task instead arms the mailbox's one **wait slot** and
-//! suspends. A mailbox has one reader, its own rank, and a suspended rank
-//! sits in one wait, so one slot is all there is: a pattern
+//! Nothing blocks on a mailbox: a receive that finds no match arms the
+//! mailbox's one **wait slot** and its scheduler task suspends. A mailbox
+//! has one reader, its own rank, and a suspended rank sits in one wait, so
+//! one slot is all there is: a pattern
 //! ([`Mailbox::claim_or_wait`], [`Mailbox::probe_or_wait`]) that only a
 //! matching deposit satisfies, or, for a rank that *polls* several
 //! patterns and cannot name one (a nonblocking machine, a janus sweeping
@@ -80,11 +79,8 @@
 //! commit, which knows whose mailbox it is pushing into, wakes that rank
 //! (see [`crate::sched`]).
 
-use std::time::Duration;
+use parking_lot::Mutex;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
-
-use crate::error::{MpiError, Result};
 use crate::msg::{ContextId, MatchPattern, Message, MsgInfo, SrcFilter, Tag};
 use crate::time::Time;
 
@@ -144,13 +140,10 @@ struct Inner {
     wait: Option<Wait>,
     /// Pattern checks performed by deposits (one per deposit while a
     /// pattern is armed): the mailbox's share of the deterministic
-    /// [`crate::obs::MetricsSnapshot`]. On the cooperative backend the
-    /// armed wait at each commit is a pure function of the epoch
-    /// structure, so this count is worker-invariant.
+    /// [`crate::obs::MetricsSnapshot`]. The armed wait at each commit is
+    /// a pure function of the epoch structure, so this count is
+    /// worker-invariant.
     scans: u64,
-    /// Thread-backend receivers currently blocked on the condvar; a
-    /// deposit notifies only when this is non-zero.
-    cv_waiters: u32,
 }
 
 impl Inner {
@@ -286,7 +279,6 @@ impl Inner {
 /// selection among sources for wildcards.
 pub struct Mailbox {
     inner: Mutex<Inner>,
-    cv: Condvar,
 }
 
 impl Default for Mailbox {
@@ -307,9 +299,7 @@ impl Mailbox {
                 count: 0,
                 wait: None,
                 scans: 0,
-                cv_waiters: 0,
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -336,26 +326,19 @@ impl Mailbox {
         satisfied
     }
 
-    /// Deposit a run of messages under **one** lock acquisition and notify
-    /// the condvar if a thread-backend receiver is blocked on it. If a
+    /// Deposit a run of messages under **one** lock acquisition. If a
     /// message satisfied the armed wait, returns its position in the run
     /// (at most one does: the first satisfaction clears the slot) and the
     /// caller wakes this mailbox's rank. The epoch commit's entry point:
     /// it feeds each destination's globally-ordered segment straight from
     /// where the senders staged it.
     pub(crate) fn push_all(&self, msgs: impl Iterator<Item = Message>) -> Option<usize> {
-        let (fired, blocked) = {
-            let mut g = self.inner.lock();
-            let mut fired = None;
-            for (idx, m) in msgs.enumerate() {
-                if Self::deposit(&mut g, m) {
-                    fired = Some(idx);
-                }
+        let mut g = self.inner.lock();
+        let mut fired = None;
+        for (idx, m) in msgs.enumerate() {
+            if Self::deposit(&mut g, m) {
+                fired = Some(idx);
             }
-            (fired, g.cv_waiters > 0)
-        };
-        if blocked {
-            self.cv.notify_all();
         }
         fired
     }
@@ -432,66 +415,6 @@ impl Mailbox {
     /// wait already emptied it.
     pub fn clear_wait(&self) {
         self.inner.lock().wait = None;
-    }
-
-    /// Wait on the condvar for a deposit, counted in `cv_waiters` for the
-    /// whole wait (the count changes only under the lock, so a deposit
-    /// either sees it or the waiter sees the deposit). True on timeout.
-    fn wait_timed_out(&self, g: &mut MutexGuard<'_, Inner>, timeout: Duration) -> bool {
-        g.cv_waiters += 1;
-        let timed_out = self.cv.wait_for(g, timeout).timed_out();
-        g.cv_waiters -= 1;
-        timed_out
-    }
-
-    /// Block (in wall-clock time) until a matching message can be claimed.
-    pub fn claim_blocking(
-        &self,
-        pat: &MatchPattern,
-        timeout: Duration,
-        rank: usize,
-        vnow: Time,
-    ) -> Result<Message> {
-        let mut g = self.inner.lock();
-        loop {
-            if let Some(m) = g.claim(pat) {
-                return Ok(m);
-            }
-            if self.wait_timed_out(&mut g, timeout) {
-                return Err(MpiError::Timeout {
-                    rank,
-                    waited_for: format!("recv({:?}, tag={}, {})", pat.src, pat.tag, pat.ctx),
-                    virtual_now: vnow,
-                    // The mailbox has no fault-state access; `ProcState`
-                    // enriches the blame on the way out.
-                    blame: crate::faults::RoundBlame::default(),
-                });
-            }
-        }
-    }
-
-    /// Block until a matching message is present; do not remove it.
-    pub fn probe_blocking(
-        &self,
-        pat: &MatchPattern,
-        timeout: Duration,
-        rank: usize,
-        vnow: Time,
-    ) -> Result<MsgInfo> {
-        let mut g = self.inner.lock();
-        loop {
-            if let Some(info) = g.probe(pat) {
-                return Ok(info);
-            }
-            if self.wait_timed_out(&mut g, timeout) {
-                return Err(MpiError::Timeout {
-                    rank,
-                    waited_for: format!("probe({:?}, tag={}, {})", pat.src, pat.tag, pat.ctx),
-                    virtual_now: vnow,
-                    blame: crate::faults::RoundBlame::default(),
-                });
-            }
-        }
     }
 }
 
@@ -577,41 +500,6 @@ mod tests {
         assert_eq!(info.src_global, 1);
         assert_eq!(info.count, 1);
         assert_eq!(mb.len(), 1);
-    }
-
-    #[test]
-    fn blocking_claim_times_out() {
-        let mb = Mailbox::new();
-        let err = mb
-            .claim_blocking(
-                &pat(SrcFilter::Exact(0), 1, 0),
-                Duration::from_millis(20),
-                3,
-                Time(99),
-            )
-            .unwrap_err();
-        assert!(matches!(err, MpiError::Timeout { rank: 3, .. }));
-        assert_eq!(mb.inner.lock().cv_waiters, 0, "the wait un-counted itself");
-    }
-
-    #[test]
-    fn blocking_claim_wakes_on_push() {
-        let mb = Arc::new(Mailbox::new());
-        let mb2 = Arc::clone(&mb);
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            mb2.push(msg(0, 1, 0, 5, 7));
-        });
-        let m = mb
-            .claim_blocking(
-                &pat(SrcFilter::Exact(0), 1, 0),
-                Duration::from_secs(5),
-                0,
-                Time(0),
-            )
-            .unwrap();
-        assert_eq!(m.src_global, 0);
-        h.join().unwrap();
     }
 
     #[test]

@@ -11,34 +11,30 @@
 //! All machines are generic over [`Transport`] and take an explicit tag, so
 //! several operations can be in flight simultaneously on overlapping
 //! communicators — the property Janus Quicksort relies on.
+//!
+//! The waits ([`wait`], [`waitall`], [`sweep_until_done`]) are the paper's
+//! `rbc::Wait`: they test, and between two unproductive tests the rank
+//! parks until its mailbox changes. A wait nobody will ever satisfy ends
+//! in the scheduler's structural deadlock detector, with a
+//! [`crate::faults::RoundBlame`]. The one exception is a wait on a
+//! *foreign* machine ([`Progress::proc_state`] is `None`), which the
+//! scheduler cannot tell blocked from busy: it is polled once per epoch
+//! and bounded by the wall clock ([`WAIT_TIMEOUT`]).
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::datum::Datum;
 use crate::error::{MpiError, Result};
 use crate::msg::Tag;
 use crate::obs::{self, OpClass};
-use crate::proc::{ProcState, Router, StallDeadline};
+use crate::proc::ProcState;
 use crate::sched::poll::block_inline;
 use crate::transport::{RecvReq, Src, Transport};
 
-/// Wall-clock ceiling for spin-waiting on a request without observing any
-/// global progress — the deadlock detector for nonblocking operations.
+/// How long a wait polls a foreign machine (see the module docs) before
+/// it fails: the only wall clock on a wait path.
 pub const WAIT_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Arm the stall detector for a polling wait: the configured receive
-/// timeout (falling back to [`WAIT_TIMEOUT`] for detached machines),
-/// re-armed on global progress so huge-but-live universes never trip it
-/// (see [`StallDeadline`]).
-fn stall_guard(state: Option<&Arc<ProcState>>) -> StallDeadline {
-    StallDeadline::new(state.map_or(WAIT_TIMEOUT, |s| s.router.recv_timeout))
-}
-
-/// The router whose progress re-arms a stall deadline of `state`'s rank.
-fn router_of(state: Option<&Arc<ProcState>>) -> Option<&Router> {
-    state.map(|s| &*s.router)
-}
 
 /// Anything that can be driven to completion by repeated polling.
 /// `poll` returning `Ok(true)` means *locally complete* (outgoing messages
@@ -60,11 +56,11 @@ pub trait Progress: Send {
 
     /// The per-rank simulator state behind this operation, when one is
     /// reachable. Lets [`Request::wait`]/[`waitall`] sleep until the
-    /// rank's mailbox changes (see [`Progress::poll`]), use the configured
-    /// deadlock timeout and attribute a stall to the ranks it is waiting
-    /// on (a [`crate::faults::RoundBlame`]). The default `None` keeps
-    /// foreign `Progress` implementations working: they are polled once
-    /// per epoch under the wall-clock fallback.
+    /// rank's mailbox changes (see [`Progress::poll`]) and attribute a
+    /// stall to the ranks it is waiting on (a
+    /// [`crate::faults::RoundBlame`]). The default `None` keeps foreign
+    /// `Progress` implementations working: they are polled once per epoch
+    /// under [`WAIT_TIMEOUT`].
     fn proc_state(&self) -> Option<&Arc<ProcState>> {
         None
     }
@@ -126,15 +122,27 @@ fn wait_timeout_err(state: Option<&Arc<ProcState>>, waited_for: &str) -> MpiErro
     }
 }
 
-/// What a wait does between two unproductive sweeps. Every unfinished
-/// machine of the sweep named its rank: sleep until that rank's mailbox
-/// changes ([`Progress::poll`]'s contract). Otherwise run again next
-/// epoch.
-async fn idle(state: Option<&Arc<ProcState>>) {
-    match state {
-        Some(s) => s.park_until_deposit().await,
-        None => crate::sched::yield_now_async().await,
+/// What a wait does between two unproductive sweeps. If every unfinished
+/// machine of the sweep named its rank (`park_on`): sleep until that
+/// rank's mailbox changes ([`Progress::poll`]'s contract). Otherwise run
+/// again next epoch, and fail once [`WAIT_TIMEOUT`] has passed since the
+/// first such idle of the wait (`deadline`); the error names `rank`.
+async fn idle(
+    park_on: Option<&Arc<ProcState>>,
+    rank: Option<&Arc<ProcState>>,
+    deadline: &mut Option<Instant>,
+    waited_for: &str,
+) -> Result<()> {
+    if let Some(s) = park_on {
+        s.park_until_deposit().await;
+        return Ok(());
     }
+    let deadline = *deadline.get_or_insert_with(|| Instant::now() + WAIT_TIMEOUT);
+    if Instant::now() > deadline {
+        return Err(wait_timeout_err(rank, waited_for));
+    }
+    crate::sched::yield_now_async().await;
+    Ok(())
 }
 
 /// Poll `p` until it is locally complete: the loop behind
@@ -148,42 +156,29 @@ pub fn wait(p: &mut dyn Progress) -> Result<()> {
 /// [`wait`] as a maybe-async core, so it also runs inside a poll-mode
 /// rank body. Between unproductive polls a machine that names its rank
 /// sleeps until that rank's mailbox changes ([`Progress::poll`]'s
-/// contract); on a scheduler task a wait nobody will ever satisfy is then
-/// ended by the deadlock detector (the poisoned receive inside `p.poll()`
-/// returns the error). The stall deadline guards plain rank threads and
-/// foreign machines, which are polled once per epoch.
+/// contract), and a wait nobody will ever satisfy is ended by the
+/// deadlock detector (the poisoned receive inside `p.poll()` returns the
+/// error). A foreign machine is polled once per epoch under
+/// [`WAIT_TIMEOUT`].
 pub async fn wait_async(p: &mut dyn Progress) -> Result<()> {
-    let mut stall = stall_guard(p.proc_state());
-    loop {
-        if p.poll()? {
-            return Ok(());
-        }
-        if stall.stalled(router_of(p.proc_state())) {
-            return Err(wait_timeout_err(
-                p.proc_state(),
-                "nonblocking operation (wait)",
-            ));
-        }
-        idle(p.proc_state()).await;
+    let mut deadline = None;
+    while !p.poll()? {
+        let state = p.proc_state();
+        idle(state, state, &mut deadline, "nonblocking operation (wait)").await?;
     }
+    Ok(())
 }
 
 /// The polling wait of a rank that sweeps several machines of its own
 /// (the JQuick driver's levels and base cases): run `sweep` until it
 /// reports all done, parking between sweeps until the rank's mailbox
 /// changes. Every machine swept must keep [`Progress::poll`]'s contract
-/// (`Ok(false)` only after a receive missed). On a plain rank thread
-/// `stall` bounds the loop and the error names `waited_for`.
+/// (`Ok(false)` only after a receive missed).
 pub async fn sweep_until_done(
     state: &Arc<ProcState>,
-    mut stall: StallDeadline,
-    waited_for: &str,
     mut sweep: impl FnMut() -> Result<bool>,
 ) -> Result<()> {
     while !sweep()? {
-        if stall.stalled(Some(&state.router)) {
-            return Err(wait_timeout_err(Some(state), waited_for));
-        }
         state.park_until_deposit().await;
     }
     Ok(())
@@ -205,7 +200,7 @@ pub fn waitall(reqs: &mut [Request]) -> Result<()> {
 
 /// [`waitall`] as a maybe-async core (see [`wait_async`]).
 pub async fn waitall_async(reqs: &mut [Request]) -> Result<()> {
-    let mut stall = stall_guard(reqs.iter().find_map(|r| r.0.proc_state()));
+    let mut deadline = None;
     loop {
         // `testall`, also noting whether an unfinished request is foreign
         // (completed ones may have dropped their transport, so the
@@ -222,10 +217,14 @@ pub async fn waitall_async(reqs: &mut [Request]) -> Result<()> {
         }
         // All requests of one wait belong to the calling rank.
         let state = reqs.iter().find_map(|r| r.0.proc_state());
-        if stall.stalled(router_of(state)) {
-            return Err(wait_timeout_err(state, "nonblocking operations (waitall)"));
-        }
-        idle(state.filter(|_| !foreign)).await;
+        let park_on = state.filter(|_| !foreign);
+        idle(
+            park_on,
+            state,
+            &mut deadline,
+            "nonblocking operations (waitall)",
+        )
+        .await?;
     }
 }
 

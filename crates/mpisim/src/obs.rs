@@ -473,12 +473,11 @@ pub struct MetricsSnapshot {
     pub class_max_rank_msgs: [u64; OpClass::COUNT],
     /// Wait-pattern match checks performed by mailbox deposits.
     pub mailbox_scans: u64,
-    /// Cooperative-scheduler epochs committed (0 on the thread backend).
+    /// Scheduler epochs committed.
     pub epochs: u64,
-    /// Tasks woken across all epoch commits (0 on the thread backend).
+    /// Tasks woken across all epoch commits.
     pub wakeups: u64,
-    /// Task steps: one per rank body per round it ran in (0 on the thread
-    /// backend).
+    /// Task steps: one per rank body per round it ran in.
     pub switches: u64,
 }
 
@@ -541,7 +540,7 @@ pub struct WorkerProfile {
 }
 
 /// The wall-clock scheduler profile: host-time phase attribution for the
-/// cooperative backend. **Outside the deterministic domain** — values
+/// epoch scheduler. **Outside the deterministic domain** — values
 /// differ run to run and worker count to worker count; they are emitted to
 /// `results/host/BENCH_sched_profile.json`, which no check reads.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

@@ -1,14 +1,13 @@
 //! Per-rank state and the router connecting ranks.
 //!
-//! Each simulated MPI process (an OS thread or a scheduler task, by
-//! backend) owns a [`ProcState`]: its global rank, its virtual clock, its
-//! RNG, and its context-ID pool. The [`Router`] holds one mailbox per rank
-//! plus the cost model; sends are buffered: a thread deposits into the
-//! destination mailbox directly, a task stages for the epoch commit.
+//! Each simulated MPI process (a scheduler task) owns a [`ProcState`]: its
+//! global rank, its virtual clock, its RNG, and its context-ID pool. The
+//! [`Router`] holds one mailbox per rank plus the cost model; sends are
+//! buffered: the sending task stages each message for the epoch commit,
+//! which deposits it into the destination mailbox.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -74,9 +73,9 @@ struct TrafficCell {
 struct ClockCell(crate::time::VirtualClock);
 
 /// Shared fabric connecting all ranks: one mailbox per rank plus the
-/// cost model. Sends deposit messages directly into the destination mailbox
-/// (thread backend) or stage them with the cooperative scheduler for
-/// commit at the next epoch boundary (see [`crate::sched`]).
+/// cost model. Sends stage their messages with the scheduler for commit
+/// into the destination mailbox at the next epoch boundary (see
+/// [`crate::sched`]).
 pub struct Router {
     /// Destination mailboxes, indexed by global rank. Each mailbox carries
     /// its own lock: two ranks' deliveries never contend.
@@ -85,8 +84,6 @@ pub struct Router {
     pub cost: CostModel,
     /// Vendor pathology profile (jitter, collective scaling).
     pub vendor: VendorProfile,
-    /// Wall-clock deadlock-detector timeout for blocking receives/probes.
-    pub recv_timeout: Duration,
     /// Resolved fault-injection state (default: no faults). Pure data —
     /// every fault decision is a hash of the perturbation seed, never a
     /// function of scheduling.
@@ -100,38 +97,21 @@ pub struct Router {
     class_cells: Vec<crate::obs::ClassCell>,
     /// Per-rank event-trace buffers, allocated only when the run traces.
     trace: Option<Vec<crate::obs::TraceCell>>,
-    /// Router construction instant; time base of the stall-probe cache.
-    birth: Instant,
-    /// Age (ms since `birth`) of the cached [`Router::progress_stamp`]
-    /// value. Zero means "never computed".
-    stall_probe_at: AtomicU64,
-    /// Cached [`Router::progress_stamp`] value.
-    stall_probe_val: AtomicU64,
 }
 
 impl Router {
     /// Build the fabric for `p` ranks under the given cost model, vendor
     /// profile, and fault state.
-    pub fn new(
-        p: usize,
-        cost: CostModel,
-        vendor: VendorProfile,
-        recv_timeout: Duration,
-        faults: FaultState,
-    ) -> Router {
+    pub fn new(p: usize, cost: CostModel, vendor: VendorProfile, faults: FaultState) -> Router {
         Router {
             mailboxes: (0..p).map(|_| Mailbox::new()).collect(),
             cost,
             vendor,
-            recv_timeout,
             faults,
             traffic: (0..p).map(|_| TrafficCell::default()).collect(),
             clocks: (0..p).map(|_| ClockCell::default()).collect(),
             class_cells: (0..p).map(|_| Default::default()).collect(),
             trace: None,
-            birth: Instant::now(),
-            stall_probe_at: AtomicU64::new(0),
-            stall_probe_val: AtomicU64::new(0),
         }
     }
 
@@ -205,105 +185,9 @@ impl Router {
     pub fn nprocs(&self) -> usize {
         self.mailboxes.len()
     }
-
-    /// A monotone global progress stamp: the sum of every rank's sent
-    /// message count and virtual-clock reading. It advances whenever any
-    /// rank sends or is charged virtual time and freezes exactly when the
-    /// universe is stuck — a failed probe leaves the clock untouched (see
-    /// `try_recv_miss_leaves_clock`), so a pure polling livelock cannot
-    /// keep it moving.
-    ///
-    /// The O(p) shard sum is cached and reused while younger than
-    /// `max_age`, so p waiters whose stall deadlines expire in the same
-    /// window cost O(p) total, not O(p²). Stall detection only — the
-    /// cached value may lag real progress by up to `max_age`, which is
-    /// immaterial against timeouts that are orders of magnitude larger.
-    pub fn progress_stamp(&self, max_age: Duration) -> u64 {
-        let now_ms = self.birth.elapsed().as_millis() as u64;
-        let at = self.stall_probe_at.load(Ordering::Relaxed);
-        if at != 0 && now_ms.saturating_sub(at) < max_age.as_millis() as u64 {
-            return self.stall_probe_val.load(Ordering::Relaxed);
-        }
-        let mut sum = 0u64;
-        for cell in &self.traffic {
-            sum = sum.wrapping_add(cell.messages.load(Ordering::Relaxed));
-        }
-        for cell in &self.clocks {
-            sum = sum.wrapping_add(cell.0.now().as_nanos());
-        }
-        self.stall_probe_val.store(sum, Ordering::Relaxed);
-        self.stall_probe_at.store(now_ms.max(1), Ordering::Relaxed);
-        sum
-    }
 }
 
-/// Wall-clock stall detector for polling wait loops (nonblocking waits,
-/// the sorter's wave loops). A fixed deadline cannot tell a deadlock from
-/// a universe that is merely huge: one JQuick wave at p = 2^18 on a single
-/// core legitimately takes minutes of wall-clock while every rank stays
-/// live. The detector therefore re-arms whenever
-/// [`Router::progress_stamp`] advances — it fires only after a full
-/// timeout window in which no rank anywhere sent a message or advanced
-/// its clock, which is what a genuine stall looks like from a polling
-/// loop. Wall clocks never influence a run's output: the stamp is read
-/// solely to decide whether to fail.
-pub struct StallDeadline {
-    timeout: Duration,
-    /// Deadline and progress stamp of the window being watched: armed by
-    /// the first call that reads the clock, not at construction (a wait
-    /// that completes within a stride of polls, which on a scheduler task
-    /// is nearly every wait, never reads the clock or the stamp).
-    window: Option<(Instant, u64)>,
-    /// Calls to `stalled` so far; every `CLOCK_STRIDE`-th reads the clock.
-    calls: u32,
-}
-
-impl StallDeadline {
-    /// A detector that fires after `timeout` without global progress.
-    pub fn new(timeout: Duration) -> StallDeadline {
-        StallDeadline {
-            timeout,
-            window: None,
-            calls: 0,
-        }
-    }
-
-    /// The detector is a backstop measured in seconds and is asked once
-    /// per unproductive poll, so only every this-many-th call pays for a
-    /// clock read; the others answer "not stalled".
-    const CLOCK_STRIDE: u32 = 64;
-
-    /// True once a full timeout window has passed with no progress on
-    /// `router` since the window was (re-)armed, as observed on one of the
-    /// calls that read the clock (every 64th). The hot path is a counter
-    /// increment; the stamp is consulted only on arming and expiry.
-    /// Without a router (detached nonblocking machines) the stamp never
-    /// moves and the detector degrades to a fixed deadline.
-    pub fn stalled(&mut self, router: Option<&Router>) -> bool {
-        self.calls = self.calls.wrapping_add(1);
-        if !self.calls.is_multiple_of(Self::CLOCK_STRIDE) {
-            return false;
-        }
-        let now = Instant::now();
-        if self.window.is_some_and(|(deadline, _)| now <= deadline) {
-            return false;
-        }
-        let stamp = router.map_or(0, |r| r.progress_stamp(Self::probe_age(self.timeout)));
-        if self.window.is_some_and(|(_, seen)| seen == stamp) {
-            return true;
-        }
-        self.window = Some((now + self.timeout, stamp));
-        false
-    }
-
-    /// Stamp-cache tolerance: a fraction of the timeout (so short test
-    /// timeouts stay responsive), capped at one second.
-    fn probe_age(timeout: Duration) -> Duration {
-        (timeout / 8).min(Duration::from_secs(1))
-    }
-}
-
-/// The simulator state owned by one rank's thread: identity, virtual
+/// The simulator state owned by one rank: identity, virtual
 /// clock, RNG stream, and context-ID pool.
 pub struct ProcState {
     /// This process's rank in `MPI_COMM_WORLD`.
@@ -559,8 +443,8 @@ impl ProcState {
     }
 
     /// Fill in the blame of a [`MpiError::Timeout`] produced below the
-    /// level that knows the fault state (mailbox waits, scheduler
-    /// poisoning). Errors that already carry blame pass through untouched.
+    /// level that knows the fault state (scheduler poisoning). Errors that
+    /// already carry blame pass through untouched.
     fn enrich_timeout(&self, e: MpiError, pat: Option<&MatchPattern>) -> MpiError {
         match e {
             MpiError::Timeout {
@@ -575,20 +459,6 @@ impl ProcState {
                 blame: self.blame_for(pat),
             },
             other => other,
-        }
-    }
-
-    /// Hand a finished message to the fabric. On a scheduler task the
-    /// message is staged with the current task and committed — in global
-    /// virtual-time order — at the next epoch boundary, which is what makes
-    /// multi-worker cooperative runs deterministic; on a plain thread it is
-    /// deposited into the destination mailbox immediately.
-    #[inline]
-    fn dispatch(&self, dest_global: usize, msg: Message) {
-        if crate::sched::on_task() {
-            crate::sched::stage_send(dest_global, msg);
-        } else {
-            self.router.mailboxes[dest_global].push(msg);
         }
     }
 
@@ -618,7 +488,7 @@ impl ProcState {
             class: self.cur_class(),
             arrival,
         });
-        self.dispatch(dest_global, msg);
+        crate::sched::stage_send(dest_global, msg);
     }
 
     /// Like [`ProcState::send_global`], but shipping a shared buffer: the
@@ -646,26 +516,21 @@ impl ProcState {
             class: self.cur_class(),
             arrival,
         });
-        self.dispatch(dest_global, msg);
+        crate::sched::stage_send(dest_global, msg);
     }
 
     /// Blocking receive matching `pat`; applies the virtual-time rule
-    /// `clock = max(clock, arrival) + recv_overhead`. The one receive core
-    /// of every backend: on a scheduler task the wait is the scheduler's
-    /// claim future (a future body suspends through it, a thread body
-    /// resolves it in place); on a free-running rank thread it parks on
-    /// the mailbox condvar.
+    /// `clock = max(clock, arrival) + recv_overhead`. The one receive core:
+    /// the wait is the scheduler's claim future (a future body suspends
+    /// through it, a thread body resolves it in place).
     pub async fn recv_match_async(&self, pat: &MatchPattern) -> Result<Message> {
         if self.crashed() {
             return Err(self.crashed_err("recv", pat));
         }
         let mb = &self.router.mailboxes[self.global_rank];
-        let m = if crate::sched::on_task() {
-            crate::sched::claim(mb, pat, self.global_rank, self.now()).await
-        } else {
-            mb.claim_blocking(pat, self.router.recv_timeout, self.global_rank, self.now())
-        }
-        .map_err(|e| self.enrich_timeout(e, Some(pat)))?;
+        let m = crate::sched::claim(mb, pat, self.global_rank, self.now())
+            .await
+            .map_err(|e| self.enrich_timeout(e, Some(pat)))?;
         self.account_delivery(&m);
         Ok(m)
     }
@@ -688,8 +553,9 @@ impl ProcState {
 
     /// Nonblocking receive attempt. On a hit, applies the same clock rule
     /// as a blocking receive. Errors when this rank has crash-stopped, or
-    /// when the cooperative scheduler has poisoned the task (a stalled
-    /// polling loop must fail loudly, not spin forever).
+    /// when the scheduler has poisoned the task (a stalled polling loop
+    /// must fail loudly, not spin forever); a miss counts towards the
+    /// spin limit of [`crate::sched`].
     pub fn try_recv_match(&self, pat: &MatchPattern) -> Result<Option<Message>> {
         if self.crashed() {
             return Err(self.crashed_err("try_recv", pat));
@@ -697,7 +563,7 @@ impl ProcState {
         let hit = self.router.mailboxes[self.global_rank].try_claim(pat);
         match &hit {
             Some(m) => self.account_delivery(m),
-            None if crate::sched::current_poisoned() => {
+            None if crate::sched::missed(self.global_rank) => {
                 return Err(self.poisoned_err("try_recv", pat));
             }
             None => {}
@@ -711,9 +577,7 @@ impl ProcState {
     /// [`crate::nbcoll::Progress::poll`]). On a scheduler task the rank is
     /// not stepped again before a commit delivers it a message, or the
     /// deadlock detector poisons it, in which case the next sweep fails
-    /// with the poisoned receive's [`MpiError::Timeout`]; on a plain rank
-    /// thread, where deposits land at any moment, it yields the thread
-    /// once and the caller's own stall deadline bounds the loop.
+    /// with the poisoned receive's [`MpiError::Timeout`].
     pub async fn park_until_deposit(&self) {
         crate::sched::park_until_deposit(&self.router.mailboxes[self.global_rank]).await
     }
@@ -727,12 +591,9 @@ impl ProcState {
             return Err(self.crashed_err("probe", pat));
         }
         let mb = &self.router.mailboxes[self.global_rank];
-        if crate::sched::on_task() {
-            crate::sched::probe(mb, pat, self.global_rank, self.now()).await
-        } else {
-            mb.probe_blocking(pat, self.router.recv_timeout, self.global_rank, self.now())
-        }
-        .map_err(|e| self.enrich_timeout(e, Some(pat)))
+        crate::sched::probe(mb, pat, self.global_rank, self.now())
+            .await
+            .map_err(|e| self.enrich_timeout(e, Some(pat)))
     }
 
     /// [`ProcState::probe_match_async`] for synchronous rank programs.
@@ -740,15 +601,15 @@ impl ProcState {
         block_inline(self.probe_match_async(pat))
     }
 
-    /// Nonblocking probe. Fails on self-crash and task poisoning exactly
-    /// like [`ProcState::try_recv_match`].
+    /// Nonblocking probe. Fails on self-crash and task poisoning, and
+    /// counts a miss, exactly like [`ProcState::try_recv_match`].
     pub fn iprobe_match(&self, pat: &MatchPattern) -> Result<Option<MsgInfo>> {
         if self.crashed() {
             return Err(self.crashed_err("iprobe", pat));
         }
         match self.router.mailboxes[self.global_rank].probe(pat) {
             Some(i) => Ok(Some(i)),
-            None if crate::sched::current_poisoned() => Err(self.poisoned_err("iprobe", pat)),
+            None if crate::sched::missed(self.global_rank) => Err(self.poisoned_err("iprobe", pat)),
             None => Ok(None),
         }
     }
@@ -765,7 +626,9 @@ impl ProcState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
     use crate::msg::SrcFilter;
+    use std::future::Future;
 
     fn setup(p: usize) -> Vec<Arc<ProcState>> {
         setup_faulted(p, FaultState::default())
@@ -776,7 +639,6 @@ mod tests {
             p,
             CostModel::supermuc_like(),
             VendorProfile::neutral(),
-            Duration::from_secs(5),
             faults,
         ));
         (0..p)
@@ -784,89 +646,74 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn stall_deadline_rearms_on_progress_and_fires_without() {
-        let procs = setup(2);
-        let router = &procs[0].router;
-        // Zero timeout => probe age zero => every check recomputes the
-        // stamp, so the test never races the coarse cache.
-        let mut stall = StallDeadline::new(Duration::ZERO);
-        // One stride of calls contains exactly one that reads the clock.
-        let stride = |s: &mut StallDeadline, r: Option<&Router>| {
-            (0..StallDeadline::CLOCK_STRIDE).any(|_| s.stalled(r))
-        };
-        // The first clock-reading call arms the window.
-        assert!(!stride(&mut stall, Some(router)), "arming is not a stall");
-        std::thread::sleep(Duration::from_millis(2));
-        // Progress since arming (a clock charge) re-arms the deadline.
-        procs[1].advance(Time::from_micros(3));
-        assert!(
-            !stride(&mut stall, Some(router)),
-            "clock progress must re-arm"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-        // A send is progress too.
-        procs[0].send_global::<u64>(1, 7, ContextId::WORLD, vec![1], CostScale::NEUTRAL);
-        assert!(
-            !stride(&mut stall, Some(router)),
-            "send progress must re-arm"
-        );
-        // No progress at all: the detector fires.
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(stride(&mut stall, Some(router)), "no progress => stalled");
-        // Routerless detectors degrade to a fixed deadline.
-        let mut fixed = StallDeadline::new(Duration::ZERO);
-        assert!(!stride(&mut fixed, None));
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(stride(&mut fixed, None));
+    /// The two `ProcState`s of a 2-rank universe under `plan`, each
+    /// running `body` as a future body: sends stage for the epoch commit
+    /// and receives wait on the scheduler, as in every real run.
+    fn on_two<R, Fut>(plan: FaultPlan, body: impl Fn(Arc<ProcState>) -> Fut + Send + Sync) -> Vec<R>
+    where
+        R: Send,
+        Fut: Future<Output = R> + Send,
+    {
+        let cfg = crate::SimConfig::default().with_seed(42).with_faults(plan);
+        crate::Universe::run_poll(2, cfg, |env| body(Arc::clone(env.state()))).per_rank
+    }
+
+    /// Rank 1's receive of rank 0's tag-7 messages.
+    fn from_rank0() -> MatchPattern {
+        MatchPattern {
+            ctx: ContextId::WORLD,
+            src: SrcFilter::Exact(0),
+            tag: 7,
+        }
     }
 
     #[test]
     fn send_recv_updates_clocks() {
-        let procs = setup(2);
-        let cost = procs[0].router.cost.clone();
-        procs[0].send_global::<u64>(1, 7, ContextId::WORLD, vec![1, 2, 3], CostScale::NEUTRAL);
+        let cost = CostModel::supermuc_like();
+        let got = on_two(FaultPlan::default(), |me| async move {
+            if me.global_rank == 0 {
+                me.send_global::<u64>(1, 7, ContextId::WORLD, vec![1, 2, 3], CostScale::NEUTRAL);
+                return (me.now(), None);
+            }
+            let m = me.recv_match_async(&from_rank0()).await.unwrap();
+            let (v, info) = m.take::<u64>().unwrap();
+            assert_eq!(v, vec![1, 2, 3]);
+            (me.now(), Some(info.arrival))
+        });
         // Sender paid only the send overhead.
-        assert_eq!(procs[0].now(), cost.send_overhead);
-        let pat = MatchPattern {
-            ctx: ContextId::WORLD,
-            src: SrcFilter::Exact(0),
-            tag: 7,
-        };
-        let m = procs[1].recv_match(&pat).unwrap();
-        let (v, info) = m.take::<u64>().unwrap();
-        assert_eq!(v, vec![1, 2, 3]);
+        assert_eq!(got[0], (cost.send_overhead, None));
         // Receiver's clock jumped to arrival (alpha + 24 bytes * beta) + recv overhead.
-        let expected = cost.transfer_time(24) + cost.recv_overhead;
-        assert_eq!(procs[1].now(), expected);
-        assert_eq!(info.arrival, cost.transfer_time(24));
+        let arrival = cost.transfer_time(24);
+        assert_eq!(got[1], (arrival + cost.recv_overhead, Some(arrival)));
     }
 
     #[test]
     fn recv_does_not_rewind_clock() {
-        let procs = setup(2);
-        procs[1].advance(Time::from_millis(10));
-        procs[0].send_global::<u64>(1, 7, ContextId::WORLD, vec![1], CostScale::NEUTRAL);
-        let pat = MatchPattern {
-            ctx: ContextId::WORLD,
-            src: SrcFilter::Exact(0),
-            tag: 7,
-        };
-        procs[1].recv_match(&pat).unwrap();
+        let clocks = on_two(FaultPlan::default(), |me| async move {
+            if me.global_rank == 0 {
+                me.send_global::<u64>(1, 7, ContextId::WORLD, vec![1], CostScale::NEUTRAL);
+            } else {
+                me.advance(Time::from_millis(10));
+                me.recv_match_async(&from_rank0()).await.unwrap();
+            }
+            me.now()
+        });
         // Receiver was already past the arrival time; max() keeps it there.
-        assert!(procs[1].now() >= Time::from_millis(10));
+        assert!(clocks[1] >= Time::from_millis(10));
     }
 
     #[test]
     fn try_recv_miss_leaves_clock() {
-        let procs = setup(2);
-        let pat = MatchPattern {
-            ctx: ContextId::WORLD,
-            src: SrcFilter::Any,
-            tag: 0,
-        };
-        assert!(procs[0].try_recv_match(&pat).unwrap().is_none());
-        assert_eq!(procs[0].now(), Time::ZERO);
+        let clocks = on_two(FaultPlan::default(), |me| async move {
+            let pat = MatchPattern {
+                ctx: ContextId::WORLD,
+                src: SrcFilter::Any,
+                tag: 0,
+            };
+            assert!(me.try_recv_match(&pat).unwrap().is_none());
+            me.now()
+        });
+        assert_eq!(clocks, vec![Time::ZERO; 2]);
     }
 
     #[test]
@@ -886,7 +733,6 @@ mod tests {
 
     #[test]
     fn slowed_rank_pays_its_factor() {
-        use crate::faults::FaultPlan;
         // frac = 1, max_factor such that every rank straggles; compare a
         // slowed rank's charge against a clean twin.
         let plan = FaultPlan::default()
@@ -904,30 +750,34 @@ mod tests {
 
     #[test]
     fn crashed_rank_sends_nothing_and_cannot_receive() {
-        use crate::faults::{FaultPlan, RankHealth};
+        use crate::faults::RankHealth;
         let plan = FaultPlan::default().with_crash(0, Time::from_micros(10));
-        let procs = setup_faulted(2, FaultState::resolve(&plan, 2));
-        let pat = MatchPattern {
-            ctx: ContextId::WORLD,
-            src: SrcFilter::Exact(0),
-            tag: 7,
-        };
-        // Before the crash time the rank behaves normally.
-        assert!(!procs[0].crashed());
-        procs[0].send_global::<u64>(1, 7, ContextId::WORLD, vec![1], CostScale::NEUTRAL);
-        procs[1].recv_match(&pat).unwrap();
-        // Cross the crash point: sends become no-ops (no clock, no traffic),
-        // receives fail with a self-blaming timeout.
-        procs[0].advance_to(Time::from_micros(10));
-        assert!(procs[0].crashed());
-        let before = (procs[0].now(), procs[0].router.traffic());
-        procs[0].send_global::<u64>(1, 7, ContextId::WORLD, vec![2], CostScale::NEUTRAL);
-        assert_eq!((procs[0].now(), procs[0].router.traffic()), before);
-        assert!(procs[1].try_recv_match(&pat).unwrap().is_none());
-        let err = procs[0].recv_match(&pat).unwrap_err();
-        match err {
-            MpiError::Timeout { rank, blame, .. } => {
-                assert_eq!(rank, 0);
+        let got = on_two(plan, |me| async move {
+            if me.global_rank == 1 {
+                // The message sent before the crash arrives; the one after
+                // it never does, however many epochs rank 1 waits.
+                me.recv_match_async(&from_rank0()).await.unwrap();
+                for _ in 0..3 {
+                    crate::yield_now_async().await;
+                }
+                assert!(me.try_recv_match(&from_rank0()).unwrap().is_none());
+                return None;
+            }
+            // Before the crash time the rank behaves normally.
+            assert!(!me.crashed());
+            me.send_global::<u64>(1, 7, ContextId::WORLD, vec![1], CostScale::NEUTRAL);
+            // Cross the crash point: sends become no-ops (no clock, no
+            // traffic), receives fail with a self-blaming timeout.
+            me.advance_to(Time::from_micros(10));
+            assert!(me.crashed());
+            let before = (me.now(), me.router.traffic());
+            me.send_global::<u64>(1, 7, ContextId::WORLD, vec![2], CostScale::NEUTRAL);
+            assert_eq!((me.now(), me.router.traffic()), before);
+            Some(me.recv_match_async(&from_rank0()).await.unwrap_err())
+        });
+        match &got[0] {
+            Some(MpiError::Timeout { rank, blame, .. }) => {
+                assert_eq!(*rank, 0);
                 assert_eq!(blame.ranks(), vec![0]);
                 assert_eq!(
                     blame.waiting_on[0].health,
@@ -942,32 +792,27 @@ mod tests {
 
     #[test]
     fn jitter_inflates_arrival_deterministically() {
-        use crate::faults::FaultPlan;
+        let arrival = |plan: FaultPlan| {
+            on_two(plan, |me| async move {
+                if me.global_rank == 0 {
+                    let data = vec![1u64, 2, 3];
+                    me.send_global(1, 7, ContextId::WORLD, data, CostScale::NEUTRAL);
+                    return None;
+                }
+                Some(me.recv_match_async(&from_rank0()).await.unwrap().arrival)
+            })[1]
+                .expect("rank 1 received")
+        };
         let plan = FaultPlan::default()
             .with_jitter(Time::from_micros(20))
             .with_perturb_seed(3);
-        let run = || {
-            let procs = setup_faulted(2, FaultState::resolve(&plan, 2));
-            procs[0].send_global::<u64>(1, 7, ContextId::WORLD, vec![1, 2, 3], CostScale::NEUTRAL);
-            let pat = MatchPattern {
-                ctx: ContextId::WORLD,
-                src: SrcFilter::Exact(0),
-                tag: 7,
-            };
-            procs[1].recv_match(&pat).unwrap().arrival
-        };
-        let clean = {
-            let procs = setup(2);
-            procs[0].send_global::<u64>(1, 7, ContextId::WORLD, vec![1, 2, 3], CostScale::NEUTRAL);
-            let pat = MatchPattern {
-                ctx: ContextId::WORLD,
-                src: SrcFilter::Exact(0),
-                tag: 7,
-            };
-            procs[1].recv_match(&pat).unwrap().arrival
-        };
-        let a = run();
-        assert_eq!(a, run(), "jitter must be a pure function of the plan");
+        let a = arrival(plan.clone());
+        assert_eq!(
+            a,
+            arrival(plan),
+            "jitter must be a pure function of the plan"
+        );
+        let clean = arrival(FaultPlan::default());
         assert!(a >= clean && a <= clean + Time::from_micros(20));
     }
 

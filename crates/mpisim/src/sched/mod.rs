@@ -1,13 +1,12 @@
 //! The epoch scheduler: N simulated ranks multiplexed over a small worker
-//! pool, **deterministically for any worker count**.
+//! pool, **deterministically for any worker count**. It is the only
+//! runtime of [`crate::universe::Universe`].
 //!
-//! The thread backend of [`crate::universe::Universe`] lets one OS thread
-//! per rank run free, which is value-deterministic at best and tops out
-//! around a few hundred ranks, far short of the paper's 2^15-process
-//! evaluations. Here every rank is a task that *suspends* at a blocking
-//! point and is stepped again by the scheduler, and the commit wakes
-//! exactly the ranks whose matching message arrived (a rank in a polling
-//! loop: whose mailbox received anything at all).
+//! Every rank is a task that *suspends* at a blocking point and is stepped
+//! again by the scheduler, and the commit wakes exactly the ranks whose
+//! matching message arrived (a rank in a polling loop: whose mailbox
+//! received anything at all). A rank therefore runs only between its own
+//! MPI calls: the weak-progress model the paper's RBC assumes.
 //! Merged delivery order, and with it every simulation output, is
 //! bit-for-bit identical for any `coop_workers`, either commit algorithm
 //! and either kind of rank body.
@@ -18,7 +17,7 @@
 //! |---|---|---|
 //! | `epoch` | gate, claim cursor, publish (rounds in rank order), worker loop, deadlock and stagnation detection | one generation-tagged phase at a time; the last completed unit advances it |
 //! | `commit` | commit key, the one ordering, shard push, the woken ranks, scratch pools | every mailbox sees ascending key order; the set of ranks woken is worker-invariant |
-//! | `task` | slot, states, staging, poisoning, **how a rank waits**: the three wait leaves (`claim` / `probe` on a pattern, `park_until_deposit` on any deposit, `yield_now_async`) | one worker touches a task at a time; check and arm, store the state, suspend |
+//! | `task` | slot, states, staging, poisoning, the spin limit, **how a rank waits**: the three wait leaves (`claim` / `probe` on a pattern, `park_until_deposit` on any deposit, `yield_now_async`) | one worker touches a task at a time; check and arm, store the state, suspend |
 //! | [`poll`] | [`RankBody`](poll::RankBody), [`Step`](poll::Step), the future body (an `async` program, [`crate::Universe::run_poll`]), [`block_inline`](poll::block_inline) | a body suspends only through the wait leaves |
 //! | `thread` | the thread body (a synchronous closure on a parked OS thread, [`crate::Universe::run`]), the baton, `suspend_in_place` | the rank thread runs only while a worker is blocked in its `proceed` |
 //!
@@ -34,9 +33,7 @@ mod task;
 pub(crate) mod thread;
 
 pub(crate) use epoch::Scheduler;
-pub(crate) use task::{
-    claim, current_poisoned, on_task, park_until_deposit, probe, stage_send, SchedShared,
-};
+pub(crate) use task::{claim, missed, park_until_deposit, probe, stage_send, SchedShared};
 pub use task::{yield_now, yield_now_async};
 
 use thread::suspend_in_place;

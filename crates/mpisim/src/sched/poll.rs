@@ -20,10 +20,9 @@
 //! Every blocking core of the library (`coll`, the `nbcoll` waits,
 //! `Comm::split`, `create_group`, RBC, the JQuick driver) is written once
 //! as an `async fn` over those wait leaves. A future body suspends by
-//! returning `Pending` through the await chain; everywhere else the leaf
-//! resolves in place (a thread body's rank thread hands its baton back
-//! inside it, a free-running rank thread blocks on the mailbox condvar),
-//! so [`block_inline`] completes the whole future in a single poll. The
+//! returning `Pending` through the await chain; on a thread body the leaf
+//! resolves in place (the rank thread hands its baton back inside it), so
+//! [`block_inline`] completes the whole future in a single poll. The
 //! synchronous public API is `block_inline(<the async core>)` all the way
 //! down.
 
@@ -64,7 +63,7 @@ fn noop_waker() -> Waker {
 
 /// Drive a workload future to completion in one poll.
 ///
-/// Off a future body every wait leaf resolves in place (see the module
+/// On a thread body every wait leaf resolves in place (see the module
 /// docs), so the first poll returns `Ready`; this is how the synchronous
 /// public API (`Transport::recv`, `Comm::bcast`, `jquick_sort`, …) runs
 /// the shared async cores.

@@ -35,8 +35,8 @@
 //! observes `Pending`; that is why
 //! [`block_inline`](super::poll::block_inline) may assume one poll. A
 //! future body answers `false` and the leaf returns `Pending` up the
-//! await chain. Off a scheduler task (`Backend::Threads`) none of this
-//! runs: the callers block on the mailbox condvar instead.
+//! await chain. Every MPI call runs on a scheduler task: a leaf reached
+//! anywhere else panics.
 //!
 //! Three leaves run that protocol:
 //!
@@ -51,22 +51,27 @@
 //! turn out differently after a deposit, and deposits happen only at the
 //! commit, so the epochs it sleeps through are exactly the ones in which
 //! the sweep would have missed again. The third is left for user programs
-//! that poll something other than their mailbox.
+//! that poll a request by hand (`while !req.test()? { yield_now() }`).
+//!
+//! A task runs until it reaches a leaf, so a loop that polls without ever
+//! reaching one (`while !req.test()? {}`) would spin inside its step
+//! forever. Nonblocking receives and probes that miss therefore count
+//! ([`missed`]), and the [`MISS_LIMIT`]-th miss of one step panics with
+//! a message naming the way out.
 //!
 //! # Poisoning
 //!
 //! Sends never block, so an epoch that commits with nothing runnable and
 //! nothing woken can make no further progress. The epoch layer then
 //! *poisons* the blocked tasks: each joins the next round, and step 3
-//! above returns [`MpiError::Timeout`] naming what it waited for, an
-//! exact and immediate replacement for the thread backend's wall-clock
-//! timeout.
+//! above returns [`MpiError::Timeout`] naming what it waited for, in the
+//! epoch the round empties, with no wall clock involved.
 
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::task::{Context, Poll};
 
 use parking_lot::Mutex;
@@ -90,6 +95,12 @@ const ST_RUNNING: u8 = 1;
 const ST_BLOCKED: u8 = 2;
 /// Body returned; never scheduled again.
 const ST_FINISHED: u8 = 3;
+
+/// Nonblocking receives and probes that may miss in one task step before
+/// the rank panics: a loop that polls without reaching a wait leaf never
+/// ends its step. Far above any library sweep, which parks after one
+/// round of misses.
+const MISS_LIMIT: u32 = 1 << 20;
 
 /// Scheduler state shared between workers and rank bodies.
 pub(crate) struct SchedShared {
@@ -135,6 +146,9 @@ pub(super) struct TaskSlot {
     /// Set by the deadlock and stagnation detectors; waits observe it and
     /// return `MpiError::Timeout` instead of parking again.
     poisoned: AtomicBool,
+    /// Nonblocking receives and probes that missed in the current step
+    /// (see [`missed`]); reset when the step begins.
+    misses: AtomicU32,
     /// Messages sent by this task during the current epoch, each with its
     /// destination, in program order. The commit takes every message out
     /// of its place (leaving `None`) and then clears the vector.
@@ -154,6 +168,7 @@ impl TaskSlot {
         TaskSlot {
             status: AtomicU8::new(ST_READY),
             poisoned: AtomicBool::new(false),
+            misses: AtomicU32::new(0),
             staged: UnsafeCell::new(Vec::new()),
             body: UnsafeCell::new(None),
         }
@@ -195,6 +210,7 @@ impl TaskSlot {
     #[inline]
     pub(super) fn step(&self, rank: usize, shared: &SchedShared) {
         self.status.store(ST_RUNNING, Ordering::Release);
+        self.misses.store(0, Ordering::Relaxed);
         let prev = CURRENT.with(|c| c.replace(self));
         // SAFETY: this worker claimed the task through the cursor CAS and
         // holds it in `ST_RUNNING`; nobody else touches `body`.
@@ -255,26 +271,33 @@ pub(super) fn adopt(slot: &'static TaskSlot) {
     CURRENT.with(|c| c.set(slot));
 }
 
-/// Whether the calling code runs inside a scheduler task (as opposed to a
-/// free-running rank thread of `Backend::Threads`).
-pub(crate) fn on_task() -> bool {
-    current_slot().is_some()
-}
-
 /// Stage an outgoing message with the current task for delivery at the
-/// next epoch commit. Only on a scheduler task ([`on_task`]); a plain rank
-/// thread deposits into the destination mailbox itself.
+/// next epoch commit.
 #[inline]
 pub(crate) fn stage_send(dest: usize, msg: Message) {
-    let slot = current_slot().expect("staging runs on a scheduler task");
+    let slot = current_slot().expect("MPI calls run on a scheduler task");
     // SAFETY: the running task is the only one touching its slot.
     unsafe { (*slot.staged.get()).push((dest, Some(msg))) };
 }
 
-/// Whether the current task has been poisoned. Always `false` off a
-/// scheduler task (thread-backend polling relies on wall-clock timeouts).
-pub(crate) fn current_poisoned() -> bool {
-    current_slot().is_some_and(|s| s.poisoned.load(Ordering::Acquire))
+/// A nonblocking receive or probe of `rank`, the current task, missed:
+/// count it and say whether the task has been poisoned.
+///
+/// # Panics
+///
+/// On the [`MISS_LIMIT`]-th miss of one task step.
+pub(crate) fn missed(rank: usize) -> bool {
+    let slot = current_slot().expect("MPI calls run on a scheduler task");
+    let misses = slot.misses.load(Ordering::Relaxed) + 1;
+    slot.misses.store(misses, Ordering::Relaxed);
+    if misses == MISS_LIMIT {
+        panic!(
+            "rank {rank}: {MISS_LIMIT} nonblocking receives or probes missed without \
+             the rank ever waiting; a polling loop must call `mpisim::yield_now()` \
+             between polls (or `wait` on the request), or it never gives up its turn"
+        );
+    }
+    slot.poisoned.load(Ordering::Acquire)
 }
 
 fn deadlock_err(rank: usize, reason: WaitReason, vnow: Time) -> MpiError {
@@ -366,10 +389,7 @@ struct DepositFut<'a> {
 impl Future for DepositFut<'_> {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        let Some(slot) = current_slot() else {
-            std::thread::yield_now();
-            return Poll::Ready(());
-        };
+        let slot = current_slot().expect("scheduler waits run on a scheduler task");
         if !self.armed {
             self.mb.wait_any();
             self.armed = true;
@@ -392,8 +412,6 @@ impl Future for DepositFut<'_> {
 /// deposit: the wait of a polling loop whose sweep of non-blocking
 /// receives all missed. Nothing is deposited between that sweep and the
 /// suspension (tasks run only between commits), so no wake-up is lost.
-/// Off a scheduler task it yields the OS thread, as [`yield_now_async`]
-/// does.
 pub(crate) fn park_until_deposit(mb: &Mailbox) -> impl Future<Output = ()> + '_ {
     DepositFut { mb, armed: false }
 }
@@ -411,10 +429,7 @@ impl Future for YieldFut {
             return Poll::Ready(());
         }
         self.fired = true;
-        let Some(slot) = current_slot() else {
-            std::thread::yield_now();
-            return Poll::Ready(());
-        };
+        let slot = current_slot().expect("scheduler waits run on a scheduler task");
         slot.status.store(ST_READY, Ordering::Release);
         if suspend_in_place(slot) {
             Poll::Ready(())
@@ -424,14 +439,14 @@ impl Future for YieldFut {
     }
 }
 
-/// Cooperatively yield on every backend: a scheduler task finishes its
-/// epoch slice and runs again in the next epoch, after all staged
-/// deliveries commit; a plain thread calls `std::thread::yield_now`.
-/// For user programs that poll something the scheduler cannot see; a
-/// loop that polls its own mailbox costs one task step per epoch this
-/// way and should wait through
+/// Yield the rank's turn: the task finishes its epoch slice and runs
+/// again in the next epoch, after all staged deliveries commit. What a
+/// hand-written polling loop calls between two polls (the "do something
+/// else" of the paper's Fig. 1); without it the loop never ends its task
+/// step. A loop that polls its own mailbox costs one task step per epoch
+/// this way; the libraries' own loops wait through
 /// [`ProcState::park_until_deposit`](crate::proc::ProcState::park_until_deposit)
-/// instead, as the libraries' loops do.
+/// instead.
 pub fn yield_now_async() -> impl Future<Output = ()> {
     YieldFut { fired: false }
 }

@@ -83,8 +83,8 @@ impl Time {
 }
 
 /// A shared-state virtual clock: per-rank simulated time that several
-/// parties may advance — the rank's own operations, and (under the
-/// cooperative backend) the scheduler, which moves a rank's clock forward
+/// parties may advance — the rank's own operations, and the scheduler,
+/// which moves a rank's clock forward
 /// through the ready-queue when a wake-up delivers a message whose arrival
 /// lies in the rank's future.
 ///

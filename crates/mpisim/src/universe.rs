@@ -1,11 +1,12 @@
-//! The universe: runs `p` simulated MPI processes either free-running,
-//! an OS thread per rank, or on the epoch scheduler ([`crate::sched`]),
-//! which steps all ranks deterministically from a small worker pool. On
-//! the scheduler the entry point decides what a rank body is:
+//! The universe: runs `p` simulated MPI processes on the epoch scheduler
+//! ([`crate::sched`]), which steps all ranks deterministically from a small
+//! worker pool. The entry point decides what a rank body is:
 //! [`Universe::run`] takes a synchronous closure and gives each rank a
 //! parked OS thread to keep its stack on (to about 2^12 ranks),
 //! [`Universe::run_poll`] takes an `async` body and a rank is a few
 //! hundred bytes of future state (the paper's 2^15 processes, and 2^20).
+//! Either way a rank runs only between its own MPI calls, which is the
+//! weak-progress model the paper's RBC assumes (DESIGN.md §4).
 //!
 //! ```
 //! use mpisim::{Universe, SimConfig, Transport};
@@ -19,20 +20,18 @@
 //! assert_eq!(res.per_rank, vec![0, 0, 0, 0]);
 //! ```
 //!
-//! The same program at 2^10 ranks on the scheduler, bit-for-bit
-//! reproducible:
+//! The same program at 2^10 ranks, bit-for-bit reproducible:
 //!
 //! ```
 //! use mpisim::{Universe, SimConfig, Transport};
 //!
-//! let res = Universe::run(1 << 10, SimConfig::cooperative(), |env| {
+//! let res = Universe::run(1 << 10, SimConfig::default(), |env| {
 //!     env.world.allreduce(&[1u64], |a, b| a + b).unwrap()[0]
 //! });
 //! assert!(res.per_rank.iter().all(|&s| s == 1 << 10));
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -47,13 +46,10 @@ use crate::sched::{
 };
 use crate::time::Time;
 
-/// Which runtime executes the rank bodies.
+/// Which runtime executes the rank bodies. There is one: both variants
+/// name the epoch scheduler, and no library code tells them apart.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// One free-running OS thread per simulated rank, blocking on its
-    /// mailbox's condvar. Simple and preemptive; value-deterministic
-    /// only; practical up to a few hundred ranks.
-    Threads,
     /// The epoch scheduler: all ranks stepped from
     /// [`SimConfig::coop_workers`] OS threads under an epoch discipline
     /// that makes runs **bit-for-bit deterministic in `(program, seed)`
@@ -66,10 +62,9 @@ pub enum Backend {
     /// bodies (the paper's 2^15 ranks, and 2^20). Output is byte-identical
     /// between the two for the same program.
     Cooperative,
-    /// A synonym of [`Backend::Cooperative`]: the epoch scheduler. No
-    /// library code distinguishes the two; both names stay until the perf
-    /// ledger under `benchmark/`, which spells both, is revised (ROADMAP
-    /// item 1(a)).
+    /// A synonym of [`Backend::Cooperative`]. Both names stay until the
+    /// perf ledger under `benchmark/`, which spells both, is revised
+    /// (ROADMAP item 1(a)).
     Poll,
 }
 
@@ -80,16 +75,11 @@ pub struct SimConfig {
     pub cost: CostModel,
     /// The MPI-implementation personality to simulate.
     pub vendor: VendorProfile,
-    /// Wall-clock deadlock-detection timeout for blocking operations
-    /// (thread backend; the cooperative backend detects deadlock exactly).
-    pub recv_timeout: Duration,
     /// Base seed for per-rank deterministic RNG streams.
     pub seed: u64,
-    /// OS thread stack size per rank, wherever a rank has a thread:
-    /// [`Backend::Threads`], and the thread bodies [`Universe::run`] builds
-    /// on the scheduler.
+    /// OS thread stack size of the thread bodies [`Universe::run`] builds.
     pub stack_size: usize,
-    /// Which runtime executes rank bodies.
+    /// Which runtime executes rank bodies (there is one, see [`Backend`]).
     pub backend: Backend,
     /// Worker threads of the cooperative scheduler. The epoch discipline
     /// makes the schedule — and therefore message-delivery order — a pure
@@ -105,8 +95,7 @@ pub struct SimConfig {
     /// the original single-threaded commit, kept as the correctness
     /// reference for tests ([`SimConfig::with_commit_algo`]; there is no
     /// environment knob). Both produce bit-identical output for every
-    /// worker count; only wall-clock speed differs. Ignored by
-    /// [`Backend::Threads`].
+    /// worker count; only wall-clock speed differs.
     pub commit_algo: CommitAlgo,
     /// Upper bound on the claim units of one sharded commit (0 = auto:
     /// ~2 shards per worker, with small commits staying inline on the
@@ -141,10 +130,9 @@ impl Default for SimConfig {
         SimConfig {
             cost: CostModel::supermuc_like(),
             vendor: VendorProfile::neutral(),
-            recv_timeout: Duration::from_secs(30),
             seed: 0x5bc,
             stack_size: 1 << 20,
-            backend: Backend::Threads,
+            backend: Backend::Cooperative,
             coop_workers: 1,
             commit_algo: CommitAlgo::Sharded,
             coop_commit_shards: 0,
@@ -156,7 +144,7 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Default configuration on the epoch scheduler. The
+    /// [`SimConfig::default`] with the environment knobs applied. The
     /// worker-pool size honours the `MPISIM_COOP_WORKERS` environment
     /// variable (default 1) — results are identical for every value — and
     /// the fault plan honours the `MPISIM_FAULT_SEED` / `MPISIM_FAULT_SLOW`
@@ -169,7 +157,6 @@ impl SimConfig {
     pub fn cooperative() -> SimConfig {
         use crate::env;
         SimConfig {
-            backend: Backend::Cooperative,
             coop_workers: env::coop_workers_from(env::var("MPISIM_COOP_WORKERS").as_deref()),
             faults: FaultPlan::from_env(),
             trace: env::trace_from(env::var("MPISIM_TRACE").as_deref()),
@@ -225,12 +212,6 @@ impl SimConfig {
     /// Replace the base RNG seed.
     pub fn with_seed(mut self, seed: u64) -> SimConfig {
         self.seed = seed;
-        self
-    }
-
-    /// Replace the deadlock-detection timeout.
-    pub fn with_timeout(mut self, t: Duration) -> SimConfig {
-        self.recv_timeout = t;
         self
     }
 
@@ -304,14 +285,13 @@ pub struct SimResult<R> {
     pub traffic: crate::proc::Traffic,
     /// Deterministic model counters of the run (messages, bytes,
     /// per-class volumes, mailbox scans, epochs, wake-ups, switches) —
-    /// pure functions of `(program, seed, fault plan)` on the cooperative
-    /// backend, so CI gates them with exact equality. Always collected;
-    /// the scheduler fields are zero under [`Backend::Threads`].
+    /// pure functions of `(program, seed, fault plan)`, so CI gates them
+    /// with exact equality. Always collected.
     pub metrics: crate::obs::MetricsSnapshot,
     /// The deterministic event trace, when [`SimConfig::trace`] was on.
     pub trace: Option<crate::obs::Trace>,
     /// The wall-clock scheduler phase profile, when
-    /// [`SimConfig::sched_profile`] was on (cooperative backend only).
+    /// [`SimConfig::sched_profile`] was on.
     pub sched_profile: Option<crate::obs::SchedProfile>,
 }
 
@@ -332,15 +312,14 @@ impl<R> SimResult<R> {
 pub struct Universe;
 
 impl Universe {
-    /// Run the synchronous rank body `f` on `p` simulated processes under
-    /// `cfg.backend` and collect results. Either way a rank is an OS
-    /// thread: free-running under [`Backend::Threads`], parked and stepped
-    /// by the epoch scheduler otherwise (a thread body: one scoped thread
-    /// of [`SimConfig::stack_size`] per rank, two hand-offs per step). The
-    /// host's thread limits (`ulimit -u`, `vm.max_map_count`) put the
-    /// ceiling somewhere past 2^12 ranks; larger universes, and every
-    /// figure kernel, go through [`Universe::run_poll`]. A panic in any
-    /// rank propagates with its payload once every rank thread has exited.
+    /// Run the synchronous rank body `f` on `p` simulated processes and
+    /// collect results. Each rank is a thread body: one scoped OS thread
+    /// of [`SimConfig::stack_size`], parked and stepped by the epoch
+    /// scheduler, two hand-offs per step. The host's thread limits
+    /// (`ulimit -u`, `vm.max_map_count`) put the ceiling somewhere past
+    /// 2^12 ranks; larger universes, and every figure kernel, go through
+    /// [`Universe::run_poll`]. A panic in any rank propagates with its
+    /// payload once every rank thread has exited.
     pub fn run<R, F>(p: usize, cfg: SimConfig, f: F) -> SimResult<R>
     where
         R: Send,
@@ -355,47 +334,33 @@ impl Universe {
             });
             results.lock()[rank] = Some(out);
         };
-
-        let sched = match cfg.backend {
-            Backend::Threads => {
-                Self::run_threads(&cfg, &rank_main, &states);
-                ((0, 0, 0), None)
-            }
-            Backend::Cooperative | Backend::Poll => std::thread::scope(|scope| {
-                let rank_main = &rank_main;
-                Self::run_sched(&cfg, &router, &states, |rank, state, store| {
-                    let body = move || rank_main(state);
-                    Box::new(ThreadBody::spawn(
-                        scope,
-                        cfg.stack_size,
-                        (rank, p),
-                        store,
-                        body,
-                    ))
-                })
-            }),
-        };
+        let sched = std::thread::scope(|scope| {
+            let rank_main = &rank_main;
+            Self::run_sched(&cfg, &router, &states, |rank, state, store| {
+                let body = move || rank_main(state);
+                Box::new(ThreadBody::spawn(
+                    scope,
+                    cfg.stack_size,
+                    (rank, p),
+                    store,
+                    body,
+                ))
+            })
+        });
         assemble_result(&router, &states, results.into_inner(), sched)
     }
 
-    /// Run the async rank body `f` on `p` simulated processes. On the
-    /// epoch scheduler each rank's future is a future body: a stackless
-    /// task polled once per step, a few hundred bytes and no OS thread
-    /// per rank, so universes reach p = 2^20 and beyond. Under
-    /// [`Backend::Threads`] the same future is driven to completion by
-    /// [`Universe::run`] through [`crate::block_inline`] (every await
-    /// resolves in place), so one async program serves every backend, with
-    /// byte-identical output wherever the scheduler runs it. Panics in any
-    /// rank propagate.
+    /// Run the async rank body `f` on `p` simulated processes. Each rank's
+    /// future is a future body: a stackless task polled once per step, a
+    /// few hundred bytes and no OS thread per rank, so universes reach
+    /// p = 2^20 and beyond. Output is byte-identical to the same program
+    /// under [`Universe::run`]. Panics in any rank propagate.
     pub fn run_poll<R, F, Fut>(p: usize, cfg: SimConfig, f: F) -> SimResult<R>
     where
         R: Send,
         F: Fn(ProcEnv) -> Fut + Send + Sync,
         Fut: std::future::Future<Output = R> + Send,
     {
-        if cfg.backend == Backend::Threads {
-            return Universe::run(p, cfg, |env| crate::block_inline(f(env)));
-        }
         let (router, states) = build_fabric(p, &cfg);
         let results: Mutex<Vec<Option<R>>> = Mutex::new((0..p).map(|_| None).collect());
         let (f, results_ref) = (&f, &results);
@@ -410,31 +375,6 @@ impl Universe {
             Box::new(FutureBody::new(fut, rank, store))
         });
         assemble_result(&router, &states, results.into_inner(), sched)
-    }
-
-    /// Thread backend: one scoped OS thread per rank.
-    fn run_threads(
-        cfg: &SimConfig,
-        rank_main: &(impl Fn(Arc<ProcState>) + Sync),
-        states: &[Arc<ProcState>],
-    ) {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(states.len());
-            for state in states {
-                let state = Arc::clone(state);
-                let h = std::thread::Builder::new()
-                    .name(format!("rank{}", state.global_rank))
-                    .stack_size(cfg.stack_size)
-                    .spawn_scoped(scope, move || rank_main(state))
-                    .expect("spawn rank thread");
-                handles.push(h);
-            }
-            for h in handles {
-                if let Err(e) = h.join() {
-                    std::panic::resume_unwind(e);
-                }
-            }
-        });
     }
 
     /// Every rank is one task on the epoch scheduler, its body built by
@@ -471,7 +411,7 @@ impl Universe {
         (scheduler.counters(), scheduler.take_profile())
     }
 
-    /// Convenience wrapper with default configuration (thread backend).
+    /// [`Universe::run`] with [`SimConfig::default`].
     pub fn run_default<R, F>(p: usize, f: F) -> SimResult<R>
     where
         R: Send,
@@ -489,7 +429,6 @@ fn build_fabric(p: usize, cfg: &SimConfig) -> (Arc<Router>, Vec<Arc<ProcState>>)
         p,
         cfg.cost.clone(),
         cfg.vendor.clone(),
-        cfg.recv_timeout,
         FaultState::resolve(&cfg.faults, p),
     );
     if cfg.trace {
@@ -588,44 +527,9 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    // ---- cooperative backend mirrors ---------------------------------------
-
     #[test]
-    fn coop_ranks_see_world() {
-        let res = Universe::run(5, SimConfig::cooperative(), |env| (env.rank(), env.size()));
-        assert_eq!(res.per_rank, vec![(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)]);
-    }
-
-    #[test]
-    fn coop_ring_send_recv() {
-        let res = Universe::run(4, SimConfig::cooperative(), |env| {
-            let w = &env.world;
-            let next = (w.rank() + 1) % 4;
-            let prev = (w.rank() + 3) % 4;
-            w.send(&[w.rank() as u64], next, 1).unwrap();
-            let (v, st) = w.recv::<u64>(Src::Rank(prev), 1).unwrap();
-            assert_eq!(st.source, prev);
-            v[0]
-        });
-        assert_eq!(res.per_rank, vec![3, 0, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn coop_rank_panic_propagates() {
-        Universe::run(2, SimConfig::cooperative(), |env| {
-            if env.rank() == 1 {
-                panic!("boom");
-            }
-        });
-    }
-
-    // The env-knob parser tests (workers, backend, faults, trace, …) live
-    // with the parsers in `crate::env`.
-
-    #[test]
-    fn coop_bcast_works() {
-        let res = Universe::run(8, SimConfig::cooperative(), |env| {
+    fn bcast_works() {
+        let res = Universe::run_default(8, |env| {
             let mut x = vec![env.rank() as u64 * 100];
             env.world.bcast(&mut x, 3).unwrap();
             x[0]

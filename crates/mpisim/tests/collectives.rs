@@ -1,8 +1,13 @@
-//! Blocking collectives vs sequential references, across awkward sizes.
+//! Blocking collectives vs sequential references, across awkward sizes;
+//! the gather, reduce and wildcard cases also under any legal matching
+//! order (seeded arrival jitter).
 
+mod common;
+
+use common::{jitter, over_jitter_seeds};
 use mpisim::coll;
 use mpisim::ops;
-use mpisim::{SimConfig, Src, Transport, Universe};
+use mpisim::{ProcEnv, SimConfig, Src, Transport, Universe};
 
 /// Process counts covering powers of two, odd sizes, and 1.
 const SIZES: &[usize] = &[1, 2, 3, 4, 5, 7, 8, 13, 16];
@@ -37,14 +42,14 @@ fn reduce_sum_matches_reference() {
     for &p in SIZES {
         let n = 5;
         let root = p - 1;
-        let res = Universe::run_default(p, |env| {
+        let per_rank = over_jitter_seeds(p, SimConfig::default(), |env| {
             let w = &env.world;
             coll::reduce(w, &local_data(w.rank(), n), root, 9, ops::sum::<u64>()).unwrap()
         });
         let expected: Vec<u64> = (0..n)
             .map(|i| (0..p).map(|r| (r * 1000 + i) as u64).sum())
             .collect();
-        for (r, v) in res.per_rank.into_iter().enumerate() {
+        for (r, v) in per_rank.into_iter().enumerate() {
             if r == root {
                 assert_eq!(v, Some(expected.clone()), "p={p}");
             } else {
@@ -119,13 +124,13 @@ fn scan_vector_valued() {
 #[test]
 fn gather_concatenates_in_rank_order() {
     for &p in SIZES {
-        let res = Universe::run_default(p, |env| {
+        let per_rank = over_jitter_seeds(p, SimConfig::default(), |env| {
             let w = &env.world;
             coll::gather(w, vec![w.rank() as u64], 0, 21).unwrap()
         });
         let expected: Vec<u64> = (0..p as u64).collect();
-        assert_eq!(res.per_rank[0], Some(expected));
-        for v in &res.per_rank[1..] {
+        assert_eq!(per_rank[0], Some(expected));
+        for v in &per_rank[1..] {
             assert_eq!(*v, None);
         }
     }
@@ -135,13 +140,13 @@ fn gather_concatenates_in_rank_order() {
 fn gatherv_variable_sizes() {
     for &p in SIZES {
         let root = p / 2;
-        let res = Universe::run_default(p, |env| {
+        let per_rank = over_jitter_seeds(p, SimConfig::default(), |env| {
             let w = &env.world;
             // Rank r contributes r elements (rank 0 contributes none).
             let mine: Vec<u64> = (0..w.rank()).map(|i| (w.rank() * 100 + i) as u64).collect();
             coll::gatherv(w, mine, root, 31).unwrap()
         });
-        let got = res.per_rank[root].as_ref().unwrap();
+        let got = per_rank[root].as_ref().unwrap();
         for (r, v) in got.iter().enumerate() {
             let expected: Vec<u64> = (0..r).map(|i| (r * 100 + i) as u64).collect();
             assert_eq!(*v, expected, "p={p} origin={r}");
@@ -222,23 +227,39 @@ fn collective_virtual_times_scale_logarithmically() {
 
 #[test]
 fn p2p_any_source_receives_all() {
-    let res = Universe::run_default(5, |env| {
+    // Rank 0's wildcard receives, in the order they matched.
+    let matched = |env: ProcEnv| {
         let w = &env.world;
         if w.rank() == 0 {
-            let mut seen = Vec::new();
-            for _ in 0..4 {
-                let (v, st) = w.recv::<u64>(Src::Any, 99).unwrap();
-                assert_eq!(v.len(), 1);
-                seen.push(st.source);
-            }
-            seen.sort_unstable();
-            seen
+            (0..4)
+                .map(|_| {
+                    let (v, st) = w.recv::<u64>(Src::Any, 99).unwrap();
+                    assert_eq!(v.len(), 1);
+                    st.source
+                })
+                .collect()
         } else {
             w.send(&[w.rank() as u64], 0, 99).unwrap();
             Vec::new()
         }
+    };
+    let sorted = over_jitter_seeds(5, SimConfig::default(), |env| {
+        let mut seen = matched(env);
+        seen.sort_unstable();
+        seen
     });
-    assert_eq!(res.per_rank[0], vec![1, 2, 3, 4]);
+    assert_eq!(sorted[0], vec![1, 2, 3, 4]);
+    // The seeds do reorder the matches: that is the point of the sweep.
+    let orders: std::collections::HashSet<Vec<usize>> = (1..=4)
+        .map(|seed| {
+            let cfg = SimConfig::default().with_faults(jitter(seed));
+            Universe::run(5, cfg, matched).per_rank.swap_remove(0)
+        })
+        .collect();
+    assert!(
+        orders.len() > 1,
+        "every seed matched in one order: {orders:?}"
+    );
 }
 
 #[test]

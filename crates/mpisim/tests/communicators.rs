@@ -230,9 +230,7 @@ fn overlapping_create_group_with_distinct_tags() {
 
 #[test]
 fn deadlock_detector_reports_timeout() {
-    use std::time::Duration;
-    let cfg = SimConfig::default().with_timeout(Duration::from_millis(50));
-    let res = Universe::run(2, cfg, |env| {
+    let res = Universe::run_default(2, |env| {
         let w = &env.world;
         if w.rank() == 0 {
             // Nobody ever sends tag 77.

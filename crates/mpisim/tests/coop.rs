@@ -1,7 +1,7 @@
-//! Cooperative-backend semantics: the scheduler must preserve every MPI
-//! behaviour the thread backend exhibits, detect deadlocks exactly, and
-//! deliver messages in an order that is a pure function of `(program,
-//! seed)` — **for every worker count**: the epoch discipline commits
+//! Scheduler semantics: the epoch scheduler must preserve every MPI
+//! behaviour, detect deadlocks exactly, fail loudly on a poll loop that
+//! never waits, and deliver messages in an order that is a pure function
+//! of `(program, seed)` — **for every worker count**: the epoch discipline commits
 //! deliveries in global virtual-time order, so `coop_workers ∈ {1, 2, 4,
 //! 8}` must produce bit-identical delivery logs, clocks, and sort outputs.
 
@@ -86,7 +86,7 @@ fn coop_deadlock_is_poisoned_not_hung() {
         })
     });
     assert_eq!(res.per_rank, vec![Some(0), Some(1)]);
-    // Exact detection: far below the 30 s thread-backend timeout.
+    // Exact detection, in the epoch the round empties.
     assert!(t0.elapsed() < std::time::Duration::from_secs(5));
 }
 
@@ -240,26 +240,6 @@ proptest! {
             let parallel = storm_delivery_log(p, per, seed, workers);
             prop_assert_eq!(&serial, &parallel, "workers = {}", workers);
         }
-    }
-
-    // Cooperative and thread backends agree on all value-level results
-    // for deterministic programs (delivery order may differ; sums do not).
-    #[test]
-    fn coop_matches_threads_on_values(
-        p in 1usize..10,
-        seed in any::<u64>(),
-    ) {
-        let run = |cfg: SimConfig| {
-            Universe::run(p, cfg.with_seed(seed), |env| {
-                let w = &env.world;
-                let s = coll::allreduce(w, &[w.rank() as u64 + 1], 5, ops::sum::<u64>())
-                    .unwrap()[0];
-                let sc = coll::scan(w, &[1u64], 7, ops::sum::<u64>()).unwrap()[0];
-                (s, sc)
-            })
-            .per_rank
-        };
-        prop_assert_eq!(run(SimConfig::default()), run(SimConfig::cooperative()));
     }
 }
 
@@ -491,5 +471,32 @@ fn thread_exhaustion_names_the_way_out() {
     let msg = payload.downcast_ref::<String>().expect("a formatted panic");
     for part in ["p = 4", "one OS thread per rank", "Universe::run_poll"] {
         assert!(msg.contains(part), "{msg}");
+    }
+}
+
+// A poll loop that never reaches a wait leaf never ends its task step:
+// the 2^20-th miss of one step panics, naming the rank and the way out,
+// on either kind of body and at any worker count.
+#[test]
+fn a_bare_poll_spin_panics_instead_of_hanging() {
+    async fn spin(env: mpisim::ProcEnv) {
+        let w = &env.world;
+        if w.rank() == 1 {
+            let mut req = w.irecv::<u64>(Src::Rank(0), 3);
+            while !req.test().unwrap() {}
+        }
+    }
+    for workers in [1, 4] {
+        let cfg = || SimConfig::default().with_workers(workers);
+        let thread = || Universe::run(2, cfg(), |env| mpisim::block_inline(spin(env)));
+        let future = || Universe::run_poll(2, cfg(), spin);
+        for (body, run) in [("thread", &thread as &dyn Fn() -> _), ("future", &future)] {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("the spin panics");
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+            for part in ["rank 1", "`mpisim::yield_now()`", "`wait`"] {
+                assert!(msg.contains(part), "{body} body, {workers} workers: {msg}");
+            }
+        }
     }
 }

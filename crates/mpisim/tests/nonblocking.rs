@@ -108,7 +108,7 @@ fn ibarrier_completes() {
             let mut polls = 0usize;
             while !sm.poll().unwrap() {
                 polls += 1;
-                std::thread::yield_now();
+                mpisim::yield_now();
             }
             polls
         });
@@ -152,7 +152,7 @@ fn overlapping_nonblocking_collectives_with_user_tags() {
             if da && db {
                 break;
             }
-            std::thread::yield_now();
+            mpisim::yield_now();
         }
         (a.result().unwrap().to_vec(), b.result().unwrap().to_vec())
     });
@@ -186,7 +186,7 @@ fn irecv_request_progress() {
             // Tell rank 1 we're ready; it sends only after this.
             w.send(&[0u8; 0], 1, 8).unwrap();
             while !req.test().unwrap() {
-                std::thread::yield_now();
+                mpisim::yield_now();
             }
             let (v, st) = req.take().unwrap();
             assert_eq!(st.source, 1);
@@ -304,7 +304,7 @@ fn icomm_two_simultaneous_creations_both_progress() {
                     i += 1;
                 }
             }
-            std::thread::yield_now();
+            mpisim::yield_now();
         }
         out.sort_by_key(|(l, _)| *l);
         out.into_iter()

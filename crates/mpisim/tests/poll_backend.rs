@@ -38,9 +38,7 @@ where
 
 /// The epoch scheduler with `workers` workers.
 fn sched(workers: usize) -> SimConfig {
-    SimConfig::default()
-        .with_backend(Backend::Cooperative)
-        .with_workers(workers)
+    SimConfig::default().with_workers(workers)
 }
 
 /// What one rank observed: wildcard delivery log of the storm phase plus
@@ -487,9 +485,8 @@ fn an_unanswered_polling_wait_ends_in_the_deadlock_detector() {
     where
         Fut: std::future::Future<Output = Option<String>> + Send,
     {
-        let cfg = sched(workers).with_timeout(std::time::Duration::from_secs(30));
         let t0 = std::time::Instant::now();
-        let res = run_as(body, P, cfg, program);
+        let res = run_as(body, P, sched(workers), program);
         assert!(
             t0.elapsed() < std::time::Duration::from_secs(1),
             "a structural deadlock took {:?}: the wall-clock backstop fired?",

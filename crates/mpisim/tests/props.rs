@@ -1,7 +1,11 @@
 //! Property-based tests: every collective must agree with its sequential
 //! reference for arbitrary process counts, payload lengths, and values —
-//! including the large-input algorithms and the nonblocking machines.
+//! including the large-input algorithms and the nonblocking machines —
+//! under any legal matching order (seeded arrival jitter).
 
+mod common;
+
+use common::over_jitter_seeds;
 use mpisim::nbcoll::{self, Progress};
 use mpisim::{coll, coll_large, ops, SimConfig, Universe};
 use proptest::prelude::*;
@@ -41,7 +45,7 @@ proptest! {
             .map(|i| inputs.iter().map(|v| v[i]).max().unwrap())
             .collect();
         let inputs2 = inputs.clone();
-        let res = Universe::run(p, SimConfig::default().with_seed(seed), move |env| {
+        let per_rank = over_jitter_seeds(p, SimConfig::default().with_seed(seed), move |env| {
             let w = &env.world;
             use mpisim::Transport;
             let mine = inputs2[w.rank()].clone();
@@ -53,7 +57,7 @@ proptest! {
             coll::bcast(w, &mut bc, root, 11).unwrap();
             (red, all, sc, ex, bc)
         });
-        for (r, (red, all, sc, ex, bc)) in res.per_rank.into_iter().enumerate() {
+        for (r, (red, all, sc, ex, bc)) in per_rank.into_iter().enumerate() {
             if r == root {
                 prop_assert_eq!(red.clone(), Some(expected_sum.clone()));
             } else {
@@ -84,7 +88,7 @@ proptest! {
     ) {
         let inputs = universe_inputs(p, len, seed);
         let inputs2 = inputs.clone();
-        let res = Universe::run(p, SimConfig::default().with_seed(seed), move |env| {
+        let per_rank = over_jitter_seeds(p, SimConfig::default().with_seed(seed), move |env| {
             let w = &env.world;
             use mpisim::Transport;
             let mine = inputs2[w.rank()].clone();
@@ -94,14 +98,14 @@ proptest! {
                 let da = a.poll().unwrap();
                 let ds = s.poll().unwrap();
                 if da && ds { break; }
-                std::thread::yield_now();
+                mpisim::yield_now();
             }
             (a.result().unwrap().to_vec(), s.inclusive().unwrap().to_vec())
         });
         let expected_sum: Vec<u64> = (0..len)
             .map(|i| inputs.iter().map(|v| v[i]).sum())
             .collect();
-        for (r, (all, sc)) in res.per_rank.into_iter().enumerate() {
+        for (r, (all, sc)) in per_rank.into_iter().enumerate() {
             prop_assert_eq!(all, expected_sum.clone());
             let pre: Vec<u64> = (0..len)
                 .map(|i| inputs[..=r].iter().map(|v| v[i]).sum())

@@ -4,12 +4,11 @@
 //! must produce *identical* `(color → ordered member list)` tables, new
 //! ranks, group sizes, and context IDs as the textbook all-gather split it
 //! replaces — for random colors, random (colliding) keys, and
-//! `MPI_UNDEFINED` ranks, on both the thread and the cooperative backend,
-//! and for any cooperative worker count.
+//! `MPI_UNDEFINED` ranks, and for any scheduler worker count.
 
 use proptest::prelude::*;
 
-use mpisim::{Backend, SimConfig, SplitAlgo, Transport, Universe};
+use mpisim::{SimConfig, SplitAlgo, Transport, Universe};
 
 /// What a rank observes about its new communicator: `(new_rank, size,
 /// context id, ordered global member list)`; `None` for `MPI_UNDEFINED`.
@@ -44,11 +43,8 @@ fn split_tables(
     cfg: SimConfig,
     assign: &[(Option<u64>, u64)],
 ) -> (Vec<SplitView>, Vec<mpisim::Time>) {
-    let assign = assign.to_vec();
-    // One async program for every configuration: free-running threads
-    // drive it in place, the scheduler polls it as a future body (these
-    // universes go to p = 1024, sixteen of them per case).
-    let assign = &assign;
+    // A future body: these universes go to p = 1024, several per case.
+    let assign = &assign.to_vec();
     let res = Universe::run_poll(p, cfg, move |env| async move {
         let w = &env.world;
         let (color, key) = assign[w.rank()];
@@ -64,51 +60,33 @@ fn split_tables(
     (res.per_rank, res.clocks)
 }
 
-/// Run one assignment under every backend × algorithm combination and
+/// Run one assignment under both algorithms at 1 and 4 workers and
 /// assert table equality plus worker-count determinism.
-fn check_case(p: usize, colors_max: u64, seed: u64, backends: &[SimConfig]) {
+fn check_case(p: usize, colors_max: u64, seed: u64) {
     let assign = assignment(p, colors_max, seed);
     let mut oracle: Option<Vec<SplitView>> = None;
-    for cfg in backends {
-        let (dist, dist_clocks) = split_tables(p, cfg.clone().with_seed(seed), &assign);
-        let (gath, _) = split_tables(
-            p,
-            cfg.clone()
-                .with_seed(seed)
-                .with_split_algo(SplitAlgo::Allgather),
-            &assign,
-        );
+    for workers in [1, 4] {
+        let cfg = SimConfig::default().with_workers(workers).with_seed(seed);
+        let (dist, dist_clocks) = split_tables(p, cfg.clone(), &assign);
+        let allgather = cfg.clone().with_split_algo(SplitAlgo::Allgather);
+        let (gath, _) = split_tables(p, allgather, &assign);
         assert_eq!(
             dist, gath,
             "distributed split must equal the all-gather oracle (p={p} seed={seed})"
         );
-        // Every backend/worker combination agrees on the tables too.
+        // Both worker counts agree on the tables too.
         match &oracle {
             None => oracle = Some(dist),
             Some(o) => assert_eq!(
                 &dist, o,
-                "tables must not depend on backend or worker count (p={p} seed={seed})"
+                "tables must not depend on the worker count (p={p} seed={seed})"
             ),
         }
         // Virtual time of the distributed run is a pure function of the
-        // program for cooperative runs at any worker count.
-        if cfg.backend == Backend::Cooperative {
-            let (_, again) = split_tables(p, cfg.clone().with_seed(seed), &assign);
-            assert_eq!(dist_clocks, again, "cooperative clocks must be stable");
-        }
+        // program.
+        let (_, again) = split_tables(p, cfg, &assign);
+        assert_eq!(dist_clocks, again, "clocks must be stable");
     }
-}
-
-fn backends() -> Vec<SimConfig> {
-    vec![
-        SimConfig::default(),
-        SimConfig::default()
-            .with_backend(Backend::Cooperative)
-            .with_workers(1),
-        SimConfig::default()
-            .with_backend(Backend::Cooperative)
-            .with_workers(4),
-    ]
 }
 
 proptest! {
@@ -122,18 +100,18 @@ proptest! {
         seed in any::<u64>(),
     ) {
         for p in [7usize, 64] {
-            check_case(p, colors_max, seed, &backends());
+            check_case(p, colors_max, seed);
         }
     }
 }
 
-/// The large point of the oracle sweep: p = 1024 under both backends and
-/// 1 and 4 cooperative workers (fixed seeds — each case spawns six
-/// thousand-rank universes, so the sweep stays out of the proptest loop).
+/// The large point of the oracle sweep: p = 1024 at 1 and 4 workers
+/// (fixed seeds — each case runs six thousand-rank universes, so the
+/// sweep stays out of the proptest loop).
 #[test]
 fn distributed_split_matches_oracle_at_1024() {
     for seed in [3u64, 0xA5A5_5A5A] {
-        check_case(1024, 5, seed, &backends());
+        check_case(1024, 5, seed);
     }
 }
 

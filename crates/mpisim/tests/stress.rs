@@ -116,7 +116,7 @@ fn interleaved_nonblocking_storm() {
                 break;
             }
             spin += 1;
-            std::thread::yield_now();
+            mpisim::yield_now();
         }
         true
     });

@@ -60,7 +60,7 @@ fn main() {
             if left_done_at.is_some() && right_done_at.is_some() {
                 break;
             }
-            std::thread::yield_now();
+            mpisim::yield_now();
         }
 
         let l = left_op.map(|op| op.result().unwrap()[0]);

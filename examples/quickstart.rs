@@ -38,8 +38,11 @@ fn main() {
         let mut flag = false;
         let mut useful_work = 0u64;
         while !flag {
-            useful_work += 1; // Do something else.
             flag = rbc::test(&mut req).expect("test");
+            // Do something else: one unit of overlapped work, which gives
+            // the other ranks their turn.
+            useful_work += 1;
+            mpisim::yield_now();
         }
 
         let e = req.into_data().expect("broadcast complete")[0];

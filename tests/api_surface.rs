@@ -66,7 +66,7 @@ fn every_table_i_operation_runs() {
 
             // rbc::Test / rbc::Wait on the request.
             while !req.test().unwrap() {
-                std::thread::yield_now();
+                mpisim::yield_now();
             }
             assert_eq!(req.take().unwrap().0, vec![22]);
             // rbc::Iprobe returns None once consumed.

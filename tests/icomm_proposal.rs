@@ -108,7 +108,7 @@ fn irregular_groups_progress_concurrently_and_stay_isolated() {
                     i += 1;
                 }
             }
-            std::thread::yield_now();
+            mpisim::yield_now();
         }
         comms.sort_by_key(|(l, _)| *l);
         comms

@@ -283,7 +283,7 @@ fn base_pair_through_the_state_machine() {
                 };
                 let mut sm = BaseSm::start(w, layout, me, bt).unwrap();
                 while !sm.poll().unwrap() {
-                    std::thread::yield_now();
+                    mpisim::yield_now();
                 }
                 let s = sm.take().unwrap();
                 (s.lo, s.data, load)
