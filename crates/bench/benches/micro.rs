@@ -111,23 +111,23 @@ fn bench_jquick_local(c: &mut Criterion) {
     // it does from `Strictness::for_level`.
     let mut rng = StdRng::seed_from_u64(2018);
     let data: Vec<f64> = (0..(1 << 16)).map(|_| rng.gen_range(-1e9..1e9)).collect();
+    // The `_ordinal` rows run the same kernels on the same keys mapped to
+    // their `u64` images before the clock, as the sorters do.
+    let images: Vec<u64> = data.iter().map(|x| x.to_ordinal()).collect();
     g.bench_function("partition_64k", |b| {
         b.iter(|| partition(black_box(data.clone()), &0.0, black_box(Strictness::Lt)))
+    });
+    g.bench_function("partition_64k_ordinal", |b| {
+        let pivot = 0.0f64.to_ordinal();
+        b.iter(|| partition(black_box(images.clone()), &pivot, black_box(Strictness::Lt)))
     });
     // One pair base case at n/p = 2^13, the host work of both partners:
     // each sorts its own run once, then merges out the half it keeps.
     g.bench_function("base_pair_16k", |b| {
-        let (left, right) = data[..1 << 14].split_at(1 << 13);
-        b.iter(|| {
-            let (mut left, mut right) = (black_box(left.to_vec()), black_box(right.to_vec()));
-            left.sort_unstable_by(f64::cmp_key);
-            right.sort_unstable_by(f64::cmp_key);
-            let cap_left = black_box(left.len());
-            (
-                merge_kept_half(&left, &right, cap_left, true),
-                merge_kept_half(&left, &right, cap_left, false),
-            )
-        })
+        b.iter(|| base_pair(black_box(&data[..1 << 14])))
+    });
+    g.bench_function("base_pair_16k_ordinal", |b| {
+        b.iter(|| base_pair(black_box(&images[..1 << 14])))
     });
     g.bench_function("sample_median_256", |b| {
         let sample: Vec<f64> = data.iter().take(256).copied().collect();
@@ -156,6 +156,19 @@ fn bench_jquick_local(c: &mut Criterion) {
         b.iter(|| layout.owner(black_box(987_654_321)))
     });
     g.finish();
+}
+
+/// Both halves of a pair base case over `keys` split in the middle.
+fn base_pair<T: SortKey>(keys: &[T]) -> (Vec<T>, Vec<T>) {
+    let (left, right) = keys.split_at(keys.len() / 2);
+    let (mut left, mut right) = (left.to_vec(), right.to_vec());
+    left.sort_unstable_by(T::cmp_key);
+    right.sort_unstable_by(T::cmp_key);
+    let cap_left = black_box(left.len());
+    (
+        merge_kept_half(&left, &right, cap_left, true),
+        merge_kept_half(&left, &right, cap_left, false),
+    )
 }
 
 fn bench_exchange_encoding(c: &mut Criterion) {

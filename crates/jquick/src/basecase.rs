@@ -6,7 +6,8 @@
 //! sorting a base case." All base-case machines run concurrently, again so
 //! that a process holding several of them cannot deadlock its partners.
 //!
-//! Two-process case: each side sorts *its own run once* and ships it; on
+//! Two-process case: each side sorts *its own run once* and ships it
+//! shared (one `Arc` read by both partners, no copy into the message); on
 //! receipt it merges the two sorted runs only as far as the share it keeps
 //! (the left process the first `cap_left` elements of the merge, the right
 //! the rest). The merge takes the left process's run first on ties, so the
@@ -16,6 +17,8 @@
 //! work. The *charge* is still that union sort's `m log m`, at the point the
 //! partner's run arrives: the model prices the paper's receive + select +
 //! local sort, not this host shortcut (DESIGN.md, "Local kernels").
+
+use std::sync::Arc;
 
 use mpisim::{Result, SortKey, Src, Tag, Transport};
 
@@ -66,10 +69,11 @@ pub enum BaseSm<T: SortKey, C: Transport> {
         me: u64,
         /// The partner's global process index.
         partner: u64,
-        /// My elements of the task, sorted (sent to the partner at start).
-        mine: Vec<T>,
+        /// My elements of the task, sorted (sent to the partner at start),
+        /// until merged.
+        mine: Option<Arc<Vec<T>>>,
         /// The partner's elements, once received.
-        theirs: Option<Vec<T>>,
+        theirs: Option<Arc<Vec<T>>>,
         /// The settled output, until taken.
         out: Option<Settled<T>>,
     },
@@ -95,14 +99,15 @@ impl<T: SortKey + mpisim::Datum, C: Transport> BaseSm<T, C> {
         // Uncharged here: the union's sort is charged when it is complete.
         let mut mine = bt.data;
         mine.sort_unstable_by(T::cmp_key);
-        world.send(&mine, partner as usize, BASE_TAG)?;
+        let mine = Arc::new(mine);
+        world.send_shared(&mine, partner as usize, BASE_TAG)?;
         let mut sm = BaseSm::Pair {
             c: world.clone(),
             task: bt.task,
             layout,
             me,
             partner,
-            mine,
+            mine: Some(mine),
             theirs: None,
             out: None,
         };
@@ -128,13 +133,13 @@ impl<T: SortKey + mpisim::Datum, C: Transport> BaseSm<T, C> {
                     return Ok(true);
                 }
                 if theirs.is_none() {
-                    match c.try_recv::<T>(Src::Rank(*partner as usize), BASE_TAG)? {
+                    match c.try_recv_shared::<T>(Src::Rank(*partner as usize), BASE_TAG)? {
                         None => return Ok(false),
                         Some((v, _)) => *theirs = Some(v),
                     }
                 }
                 let theirs = theirs.take().expect("received");
-                let mine = std::mem::take(mine);
+                let mine = mine.take().expect("sent at start");
                 let i_am_left = *me < *partner;
                 charge_sort(c, mine.len() + theirs.len());
                 let (f, _) = task.procs(layout);

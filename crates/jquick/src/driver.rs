@@ -32,6 +32,7 @@ use crate::basecase::{BaseSm, BaseTask, Settled};
 use crate::exchange::AssignmentKind;
 use crate::layout::{Layout, TaskRange};
 use crate::level::{LevelOutcome, LevelSm};
+use crate::partition::{from_ordinals, to_ordinals};
 use crate::pivot::PivotCfg;
 
 /// User tags for the driver's blocking agreements.
@@ -126,6 +127,11 @@ where
 /// `create_group`, and the polling loops' waits) suspends instead of
 /// parking, so the whole sort can run as a future body
 /// (`Universe::run_poll`) at process counts no thread per rank reaches.
+///
+/// The sort runs on the keys' order-preserving images
+/// ([`SortKey::to_ordinal`]: `u64` for `f64`, the identity for integers),
+/// mapped in place here and back at the end. Images have the keys' width
+/// and order, so every message, byte and charge is the same either way.
 pub async fn jquick_sort_async<T, B>(
     backend: &B,
     world: &Comm,
@@ -147,11 +153,12 @@ where
             layout.cap(me)
         )));
     }
+    let data = to_ordinals(data);
     let wc = backend.world(world)?;
     let mut stats = SortStats::default();
-    let mut bases: Vec<BaseTask<T>> = Vec::new();
-    let mut settled: Vec<Settled<T>> = Vec::new();
-    let mut active: Vec<ActiveTask<T, B::C>> = Vec::new();
+    let mut bases: Vec<BaseTask<T::Ordinal>> = Vec::new();
+    let mut settled: Vec<Settled<T::Ordinal>> = Vec::new();
+    let mut active: Vec<ActiveTask<T::Ordinal, B::C>> = Vec::new();
 
     let root = TaskRange { lo: 0, hi: n };
     if root.nprocs(&layout) <= 2 {
@@ -212,7 +219,7 @@ where
         // 2. Process outcomes left-to-right (the order matters for the
         //    blocking all-equal agreement: leftmost-first is globally
         //    consistent and acyclic).
-        let mut pending: Vec<PendingCreate<T, B::C>> = Vec::new();
+        let mut pending: Vec<PendingCreate<T::Ordinal, B::C>> = Vec::new();
         for (meta, mut sm) in metas.into_iter().zip(sms) {
             let outcome = sm.take_outcome().expect("level completed");
             match outcome {
@@ -224,14 +231,14 @@ where
                         let local_min = data
                             .iter()
                             .copied()
-                            .min_by(T::cmp_key)
+                            .min_by(SortKey::cmp_key)
                             .expect("task load >= 1");
-                        let local_max = data.iter().copied().max_by(T::cmp_key).unwrap();
+                        let local_max = data.iter().copied().max_by(SortKey::cmp_key).unwrap();
                         let mm = coll::allreduce_async(
                             &meta.comm,
                             &[(local_min, local_max)],
                             TAG_MINMAX,
-                            |a: &(T, T), b: &(T, T)| {
+                            |a: &(T::Ordinal, T::Ordinal), b: &(T::Ordinal, T::Ordinal)| {
                                 let mn = if b.0.cmp_key(&a.0).is_lt() { b.0 } else { a.0 };
                                 let mx = if b.1.cmp_key(&a.1).is_gt() { b.1 } else { a.1 };
                                 (mn, mx)
@@ -360,7 +367,7 @@ where
             "rank {me}: output covers [{w0},{expect}) instead of [{w0},{w1})"
         )));
     }
-    Ok((out, stats))
+    Ok((from_ordinals(out), stats))
 }
 
 // Helper shims: `Backend::C: Transport` implies `Clone`, but keeping the

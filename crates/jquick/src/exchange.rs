@@ -164,27 +164,21 @@ impl<T: SortKey, C: Transport> GreedyExchange<T, C> {
             large: Vec::with_capacity(exp.large_count as usize),
             done: false,
         };
-        // Fire all sends up front (nonblocking, buffered). Chunks addressed
-        // to myself are delivered locally without a message.
-        for m in msgs {
-            let src = if m.small { &small } else { &large };
-            let chunk = src[m.local_range.0..m.local_range.1].to_vec();
-            if m.target == me {
-                if m.small {
-                    sm.small.extend_from_slice(&chunk);
-                } else {
-                    sm.large.extend_from_slice(&chunk);
-                }
+        // Fire all sends up front (nonblocking, buffered), smalls first as
+        // `greedy_assignment` lists them. Chunks addressed to myself are
+        // delivered locally without a message.
+        let n_small = msgs.partition_point(|m| m.small);
+        debug_assert!(msgs[n_small..].iter().all(|m| !m.small));
+        let send = |m: &OutMsg, chunk: Vec<T>| {
+            let tag = if m.small {
+                tags::X_SMALL
             } else {
-                let dest_rank = (m.target - first_proc) as usize;
-                let tag = if m.small {
-                    tags::X_SMALL
-                } else {
-                    tags::X_LARGE
-                };
-                c.send_vec(chunk, dest_rank, tag)?;
-            }
-        }
+                tags::X_LARGE
+            };
+            c.send_vec(chunk, (m.target - first_proc) as usize, tag)
+        };
+        route_side(small, &msgs[..n_small], me, &mut sm.small, send)?;
+        route_side(large, &msgs[n_small..], me, &mut sm.large, send)?;
         sm.poll()?;
         Ok(sm)
     }
@@ -219,6 +213,45 @@ impl<T: SortKey, C: Transport> GreedyExchange<T, C> {
             large: std::mem::take(&mut self.large),
         })
     }
+}
+
+/// Deliver one partition side in `msgs` order: the chunk addressed to `me`
+/// is appended to `keep`, every other one goes to `send`. `msgs` are the
+/// side's messages, whose ranges cover it in ascending order. The side is
+/// cut into them from the back, so each `split_off` copies only the chunk
+/// it returns and the first chunk keeps the side's buffer, shrunk to fit so
+/// that a message does not hold the capacity of the whole side.
+fn route_side<T: Copy>(
+    mut side: Vec<T>,
+    msgs: &[OutMsg],
+    me: u64,
+    keep: &mut Vec<T>,
+    mut send: impl FnMut(&OutMsg, Vec<T>) -> Result<()>,
+) -> Result<()> {
+    let mut chunks: Vec<Vec<T>> = msgs
+        .iter()
+        .rev()
+        .map(|m| {
+            debug_assert_eq!(m.local_range.1, side.len());
+            if m.local_range.0 == 0 {
+                let mut first = std::mem::take(&mut side);
+                first.shrink_to_fit();
+                first
+            } else {
+                side.split_off(m.local_range.0)
+            }
+        })
+        .collect();
+    debug_assert!(side.is_empty());
+    for m in msgs {
+        let chunk = chunks.pop().expect("one chunk per message");
+        if m.target == me {
+            keep.extend_from_slice(&chunk);
+        } else {
+            send(m, chunk)?;
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -457,6 +490,46 @@ mod tests {
                     .filter(|&x| (x < mid) != (me < mid) && partner(x, a, b, mid) == me)
                     .count();
                 assert!(senders <= 2, "q={q} me={me} senders={senders}");
+            }
+        }
+    }
+
+    /// `route_side` against the copy path it replaced (a `to_vec` of every
+    /// chunk): a side cut into 1, 2 and 3 chunks, with the kept chunk
+    /// first, middle, last or absent, hands out exactly the same slices to
+    /// the same places in the same order.
+    #[test]
+    fn route_side_delivers_the_copied_slices() {
+        let side: Vec<u64> = (100..110).collect();
+        for bounds in [&[0usize, 10][..], &[0, 4, 10], &[0, 3, 7, 10]] {
+            let msgs: Vec<OutMsg> = bounds
+                .windows(2)
+                .enumerate()
+                .map(|(i, w)| OutMsg {
+                    target: 10 + i as u64,
+                    local_range: (w[0], w[1]),
+                    small: true,
+                    first_pos: w[0] as u64,
+                })
+                .collect();
+            for me in (10..10 + msgs.len() as u64).chain([99]) {
+                let (mut want_keep, mut want_sent) = (Vec::new(), Vec::new());
+                for m in &msgs {
+                    let chunk = side[m.local_range.0..m.local_range.1].to_vec();
+                    if m.target == me {
+                        want_keep.extend_from_slice(&chunk);
+                    } else {
+                        want_sent.push((m.target, chunk));
+                    }
+                }
+                let (mut keep, mut sent) = (Vec::new(), Vec::new());
+                route_side(side.clone(), &msgs, me, &mut keep, |m, chunk| {
+                    sent.push((m.target, chunk));
+                    Ok(())
+                })
+                .unwrap();
+                assert_eq!(keep, want_keep, "bounds {bounds:?}, me {me}");
+                assert_eq!(sent, want_sent, "bounds {bounds:?}, me {me}");
             }
         }
     }

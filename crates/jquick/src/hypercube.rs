@@ -10,7 +10,9 @@
 
 use mpisim::{block_inline, coll, recv_async, Datum, MpiError, Result, SortKey, Src, Transport};
 
-use crate::partition::{local_sort_charged, partition, sample_median, Strictness};
+use crate::partition::{
+    from_ordinals, local_sort_charged, partition, sample_median, to_ordinals, Strictness,
+};
 use crate::pivot::{draw_samples, PivotCfg};
 
 const TAG_SAMPLES: u64 = 84;
@@ -30,10 +32,11 @@ pub fn hypercube_sort<T: SortKey + Datum>(
 
 /// [`hypercube_sort`] as a maybe-async core (see [`mpisim::coll`]'s
 /// module docs): the same sends and receives in the same order, awaiting
-/// where the synchronous function blocks.
+/// where the synchronous function blocks. Sorts the keys' order-preserving
+/// images, as [`crate::jquick_sort_async`] does.
 pub async fn hypercube_sort_async<T: SortKey + Datum>(
     world: &impl Transport,
-    mut data: Vec<T>,
+    data: Vec<T>,
     pivot_cfg: &PivotCfg,
 ) -> Result<Vec<T>> {
     let p = world.size();
@@ -44,6 +47,7 @@ pub async fn hypercube_sort_async<T: SortKey + Datum>(
     }
     let r = world.rank();
     let k = p.trailing_zeros();
+    let mut data = to_ordinals(data);
 
     for level in 0..k {
         // The current group: processes sharing my high bits. Group size
@@ -65,9 +69,12 @@ pub async fn hypercube_sort_async<T: SortKey + Datum>(
             if my_sub & mask == 0 {
                 let src = my_sub | mask;
                 if src < group_size {
-                    let (v, _) =
-                        recv_async::<T, _>(world, Src::Rank(group_first + src), TAG_SAMPLES)
-                            .await?;
+                    let (v, _) = recv_async::<T::Ordinal, _>(
+                        world,
+                        Src::Rank(group_first + src),
+                        TAG_SAMPLES,
+                    )
+                    .await?;
                     pool.extend(v);
                 }
             } else {
@@ -107,14 +114,14 @@ pub async fn hypercube_sort_async<T: SortKey + Datum>(
             (large, small)
         };
         world.send_vec(send, partner, TAG_XCHG)?;
-        let (recvd, _) = recv_async::<T, _>(world, Src::Rank(partner), TAG_XCHG).await?;
+        let (recvd, _) = recv_async::<T::Ordinal, _>(world, Src::Rank(partner), TAG_XCHG).await?;
         let mut merged = keep;
         merged.extend(recvd);
         data = merged;
     }
 
     local_sort_charged(world, &mut data);
-    Ok(data)
+    Ok(from_ordinals(data))
 }
 
 /// Binomial broadcast from `group_first` within the rank window

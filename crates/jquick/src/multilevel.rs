@@ -18,7 +18,7 @@
 use mpisim::{block_inline, coll, recv_async, tags, MpiError, Result, SortKey, Src, Transport};
 use rbc::RbcComm;
 
-use crate::partition::local_sort_charged;
+use crate::partition::{from_ordinals, local_sort_charged, to_ordinals};
 use crate::pivot::draw_samples;
 use crate::verify::KeyBits;
 
@@ -65,15 +65,17 @@ pub fn multilevel_sample_sort<T: SortKey + mpisim::Datum>(
 }
 
 /// [`multilevel_sample_sort`] as a maybe-async core (see
-/// [`mpisim::coll`]'s module docs).
+/// [`mpisim::coll`]'s module docs). Sorts the keys' order-preserving
+/// images, as [`crate::jquick_sort_async`] does.
 pub async fn multilevel_sample_sort_async<T: SortKey + mpisim::Datum>(
     comm: &RbcComm,
-    mut data: Vec<T>,
+    data: Vec<T>,
     cfg: &MultiLevelCfg,
 ) -> Result<(Vec<T>, MlStats)> {
     if cfg.fanout < 2 {
         return Err(MpiError::Usage("fanout must be at least 2".into()));
     }
+    let mut data = to_ordinals(data);
     let mut stats = MlStats::default();
     let mut comm = comm.clone();
 
@@ -89,11 +91,11 @@ pub async fn multilevel_sample_sort_async<T: SortKey + mpisim::Datum>(
         // 1. Agree on k-1 splitters from a gathered sample.
         let samples = draw_samples(&data, cfg.oversample, comm.state());
         let gathered = coll::gatherv_async(&comm, samples, 0, tags::GATHERV).await?;
-        let mut splitters: Vec<T> = match gathered {
+        let mut splitters: Vec<T::Ordinal> = match gathered {
             Some(per_rank) => {
-                let mut all: Vec<T> = per_rank.into_iter().flatten().collect();
+                let mut all: Vec<T::Ordinal> = per_rank.into_iter().flatten().collect();
                 comm.charge_compute(all.len() * 4);
-                all.sort_unstable_by(T::cmp_key);
+                all.sort_unstable_by(SortKey::cmp_key);
                 if all.is_empty() {
                     Vec::new()
                 } else {
@@ -116,7 +118,7 @@ pub async fn multilevel_sample_sort_async<T: SortKey + mpisim::Datum>(
             .collect();
         let my_group = group_of(comm.rank());
         comm.charge_compute(data.len() * k.ilog2().max(1) as usize);
-        let mut pieces: Vec<Vec<T>> = (0..k).map(|_| Vec::new()).collect();
+        let mut pieces: Vec<Vec<T::Ordinal>> = (0..k).map(|_| Vec::new()).collect();
         for x in data.drain(..) {
             let gi = splitters.partition_point(|s| s.cmp_key(&x).is_le());
             pieces[gi].push(x);
@@ -141,7 +143,7 @@ pub async fn multilevel_sample_sort_async<T: SortKey + mpisim::Datum>(
             }
         }
         for _ in 0..expected_senders {
-            let (v, _) = recv_async::<T, _>(&comm, Src::Any, route_tag).await?;
+            let (v, _) = recv_async::<T::Ordinal, _>(&comm, Src::Any, route_tag).await?;
             data.extend(v);
         }
 
@@ -152,7 +154,7 @@ pub async fn multilevel_sample_sort_async<T: SortKey + mpisim::Datum>(
     }
 
     local_sort_charged(&comm, &mut data);
-    Ok((data, stats))
+    Ok((from_ordinals(data), stats))
 }
 
 /// Sort + distributed verification, for tests and benches.

@@ -123,6 +123,18 @@ pub fn sample_median<T: SortKey>(mut sample: Vec<T>) -> T {
     *sample.select_nth_unstable_by(mid, T::cmp_key).1
 }
 
+/// The order-preserving images of `keys` ([`SortKey::to_ordinal`]), which
+/// every sorter of the crate runs on. An image has its key's width, so the
+/// collect reuses `keys`' allocation.
+pub(crate) fn to_ordinals<T: SortKey>(keys: Vec<T>) -> Vec<T::Ordinal> {
+    keys.into_iter().map(T::to_ordinal).collect()
+}
+
+/// The keys of `images`: the inverse of [`to_ordinals`].
+pub(crate) fn from_ordinals<T: SortKey>(images: Vec<T::Ordinal>) -> Vec<T> {
+    images.into_iter().map(T::from_ordinal).collect()
+}
+
 /// Virtual-time charge of a local comparison sort of `m` elements:
 /// `m ⌈log₂ m⌉`.
 pub(crate) fn charge_sort(tr: &impl Transport, m: usize) {

@@ -8,7 +8,7 @@
 
 use mpisim::{block_inline, coll, Datum, Result, SortKey, Transport};
 
-use crate::partition::local_sort_charged;
+use crate::partition::{from_ordinals, local_sort_charged, to_ordinals};
 use crate::pivot::draw_samples;
 use crate::verify::KeyBits;
 
@@ -39,17 +39,18 @@ pub fn sample_sort<T: SortKey + Datum>(
 }
 
 /// [`sample_sort`] as a maybe-async core (see [`mpisim::coll`]'s module
-/// docs).
+/// docs). Sorts the keys' order-preserving images, as
+/// [`crate::jquick_sort_async`] does.
 pub async fn sample_sort_async<T: SortKey + Datum>(
     world: &impl Transport,
     data: Vec<T>,
     cfg: &SampleSortCfg,
 ) -> Result<Vec<T>> {
     let p = world.size();
+    let mut data = to_ordinals(data);
     if p == 1 {
-        let mut data = data;
-        data.sort_unstable_by(T::cmp_key);
-        return Ok(data);
+        data.sort_unstable_by(SortKey::cmp_key);
+        return Ok(from_ordinals(data));
     }
 
     // 1. Sample and select p-1 splitters on rank 0, broadcast — the
@@ -59,7 +60,7 @@ pub async fn sample_sort_async<T: SortKey + Datum>(
         mpisim::distsort::select_splitters_async(world, samples, p, TAG_SAMPLES).await?;
 
     // 2. Partition into p buckets by binary search on the splitters.
-    let mut buckets: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
+    let mut buckets: Vec<Vec<T::Ordinal>> = (0..p).map(|_| Vec::new()).collect();
     let log_p = (usize::BITS - (p - 1).leading_zeros()) as usize;
     world.charge_compute(data.len() * log_p.max(1));
     for x in data {
@@ -70,9 +71,9 @@ pub async fn sample_sort_async<T: SortKey + Datum>(
     // 3. One all-to-all exchange ("moves the data only once"), then local
     //    sort of the received pieces.
     let received = coll::alltoallv_async(world, buckets, TAG_A2A).await?;
-    let mut out: Vec<T> = received.into_iter().flatten().collect();
+    let mut out: Vec<T::Ordinal> = received.into_iter().flatten().collect();
     local_sort_charged(world, &mut out);
-    Ok(out)
+    Ok(from_ordinals(out))
 }
 
 /// Sort + verify, for tests and benches.

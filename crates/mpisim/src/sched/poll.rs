@@ -29,7 +29,7 @@
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
+use std::task::{Context, Poll, Waker};
 
 use super::task::{record_panic, SchedShared};
 
@@ -50,17 +50,6 @@ pub trait RankBody: Send {
     fn proceed(&mut self) -> Step;
 }
 
-// The scheduler's wake path is the mailbox's wait slot, never
-// `Waker::wake`: a parked body is rescheduled by the epoch commit. The
-// context handed to futures therefore carries a no-op waker.
-const NOOP_VTABLE: RawWakerVTable = RawWakerVTable::new(|_| NOOP_RAW, |_| {}, |_| {}, |_| {});
-const NOOP_RAW: RawWaker = RawWaker::new(std::ptr::null(), &NOOP_VTABLE);
-
-fn noop_waker() -> Waker {
-    // SAFETY: every vtable entry is a no-op over a null pointer.
-    unsafe { Waker::from_raw(NOOP_RAW) }
-}
-
 /// Drive a workload future to completion in one poll.
 ///
 /// On a thread body every wait leaf resolves in place (see the module
@@ -75,8 +64,7 @@ fn noop_waker() -> Waker {
 /// program must use the `*_async` API end to end.
 pub fn block_inline<F: Future>(fut: F) -> F::Output {
     let mut fut = std::pin::pin!(fut);
-    let waker = noop_waker();
-    let mut cx = Context::from_waker(&waker);
+    let mut cx = Context::from_waker(Waker::noop());
     match fut.as_mut().poll(&mut cx) {
         Poll::Ready(v) => v,
         Poll::Pending => panic!(
@@ -114,8 +102,9 @@ impl<'a> FutureBody<'a> {
 
 impl RankBody for FutureBody<'_> {
     fn proceed(&mut self) -> Step {
-        let waker = noop_waker();
-        let mut cx = Context::from_waker(&waker);
+        // The scheduler's wake path is the mailbox's wait slot, never
+        // `Waker::wake`: a parked body is rescheduled by the epoch commit.
+        let mut cx = Context::from_waker(Waker::noop());
         let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.fut.as_mut().poll(&mut cx)
         }));

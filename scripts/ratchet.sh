@@ -4,7 +4,7 @@
 # Fails when either exceeds its ceiling; lower the ceiling when a PR lowers
 # the count. Run from the repository root.
 set -euo pipefail
-max_unsafe=22 max_knobs=8
+max_unsafe=21 max_knobs=8
 unsafe=$(grep -ro unsafe crates/mpisim/src | wc -l)
 knobs=$(grep -rohP 'MPISIM_[A-Z]+(_[A-Z]+)*(?![A-Z_])' crates/*/src | sort -u | wc -l)
 echo "ratchet: unsafe $unsafe (ceiling $max_unsafe), MPISIM_* knobs $knobs (ceiling $max_knobs)"

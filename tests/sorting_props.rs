@@ -230,8 +230,15 @@ proptest! {
         struct Tagged(u64, bool);
         impl mpisim::Datum for Tagged {}
         impl SortKey for Tagged {
+            type Ordinal = Tagged;
             fn cmp_key(&self, other: &Self) -> std::cmp::Ordering {
                 self.0.cmp(&other.0)
+            }
+            fn to_ordinal(self) -> Tagged {
+                self
+            }
+            fn from_ordinal(o: Tagged) -> Tagged {
+                o
             }
         }
         let keys = keys(seed, len, modulus);
@@ -298,6 +305,47 @@ fn base_pair_through_the_state_machine() {
             want.sort_unstable();
             let got: Vec<u64> = d0.iter().chain(d1).copied().collect();
             assert_eq!(got, want, "task [{lo}, {hi})");
+        }
+    }
+}
+
+/// JQuick sorts `f64` keys as their `u64` images: on input drawn only from
+/// the edge values (signed zeros, infinities, NaN, duplicates), every
+/// rank's output must be, bit for bit, its layout slice of a sequential
+/// `total_cmp` sort, with both exchanges.
+#[test]
+fn jquick_on_f64_edges_equals_the_sequential_sort() {
+    for p in [5usize, 8] {
+        let n = p as u64 * 13 + 3;
+        let layout = Layout::new(n, p as u64);
+        let input = move |rank: u64| -> Vec<f64> {
+            keys(2 * rank + 17, layout.cap(rank) as usize, 8)
+                .iter()
+                .map(|&i| F64_EDGES[i as usize])
+                .collect()
+        };
+        let mut want: Vec<f64> = (0..p as u64).flat_map(input).collect();
+        want.sort_by(f64::total_cmp);
+        let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
+        for assignment in [AssignmentKind::Greedy, AssignmentKind::Staged] {
+            let cfg = JQuickConfig {
+                assignment,
+                ..Default::default()
+            };
+            let res = Universe::run(p, SimConfig::default().with_seed(3), move |env| {
+                let w = &env.world;
+                let data = input(w.rank() as u64);
+                jquick_sort(&RbcBackend, w, data, n, &cfg).unwrap().0
+            });
+            for (rank, out) in res.per_rank.iter().enumerate() {
+                let (lo, hi) = layout.window(rank as u64);
+                let got: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(
+                    got,
+                    want[lo as usize..hi as usize],
+                    "p {p}, {assignment:?}, rank {rank}"
+                );
+            }
         }
     }
 }
