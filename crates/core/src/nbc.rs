@@ -55,7 +55,7 @@ impl RbcComm {
         tag: Option<Tag>,
     ) -> Result<Ireduce<T, RbcComm, F>>
     where
-        F: Fn(&T, &T) -> T + Send,
+        F: Fn(&T, &T) -> T + Send + 'static,
     {
         nbcoll::ireduce(self, data, root, tag.unwrap_or(RBC_IREDUCE_TAG), op)
     }
@@ -69,7 +69,7 @@ impl RbcComm {
         tag: Option<Tag>,
     ) -> Result<Iscan<T, RbcComm, F>>
     where
-        F: Fn(&T, &T) -> T + Send,
+        F: Fn(&T, &T) -> T + Send + 'static,
     {
         nbcoll::iscan(self, data, tag.unwrap_or(RBC_ISCAN_TAG), op)
     }
@@ -107,7 +107,7 @@ impl RbcComm {
         tag: Option<Tag>,
     ) -> Result<Iallreduce<T, RbcComm, F>>
     where
-        F: Fn(&T, &T) -> T + Send,
+        F: Fn(&T, &T) -> T + Send + 'static,
     {
         nbcoll::iallreduce(self, data, tag.unwrap_or(RBC_IALLREDUCE_TAG), op)
     }

@@ -23,7 +23,9 @@
 //! one ([`crate::Universe::run_poll`]) the cores suspend at each blocked
 //! receive and the scheduler re-polls them: one implementation for every
 //! way a rank runs, and byte-identical output by construction (DESIGN.md
-//! §12).
+//! §12). The nonblocking collectives ([`crate::nbcoll`]) poll the same
+//! cores; only the reduce and gather trees take their children in another
+//! order there (`Children`).
 
 use std::sync::Arc;
 
@@ -41,6 +43,76 @@ fn combine_into<T: Datum>(acc: &mut [T], v: &[T], op: &impl Fn(&T, &T) -> T, v_i
     for (a, b) in acc.iter_mut().zip(v.iter()) {
         *a = if v_is_left { op(b, a) } else { op(a, b) };
     }
+}
+
+/// `data` copied into a pooled buffer ([`crate::pool::take_vec`]).
+pub(crate) fn pooled<T: Datum>(data: &[T]) -> Vec<T> {
+    let mut v = crate::pool::take_vec::<T>(data.len());
+    v.extend_from_slice(data);
+    v
+}
+
+/// Children of `rel` (a rank relative to the root) in the binomial tree
+/// over `p` nodes, smallest subtree first: `rel + 2^k` for every `2^k`
+/// below `rel`'s lowest set bit (below `p` for the root). The parent of
+/// `rel != 0` is `rel` with that bit cleared.
+fn binom_children(rel: usize, p: usize) -> impl DoubleEndedIterator<Item = usize> {
+    let lsb = if rel == 0 {
+        p.next_power_of_two()
+    } else {
+        rel & rel.wrapping_neg()
+    };
+    (0..lsb.trailing_zeros())
+        .map(move |k| rel + (1 << k))
+        .filter(move |&c| c < p)
+}
+
+/// In which order the tree of [`reduce`] or [`gatherv`] takes its
+/// children's contributions. The values are the same either way (the
+/// operators commute); *when* each receive happens differs, and with it
+/// the virtual time, so each collective keeps the order it always had.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Children {
+    /// Smallest subtree first, one blocking receive each: the blocking
+    /// collectives.
+    InTreeOrder,
+    /// As they arrive: sweep the children largest subtree first, take
+    /// every one whose contribution is there, and park until the next
+    /// deposit while any is missing. The nonblocking collectives
+    /// ([`crate::nbcoll`]), whose poll is one sweep.
+    AsTheyArrive,
+}
+
+/// [`Children::AsTheyArrive`]: the children of `rel` (communicator ranks
+/// in the tree over `p` nodes rooted at `root`) largest subtree first, each
+/// with room for a partial contribution.
+fn arrival_list<S: Default>(rel: usize, root: usize, p: usize) -> Vec<(usize, S)> {
+    binom_children(rel, p)
+        .rev()
+        .map(|c| ((c + root) % p, S::default()))
+        .collect()
+}
+
+/// One sweep of [`Children::AsTheyArrive`]: offer each pending child to
+/// `take`, which says whether it took the child's whole contribution (its
+/// stash keeps a partial one between sweeps). A taken child's place is
+/// filled with the last one (`swap_remove`); a miss moves no clock, so
+/// sweeping again from the start after a deposit sees what an unbroken
+/// sweep would have. `Ok(true)` once no child is pending.
+fn sweep<S>(
+    pending: &mut Vec<(usize, S)>,
+    mut take: impl FnMut(usize, &mut S) -> Result<bool>,
+) -> Result<bool> {
+    let mut i = 0;
+    while i < pending.len() {
+        let (child, stash) = &mut pending[i];
+        if take(*child, stash)? {
+            pending.swap_remove(i);
+        } else {
+            i += 1;
+        }
+    }
+    Ok(pending.is_empty())
 }
 
 /// Binomial-tree broadcast from `root`. On non-root ranks `data` is
@@ -68,35 +140,38 @@ pub async fn bcast_async<T: Datum>(
     root: usize,
     tag: Tag,
 ) -> Result<()> {
+    let mine = (tr.rank() == root).then(|| Arc::new(std::mem::take(data)));
+    let shared = bcast_shared_async(tr, mine, root, tag).await?;
+    *data = Arc::unwrap_or_clone(shared);
+    Ok(())
+}
+
+/// The tree of [`bcast`] on the shared buffer: `data` is the root's
+/// payload (`None` elsewhere). Returns the payload on every rank, still
+/// shared with the children it was forwarded to.
+pub(crate) async fn bcast_shared_async<T: Datum>(
+    tr: &impl Transport,
+    data: Option<Arc<Vec<T>>>,
+    root: usize,
+    tag: Tag,
+) -> Result<Arc<Vec<T>>> {
     let p = tr.size();
     let r = tr.rank();
     tr.check_rank(root)?;
     let _span = obs::span(tr.state(), OpClass::Bcast, "bcast");
-    if p == 1 {
-        return Ok(());
-    }
     let rel = (r + p - root) % p;
-    let mut shared: Arc<Vec<T>> = Arc::new(std::mem::take(data));
-    let mut mask = 1usize;
-    while mask < p {
-        if rel & mask != 0 {
-            let src = (rel - mask + root) % p;
-            let (v, _) = recv_shared_async::<T, _>(tr, Src::Rank(src), tag).await?;
-            shared = v;
-            break;
-        }
-        mask <<= 1;
+    let data = if rel == 0 {
+        data.expect("the root supplies the data")
+    } else {
+        let parent = (rel & (rel - 1)) + root;
+        recv_shared_async::<T, _>(tr, Src::Rank(parent % p), tag)
+            .await?
+            .0
+    };
+    for c in binom_children(rel, p).rev() {
+        tr.send_shared(&data, (c + root) % p, tag)?;
     }
-    mask >>= 1;
-    while mask > 0 {
-        if rel + mask < p {
-            let dst = (rel + mask + root) % p;
-            tr.send_shared(&shared, dst, tag)?;
-        }
-        mask >>= 1;
-    }
-    *data = Arc::unwrap_or_clone(shared);
-    Ok(())
+    Ok(data)
 }
 
 /// Binomial-tree reduction to `root`. Returns `Some(result)` on the root,
@@ -120,36 +195,55 @@ pub async fn reduce_async<T: Datum>(
     tag: Tag,
     op: impl Fn(&T, &T) -> T,
 ) -> Result<Option<Vec<T>>> {
+    let acc = pooled(data);
+    reduce_tree(tr, acc, root, tag, op, Children::InTreeOrder).await
+}
+
+/// The tree of [`reduce`], `acc` this rank's contribution, taking the
+/// children in the order `children` names.
+pub(crate) async fn reduce_tree<T: Datum>(
+    tr: &impl Transport,
+    mut acc: Vec<T>,
+    root: usize,
+    tag: Tag,
+    op: impl Fn(&T, &T) -> T,
+    children: Children,
+) -> Result<Option<Vec<T>>> {
     let p = tr.size();
     let r = tr.rank();
     tr.check_rank(root)?;
     let _span = obs::span(tr.state(), OpClass::Reduce, "reduce");
-    let mut acc = crate::pool::take_vec::<T>(data.len());
-    acc.extend_from_slice(data);
-    if p == 1 {
+    let rel = (r + p - root) % p;
+    match children {
+        Children::InTreeOrder => {
+            for c in binom_children(rel, p) {
+                let (v, _) = recv_async::<T, _>(tr, Src::Rank((c + root) % p), tag).await?;
+                fold_child(tr, &mut acc, v, &op);
+            }
+        }
+        Children::AsTheyArrive => {
+            let mut pending = arrival_list::<()>(rel, root, p);
+            while !sweep(&mut pending, |child, _| {
+                let hit = tr.try_recv::<T>(Src::Rank(child), tag)?;
+                Ok(hit.map(|(v, _)| fold_child(tr, &mut acc, v, &op)).is_some())
+            })? {
+                tr.state().park_until_deposit().await;
+            }
+        }
+    }
+    if rel == 0 {
         return Ok(Some(acc));
     }
-    let rel = (r + p - root) % p;
-    let mut mask = 1usize;
-    while mask < p {
-        if rel & mask == 0 {
-            let child = rel | mask;
-            if child < p {
-                let src = (child + root) % p;
-                let (v, _) = recv_async::<T, _>(tr, Src::Rank(src), tag).await?;
-                // Child data comes from higher relative ranks: acc is left.
-                combine_into(&mut acc, &v, &op, false);
-                tr.charge_compute(acc.len());
-                crate::pool::recycle_vec(v);
-            }
-        } else {
-            let parent = (rel - mask + root) % p;
-            tr.send_vec(acc, parent, tag)?;
-            return Ok(None);
-        }
-        mask <<= 1;
-    }
-    Ok(Some(acc))
+    tr.send_vec(acc, ((rel & (rel - 1)) + root) % p, tag)?;
+    Ok(None)
+}
+
+/// Fold a child's contribution `v` into `acc`. Child data comes from
+/// higher relative ranks: `acc` is the left operand.
+fn fold_child<T: Datum>(tr: &impl Transport, acc: &mut [T], v: Vec<T>, op: &impl Fn(&T, &T) -> T) {
+    combine_into(acc, &v, op, false);
+    tr.charge_compute(acc.len());
+    crate::pool::recycle_vec(v);
 }
 
 /// Reduce-to-all: binomial reduce to rank 0 followed by a broadcast.
@@ -198,26 +292,7 @@ pub async fn scan_async<T: Datum>(
     tag: Tag,
     op: impl Fn(&T, &T) -> T,
 ) -> Result<Vec<T>> {
-    let p = tr.size();
-    let r = tr.rank();
-    let _span = obs::span(tr.state(), OpClass::Scan, "scan");
-    let mut incl = crate::pool::take_vec::<T>(data.len());
-    incl.extend_from_slice(data);
-    let mut d = 1usize;
-    while d < p {
-        if r + d < p {
-            tr.send(&incl, r + d, tag)?;
-        }
-        if r >= d {
-            let (v, _) = recv_async::<T, _>(tr, Src::Rank(r - d), tag).await?;
-            // v covers strictly lower ranks: it is the left operand.
-            combine_into(&mut incl, &v, &op, true);
-            tr.charge_compute(incl.len());
-            crate::pool::recycle_vec(v);
-        }
-        d <<= 1;
-    }
-    Ok(incl)
+    Ok(prefixes(tr, pooled(data), tag, op, false, "scan").await?.0)
 }
 
 /// Exclusive prefix: rank `i` obtains `op(data_0, ..., data_{i-1})`, `None`
@@ -238,11 +313,24 @@ pub async fn exscan_async<T: Datum>(
     tag: Tag,
     op: impl Fn(&T, &T) -> T,
 ) -> Result<Option<Vec<T>>> {
+    Ok(prefixes(tr, pooled(data), tag, op, true, "exscan").await?.1)
+}
+
+/// The rounds of [`scan`] and [`exscan`]: this rank's inclusive and
+/// exclusive prefix, `incl` starting as its own contribution. The
+/// exclusive one is `None` on rank 0, and on every rank unless
+/// `with_excl` asks for it to be folded. `label` names the trace span.
+pub(crate) async fn prefixes<T: Datum>(
+    tr: &impl Transport,
+    mut incl: Vec<T>,
+    tag: Tag,
+    op: impl Fn(&T, &T) -> T,
+    with_excl: bool,
+    label: &'static str,
+) -> Result<(Vec<T>, Option<Vec<T>>)> {
     let p = tr.size();
     let r = tr.rank();
-    let _span = obs::span(tr.state(), OpClass::Scan, "exscan");
-    let mut incl = crate::pool::take_vec::<T>(data.len());
-    incl.extend_from_slice(data);
+    let _span = obs::span(tr.state(), OpClass::Scan, label);
     let mut excl: Option<Vec<T>> = None;
     let mut d = 1usize;
     while d < p {
@@ -256,6 +344,7 @@ pub async fn exscan_async<T: Datum>(
             combine_into(&mut incl, &v, &op, true);
             tr.charge_compute(incl.len());
             match &mut excl {
+                _ if !with_excl => crate::pool::recycle_vec(v),
                 // First contribution: keep the received buffer itself.
                 None => excl = Some(v),
                 Some(e) => {
@@ -266,7 +355,7 @@ pub async fn exscan_async<T: Datum>(
         }
         d <<= 1;
     }
-    Ok(excl)
+    Ok((incl, excl))
 }
 
 /// Binomial-tree gather of variable-size contributions. Returns
@@ -288,6 +377,18 @@ pub async fn gatherv_async<T: Datum>(
     root: usize,
     tag: Tag,
 ) -> Result<Option<Vec<Vec<T>>>> {
+    gatherv_tree(tr, data, root, tag, Children::InTreeOrder).await
+}
+
+/// The tree of [`gatherv`], taking the children in the order `children`
+/// names.
+pub(crate) async fn gatherv_tree<T: Datum>(
+    tr: &impl Transport,
+    data: Vec<T>,
+    root: usize,
+    tag: Tag,
+    children: Children,
+) -> Result<Option<Vec<Vec<T>>>> {
     let p = tr.size();
     let r = tr.rank();
     tr.check_rank(root)?;
@@ -300,24 +401,42 @@ pub async fn gatherv_async<T: Datum>(
     // concatenated in the same order.
     let mut meta: Vec<(u64, u64)> = vec![(r as u64, data.len() as u64)];
     let mut payload: Vec<T> = data;
-    let mut mask = 1usize;
-    while mask < p {
-        if rel & mask == 0 {
-            let child = rel | mask;
-            if child < p {
-                let src = (child + root) % p;
-                let (m, _) = recv_async::<(u64, u64), _>(tr, Src::Rank(src), tag).await?;
-                let (d, _) = recv_async::<T, _>(tr, Src::Rank(src), tag + 1).await?;
+    match children {
+        Children::InTreeOrder => {
+            for c in binom_children(rel, p) {
+                let src = Src::Rank((c + root) % p);
+                let (m, _) = recv_async::<(u64, u64), _>(tr, src, tag).await?;
+                let (d, _) = recv_async::<T, _>(tr, src, tag + 1).await?;
                 meta.extend_from_slice(&m);
                 payload.extend_from_slice(&d);
             }
-        } else {
-            let parent = (rel - mask + root) % p;
-            tr.send_vec(meta, parent, tag)?;
-            tr.send_vec(payload, parent, tag + 1)?;
-            return Ok(None);
         }
-        mask <<= 1;
+        Children::AsTheyArrive => {
+            let mut pending = arrival_list::<Option<Vec<(u64, u64)>>>(rel, root, p);
+            while !sweep(&mut pending, |child, m| {
+                if m.is_none() {
+                    match tr.try_recv::<(u64, u64)>(Src::Rank(child), tag)? {
+                        None => return Ok(false),
+                        Some((got, _)) => *m = Some(got),
+                    }
+                }
+                // The payload follows on tag + 1 (FIFO per sender).
+                let Some((d, _)) = tr.try_recv::<T>(Src::Rank(child), tag + 1)? else {
+                    return Ok(false);
+                };
+                meta.extend_from_slice(&m.take().expect("metadata first"));
+                payload.extend_from_slice(&d);
+                Ok(true)
+            })? {
+                tr.state().park_until_deposit().await;
+            }
+        }
+    }
+    if rel != 0 {
+        let parent = ((rel & (rel - 1)) + root) % p;
+        tr.send_vec(meta, parent, tag)?;
+        tr.send_vec(payload, parent, tag + 1)?;
+        return Ok(None);
     }
     // Root: scatter the bundle back into rank order.
     let mut out: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();

@@ -576,7 +576,7 @@ impl Comm {
         op: F,
     ) -> Result<crate::nbcoll::Ireduce<T, crate::transport::Scaled<Comm>, F>>
     where
-        F: Fn(&T, &T) -> T + Send,
+        F: Fn(&T, &T) -> T + Send + 'static,
     {
         let s = self.state.router.vendor.coll_scale.reduce;
         crate::nbcoll::ireduce(&self.scaled(s), data, root, tags::IREDUCE, op)
@@ -590,7 +590,7 @@ impl Comm {
         op: F,
     ) -> Result<crate::nbcoll::Iscan<T, crate::transport::Scaled<Comm>, F>>
     where
-        F: Fn(&T, &T) -> T + Send,
+        F: Fn(&T, &T) -> T + Send + 'static,
     {
         let s = self.state.router.vendor.coll_scale.scan;
         crate::nbcoll::iscan(&self.scaled(s), data, tags::ISCAN, op)

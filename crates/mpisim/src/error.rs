@@ -13,9 +13,8 @@ use crate::time::Time;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MpiError {
     /// A blocking operation can never complete: the scheduler's deadlock
-    /// or stagnation detector poisoned the wait, the rank itself has
-    /// crash-stopped, or a wait on a foreign nonblocking machine outlived
-    /// [`crate::nbcoll::WAIT_TIMEOUT`]. A correct program never hits it.
+    /// or stagnation detector poisoned the wait, or the rank itself has
+    /// crash-stopped. A correct program never hits it.
     Timeout {
         /// Rank that timed out.
         rank: usize,

@@ -23,12 +23,15 @@
 //! used concurrently (create a `dup` first, as with MPI tag collisions).
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
+use crate::coll;
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::group::Group;
 use crate::msg::{ContextId, Tag};
-use crate::nbcoll::{self, Progress};
+use crate::nbcoll::{self, Nbc, Progress};
+use crate::proc::ProcState;
 use crate::time::Time;
 use crate::transport::Transport;
 
@@ -45,22 +48,11 @@ fn widen(ctx: ContextId, parent_size: usize) -> (u32, u32, u32, u32, u32) {
     }
 }
 
-/// A pending nonblocking communicator creation.
-pub enum IcommCreate {
-    /// Creation complete; the communicator (if not yet taken).
-    Ready(Option<Comm>),
-    /// General (non-range) path: waiting on the context-ID broadcast.
-    Waiting {
-        /// Broadcast of the 5-tuple context ID from group rank 0.
-        bcast: nbcoll::Ibcast<[u32; 5], Comm>,
-        /// Temporary communicator view the broadcast runs over.
-        view: Comm,
-        /// The group being created.
-        group: Group,
-    },
-    /// Transient state during `poll`; never observable.
-    Poisoned,
-}
+/// A pending nonblocking communicator creation: complete at once on the
+/// range path, otherwise the broadcast of the new context ID followed by
+/// building the communicator, polled like every nonblocking collective
+/// ([`nbcoll`]).
+pub struct IcommCreate(Nbc<Option<Comm>>);
 
 /// Begin nonblocking creation of a communicator over `group`, a subset of
 /// `parent`'s processes. Must be called by every member of `group` (and
@@ -84,43 +76,41 @@ pub fn icomm_create_group(parent: &Comm, group: &Group, tag: Tag) -> Result<Icom
         };
         parent.proc_state().charge(LOCAL_CREATE_COST);
         let comm = parent.clone_with_ctx(ctx, group.clone())?;
-        return Ok(IcommCreate::Ready(Some(comm)));
+        return Ok(IcommCreate(Nbc::ready(parent.proc_state(), Some(comm))));
     }
 
     // General path: first process picks the ID and broadcasts it over the
     // group (using the parent's context and the user tag).
     let view = parent.view(group.clone())?;
-    let payload = if my_rank == 0 {
+    let payload = (my_rank == 0).then(|| {
         let b = parent
             .proc_state()
             .icomm_counter
             .fetch_add(1, Ordering::Relaxed);
-        Some(vec![[me as u32, b, 0, group.len() as u32 - 1, 0]])
-    } else {
-        None
+        Arc::new(vec![[me as u32, b, 0, group.len() as u32 - 1, 0]])
+    });
+    let group = group.clone();
+    let core = async move {
+        let id = coll::bcast_shared_async(&view, payload, 0, tag).await?[0];
+        let [a, b, f, l, c] = id;
+        let ctx = ContextId::Wide { a, b, f, l, c };
+        Ok(Some(view.clone_with_ctx(ctx, group)?))
     };
-    let bcast = nbcoll::ibcast(&view, payload, 0, tag)?;
-    let mut sm = IcommCreate::Waiting {
-        bcast,
-        view,
-        group: group.clone(),
-    };
-    sm.poll()?;
-    Ok(sm)
+    Ok(IcommCreate(Nbc::start(
+        Arc::clone(parent.proc_state()),
+        core,
+    )?))
 }
 
 impl IcommCreate {
     /// Take the created communicator once complete.
     pub fn take(&mut self) -> Option<Comm> {
-        match self {
-            IcommCreate::Ready(c) => c.take(),
-            _ => None,
-        }
+        self.0.out_mut()?.take()
     }
 
     /// Whether creation has completed.
     pub fn is_done(&self) -> bool {
-        matches!(self, IcommCreate::Ready(_))
+        self.0.out().is_some()
     }
 
     /// Block until creation completes and return the communicator.
@@ -137,41 +127,11 @@ impl IcommCreate {
 }
 
 impl Progress for IcommCreate {
-    fn proc_state(&self) -> Option<&std::sync::Arc<crate::proc::ProcState>> {
-        match self {
-            IcommCreate::Waiting { view, .. } => Some(view.state()),
-            _ => None,
-        }
+    fn poll(&mut self) -> Result<bool> {
+        self.0.poll()
     }
 
-    fn poll(&mut self) -> Result<bool> {
-        match std::mem::replace(self, IcommCreate::Poisoned) {
-            IcommCreate::Ready(c) => {
-                *self = IcommCreate::Ready(c);
-                Ok(true)
-            }
-            IcommCreate::Waiting {
-                mut bcast,
-                view,
-                group,
-            } => {
-                if !bcast.poll()? {
-                    *self = IcommCreate::Waiting { bcast, view, group };
-                    return Ok(false);
-                }
-                let id = bcast.into_data().expect("bcast complete")[0];
-                let ctx = ContextId::Wide {
-                    a: id[0],
-                    b: id[1],
-                    f: id[2],
-                    l: id[3],
-                    c: id[4],
-                };
-                let comm = view.clone_with_ctx(ctx, group)?;
-                *self = IcommCreate::Ready(Some(comm));
-                Ok(true)
-            }
-            IcommCreate::Poisoned => unreachable!("poll reentered poisoned state"),
-        }
+    fn proc_state(&self) -> Option<&Arc<ProcState>> {
+        self.0.proc_state()
     }
 }

@@ -377,12 +377,16 @@ pub struct SpanGuard<'a> {
     state: &'a ProcState,
     prev: u8,
     class: OpClass,
+    traced: bool,
 }
 
 impl Drop for SpanGuard<'_> {
+    #[inline]
     fn drop(&mut self) {
-        self.state
-            .trace_push(|| TraceEvent::End { class: self.class });
+        if self.traced {
+            self.state
+                .trace_push(|| TraceEvent::End { class: self.class });
+        }
         self.state.set_op_class_raw(self.prev);
     }
 }
@@ -391,28 +395,42 @@ impl Drop for SpanGuard<'_> {
 /// attributed to `class` (innermost span wins for nested collectives —
 /// allreduce's internal bcast counts as bcast), and `Begin`/`End` events
 /// bracket it in the trace.
+///
+/// Inside the poll of a nonblocking request (`nbcoll`) the span only sets
+/// the class: such a core is polled many times and suspends across polls
+/// with its span open, so it could neither nest its `Begin`/`End` nor
+/// afford one per poll. The request restores the class on the next poll.
+#[inline]
 pub fn span<'a>(state: &'a ProcState, class: OpClass, label: &'static str) -> SpanGuard<'a> {
     let prev = state.set_op_class_raw(class as u8);
-    state.trace_push(|| TraceEvent::Begin { class, label });
-    SpanGuard { state, prev, class }
+    let traced = !crate::sched::in_try_mode();
+    if traced {
+        state.trace_push(|| TraceEvent::Begin { class, label });
+    }
+    SpanGuard {
+        state,
+        prev,
+        class,
+        traced,
+    }
 }
 
 /// RAII guard opened by [`class_guard`]: class attribution only, no trace
-/// events. Used by the nonblocking collectives, whose state machines are
-/// polled many times per logical operation — emitting a span per poll
-/// would drown the trace.
+/// events.
 pub struct ClassGuard<'a> {
     state: &'a ProcState,
     prev: u8,
 }
 
 impl Drop for ClassGuard<'_> {
+    #[inline]
     fn drop(&mut self) {
         self.state.set_op_class_raw(self.prev);
     }
 }
 
 /// Attribute sends to `class` while the guard lives, without trace spans.
+#[inline]
 pub fn class_guard(state: &ProcState, class: OpClass) -> ClassGuard<'_> {
     let prev = state.set_op_class_raw(class as u8);
     ClassGuard { state, prev }

@@ -39,6 +39,7 @@
 use std::any::TypeId;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -143,17 +144,39 @@ unsafe fn release_as<T>(ptr: *mut u8, cap: usize) {
 
 type ClassList = Box<[Vec<RawBuf>; CLASSES]>;
 
+/// A `TypeId` is a hash already: pass its bits through instead of
+/// rehashing them on every take and recycle.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 ^= v;
+    }
+}
+
+/// One free list per element type.
+type ByType = HashMap<TypeId, ClassList, BuildHasherDefault<IdHasher>>;
+
 fn fresh_classes() -> ClassList {
     Box::new(std::array::from_fn(|_| Vec::new()))
 }
 
 thread_local! {
-    static LOCAL: RefCell<HashMap<TypeId, ClassList>> = RefCell::new(HashMap::new());
+    static LOCAL: RefCell<ByType> = RefCell::new(ByType::default());
 }
 
-fn shared() -> &'static Mutex<HashMap<TypeId, ClassList>> {
-    static SHARED: OnceLock<Mutex<HashMap<TypeId, ClassList>>> = OnceLock::new();
-    SHARED.get_or_init(|| Mutex::new(HashMap::new()))
+fn shared() -> &'static Mutex<ByType> {
+    static SHARED: OnceLock<Mutex<ByType>> = OnceLock::new();
+    SHARED.get_or_init(|| Mutex::new(ByType::default()))
 }
 
 /// Smallest `c` with `2^c >= n` (for `n >= 1`).

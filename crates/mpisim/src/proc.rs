@@ -8,6 +8,7 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
+use std::task::Poll;
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -20,7 +21,6 @@ use crate::mailbox::Mailbox;
 use crate::model::{CostModel, CostScale, VendorProfile};
 use crate::msg::{ContextId, MatchPattern, Message, MsgInfo, SrcFilter, Tag};
 use crate::obs::{MetricsSnapshot, OpClass, Trace, TraceEvent};
-use crate::sched::poll::block_inline;
 use crate::time::Time;
 
 /// Why a rank is parked at a blocking point — the explicit wait state a
@@ -230,13 +230,19 @@ impl ProcState {
 
     // ---- observability -----------------------------------------------------
 
-    /// Swap the current send-attribution class, returning the previous raw
-    /// value (the obs guards restore it on drop).
+    /// Set the current send-attribution class, returning the previous raw
+    /// value (the obs guards restore it on drop). Only the rank itself
+    /// touches its class, so a load and a store do (no atomic exchange).
+    #[inline]
     pub(crate) fn set_op_class_raw(&self, v: u8) -> u8 {
-        self.op_class.swap(v, Ordering::Relaxed)
+        let prev = self.op_class.load(Ordering::Relaxed);
+        self.op_class.store(v, Ordering::Relaxed);
+        prev
     }
 
-    fn cur_class(&self) -> OpClass {
+    /// The class this rank's sends are attributed to right now.
+    #[inline]
+    pub(crate) fn cur_class(&self) -> OpClass {
         OpClass::from_u8(self.op_class.load(Ordering::Relaxed))
     }
 
@@ -252,11 +258,13 @@ impl ProcState {
 
     // ---- virtual clock ----------------------------------------------------
 
+    #[inline]
     fn clock(&self) -> &crate::time::VirtualClock {
         &self.router.clocks[self.global_rank].0
     }
 
     /// This rank's current virtual clock.
+    #[inline]
     pub fn now(&self) -> Time {
         self.clock().now()
     }
@@ -343,6 +351,7 @@ impl ProcState {
     /// Whether this rank has crash-stopped: its own clock has reached its
     /// scheduled crash time. A pure per-rank predicate — monotone in the
     /// rank's own virtual time, independent of scheduling.
+    #[inline]
     pub fn crashed(&self) -> bool {
         matches!(self.router.faults.crash_time(self.global_rank), Some(at) if self.now() >= at)
     }
@@ -519,25 +528,27 @@ impl ProcState {
         crate::sched::stage_send(dest_global, msg);
     }
 
-    /// Blocking receive matching `pat`; applies the virtual-time rule
-    /// `clock = max(clock, arrival) + recv_overhead`. The one receive core:
-    /// the wait is the scheduler's claim future (a future body suspends
-    /// through it, a thread body resolves it in place).
-    pub async fn recv_match_async(&self, pat: &MatchPattern) -> Result<Message> {
+    /// One poll of a blocking receive matching `pat`; applies the
+    /// virtual-time rule `clock = max(clock, arrival) + recv_overhead`.
+    /// The one receive core: a future body suspends through the
+    /// scheduler's claim, a thread body resolves it in place. Its future
+    /// ([`crate::transport::recv_async`]) builds `pat` again on every poll,
+    /// so a suspended receive stores no pattern. In try-mode a poll is one
+    /// [`ProcState::try_recv_match`], and a miss is `Pending`.
+    #[inline]
+    pub fn poll_recv(&self, pat: &MatchPattern) -> Poll<Result<Message>> {
+        if crate::sched::in_try_mode() {
+            return tried(self.try_recv_match(pat));
+        }
         if self.crashed() {
-            return Err(self.crashed_err("recv", pat));
+            return Poll::Ready(Err(self.crashed_err("recv", pat)));
         }
         let mb = &self.router.mailboxes[self.global_rank];
-        let m = crate::sched::claim(mb, pat, self.global_rank, self.now())
-            .await
-            .map_err(|e| self.enrich_timeout(e, Some(pat)))?;
-        self.account_delivery(&m);
-        Ok(m)
-    }
-
-    /// [`ProcState::recv_match_async`] for synchronous rank programs.
-    pub fn recv_match(&self, pat: &MatchPattern) -> Result<Message> {
-        block_inline(self.recv_match_async(pat))
+        crate::sched::claim(mb, pat, self.global_rank, self.now()).map(|claimed| {
+            let m = claimed.map_err(|e| self.enrich_timeout(e, Some(pat)))?;
+            self.account_delivery(&m);
+            Ok(m)
+        })
     }
 
     /// The post-claim half of every receive: virtual-time rule plus the
@@ -574,7 +585,9 @@ impl ProcState {
     /// Wait until this rank's mailbox receives a deposit: what a polling
     /// loop does between two sweeps of [`ProcState::try_recv_match`] /
     /// [`ProcState::iprobe_match`] that found nothing (the contract on
-    /// [`crate::nbcoll::Progress::poll`]). On a scheduler task the rank is
+    /// [`crate::nbcoll::Progress::poll`]). Inside a nonblocking request's
+    /// poll it returns `Pending` once instead, so the request reports
+    /// `Ok(false)` and its waiter parks. On a scheduler task the rank is
     /// not stepped again before a commit delivers it a message, or the
     /// deadlock detector poisons it, in which case the next sweep fails
     /// with the poisoned receive's [`MpiError::Timeout`].
@@ -582,23 +595,20 @@ impl ProcState {
         crate::sched::park_until_deposit(&self.router.mailboxes[self.global_rank]).await
     }
 
-    /// Blocking probe: waits until a matching message is available, without
-    /// removing it. Does not advance the clock past the arrival (the
-    /// subsequent receive does). Waits like
-    /// [`ProcState::recv_match_async`].
-    pub async fn probe_match_async(&self, pat: &MatchPattern) -> Result<MsgInfo> {
+    /// One poll of a blocking probe: a matching message is available,
+    /// and stays. Does not advance the clock past the arrival (the
+    /// subsequent receive does). Waits like [`ProcState::poll_recv`], and
+    /// in try-mode is one [`ProcState::iprobe_match`].
+    pub fn poll_probe(&self, pat: &MatchPattern) -> Poll<Result<MsgInfo>> {
+        if crate::sched::in_try_mode() {
+            return tried(self.iprobe_match(pat));
+        }
         if self.crashed() {
-            return Err(self.crashed_err("probe", pat));
+            return Poll::Ready(Err(self.crashed_err("probe", pat)));
         }
         let mb = &self.router.mailboxes[self.global_rank];
         crate::sched::probe(mb, pat, self.global_rank, self.now())
-            .await
-            .map_err(|e| self.enrich_timeout(e, Some(pat)))
-    }
-
-    /// [`ProcState::probe_match_async`] for synchronous rank programs.
-    pub fn probe_match(&self, pat: &MatchPattern) -> Result<MsgInfo> {
-        block_inline(self.probe_match_async(pat))
+            .map(|probed| probed.map_err(|e| self.enrich_timeout(e, Some(pat))))
     }
 
     /// Nonblocking probe. Fails on self-crash and task poisoning, and
@@ -620,6 +630,16 @@ impl ProcState {
             return 0;
         }
         self.rng.lock().gen_range(0..bound)
+    }
+}
+
+/// A nonblocking attempt as one poll of a try-mode wait: a miss is
+/// `Pending`.
+#[inline]
+fn tried<T>(attempt: Result<Option<T>>) -> Poll<Result<T>> {
+    match attempt.transpose() {
+        Some(done) => Poll::Ready(done),
+        None => Poll::Pending,
     }
 }
 
@@ -658,6 +678,12 @@ mod tests {
         crate::Universe::run_poll(2, cfg, |env| body(Arc::clone(env.state()))).per_rank
     }
 
+    /// A blocking receive of `pat`, polled as `transport::recv_async` polls
+    /// it.
+    async fn recv(me: &ProcState, pat: MatchPattern) -> Result<Message> {
+        std::future::poll_fn(|_| me.poll_recv(&pat)).await
+    }
+
     /// Rank 1's receive of rank 0's tag-7 messages.
     fn from_rank0() -> MatchPattern {
         MatchPattern {
@@ -675,7 +701,7 @@ mod tests {
                 me.send_global::<u64>(1, 7, ContextId::WORLD, vec![1, 2, 3], CostScale::NEUTRAL);
                 return (me.now(), None);
             }
-            let m = me.recv_match_async(&from_rank0()).await.unwrap();
+            let m = recv(&me, from_rank0()).await.unwrap();
             let (v, info) = m.take::<u64>().unwrap();
             assert_eq!(v, vec![1, 2, 3]);
             (me.now(), Some(info.arrival))
@@ -694,7 +720,7 @@ mod tests {
                 me.send_global::<u64>(1, 7, ContextId::WORLD, vec![1], CostScale::NEUTRAL);
             } else {
                 me.advance(Time::from_millis(10));
-                me.recv_match_async(&from_rank0()).await.unwrap();
+                recv(&me, from_rank0()).await.unwrap();
             }
             me.now()
         });
@@ -756,7 +782,7 @@ mod tests {
             if me.global_rank == 1 {
                 // The message sent before the crash arrives; the one after
                 // it never does, however many epochs rank 1 waits.
-                me.recv_match_async(&from_rank0()).await.unwrap();
+                recv(&me, from_rank0()).await.unwrap();
                 for _ in 0..3 {
                     crate::yield_now_async().await;
                 }
@@ -773,7 +799,7 @@ mod tests {
             let before = (me.now(), me.router.traffic());
             me.send_global::<u64>(1, 7, ContextId::WORLD, vec![2], CostScale::NEUTRAL);
             assert_eq!((me.now(), me.router.traffic()), before);
-            Some(me.recv_match_async(&from_rank0()).await.unwrap_err())
+            Some(recv(&me, from_rank0()).await.unwrap_err())
         });
         match &got[0] {
             Some(MpiError::Timeout { rank, blame, .. }) => {
@@ -799,7 +825,7 @@ mod tests {
                     me.send_global(1, 7, ContextId::WORLD, data, CostScale::NEUTRAL);
                     return None;
                 }
-                Some(me.recv_match_async(&from_rank0()).await.unwrap().arrival)
+                Some(recv(&me, from_rank0()).await.unwrap().arrival)
             })[1]
                 .expect("rank 1 received")
         };

@@ -350,9 +350,9 @@ impl Scheduler {
             .fetch_add(woken_count as u64, Ordering::Relaxed);
         // Crash-stop stagnation detector. With a crashed rank in the
         // fault plan, a peer that polls for its messages in a *yield*
-        // loop (a user program's `yield_now` loop, a wait on a foreign
-        // `Progress`; the libraries' own loops park and end in the
-        // deadlock detector below) yields forever: the round never
+        // loop (a user program's `yield_now` loop; the libraries' own
+        // loops park and end in the deadlock detector below) yields
+        // forever: the round never
         // empties, so the exact detector cannot fire.
         // Progress is epoch-observable — a message staged, a task woken,
         // a task finished. STAGNANT_EPOCH_LIMIT epochs of pure yields

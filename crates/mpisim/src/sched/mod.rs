@@ -17,7 +17,7 @@
 //! |---|---|---|
 //! | `epoch` | gate, claim cursor, publish (rounds in rank order), worker loop, deadlock and stagnation detection | one generation-tagged phase at a time; the last completed unit advances it |
 //! | `commit` | commit key, the one ordering, shard push, the woken ranks, scratch pools | every mailbox sees ascending key order; the set of ranks woken is worker-invariant |
-//! | `task` | slot, states, staging, poisoning, the spin limit, **how a rank waits**: the three wait leaves (`claim` / `probe` on a pattern, `park_until_deposit` on any deposit, `yield_now_async`) | one worker touches a task at a time; check and arm, store the state, suspend |
+//! | `task` | slot, states, staging, poisoning, the spin limit, **how a rank waits**: the three wait leaves (`claim` / `probe` on a pattern, `park_until_deposit` on any deposit, `yield_now_async`), and try-mode, in which a receive tries once and the park returns `Pending` unarmed | one worker touches a task at a time; check and arm, store the state, suspend |
 //! | [`poll`] | [`RankBody`](poll::RankBody), [`Step`](poll::Step), the future body (an `async` program, [`crate::Universe::run_poll`]), [`block_inline`](poll::block_inline) | a body suspends only through the wait leaves |
 //! | `thread` | the thread body (a synchronous closure on a parked OS thread, [`crate::Universe::run`]), the baton, `suspend_in_place` | the rank thread runs only while a worker is blocked in its `proceed` |
 //!
@@ -33,7 +33,9 @@ mod task;
 pub(crate) mod thread;
 
 pub(crate) use epoch::Scheduler;
-pub(crate) use task::{claim, missed, park_until_deposit, probe, stage_send, SchedShared};
+pub(crate) use task::{
+    claim, in_try_mode, missed, park_until_deposit, probe, stage_send, try_mode, SchedShared,
+};
 pub use task::{yield_now, yield_now_async};
 
 use thread::suspend_in_place;

@@ -59,6 +59,17 @@
 //! ([`missed`]), and the [`MISS_LIMIT`]-th miss of one step panics with
 //! a message naming the way out.
 //!
+//! # Try-mode
+//!
+//! A nonblocking request (`nbcoll`) is an async core that the request
+//! polls in place from `test()`. It sets the slot's **try-mode** flag
+//! for that poll ([`try_mode`]). A receive or probe then tries once
+//! (`ProcState::try_recv_match`, counting a miss as above) and a miss
+//! is `Pending`. [`park_until_deposit`] returns `Pending` without
+//! arming. Nothing is armed and the task does not suspend: the core
+//! stops at its first wait, `test()` returns, and a thread body never
+//! blocks inside it.
+//!
 //! # Poisoning
 //!
 //! Sends never block, so an epoch that commits with nothing runnable and
@@ -96,10 +107,10 @@ const ST_BLOCKED: u8 = 2;
 /// Body returned; never scheduled again.
 const ST_FINISHED: u8 = 3;
 
-/// Nonblocking receives and probes that may miss in one task step before
-/// the rank panics: a loop that polls without reaching a wait leaf never
-/// ends its step. Far above any library sweep, which parks after one
-/// round of misses.
+/// Nonblocking receives, probes and try-mode leaves that may miss in one
+/// task step before the rank panics: a loop that polls without reaching a
+/// wait leaf never ends its step. Far above any library sweep, which parks
+/// after one round of misses.
 const MISS_LIMIT: u32 = 1 << 20;
 
 /// Scheduler state shared between workers and rank bodies.
@@ -149,6 +160,8 @@ pub(super) struct TaskSlot {
     /// Nonblocking receives and probes that missed in the current step
     /// (see [`missed`]); reset when the step begins.
     misses: AtomicU32,
+    /// Set while the body polls a nonblocking request ([`try_mode`]).
+    try_mode: AtomicBool,
     /// Messages sent by this task during the current epoch, each with its
     /// destination, in program order. The commit takes every message out
     /// of its place (leaving `None`) and then clears the vector.
@@ -169,6 +182,7 @@ impl TaskSlot {
             status: AtomicU8::new(ST_READY),
             poisoned: AtomicBool::new(false),
             misses: AtomicU32::new(0),
+            try_mode: AtomicBool::new(false),
             staged: UnsafeCell::new(Vec::new()),
             body: UnsafeCell::new(None),
         }
@@ -254,6 +268,7 @@ thread_local! {
     static CURRENT: Cell<*const TaskSlot> = const { Cell::new(std::ptr::null()) };
 }
 
+#[inline]
 pub(super) fn current_slot() -> Option<&'static TaskSlot> {
     // SAFETY: `CURRENT` is followed only inside `TaskSlot::step`, whose
     // `&self` outlives the body's execution: a worker's is non-null only
@@ -300,6 +315,23 @@ pub(crate) fn missed(rank: usize) -> bool {
     slot.poisoned.load(Ordering::Acquire)
 }
 
+/// Run `poll` with the current task in try-mode (see the module docs).
+#[inline]
+pub(crate) fn try_mode<R>(poll: impl FnOnce() -> R) -> R {
+    let slot = current_slot().expect("MPI calls run on a scheduler task");
+    let outer = slot.try_mode.load(Ordering::Relaxed);
+    slot.try_mode.store(true, Ordering::Relaxed);
+    let out = poll();
+    slot.try_mode.store(outer, Ordering::Relaxed);
+    out
+}
+
+/// Whether the current task is inside [`try_mode`].
+#[inline]
+pub(crate) fn in_try_mode() -> bool {
+    current_slot().is_some_and(|s| s.try_mode.load(Ordering::Relaxed))
+}
+
 fn deadlock_err(rank: usize, reason: WaitReason, vnow: Time) -> MpiError {
     MpiError::Timeout {
         rank,
@@ -311,72 +343,69 @@ fn deadlock_err(rank: usize, reason: WaitReason, vnow: Time) -> MpiError {
     }
 }
 
-/// A wait on the current task's mailbox (steps 1–3 of the module docs);
-/// [`claim`] and [`probe`] are its two instantiations.
-struct WaitFut<'a, T> {
-    mb: &'a Mailbox,
-    pat: &'a MatchPattern,
+/// One poll of a wait for `pat` on the current task's mailbox `mb`
+/// (steps 1–3 of the module docs); [`claim`] and [`probe`] are its two
+/// instantiations. It keeps nothing between polls, so the future that
+/// polls it holds only its pattern. `vnow` is the rank's clock, for the
+/// error of a wait that can never end.
+fn poll_wait<T>(
+    mb: &Mailbox,
+    pat: &MatchPattern,
     rank: usize,
     vnow: Time,
     reason: fn(MatchPattern) -> WaitReason,
     check_or_arm: fn(&Mailbox, &MatchPattern) -> Option<T>,
-}
-
-impl<T> Future for WaitFut<'_, T> {
-    type Output = Result<T>;
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Result<T>> {
-        let slot = current_slot().expect("scheduler waits run on a scheduler task");
-        loop {
-            if slot.poisoned.load(Ordering::Acquire) {
-                // The poison path wakes without a deposit: the slot may
-                // still hold this wait.
-                self.mb.clear_wait();
-                let reason = (self.reason)(self.pat.clone());
-                return Poll::Ready(Err(deadlock_err(self.rank, reason, self.vnow)));
-            }
-            if let Some(v) = (self.check_or_arm)(self.mb, self.pat) {
-                return Poll::Ready(Ok(v));
-            }
-            slot.status.store(ST_BLOCKED, Ordering::Release);
-            if !suspend_in_place(slot) {
-                return Poll::Pending;
-            }
+) -> Poll<Result<T>> {
+    let slot = current_slot().expect("scheduler waits run on a scheduler task");
+    loop {
+        if slot.poisoned.load(Ordering::Acquire) {
+            // The poison path wakes without a deposit: the slot may still
+            // hold this wait.
+            mb.clear_wait();
+            return Poll::Ready(Err(deadlock_err(rank, reason(pat.clone()), vnow)));
+        }
+        if let Some(v) = check_or_arm(mb, pat) {
+            return Poll::Ready(Ok(v));
+        }
+        slot.status.store(ST_BLOCKED, Ordering::Release);
+        if !suspend_in_place(slot) {
+            return Poll::Pending;
         }
     }
 }
 
-/// Blocking claim from a scheduler task.
-pub(crate) fn claim<'a>(
-    mb: &'a Mailbox,
-    pat: &'a MatchPattern,
+/// One poll of a blocking claim from a scheduler task.
+pub(crate) fn claim(
+    mb: &Mailbox,
+    pat: &MatchPattern,
     rank: usize,
     vnow: Time,
-) -> impl Future<Output = Result<Message>> + 'a {
-    WaitFut {
+) -> Poll<Result<Message>> {
+    poll_wait(
         mb,
         pat,
         rank,
         vnow,
-        reason: WaitReason::Recv,
-        check_or_arm: Mailbox::claim_or_wait,
-    }
+        WaitReason::Recv,
+        Mailbox::claim_or_wait,
+    )
 }
 
-/// Blocking probe from a scheduler task.
-pub(crate) fn probe<'a>(
-    mb: &'a Mailbox,
-    pat: &'a MatchPattern,
+/// One poll of a blocking probe from a scheduler task.
+pub(crate) fn probe(
+    mb: &Mailbox,
+    pat: &MatchPattern,
     rank: usize,
     vnow: Time,
-) -> impl Future<Output = Result<MsgInfo>> + 'a {
-    WaitFut {
+) -> Poll<Result<MsgInfo>> {
+    poll_wait(
         mb,
         pat,
         rank,
         vnow,
-        reason: WaitReason::Probe,
-        check_or_arm: Mailbox::probe_or_wait,
-    }
+        WaitReason::Probe,
+        Mailbox::probe_or_wait,
+    )
 }
 
 /// The future of [`park_until_deposit`]: one suspension with the mailbox's
@@ -391,8 +420,12 @@ impl Future for DepositFut<'_> {
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let slot = current_slot().expect("scheduler waits run on a scheduler task");
         if !self.armed {
-            self.mb.wait_any();
             self.armed = true;
+            if slot.try_mode.load(Ordering::Relaxed) {
+                // The sweep before this park counted its misses already.
+                return Poll::Pending;
+            }
+            self.mb.wait_any();
             slot.status.store(ST_BLOCKED, Ordering::Release);
             if !suspend_in_place(slot) {
                 return Poll::Pending;

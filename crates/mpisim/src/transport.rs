@@ -8,12 +8,14 @@
 //! construction path and (b) the vendor [`CostScale`] — exactly the
 //! comparison the paper makes.
 
+use std::future::{poll_fn, Future};
 use std::sync::Arc;
+use std::task::{ready, Poll};
 
 use crate::datum::Datum;
 use crate::error::{MpiError, Result};
 use crate::model::CostScale;
-use crate::msg::{ContextId, MatchPattern, MsgInfo, SrcFilter, Tag};
+use crate::msg::{ContextId, MatchPattern, Message, MsgInfo, SrcFilter, Tag};
 use crate::proc::ProcState;
 use crate::sched::poll::block_inline;
 use crate::time::Time;
@@ -44,7 +46,7 @@ pub struct Status {
 ///
 /// Implementors supply the five projection methods; sends, receives, probes,
 /// and virtual-time accounting are provided generically on top.
-pub trait Transport: Clone + Send + 'static {
+pub trait Transport: Clone + Send + Sync + 'static {
     /// This process's rank within the communicator.
     fn rank(&self) -> usize;
     /// Number of processes in the communicator.
@@ -243,46 +245,54 @@ pub trait Transport: Clone + Send + 'static {
 // bodies are identical anyway. `Transport::{recv, recv_shared, probe}` are
 // `block_inline` over these (see `crate::sched::poll::block_inline`).
 
-/// [`Transport::recv`] for maybe-async workloads.
-pub async fn recv_async<T: Datum, C: Transport>(
-    tr: &C,
-    src: Src,
-    tag: Tag,
-) -> Result<(Vec<T>, Status)> {
+/// One poll of a blocking receive of `src`/`tag` on `tr`: the leaf of
+/// every receive core. It rebuilds the pattern on every poll, so a
+/// suspended receive holds only its three arguments.
+#[inline]
+fn poll_matched<C: Transport>(tr: &C, src: Src, tag: Tag) -> Poll<Result<Message>> {
     if let Src::Rank(r) = src {
         tr.check_rank(r)?;
     }
-    let pat = tr.pattern(src, tag);
-    let m = tr.state().recv_match_async(&pat).await?;
-    let (data, info) = m.take::<T>()?;
-    let st = tr.status_of(&info);
-    Ok((data, st))
+    tr.state().poll_recv(&tr.pattern(src, tag))
+}
+
+/// [`Transport::recv`] for maybe-async workloads.
+pub fn recv_async<T: Datum, C: Transport>(
+    tr: &C,
+    src: Src,
+    tag: Tag,
+) -> impl Future<Output = Result<(Vec<T>, Status)>> + '_ {
+    poll_fn(move |_| {
+        let (data, info) = ready!(poll_matched(tr, src, tag))?.take::<T>()?;
+        Poll::Ready(Ok((data, tr.status_of(&info))))
+    })
 }
 
 /// [`Transport::recv_shared`] for maybe-async workloads.
-pub async fn recv_shared_async<T: Datum, C: Transport>(
+pub fn recv_shared_async<T: Datum, C: Transport>(
     tr: &C,
     src: Src,
     tag: Tag,
-) -> Result<(Arc<Vec<T>>, Status)> {
-    if let Src::Rank(r) = src {
-        tr.check_rank(r)?;
-    }
-    let pat = tr.pattern(src, tag);
-    let m = tr.state().recv_match_async(&pat).await?;
-    let (data, info) = m.take_shared::<T>()?;
-    let st = tr.status_of(&info);
-    Ok((data, st))
+) -> impl Future<Output = Result<(Arc<Vec<T>>, Status)>> + '_ {
+    poll_fn(move |_| {
+        let (data, info) = ready!(poll_matched(tr, src, tag))?.take_shared::<T>()?;
+        Poll::Ready(Ok((data, tr.status_of(&info))))
+    })
 }
 
 /// [`Transport::probe`] for maybe-async workloads.
-pub async fn probe_async<C: Transport>(tr: &C, src: Src, tag: Tag) -> Result<Status> {
-    if let Src::Rank(r) = src {
-        tr.check_rank(r)?;
-    }
-    let pat = tr.pattern(src, tag);
-    let info = tr.state().probe_match_async(&pat).await?;
-    Ok(tr.status_of(&info))
+pub fn probe_async<C: Transport>(
+    tr: &C,
+    src: Src,
+    tag: Tag,
+) -> impl Future<Output = Result<Status>> + '_ {
+    poll_fn(move |_| {
+        if let Src::Rank(r) = src {
+            tr.check_rank(r)?;
+        }
+        let info = ready!(tr.state().poll_probe(&tr.pattern(src, tag)))?;
+        Poll::Ready(Ok(tr.status_of(&info)))
+    })
 }
 
 /// A pending nonblocking receive.

@@ -500,3 +500,31 @@ fn a_bare_poll_spin_panics_instead_of_hanging() {
         }
     }
 }
+
+// The same spin on a collective request: `test()` polls the broadcast's
+// core in try-mode, where a receive that misses counts like `try_recv`,
+// so the loop panics the same way rather than blocking inside `test()`.
+#[test]
+fn a_bare_poll_spin_on_a_collective_request_panics() {
+    async fn spin(env: mpisim::ProcEnv) {
+        let w = &env.world;
+        if w.rank() == 1 {
+            // The root, rank 0, never starts the broadcast.
+            let mut req = nbcoll::Request::new(w.ibcast::<u64>(None, 0).unwrap());
+            while !req.test().unwrap() {}
+        }
+    }
+    for workers in [1, 4] {
+        let cfg = || SimConfig::default().with_workers(workers);
+        let thread = || Universe::run(2, cfg(), |env| mpisim::block_inline(spin(env)));
+        let future = || Universe::run_poll(2, cfg(), spin);
+        for (body, run) in [("thread", &thread as &dyn Fn() -> _), ("future", &future)] {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("the spin panics");
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+            for part in ["rank 1", "`mpisim::yield_now()`", "`wait`"] {
+                assert!(msg.contains(part), "{body} body, {workers} workers: {msg}");
+            }
+        }
+    }
+}
