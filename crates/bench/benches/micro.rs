@@ -203,38 +203,6 @@ fn bench_exchange_encoding(c: &mut Criterion) {
     g.finish();
 }
 
-/// The pooled-vs-fresh delta of the payload path, measured on the pool
-/// primitive itself: a `take_vec` + `recycle_vec` round-trip (steady
-/// state: thread-local size-class hit, no allocator call) against the
-/// allocate-and-drop it replaces under every `Message::new` and staged
-/// encode. The small sizes bracket the classes the storms use (where
-/// glibc's tcache is competitive and the pool buys determinism, not
-/// speed); the 512 KiB class is past the mmap threshold, where a fresh
-/// allocation pays a syscall plus page faults every round-trip.
-fn bench_payload_pool(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pool");
-    for shift in [4usize, 10, 16] {
-        let n = 1usize << shift;
-        g.bench_with_input(BenchmarkId::new("take_recycle", n), &n, |b, &n| {
-            // Warm the size class so the measurement is the steady state.
-            mpisim::pool::recycle_vec(Vec::<u64>::with_capacity(n));
-            b.iter(|| {
-                let mut v: Vec<u64> = mpisim::pool::take_vec(n);
-                v.push(black_box(7));
-                mpisim::pool::recycle_vec(v);
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("fresh_alloc", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut v: Vec<u64> = Vec::with_capacity(n);
-                v.push(black_box(7));
-                drop(black_box(v));
-            })
-        });
-    }
-    g.finish();
-}
-
 /// The PR 8 commit-phase fan-out storm: every rank sends 4 one-word
 /// messages per step to deterministic offsets with colliding tags, then
 /// wildcard-drains its in-degree — the exact shape `tests/commit_shard.rs`
@@ -269,8 +237,7 @@ fn commit_storm(p: usize, per: usize) -> mpisim::Time {
                         .filter(|(k, _)| k % 3 == t as usize)
                         .count();
                 for _ in 0..n {
-                    let (v, _) = recv_async::<u64, _>(w, Src::Any, t).await.unwrap();
-                    mpisim::pool::recycle_vec(v);
+                    recv_async::<u64, _>(w, Src::Any, t).await.unwrap();
                 }
             }
         }
@@ -298,7 +265,6 @@ criterion_group!(
     bench_mailbox,
     bench_jquick_local,
     bench_exchange_encoding,
-    bench_payload_pool,
     bench_commit_storm
 );
 criterion_main!(benches);

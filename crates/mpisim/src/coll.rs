@@ -45,13 +45,6 @@ fn combine_into<T: Datum>(acc: &mut [T], v: &[T], op: &impl Fn(&T, &T) -> T, v_i
     }
 }
 
-/// `data` copied into a pooled buffer ([`crate::pool::take_vec`]).
-pub(crate) fn pooled<T: Datum>(data: &[T]) -> Vec<T> {
-    let mut v = crate::pool::take_vec::<T>(data.len());
-    v.extend_from_slice(data);
-    v
-}
-
 /// Children of `rel` (a rank relative to the root) in the binomial tree
 /// over `p` nodes, smallest subtree first: `rel + 2^k` for every `2^k`
 /// below `rel`'s lowest set bit (below `p` for the root). The parent of
@@ -195,8 +188,7 @@ pub async fn reduce_async<T: Datum>(
     tag: Tag,
     op: impl Fn(&T, &T) -> T,
 ) -> Result<Option<Vec<T>>> {
-    let acc = pooled(data);
-    reduce_tree(tr, acc, root, tag, op, Children::InTreeOrder).await
+    reduce_tree(tr, data.to_vec(), root, tag, op, Children::InTreeOrder).await
 }
 
 /// The tree of [`reduce`], `acc` this rank's contribution, taking the
@@ -243,7 +235,6 @@ pub(crate) async fn reduce_tree<T: Datum>(
 fn fold_child<T: Datum>(tr: &impl Transport, acc: &mut [T], v: Vec<T>, op: &impl Fn(&T, &T) -> T) {
     combine_into(acc, &v, op, false);
     tr.charge_compute(acc.len());
-    crate::pool::recycle_vec(v);
 }
 
 /// Reduce-to-all: binomial reduce to rank 0 followed by a broadcast.
@@ -292,7 +283,7 @@ pub async fn scan_async<T: Datum>(
     tag: Tag,
     op: impl Fn(&T, &T) -> T,
 ) -> Result<Vec<T>> {
-    Ok(prefixes(tr, pooled(data), tag, op, false, "scan").await?.0)
+    Ok(prefixes(tr, data.to_vec(), tag, op, false, "scan").await?.0)
 }
 
 /// Exclusive prefix: rank `i` obtains `op(data_0, ..., data_{i-1})`, `None`
@@ -313,7 +304,9 @@ pub async fn exscan_async<T: Datum>(
     tag: Tag,
     op: impl Fn(&T, &T) -> T,
 ) -> Result<Option<Vec<T>>> {
-    Ok(prefixes(tr, pooled(data), tag, op, true, "exscan").await?.1)
+    Ok(prefixes(tr, data.to_vec(), tag, op, true, "exscan")
+        .await?
+        .1)
 }
 
 /// The rounds of [`scan`] and [`exscan`]: this rank's inclusive and
@@ -344,13 +337,10 @@ pub(crate) async fn prefixes<T: Datum>(
             combine_into(&mut incl, &v, &op, true);
             tr.charge_compute(incl.len());
             match &mut excl {
-                _ if !with_excl => crate::pool::recycle_vec(v),
+                _ if !with_excl => {}
                 // First contribution: keep the received buffer itself.
                 None => excl = Some(v),
-                Some(e) => {
-                    combine_into(e, &v, &op, true);
-                    crate::pool::recycle_vec(v);
-                }
+                Some(e) => combine_into(e, &v, &op, true),
             }
         }
         d <<= 1;

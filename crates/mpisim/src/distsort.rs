@@ -84,10 +84,8 @@ pub fn bucket_of<T: SortKey>(splitters: &[T], x: &T) -> usize {
 /// (payloads are typed, not serialized), so a non-empty edge pays one
 /// extra α; empty edges elide the values frame and cost one α as before.
 pub fn encode_runs<T: SortKey>(tagged: Vec<(T, u64)>) -> (Vec<(u64, u64)>, Vec<T>) {
-    // Both output buffers come from (and the input returns to) the payload
-    // pool, so a steady-state exchange round encodes without allocating.
-    let mut runs: Vec<(u64, u64)> = crate::pool::take_vec(4);
-    let mut vals: Vec<T> = crate::pool::take_vec(tagged.len());
+    let mut runs: Vec<(u64, u64)> = Vec::with_capacity(4);
+    let mut vals: Vec<T> = Vec::with_capacity(tagged.len());
     for &(x, pos) in &tagged {
         match runs.last_mut() {
             Some((first, len)) if *first + *len == pos => *len += 1,
@@ -95,7 +93,6 @@ pub fn encode_runs<T: SortKey>(tagged: Vec<(T, u64)>) -> (Vec<(u64, u64)>, Vec<T
         }
         vals.push(x);
     }
-    crate::pool::recycle_vec(tagged);
     (runs, vals)
 }
 
@@ -111,7 +108,7 @@ pub fn decode_runs<T: SortKey>(runs: &[(u64, u64)], vals: Vec<T>) -> Vec<(T, u64
         vals.len(),
         "staged-exchange framing mismatch"
     );
-    let mut out = crate::pool::take_vec::<(T, u64)>(vals.len());
+    let mut out = Vec::with_capacity(vals.len());
     let mut i = 0;
     for &(first, len) in runs {
         for k in 0..len {
@@ -119,7 +116,6 @@ pub fn decode_runs<T: SortKey>(runs: &[(u64, u64)], vals: Vec<T>) -> Vec<(T, u64
             i += 1;
         }
     }
-    crate::pool::recycle_vec(vals);
     out
 }
 

@@ -4,18 +4,18 @@
 //! of the communicator it was sent over — exactly the header fields MPI uses
 //! for matching (§III of the paper). Payloads are typed `Vec<T>` stored as
 //! raw parts plus a reference to the element type's `&'static`
-//! `ElemType` table: type id, name, width and the recycling routine,
-//! one table per `T` however many messages carry it (no serialization,
-//! and no per-message `Box` allocation). Element count, byte size and
+//! `ElemType` table: type id, name, width and the routine that frees a
+//! buffer as the `Vec<T>` it came from, one table per `T` however many
+//! messages carry it (no serialization, and no per-message `Box`
+//! allocation). Element count, byte size and
 //! type name are read through that table ([`Message::count`],
 //! [`Message::bytes`], [`Message::type_name`]) instead of being stored, so
 //! a message is 88 bytes: the simulator moves one by value at every hop
 //! of a send (stage, commit, mailbox slab, claim), and below roughly a
 //! hundred bytes such a move is a few inline vector stores where the
 //! former 136-byte header was a `memcpy` call each time. An
-//! exclusively-owned payload that is dropped untaken returns its
-//! allocation to the payload pool ([`crate::pool`]), which is what lets
-//! steady-state epochs run allocation-free.
+//! exclusively-owned payload that is dropped untaken (a type mismatch, a
+//! message left in a mailbox at teardown) is freed as the `Vec<T>` it was.
 //!
 //! # Zero-copy fan-out
 //!
@@ -201,9 +201,9 @@ struct ElemType {
     name: fn() -> &'static str,
     /// `T::width`.
     width: fn() -> usize,
-    /// Returns an owned payload's buffer to [`crate::pool`] as the empty
-    /// `Vec<T>` it came from.
-    recycle: unsafe fn(NonNull<u8>, usize),
+    /// Frees an owned payload's buffer as the empty `Vec<T>` it came
+    /// from.
+    free: unsafe fn(NonNull<u8>, usize),
 }
 
 struct ElemTypeOf<T>(std::marker::PhantomData<T>);
@@ -213,7 +213,7 @@ impl<T: Datum> ElemTypeOf<T> {
         id: TypeId::of::<T>(),
         name: std::any::type_name::<T>,
         width: T::width,
-        recycle: recycle_as::<T>,
+        free: free_as::<T>,
     };
 }
 
@@ -231,10 +231,10 @@ impl ElemType {
     }
 }
 
-/// Returns a payload buffer to the pool as the empty `Vec<T>` it came
-/// from (elements are `Copy`, so no destructors are skipped).
-unsafe fn recycle_as<T: Datum>(ptr: NonNull<u8>, cap: usize) {
-    crate::pool::recycle_vec(unsafe { Vec::from_raw_parts(ptr.as_ptr().cast::<T>(), 0, cap) });
+/// Frees a payload buffer by reassembling and dropping the empty `Vec<T>`
+/// it came from (elements are `Copy`, so no destructors are skipped).
+unsafe fn free_as<T: Datum>(ptr: NonNull<u8>, cap: usize) {
+    drop(unsafe { Vec::from_raw_parts(ptr.as_ptr().cast::<T>(), 0, cap) });
 }
 
 /// Payload storage: exclusively owned (ordinary point-to-point) or shared
@@ -265,11 +265,10 @@ impl<T: Datum> SharedVec for Vec<T> {
     }
 }
 
-/// The raw parts of an exclusively-owned `Vec<T>` payload. Compared with
-/// the former `Box<dyn Any + Send>` this avoids one heap allocation per
-/// message, and its `Drop` returns the buffer to [`crate::pool`] instead
-/// of freeing it — a message consumed by the scheduler's staged-send path
-/// and later dropped (or type-mismatched) feeds the next send.
+/// The raw parts of an exclusively-owned `Vec<T>` payload: no heap
+/// allocation beyond the buffer itself (a `Box<dyn Any + Send>` would be
+/// one more per message). Its `Drop` frees the buffer through the
+/// element table's `free`.
 ///
 /// Safety invariant: `(ptr, len, cap)` are the raw parts of a live
 /// `Vec<T>` exclusively owned by this value, and `elem` is the table of
@@ -297,15 +296,15 @@ impl OwnedVec {
     }
 
     /// Reassemble the owned `Vec<T>`, or `None` on an element-type
-    /// mismatch (in which case dropping `self` recycles the buffer under
-    /// its true type).
+    /// mismatch (in which case dropping `self` frees the buffer under its
+    /// true type).
     fn take<T: Datum>(self) -> Option<Vec<T>> {
         if self.elem.id != TypeId::of::<T>() {
             return None;
         }
         let this = ManuallyDrop::new(self);
         // SAFETY: the type just matched, so these are the raw parts of a
-        // Vec<T>; ManuallyDrop forgoes the recycling drop.
+        // Vec<T>; ManuallyDrop forgoes the freeing drop.
         Some(unsafe { Vec::from_raw_parts(this.ptr.as_ptr().cast::<T>(), this.len, this.cap) })
     }
 }
@@ -313,8 +312,8 @@ impl OwnedVec {
 impl Drop for OwnedVec {
     fn drop(&mut self) {
         // SAFETY: struct invariant — `elem` is the table of the buffer's
-        // element type, so its `recycle` is monomorphized for it.
-        unsafe { (self.elem.recycle)(self.ptr, self.cap) }
+        // element type, so its `free` is monomorphized for it.
+        unsafe { (self.elem.free)(self.ptr, self.cap) }
     }
 }
 
@@ -523,37 +522,6 @@ mod tests {
         let m = mk(0, 0, ContextId::WORLD);
         let err = m.take::<f64>().unwrap_err();
         assert!(matches!(err, MpiError::TypeMismatch { .. }));
-    }
-
-    #[test]
-    fn dropped_owned_payload_recycles_into_the_pool() {
-        let mut data = crate::pool::take_vec::<u64>(50);
-        data.extend(0..50);
-        let ptr = data.as_ptr();
-        drop(Message::new::<u64>(
-            0,
-            0,
-            ContextId::WORLD,
-            data,
-            Time(0),
-            Time(1),
-        ));
-        // The allocation must be reusable from this thread's free list.
-        let back = crate::pool::take_vec::<u64>(50);
-        assert_eq!(back.as_ptr(), ptr);
-        crate::pool::recycle_vec(back);
-    }
-
-    #[test]
-    fn mismatched_take_recycles_under_the_true_type() {
-        let mut data = crate::pool::take_vec::<u32>(40);
-        data.extend(0..40);
-        let ptr = data.as_ptr();
-        let m = Message::new::<u32>(0, 0, ContextId::WORLD, data, Time(0), Time(1));
-        assert!(m.take::<f64>().is_err());
-        let back = crate::pool::take_vec::<u32>(40);
-        assert_eq!(back.as_ptr(), ptr);
-        crate::pool::recycle_vec(back);
     }
 
     #[test]

@@ -386,7 +386,7 @@ where
     F: Fn(&T, &T) -> T + Send + 'static,
 {
     let (state, tr) = own(tr);
-    let acc = coll::pooled(data);
+    let acc = data.to_vec();
     let core =
         async move { coll::reduce_tree(&tr, acc, root, tag, op, Children::AsTheyArrive).await };
     Ok(Ireduce(Nbc::start(state, core)?, PhantomData))
@@ -417,7 +417,7 @@ where
     F: Fn(&T, &T) -> T + Send + 'static,
 {
     let (state, tr) = own(tr);
-    let acc = coll::pooled(data);
+    let acc = data.to_vec();
     let core = async move {
         let sum = coll::reduce_tree(&tr, acc, 0, tag, op, Children::AsTheyArrive).await?;
         coll::bcast_shared_async(&tr, sum.map(Arc::new), 0, tag + 1).await
@@ -449,7 +449,7 @@ where
     F: Fn(&T, &T) -> T + Send + 'static,
 {
     let (state, tr) = own(tr);
-    let incl = coll::pooled(data);
+    let incl = data.to_vec();
     let core = async move { coll::prefixes(&tr, incl, tag, op, true, "scan").await };
     Ok(Iscan(Nbc::start(state, core)?, PhantomData))
 }

@@ -569,25 +569,14 @@ pub struct SchedProfile {
     pub pool_hits: u64,
     /// Commit-shard pool misses (fresh shards) across all commits.
     pub pool_misses: u64,
-    /// Payload-pool buffer reuses during the run ([`crate::pool`]).
-    pub payload_hits: u64,
-    /// Payload-pool fresh allocations during the run.
-    pub payload_misses: u64,
-    /// Payload buffers dropped because both pool tiers were full.
-    pub payload_overflow: u64,
 }
 
 impl SchedProfile {
     /// Render as JSON (hand-rolled; the workspace vendors no serde).
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"pool_hits\":{},\"pool_misses\":{},\"payload_hits\":{},\
-             \"payload_misses\":{},\"payload_overflow\":{},\"workers\":[",
-            self.pool_hits,
-            self.pool_misses,
-            self.payload_hits,
-            self.payload_misses,
-            self.payload_overflow
+            "{{\"pool_hits\":{},\"pool_misses\":{},\"workers\":[",
+            self.pool_hits, self.pool_misses
         );
         for (i, w) in self.workers.iter().enumerate() {
             if i > 0 {
@@ -739,14 +728,10 @@ mod tests {
             }],
             pool_hits: 4,
             pool_misses: 1,
-            payload_hits: 11,
-            payload_misses: 2,
-            payload_overflow: 0,
         };
         let js = prof.to_json();
         assert!(js.contains("\"worker\":0"), "{js}");
         assert!(js.contains("\"pool_hits\":4"), "{js}");
-        assert!(js.contains("\"payload_hits\":11"), "{js}");
         assert!(js.contains("\"merge_runs\":6"), "{js}");
     }
 }

@@ -39,7 +39,7 @@
 //! §7).
 //!
 //! Every buffer here (the key vector, shard message and wake vectors) is
-//! reused, the shards' through [`SchedPools`], so a steady-state epoch at
+//! reused, the shards' through [`SchedPools`], so a steady-state commit at
 //! one worker allocates nothing (DESIGN.md §10).
 
 use std::sync::atomic::{AtomicUsize, Ordering};

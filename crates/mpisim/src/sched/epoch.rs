@@ -106,9 +106,6 @@ pub(crate) struct Scheduler {
     profile: bool,
     /// Per-worker phase profiles, stored by each worker at exit.
     profiles: Mutex<Vec<WorkerProfile>>,
-    /// Global payload-pool counters at construction; `take_profile`
-    /// reports this run's delta.
-    payload_base: crate::pool::PayloadCounters,
 }
 
 impl Scheduler {
@@ -142,7 +139,6 @@ impl Scheduler {
             prev_live: AtomicUsize::new(p),
             profile,
             profiles: Mutex::new(Vec::new()),
-            payload_base: crate::pool::counters(),
         }
     }
 
@@ -203,14 +199,10 @@ impl Scheduler {
             return None;
         }
         let (pool_hits, pool_misses) = self.commit.pools.entry_pool.counters();
-        let payload = crate::pool::counters() - self.payload_base;
         Some(SchedProfile {
             workers: std::mem::take(&mut *self.profiles.lock()),
             pool_hits,
             pool_misses,
-            payload_hits: payload.hits,
-            payload_misses: payload.misses,
-            payload_overflow: payload.overflow,
         })
     }
 

@@ -108,13 +108,10 @@ pub trait Transport: Clone + Send + Sync + 'static {
         }
     }
 
-    /// Buffered send (never blocks). The copy lands in a pooled buffer
-    /// ([`crate::pool::take_vec`]), so a steady-state send allocates
-    /// nothing once the pool is warm.
+    /// Buffered send (never blocks): copies `buf` into a fresh `Vec`,
+    /// which the receiver takes or the dropped message frees.
     fn send<T: Datum>(&self, buf: &[T], dest: usize, tag: Tag) -> Result<()> {
-        let mut data = crate::pool::take_vec::<T>(buf.len());
-        data.extend_from_slice(buf);
-        self.send_vec(data, dest, tag)
+        self.send_vec(buf.to_vec(), dest, tag)
     }
 
     /// Buffered send taking ownership (avoids one copy).

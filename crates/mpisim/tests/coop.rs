@@ -317,10 +317,10 @@ fn observe(p: usize, cfg: &SimConfig, prog: &Prog) -> Observation {
 }
 
 /// "Many universes" is a loop of solo runs on as many threads as there
-/// are cores (DESIGN.md §11). Universes share nothing but the process-wide
-/// payload pool (its overflow tier and counters), so a universe run among
-/// concurrent neighbours must equal the same universe run alone, and a
-/// rank panic must surface on the thread that ran that universe only.
+/// are cores (DESIGN.md §11). Universes share nothing, so a universe run
+/// among concurrent neighbours must equal the same universe run alone,
+/// and a rank panic must surface on the thread that ran that universe
+/// only.
 #[test]
 fn concurrent_solo_universes_match_their_solo_runs() {
     let jitter = |s: u64| {
