@@ -336,11 +336,12 @@ pub(crate) async fn prefixes<T: Datum>(
             // contiguous, and v is always to the LEFT of what we hold.
             combine_into(&mut incl, &v, &op, true);
             tr.charge_compute(incl.len());
-            match &mut excl {
-                _ if !with_excl => {}
-                // First contribution: keep the received buffer itself.
-                None => excl = Some(v),
-                Some(e) => combine_into(e, &v, &op, true),
+            if with_excl {
+                match &mut excl {
+                    // First contribution: keep the received buffer itself.
+                    None => excl = Some(v),
+                    Some(e) => combine_into(e, &v, &op, true),
+                }
             }
         }
         d <<= 1;
