@@ -12,7 +12,7 @@
 //! `Testall`, `Waitall`) is shared with the substrate's state machines.
 
 use mpisim::nbcoll::{self, Iallreduce, Ibarrier, Ibcast, Igather, Igatherv, Ireduce, Iscan};
-use mpisim::{tags, Datum, Result, Src, Tag, Transport};
+use mpisim::{tags, Datum, MpiError, Result, Src, Tag, Transport};
 
 use crate::comm::RbcComm;
 
@@ -113,9 +113,15 @@ impl RbcComm {
     }
 
     /// `rbc::Isend` — nonblocking send. Buffered: the request is complete
-    /// immediately, but is returned for API fidelity.
+    /// immediately, but is returned for API fidelity. A tag in the
+    /// library-reserved space ([`tags::RESERVED_BASE`] and up) is a usage
+    /// error: it could match a collective's own traffic.
     pub fn isend<T: Datum>(&self, data: Vec<T>, dest: usize, tag: Tag) -> Result<()> {
-        debug_assert!(!tags::is_reserved(tag), "user tags must not be reserved");
+        if tags::is_reserved(tag) {
+            return Err(MpiError::Usage(format!(
+                "isend tag {tag} lies in the reserved tag space"
+            )));
+        }
         self.send_vec(data, dest, tag)
     }
 

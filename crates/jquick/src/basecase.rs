@@ -3,8 +3,9 @@
 //! "Base cases are subtasks covering only one or two processes." They are
 //! queued during the distributed phase and only executed after it, "so that
 //! a janus process does not delay the execution of a larger subtask while
-//! sorting a base case." All base-case machines run concurrently, again so
-//! that a process holding several of them cannot deadlock its partners.
+//! sorting a base case." All base cases run concurrently, each an async
+//! core on [`mpisim::nbcoll`]'s driver, again so that a process holding
+//! several of them cannot deadlock its partners.
 //!
 //! Two-process case: each side sorts *its own run once* and ships it
 //! shared (one `Arc` read by both partners, no copy into the message); on
@@ -18,9 +19,11 @@
 //! partner's run arrives: the model prices the paper's receive + select +
 //! local sort, not this host shortcut (DESIGN.md, "Local kernels").
 
+use std::future::Future;
 use std::sync::Arc;
 
-use mpisim::{Result, SortKey, Src, Tag, Transport};
+use mpisim::nbcoll::Nbc;
+use mpisim::{recv_shared_async, Result, SortKey, Src, Tag, Transport};
 
 use crate::layout::{Layout, TaskRange};
 use crate::partition::{charge_sort, local_sort_charged};
@@ -48,121 +51,64 @@ pub struct Settled<T> {
     pub data: Vec<T>,
 }
 
-/// State machine settling a base-case task covering one or two processes:
-/// solo tasks sort locally; pair tasks swap sorted runs with the partner and
-/// merge out their own window's share.
-pub enum BaseSm<T: SortKey, C: Transport> {
-    /// Task lies within one process window: local sort only.
-    Solo {
-        /// The settled output, until taken.
-        out: Option<Settled<T>>,
-    },
-    /// Task spans two process windows.
-    Pair {
-        /// Communicator with global-index rank space.
-        c: C,
-        /// The task being settled.
-        task: TaskRange,
-        /// The global layout.
-        layout: Layout,
-        /// My global process index.
-        me: u64,
-        /// The partner's global process index.
-        partner: u64,
-        /// My elements of the task, sorted (sent to the partner at start),
-        /// until merged.
-        mine: Option<Arc<Vec<T>>>,
-        /// The partner's elements, once received.
-        theirs: Option<Arc<Vec<T>>>,
-        /// The settled output, until taken.
-        out: Option<Settled<T>>,
-    },
+/// Start settling a base-case task covering one or two processes and run
+/// it to its first receive that misses. `world` must be a communicator
+/// whose rank space equals global process indices. `me` is my global
+/// index.
+pub fn start<T: SortKey, C: Transport>(
+    world: &C,
+    layout: Layout,
+    me: u64,
+    bt: BaseTask<T>,
+) -> Result<Nbc<Settled<T>>> {
+    Nbc::start(
+        Arc::clone(world.state()),
+        settle(world.clone(), layout, me, bt),
+    )
 }
 
-impl<T: SortKey + mpisim::Datum, C: Transport> BaseSm<T, C> {
-    /// Start a base case. `world` must be a communicator whose rank space
-    /// equals global process indices. `me` is my global index.
-    pub fn start(world: &C, layout: Layout, me: u64, bt: BaseTask<T>) -> Result<BaseSm<T, C>> {
-        let (f, l) = bt.task.procs(&layout);
-        debug_assert!(l - f <= 1, "base case covers at most two processes");
+/// The base case's core: solo tasks sort locally; pair tasks swap sorted
+/// runs with the partner and merge out their own window's share.
+pub(crate) fn settle<T: SortKey, C: Transport>(
+    c: C,
+    layout: Layout,
+    me: u64,
+    bt: BaseTask<T>,
+) -> impl Future<Output = Result<Settled<T>>> {
+    let BaseTask {
+        task,
+        data: mut mine,
+    } = bt;
+    let (f, l) = task.procs(&layout);
+    debug_assert!(l - f <= 1, "base case covers at most two processes");
+    let partner = if me == f { l } else { f };
+    async move {
         if f == l {
-            let mut data = bt.data;
-            local_sort_charged(world, &mut data);
-            return Ok(BaseSm::Solo {
-                out: Some(Settled {
-                    lo: bt.task.lo,
-                    data,
-                }),
+            local_sort_charged(&c, &mut mine);
+            return Ok(Settled {
+                lo: task.lo,
+                data: mine,
             });
         }
-        let partner = if me == f { l } else { f };
         // Uncharged here: the union's sort is charged when it is complete.
-        let mut mine = bt.data;
         mine.sort_unstable_by(T::cmp_key);
         let mine = Arc::new(mine);
-        world.send_shared(&mine, partner as usize, BASE_TAG)?;
-        let mut sm = BaseSm::Pair {
-            c: world.clone(),
-            task: bt.task,
-            layout,
-            me,
-            partner,
-            mine: Some(mine),
-            theirs: None,
-            out: None,
-        };
-        sm.poll()?;
-        Ok(sm)
-    }
-
-    /// Drive the exchange one step; `Ok(true)` once settled.
-    pub fn poll(&mut self) -> Result<bool> {
-        match self {
-            BaseSm::Solo { .. } => Ok(true),
-            BaseSm::Pair {
-                c,
-                task,
-                layout,
-                me,
-                partner,
-                mine,
-                theirs,
-                out,
-            } => {
-                if out.is_some() {
-                    return Ok(true);
-                }
-                if theirs.is_none() {
-                    match c.try_recv_shared::<T>(Src::Rank(*partner as usize), BASE_TAG)? {
-                        None => return Ok(false),
-                        Some((v, _)) => *theirs = Some(v),
-                    }
-                }
-                let theirs = theirs.take().expect("received");
-                let mine = mine.take().expect("sent at start");
-                let i_am_left = *me < *partner;
-                charge_sort(c, mine.len() + theirs.len());
-                let (f, _) = task.procs(layout);
-                let cap_left = task.load_of(layout, f) as usize;
-                let (keep, lo) = if i_am_left {
-                    (merge_kept_half(&mine, &theirs, cap_left, true), task.lo)
-                } else {
-                    (
-                        merge_kept_half(&theirs, &mine, cap_left, false),
-                        task.lo + cap_left as u64,
-                    )
-                };
-                *out = Some(Settled { lo, data: keep });
-                Ok(true)
+        c.send_shared(&mine, partner as usize, BASE_TAG)?;
+        let src = Src::Rank(partner as usize);
+        let (theirs, _) = recv_shared_async::<T, _>(&c, src, BASE_TAG).await?;
+        charge_sort(&c, mine.len() + theirs.len());
+        let cap_left = task.load_of(&layout, f) as usize;
+        Ok(if me < partner {
+            Settled {
+                lo: task.lo,
+                data: merge_kept_half(&mine, &theirs, cap_left, true),
             }
-        }
-    }
-
-    /// Take the settled output once complete.
-    pub fn take(&mut self) -> Option<Settled<T>> {
-        match self {
-            BaseSm::Solo { out } | BaseSm::Pair { out, .. } => out.take(),
-        }
+        } else {
+            Settled {
+                lo: task.lo + cap_left as u64,
+                data: merge_kept_half(&theirs, &mine, cap_left, false),
+            }
+        })
     }
 }
 
@@ -221,7 +167,14 @@ fn merge<T: SortKey>(left: &[T], right: &[T]) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpisim::Universe;
+    use mpisim::{Comm, Universe};
+
+    /// Settle `bt` on rank `w.rank()`, waiting for the partner.
+    fn settled(w: &Comm, layout: Layout, bt: BaseTask<u64>) -> Settled<u64> {
+        let mut base = start(w, layout, w.rank() as u64, bt).unwrap();
+        mpisim::nbcoll::wait(&mut base).unwrap();
+        base.into_out().unwrap()
+    }
 
     #[test]
     fn solo_base_sorts_locally() {
@@ -231,9 +184,8 @@ mod tests {
                 task: TaskRange { lo: 0, hi: 5 },
                 data: vec![4u64, 1, 3, 0, 2],
             };
-            let mut sm = BaseSm::start(&env.world, layout, 0, bt).unwrap();
-            assert!(sm.poll().unwrap());
-            let s = sm.take().unwrap();
+            let base = start(&env.world, layout, 0, bt).unwrap();
+            let s = base.into_out().expect("a solo base needs no receive");
             (s.lo, s.data)
         });
         assert_eq!(res.per_rank[0], (0, vec![0, 1, 2, 3, 4]));
@@ -251,11 +203,7 @@ mod tests {
                 vec![6, 1, 4, 3]
             };
             let bt = BaseTask { task, data };
-            let mut sm = BaseSm::start(w, layout, w.rank() as u64, bt).unwrap();
-            while !sm.poll().unwrap() {
-                mpisim::yield_now();
-            }
-            let s = sm.take().unwrap();
+            let s = settled(w, layout, bt);
             (s.lo, s.data)
         });
         assert_eq!(res.per_rank[0], (0, vec![0, 1, 2, 3]));
@@ -275,11 +223,7 @@ mod tests {
                 vec![5, 1, 5]
             };
             let bt = BaseTask { task, data };
-            let mut sm = BaseSm::start(w, layout, w.rank() as u64, bt).unwrap();
-            while !sm.poll().unwrap() {
-                mpisim::yield_now();
-            }
-            sm.take().unwrap().data
+            settled(w, layout, bt).data
         });
         let mut all = res.per_rank[0].clone();
         all.extend(&res.per_rank[1]);
@@ -301,11 +245,7 @@ mod tests {
                 vec![2, 11, 7]
             };
             let bt = BaseTask { task, data };
-            let mut sm = BaseSm::start(w, layout, w.rank() as u64, bt).unwrap();
-            while !sm.poll().unwrap() {
-                mpisim::yield_now();
-            }
-            let s = sm.take().unwrap();
+            let s = settled(w, layout, bt);
             (s.lo, s.data)
         });
         assert_eq!(res.per_rank[0], (3, vec![2]));

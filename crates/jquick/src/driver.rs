@@ -4,8 +4,9 @@
 //! the last process of one task and the first of the next — a *janus*; see
 //! the window argument in DESIGN.md). One iteration ("wave"):
 //!
-//! 1. run the level state machines of all active tasks **concurrently**
-//!    (round-robin polling — the janus requirement of §VII);
+//! 1. run the levels of all active tasks **concurrently** (async cores on
+//!    `nbcoll`'s driver, polled round-robin — the janus requirement of
+//!    §VII);
 //! 2. process outcomes in task-position order: queue base cases, retry
 //!    degenerate splits with the flipped comparator (settling tasks whose
 //!    elements are all equal), and collect pending subtask creations;
@@ -23,15 +24,15 @@
 
 use std::sync::Arc;
 
-use mpisim::nbcoll::sweep_until_done;
+use mpisim::nbcoll::{sweep_until_done, Nbc};
 use mpisim::proc::ProcState;
-use mpisim::{coll, Comm, Datum, MpiError, Result, SortKey, Time, Transport};
+use mpisim::{coll, Comm, Datum, MpiError, Progress, Result, SortKey, Time, Transport};
 
 use crate::backend::{Backend, Schedule};
-use crate::basecase::{BaseSm, BaseTask, Settled};
+use crate::basecase::{self, BaseTask, Settled};
 use crate::exchange::AssignmentKind;
 use crate::layout::{Layout, TaskRange};
-use crate::level::{LevelOutcome, LevelSm};
+use crate::level::{self, LevelOutcome};
 use crate::partition::{from_ordinals, to_ordinals};
 use crate::pivot::PivotCfg;
 
@@ -178,12 +179,12 @@ where
     let mut wave = 0u32;
     while !active.is_empty() {
         // Trace phase marker (no-op unless tracing is on): one per wave of
-        // concurrent level machines, at this rank's current virtual time.
+        // concurrent levels, at this rank's current virtual time.
         mpisim::obs::mark(world.proc_state(), || format!("jquick wave {wave}"));
         wave += 1;
-        // 1. Start and drive all level machines concurrently.
+        // 1. Start and drive all levels concurrently.
         let mut metas = Vec::new();
-        let mut sms = Vec::new();
+        let mut levels = Vec::new();
         active.sort_by_key(|t| t.task.lo);
         for at in active.drain(..) {
             let ActiveTask {
@@ -195,7 +196,7 @@ where
                 data,
             } = at;
             stats.max_level = stats.max_level.max(level);
-            let sm = LevelSm::start(
+            let lv = level::start(
                 clone_c::<B>(&comm),
                 backend.coll_scales(&comm),
                 layout,
@@ -212,16 +213,15 @@ where
                 level,
                 stuck,
             });
-            sms.push(sm);
+            levels.push(lv);
         }
-        poll_all_levels(world.proc_state(), &mut sms).await?;
+        let outcomes = drive_all(world.proc_state(), levels).await?;
 
         // 2. Process outcomes left-to-right (the order matters for the
         //    blocking all-equal agreement: leftmost-first is globally
         //    consistent and acyclic).
         let mut pending: Vec<PendingCreate<T::Ordinal, B::C>> = Vec::new();
-        for (meta, mut sm) in metas.into_iter().zip(sms) {
-            let outcome = sm.take_outcome().expect("level completed");
+        for (meta, outcome) in metas.into_iter().zip(outcomes) {
             match outcome {
                 LevelOutcome::Stuck { data } => {
                     stats.stuck_retries += 1;
@@ -327,24 +327,16 @@ where
     });
 
     // ---- phase 2: base cases -------------------------------------------------
-    let mut bsms = Vec::with_capacity(bases.len());
+    let mut started = Vec::with_capacity(bases.len());
     for bt in bases {
         if bt.task.nprocs(&layout) == 1 {
             stats.base_1 += 1;
         } else {
             stats.base_2 += 1;
         }
-        bsms.push(BaseSm::start(&wc, layout, me, bt)?);
+        started.push(basecase::start(&wc, layout, me, bt)?);
     }
-    let state = world.proc_state();
-    sweep_until_done(state, || {
-        bsms.iter_mut()
-            .try_fold(true, |all, sm| Ok(all & sm.poll()?))
-    })
-    .await?;
-    for mut sm in bsms {
-        settled.push(sm.take().expect("base complete"));
-    }
+    settled.extend(drive_all(world.proc_state(), started).await?);
     mpisim::obs::mark(world.proc_state(), || "jquick base cases done".to_string());
 
     // ---- assemble -------------------------------------------------------------
@@ -388,21 +380,22 @@ struct TaskMeta<C> {
     stuck: u32,
 }
 
-/// Round-robin polling of all level machines until completion.
-async fn poll_all_levels<T, C>(state: &Arc<ProcState>, sms: &mut [LevelSm<T, C>]) -> Result<()>
-where
-    T: SortKey + Datum,
-    C: Transport,
-{
-    // Every level machine that is not done stopped at a receive that
-    // missed (`Progress::poll`'s contract): nothing changes for this
-    // rank, janus or not, before its mailbox does. A wave nobody can
-    // finish ends in the scheduler's deadlock detector.
+/// Round-robin polling of this rank's operations (its levels, or its base
+/// cases) until all complete; their outputs in order.
+async fn drive_all<O: Send>(
+    state: &Arc<ProcState>,
+    mut ops: Vec<Nbc<O>>,
+) -> Result<impl Iterator<Item = O>> {
+    // Every operation that is not done stopped at a receive that missed
+    // (`Progress::poll`'s contract): nothing changes for this rank, janus
+    // or not, before its mailbox does. A wave nobody can finish ends in
+    // the scheduler's deadlock detector.
     sweep_until_done(state, || {
-        sms.iter_mut()
-            .try_fold(true, |all, sm| Ok(all & sm.poll()?))
+        ops.iter_mut()
+            .try_fold(true, |all, op| Ok(all & op.poll()?))
     })
-    .await
+    .await?;
+    Ok(ops.into_iter().map(|op| op.into_out().expect("complete")))
 }
 
 /// Apply the janus splitting schedule: with two pending creations, one

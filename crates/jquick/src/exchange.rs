@@ -1,27 +1,39 @@
-//! The data-exchange step (paper §VII, step 4), as nonblocking state
-//! machines so a janus process can drive two exchanges simultaneously.
+//! The data-exchange step (paper §VII, step 4), as async cores a level
+//! awaits, so a janus process can drive two exchanges simultaneously.
 //!
 //! Two implementations:
 //!
-//! * [`GreedyExchange`] — the paper's greedy message assignment: every
-//!   process isends its (at most ~4) contiguous chunks directly to their
-//!   target processes, then "receives messages until n/p elements have been
-//!   received". A receiver may face Θ(min(p, n/p)) incoming messages in the
-//!   worst case.
-//! * [`StagedExchange`] — a bounded-degree stand-in for the deterministic
-//!   message assignment of \[20\]: elements travel to their targets by
-//!   recursive bisection of the process range, one send and O(1) receives
-//!   per process per round, ⌈log₂ q⌉ rounds. Same O(α log p) startup
-//!   budget as \[20\], at the price of possibly forwarding data O(log p)
-//!   times.
+//! * greedy — the paper's greedy message assignment: every process isends
+//!   its (at most ~4) contiguous chunks directly to their target
+//!   processes, then "receives messages until n/p elements have been
+//!   received". A receiver may face Θ(min(p, n/p)) incoming messages in
+//!   the worst case.
+//! * staged — a bounded-degree stand-in for the deterministic message
+//!   assignment of \[20\]: elements travel to their targets by recursive
+//!   bisection of the process range, one send and O(1) receives per
+//!   process per round, ⌈log₂ q⌉ rounds. Same O(α log p) startup budget as
+//!   \[20\], at the price of possibly forwarding data O(log p) times.
 //!
 //! Both are generic over [`Transport`] and communicate within the task's
 //! communicator using user-level tags (distinct per side), relying on RBC's
-//! ≤1-process-overlap guarantee between adjacent tasks (§V-A).
+//! ≤1-process-overlap guarantee between adjacent tasks (§V-A). Both take
+//! whatever has arrived on each poll and park until the next deposit: the
+//! receive order, and with it element order and virtual time, is that of
+//! the arrivals.
+//!
+//! Both take the same inputs: `small`/`large` are my partition halves;
+//! `s_excl`/`off_excl` are my prefix counts within the task; `s_total`
+//! the task-wide small count. `first_proc` maps task-comm ranks to global
+//! process indices (`global = first_proc + rank`). Both return my
+//! received small and large elements (exactly my window's intersection
+//! with each side — perfect balance). Each does its local work when
+//! called and returns a future holding only what its receives need.
+
+use std::future::Future;
 
 use mpisim::{Result, SortKey, Src, Transport};
 
-use crate::assign::{greedy_assignment, recv_expectation, OutMsg, RecvExpectation};
+use crate::assign::{greedy_assignment, recv_expectation, OutMsg};
 use crate::layout::{Layout, TaskRange};
 
 /// Tags used inside a level; plain user tags, safe because simultaneously
@@ -56,68 +68,6 @@ pub enum AssignmentKind {
     Staged,
 }
 
-/// Result of an exchange: my received small and large elements (exactly my
-/// window's intersection with each side — perfect balance).
-pub struct Exchanged<T> {
-    /// Small-half elements landing in my window.
-    pub small: Vec<T>,
-    /// Large-half elements landing in my window.
-    pub large: Vec<T>,
-}
-
-/// The data exchange of one level, dispatching on [`AssignmentKind`].
-pub enum ExchangeSm<T: SortKey, C: Transport> {
-    /// Greedy direct-send exchange.
-    Greedy(GreedyExchange<T, C>),
-    /// Staged recursive-bisection exchange.
-    Staged(StagedExchange<T, C>),
-}
-
-impl<T: SortKey, C: Transport> ExchangeSm<T, C> {
-    /// Start an exchange. `small`/`large` are my partition halves;
-    /// `s_excl`/`off_excl` are my prefix counts within the task;
-    /// `s_total` the task-wide small count. `first_proc` maps task-comm
-    /// ranks to global process indices (`global = first_proc + rank`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn start(
-        kind: AssignmentKind,
-        c: &C,
-        layout: Layout,
-        task: TaskRange,
-        first_proc: u64,
-        small: Vec<T>,
-        large: Vec<T>,
-        s_excl: u64,
-        off_excl: u64,
-        s_total: u64,
-    ) -> Result<ExchangeSm<T, C>> {
-        match kind {
-            AssignmentKind::Greedy => Ok(ExchangeSm::Greedy(GreedyExchange::start(
-                c, layout, task, first_proc, small, large, s_excl, off_excl, s_total,
-            )?)),
-            AssignmentKind::Staged => Ok(ExchangeSm::Staged(StagedExchange::start(
-                c, layout, task, first_proc, small, large, s_excl, off_excl, s_total,
-            )?)),
-        }
-    }
-
-    /// Drive the exchange one step; `Ok(true)` once complete.
-    pub fn poll(&mut self) -> Result<bool> {
-        match self {
-            ExchangeSm::Greedy(x) => x.poll(),
-            ExchangeSm::Staged(x) => x.poll(),
-        }
-    }
-
-    /// Take the received halves once complete.
-    pub fn take(&mut self) -> Option<Exchanged<T>> {
-        match self {
-            ExchangeSm::Greedy(x) => x.take(),
-            ExchangeSm::Staged(x) => x.take(),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Greedy
 // ---------------------------------------------------------------------------
@@ -125,94 +75,62 @@ impl<T: SortKey, C: Transport> ExchangeSm<T, C> {
 /// Greedy exchange: every process sends each run of its partition halves
 /// directly to the run's final owner, then receives until its expectation
 /// is met.
-pub struct GreedyExchange<T: SortKey, C: Transport> {
-    c: C,
-    exp: RecvExpectation,
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn greedy<'c, T: SortKey, C: Transport>(
+    c: &'c C,
+    layout: Layout,
+    task: TaskRange,
+    first_proc: u64,
     small: Vec<T>,
     large: Vec<T>,
-    done: bool,
-}
-
-impl<T: SortKey, C: Transport> GreedyExchange<T, C> {
-    #[allow(clippy::too_many_arguments)]
-    fn start(
-        c: &C,
-        layout: Layout,
-        task: TaskRange,
-        first_proc: u64,
-        small: Vec<T>,
-        large: Vec<T>,
-        s_excl: u64,
-        off_excl: u64,
-        s_total: u64,
-    ) -> Result<GreedyExchange<T, C>> {
-        let me = first_proc + c.rank() as u64;
-        let msgs: Vec<OutMsg> = greedy_assignment(
-            &layout,
-            &task,
-            s_excl,
-            small.len() as u64,
-            large.len() as u64,
-            off_excl,
-            s_total,
-        );
-        let exp = recv_expectation(&layout, &task, s_total, me);
-        let mut sm = GreedyExchange {
-            c: c.clone(),
-            exp,
-            small: Vec::with_capacity(exp.small_count as usize),
-            large: Vec::with_capacity(exp.large_count as usize),
-            done: false,
+    s_excl: u64,
+    off_excl: u64,
+    s_total: u64,
+) -> Result<impl Future<Output = Result<(Vec<T>, Vec<T>)>> + 'c> {
+    let me = first_proc + c.rank() as u64;
+    let exp = recv_expectation(&layout, &task, s_total, me);
+    let (n_small, n_large) = (exp.small_count as usize, exp.large_count as usize);
+    let mut got_small = Vec::with_capacity(n_small);
+    let mut got_large = Vec::with_capacity(n_large);
+    let (s_len, l_len) = (small.len() as u64, large.len() as u64);
+    let msgs = greedy_assignment(&layout, &task, s_excl, s_len, l_len, off_excl, s_total);
+    // Fire all sends up front (nonblocking, buffered), smalls first as
+    // `greedy_assignment` lists them. Chunks addressed to myself are
+    // delivered locally without a message.
+    let n_small_msgs = msgs.partition_point(|m| m.small);
+    debug_assert!(msgs[n_small_msgs..].iter().all(|m| !m.small));
+    let send = |m: &OutMsg, chunk: Vec<T>| {
+        let tag = if m.small {
+            tags::X_SMALL
+        } else {
+            tags::X_LARGE
         };
-        // Fire all sends up front (nonblocking, buffered), smalls first as
-        // `greedy_assignment` lists them. Chunks addressed to myself are
-        // delivered locally without a message.
-        let n_small = msgs.partition_point(|m| m.small);
-        debug_assert!(msgs[n_small..].iter().all(|m| !m.small));
-        let send = |m: &OutMsg, chunk: Vec<T>| {
-            let tag = if m.small {
-                tags::X_SMALL
-            } else {
-                tags::X_LARGE
-            };
-            c.send_vec(chunk, (m.target - first_proc) as usize, tag)
-        };
-        route_side(small, &msgs[..n_small], me, &mut sm.small, send)?;
-        route_side(large, &msgs[n_small..], me, &mut sm.large, send)?;
-        sm.poll()?;
-        Ok(sm)
-    }
-
-    fn poll(&mut self) -> Result<bool> {
-        if self.done {
-            return Ok(true);
-        }
-        // Receive until the window's worth of each side has arrived.
-        while (self.small.len() as u64) < self.exp.small_count {
-            match self.c.try_recv::<T>(Src::Any, tags::X_SMALL)? {
+        c.send_vec(chunk, (m.target - first_proc) as usize, tag)
+    };
+    route_side(small, &msgs[..n_small_msgs], me, &mut got_small, send)?;
+    route_side(large, &msgs[n_small_msgs..], me, &mut got_large, send)?;
+    // Receive until the window's worth of each side has arrived: every
+    // sweep takes all small chunks there, then all large ones.
+    let take_arrived = move |tag, got: &mut Vec<T>, want: usize| -> Result<()> {
+        while got.len() < want {
+            match c.try_recv::<T>(Src::Any, tag)? {
                 None => break,
-                Some((v, _)) => self.small.extend_from_slice(&v),
+                Some((v, _)) => got.extend_from_slice(&v),
             }
         }
-        while (self.large.len() as u64) < self.exp.large_count {
-            match self.c.try_recv::<T>(Src::Any, tags::X_LARGE)? {
-                None => break,
-                Some((v, _)) => self.large.extend_from_slice(&v),
+        debug_assert!(got.len() <= want);
+        Ok(())
+    };
+    Ok(async move {
+        loop {
+            take_arrived(tags::X_SMALL, &mut got_small, n_small)?;
+            take_arrived(tags::X_LARGE, &mut got_large, n_large)?;
+            if got_small.len() == n_small && got_large.len() == n_large {
+                return Ok((got_small, got_large));
             }
+            c.state().park_until_deposit().await;
         }
-        debug_assert!(self.small.len() as u64 <= self.exp.small_count);
-        debug_assert!(self.large.len() as u64 <= self.exp.large_count);
-        self.done = self.small.len() as u64 == self.exp.small_count
-            && self.large.len() as u64 == self.exp.large_count;
-        Ok(self.done)
-    }
-
-    fn take(&mut self) -> Option<Exchanged<T>> {
-        self.done.then(|| Exchanged {
-            small: std::mem::take(&mut self.small),
-            large: std::mem::take(&mut self.large),
-        })
-    }
+    })
 }
 
 /// Deliver one partition side in `msgs` order: the chunk addressed to `me`
@@ -262,32 +180,6 @@ fn route_side<T: Copy>(
 /// run headers once those arrived.
 type PendingSender = (usize, Option<Vec<(u64, u64)>>);
 
-/// Staged exchange: elements move toward their final owner through
-/// O(log p) bisection rounds; each round halves the process range.
-///
-/// On the wire each round ships two messages per edge — run headers
-/// (`(first_pos, len)`, tag [`tags::X_STAGED`]) and position-sorted values
-/// (tag [`tags::X_STAGED_VALS`]) — instead of one `Vec<(T, u64)>` of
-/// per-element position tags: see [`encode_runs`] for the byte math.
-pub struct StagedExchange<T: SortKey, C: Transport> {
-    c: C,
-    layout: Layout,
-    first_proc: u64,
-    me: u64,
-    cut: u64,
-    /// Elements I currently hold, tagged with their global target position.
-    held: Vec<(T, u64)>,
-    /// Current process interval `[a, b]` (global indices) containing me.
-    a: u64,
-    b: u64,
-    /// Senders I still expect this round (task-comm ranks), each with its
-    /// run headers once those arrived (headers and values are separate
-    /// messages; either can land first in the mailbox, but per-sender FIFO
-    /// means headers — sent first — are always claimable first).
-    await_from: Vec<PendingSender>,
-    done: bool,
-}
-
 /// Partner of `x` when `[a, b]` splits at `mid` (first process of the right
 /// half): mirror into the other half, clamped to the interval.
 fn partner(x: u64, a: u64, b: u64, mid: u64) -> u64 {
@@ -299,170 +191,130 @@ fn partner(x: u64, a: u64, b: u64, mid: u64) -> u64 {
     }
 }
 
-impl<T: SortKey, C: Transport> StagedExchange<T, C> {
-    #[allow(clippy::too_many_arguments)]
-    fn start(
-        c: &C,
-        layout: Layout,
-        task: TaskRange,
-        first_proc: u64,
-        small: Vec<T>,
-        large: Vec<T>,
-        s_excl: u64,
-        off_excl: u64,
-        s_total: u64,
-    ) -> Result<StagedExchange<T, C>> {
-        let me = first_proc + c.rank() as u64;
-        let (f, l) = task.procs(&layout);
-        debug_assert_eq!(f, first_proc);
-        let cut = task.lo + s_total;
-        // Tag every element with its destination position.
-        let mut held = Vec::with_capacity(small.len() + large.len());
-        for (i, x) in small.into_iter().enumerate() {
-            held.push((x, task.lo + s_excl + i as u64));
-        }
-        let l_excl = off_excl - s_excl;
-        for (i, x) in large.into_iter().enumerate() {
-            held.push((x, cut + l_excl + i as u64));
-        }
-        let mut sm = StagedExchange {
-            c: c.clone(),
-            layout,
-            first_proc,
-            me,
-            cut,
-            held,
-            a: f,
-            b: l,
-            await_from: Vec::new(),
-            done: false,
-        };
-        sm.poll()?;
-        Ok(sm)
+/// Staged exchange: elements move toward their final owner through
+/// O(log p) bisection rounds; each round halves the process range `[a, b]`
+/// (global indices) containing me.
+///
+/// On the wire each round ships two messages per edge — run headers
+/// (`(first_pos, len)`, tag [`tags::X_STAGED`]) and position-sorted values
+/// (tag [`tags::X_STAGED_VALS`]) — instead of one `Vec<(T, u64)>` of
+/// per-element position tags: see [`encode_runs`] for the byte math.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn staged<'c, T: SortKey, C: Transport>(
+    c: &'c C,
+    layout: Layout,
+    task: TaskRange,
+    first_proc: u64,
+    small: Vec<T>,
+    large: Vec<T>,
+    s_excl: u64,
+    off_excl: u64,
+    s_total: u64,
+) -> impl Future<Output = Result<(Vec<T>, Vec<T>)>> + 'c {
+    let me = first_proc + c.rank() as u64;
+    let (mut a, mut b) = task.procs(&layout);
+    debug_assert_eq!(a, first_proc);
+    let cut = task.lo + s_total;
+    // Tag every element with its destination position.
+    let mut held = Vec::with_capacity(small.len() + large.len());
+    for (i, x) in small.into_iter().enumerate() {
+        held.push((x, task.lo + s_excl + i as u64));
     }
-
-    fn begin_round(&mut self) -> Result<()> {
-        let (a, b, me) = (self.a, self.b, self.me);
-        let mid = a + (b - a + 1).div_ceil(2); // left half is the larger
-
-        // Ship everything whose target lives in the other half.
-        let my_partner = partner(me, a, b, mid);
-        let (keep, mut ship): (Vec<_>, Vec<_>) = std::mem::take(&mut self.held)
-            .into_iter()
-            .partition(|&(_, pos)| (self.layout.owner(pos) < mid) == (me < mid));
-        self.held = keep;
-        let dest_rank = (my_partner - self.first_proc) as usize;
-        // Position-sort so consecutive targets collapse into few runs
-        // (ship is a union of contiguous partition chunks, so the run
-        // count stays O(1) per round); the final `take` needed this sort
-        // anyway, so most of the work just moves earlier.
-        ship.sort_by_key(|&(_, pos)| pos);
-        self.c.charge_compute(ship.len());
-        let (runs, vals) = encode_runs(ship);
-        // Always send headers (possibly empty) so receive counts are
-        // deterministic; the values message is elided when there is
-        // nothing to ship (the receiver sees Σlen = 0 and skips it), so
-        // an empty edge costs one α, as before. A non-empty edge pays one
-        // extra α for the separate header frame — the price of keeping
-        // payloads untyped-serialization-free — against β savings of
-        // ~8 bytes/element, so the format wins whenever the round ships
-        // more than a few words; see the module docs for the byte math.
-        self.c.send_vec(runs, dest_rank, tags::X_STAGED)?;
-        if !vals.is_empty() {
-            self.c.send_vec(vals, dest_rank, tags::X_STAGED_VALS)?;
-        }
-        // Who sends to me this round? Every x in the other half with
-        // partner(x) == me.
-        self.await_from = (a..=b)
-            .filter(|&x| (x < mid) != (me < mid) && partner(x, a, b, mid) == me)
-            .map(|x| ((x - self.first_proc) as usize, None))
-            .collect();
-        // Narrow my interval to my half. NOTE: the round is only complete
-        // once `await_from` drains — `poll` must check that BEFORE testing
-        // `a == b`, otherwise the final round's receives would be dropped.
-        if me < mid {
-            self.b = mid - 1;
-        } else {
-            self.a = mid;
-        }
-        Ok(())
+    let l_excl = off_excl - s_excl;
+    for (i, x) in large.into_iter().enumerate() {
+        held.push((x, cut + l_excl + i as u64));
     }
-
-    fn poll(&mut self) -> Result<bool> {
-        if self.done {
-            return Ok(true);
-        }
-        loop {
-            // Drain the current round's expected senders first: run
-            // headers, then (possibly in the same poll) their values.
-            let mut i = 0;
-            while i < self.await_from.len() {
-                let (src, ref mut runs) = self.await_from[i];
-                if runs.is_none() {
-                    match self
-                        .c
-                        .try_recv::<(u64, u64)>(Src::Rank(src), tags::X_STAGED)?
-                    {
-                        None => {
-                            i += 1;
-                            continue;
-                        }
-                        Some((r, _)) => {
-                            if r.iter().map(|&(_, len)| len).sum::<u64>() == 0 {
-                                // Empty ship: the sender elided the values
-                                // message entirely.
-                                self.await_from.swap_remove(i);
-                                continue;
-                            }
-                            *runs = Some(r);
-                        }
-                    }
-                }
-                match self.c.try_recv::<T>(Src::Rank(src), tags::X_STAGED_VALS)? {
-                    None => i += 1,
-                    Some((vals, _)) => {
-                        let runs = self.await_from[i].1.take().expect("headers arrived");
-                        self.held.extend(decode_runs(&runs, vals));
-                        self.await_from.swap_remove(i);
-                    }
-                }
+    async move {
+        while a < b {
+            let mid = a + (b - a + 1).div_ceil(2); // left half is the larger
+                                                   // Ship everything whose target lives in the other half.
+            let dest_rank = (partner(me, a, b, mid) - first_proc) as usize;
+            let (keep, mut ship): (Vec<_>, Vec<_>) = std::mem::take(&mut held)
+                .into_iter()
+                .partition(|&(_, pos)| (layout.owner(pos) < mid) == (me < mid));
+            held = keep;
+            // Position-sort so consecutive targets collapse into few runs
+            // (ship is a union of contiguous partition chunks, so the run
+            // count stays O(1) per round); the final sort needed this anyway,
+            // so most of the work just moves earlier.
+            ship.sort_by_key(|&(_, pos)| pos);
+            c.charge_compute(ship.len());
+            let (runs, vals) = encode_runs(ship);
+            // Always send headers (possibly empty) so receive counts are
+            // deterministic; the values message is elided when there is
+            // nothing to ship (the receiver sees Σlen = 0 and skips it), so
+            // an empty edge costs one α, as before. A non-empty edge pays one
+            // extra α for the separate header frame — the price of keeping
+            // payloads untyped-serialization-free — against β savings of
+            // ~8 bytes/element, so the format wins whenever the round ships
+            // more than a few words; see the module docs for the byte math.
+            c.send_vec(runs, dest_rank, tags::X_STAGED)?;
+            if !vals.is_empty() {
+                c.send_vec(vals, dest_rank, tags::X_STAGED_VALS)?;
             }
-            if !self.await_from.is_empty() {
-                return Ok(false);
-            }
-            if self.a == self.b {
-                // Routing finished: everything I hold targets me.
-                debug_assert!(self
-                    .held
-                    .iter()
-                    .all(|&(_, pos)| self.layout.owner(pos) == self.me));
-                self.done = true;
-                return Ok(true);
-            }
-            self.begin_round()?;
-        }
-    }
-
-    fn take(&mut self) -> Option<Exchanged<T>> {
-        if !self.done {
-            return None;
-        }
-        // Reassemble in position order so the output is deterministic.
-        let mut held = std::mem::take(&mut self.held);
-        held.sort_by_key(|&(_, pos)| pos);
-        self.c.charge_compute(held.len());
-        let cut = self.cut;
-        let mut small = Vec::new();
-        let mut large = Vec::new();
-        for (x, pos) in held {
-            if pos < cut {
-                small.push(x);
+            // Who sends to me this round? Every x in the other half with
+            // partner(x) == me.
+            let mut senders: Vec<PendingSender> = (a..=b)
+                .filter(|&x| (x < mid) != (me < mid) && partner(x, a, b, mid) == me)
+                .map(|x| ((x - first_proc) as usize, None))
+                .collect();
+            // Narrow my interval to my half.
+            if me < mid {
+                b = mid - 1;
             } else {
-                large.push(x);
+                a = mid;
+            }
+            // Drain the round's senders as they arrive.
+            while !take_arrived_runs(c, &mut senders, &mut held)? {
+                c.state().park_until_deposit().await;
             }
         }
-        Some(Exchanged { small, large })
+        // Routing finished: everything I hold targets me. Reassemble in
+        // position order so the output is deterministic.
+        debug_assert!(held.iter().all(|&(_, pos)| layout.owner(pos) == me));
+        held.sort_by_key(|&(_, pos)| pos);
+        c.charge_compute(held.len());
+        let k = held.partition_point(|&(_, pos)| pos < cut);
+        let elems = |run: &[(T, u64)]| run.iter().map(|&(x, _)| x).collect();
+        Ok((elems(&held[..k]), elems(&held[k..])))
     }
+}
+
+/// One sweep over a round's pending `senders`: take each one's run headers,
+/// then (in the same sweep when there) its values, decoded into `held`.
+/// Headers and values are separate messages, but per-sender FIFO means
+/// headers — sent first — are always claimable first. `Ok(true)` once no
+/// sender is pending.
+fn take_arrived_runs<T: SortKey, C: Transport>(
+    c: &C,
+    senders: &mut Vec<PendingSender>,
+    held: &mut Vec<(T, u64)>,
+) -> Result<bool> {
+    let mut i = 0;
+    while i < senders.len() {
+        let (src, runs) = &mut senders[i];
+        let src = Src::Rank(*src);
+        if runs.is_none() {
+            let Some((r, _)) = c.try_recv::<(u64, u64)>(src, tags::X_STAGED)? else {
+                i += 1;
+                continue;
+            };
+            if r.iter().map(|&(_, len)| len).sum::<u64>() == 0 {
+                // Empty ship: the sender elided the values message.
+                senders.swap_remove(i);
+                continue;
+            }
+            *runs = Some(r);
+        }
+        match c.try_recv::<T>(src, tags::X_STAGED_VALS)? {
+            None => i += 1,
+            Some((vals, _)) => {
+                let runs = senders.swap_remove(i).1.expect("headers arrived");
+                held.extend(decode_runs(&runs, vals));
+            }
+        }
+    }
+    Ok(senders.is_empty())
 }
 
 #[cfg(test)]

@@ -1,19 +1,23 @@
-//! One distributed recursion level of JQuick as a state machine
-//! (paper §VII, Fig. 3): pivot selection → data partitioning → data
-//! assignment → data exchange.
+//! One distributed recursion level of JQuick (paper §VII, Fig. 3): pivot
+//! selection → data partitioning → data assignment → data exchange.
 //!
-//! Everything is nonblocking: a janus process owns *two* of these machines
-//! (one per task) and polls them round-robin, so "progress in one subtask
-//! [never] delays progress in another subtask". Collective traffic runs
-//! through a [`Scaled`] wrapper carrying the backend's collective cost
-//! profile (vendor scales for native MPI, neutral for RBC); the exchange is
-//! plain point-to-point in both cases.
+//! Everything is nonblocking: the level is an async core on
+//! [`mpisim::nbcoll`]'s driver ([`Nbc`]), so a janus process owns *two*
+//! of them (one per task) and polls them round-robin, and "progress in one
+//! subtask [never] delays progress in another subtask". The core awaits
+//! the collectives' own cores, with the nonblocking gather's child order.
+//! Collective traffic runs through a [`Scaled`] wrapper carrying the
+//! backend's collective cost profile (vendor scales for native MPI,
+//! neutral for RBC); the exchange is plain point-to-point in both cases.
 
-use mpisim::model::CollScales;
-use mpisim::nbcoll::{self, Ibcast, Igatherv, Iscan, Progress};
-use mpisim::{Result, Scaled, SortKey, Transport};
+use std::future::Future;
+use std::sync::Arc;
 
-use crate::exchange::{AssignmentKind, ExchangeSm, Exchanged};
+use mpisim::model::{CollScales, CostScale};
+use mpisim::nbcoll::Nbc;
+use mpisim::{coll, ops, Result, Scaled, SortKey, Transport};
+
+use crate::exchange::{self, AssignmentKind};
 use crate::layout::{Layout, TaskRange};
 use crate::partition::{partition, sample_median, Strictness};
 use crate::pivot::{draw_samples, PivotCfg};
@@ -25,12 +29,6 @@ mod ltags {
     pub const PIVOT: Tag = 33;
     pub const SCAN: Tag = 35;
     pub const TOTAL: Tag = 37;
-}
-
-type SumFn = fn(&u64, &u64) -> u64;
-
-fn add(a: &u64, b: &u64) -> u64 {
-    a + b
 }
 
 /// What a completed level hands back to the driver.
@@ -52,199 +50,144 @@ pub enum LevelOutcome<T> {
     },
 }
 
-enum LState<T: SortKey, C: Transport> {
-    Gather(Igatherv<T, Scaled<C>>),
-    PivotBcast(Ibcast<T, Scaled<C>>),
-    Scan {
-        small: Vec<T>,
-        large: Vec<T>,
-        scan: Iscan<u64, Scaled<C>, SumFn>,
-    },
-    Total {
-        small: Vec<T>,
-        large: Vec<T>,
-        s_excl: u64,
-        bc: Ibcast<u64, Scaled<C>>,
-    },
-    Exchange {
-        s_total: u64,
-        x: ExchangeSm<T, C>,
-    },
-    Done(Option<LevelOutcome<T>>),
-    Poisoned,
-}
-
-/// State machine of one recursion level: pivot selection, partition,
-/// prefix sums, and the balanced data exchange, all nonblocking.
-pub struct LevelSm<T: SortKey, C: Transport> {
+/// Start a level and run it to its first receive that misses. `c` is the
+/// task communicator (rank `i` ⇔ global process `first_proc + i`); `data`
+/// is my window∩task slice.
+#[allow(clippy::too_many_arguments)]
+pub fn start<T: SortKey, C: Transport>(
     c: C,
     scales: CollScales,
     layout: Layout,
     task: TaskRange,
     level: u32,
     kind: AssignmentKind,
-    first_proc: u64,
-    me: u64,
-    /// My task-local data; taken when partitioning.
+    pivot_cfg: &PivotCfg,
     data: Vec<T>,
-    state: LState<T, C>,
+) -> Result<Nbc<LevelOutcome<T>>> {
+    let samples = pivot_cfg.per_proc(task.nprocs(&layout));
+    let state = Arc::clone(c.state());
+    Nbc::start(
+        state,
+        run(c, scales, layout, task, level, kind, samples, data),
+    )
 }
 
-impl<T: SortKey + mpisim::Datum, C: Transport> LevelSm<T, C> {
-    /// Start a level. `c` is the task communicator (rank `i` ⇔ global
-    /// process `first_proc + i`); `data` is my window∩task slice.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start(
-        c: C,
-        scales: CollScales,
-        layout: Layout,
-        task: TaskRange,
-        level: u32,
-        kind: AssignmentKind,
-        pivot_cfg: &PivotCfg,
-        data: Vec<T>,
-    ) -> Result<LevelSm<T, C>> {
-        let (f, l) = task.procs(&layout);
-        let q = l - f + 1;
-        debug_assert_eq!(c.size() as u64, q, "task comm must cover the task");
-        let me = f + c.rank() as u64;
-        debug_assert_eq!(data.len() as u64, task.load_of(&layout, me));
-        // Step 1 begins: contribute samples to the task's first process.
-        let m = pivot_cfg.per_proc(q);
-        let samples = draw_samples(&data, m, c.state());
-        let coll = Scaled::new(c.clone(), scales.gather);
-        let gather = nbcoll::igatherv(&coll, samples, 0, ltags::SAMPLES)?;
-        let mut sm = LevelSm {
-            c,
-            scales,
-            layout,
-            task,
-            level,
-            kind,
-            first_proc: f,
-            me,
-            data,
-            state: LState::Gather(gather),
-        };
-        sm.poll()?;
-        Ok(sm)
-    }
+/// The level's core: `samples` is my share of the pivot sample.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run<T: SortKey, C: Transport>(
+    c: C,
+    scales: CollScales,
+    layout: Layout,
+    task: TaskRange,
+    level: u32,
+    kind: AssignmentKind,
+    samples: u64,
+    data: Vec<T>,
+) -> impl Future<Output = Result<LevelOutcome<T>>> {
+    let (f, l) = task.procs(&layout);
+    debug_assert_eq!(c.size() as u64, l - f + 1, "task comm must cover the task");
+    let me = f + c.rank() as u64;
+    debug_assert_eq!(data.len() as u64, task.load_of(&layout, me));
+    async move {
+        let scaled = |scale: CostScale| Scaled::new(c.clone(), scale);
 
-    /// Elements of the task held by task processes before me.
-    fn off_excl(&self) -> u64 {
-        if self.me == self.first_proc {
+        // Step 1: the task's first process gathers the samples and
+        // broadcasts their median.
+        let sample = draw_samples(&data, samples, c.state());
+        let gathered =
+            coll::gatherv_as_they_arrive_async(&scaled(scales.gather), sample, 0, ltags::SAMPLES)
+                .await?;
+        let mut pivot: Vec<T> = gathered
+            .map(|per_rank| {
+                let all: Vec<T> = per_rank.into_iter().flatten().collect();
+                c.charge_compute(all.len() * 4); // sample sort
+                vec![sample_median(all)]
+            })
+            .unwrap_or_default();
+        coll::bcast_async(&scaled(scales.bcast), &mut pivot, 0, ltags::PIVOT).await?;
+
+        // Step 2: local partition (O(n/p) charged).
+        c.charge_compute(data.len());
+        let (small, large) = partition(data, &pivot[0], Strictness::for_level(level));
+
+        // Step 3: prefix-sum the small counts; the last process broadcasts
+        // the total.
+        let n_small = small.len() as u64;
+        let incl =
+            coll::scan_async(&scaled(scales.scan), &[n_small], ltags::SCAN, ops::sum()).await?[0];
+        let s_excl = incl - n_small;
+        let last = c.size() - 1;
+        let mut total = if c.rank() == last {
+            vec![incl]
+        } else {
+            Vec::new()
+        };
+        coll::bcast_async(&scaled(scales.bcast), &mut total, last, ltags::TOTAL).await?;
+        let s_total = total[0];
+        if s_total == 0 || s_total == task.len() {
+            // Degenerate split: keep the data, let the driver retry with
+            // the flipped comparator.
+            let mut data = small;
+            data.extend(large);
+            return Ok(LevelOutcome::Stuck { data });
+        }
+
+        // Step 4: data exchange. `off_excl` counts the task's elements
+        // held by task processes before me.
+        let off_excl = if me == f {
             0
         } else {
-            self.layout.prefix(self.me) - self.task.lo
-        }
-    }
-
-    /// Drive the machine; `Ok(true)` when the outcome is available.
-    pub fn poll(&mut self) -> Result<bool> {
-        loop {
-            // The step in flight is polled where it sits; the state (some
-            // 150 bytes) moves only on a transition.
-            let step_done = match &mut self.state {
-                LState::Gather(g) => g.poll()?,
-                LState::PivotBcast(bc) => bc.poll()?,
-                LState::Scan { scan, .. } => scan.poll()?,
-                LState::Total { bc, .. } => bc.poll()?,
-                LState::Exchange { x, .. } => x.poll()?,
-                LState::Done(_) => return Ok(true),
-                LState::Poisoned => unreachable!("poll reentered poisoned state"),
-            };
-            if !step_done {
-                return Ok(false);
+            layout.prefix(me) - task.lo
+        };
+        let (small, large) = match kind {
+            AssignmentKind::Greedy => {
+                exchange::greedy(&c, layout, task, f, small, large, s_excl, off_excl, s_total)?
+                    .await?
             }
-            match std::mem::replace(&mut self.state, LState::Poisoned) {
-                LState::Gather(g) => {
-                    // Root computes the sample median and broadcasts it.
-                    let payload = g.result().map(|per_rank| {
-                        let all: Vec<T> = per_rank.into_iter().flatten().collect();
-                        self.c.charge_compute(all.len() * 4); // sample sort
-                        vec![sample_median(all)]
-                    });
-                    let coll = Scaled::new(self.c.clone(), self.scales.bcast);
-                    let bc = nbcoll::ibcast(&coll, payload, 0, ltags::PIVOT)?;
-                    self.state = LState::PivotBcast(bc);
-                }
-                LState::PivotBcast(bc) => {
-                    let pivot = bc.into_data().expect("bcast complete")[0];
-                    // Step 2: local partition (O(n/p) charged).
-                    let strict = Strictness::for_level(self.level);
-                    let data = std::mem::take(&mut self.data);
-                    self.c.charge_compute(data.len());
-                    let (small, large) = partition(data, &pivot, strict);
-                    // Step 3 begins: prefix-sum the small counts.
-                    let coll = Scaled::new(self.c.clone(), self.scales.scan);
-                    let scan =
-                        nbcoll::iscan(&coll, &[small.len() as u64], ltags::SCAN, add as SumFn)?;
-                    self.state = LState::Scan { small, large, scan };
-                }
-                LState::Scan { small, large, scan } => {
-                    let incl = scan.inclusive().expect("scan complete")[0];
-                    let s_excl = incl - small.len() as u64;
-                    // The last process broadcasts the total small count.
-                    let q = self.c.size();
-                    let payload = (self.c.rank() == q - 1).then(|| vec![incl]);
-                    let coll = Scaled::new(self.c.clone(), self.scales.bcast);
-                    let bc = nbcoll::ibcast(&coll, payload, q - 1, ltags::TOTAL)?;
-                    self.state = LState::Total {
-                        small,
-                        large,
-                        s_excl,
-                        bc,
-                    };
-                }
-                LState::Total {
-                    small,
-                    large,
-                    s_excl,
-                    bc,
-                } => {
-                    let s_total = bc.into_data().expect("bcast complete")[0];
-                    if s_total == 0 || s_total == self.task.len() {
-                        // Degenerate split: keep the data, let the driver
-                        // retry with the flipped comparator.
-                        let mut data = small;
-                        data.extend(large);
-                        self.state = LState::Done(Some(LevelOutcome::Stuck { data }));
-                        return Ok(true);
-                    }
-                    // Step 4: data exchange.
-                    let x = ExchangeSm::start(
-                        self.kind,
-                        &self.c,
-                        self.layout,
-                        self.task,
-                        self.first_proc,
-                        small,
-                        large,
-                        s_excl,
-                        self.off_excl(),
-                        s_total,
-                    )?;
-                    self.state = LState::Exchange { s_total, x };
-                }
-                LState::Exchange { s_total, mut x } => {
-                    let Exchanged { small, large } = x.take().expect("exchange complete");
-                    self.state = LState::Done(Some(LevelOutcome::Split {
-                        s_total,
-                        small,
-                        large,
-                    }));
-                    return Ok(true);
-                }
-                LState::Done(_) | LState::Poisoned => unreachable!("matched above"),
+            AssignmentKind::Staged => {
+                exchange::staged(&c, layout, task, f, small, large, s_excl, off_excl, s_total)
+                    .await?
             }
-        }
+        };
+        Ok(LevelOutcome::Split {
+            s_total,
+            small,
+            large,
+        })
     }
+}
 
-    /// Take the level's outcome once complete.
-    pub fn take_outcome(&mut self) -> Option<LevelOutcome<T>> {
-        match &mut self.state {
-            LState::Done(out) => out.take(),
-            _ => None,
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::basecase::{settle, BaseTask};
+    use mpisim::Universe;
+    use rbc::RbcComm;
+
+    // Heap per task in flight, counted without a timer (u64 keys on RBC).
+    // The driver boxes each level and each base case once; a level's
+    // exchange lives inside it. Nothing here is polled, so nothing is
+    // received; the greedy exchange has nothing to send.
+    #[test]
+    fn the_jquick_cores_stay_within_their_byte_budgets() {
+        Universe::run_default(1, |env| {
+            let c = RbcComm::create(&env.world);
+            let (layout, task) = (Layout::new(1, 1), TaskRange { lo: 0, hi: 1 });
+            let (scales, kind, none) =
+                (CollScales::NEUTRAL, AssignmentKind::Greedy, Vec::<u64>::new);
+            let level = run(c.clone(), scales, layout, task, 0, kind, 1, vec![7u64]);
+            let greedy = exchange::greedy(&c, layout, task, 0, none(), none(), 0, 0, 0).unwrap();
+            let staged = exchange::staged(&c, layout, task, 0, none(), none(), 0, 0, 0);
+            let base = settle(c.clone(), layout, 0, BaseTask { task, data: none() });
+            let sizes = [
+                ("level", size_of_val(&level), 648),
+                ("greedy exchange", size_of_val(&greedy), 120),
+                ("staged exchange", size_of_val(&staged), 208),
+                ("base case", size_of_val(&base), 176),
+            ];
+            for (name, bytes, budget) in sizes {
+                assert!(bytes <= budget, "{name}: {bytes} B, budget {budget} B");
+            }
+        });
     }
 }

@@ -27,6 +27,7 @@
 //! cores; only the reduce and gather trees take their children in another
 //! order there (`Children`).
 
+use std::future::Future;
 use std::sync::Arc;
 
 use crate::datum::Datum;
@@ -371,9 +372,22 @@ pub async fn gatherv_async<T: Datum>(
     gatherv_tree(tr, data, root, tag, Children::InTreeOrder).await
 }
 
+/// [`gatherv`] with the nonblocking gather's child order
+/// (`Children::AsTheyArrive`): each child's contribution is taken as it
+/// arrives, so the virtual time is [`crate::nbcoll::igatherv`]'s, not the
+/// blocking gather's. For a caller's own core on [`crate::nbcoll::Nbc`].
+pub fn gatherv_as_they_arrive_async<'a, T: Datum>(
+    tr: &'a impl Transport,
+    data: Vec<T>,
+    root: usize,
+    tag: Tag,
+) -> impl Future<Output = Result<Option<Vec<Vec<T>>>>> + 'a {
+    gatherv_tree(tr, data, root, tag, Children::AsTheyArrive)
+}
+
 /// The tree of [`gatherv`], taking the children in the order `children`
 /// names.
-pub(crate) async fn gatherv_tree<T: Datum>(
+async fn gatherv_tree<T: Datum>(
     tr: &impl Transport,
     data: Vec<T>,
     root: usize,

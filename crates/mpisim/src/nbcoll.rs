@@ -7,9 +7,11 @@
 //! a data dependency" (§V-D). The `*_async` cores of [`crate::coll`] are
 //! exactly such machines: their awaits are the round boundaries. So a
 //! nonblocking collective here is its core, boxed, inside one generic
-//! driver (`Nbc`): invoking the operation executes the first state and
+//! driver ([`Nbc`]): invoking the operation executes the first state and
 //! returns a request, and each `test`/`poll` resumes the core until its
-//! next receive that would have to wait. Sends are buffered and never
+//! next receive that would have to wait. The driver is public, so a
+//! caller's own multi-round operation (JQuick's recursion level) is an
+//! async core on it too, awaiting these cores directly. Sends are buffered and never
 //! block, so only receives create data dependencies.
 //!
 //! A poll runs the core in the scheduler's **try-mode**: a receive that
@@ -193,9 +195,9 @@ pub async fn waitall_async(reqs: &mut [Request]) -> Result<()> {
 type Core<O> = Pin<Box<dyn Future<Output = Result<O>> + Send>>;
 
 /// A nonblocking operation in flight: its async core and the one driver
-/// every typed request below (and [`crate::icomm::IcommCreate`]) polls it
-/// through.
-pub(crate) struct Nbc<O> {
+/// every typed request below, [`crate::icomm::IcommCreate`] and a caller's
+/// own cores (JQuick's levels and base cases) are polled through.
+pub struct Nbc<O> {
     /// `None` once the core returned.
     core: Option<Core<O>>,
     /// What the core returned; `None` before, and after a failure.
@@ -209,8 +211,11 @@ pub(crate) struct Nbc<O> {
 
 impl<O: Send> Nbc<O> {
     /// Box `core` and execute its first state (paper §V-D). `state` is the
-    /// rank `core` runs on.
-    pub(crate) fn start(
+    /// rank `core` runs on. `core` may wait only in the maybe-async
+    /// receives, or in [`ProcState::park_until_deposit`] after a sweep of
+    /// `try_recv`s that all missed: then a poll that returns `Ok(false)`
+    /// keeps [`Progress::poll`]'s contract.
+    pub fn start(
         state: Arc<ProcState>,
         core: impl Future<Output = Result<O>> + Send + 'static,
     ) -> Result<Nbc<O>> {
@@ -268,6 +273,11 @@ impl<O: Send> Nbc<O> {
     /// [`Nbc::out`] for the owner that takes it.
     pub(crate) fn out_mut(&mut self) -> Option<&mut O> {
         self.out.as_mut()
+    }
+
+    /// Consume the operation, returning the core's output if complete.
+    pub fn into_out(self) -> Option<O> {
+        self.out
     }
 
     /// Block until complete and return the output.
@@ -354,7 +364,7 @@ impl<T: Datum, C: Transport> Ibcast<T, C> {
     /// Consume the request, returning the payload if complete (at most one
     /// copy — none when this rank holds the last reference).
     pub fn into_data(self) -> Option<Vec<T>> {
-        self.0.out.map(Arc::unwrap_or_clone)
+        self.0.into_out().map(Arc::unwrap_or_clone)
     }
 
     /// Whether the broadcast is locally complete.
@@ -485,8 +495,7 @@ pub fn igatherv<T: Datum, C: Transport>(
     tag: Tag,
 ) -> Result<Igatherv<T, C>> {
     let (state, tr) = own(tr);
-    let core =
-        async move { coll::gatherv_tree(&tr, data, root, tag, Children::AsTheyArrive).await };
+    let core = async move { coll::gatherv_as_they_arrive_async(&tr, data, root, tag).await };
     Ok(Igatherv(Nbc::start(state, core)?, PhantomData))
 }
 

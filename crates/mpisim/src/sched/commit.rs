@@ -131,8 +131,6 @@ pub(super) enum Begun {
 pub(super) struct Commit {
     router: Arc<Router>,
     algo: CommitAlgo,
-    /// Requested shard-count cap (0 = auto from the worker count).
-    shard_cap: usize,
     /// Effective worker count of the current run.
     pub(super) workers: AtomicUsize,
     /// The epoch's keys: written (gathered and sorted in place) by
@@ -142,29 +140,20 @@ pub(super) struct Commit {
 }
 
 impl Commit {
-    pub(super) fn new(router: Arc<Router>, algo: CommitAlgo, shard_cap: usize) -> Commit {
+    pub(super) fn new(router: Arc<Router>, algo: CommitAlgo) -> Commit {
         Commit {
             router,
             algo,
-            shard_cap,
             workers: AtomicUsize::new(1),
             keys: RwLock::new(Vec::new()),
             pools: SchedPools::default(),
         }
     }
 
-    /// Shard-count target for `entries` staged messages: the explicit
-    /// [`SimConfig::coop_commit_shards`](crate::SimConfig::coop_commit_shards)
-    /// cap when set, otherwise ~2 claim units per worker with
-    /// [`MIN_SHARD_ENTRIES`] as the floor (1 worker ⇒ 1 shard ⇒ inline).
-    /// Never affects simulation output, only throughput.
+    /// Shard-count target for `entries` staged messages: ~2 claim units
+    /// per worker with [`MIN_SHARD_ENTRIES`] as the floor (1 worker ⇒ 1
+    /// shard ⇒ inline). Never affects simulation output, only throughput.
     fn shard_target(&self, entries: usize) -> usize {
-        if entries == 0 {
-            return 1;
-        }
-        if self.shard_cap > 0 {
-            return self.shard_cap.min(entries);
-        }
         let w = self.workers.load(Ordering::Relaxed).max(1);
         if w == 1 {
             return 1;
@@ -318,4 +307,44 @@ fn cut(keys: &[CommitKey], target: usize) -> Vec<std::ops::Range<usize>> {
         ranges.push(first..end);
     }
     ranges
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Destination-major keys, one per entry of `dests` (ascending).
+    fn keys(dests: &[usize]) -> Vec<CommitKey> {
+        let keys: Vec<CommitKey> = dests
+            .iter()
+            .enumerate()
+            .map(|(seq, &dest)| CommitKey {
+                dest,
+                matchable: Time::ZERO,
+                src: 0,
+                seq: seq as u32,
+            })
+            .collect();
+        assert!(keys.is_sorted());
+        keys
+    }
+
+    // The shard geometry, by hand: cuts fall only where `dest` changes,
+    // each range but the last reaches ⌈n/target⌉ keys, and one range is
+    // no range (delivered inline).
+    #[test]
+    fn cut_splits_at_destination_boundaries_only() {
+        // Four destination segments of 3, 1, 2 and 4 keys.
+        let mixed = keys(&[0, 0, 0, 1, 2, 2, 3, 3, 3, 3]);
+        assert_eq!(cut(&mixed, 1), []);
+        assert_eq!(cut(&mixed, 2), [0..6, 6..10]);
+        assert_eq!(cut(&mixed, 3), [0..4, 4..10]);
+        // More shards than destinations: one per segment.
+        assert_eq!(cut(&mixed, 100), [0..3, 3..4, 4..6, 6..10]);
+        // All-to-one fan-in has no legal cut at any target.
+        let fan_in = keys(&[5; 8]);
+        for target in [1, 2, 3, 100] {
+            assert_eq!(cut(&fan_in, target), [], "target {target}");
+        }
+    }
 }

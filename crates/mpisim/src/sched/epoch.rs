@@ -110,21 +110,14 @@ pub(crate) struct Scheduler {
 
 impl Scheduler {
     /// `p` empty task slots delivering through `router`.
-    /// `commit_algo` / `commit_shards` select and size the commit
-    /// pipeline.
-    pub fn new(
-        p: usize,
-        router: Arc<Router>,
-        commit_algo: CommitAlgo,
-        commit_shards: usize,
-        profile: bool,
-    ) -> Scheduler {
+    /// `commit_algo` selects the commit pipeline.
+    pub fn new(p: usize, router: Arc<Router>, commit_algo: CommitAlgo, profile: bool) -> Scheduler {
         let shared = Arc::new(SchedShared::new(p));
         Scheduler {
             slots: (0..p).map(|_| TaskSlot::new()).collect(),
             shared,
             crashes_armed: router.faults.has_crashes(),
-            commit: Commit::new(router, commit_algo, commit_shards),
+            commit: Commit::new(router, commit_algo),
             gate: Mutex::new(EpochGate {
                 work: Work::Tasks(Arc::new(Vec::new())),
                 gen: 0,

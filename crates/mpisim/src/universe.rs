@@ -97,12 +97,6 @@ pub struct SimConfig {
     /// environment knob). Both produce bit-identical output for every
     /// worker count; only wall-clock speed differs.
     pub commit_algo: CommitAlgo,
-    /// Upper bound on the claim units of one sharded commit (0 = auto:
-    /// ~2 shards per worker, with small commits staying inline on the
-    /// committing worker). Any value yields identical output; tests set
-    /// it through [`SimConfig::with_commit_shards`] to force shard
-    /// geometry (there is no environment knob).
-    pub coop_commit_shards: usize,
     /// Seeded fault-injection plan (stragglers, crash-stop, message
     /// jitter); the default plan injects nothing. Faults are a pure
     /// function of `(program, seed, perturb_seed)` — never of the worker
@@ -135,7 +129,6 @@ impl Default for SimConfig {
             backend: Backend::Cooperative,
             coop_workers: 1,
             commit_algo: CommitAlgo::Sharded,
-            coop_commit_shards: 0,
             faults: FaultPlan::default(),
             trace: false,
             sched_profile: false,
@@ -191,13 +184,6 @@ impl SimConfig {
     /// it.
     pub fn with_commit_algo(mut self, algo: CommitAlgo) -> SimConfig {
         self.commit_algo = algo;
-        self
-    }
-
-    /// Replace the sharded commit's claim-unit cap (0 = auto; any value
-    /// yields identical output, see [`SimConfig::coop_commit_shards`]).
-    pub fn with_commit_shards(mut self, shards: usize) -> SimConfig {
-        self.coop_commit_shards = shards;
         self
     }
 
@@ -392,7 +378,6 @@ impl Universe {
             states.len(),
             Arc::clone(router),
             cfg.commit_algo,
-            cfg.coop_commit_shards,
             cfg.sched_profile,
         );
         let store = scheduler.panic_store();

@@ -2,7 +2,8 @@
 //! (`CommitAlgo::Sharded`, the default) must be **byte-identical** to the
 //! single-threaded serial commit (`CommitAlgo::Serial`, the oracle) — on
 //! delivery logs, per-rank results, and virtual clocks — for every worker
-//! count and every shard cap. The two differ in sort algorithm (stable
+//! count (and so every shard geometry the automatic sharding picks; the
+//! cut itself is pinned by `commit::tests`). The two differ in sort algorithm (stable
 //! vs in-place unstable), sort key (global vs destination-major) and
 //! delivery path (inline pushes vs batched segments with a deferred wake
 //! merge), so the reference shares nothing with the default but the
@@ -45,7 +46,6 @@ fn storm_log(
     seed: u64,
     workers: usize,
     algo: CommitAlgo,
-    shards: usize,
 ) -> (Vec<RankLog>, MetricsSnapshot) {
     assert!(p > *FANOUT_OFFSETS.iter().max().unwrap());
     type LogStore = Arc<Mutex<Vec<Vec<(usize, u64, u64)>>>>;
@@ -54,8 +54,7 @@ fn storm_log(
     let cfg = SimConfig::cooperative()
         .with_seed(seed)
         .with_workers(workers)
-        .with_commit_algo(algo)
-        .with_commit_shards(shards);
+        .with_commit_algo(algo);
     let res = Universe::run(p, cfg, move |env| {
         let w = &env.world;
         let r = w.rank();
@@ -98,48 +97,43 @@ fn storm_log(
     (logs, res.metrics)
 }
 
-/// Assert the full worker × shard matrix reproduces the serial 1-worker
-/// reference bit for bit, model counters included.
-fn assert_sharded_matches_serial(p: usize, per: usize, seed: u64, shard_caps: &[usize]) {
-    let oracle = storm_log(p, per, seed, 1, CommitAlgo::Serial, 0);
+/// Assert every worker count reproduces the serial 1-worker reference bit
+/// for bit, model counters included. At 4 and 8 workers the storms'
+/// epochs are wide enough that the automatic sharding publishes several
+/// shards.
+fn assert_sharded_matches_serial(p: usize, per: usize, seed: u64) {
+    let oracle = storm_log(p, per, seed, 1, CommitAlgo::Serial);
     // The serial reference itself must be worker-invariant.
-    let serial8 = storm_log(p, per, seed, 8, CommitAlgo::Serial, 0);
+    let serial8 = storm_log(p, per, seed, 8, CommitAlgo::Serial);
     assert_eq!(oracle, serial8, "serial commit diverged at 8 workers");
-    for &workers in &[1usize, 4, 8] {
-        for &shards in shard_caps {
-            let got = storm_log(p, per, seed, workers, CommitAlgo::Sharded, shards);
-            assert_eq!(
-                oracle, got,
-                "sharded commit diverged (workers={workers}, shards={shards})"
-            );
-        }
+    for workers in [1usize, 4, 8] {
+        let got = storm_log(p, per, seed, workers, CommitAlgo::Sharded);
+        assert_eq!(oracle, got, "sharded commit diverged (workers={workers})");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
 
-    // p = 64: dense storms, every shard cap flavour (auto, tiny — forcing
-    // many multi-destination shards — and far more shards than
-    // destinations, degenerating to one segment each).
+    // p = 64: dense storms, 256 to 768 messages per wave.
     #[test]
     fn sharded_commit_identical_to_serial_p64(
         per in 1usize..4,
         seed in any::<u64>(),
     ) {
-        assert_sharded_matches_serial(64, per, seed, &[0, 3, 1000]);
+        assert_sharded_matches_serial(64, per, seed);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 2, ..ProptestConfig::default() })]
 
-    // p = 1024: the paper-scale regime; auto and forced-wide sharding.
-    // per = 2 stages 8192 messages per epoch wave, wide enough that the
-    // multi-worker runs publish a multi-shard commit phase.
+    // p = 1024: the paper-scale regime. per = 2 stages 8192 messages per
+    // epoch wave, wide enough that the multi-worker runs publish a
+    // multi-shard commit phase.
     #[test]
     fn sharded_commit_identical_to_serial_p1024(seed in any::<u64>()) {
-        assert_sharded_matches_serial(1024, 2, seed, &[0, 48]);
+        assert_sharded_matches_serial(1024, 2, seed);
     }
 }
 
@@ -179,7 +173,7 @@ const GOLDEN: (u64, u64, u64, u64, u64) = (216_170, 10_238, 21, 2558, 9_424_414_
 fn golden_storm_p1024_matches_the_published_merge_commit() {
     for workers in [1usize, 2, 8] {
         for algo in [CommitAlgo::Serial, CommitAlgo::Sharded] {
-            let (logs, m) = storm_log(1024, 2, GOLDEN_SEED, workers, algo, 0);
+            let (logs, m) = storm_log(1024, 2, GOLDEN_SEED, workers, algo);
             let clock = logs.iter().map(|l| l.2.as_nanos()).max().unwrap();
             assert_eq!(
                 (clock, m.messages, m.epochs, m.wakeups, digest(&logs)),

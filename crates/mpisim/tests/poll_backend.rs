@@ -262,35 +262,64 @@ fn sync_waits_inside_poll_bodies_panic_naming_the_async_api() {
 #[test]
 fn a_wait_left_armed_by_a_panicking_leaf_wakes_nobody() {
     use mpisim::CommitAlgo;
+    // Epoch 1 stages 3 × 43 messages into rank 0's mailbox and one around
+    // the ring of the other three: 132 ≥ 2 × 64, so 4 workers cut the
+    // commit into two shards, rank 0's segment and the ring.
+    const TO_ZERO: u64 = 43;
+    let body = |sync_wait: bool| {
+        move |env: mpisim::ProcEnv| async move {
+            let w = env.world;
+            if w.rank() == 0 {
+                if sync_wait {
+                    w.recv::<u64>(Src::Rank(1), 9).map(drop).unwrap();
+                } else {
+                    mpisim::recv_async::<u64, _>(&w, Src::Rank(1), 9)
+                        .await
+                        .unwrap();
+                }
+                return;
+            }
+            // Into the panicked rank's mailbox, then once around the ring
+            // of the other three so the run outlives the commit.
+            for i in 0..TO_ZERO {
+                w.send(&[i], 0, 9).unwrap();
+            }
+            w.send(&[0u64], w.rank() % 3 + 1, 10).unwrap();
+            let prev = (w.rank() + 1) % 3 + 1;
+            mpisim::recv_async::<u64, _>(&w, Src::Rank(prev), 10)
+                .await
+                .unwrap();
+        }
+    };
     for (workers, algo) in [
         (1, CommitAlgo::Sharded),
         (4, CommitAlgo::Sharded),
         (1, CommitAlgo::Serial),
         (4, CommitAlgo::Serial),
     ] {
-        let cfg = sched(workers)
-            .with_commit_algo(algo)
-            // Two shards for the six messages of epoch 1: rank 0's
-            // segment and the peers' ring.
-            .with_commit_shards(2);
-        let err = std::panic::catch_unwind(|| {
-            Universe::run_poll(4, cfg, |env| async move {
-                let w = env.world;
-                if w.rank() == 0 {
-                    w.recv::<u64>(Src::Rank(1), 9).map(drop).unwrap();
-                    return;
-                }
-                // Into the panicked rank's mailbox, then once around the
-                // ring of the other three so the run outlives the commit.
-                w.send(&[w.rank() as u64], 0, 9).unwrap();
-                w.send(&[0u64], w.rank() % 3 + 1, 10).unwrap();
-                let prev = (w.rank() + 1) % 3 + 1;
-                mpisim::recv_async::<u64, _>(&w, Src::Rank(prev), 10)
-                    .await
-                    .unwrap();
-            })
-        })
-        .expect_err("rank 0's panic is re-thrown");
+        let cfg = || {
+            sched(workers)
+                .with_commit_algo(algo)
+                .with_sched_profile(true)
+        };
+        // The same epoch 1 with rank 0 waiting the async way: the run
+        // completes, and its profile shows the commit's shard geometry.
+        let res = Universe::run_poll(4, cfg(), body(false));
+        let shards: u64 = res
+            .sched_profile
+            .unwrap()
+            .workers
+            .iter()
+            .map(|w| w.shards)
+            .sum();
+        let want = if workers > 1 && algo == CommitAlgo::Sharded {
+            2
+        } else {
+            0
+        };
+        assert_eq!(shards, want, "{workers} {algo:?}: shards claimed");
+        let err = std::panic::catch_unwind(|| Universe::run_poll(4, cfg(), body(true)))
+            .expect_err("rank 0's panic is re-thrown");
         let msg = panic_message(err);
         assert!(msg.contains("_async API"), "{workers} {algo:?}: {msg}");
     }

@@ -120,3 +120,27 @@ fn interfaces_accept_user_tags_like_the_paper() {
         assert_eq!((x, y), (1, 2));
     }
 }
+
+// A user message on a reserved tag could be claimed by a collective's own
+// receive, so `isend` refuses one in every build profile, and nothing
+// leaves the rank.
+#[test]
+fn isend_rejects_a_reserved_tag() {
+    let res = Universe::run_default(2, |env| {
+        let world = rbc::create_rbc_comm(&env.world);
+        let peer = 1 - world.rank();
+        let reserved = [mpisim::tags::RESERVED_BASE, rbc::RBC_IBCAST_TAG, u64::MAX];
+        let refused = reserved.map(|tag| match world.isend(vec![1u64], peer, tag) {
+            Err(mpisim::MpiError::Usage(msg)) => msg.contains("reserved"),
+            _ => false,
+        });
+        world.isend(vec![2u64], peer, 5).unwrap();
+        let (got, _) = world.recv::<u64>(Src::Rank(peer), 5).unwrap();
+        (refused, got)
+    });
+    for (refused, got) in res.per_rank {
+        assert_eq!(refused, [true; 3]);
+        assert_eq!(got, vec![2]);
+    }
+    assert_eq!(res.metrics.messages, 2, "only the user-tag sends travel");
+}

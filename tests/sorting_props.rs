@@ -3,14 +3,14 @@
 //! duplicate patterns), the output must be globally sorted, perfectly
 //! balanced (JQuick), and a permutation of the input.
 
-use jquick::basecase::{merge_kept_half, BaseSm, BaseTask};
+use jquick::basecase::{self, merge_kept_half, BaseTask};
 use jquick::partition::{partition, Strictness};
 use jquick::{
     fingerprint, generate_workload, hypercube, jquick_sort, jquick_sort_async, samplesort,
     verify_sorted, AssignmentKind, Dist, JQuickConfig, Layout, PivotCfg, RbcBackend, SampleSortCfg,
     Schedule, TaskRange,
 };
-use mpisim::{Backend, SimConfig, SortKey, Transport, Universe};
+use mpisim::{Backend, Progress, SimConfig, SortKey, Transport, Universe};
 use proptest::prelude::*;
 
 /// Generate each rank's input slice from a seed + distribution selector.
@@ -267,8 +267,9 @@ fn partition_edge_lengths() {
     check_partition(&[(1u64, 2u64), (1, 1)], (1, 2));
 }
 
-/// The pair base case end to end: two ranks drive `BaseSm` over every task
-/// window that straddles their boundary, duplicates across the cut.
+/// The pair base case end to end: two ranks drive `basecase::start`'s core
+/// over every task window that straddles their boundary, duplicates across
+/// the cut.
 #[test]
 fn base_pair_through_the_state_machine() {
     let n = 12u64; // windows [0, 6) and [6, 12)
@@ -288,11 +289,11 @@ fn base_pair_through_the_state_machine() {
                     task,
                     data: input(me, load),
                 };
-                let mut sm = BaseSm::start(w, layout, me, bt).unwrap();
-                while !sm.poll().unwrap() {
+                let mut base = basecase::start(w, layout, me, bt).unwrap();
+                while !base.poll().unwrap() {
                     mpisim::yield_now();
                 }
-                let s = sm.take().unwrap();
+                let s = base.into_out().unwrap();
                 (s.lo, s.data, load)
             });
             let (lo0, d0, load0) = &res.per_rank[0];
