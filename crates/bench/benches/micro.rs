@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use jquick::assign::greedy_assignment;
 use jquick::basecase::merge_kept_half;
 use jquick::layout::{Layout, TaskRange};
-use jquick::partition::{partition, sample_median, Strictness};
+use jquick::partition::{count_small, partition, partition_into, sample_median, Strictness};
 use mpisim::context::CtxPool;
 use mpisim::mailbox::Mailbox;
 use mpisim::msg::{ContextId, MatchPattern, Message, SrcFilter};
@@ -120,6 +120,24 @@ fn bench_jquick_local(c: &mut Criterion) {
     g.bench_function("partition_64k_ordinal", |b| {
         let pivot = 0.0f64.to_ordinal();
         b.iter(|| partition(black_box(images.clone()), &pivot, black_box(Strictness::Lt)))
+    });
+    // The greedy exchange's shape: each side cut in two message chunks,
+    // the counts taken before the clock as the level takes them before
+    // its prefix sum.
+    g.bench_function("partition_into_64k_4chunks", |b| {
+        let pivot = 0.0f64.to_ordinal();
+        let n_small = count_small(&images, &pivot, Strictness::Lt);
+        let n_large = images.len() - n_small;
+        let lens = [
+            n_small / 2,
+            n_small - n_small / 2,
+            n_large / 2,
+            n_large - n_large / 2,
+        ];
+        b.iter(|| {
+            let data = black_box(images.clone());
+            partition_into(data, &pivot, black_box(Strictness::Lt), 2, &lens)
+        })
     });
     // One pair base case at n/p = 2^13, the host work of both partners:
     // each sorts its own run once, then merges out the half it keeps.

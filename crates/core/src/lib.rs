@@ -42,6 +42,7 @@
 //! assert_eq!(result.per_rank, vec![0, 0, 2, 2]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod coll;

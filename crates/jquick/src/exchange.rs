@@ -7,7 +7,8 @@
 //!   its (at most ~4) contiguous chunks directly to their target
 //!   processes, then "receives messages until n/p elements have been
 //!   received". A receiver may face Θ(min(p, n/p)) incoming messages in
-//!   the worst case.
+//!   the worst case. The partition writes each element straight into the
+//!   chunk it is sent in ([`partition_into`]).
 //! * staged — a bounded-degree stand-in for the deterministic message
 //!   assignment of \[20\]: elements travel to their targets by recursive
 //!   bisection of the process range, one send and O(1) receives per
@@ -21,20 +22,22 @@
 //! receive order, and with it element order and virtual time, is that of
 //! the arrivals.
 //!
-//! Both take the same inputs: `small`/`large` are my partition halves;
-//! `s_excl`/`off_excl` are my prefix counts within the task; `s_total`
-//! the task-wide small count. `first_proc` maps task-comm ranks to global
-//! process indices (`global = first_proc + rank`). Both return my
-//! received small and large elements (exactly my window's intersection
-//! with each side — perfect balance). Each does its local work when
-//! called and returns a future holding only what its receives need.
+//! Both take the same inputs: `data` is my unpartitioned window∩task slice,
+//! split by `pivot` under `strict`; `s_excl`/`off_excl` are my prefix
+//! counts within the task; `s_total` the task-wide small count.
+//! `first_proc` maps task-comm ranks to global process indices
+//! (`global = first_proc + rank`). Both return my received small and large
+//! elements (exactly my window's intersection with each side — perfect
+//! balance). Each does its local work when called and returns a future
+//! holding only what its receives need.
 
 use std::future::Future;
 
 use mpisim::{Result, SortKey, Src, Transport};
 
-use crate::assign::{greedy_assignment, recv_expectation, OutMsg};
+use crate::assign::{greedy_assignment, recv_expectation};
 use crate::layout::{Layout, TaskRange};
+use crate::partition::{partition, partition_into, Strictness};
 
 /// Tags used inside a level; plain user tags, safe because simultaneously
 /// active tasks share at most one process (the janus).
@@ -72,17 +75,19 @@ pub enum AssignmentKind {
 // Greedy
 // ---------------------------------------------------------------------------
 
-/// Greedy exchange: every process sends each run of its partition halves
-/// directly to the run's final owner, then receives until its expectation
-/// is met.
+/// Greedy exchange: every process partitions its data straight into its
+/// messages (`my_small` counts its smalls), sends each to the final owner,
+/// then receives until its expectation is met.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn greedy<'c, T: SortKey, C: Transport>(
     c: &'c C,
     layout: Layout,
     task: TaskRange,
     first_proc: u64,
-    small: Vec<T>,
-    large: Vec<T>,
+    data: Vec<T>,
+    pivot: T,
+    strict: Strictness,
+    my_small: u64,
     s_excl: u64,
     off_excl: u64,
     s_total: u64,
@@ -90,32 +95,37 @@ pub(crate) fn greedy<'c, T: SortKey, C: Transport>(
     let me = first_proc + c.rank() as u64;
     let exp = recv_expectation(&layout, &task, s_total, me);
     let (n_small, n_large) = (exp.small_count as usize, exp.large_count as usize);
-    let mut got_small = Vec::with_capacity(n_small);
-    let mut got_large = Vec::with_capacity(n_large);
-    let (s_len, l_len) = (small.len() as u64, large.len() as u64);
-    let msgs = greedy_assignment(&layout, &task, s_excl, s_len, l_len, off_excl, s_total);
-    // Fire all sends up front (nonblocking, buffered), smalls first as
-    // `greedy_assignment` lists them. Chunks addressed to myself are
-    // delivered locally without a message.
+    let l_len = data.len() as u64 - my_small;
+    let msgs = greedy_assignment(&layout, &task, s_excl, my_small, l_len, off_excl, s_total);
     let n_small_msgs = msgs.partition_point(|m| m.small);
     debug_assert!(msgs[n_small_msgs..].iter().all(|m| !m.small));
-    let send = |m: &OutMsg, chunk: Vec<T>| {
-        let tag = if m.small {
-            tags::X_SMALL
-        } else {
-            tags::X_LARGE
+    let lens: Vec<usize> = msgs
+        .iter()
+        .map(|m| m.local_range.1 - m.local_range.0)
+        .collect();
+    let chunks = partition_into(data, &pivot, strict, n_small_msgs, &lens);
+    // Fire all sends up front (nonblocking, buffered), smalls first as
+    // `greedy_assignment` lists them. A chunk addressed to myself is
+    // delivered locally without a message.
+    let (mut got_small, mut got_large) = (Vec::new(), Vec::new());
+    for (m, chunk) in msgs.iter().zip(chunks) {
+        let (got, want, tag) = match m.small {
+            true => (&mut got_small, n_small, tags::X_SMALL),
+            false => (&mut got_large, n_large, tags::X_LARGE),
         };
-        c.send_vec(chunk, (m.target - first_proc) as usize, tag)
-    };
-    route_side(small, &msgs[..n_small_msgs], me, &mut got_small, send)?;
-    route_side(large, &msgs[n_small_msgs..], me, &mut got_large, send)?;
+        if m.target == me {
+            append(got, want, &chunk);
+        } else {
+            c.send_vec(chunk, (m.target - first_proc) as usize, tag)?;
+        }
+    }
     // Receive until the window's worth of each side has arrived: every
     // sweep takes all small chunks there, then all large ones.
     let take_arrived = move |tag, got: &mut Vec<T>, want: usize| -> Result<()> {
         while got.len() < want {
             match c.try_recv::<T>(Src::Any, tag)? {
                 None => break,
-                Some((v, _)) => got.extend_from_slice(&v),
+                Some((v, _)) => append(got, want, &v),
             }
         }
         debug_assert!(got.len() <= want);
@@ -133,43 +143,13 @@ pub(crate) fn greedy<'c, T: SortKey, C: Transport>(
     })
 }
 
-/// Deliver one partition side in `msgs` order: the chunk addressed to `me`
-/// is appended to `keep`, every other one goes to `send`. `msgs` are the
-/// side's messages, whose ranges cover it in ascending order. The side is
-/// cut into them from the back, so each `split_off` copies only the chunk
-/// it returns and the first chunk keeps the side's buffer, shrunk to fit so
-/// that a message does not hold the capacity of the whole side.
-fn route_side<T: Copy>(
-    mut side: Vec<T>,
-    msgs: &[OutMsg],
-    me: u64,
-    keep: &mut Vec<T>,
-    mut send: impl FnMut(&OutMsg, Vec<T>) -> Result<()>,
-) -> Result<()> {
-    let mut chunks: Vec<Vec<T>> = msgs
-        .iter()
-        .rev()
-        .map(|m| {
-            debug_assert_eq!(m.local_range.1, side.len());
-            if m.local_range.0 == 0 {
-                let mut first = std::mem::take(&mut side);
-                first.shrink_to_fit();
-                first
-            } else {
-                side.split_off(m.local_range.0)
-            }
-        })
-        .collect();
-    debug_assert!(side.is_empty());
-    for m in msgs {
-        let chunk = chunks.pop().expect("one chunk per message");
-        if m.target == me {
-            keep.extend_from_slice(&chunk);
-        } else {
-            send(m, chunk)?;
-        }
+/// Append a kept or received chunk to a side that wants `want` elements,
+/// sized exactly at its first chunk, not before any is in flight.
+fn append<T: Copy>(got: &mut Vec<T>, want: usize, chunk: &[T]) {
+    if got.is_empty() {
+        got.reserve_exact(want);
     }
-    Ok(())
+    got.extend_from_slice(chunk);
 }
 
 // ---------------------------------------------------------------------------
@@ -205,13 +185,15 @@ pub(crate) fn staged<'c, T: SortKey, C: Transport>(
     layout: Layout,
     task: TaskRange,
     first_proc: u64,
-    small: Vec<T>,
-    large: Vec<T>,
+    data: Vec<T>,
+    pivot: T,
+    strict: Strictness,
     s_excl: u64,
     off_excl: u64,
     s_total: u64,
 ) -> impl Future<Output = Result<(Vec<T>, Vec<T>)>> + 'c {
     let me = first_proc + c.rank() as u64;
+    let (small, large) = partition(data, &pivot, strict);
     let (mut a, mut b) = task.procs(&layout);
     debug_assert_eq!(a, first_proc);
     let cut = task.lo + s_total;
@@ -342,46 +324,6 @@ mod tests {
                     .filter(|&x| (x < mid) != (me < mid) && partner(x, a, b, mid) == me)
                     .count();
                 assert!(senders <= 2, "q={q} me={me} senders={senders}");
-            }
-        }
-    }
-
-    /// `route_side` against the copy path it replaced (a `to_vec` of every
-    /// chunk): a side cut into 1, 2 and 3 chunks, with the kept chunk
-    /// first, middle, last or absent, hands out exactly the same slices to
-    /// the same places in the same order.
-    #[test]
-    fn route_side_delivers_the_copied_slices() {
-        let side: Vec<u64> = (100..110).collect();
-        for bounds in [&[0usize, 10][..], &[0, 4, 10], &[0, 3, 7, 10]] {
-            let msgs: Vec<OutMsg> = bounds
-                .windows(2)
-                .enumerate()
-                .map(|(i, w)| OutMsg {
-                    target: 10 + i as u64,
-                    local_range: (w[0], w[1]),
-                    small: true,
-                    first_pos: w[0] as u64,
-                })
-                .collect();
-            for me in (10..10 + msgs.len() as u64).chain([99]) {
-                let (mut want_keep, mut want_sent) = (Vec::new(), Vec::new());
-                for m in &msgs {
-                    let chunk = side[m.local_range.0..m.local_range.1].to_vec();
-                    if m.target == me {
-                        want_keep.extend_from_slice(&chunk);
-                    } else {
-                        want_sent.push((m.target, chunk));
-                    }
-                }
-                let (mut keep, mut sent) = (Vec::new(), Vec::new());
-                route_side(side.clone(), &msgs, me, &mut keep, |m, chunk| {
-                    sent.push((m.target, chunk));
-                    Ok(())
-                })
-                .unwrap();
-                assert_eq!(keep, want_keep, "bounds {bounds:?}, me {me}");
-                assert_eq!(sent, want_sent, "bounds {bounds:?}, me {me}");
             }
         }
     }

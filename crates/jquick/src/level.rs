@@ -19,7 +19,7 @@ use mpisim::{coll, ops, Result, Scaled, SortKey, Transport};
 
 use crate::exchange::{self, AssignmentKind};
 use crate::layout::{Layout, TaskRange};
-use crate::partition::{partition, sample_median, Strictness};
+use crate::partition::{count_small, sample_median, Strictness};
 use crate::pivot::{draw_samples, PivotCfg};
 
 /// Level-internal user tags (see `exchange::tags` for the exchange's).
@@ -106,13 +106,14 @@ pub(crate) fn run<T: SortKey, C: Transport>(
             .unwrap_or_default();
         coll::bcast_async(&scaled(scales.bcast), &mut pivot, 0, ltags::PIVOT).await?;
 
-        // Step 2: local partition (O(n/p) charged).
+        // Step 2: local partition (O(n/p) charged): the count here, the
+        // scatter in the exchange.
         c.charge_compute(data.len());
-        let (small, large) = partition(data, &pivot[0], Strictness::for_level(level));
+        let (pivot, strict) = (pivot[0], Strictness::for_level(level));
+        let n_small = count_small(&data, &pivot, strict) as u64;
 
         // Step 3: prefix-sum the small counts; the last process broadcasts
         // the total.
-        let n_small = small.len() as u64;
         let incl =
             coll::scan_async(&scaled(scales.scan), &[n_small], ltags::SCAN, ops::sum()).await?[0];
         let s_excl = incl - n_small;
@@ -125,10 +126,8 @@ pub(crate) fn run<T: SortKey, C: Transport>(
         coll::bcast_async(&scaled(scales.bcast), &mut total, last, ltags::TOTAL).await?;
         let s_total = total[0];
         if s_total == 0 || s_total == task.len() {
-            // Degenerate split: keep the data, let the driver retry with
-            // the flipped comparator.
-            let mut data = small;
-            data.extend(large);
+            // Degenerate split: the data is its own partition. Keep it, and
+            // let the driver retry with the flipped comparator.
             return Ok(LevelOutcome::Stuck { data });
         }
 
@@ -141,12 +140,16 @@ pub(crate) fn run<T: SortKey, C: Transport>(
         };
         let (small, large) = match kind {
             AssignmentKind::Greedy => {
-                exchange::greedy(&c, layout, task, f, small, large, s_excl, off_excl, s_total)?
-                    .await?
+                exchange::greedy(
+                    &c, layout, task, f, data, pivot, strict, n_small, s_excl, off_excl, s_total,
+                )?
+                .await?
             }
             AssignmentKind::Staged => {
-                exchange::staged(&c, layout, task, f, small, large, s_excl, off_excl, s_total)
-                    .await?
+                exchange::staged(
+                    &c, layout, task, f, data, pivot, strict, s_excl, off_excl, s_total,
+                )
+                .await?
             }
         };
         Ok(LevelOutcome::Split {
@@ -161,8 +164,49 @@ pub(crate) fn run<T: SortKey, C: Transport>(
 mod tests {
     use super::*;
     use crate::basecase::{settle, BaseTask};
-    use mpisim::Universe;
+    use crate::pivot::PivotCfg;
+    use mpisim::{nbcoll, SimConfig, Universe};
     use rbc::RbcComm;
+
+    // A degenerate split moves no data and scatters nothing: on all-equal
+    // keys (`<` puts them all right, `≤` all left) every rank gets back the
+    // very `Vec` it passed in: same buffer, capacity, keys and order.
+    #[test]
+    fn a_degenerate_split_returns_its_input_untouched() {
+        let (p, n) = (4, 4 * 9 + 3);
+        let layout = Layout::new(n, p as u64);
+        let task = TaskRange { lo: 0, hi: n };
+        for (level, kind) in [0, 1]
+            .into_iter()
+            .flat_map(|l| [AssignmentKind::Greedy, AssignmentKind::Staged].map(|k| (l, k)))
+        {
+            let res = Universe::run_poll(p, SimConfig::default(), move |env| async move {
+                let c = RbcComm::create(&env.world);
+                let me = env.rank() as u64;
+                // Spare capacity, which a scatter would not keep.
+                let mut data = Vec::with_capacity(layout.cap(me) as usize + 3);
+                data.resize(layout.cap(me) as usize, 5u64);
+                let (buf, len, cap) = (data.as_ptr() as usize, data.len(), data.capacity());
+                let scales = CollScales::NEUTRAL;
+                let pivot_cfg = PivotCfg::default();
+                let mut lv = start(c, scales, layout, task, level, kind, &pivot_cfg, data).unwrap();
+                nbcoll::wait_async(&mut lv).await.unwrap();
+                match lv.into_out() {
+                    Some(LevelOutcome::Stuck { data }) => {
+                        data.as_ptr() as usize == buf
+                            && (data.len(), data.capacity()) == (len, cap)
+                            && data.iter().all(|&x| x == 5)
+                    }
+                    _ => false,
+                }
+            });
+            assert!(
+                res.per_rank.iter().all(|&ok| ok),
+                "level {level}, {kind:?}: {:?}",
+                res.per_rank
+            );
+        }
+    }
 
     // Heap per task in flight, counted without a timer (u64 keys on RBC).
     // The driver boxes each level and each base case once; a level's
@@ -176,11 +220,12 @@ mod tests {
             let (scales, kind, none) =
                 (CollScales::NEUTRAL, AssignmentKind::Greedy, Vec::<u64>::new);
             let level = run(c.clone(), scales, layout, task, 0, kind, 1, vec![7u64]);
-            let greedy = exchange::greedy(&c, layout, task, 0, none(), none(), 0, 0, 0).unwrap();
-            let staged = exchange::staged(&c, layout, task, 0, none(), none(), 0, 0, 0);
+            let lt = Strictness::Lt;
+            let greedy = exchange::greedy(&c, layout, task, 0, none(), 0, lt, 0, 0, 0, 0).unwrap();
+            let staged = exchange::staged(&c, layout, task, 0, none(), 0, lt, 0, 0, 0);
             let base = settle(c.clone(), layout, 0, BaseTask { task, data: none() });
             let sizes = [
-                ("level", size_of_val(&level), 648),
+                ("level", size_of_val(&level), 608),
                 ("greedy exchange", size_of_val(&greedy), 120),
                 ("staged exchange", size_of_val(&staged), 208),
                 ("base case", size_of_val(&base), 176),

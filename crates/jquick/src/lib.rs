@@ -35,6 +35,7 @@
 //! assert_eq!(all, (0..64).collect::<Vec<_>>());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod assign;

@@ -13,6 +13,7 @@
 //! charged work vs host work".
 
 use std::cmp::Ordering;
+use std::iter::once;
 
 use mpisim::{SortKey, Transport};
 
@@ -50,44 +51,82 @@ impl Strictness {
 /// seeded sample draws index into these vectors, so their order is part of
 /// the deterministic result. Both outputs are exactly sized.
 pub fn partition<T: SortKey>(data: Vec<T>, pivot: &T, strict: Strictness) -> (Vec<T>, Vec<T>) {
-    // One copy of the loop per comparator: with the strictness tested per
-    // element the scatter runs at half the speed.
+    let n_small = count_small(&data, pivot, strict);
+    let lens = [n_small, data.len() - n_small];
+    let mut sides = partition_into(data, pivot, strict, 1, &lens);
+    let large = sides.pop().expect("two chunks");
+    (sides.pop().expect("two chunks"), large)
+}
+
+/// How many elements of `data` are small under `strict`.
+pub fn count_small<T: SortKey>(data: &[T], pivot: &T, strict: Strictness) -> usize {
     match strict {
-        Strictness::Lt => scatter(data, pivot, Ordering::is_lt),
-        Strictness::Le => scatter(data, pivot, Ordering::is_le),
+        Strictness::Lt => data.iter().filter(|x| x.cmp_key(pivot).is_lt()).count(),
+        Strictness::Le => data.iter().filter(|x| x.cmp_key(pivot).is_le()).count(),
     }
 }
 
-/// Stable two-way scatter, branch-free on the keys: a count pass sizes
-/// `large`, then every element is written to *both* destinations (the small
-/// side compacts in place in `data`, whose write cursor never passes the
-/// read cursor) and only the cursor of the side it belongs to advances. On
-/// uniform keys a `push` behind `if small` mispredicts every other element.
+/// [`partition`] straight into chunks: the first `n_small_chunks` of
+/// `lens` cut the small side in order, the rest the large side; they must
+/// add up to [`count_small`] and to the remainder. One exactly sized `Vec`
+/// per length: the greedy exchange sends them as they are.
+pub fn partition_into<T: SortKey>(
+    data: Vec<T>,
+    pivot: &T,
+    strict: Strictness,
+    n_small_chunks: usize,
+    lens: &[usize],
+) -> Vec<Vec<T>> {
+    debug_assert_eq!(lens.iter().sum::<usize>(), data.len());
+    // One copy of the loop per comparator: with the strictness tested per
+    // element the scatter runs at half the speed.
+    match strict {
+        Strictness::Lt => scatter(&data, pivot, Ordering::is_lt, n_small_chunks, lens),
+        Strictness::Le => scatter(&data, pivot, Ordering::is_le, n_small_chunks, lens),
+    }
+}
+
+/// Stable scatter into chunks, branch-free on the keys: every element is
+/// written to *both* the current small and the current large chunk, and
+/// only the cursor of the side it belongs to advances; a full chunk hands
+/// the cursor on to the side's next one. On uniform keys a `push` behind
+/// `if small` mispredicts every other element.
 fn scatter<T: SortKey>(
-    mut data: Vec<T>,
+    data: &[T],
     pivot: &T,
     small: impl Fn(Ordering) -> bool,
-) -> (Vec<T>, Vec<T>) {
-    let n_small = data.iter().filter(|x| small(x.cmp_key(pivot))).count();
-    let n_large = data.len() - n_small;
-    let mut large = vec![*pivot; n_large];
+    n_small_chunks: usize,
+    lens: &[usize],
+) -> Vec<Vec<T>> {
+    let mut chunks: Vec<Vec<T>> = lens.iter().map(|&n| vec![*pivot; n]).collect();
+    // After its last chunk a side writes into a spare slot, never
+    // advancing: no element is left for it.
+    let mut spares = [*pivot; 2];
+    let (s_spare, l_spare) = spares.split_at_mut(1);
+    let (smalls, larges) = chunks.split_at_mut(n_small_chunks);
+    let [mut smalls, mut larges] = [(smalls, s_spare), (larges, l_spare)]
+        .map(|(side, spare)| side.iter_mut().map(Vec::as_mut_slice).chain(once(spare)));
+    let (mut sc, mut lc): (&mut [T], &mut [T]) = (&mut [], &mut []);
     let (mut s, mut l, mut i) = (0, 0, 0);
-    // `l < n_large` keeps the unconditional write to `large[l]` in bounds;
-    // it turns false once, after the last large element.
-    while l < n_large {
-        let x = data[i];
-        let is_small = small(x.cmp_key(pivot));
-        data[s] = x;
-        large[l] = x;
-        s += usize::from(is_small);
-        l += usize::from(!is_small);
-        i += 1;
+    while i < data.len() {
+        if s == sc.len() {
+            (sc, s) = (smalls.next().expect("lens match the counts"), 0);
+        }
+        if l == lc.len() {
+            (lc, l) = (larges.next().expect("lens match the counts"), 0);
+        }
+        // Both writes are in bounds until one of the two chunks is full.
+        while s < sc.len() && l < lc.len() {
+            let x = data[i];
+            let is_small = small(x.cmp_key(pivot));
+            sc[s] = x;
+            lc[l] = x;
+            s += usize::from(is_small);
+            l += usize::from(!is_small);
+            i += 1;
+        }
     }
-    // Everything after the last large element is small.
-    data.copy_within(i.., s);
-    data.truncate(n_small);
-    data.shrink_to_fit();
-    (data, large)
+    chunks
 }
 
 /// The push loop `partition` replaced, kept as the test reference.
@@ -187,6 +226,61 @@ mod tests {
                         partition_reference(data.clone(), &pivot, strict),
                         "{strict:?} pivot {pivot} data {data:?}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The ways to cut a side of `m` elements into one to three chunks:
+    /// whole, or cut after the first element, in the middle and before the
+    /// last, one or two of these at a time. An empty side has no chunk.
+    fn cuttings(m: usize) -> Vec<Vec<usize>> {
+        if m == 0 {
+            return vec![Vec::new()];
+        }
+        let mut points: Vec<usize> = [1, m / 2, m - 1]
+            .into_iter()
+            .filter(|&c| 0 < c && c < m)
+            .collect();
+        points.dedup();
+        let mut out = vec![vec![m]];
+        for (i, &a) in points.iter().enumerate() {
+            out.push(vec![a, m - a]);
+            out.extend(points[i + 1..].iter().map(|&b| vec![a, b - a, m - b]));
+        }
+        out
+    }
+
+    #[test]
+    fn partition_into_returns_the_reference_slices() {
+        let slices = |side: &[u64], lens: &[usize]| -> Vec<Vec<u64>> {
+            let mut rest = side;
+            lens.iter()
+                .map(|&n| {
+                    let (head, tail) = rest.split_at(n);
+                    rest = tail;
+                    head.to_vec()
+                })
+                .collect()
+        };
+        // Five distinct keys, so every pivot has duplicates; pivots 0 and 5
+        // leave one side empty under one of the comparators.
+        for len in 0..32u64 {
+            let data: Vec<u64> = (0..len).map(|i| (i * i + len) % 5).collect();
+            for (pivot, strict) in (0..6).flat_map(|p| [(p, Strictness::Lt), (p, Strictness::Le)]) {
+                let (small, large) = partition_reference(data.clone(), &pivot, strict);
+                for s_lens in cuttings(small.len()) {
+                    for l_lens in cuttings(large.len()) {
+                        let lens = [&s_lens[..], &l_lens].concat();
+                        let got = partition_into(data.clone(), &pivot, strict, s_lens.len(), &lens);
+                        let mut want = slices(&small, &s_lens);
+                        want.extend(slices(&large, &l_lens));
+                        assert_eq!(
+                            got, want,
+                            "{strict:?} pivot {pivot} lens {lens:?} data {data:?}"
+                        );
+                        assert!(got.iter().all(|c| c.capacity() == c.len()));
+                    }
                 }
             }
         }

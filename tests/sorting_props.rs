@@ -4,7 +4,7 @@
 //! balanced (JQuick), and a permutation of the input.
 
 use jquick::basecase::{self, merge_kept_half, BaseTask};
-use jquick::partition::{partition, Strictness};
+use jquick::partition::{partition, partition_into, Strictness};
 use jquick::{
     fingerprint, generate_workload, hypercube, jquick_sort, jquick_sort_async, samplesort,
     verify_sorted, AssignmentKind, Dist, JQuickConfig, Layout, PivotCfg, RbcBackend, SampleSortCfg,
@@ -138,9 +138,6 @@ proptest! {
 /// bit equality and, unlike `==`, also holds for NaN against itself and
 /// tells `-0.0` from `0.0`.
 fn check_partition<T: SortKey + std::fmt::Debug>(data: &[T], pivot: T) {
-    let same = |got: &[T], want: &[T]| {
-        got.len() == want.len() && got.iter().zip(want).all(|(g, w)| g.cmp_key(w).is_eq())
-    };
     for strict in [Strictness::Lt, Strictness::Le] {
         let want: (Vec<T>, Vec<T>) = data.iter().partition(|&x| strict.is_small(x, &pivot));
         let got = partition(data.to_vec(), &pivot, strict);
@@ -150,6 +147,45 @@ fn check_partition<T: SortKey + std::fmt::Debug>(data: &[T], pivot: T) {
         );
         assert_eq!(got.0.capacity(), got.0.len(), "small is exactly sized");
         assert_eq!(got.1.capacity(), got.1.len(), "large is exactly sized");
+    }
+}
+
+/// Equal lengths and bit-equal keys (see [`check_partition`]).
+fn same<T: SortKey>(got: &[T], want: &[T]) -> bool {
+    got.len() == want.len() && got.iter().zip(want).all(|(g, w)| g.cmp_key(w).is_eq())
+}
+
+/// `partition_into` against the same push loop: each side is cut at two
+/// seeded points (one to three chunks, some possibly empty; an empty side
+/// into none), and the chunks must be exactly the slices of the push
+/// loop's sides, in order and exactly sized.
+fn check_partition_into<T: SortKey + std::fmt::Debug>(data: &[T], pivot: T, cut_seed: u64) {
+    let cut = |side: &[T], salt: u64| -> Vec<usize> {
+        if side.is_empty() {
+            return Vec::new();
+        }
+        let mut at = keys(cut_seed ^ salt, 2, side.len() as u64 + 1);
+        at.sort_unstable();
+        let bounds = [0, at[0] as usize, at[1] as usize, side.len()];
+        bounds.windows(2).map(|w| w[1] - w[0]).collect()
+    };
+    for strict in [Strictness::Lt, Strictness::Le] {
+        let want: (Vec<T>, Vec<T>) = data.iter().partition(|&x| strict.is_small(x, &pivot));
+        let (s_lens, l_lens) = (cut(&want.0, 1), cut(&want.1, 2));
+        let lens = [&s_lens[..], &l_lens].concat();
+        let got = partition_into(data.to_vec(), &pivot, strict, s_lens.len(), &lens);
+        assert_eq!(got.len(), lens.len(), "one chunk per length");
+        let mut sides = [&want.0[..], &want.1[..]];
+        for (k, chunk) in got.iter().enumerate() {
+            let side = &mut sides[usize::from(k >= s_lens.len())];
+            let (head, rest) = side.split_at(lens[k]);
+            assert!(
+                same(chunk, head),
+                "{strict:?} pivot {pivot:?} lens {lens:?} data {data:?}: chunk {k} {chunk:?}"
+            );
+            assert_eq!(chunk.capacity(), chunk.len(), "chunk {k} is exactly sized");
+            *side = rest;
+        }
     }
 }
 
@@ -212,6 +248,24 @@ proptest! {
     ) {
         let data: Vec<(u64, u64)> = keys(seed, len, 16).iter().map(|&k| (k / 4, k % 4)).collect();
         check_partition(&data, (pivot / 4, pivot % 4));
+    }
+
+    #[test]
+    fn partition_into_matches_push_loop(
+        len in 0usize..200,
+        seed in any::<u64>(),
+        cut_seed in any::<u64>(),
+        pivot in 0u64..8,
+    ) {
+        let data = keys(seed, len, 8);
+        check_partition_into(&data, pivot, cut_seed);
+        check_partition_into(&data, 0, cut_seed);
+        check_partition_into(&data, 8, cut_seed);
+        // The images JQuick sorts `f64` keys as, edge values as pivots.
+        let images: Vec<u64> = data.iter().map(|&i| F64_EDGES[i as usize].to_ordinal()).collect();
+        check_partition_into(&images, F64_EDGES[pivot as usize].to_ordinal(), cut_seed);
+        let pairs: Vec<(u64, u64)> = data.iter().map(|&k| (k / 4, k % 4)).collect();
+        check_partition_into(&pairs, (pivot / 4, pivot % 4), cut_seed);
     }
 
     // Every split of a multiset into two sorted runs, every `cap_left`: the
