@@ -225,7 +225,7 @@ fn bench_exchange_encoding(c: &mut Criterion) {
 /// messages per step to deterministic offsets with colliding tags, then
 /// wildcard-drains its in-degree — the exact shape `tests/commit_shard.rs`
 /// uses. The storm repeats for several rounds inside one universe so the
-/// epoch commit (the ordering step under measurement) amortises the
+/// epoch commit (the push step under measurement) amortises the
 /// universe setup out of the numbers. The ranks are future bodies: a
 /// synchronous body would add two thread hand-offs to every task step.
 fn commit_storm(p: usize, per: usize) -> mpisim::Time {
@@ -266,8 +266,8 @@ fn commit_storm(p: usize, per: usize) -> mpisim::Time {
 fn bench_commit_storm(c: &mut Criterion) {
     let mut g = c.benchmark_group("commit_storm");
     // (ranks, steps): m = p·per·4 staged messages per epoch wave, across
-    // p tasks — small/medium/wide shapes, the widest sharding its commit
-    // over the 4-worker pool.
+    // p tasks — small/medium/wide shapes, the widest publishing its
+    // commit to the 4-worker pool.
     for &(p, per) in &[(64usize, 2usize), (64, 8), (64, 32), (256, 8)] {
         g.bench_function(&format!("p{p}x{per}"), |b| {
             b.iter(|| commit_storm(black_box(p), black_box(per)))

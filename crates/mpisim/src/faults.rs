@@ -4,9 +4,9 @@
 //! balance where samplesort and multilevel degrade — but a simulator that
 //! only ever runs clean schedules cannot exercise that claim. This module
 //! injects three hostile-condition fault classes, all **pure functions of
-//! `(program, seed, perturbation seed)`** — never of the worker count or
-//! commit algorithm, so the cooperative scheduler's bit-identical
-//! any-worker-count determinism (DESIGN.md §5/§7) is fully preserved:
+//! `(program, seed, perturbation seed)`** — never of the worker count, so
+//! the cooperative scheduler's bit-identical any-worker-count
+//! determinism (DESIGN.md §5/§7) is fully preserved:
 //!
 //! * **Slowdown distributions** ([`SlowdownSpec`]): each rank draws a
 //!   multiplicative factor from the perturbation seed; a slowed rank's
@@ -22,9 +22,8 @@
 //!   and blocked peers are poisoned by the exact deadlock detector.
 //! * **Message-delay jitter** ([`FaultPlan::jitter`]): every message's
 //!   arrival is inflated by a hash of `(perturb_seed, sender, send
-//!   counter)` — applied at send-pricing time, *before* the epoch commit
-//!   sorts on the running-max matchable key, so the §5 window argument is
-//!   untouched (see DESIGN.md §8).
+//!   counter)` — applied at send-pricing time, *before* the message is
+//!   staged, so the §5 window argument is untouched (see DESIGN.md §8).
 //!
 //! Every timeout and deadlock carries a [`RoundBlame`]: which ranks the
 //! stalled operation is waiting on, their last virtual-time activity, and
@@ -241,7 +240,7 @@ impl FaultState {
 
     /// Arrival jitter (in nanoseconds) for the `seq`-th message rank
     /// `src` ever sends: a pure hash of `(perturb_seed, src, seq)`, so it
-    /// is identical for every worker count and commit algorithm.
+    /// is identical for every worker count.
     #[inline]
     pub fn jitter_ns(&self, src: usize, seq: u64) -> u64 {
         if self.jitter_max_ns == 0 {

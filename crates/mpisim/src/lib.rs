@@ -58,7 +58,7 @@ pub use datum::{ops, Datum, SortKey, Zeroed};
 pub use error::{MpiError, Result};
 pub use faults::{FaultPlan, RankBlame, RankHealth, RoundBlame, SlowdownSpec};
 pub use group::Group;
-pub use model::{CommitAlgo, CostModel, CostScale, CreateGroupAlgo, SplitAlgo, VendorProfile};
+pub use model::{CostModel, CostScale, CreateGroupAlgo, SplitAlgo, VendorProfile};
 pub use msg::{ContextId, MsgInfo, Tag};
 pub use nbcoll::{Progress, Request};
 pub use obs::{MetricsSnapshot, OpClass, SchedProfile, Trace, TraceEvent, WorkerProfile};

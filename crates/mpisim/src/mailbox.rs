@@ -75,9 +75,12 @@
 //! matching deposit satisfies, or, for a rank that *polls* several
 //! patterns and cannot name one (a nonblocking machine, a janus sweeping
 //! two levels), "any deposit" ([`Mailbox::wait_any`]). The deposit that
-//! satisfies the wait clears it and says so to its caller; the epoch
-//! commit, which knows whose mailbox it is pushing into, wakes that rank
-//! (see [`crate::sched`]).
+//! satisfies the wait says so to its caller, and the epoch commit, which
+//! knows whose mailbox it is pushing into, wakes that rank (see
+//! [`crate::sched`]). A wait fires once: a satisfied pattern stays in the
+//! slot as `Satisfied` until the rank's next arm or `clear_wait`, and the
+//! deposits it sees are still pattern checks (`scans`), so neither the
+//! rank woken nor `scans` depends on the order of one commit's deposits.
 
 use parking_lot::Mutex;
 
@@ -90,6 +93,9 @@ enum Wait {
     Match(MatchPattern),
     /// A polling loop between sweeps: satisfied by any deposit.
     AnyDeposit,
+    /// A `Match` a deposit satisfied, until the rank runs again: later
+    /// deposits still count as pattern checks but fire nothing.
+    Satisfied,
 }
 
 /// Slab index of "no node": end of a FIFO chain or of the free list.
@@ -135,14 +141,15 @@ struct Inner {
     /// `buckets[..live]` have a message pending, the rest are spares.
     live: usize,
     count: usize,
-    /// The wait slot. Armed only by this mailbox's own rank, cleared by
-    /// the deposit that satisfies it.
+    /// The wait slot. Armed only by this mailbox's own rank; the deposit
+    /// that satisfies it leaves `Satisfied` (a pattern) or nothing.
     wait: Option<Wait>,
     /// Pattern checks performed by deposits (one per deposit while a
-    /// pattern is armed): the mailbox's share of the deterministic
-    /// [`crate::obs::MetricsSnapshot`]. The armed wait at each commit is
-    /// a pure function of the epoch structure, so this count is
-    /// worker-invariant.
+    /// pattern is armed or satisfied): the mailbox's share of the
+    /// deterministic [`crate::obs::MetricsSnapshot`]. The wait at each
+    /// commit is a pure function of the epoch structure and every deposit
+    /// of the commit counts, so this count depends on neither the worker
+    /// count nor the push order.
     scans: u64,
 }
 
@@ -304,34 +311,41 @@ impl Mailbox {
     }
 
     /// Deposit one message under the held lock; true if it satisfied the
-    /// armed wait, which it then cleared. `AnyDeposit` is not a pattern
-    /// check and adds nothing to `scans`. Every push goes through this
-    /// one helper (by way of [`Mailbox::push_all`]), so the sharded
-    /// commit's batches and the serial reference's single pushes cannot
-    /// drift apart (DESIGN.md §7).
+    /// armed wait, which then fires nothing more. `AnyDeposit` is not a
+    /// pattern check and adds nothing to `scans`. Every push goes through
+    /// this one helper (by way of [`Mailbox::push_all`]), so single pushes
+    /// and the commit's runs cannot drift apart (DESIGN.md §7).
     #[inline]
     fn deposit(g: &mut Inner, m: Message) -> bool {
         let satisfied = match &g.wait {
             None => false,
-            Some(Wait::AnyDeposit) => true,
+            Some(Wait::AnyDeposit) => {
+                g.wait = None;
+                true
+            }
+            Some(Wait::Satisfied) => {
+                g.scans += 1;
+                false
+            }
             Some(Wait::Match(pat)) => {
                 g.scans += 1;
-                pat.matches(&m)
+                let hit = pat.matches(&m);
+                if hit {
+                    g.wait = Some(Wait::Satisfied);
+                }
+                hit
             }
         };
-        if satisfied {
-            g.wait = None;
-        }
         g.enqueue(m);
         satisfied
     }
 
     /// Deposit a run of messages under **one** lock acquisition. If a
     /// message satisfied the armed wait, returns its position in the run
-    /// (at most one does: the first satisfaction clears the slot) and the
-    /// caller wakes this mailbox's rank. The epoch commit's entry point:
-    /// it feeds each destination's globally-ordered segment straight from
-    /// where the senders staged it.
+    /// (at most one does: a wait fires once) and the caller wakes this
+    /// mailbox's rank. The epoch commit's entry point: it feeds each run
+    /// of one outbox's messages to this destination straight from where
+    /// the senders staged them.
     pub(crate) fn push_all(&self, msgs: impl Iterator<Item = Message>) -> Option<usize> {
         let mut g = self.inner.lock();
         let mut fired = None;
@@ -385,8 +399,9 @@ impl Mailbox {
     }
 
     /// Claim the best match, or, if nothing matches, arm the wait slot
-    /// with `pat` (replacing whatever it held). The check and the arming
-    /// are one step under the mailbox lock; a hit clears the slot.
+    /// with `pat` (replacing whatever it held, `Satisfied` too). The
+    /// check and the arming are one step under the mailbox lock; a hit
+    /// clears the slot.
     pub fn claim_or_wait(&self, pat: &MatchPattern) -> Option<Message> {
         let mut g = self.inner.lock();
         let hit = g.claim(pat);
@@ -411,8 +426,7 @@ impl Mailbox {
         self.inner.lock().wait = Some(Wait::AnyDeposit);
     }
 
-    /// Disarm the wait slot. Idempotent: the deposit that satisfied the
-    /// wait already emptied it.
+    /// Disarm the wait slot, satisfied or not. Idempotent.
     pub fn clear_wait(&self) {
         self.inner.lock().wait = None;
     }
@@ -602,15 +616,16 @@ mod tests {
     }
 
     #[test]
-    fn pattern_wait_is_satisfied_only_by_a_match_and_cleared_by_it() {
+    fn pattern_wait_is_satisfied_only_by_a_match_and_fires_once() {
         let mb = Mailbox::new();
         assert!(mb.claim_or_wait(&pat(SrcFilter::Exact(1), 5, 0)).is_none());
         assert!(!mb.push(msg(2, 5, 0, 1, 0)), "wrong source");
         assert!(!mb.push(msg(1, 6, 0, 1, 0)), "wrong tag");
         assert!(mb.push(msg(1, 5, 0, 1, 0)), "the match satisfies the wait");
-        assert!(!mb.push(msg(1, 5, 0, 2, 0)), "and cleared it");
-        // One pattern check per deposit while the pattern was armed.
-        assert_eq!(mb.scans(), 3);
+        assert!(!mb.push(msg(1, 5, 0, 2, 0)), "which fires once");
+        // One pattern check per deposit while the pattern was armed or
+        // satisfied: the count does not depend on where the match fell.
+        assert_eq!(mb.scans(), 4);
     }
 
     #[test]
@@ -620,14 +635,14 @@ mod tests {
         let mut batch = vec![
             msg(1, 6, 0, 1, 10), // wrong tag: not the trigger
             msg(1, 5, 0, 2, 11), // first match: the trigger, index 1
-            msg(1, 5, 0, 3, 12), // wait already cleared
+            msg(1, 5, 0, 3, 12), // wait already satisfied
             msg(2, 5, 0, 1, 13),
         ];
         let mut fired = Vec::new();
         mb.push_batch(&mut batch, &mut fired);
         assert!(batch.is_empty(), "the batch buffer is drained for reuse");
         assert_eq!(fired, vec![1]);
-        assert_eq!(mb.scans(), 2);
+        assert_eq!(mb.scans(), 4);
         // Messages landed with per-source FIFO and wildcard order exactly
         // as a sequence of single pushes would have left them.
         let p5 = pat(SrcFilter::Any, 5, 0);

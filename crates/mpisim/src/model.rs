@@ -138,38 +138,6 @@ pub enum SplitAlgo {
     Allgather,
 }
 
-/// Which algorithm the cooperative scheduler's epoch **commit** uses to
-/// deliver an epoch's staged messages (see [`crate::sched`] and DESIGN.md
-/// §7).
-///
-/// This is a *simulator* knob, not a simulated-MPI one: both variants
-/// produce bit-identical simulations (delivery orders, clocks, figure
-/// CSVs) for every worker count, exactly like [`SplitAlgo`] keeps the
-/// all-gather split as the oracle for the distributed sort. The commit
-/// itself costs no virtual time — it is the mechanism that realises the
-/// α–β model's arrival order, so only its wall-clock cost differs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum CommitAlgo {
-    /// Destination-major commit: the staged run is sorted in place by
-    /// `(dest, matchable_time, sender, seq)` (a unique key, so the
-    /// allocation-free unstable sort is deterministic; DESIGN.md §10),
-    /// partitioned into per-destination-rank segments, and idle workers
-    /// claim segments lock-free, pushing into disjoint mailboxes in
-    /// parallel. Each push reports whether it satisfied the destination's
-    /// armed wait; the woken ranks join the next round, which is sorted by
-    /// rank, so it stays a pure function of `(program, seed)`.
-    #[default]
-    Sharded,
-    /// The original single-threaded commit: one worker stable-sorts the
-    /// staged run by the global `(matchable_time, sender, seq)` key and
-    /// pushes every message itself, in that order. Kept as the
-    /// correctness reference for the sharded variant — a different sort
-    /// algorithm, key and delivery path — and selectable only through
-    /// [`SimConfig::with_commit_algo`](crate::SimConfig::with_commit_algo)
-    /// (no environment knob).
-    Serial,
-}
-
 /// An MPI implementation personality.
 #[derive(Clone, Debug)]
 pub struct VendorProfile {

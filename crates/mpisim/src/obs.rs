@@ -9,12 +9,11 @@
 //!   [`TraceEvent`]s — op spans, send/deliver edges, phase markers, fault
 //!   injections, blame emissions — to its **own** per-rank buffer, stamped
 //!   with its virtual clock. Because each rank's body runs serially with
-//!   bit-identical inputs for every worker count and commit algorithm
-//!   (DESIGN.md §5/§7), each per-rank stream is worker-invariant; the
-//!   global trace merges them in `(time, rank, seq)` order — the same key
-//!   family the epoch commit sorts sends by — so the merged trace is a
-//!   pure function of `(program, seed, fault seed)` and **byte-identical**
-//!   across `coop_workers` and `CommitAlgo`. Appending never touches a
+//!   bit-identical inputs for every worker count (DESIGN.md §5/§7), each
+//!   per-rank stream is worker-invariant; the global trace merges them in
+//!   `(time, rank, seq)` order, so the merged trace is a pure function of
+//!   `(program, seed, fault seed)` and **byte-identical** across
+//!   `coop_workers`. Appending never touches a
 //!   clock, an RNG, or a counter the model reads: observer effect = 0.
 //! * **Model metrics** ([`MetricsSnapshot`], always on): message/byte
 //!   totals, per-[`OpClass`] volumes, mailbox scan work, epochs, wake-ups,
@@ -23,7 +22,7 @@
 //!   change, not noise.
 //! * **Scheduler profile** ([`SchedProfile`], opt-in via
 //!   [`SimConfig::sched_profile`](crate::SimConfig)): per-worker run /
-//!   commit / idle wall-clock phase timings and shard-claim counts. Host
+//!   commit / idle wall-clock phase timings and claim counts. Host
 //!   wall-clock is *deliberately outside* the deterministic domain — it
 //!   exists to attribute multicore speedup, never to be diffed.
 
@@ -221,7 +220,7 @@ impl Trace {
 
     /// Canonical text rendering: one line per event, integer-nanosecond
     /// timestamps, no floats. This is the representation CI byte-diffs
-    /// across worker counts and commit algorithms.
+    /// across worker counts.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for r in &self.events {
@@ -474,7 +473,7 @@ impl ClassCell {
 
 /// The deterministic model-metric snapshot of a run. Every field is a
 /// pure function of `(program, seed, fault seed)` — identical for every
-/// worker count and commit algorithm — so CI compares these at **exact
+/// worker count — so CI compares these at **exact
 /// equality** (the `tracevol` CSVs are golden files, `results/golden/`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
@@ -535,12 +534,12 @@ impl MetricsSnapshot {
 pub struct WorkerProfile {
     /// Nanoseconds spent stepping rank bodies.
     pub run_ns: u64,
-    /// Nanoseconds spent pushing commit shards and advancing phases:
-    /// gathering and ordering an epoch's staged messages and, on the
-    /// inline (one-shard) path, delivering them.
+    /// Nanoseconds spent pushing published outboxes and advancing
+    /// phases, which includes delivering an epoch's messages on the
+    /// committing worker when the commit is not published.
     pub commit_ns: u64,
     /// Always 0: the published k-way merge round this timed is gone
-    /// (ordering is one in-place sort, counted under `commit_ns`). The
+    /// (the commit orders nothing, DESIGN.md §7). The
     /// field stays because the perf ledger (`benchmark/`) reads it through
     /// the `pub` surface and is byte-frozen for a PR that changes the
     /// code it measures; a `benchmark`-only PR drops its
@@ -550,7 +549,8 @@ pub struct WorkerProfile {
     pub idle_ns: u64,
     /// Task resumptions this worker claimed.
     pub tasks: u64,
-    /// Commit shards this worker claimed.
+    /// Outbox units of published commits this worker pushed. The name is
+    /// that of the perf ledger's `sched.shards` row.
     pub shards: u64,
     /// Always 0, and kept for the same reason as `merge_ns` (the
     /// ledger's `sched.merge_runs` row).
@@ -565,9 +565,10 @@ pub struct WorkerProfile {
 pub struct SchedProfile {
     /// One entry per worker, indexed by worker id.
     pub workers: Vec<WorkerProfile>,
-    /// Commit-shard pool reuses across all commits (a shard's vectors).
+    /// Outbox pool reuses across all commits (an outbox swapped in for
+    /// one handed in).
     pub pool_hits: u64,
-    /// Commit-shard pool misses (fresh shards) across all commits.
+    /// Outbox pool misses (fresh, empty outboxes) across all commits.
     pub pool_misses: u64,
 }
 

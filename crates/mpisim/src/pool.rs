@@ -1,5 +1,5 @@
 //! [`Pool<T>`]: a mutexed free list with hit/miss counters, for the
-//! scheduler's commit scratch (shard vectors, runnable-index vectors, …),
+//! scheduler's commit scratch (outboxes, runnable-index vectors, …),
 //! one pool per buffer family.
 //!
 //! Message payloads are not pooled: a payload is a plain `Vec<T>`,

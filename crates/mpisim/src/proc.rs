@@ -326,9 +326,9 @@ impl ProcState {
         // Fault injection: a straggler's transfers take `factor ×` as long,
         // and the fault plan's arrival jitter inflates the arrival by a
         // pure hash of (perturb_seed, sender, send counter). Both inflate
-        // the arrival *before* the message is staged, so the epoch commit's
-        // running-max matchable key orders jittered messages exactly like
-        // clean ones (DESIGN.md §8) — and both are no-ops (bit for bit)
+        // the arrival *before* the message is staged, so the mailbox
+        // selects jittered messages by arrival exactly like clean ones
+        // (DESIGN.md §8) — and both are no-ops (bit for bit)
         // when the fault plan is empty or zero-magnitude.
         let faults = &self.router.faults;
         let f = faults.factor(self.global_rank);

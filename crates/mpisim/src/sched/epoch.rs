@@ -5,27 +5,29 @@
 //! ordered round of runnable tasks, which workers claim lock-free (an
 //! atomic cursor over an immutable round vector) and step *in parallel*.
 //! That cannot perturb the simulation because tasks of one round are
-//! isolated: sends are staged in the sender's own buffer, a rank only
-//! claims from its own mailbox and nothing is pushed into any mailbox
-//! while tasks run, and clocks, RNG streams and context pools are
-//! per-rank. When every task of the round has switched out, the worker
-//! that completed the last unit commits the epoch (`sched/commit.rs`) and
-//! publishes the next round: the tasks that yielded and the tasks the
-//! commit woke, in ascending rank order. An empty next round with live
-//! tasks is a deadlock; its tasks are poisoned (`sched/task.rs`).
+//! isolated: sends are staged in the stepping worker's outbox, a rank
+//! only claims from its own mailbox and nothing is pushed into any
+//! mailbox while tasks run, and clocks, RNG streams and context pools are
+//! per-rank. A worker that finds no unit left to claim hands its outbox
+//! to the commit and only then counts the units it completed, so the
+//! worker whose count completes the round holds every message of it: it
+//! commits the epoch (`sched/commit.rs`) and publishes the next round,
+//! the tasks that yielded and the tasks the commit woke, in ascending
+//! rank order. An empty next round with live tasks is a deadlock; its
+//! tasks are poisoned (`sched/task.rs`).
 //!
-//! **Invariant:** a phase (a task round, or the shards of a wide commit)
-//! is identified by a generation number that the claim cursor carries in
-//! its high half. A claim succeeds only against the generation it read
-//! from the gate, so a worker holding a stale phase can never take a unit
-//! of the next one, and exactly one worker — the one whose completion
-//! brings the done-count to the phase's unit count — advances the phase.
-//! Round membership, each task's behaviour against frozen mailboxes and
-//! the commit order are pure functions of `(program, seed)`; which worker
-//! runs what is not an input to any of them. The *order* of a round is
-//! not an input either (its tasks are isolated from one another), so it
-//! is chosen for the host: rank order walks the per-rank state and the
-//! mailboxes the destination-major commit just filled in address order.
+//! **Invariant:** a phase (a task round, or the outboxes of a wide
+//! commit) is identified by a generation number that the claim cursor
+//! carries in its high half. A claim succeeds only against the generation
+//! it read from the gate, so a worker holding a stale phase can never
+//! take a unit of the next one, and exactly one worker — the one whose
+//! count brings the done-count to the phase's unit count — advances the
+//! phase. Round membership, each task's behaviour against frozen
+//! mailboxes and the set each mailbox receives are pure functions of
+//! `(program, seed)`; which worker runs what is not an input to any of
+//! them. The *order* of a round is not an input either (its tasks are
+//! isolated from one another), so it is chosen for the host: rank order
+//! walks the per-rank state in address order.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -35,8 +37,7 @@ use parking_lot::{Condvar, Mutex};
 
 use super::commit::{Begun, Commit, CommitWork};
 use super::poll::RankBody;
-use super::task::{poison, SchedShared, TaskSlot};
-use crate::model::CommitAlgo;
+use super::task::{poison, swap_outbox, Outbox, SchedShared, TaskSlot, OUTBOX};
 use crate::obs::{SchedProfile, WorkerProfile};
 use crate::proc::Router;
 
@@ -45,7 +46,7 @@ use crate::proc::Router;
 enum Work {
     /// Tasks of the current epoch, in deterministic order.
     Tasks(Arc<Vec<usize>>),
-    /// Shards of the finished epoch's staged messages.
+    /// Outboxes of the finished epoch.
     Commit(Arc<CommitWork>),
 }
 
@@ -75,10 +76,14 @@ struct EpochGate {
 /// the detector is off entirely when the fault plan schedules no crashes.
 const STAGNANT_EPOCH_LIMIT: usize = 64;
 
-/// The epoch scheduler of one universe run.
-pub(crate) struct Scheduler {
+/// The epoch scheduler of one universe run, whose rank bodies may borrow
+/// for `'a`.
+pub(crate) struct Scheduler<'a> {
     shared: Arc<SchedShared>,
     slots: Vec<TaskSlot>,
+    /// The rank programs. A body's lock is taken only by the worker that
+    /// won its task's claim, so it never waits.
+    bodies: Vec<Mutex<Option<Box<dyn RankBody + 'a>>>>,
     /// Whether the fault plan schedules a crash (arms the stagnation
     /// detector).
     crashes_armed: bool,
@@ -108,16 +113,16 @@ pub(crate) struct Scheduler {
     profiles: Mutex<Vec<WorkerProfile>>,
 }
 
-impl Scheduler {
+impl<'a> Scheduler<'a> {
     /// `p` empty task slots delivering through `router`.
-    /// `commit_algo` selects the commit pipeline.
-    pub fn new(p: usize, router: Arc<Router>, commit_algo: CommitAlgo, profile: bool) -> Scheduler {
+    pub fn new(p: usize, router: Arc<Router>, profile: bool) -> Scheduler<'a> {
         let shared = Arc::new(SchedShared::new(p));
         Scheduler {
             slots: (0..p).map(|_| TaskSlot::new()).collect(),
+            bodies: (0..p).map(|_| Mutex::new(None)).collect(),
             shared,
             crashes_armed: router.faults.has_crashes(),
-            commit: Commit::new(router, commit_algo),
+            commit: Commit::new(router),
             gate: Mutex::new(EpochGate {
                 work: Work::Tasks(Arc::new(Vec::new())),
                 gen: 0,
@@ -141,16 +146,17 @@ impl Scheduler {
     }
 
     /// Install the body of `rank`'s task.
-    pub fn spawn(&mut self, rank: usize, body: Box<dyn RankBody>) {
-        self.slots[rank].install(body);
+    pub fn spawn(&mut self, rank: usize, body: Box<dyn RankBody + 'a>) {
+        *self.bodies[rank].get_mut() = Some(body);
     }
 
     /// Run every spawned task to completion on `workers` OS threads.
     /// Returns the first recorded panic.
     pub fn run(&self, workers: usize) -> Option<(usize, Box<dyn Any + Send>)> {
         let workers = workers.max(1);
-        // The worker count sizes the shard heuristic, which never affects
-        // simulation output. Epoch 1 is every task, in rank order.
+        // The worker count decides whether a commit is published, which
+        // never affects simulation output. Epoch 1 is every task, in rank
+        // order.
         self.commit.workers.store(workers, Ordering::Relaxed);
         {
             let mut g = self.gate.lock();
@@ -176,8 +182,7 @@ impl Scheduler {
     }
 
     /// The scheduler's deterministic model counters after a run:
-    /// `(epochs, wakeups, switches)`, identical for every worker count and
-    /// commit algorithm.
+    /// `(epochs, wakeups, switches)`, identical for every worker count.
     pub fn counters(&self) -> (u64, u64, u64) {
         (
             self.shared.epochs.load(Ordering::Relaxed),
@@ -191,7 +196,7 @@ impl Scheduler {
         if !self.profile {
             return None;
         }
-        let (pool_hits, pool_misses) = self.commit.pools.entry_pool.counters();
+        let (pool_hits, pool_misses) = self.commit.pools.outbox_pool.counters();
         Some(SchedProfile {
             workers: std::mem::take(&mut *self.profiles.lock()),
             pool_hits,
@@ -224,23 +229,36 @@ impl Scheduler {
         }
     }
 
+    /// Step `rank`'s task on the calling worker, which claimed it.
+    fn step(&self, rank: usize) {
+        let mut body = self.bodies[rank]
+            .try_lock()
+            .expect("the claim CAS gives a task to one worker");
+        self.slots[rank].step(rank, &mut body, &self.shared);
+    }
+
     /// One worker: claim and execute units of the current phase, and of
     /// every phase it chains into, until the universe completes. When no
-    /// unit is claimable and the phase has not advanced, another worker
-    /// owns its tail and will publish the next one: sleep on the gate until
-    /// it does.
+    /// unit is claimable it hands its outbox in and counts its units done;
+    /// if the phase has not advanced, another worker owns its tail and will
+    /// publish the next one: sleep on the gate until it does.
     fn worker_loop(&self, widx: usize) {
+        // A universe run inside a rank's step (on this thread, at one
+        // worker) must not take that rank's staged sends for its own.
+        let outer = swap_outbox(Outbox::new());
         let mut prof = WorkerProfile::default();
         let mut g = self.gate.lock();
         while !g.done {
             let (gen, work) = (g.gen, g.work.clone());
             drop(g);
+            let mut done = 0;
             while let Some(i) = self.try_claim(gen, work.units()) {
                 let t0 = self.profile.then(std::time::Instant::now);
                 match &work {
-                    Work::Tasks(round) => self.slots[round[i]].step(round[i], &self.shared),
-                    Work::Commit(cw) => self.commit.push_shard(cw, i),
+                    Work::Tasks(round) => self.step(round[i]),
+                    Work::Commit(cw) => self.commit.push_unit(cw, i),
                 }
+                done += 1;
                 if let Some(t0) = t0 {
                     let ns = t0.elapsed().as_nanos() as u64;
                     match &work {
@@ -254,12 +272,15 @@ impl Scheduler {
                         }
                     }
                 }
-                if self.round_done.fetch_add(1, Ordering::AcqRel) + 1 == work.units() {
-                    // Last unit of the phase: advance it (single-threaded
-                    // by construction: every other worker is waiting on
-                    // the gate or about to). The advance orders and, on
-                    // the inline path, delivers the epoch's messages:
-                    // commit time.
+            }
+            if done > 0 {
+                OUTBOX.with(|o| self.commit.hand_in(&mut o.borrow_mut()));
+                if self.round_done.fetch_add(done, Ordering::AcqRel) + done == work.units() {
+                    // Last units of the phase: advance it (single-threaded
+                    // by construction: every other worker has counted its
+                    // units and is waiting on the gate or about to). The
+                    // advance delivers the epoch's messages, or publishes
+                    // them: commit time.
                     let t0 = self.profile.then(std::time::Instant::now);
                     match &work {
                         Work::Tasks(round) => self.finish_round(round),
@@ -285,6 +306,7 @@ impl Scheduler {
             }
         }
         drop(g);
+        swap_outbox(outer);
         if self.profile {
             let mut ps = self.profiles.lock();
             if ps.len() <= widx {
@@ -304,15 +326,15 @@ impl Scheduler {
         let mut next = self.commit.pools.idx_pool.take();
         next.extend(round.iter().filter(|&&tid| self.slots[tid].yielded()));
         let yielded = next.len();
-        let (begun, msgs) = self.commit.begin(round, &self.slots, next);
+        let (begun, msgs) = self.commit.begin(next);
         // Progress signal for the stagnation detector below: a pure
         // function of the epoch contents.
         self.epoch_msgs.store(msgs, Ordering::Relaxed);
         match begun {
             Begun::Delivered(next) => self.finish_epoch(next, yielded),
-            // This worker re-enters its claim loop and takes shards
+            // This worker re-enters its claim loop and takes outboxes
             // alongside the woken pool.
-            Begun::Sharded(cw) => self.publish(Work::Commit(cw)),
+            Begun::Published(cw) => self.publish(Work::Commit(cw)),
         }
     }
 
@@ -345,7 +367,7 @@ impl Scheduler {
         // poison every unfinished task so polling loops fail loudly with
         // a RoundBlame. Every input here is a pure function of the epoch
         // contents, so the poison epoch is identical for every worker
-        // count and commit algorithm.
+        // count.
         let live = self.shared.live.load(Ordering::Acquire);
         if live > 0 && self.crashes_armed {
             let msgs = self.epoch_msgs.swap(0, Ordering::Relaxed);

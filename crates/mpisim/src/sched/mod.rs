@@ -6,20 +6,20 @@
 //! again by the scheduler, and the commit wakes exactly the ranks whose
 //! matching message arrived (a rank in a polling loop: whose mailbox
 //! received anything at all). A rank therefore runs only between its own
-//! MPI calls: the weak-progress model the paper's RBC assumes.
-//! Merged delivery order, and with it every simulation output, is
-//! bit-for-bit identical for any `coop_workers`, either commit algorithm
-//! and either kind of rank body.
+//! MPI calls: the weak-progress model the paper's RBC assumes. What each
+//! mailbox holds at every commit, and with it every simulation output, is
+//! bit-for-bit identical for any `coop_workers` and either kind of rank
+//! body.
 //!
 //! Each layer states its own invariant once, in its module docs:
 //!
 //! | module | owns | invariant in one line |
 //! |---|---|---|
-//! | `epoch` | gate, claim cursor, publish (rounds in rank order), worker loop, deadlock and stagnation detection | one generation-tagged phase at a time; the last completed unit advances it |
-//! | `commit` | commit key, the one ordering, shard push, the woken ranks, scratch pools | every mailbox sees ascending key order; the set of ranks woken is worker-invariant |
-//! | `task` | slot, states, staging, poisoning, the spin limit, **how a rank waits**: the three wait leaves (`claim` / `probe` on a pattern, `park_until_deposit` on any deposit, `yield_now_async`), and try-mode, in which a receive tries once and the park returns `Pending` unarmed | one worker touches a task at a time; check and arm, store the state, suspend |
+//! | `epoch` | gate, claim cursor, publish (rounds in rank order), worker loop and outbox hand-in, deadlock and stagnation detection | one generation-tagged phase at a time; the worker whose count completes it advances it |
+//! | `commit` | outbox push (inline or one unit per outbox), the woken ranks, scratch pools | each sender's messages reach each mailbox in send order; nothing else is ordered |
+//! | `task` | slot, states, staging into the thread's outbox, poisoning, the spin limit, **how a rank waits**: the three wait leaves (`claim` / `probe` on a pattern, `park_until_deposit` on any deposit, `yield_now_async`), and try-mode, in which a receive tries once and the park returns `Pending` unarmed | one worker touches a task at a time; check and arm, store the state, suspend |
 //! | [`poll`] | [`RankBody`](poll::RankBody), [`Step`](poll::Step), the future body (an `async` program, [`crate::Universe::run_poll`]), [`block_inline`](poll::block_inline) | a body suspends only through the wait leaves |
-//! | `thread` | the thread body (a synchronous closure on a parked OS thread, [`crate::Universe::run`]), the baton, `suspend_in_place` | the rank thread runs only while a worker is blocked in its `proceed` |
+//! | `thread` | the thread body (a synchronous closure on a parked OS thread, [`crate::Universe::run`]), the baton and the outbox it carries, `suspend_in_place` | the rank thread runs only while a worker is blocked in its `proceed` |
 //!
 //! DESIGN.md §4 argues the wait protocol and the two bodies, §5 why
 //! committing deliveries at epoch boundaries preserves MPI matching

@@ -1,5 +1,5 @@
-//! One rank as a schedulable task: its slot, its states, and the one
-//! protocol by which it waits.
+//! One rank as a schedulable task: its slot, its states, where its sends
+//! are staged, and the one protocol by which it waits.
 //!
 //! **Invariant:** a slot is touched only by the worker that holds the
 //! task in `ST_RUNNING` (claimed through the epoch cursor), by the body
@@ -7,6 +7,17 @@
 //! or on the rank thread a thread body lends its turn to), or by the
 //! committing worker after the round barrier, when no task of the round
 //! is running.
+//!
+//! # Staging
+//!
+//! A send is staged, not delivered: [`stage_send`] appends it to the
+//! **outbox** of the thread it runs on, a thread-local vector. On a
+//! worker that is the worker's own outbox; a thread body's rank thread
+//! holds its worker's outbox for the length of its turn (the baton
+//! carries it, `sched/thread.rs`). A task runs to the end of its step
+//! before its worker steps another, so each task's sends of an epoch form
+//! one run of one outbox, in send order; that is all the commit needs
+//! (`sched/commit.rs`).
 //!
 //! # How a rank waits
 //!
@@ -79,7 +90,7 @@
 //! epoch the round empties, with no wall clock involved.
 
 use std::any::Any;
-use std::cell::{Cell, UnsafeCell};
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -149,7 +160,8 @@ pub(crate) fn record_panic(store: &SchedShared, rank: usize, payload: Box<dyn An
 }
 
 /// One rank's scheduling state; see the module invariant for who may
-/// touch what.
+/// touch what. The rank's body is not here: the scheduler owns it
+/// (`sched/epoch.rs`).
 pub(super) struct TaskSlot {
     /// One of the `ST_*` states. A wait leaf stores `ST_READY` or
     /// `ST_BLOCKED` before it suspends the body.
@@ -162,19 +174,7 @@ pub(super) struct TaskSlot {
     misses: AtomicU32,
     /// Set while the body polls a nonblocking request ([`try_mode`]).
     try_mode: AtomicBool,
-    /// Messages sent by this task during the current epoch, each with its
-    /// destination, in program order. The commit takes every message out
-    /// of its place (leaving `None`) and then clears the vector.
-    staged: UnsafeCell<Vec<(usize, Option<Message>)>>,
-    /// The rank program; dropped on finish, so at 2^20 ranks the tail of a
-    /// run does not hold every completed body's captures live.
-    body: UnsafeCell<Option<Box<dyn RankBody>>>,
 }
-
-// SAFETY: the two `UnsafeCell`s are accessed under the module invariant
-// (one worker at a time, ordered by the status state machine and the
-// round barrier); every other field is `Sync` on its own.
-unsafe impl Sync for TaskSlot {}
 
 impl TaskSlot {
     pub(super) fn new() -> TaskSlot {
@@ -183,13 +183,7 @@ impl TaskSlot {
             poisoned: AtomicBool::new(false),
             misses: AtomicU32::new(0),
             try_mode: AtomicBool::new(false),
-            staged: UnsafeCell::new(Vec::new()),
-            body: UnsafeCell::new(None),
         }
-    }
-
-    pub(super) fn install(&mut self, body: Box<dyn RankBody>) {
-        *self.body.get_mut() = Some(body);
     }
 
     /// Whether the last step ended in a yield: such tasks are in the next
@@ -207,32 +201,27 @@ impl TaskSlot {
             .is_ok()
     }
 
-    /// The messages this task staged during the round.
-    ///
-    /// # Safety
-    /// Only after the round barrier (no task of the round is running) and
-    /// only from the one committing worker.
-    #[allow(clippy::mut_from_ref)]
-    pub(super) unsafe fn staged(&self) -> &mut Vec<(usize, Option<Message>)> {
-        &mut *self.staged.get()
-    }
-
-    /// Run one slice of this task (of `rank`) on the calling worker: step
-    /// the body until it yields, parks or finishes. A body that suspended
-    /// through anything but a wait leaf (a foreign future) has no wake-up
-    /// source; treating it as a yield would spin forever.
+    /// Run one slice of this task (of `rank`, whose program is `body`)
+    /// on the calling worker: step the body until it yields, parks or
+    /// finishes. A body that suspended through anything but a wait leaf
+    /// (a foreign future) has no wake-up source; treating it as a yield
+    /// would spin forever.
     #[inline]
-    pub(super) fn step(&self, rank: usize, shared: &SchedShared) {
+    pub(super) fn step(
+        &self,
+        rank: usize,
+        body: &mut Option<Box<dyn RankBody + '_>>,
+        shared: &SchedShared,
+    ) {
         self.status.store(ST_RUNNING, Ordering::Release);
         self.misses.store(0, Ordering::Relaxed);
         let prev = CURRENT.with(|c| c.replace(self));
-        // SAFETY: this worker claimed the task through the cursor CAS and
-        // holds it in `ST_RUNNING`; nobody else touches `body`.
-        let body = unsafe { &mut *self.body.get() };
         let step = body.as_mut().expect("body installed").proceed();
         CURRENT.with(|c| c.set(prev));
         if step == Step::Finished {
             self.status.store(ST_FINISHED, Ordering::Release);
+            // Dropped on finish, so at 2^20 ranks the tail of a run does
+            // not hold every completed body's captures live.
             *body = None;
             shared.live.fetch_sub(1, Ordering::AcqRel);
         } else if self.status.load(Ordering::Acquire) == ST_RUNNING {
@@ -261,11 +250,23 @@ pub(super) fn poison(slots: &[TaskSlot], next: &mut Vec<usize>, only_blocked: bo
     }
 }
 
+/// Staged sends, each with its destination rank, in the order they were
+/// staged (see the module docs).
+pub(super) type Outbox = Vec<(usize, Message)>;
+
 thread_local! {
     /// The task this thread runs the body of: on a worker the one it is
     /// stepping (null outside `step`), on a thread body's rank thread its
     /// own ([`adopt`]).
     static CURRENT: Cell<*const TaskSlot> = const { Cell::new(std::ptr::null()) };
+    /// The outbox the sends of this thread's current task go to.
+    pub(super) static OUTBOX: RefCell<Outbox> = const { RefCell::new(Vec::new()) };
+}
+
+/// Install `outbox` as the calling thread's outbox and return the one it
+/// replaces.
+pub(super) fn swap_outbox(outbox: Outbox) -> Outbox {
+    OUTBOX.with(|o| o.replace(outbox))
 }
 
 #[inline]
@@ -286,13 +287,15 @@ pub(super) fn adopt(slot: &'static TaskSlot) {
     CURRENT.with(|c| c.set(slot));
 }
 
-/// Stage an outgoing message with the current task for delivery at the
+/// Stage an outgoing message of the current task for delivery at the
 /// next epoch commit.
 #[inline]
 pub(crate) fn stage_send(dest: usize, msg: Message) {
-    let slot = current_slot().expect("MPI calls run on a scheduler task");
-    // SAFETY: the running task is the only one touching its slot.
-    unsafe { (*slot.staged.get()).push((dest, Some(msg))) };
+    assert!(
+        current_slot().is_some(),
+        "MPI calls run on a scheduler task"
+    );
+    OUTBOX.with(|o| o.borrow_mut().push((dest, msg)));
 }
 
 /// A nonblocking receive or probe of `rank`, the current task, missed:

@@ -15,8 +15,11 @@
 //! **Invariant:** the rank thread runs only while a worker is blocked in
 //! `proceed` inside [`TaskSlot::step`] for its task. It is therefore "the
 //! body itself" of the `sched/task.rs` invariant: it adopts that slot as
-//! its current task, and staging, poisoning and the wait leaves work on
-//! it unchanged. The mutex hand-off orders what the two sides wrote.
+//! its current task, and poisoning and the wait leaves work on it
+//! unchanged. The baton carries the worker's outbox both ways: the rank
+//! thread installs it for its turn, stages into it, and hands it back, so
+//! its sends land in the worker's outbox as a future body's would. The
+//! mutex hand-off orders what the two sides wrote.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -25,17 +28,18 @@ use std::thread::{Builder, Scope};
 use parking_lot::{Condvar, Mutex};
 
 use super::poll::{RankBody, Step};
-use super::task::{adopt, current_slot, record_panic, SchedShared, TaskSlot};
+use super::task::{adopt, current_slot, record_panic, swap_outbox, Outbox, SchedShared, TaskSlot};
 
-/// Who holds the baton.
+/// Who holds the baton, and with it the stepping worker's outbox.
 enum Turn {
     /// The scheduler: the rank thread is parked (or not yet started).
-    Worker,
-    /// The rank thread, for the task a worker is inside `step` of.
-    Rank(&'static TaskSlot),
+    Worker(Outbox),
+    /// The rank thread, for the task a worker is inside `step` of. The
+    /// outbox is taken out while the rank thread runs.
+    Rank(&'static TaskSlot, Outbox),
     /// Nobody any more: the closure returned or panicked, or the body was
     /// dropped before its first step.
-    Finished,
+    Finished(Outbox),
 }
 
 struct Baton {
@@ -49,15 +53,18 @@ impl Baton {
         self.moved.notify_one();
     }
 
-    /// Rank side: park until a worker hands the baton over. `None` when
-    /// the body was dropped instead.
+    /// Rank side: park until a worker hands the baton over, then install
+    /// its outbox. `None` when the body was dropped instead.
     fn await_turn(&self) -> Option<&'static TaskSlot> {
         let mut turn = self.turn.lock();
         loop {
-            match *turn {
-                Turn::Worker => self.moved.wait(&mut turn),
-                Turn::Rank(slot) => return Some(slot),
-                Turn::Finished => return None,
+            match &mut *turn {
+                Turn::Worker(_) => self.moved.wait(&mut turn),
+                Turn::Rank(slot, outbox) => {
+                    swap_outbox(std::mem::take(outbox));
+                    return Some(*slot);
+                }
+                Turn::Finished(_) => return None,
             }
         }
     }
@@ -93,7 +100,7 @@ impl ThreadBody {
         body: impl FnOnce() + Send + 'scope,
     ) -> ThreadBody {
         let baton = Arc::new(Baton {
-            turn: Mutex::new(Turn::Worker),
+            turn: Mutex::new(Turn::Worker(Outbox::new())),
             moved: Condvar::new(),
         });
         let mine = Arc::clone(&baton);
@@ -110,7 +117,7 @@ impl ThreadBody {
                 if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
                     record_panic(&store, rank, payload);
                 }
-                mine.hand(Turn::Finished);
+                mine.hand(Turn::Finished(swap_outbox(Outbox::new())));
             });
         if let Err(e) = spawned {
             panic!(
@@ -127,15 +134,17 @@ impl RankBody for ThreadBody {
     fn proceed(&mut self) -> Step {
         let slot = current_slot().expect("a body is stepped inside TaskSlot::step");
         let mut turn = self.baton.turn.lock();
-        *turn = Turn::Rank(slot);
+        *turn = Turn::Rank(slot, swap_outbox(Outbox::new()));
         self.baton.moved.notify_one();
         loop {
             self.baton.moved.wait(&mut turn);
-            match *turn {
-                Turn::Rank(_) => {}
-                Turn::Worker => return Step::Suspended,
-                Turn::Finished => return Step::Finished,
-            }
+            let (outbox, step) = match &mut *turn {
+                Turn::Rank(..) => continue,
+                Turn::Worker(outbox) => (outbox, Step::Suspended),
+                Turn::Finished(outbox) => (outbox, Step::Finished),
+            };
+            swap_outbox(std::mem::take(outbox));
+            return step;
         }
     }
 }
@@ -145,7 +154,7 @@ impl Drop for ThreadBody {
     /// failed), so the scope can join it. A body that ran has finished:
     /// the scheduler drops bodies only then.
     fn drop(&mut self) {
-        self.baton.hand(Turn::Finished);
+        self.baton.hand(Turn::Finished(Outbox::new()));
     }
 }
 
@@ -166,7 +175,7 @@ pub(super) fn suspend_in_place(slot: &TaskSlot) -> bool {
     }
     let baton = MY_BATON.with(|b| b.borrow().clone());
     let baton = baton.expect("a rank thread holds its baton");
-    baton.hand(Turn::Worker);
+    baton.hand(Turn::Worker(swap_outbox(Outbox::new())));
     baton
         .await_turn()
         .expect("a body that started is stepped until it finishes");

@@ -37,7 +37,7 @@ use parking_lot::Mutex;
 
 use crate::comm::Comm;
 use crate::faults::{FaultPlan, FaultState};
-use crate::model::{CommitAlgo, CostModel, VendorProfile};
+use crate::model::{CostModel, VendorProfile};
 use crate::proc::{ProcState, Router};
 use crate::sched::{
     self,
@@ -54,7 +54,7 @@ pub enum Backend {
     /// [`SimConfig::coop_workers`] OS threads under an epoch discipline
     /// that makes runs **bit-for-bit deterministic in `(program, seed)`
     /// for any worker count**: message deliveries commit at epoch
-    /// boundaries in global virtual-time order (see [`crate::sched`] and
+    /// boundaries, each sender's in send order (see [`crate::sched`] and
     /// DESIGN.md §5). What a rank body is follows from the entry point,
     /// not from this value: [`Universe::run`] builds thread bodies (a
     /// parked OS thread per rank, two hand-offs per step; synchronous
@@ -88,26 +88,17 @@ pub struct SimConfig {
     /// run independent ranks of each epoch in parallel with identical
     /// output.
     pub coop_workers: usize,
-    /// How the cooperative scheduler's epoch commit delivers staged
-    /// messages: [`CommitAlgo::Sharded`] (default) sorts the staged run
-    /// destination-major in place and lets all idle workers push
-    /// per-destination segments in parallel; [`CommitAlgo::Serial`] is
-    /// the original single-threaded commit, kept as the correctness
-    /// reference for tests ([`SimConfig::with_commit_algo`]; there is no
-    /// environment knob). Both produce bit-identical output for every
-    /// worker count; only wall-clock speed differs.
-    pub commit_algo: CommitAlgo,
     /// Seeded fault-injection plan (stragglers, crash-stop, message
     /// jitter); the default plan injects nothing. Faults are a pure
     /// function of `(program, seed, perturb_seed)` — never of the worker
-    /// count or commit algorithm — so faulted runs keep the bit-identical
+    /// count — so faulted runs keep the bit-identical
     /// determinism guarantees. See [`crate::faults`].
     pub faults: FaultPlan,
     /// Record a deterministic event trace ([`crate::obs::Trace`]): op
     /// spans, send/deliver edges, collective phase marks, fault and blame
     /// events, all stamped with virtual time. The trace is a pure
     /// function of `(program, seed, fault plan)` — byte-identical for
-    /// every worker count and commit algorithm — and recording it changes
+    /// every worker count — and recording it changes
     /// **nothing** the simulation computes (observer effect zero; see
     /// DESIGN.md §9). Off by default: tracing costs memory proportional
     /// to the event count.
@@ -128,7 +119,6 @@ impl Default for SimConfig {
             stack_size: 1 << 20,
             backend: Backend::Cooperative,
             coop_workers: 1,
-            commit_algo: CommitAlgo::Sharded,
             faults: FaultPlan::default(),
             trace: false,
             sched_profile: false,
@@ -174,16 +164,6 @@ impl SimConfig {
     /// Replace the vendor profile.
     pub fn with_vendor(mut self, vendor: VendorProfile) -> SimConfig {
         self.vendor = vendor;
-        self
-    }
-
-    /// Replace the cooperative scheduler's epoch-commit algorithm (the
-    /// single-threaded [`CommitAlgo::Serial`] survives as the correctness
-    /// reference for the default destination-sharded commit; output is
-    /// bit-identical either way). This setter is the only way to select
-    /// it.
-    pub fn with_commit_algo(mut self, algo: CommitAlgo) -> SimConfig {
-        self.commit_algo = algo;
         self
     }
 
@@ -374,20 +354,11 @@ impl Universe {
         states: &[Arc<ProcState>],
         body_of: impl Fn(usize, Arc<ProcState>, Arc<sched::SchedShared>) -> Box<dyn RankBody + 'a>,
     ) -> ((u64, u64, u64), Option<crate::obs::SchedProfile>) {
-        let mut scheduler = sched::Scheduler::new(
-            states.len(),
-            Arc::clone(router),
-            cfg.commit_algo,
-            cfg.sched_profile,
-        );
+        let mut scheduler =
+            sched::Scheduler::new(states.len(), Arc::clone(router), cfg.sched_profile);
         let store = scheduler.panic_store();
         for (rank, state) in states.iter().enumerate() {
             let body = body_of(rank, Arc::clone(state), Arc::clone(&store));
-            // SAFETY: `run` below drives every body to completion (or
-            // poisons it into completing) before returning, and a finished
-            // body is dropped on the spot, so what the body borrows for
-            // `'a` is never touched after this function returns.
-            let body: Box<dyn RankBody> = unsafe { std::mem::transmute(body) };
             scheduler.spawn(rank, body);
         }
         if let Some((_rank, payload)) = scheduler.run(cfg.coop_workers) {

@@ -1,27 +1,24 @@
-//! Sharded-commit oracle tests: the destination-sharded epoch commit
-//! (`CommitAlgo::Sharded`, the default) must be **byte-identical** to the
-//! single-threaded serial commit (`CommitAlgo::Serial`, the oracle) — on
-//! delivery logs, per-rank results, and virtual clocks — for every worker
-//! count (and so every shard geometry the automatic sharding picks; the
-//! cut itself is pinned by `commit::tests`). The two differ in sort algorithm (stable
-//! vs in-place unstable), sort key (global vs destination-major) and
-//! delivery path (inline pushes vs batched segments with a deferred wake
-//! merge), so the reference shares nothing with the default but the
-//! gather loop. The storms here are built to stress exactly the commit
-//! phase: wildcard receives (delivery order is observable), colliding tags
-//! (several matching streams per mailbox), heavy fan-in (long
-//! per-destination segments), and nonblocking collectives
-//! (library-internal traffic interleaved with user traffic).
+//! Commit tests across worker counts: the epoch commit pushes every
+//! worker's outbox as it stands, so which messages share an outbox, and
+//! in which order outboxes reach a mailbox, depends on the worker count
+//! and on the host. Delivery logs, per-rank results, virtual clocks and
+//! model counters must nevertheless be **byte-identical** to the 1-worker
+//! run, whose one outbox per epoch is pushed by one worker. The storms
+//! here are built to stress exactly the commit phase: wildcard receives
+//! (delivery order is observable), colliding tags (several matching
+//! streams per mailbox), heavy fan-in (many senders per mailbox in one
+//! commit), and nonblocking collectives (library-internal traffic
+//! interleaved with user traffic).
 //!
 //! A fixed-seed golden additionally pins the p = 1024 storm to constants
 //! recorded at the last commit that ordered wide epochs with a published
-//! k-way merge round, so the single in-place sort that replaced it is
-//! checked against that commit's output and not only against itself.
+//! k-way merge round, so the commit is checked against that one's output
+//! and not only against itself.
 
 use std::sync::{Arc, Mutex};
 
 use mpisim::nbcoll;
-use mpisim::{ops, CommitAlgo, MetricsSnapshot, SimConfig, Src, Time, Transport, Universe};
+use mpisim::{ops, MetricsSnapshot, SimConfig, Src, Time, Transport, Universe};
 use proptest::prelude::*;
 
 /// One rank's full observation of a storm run: the exact `(source, tag,
@@ -40,21 +37,14 @@ fn tag_of(k: usize) -> u64 {
 
 /// Run the storm and capture every rank's observation plus the run's
 /// deterministic model counters.
-fn storm_log(
-    p: usize,
-    per: usize,
-    seed: u64,
-    workers: usize,
-    algo: CommitAlgo,
-) -> (Vec<RankLog>, MetricsSnapshot) {
+fn storm_log(p: usize, per: usize, seed: u64, workers: usize) -> (Vec<RankLog>, MetricsSnapshot) {
     assert!(p > *FANOUT_OFFSETS.iter().max().unwrap());
     type LogStore = Arc<Mutex<Vec<Vec<(usize, u64, u64)>>>>;
     let logs: LogStore = Arc::new(Mutex::new(vec![Vec::new(); p]));
     let logs2 = Arc::clone(&logs);
     let cfg = SimConfig::cooperative()
         .with_seed(seed)
-        .with_workers(workers)
-        .with_commit_algo(algo);
+        .with_workers(workers);
     let res = Universe::run(p, cfg, move |env| {
         let w = &env.world;
         let r = w.rank();
@@ -97,18 +87,14 @@ fn storm_log(
     (logs, res.metrics)
 }
 
-/// Assert every worker count reproduces the serial 1-worker reference bit
-/// for bit, model counters included. At 4 and 8 workers the storms'
-/// epochs are wide enough that the automatic sharding publishes several
-/// shards.
-fn assert_sharded_matches_serial(p: usize, per: usize, seed: u64) {
-    let oracle = storm_log(p, per, seed, 1, CommitAlgo::Serial);
-    // The serial reference itself must be worker-invariant.
-    let serial8 = storm_log(p, per, seed, 8, CommitAlgo::Serial);
-    assert_eq!(oracle, serial8, "serial commit diverged at 8 workers");
-    for workers in [1usize, 4, 8] {
-        let got = storm_log(p, per, seed, workers, CommitAlgo::Sharded);
-        assert_eq!(oracle, got, "sharded commit diverged (workers={workers})");
+/// Assert 4 and 8 workers reproduce the 1-worker run bit for bit, model
+/// counters included. Their storms' epochs are wide enough that the
+/// commit publishes one unit per outbox.
+fn assert_workers_match_one(p: usize, per: usize, seed: u64) {
+    let oracle = storm_log(p, per, seed, 1);
+    for workers in [4usize, 8] {
+        let got = storm_log(p, per, seed, workers);
+        assert_eq!(oracle, got, "commit diverged (workers={workers})");
     }
 }
 
@@ -117,11 +103,11 @@ proptest! {
 
     // p = 64: dense storms, 256 to 768 messages per wave.
     #[test]
-    fn sharded_commit_identical_to_serial_p64(
+    fn commit_identical_across_workers_p64(
         per in 1usize..4,
         seed in any::<u64>(),
     ) {
-        assert_sharded_matches_serial(64, per, seed);
+        assert_workers_match_one(64, per, seed);
     }
 }
 
@@ -129,11 +115,11 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 2, ..ProptestConfig::default() })]
 
     // p = 1024: the paper-scale regime. per = 2 stages 8192 messages per
-    // epoch wave, wide enough that the multi-worker runs publish a
-    // multi-shard commit phase.
+    // epoch wave, wide enough that the multi-worker runs publish their
+    // commits.
     #[test]
-    fn sharded_commit_identical_to_serial_p1024(seed in any::<u64>()) {
-        assert_sharded_matches_serial(1024, 2, seed);
+    fn commit_identical_across_workers_p1024(seed in any::<u64>()) {
+        assert_workers_match_one(1024, 2, seed);
     }
 }
 
@@ -172,14 +158,12 @@ const GOLDEN: (u64, u64, u64, u64, u64) = (216_170, 10_238, 21, 2558, 9_424_414_
 #[test]
 fn golden_storm_p1024_matches_the_published_merge_commit() {
     for workers in [1usize, 2, 8] {
-        for algo in [CommitAlgo::Serial, CommitAlgo::Sharded] {
-            let (logs, m) = storm_log(1024, 2, GOLDEN_SEED, workers, algo);
-            let clock = logs.iter().map(|l| l.2.as_nanos()).max().unwrap();
-            assert_eq!(
-                (clock, m.messages, m.epochs, m.wakeups, digest(&logs)),
-                GOLDEN,
-                "storm diverged from the recorded output (workers={workers}, {algo:?})"
-            );
-        }
+        let (logs, m) = storm_log(1024, 2, GOLDEN_SEED, workers);
+        let clock = logs.iter().map(|l| l.2.as_nanos()).max().unwrap();
+        assert_eq!(
+            (clock, m.messages, m.epochs, m.wakeups, digest(&logs)),
+            GOLDEN,
+            "storm diverged from the recorded output (workers={workers})"
+        );
     }
 }

@@ -1,9 +1,10 @@
 //! Scheduler semantics: the epoch scheduler must preserve every MPI
 //! behaviour, detect deadlocks exactly, fail loudly on a poll loop that
 //! never waits, and deliver messages in an order that is a pure function
-//! of `(program, seed)` — **for every worker count**: the epoch discipline commits
-//! deliveries in global virtual-time order, so `coop_workers ∈ {1, 2, 4,
-//! 8}` must produce bit-identical delivery logs, clocks, and sort outputs.
+//! of `(program, seed)` — **for every worker count**: each epoch commit
+//! fills every mailbox with the same set of messages, each sender's in
+//! send order, so `coop_workers ∈ {1, 2, 4, 8}` must produce bit-identical
+//! delivery logs, clocks, and sort outputs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -430,6 +431,35 @@ fn a_universe_nested_in_a_rank_body_matches_its_solo_run() {
             got
         });
         assert!(nested.per_rank.iter().all(|got| *got == solo));
+    }
+}
+
+// A universe run inside a rank's step, on the worker that steps it, must
+// not commit that rank's sends staged before it: the worker's outbox is
+// set aside for the inner run and restored after it.
+#[test]
+fn a_universe_nested_after_a_send_keeps_the_outer_send() {
+    for workers in [1, 2] {
+        let cfg = SimConfig::cooperative().with_workers(workers);
+        let res = Universe::run_poll(2, cfg, |env| async move {
+            let w = &env.world;
+            if w.rank() == 0 {
+                w.send(&[7u64], 1, 5).unwrap();
+                // Three ranks around a ring, on this worker's thread.
+                let inner = Universe::run(3, SimConfig::default(), |env| {
+                    let w = &env.world;
+                    w.send(&[w.rank() as u64], (w.rank() + 1) % 3, 5).unwrap();
+                    w.recv::<u64>(Src::Rank((w.rank() + 2) % 3), 5).unwrap().0[0]
+                });
+                inner.per_rank.iter().sum()
+            } else {
+                let (v, _) = mpisim::recv_async::<u64, _>(w, Src::Rank(0), 5)
+                    .await
+                    .unwrap();
+                v[0]
+            }
+        });
+        assert_eq!(res.per_rank, vec![3, 7], "{workers} workers");
     }
 }
 

@@ -1,9 +1,9 @@
 //! Fault-injection determinism matrix: any [`FaultPlan`] — stragglers,
 //! crash-stop, message jitter — must leave the cooperative runtime
-//! **byte-identical** across worker counts and commit algorithms, because
-//! every fault decision is a pure function of `(program, seed,
-//! perturbation seed)` and never of scheduling. The storms reuse the
-//! sharded-commit oracle harness (wildcard receives, colliding tags,
+//! **byte-identical** across worker counts, because every fault decision
+//! is a pure function of `(program, seed, perturbation seed)` and never
+//! of scheduling. The storms reuse the commit tests' harness
+//! (`commit_shard.rs`: wildcard receives, colliding tags,
 //! a concurrent nonblocking collective) with a fault plan layered on top;
 //! runs with crashes additionally capture the error text of every rank,
 //! so the `RoundBlame` diagnostics themselves are checked for
@@ -12,7 +12,7 @@
 use std::sync::Mutex;
 
 use mpisim::{nbcoll, FaultPlan};
-use mpisim::{ops, CommitAlgo, SimConfig, Src, Time, Transport, Universe};
+use mpisim::{ops, SimConfig, Src, Time, Transport, Universe};
 use proptest::prelude::*;
 
 /// One rank's full observation of a faulted storm: the exact `(source,
@@ -21,7 +21,7 @@ use proptest::prelude::*;
 /// its final virtual clock.
 type RankLog = (Vec<(usize, u64, u64)>, String, Time);
 
-/// Same fan-out shape as the sharded-commit storms: 4 deterministic
+/// Same fan-out shape as the commit storms: 4 deterministic
 /// targets with tags colliding in {0, 1, 2}.
 const FANOUT_OFFSETS: [usize; 4] = [1, 4, 9, 16];
 
@@ -40,14 +40,12 @@ fn faulted_storm_log(
     seed: u64,
     plan: &FaultPlan,
     workers: usize,
-    algo: CommitAlgo,
 ) -> Vec<RankLog> {
     assert!(p > *FANOUT_OFFSETS.iter().max().unwrap());
     let logs: Mutex<Vec<Vec<(usize, u64, u64)>>> = Mutex::new(vec![Vec::new(); p]);
     let cfg = SimConfig::cooperative()
         .with_seed(seed)
         .with_workers(workers)
-        .with_commit_algo(algo)
         .with_faults(plan.clone());
     let res = Universe::run(p, cfg, |env| {
         let w = &env.world;
@@ -85,18 +83,16 @@ fn faulted_storm_log(
         .collect()
 }
 
-/// Assert the worker × commit-algo matrix reproduces the serial 1-worker
-/// oracle bit for bit under `plan`.
+/// Assert 4 and 8 workers reproduce the 1-worker run bit for bit under
+/// `plan`.
 fn assert_fault_plan_deterministic(p: usize, per: usize, seed: u64, plan: &FaultPlan) {
-    let oracle = faulted_storm_log(p, per, seed, plan, 1, CommitAlgo::Serial);
-    for &workers in &[1usize, 4, 8] {
-        for algo in [CommitAlgo::Sharded, CommitAlgo::Serial] {
-            let got = faulted_storm_log(p, per, seed, plan, workers, algo);
-            assert_eq!(
-                oracle, got,
-                "faulted run diverged (workers={workers}, algo={algo:?}, plan={plan:?})"
-            );
-        }
+    let oracle = faulted_storm_log(p, per, seed, plan, 1);
+    for workers in [4usize, 8] {
+        let got = faulted_storm_log(p, per, seed, plan, workers);
+        assert_eq!(
+            oracle, got,
+            "faulted run diverged (workers={workers}, plan={plan:?})"
+        );
     }
 }
 
@@ -104,7 +100,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
 
     // Stragglers + message jitter, no crashes: every rank completes and
-    // the full log/clock picture must be worker- and algo-invariant.
+    // the full log/clock picture must be worker-invariant.
     #[test]
     fn slowdown_and_jitter_are_deterministic(
         perturb in any::<u64>(),
@@ -150,7 +146,7 @@ fn combined_faults_are_deterministic() {
 /// clock tick or delivery.
 #[test]
 fn zero_magnitude_plan_is_byte_identical_to_no_plan() {
-    let clean = faulted_storm_log(24, 2, 5, &FaultPlan::default(), 4, CommitAlgo::Sharded);
+    let clean = faulted_storm_log(24, 2, 5, &FaultPlan::default(), 4);
     let zero_frac = FaultPlan::default()
         .with_perturb_seed(99)
         .with_slowdown(0.0, 8.0)
@@ -159,7 +155,7 @@ fn zero_magnitude_plan_is_byte_identical_to_no_plan() {
         .with_perturb_seed(7)
         .with_slowdown(0.9, 1.0);
     for plan in [zero_frac, unit_factor] {
-        let got = faulted_storm_log(24, 2, 5, &plan, 4, CommitAlgo::Sharded);
+        let got = faulted_storm_log(24, 2, 5, &plan, 4);
         assert_eq!(
             clean, got,
             "zero-magnitude plan perturbed the run: {plan:?}"
@@ -171,11 +167,11 @@ fn zero_magnitude_plan_is_byte_identical_to_no_plan() {
 /// move virtual clocks relative to the clean run.
 #[test]
 fn nonzero_slowdown_actually_perturbs_clocks() {
-    let clean = faulted_storm_log(24, 1, 5, &FaultPlan::default(), 4, CommitAlgo::Sharded);
+    let clean = faulted_storm_log(24, 1, 5, &FaultPlan::default(), 4);
     let plan = FaultPlan::default()
         .with_perturb_seed(3)
         .with_slowdown(1.0, 8.0);
-    let slowed = faulted_storm_log(24, 1, 5, &plan, 4, CommitAlgo::Sharded);
+    let slowed = faulted_storm_log(24, 1, 5, &plan, 4);
     let clean_clocks: Vec<Time> = clean.iter().map(|l| l.2).collect();
     let slowed_clocks: Vec<Time> = slowed.iter().map(|l| l.2).collect();
     assert_ne!(clean_clocks, slowed_clocks, "slowdown plan had no effect");

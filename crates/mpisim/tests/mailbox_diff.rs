@@ -15,7 +15,10 @@
 //! which the traffic of the first never does.
 //!
 //! Plus one deep-bucket case whose run time would explode if any path
-//! became linear in the number of pending messages.
+//! became linear in the number of pending messages, and one that deposits
+//! the same messages in two source interleavings and finds nothing that
+//! tells the two mailboxes apart: the epoch commit pushes in no
+//! particular order across senders.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
@@ -172,24 +175,44 @@ impl RefMsg {
     }
 }
 
+/// The reference's wait slot.
+#[derive(Clone, Copy, Debug, Default)]
+enum RefWait {
+    #[default]
+    None,
+    AnyDeposit,
+    Pattern(RefPat),
+    /// A pattern a deposit satisfied: every later deposit is still a
+    /// pattern check, and none fires.
+    Satisfied,
+}
+
 /// The naive mailbox: messages in deposit order, every rule applied by
-/// scanning, and the wait slot (`Some(None)`: armed for any deposit).
+/// scanning, and the wait slot.
 #[derive(Default)]
 struct RefBox {
     msgs: Vec<RefMsg>,
-    wait: Option<Option<RefPat>>,
+    wait: RefWait,
     scans: u64,
 }
 
 impl RefBox {
-    /// Deposit `m`; true if it satisfied the armed wait (and cleared it).
+    /// Deposit `m`; true if it satisfied the armed wait, which fires once.
     fn deposit(&mut self, m: RefMsg) -> bool {
-        self.scans += u64::from(matches!(self.wait, Some(Some(_))));
-        let satisfied = self
-            .wait
-            .is_some_and(|w| w.is_none_or(|pat| pat.matches(&m)));
+        let satisfied = match self.wait {
+            RefWait::None | RefWait::Satisfied => false,
+            RefWait::AnyDeposit => true,
+            RefWait::Pattern(pat) => pat.matches(&m),
+        };
+        self.scans += u64::from(matches!(
+            self.wait,
+            RefWait::Pattern(_) | RefWait::Satisfied
+        ));
         if satisfied {
-            self.wait = None;
+            self.wait = match self.wait {
+                RefWait::Pattern(_) => RefWait::Satisfied,
+                _ => RefWait::None,
+            };
         }
         self.msgs.push(m);
         satisfied
@@ -296,16 +319,19 @@ fn run_case(seed: u64, steps: usize, shape: Shape) -> (usize, usize) {
                     assert_eq!(mb.probe_or_wait(&pat.real()), want.map(|m| m.info()));
                 }
                 // A miss arms the slot over whatever it held, a hit clears it.
-                rf.wait = want.is_none().then_some(Some(pat));
+                rf.wait = match want {
+                    None => RefWait::Pattern(pat),
+                    Some(_) => RefWait::None,
+                };
             }
             _ => {
                 // Arm for any deposit, or clear (idempotent).
                 if rng.below(2) == 0 {
                     mb.wait_any();
-                    rf.wait = Some(None);
+                    rf.wait = RefWait::AnyDeposit;
                 } else {
                     mb.clear_wait();
-                    rf.wait = None;
+                    rf.wait = RefWait::None;
                 }
             }
         }
@@ -374,6 +400,106 @@ fn many_live_buckets_match_flat_scan_reference() {
         let (live, _) = run_case(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15), 600, shape);
         assert!(live >= 16, "only {live} buckets were live at once");
     }
+}
+
+/// Deposit `msgs` into `mb` in an interleaving of its sources drawn from
+/// `rng` that keeps every source's order, in runs of one to four
+/// messages. Returns how many deposits fired the wait.
+fn deposit_interleaved(mb: &Mailbox, msgs: &[RefMsg], rng: &mut Rng) -> usize {
+    let mut queues: Vec<Vec<RefMsg>> = Vec::new();
+    for m in msgs.iter().rev() {
+        if queues.len() <= m.src {
+            queues.resize_with(m.src + 1, Vec::new);
+        }
+        queues[m.src].push(*m);
+    }
+    let mut order = Vec::with_capacity(msgs.len());
+    while order.len() < msgs.len() {
+        let pending: Vec<usize> = (0..queues.len())
+            .filter(|&s| !queues[s].is_empty())
+            .collect();
+        let src = pending[rng.below(pending.len() as u64) as usize];
+        order.push(queues[src].pop().expect("a pending source"));
+    }
+    let mut fired = Vec::new();
+    for run in order.chunks(1 + rng.below(4) as usize) {
+        mb.push_batch(&mut run.iter().map(RefMsg::real).collect(), &mut fired);
+    }
+    fired.len()
+}
+
+/// The order-independence the epoch commit rests on: the same messages
+/// deposited into two mailboxes, one commit at a time, in two
+/// interleavings that each keep every source's order, leave both
+/// answering every claim and probe alike, with the same `len` and
+/// `scans`, firing in the same commits (and at most once per commit).
+#[test]
+fn deposit_order_across_sources_is_unobservable() {
+    for seed in 1..=200u64 {
+        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let (mb_a, mb_b) = (Mailbox::new(), Mailbox::new());
+        let (mut rng_a, mut rng_b) = (Rng(seed * 3 + 1), Rng(seed * 5 + 1));
+        let mut next_msg = 0u64;
+        let (mut fired_a, mut fired_b) = (Vec::new(), Vec::new());
+        for commit in 0..12 {
+            // The rank's turn: it arms a wait (or leaves the slot as it
+            // is) and claims or probes a little, on both mailboxes alike.
+            match rng.below(5) {
+                0 | 1 => {
+                    let pat = RefPat::draw(&mut rng, MIXED);
+                    let a = mb_a.probe_or_wait(&pat.real());
+                    assert_eq!(a, mb_b.probe_or_wait(&pat.real()));
+                }
+                2 => {
+                    mb_a.wait_any();
+                    mb_b.wait_any();
+                }
+                3 => {
+                    mb_a.clear_wait();
+                    mb_b.clear_wait();
+                }
+                _ => {}
+            }
+            for _ in 0..rng.below(4) {
+                let pat = RefPat::draw(&mut rng, MIXED);
+                assert_eq!(mb_a.probe(&pat.real()), mb_b.probe(&pat.real()));
+                let a = opened(mb_a.try_claim(&pat.real()));
+                assert_eq!(a, opened(mb_b.try_claim(&pat.real())));
+            }
+            // The commit: one set of messages, two interleavings.
+            let msgs: Vec<RefMsg> = (0..rng.below(24))
+                .map(|_| {
+                    next_msg += 1;
+                    RefMsg::draw(&mut rng, MIXED, next_msg)
+                })
+                .collect();
+            let a = deposit_interleaved(&mb_a, &msgs, &mut rng_a);
+            let b = deposit_interleaved(&mb_b, &msgs, &mut rng_b);
+            assert!(a <= 1 && b <= 1, "a wait fires once per commit");
+            fired_a.extend((a == 1).then_some(commit));
+            fired_b.extend((b == 1).then_some(commit));
+            assert_eq!(mb_a.len(), mb_b.len());
+            assert_eq!(mb_a.scans(), mb_b.scans(), "seed {seed}, commit {commit}");
+        }
+        assert_eq!(fired_a, fired_b, "seed {seed}");
+        // Drain both through every bucket, wildcard by wildcard.
+        for b in 0..MIXED.ctxs as u64 * MIXED.tags {
+            let pat = RefPat {
+                ctx: CTXS[(b / MIXED.tags) as usize],
+                tag: b % MIXED.tags,
+                src: RefSrc::Any,
+            };
+            while let Some(a) = opened(mb_a.try_claim(&pat.real())) {
+                assert_eq!(Some(a), opened(mb_b.try_claim(&pat.real())));
+            }
+        }
+        assert!(mb_a.is_empty() && mb_b.is_empty());
+    }
+}
+
+/// A claimed message's payload and envelope.
+fn opened(m: Option<Message>) -> Option<(Vec<u64>, MsgInfo)> {
+    m.map(|m| m.take::<u64>().unwrap())
 }
 
 /// 2^14 sources with two messages each pending under one `(ctx, tag)`:

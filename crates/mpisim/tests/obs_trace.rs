@@ -7,7 +7,7 @@
 //! on must not change anything a program can observe — results, virtual
 //! clocks, traffic, or the deterministic model counters.
 
-use mpisim::{obs, CommitAlgo, FaultPlan, SimConfig, Src, Time, Transport, Universe};
+use mpisim::{obs, FaultPlan, SimConfig, Src, Time, Transport, Universe};
 use proptest::prelude::*;
 
 /// A trace-rich workload: a phase marker, a p2p ring exchange, and three
@@ -32,17 +32,10 @@ fn traced_workload(env: &mpisim::ProcEnv, rounds: usize) -> u64 {
     acc
 }
 
-fn traced_run(
-    p: usize,
-    rounds: usize,
-    seed: u64,
-    workers: usize,
-    algo: CommitAlgo,
-) -> (Vec<u64>, Vec<Time>, String) {
+fn traced_run(p: usize, rounds: usize, seed: u64, workers: usize) -> (Vec<u64>, Vec<Time>, String) {
     let cfg = SimConfig::cooperative()
         .with_seed(seed)
         .with_workers(workers)
-        .with_commit_algo(algo)
         .with_faults(
             FaultPlan::default()
                 .with_perturb_seed(seed ^ 0x5eed)
@@ -58,28 +51,16 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
 
     // The canonical trace text is byte-identical for every
-    // `(coop_workers, CommitAlgo)` combination — scheduling must never
-    // leak into the trace.
+    // `coop_workers` — scheduling must never leak into the trace.
     #[test]
     fn trace_identical_across_worker_counts(seed in 0u64..1_000) {
-        let reference = traced_run(12, 2, seed, 1, CommitAlgo::Sharded);
+        let reference = traced_run(12, 2, seed, 1);
         prop_assert!(!reference.2.is_empty(), "workload must produce events");
-        for workers in [1usize, 4, 8] {
-            for algo in [CommitAlgo::Sharded, CommitAlgo::Serial] {
-                let got = traced_run(12, 2, seed, workers, algo);
-                prop_assert_eq!(
-                    &got.0, &reference.0,
-                    "results differ at workers={} algo={:?}", workers, algo
-                );
-                prop_assert_eq!(
-                    &got.1, &reference.1,
-                    "clocks differ at workers={} algo={:?}", workers, algo
-                );
-                prop_assert_eq!(
-                    &got.2, &reference.2,
-                    "trace text differs at workers={} algo={:?}", workers, algo
-                );
-            }
+        for workers in [4usize, 8] {
+            let got = traced_run(12, 2, seed, workers);
+            prop_assert_eq!(&got.0, &reference.0, "results differ at workers={}", workers);
+            prop_assert_eq!(&got.1, &reference.1, "clocks differ at workers={}", workers);
+            prop_assert_eq!(&got.2, &reference.2, "trace text differs at workers={}", workers);
         }
     }
 }
@@ -110,7 +91,7 @@ fn tracing_has_zero_observer_effect() {
 /// in non-decreasing timestamp order.
 #[test]
 fn trace_text_covers_all_event_families() {
-    let (_, _, text) = traced_run(12, 1, 3, 4, CommitAlgo::Sharded);
+    let (_, _, text) = traced_run(12, 1, 3, 4);
     for needle in [
         "mark round 0",
         "begin reduce allreduce",

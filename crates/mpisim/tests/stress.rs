@@ -6,7 +6,7 @@ use std::sync::Arc;
 use mpisim::mailbox::Mailbox;
 use mpisim::msg::{ContextId, MatchPattern, Message, SrcFilter};
 use mpisim::nbcoll;
-use mpisim::{coll, ops, recv_async, CommitAlgo, SimConfig, Src, Time, Transport, Universe};
+use mpisim::{coll, ops, recv_async, SimConfig, Src, Time, Transport, Universe};
 
 #[test]
 fn mailbox_concurrent_producers_and_consumer() {
@@ -147,18 +147,15 @@ fn fold(acc: u64, x: u64) -> u64 {
 
 #[test]
 fn commit_fan_in_all_to_one_4096() {
-    // Every rank floods rank 0: the epoch commit carries ~16k entries in
-    // ONE destination segment — the degenerate shape where sharding can't
-    // parallelise (a single mailbox must be filled in order) and must
-    // fall back to an in-order push without losing determinism. This is
-    // exactly the fan-in the paper's 2^15-rank MPI_Comm_split produces at
-    // its gather roots.
+    // Every rank floods rank 0: the epoch commit carries ~16k messages to
+    // ONE mailbox, which the published outboxes of several workers fill
+    // at once, under its lock, in no order across senders, without
+    // losing determinism. This is exactly the fan-in the paper's
+    // 2^15-rank MPI_Comm_split produces at its gather roots.
     let p = 1 << 12;
     let per = 4;
-    let run = |algo: CommitAlgo, workers: usize| {
-        let cfg = SimConfig::cooperative()
-            .with_commit_algo(algo)
-            .with_workers(workers);
+    let run = |workers: usize| {
+        let cfg = SimConfig::cooperative().with_workers(workers);
         let res = Universe::run_poll(p, cfg, move |env| async move {
             let w = &env.world;
             if w.rank() == 0 {
@@ -177,11 +174,11 @@ fn commit_fan_in_all_to_one_4096() {
         });
         (res.per_rank[0], res.clocks)
     };
-    let oracle = run(CommitAlgo::Serial, 1);
-    for workers in [1usize, 4, 8] {
+    let oracle = run(1);
+    for workers in [4usize, 8] {
         assert_eq!(
             oracle,
-            run(CommitAlgo::Sharded, workers),
+            run(workers),
             "all-to-one fan-in diverged at {workers} workers"
         );
     }
@@ -191,15 +188,13 @@ fn commit_fan_in_all_to_one_4096() {
 fn commit_fan_in_leader_gather_4096() {
     // √p-leader gather storm: 64 leaders each drain their 64-member block
     // (two messages per member, wildcard), then report to rank 0 — 64
-    // concurrent fan-in hotspots plus one final fan-in, so the commit has
-    // many per-destination segments and genuinely shards. The commit
+    // concurrent fan-in hotspots plus one final fan-in, so the commit
+    // fills many mailboxes from every outbox at once. The commit
     // phase dominates: virtually all virtual time is message delivery.
     let p = 1 << 12;
     let b = 64; // block size = leader count = √p
-    let run = |algo: CommitAlgo, workers: usize| {
-        let cfg = SimConfig::cooperative()
-            .with_commit_algo(algo)
-            .with_workers(workers);
+    let run = |workers: usize| {
+        let cfg = SimConfig::cooperative().with_workers(workers);
         let res = Universe::run_poll(p, cfg, move |env| async move {
             let w = &env.world;
             let r = w.rank();
@@ -228,11 +223,11 @@ fn commit_fan_in_leader_gather_4096() {
         });
         (res.per_rank, res.clocks)
     };
-    let oracle = run(CommitAlgo::Serial, 1);
-    for workers in [1usize, 4, 8] {
+    let oracle = run(1);
+    for workers in [4usize, 8] {
         assert_eq!(
             oracle,
-            run(CommitAlgo::Sharded, workers),
+            run(workers),
             "leader-gather fan-in diverged at {workers} workers"
         );
     }
