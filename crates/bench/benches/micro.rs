@@ -266,8 +266,8 @@ fn commit_storm(p: usize, per: usize) -> mpisim::Time {
 fn bench_commit_storm(c: &mut Criterion) {
     let mut g = c.benchmark_group("commit_storm");
     // (ranks, steps): m = p·per·4 staged messages per epoch wave, across
-    // p tasks — small/medium/wide shapes, the widest publishing its
-    // commit to the 4-worker pool.
+    // p tasks — small/medium/wide shapes, stepped by a 4-worker pool
+    // whose outboxes one commit pushes.
     for &(p, per) in &[(64usize, 2usize), (64, 8), (64, 32), (256, 8)] {
         g.bench_function(&format!("p{p}x{per}"), |b| {
             b.iter(|| commit_storm(black_box(p), black_box(per)))

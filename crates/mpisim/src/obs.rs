@@ -534,9 +534,8 @@ impl MetricsSnapshot {
 pub struct WorkerProfile {
     /// Nanoseconds spent stepping rank bodies.
     pub run_ns: u64,
-    /// Nanoseconds spent pushing published outboxes and advancing
-    /// phases, which includes delivering an epoch's messages on the
-    /// committing worker when the commit is not published.
+    /// Nanoseconds spent committing epochs on this worker: delivering the
+    /// handed-in outboxes and publishing the next round.
     pub commit_ns: u64,
     /// Always 0: the published k-way merge round this timed is gone
     /// (the commit orders nothing, DESIGN.md §7). The
@@ -549,8 +548,9 @@ pub struct WorkerProfile {
     pub idle_ns: u64,
     /// Task resumptions this worker claimed.
     pub tasks: u64,
-    /// Outbox units of published commits this worker pushed. The name is
-    /// that of the perf ledger's `sched.shards` row.
+    /// Always 0: the commit is never split into claimable units any
+    /// more. Kept for the same reason as `merge_ns` (the ledger's
+    /// `sched.shards` row).
     pub shards: u64,
     /// Always 0, and kept for the same reason as `merge_ns` (the
     /// ledger's `sched.merge_runs` row).

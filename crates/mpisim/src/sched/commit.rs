@@ -2,29 +2,25 @@
 //!
 //! **Invariant:** the commit keeps no order but the senders' own. Every
 //! worker hands in its outbox (`sched/task.rs`, "Staging") before its
-//! share of the round counts as done, and the commit pushes each outbox
-//! front to back, so each sender's messages reach each mailbox in send
-//! order: MPI's non-overtaking rule. Across senders the push order is
-//! whatever the host makes of it, and nothing observes it: a mailbox
-//! matches on the *set* of pending messages (one FIFO per `(context, tag,
-//! source)`, sources ordered by the virtual arrival of their oldest
-//! message), a wait fires once per commit, and `scans` counts every
-//! deposit a pattern sees (DESIGN.md §7). A message moves once on its
-//! way: from the outbox it was staged in into the destination mailbox's
-//! slab.
+//! share of the round counts as done, and the committing worker pushes
+//! each outbox front to back, so each sender's messages reach each
+//! mailbox in send order: MPI's non-overtaking rule. Across senders the
+//! push order is the order the workers handed their outboxes in, which is
+//! up to the host, and nothing observes it: a mailbox matches on the
+//! *set* of pending messages (one FIFO per `(context, tag, source)`,
+//! sources ordered by the virtual arrival of their oldest message), a
+//! wait fires once per commit, and `scans` counts every deposit a pattern
+//! sees (DESIGN.md §7). A message moves once on its way: from the outbox
+//! it was staged in into the destination mailbox's slab.
 //!
-//! With one worker, or few messages, the committing worker pushes every
-//! outbox itself. Otherwise each outbox is one claimable unit, which the
-//! epoch layer publishes for all workers to claim; two units may push
-//! into one mailbox, whose lock orders them. A wake-up is a rank number:
-//! a push reports whether it satisfied the destination mailbox's armed
-//! wait, and the destination is appended to the next round, whose order
-//! is not kept either: the epoch layer sorts it by rank.
+//! A wake-up is a rank number: a push reports whether it satisfied the
+//! destination mailbox's armed wait, and the destination is appended to
+//! the next round, whose order is not kept either: the epoch layer sorts
+//! it by rank.
 //!
 //! Outboxes are recycled through [`SchedPools`], so a steady-state commit
-//! at one worker allocates nothing (DESIGN.md §10).
+//! allocates nothing (DESIGN.md §10).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -32,26 +28,6 @@ use parking_lot::Mutex;
 use super::task::Outbox;
 use crate::pool::Pool;
 use crate::proc::Router;
-
-/// A published commit, its outboxes claimed by workers through the epoch
-/// cursor like round tasks. The lock of an outbox is never contended: it
-/// is held by the one worker that claimed the unit, then by the finishing
-/// worker after the push barrier.
-pub(super) struct CommitWork {
-    outboxes: Vec<Mutex<Outbox>>,
-    /// The next round so far: the tasks that yielded, then the ranks the
-    /// pushes woke, appended as the workers find them.
-    next: Mutex<Vec<usize>>,
-    /// How many tasks yielded: `next[..yielded]`.
-    pub(super) yielded: usize,
-}
-
-impl CommitWork {
-    /// Claimable units (outboxes).
-    pub(super) fn units(&self) -> usize {
-        self.outboxes.len()
-    }
-}
 
 /// The commit-scratch pool families of one scheduler. Pooled buffers are
 /// always handed out drained, so only their *capacity* survives an epoch.
@@ -63,25 +39,9 @@ pub(super) struct SchedPools {
     pub(super) idx_pool: Pool<Vec<usize>>,
 }
 
-/// Below this many staged messages a commit is pushed by the committing
-/// worker: publishing it would cost more in claims and wake-ups than the
-/// other workers could take off it.
-const MIN_PUBLISHED_MSGS: usize = 128;
-
-/// What [`Commit::begin`] did with the round's messages.
-pub(super) enum Begun {
-    /// Delivered on the calling worker; carries the next round so far
-    /// (the tasks that yielded, then the ranks the pushes woke) back.
-    Delivered(Vec<usize>),
-    /// One unit per outbox: publish them, then call [`Commit::finish`].
-    Published(Arc<CommitWork>),
-}
-
 /// One scheduler's commit pipeline.
 pub(super) struct Commit {
-    router: Arc<Router>,
-    /// Effective worker count of the current run.
-    pub(super) workers: AtomicUsize,
+    pub(super) router: Arc<Router>,
     /// The outboxes handed in during the current round.
     handed: Mutex<Vec<Outbox>>,
     pub(super) pools: SchedPools,
@@ -91,13 +51,12 @@ impl Commit {
     pub(super) fn new(router: Arc<Router>) -> Commit {
         Commit {
             router,
-            workers: AtomicUsize::new(1),
             handed: Mutex::new(Vec::new()),
             pools: SchedPools::default(),
         }
     }
 
-    /// A worker ran out of round units: take what it staged, leaving it
+    /// A worker ran out of round tasks: take what it staged, leaving it
     /// an emptied outbox of the pool. An empty outbox is kept.
     pub(super) fn hand_in(&self, outbox: &mut Outbox) {
         if !outbox.is_empty() {
@@ -106,52 +65,27 @@ impl Commit {
         }
     }
 
-    /// Deliver everything handed in during the round here, or hand back
-    /// one unit per outbox. `next` holds the tasks that yielded. Returns
-    /// what happened and how many messages the epoch staged. Must be
-    /// called after the round barrier, by one worker.
-    pub(super) fn begin(&self, mut next: Vec<usize>) -> (Begun, usize) {
+    /// Push everything handed in during the round, appending to `next`
+    /// (the tasks that yielded) every rank a push woke. Returns how many
+    /// messages the epoch staged. Must be called after the round barrier,
+    /// by one worker.
+    pub(super) fn deliver(&self, next: &mut Vec<usize>) -> usize {
         let mut handed = self.handed.lock();
-        let msgs = handed.iter().map(Vec::len).sum();
-        let workers = self.workers.load(Ordering::Relaxed);
-        if workers == 1 || handed.len() == 1 || msgs < MIN_PUBLISHED_MSGS {
-            for mut outbox in handed.drain(..) {
-                self.push_outbox(&mut outbox, |dest| next.push(dest));
-                self.pools.outbox_pool.put(outbox);
-            }
-            return (Begun::Delivered(next), msgs);
+        let mut msgs = 0;
+        for mut outbox in handed.drain(..) {
+            msgs += outbox.len();
+            self.push_outbox(&mut outbox, next);
+            self.pools.outbox_pool.put(outbox);
         }
-        let cw = CommitWork {
-            outboxes: handed.drain(..).map(Mutex::new).collect(),
-            yielded: next.len(),
-            next: Mutex::new(next),
-        };
-        (Begun::Published(Arc::new(cw)), msgs)
-    }
-
-    /// Push one claimed outbox, appending the destinations it woke.
-    pub(super) fn push_unit(&self, cw: &CommitWork, i: usize) {
-        let mut outbox = cw.outboxes[i].lock();
-        self.push_outbox(&mut outbox, |dest| cw.next.lock().push(dest));
-    }
-
-    /// Every outbox is pushed: return the next round so far and recycle
-    /// the drained outboxes.
-    pub(super) fn finish(&self, cw: &CommitWork) -> Vec<usize> {
-        for outbox in &cw.outboxes {
-            self.pools
-                .outbox_pool
-                .put(std::mem::take(&mut *outbox.lock()));
-        }
-        std::mem::take(&mut *cw.next.lock())
+        msgs
     }
 
     /// Drain `outbox` front to back into the mailboxes: one
     /// [`push_all`](crate::mailbox::Mailbox::push_all) per run of
     /// messages to one destination (one lock acquisition per run),
-    /// calling `wake` with every destination whose armed wait a message
+    /// appending to `woken` every destination whose armed wait a message
     /// of its run satisfied.
-    fn push_outbox(&self, outbox: &mut Outbox, mut wake: impl FnMut(usize)) {
+    fn push_outbox(&self, outbox: &mut Outbox, woken: &mut Vec<usize>) {
         let mut msgs = outbox.drain(..).peekable();
         while let Some(&(dest, _)) = msgs.peek() {
             let run = std::iter::from_fn(|| msgs.next_if(|(d, _)| *d == dest));
@@ -159,7 +93,7 @@ impl Commit {
                 .push_all(run.map(|(_, msg)| msg))
                 .is_some()
             {
-                wake(dest);
+                woken.push(dest);
             }
         }
     }

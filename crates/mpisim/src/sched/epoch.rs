@@ -1,5 +1,5 @@
-//! The epoch loop: publish a phase, let workers claim its units, advance
-//! when the last unit completes.
+//! The epoch loop: publish a round, let workers claim its tasks, commit
+//! and advance when the last task completes.
 //!
 //! Execution proceeds in **epochs**. An epoch is a deterministically
 //! ordered round of runnable tasks, which workers claim lock-free (an
@@ -8,21 +8,20 @@
 //! isolated: sends are staged in the stepping worker's outbox, a rank
 //! only claims from its own mailbox and nothing is pushed into any
 //! mailbox while tasks run, and clocks, RNG streams and context pools are
-//! per-rank. A worker that finds no unit left to claim hands its outbox
-//! to the commit and only then counts the units it completed, so the
+//! per-rank. A worker that finds no task left to claim hands its outbox
+//! to the commit and only then counts the tasks it completed, so the
 //! worker whose count completes the round holds every message of it: it
 //! commits the epoch (`sched/commit.rs`) and publishes the next round,
 //! the tasks that yielded and the tasks the commit woke, in ascending
 //! rank order. An empty next round with live tasks is a deadlock; its
 //! tasks are poisoned (`sched/task.rs`).
 //!
-//! **Invariant:** a phase (a task round, or the outboxes of a wide
-//! commit) is identified by a generation number that the claim cursor
-//! carries in its high half. A claim succeeds only against the generation
-//! it read from the gate, so a worker holding a stale phase can never
-//! take a unit of the next one, and exactly one worker — the one whose
-//! count brings the done-count to the phase's unit count — advances the
-//! phase. Round membership, each task's behaviour against frozen
+//! **Invariant:** a round is identified by a generation number that the
+//! claim cursor carries in its high half. A claim succeeds only against
+//! the generation it read from the gate, so a worker holding a stale
+//! round can never take a task of the next one, and exactly one worker —
+//! the one whose count brings the done-count to the round's length —
+//! commits the epoch and advances the round. Round membership, each task's behaviour against frozen
 //! mailboxes and the set each mailbox receives are pure functions of
 //! `(program, seed)`; which worker runs what is not an input to any of
 //! them. The *order* of a round is not an input either (its tasks are
@@ -35,34 +34,17 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use super::commit::{Begun, Commit, CommitWork};
+use super::commit::Commit;
 use super::poll::RankBody;
 use super::task::{poison, swap_outbox, Outbox, SchedShared, TaskSlot, OUTBOX};
 use crate::obs::{SchedProfile, WorkerProfile};
 use crate::proc::Router;
 
-/// What the workers are currently claiming.
-#[derive(Clone)]
-enum Work {
-    /// Tasks of the current epoch, in deterministic order.
-    Tasks(Arc<Vec<usize>>),
-    /// Outboxes of the finished epoch.
-    Commit(Arc<CommitWork>),
-}
-
-impl Work {
-    fn units(&self) -> usize {
-        match self {
-            Work::Tasks(round) => round.len(),
-            Work::Commit(cw) => cw.units(),
-        }
-    }
-}
-
-/// Phase control: the current claimable work and the generation the
-/// lock-free claim cursor validates against.
+/// Round control: the current round and the generation the lock-free
+/// claim cursor validates against.
 struct EpochGate {
-    work: Work,
+    /// Tasks of the current epoch, in rank order.
+    round: Arc<Vec<usize>>,
     /// Bumped on every publish; also embedded in the claim cursor.
     gen: u64,
     /// All tasks finished: workers should exit.
@@ -91,16 +73,13 @@ pub(crate) struct Scheduler<'a> {
     gate_cv: Condvar,
     /// `((gen mod 2^32) << 32) | next_index`; see the module invariant.
     cursor: AtomicU64,
-    /// Units of the current phase that have completed.
+    /// Tasks of the current round that have completed their step.
     round_done: AtomicUsize,
     commit: Commit,
     /// Displaced round `Arc`s: `publish_tasks` reuses one when no worker
     /// still holds a clone (always true at 1 worker), so steady-state
     /// round publishing is allocation-free.
     round_pool: Mutex<Vec<Arc<Vec<usize>>>>,
-    /// Messages staged by the epoch being committed (written by
-    /// `finish_round`, read by `finish_epoch`).
-    epoch_msgs: AtomicUsize,
     /// Consecutive epochs without observable progress (see
     /// [`STAGNANT_EPOCH_LIMIT`]).
     stagnant: AtomicUsize,
@@ -124,7 +103,7 @@ impl<'a> Scheduler<'a> {
             crashes_armed: router.faults.has_crashes(),
             commit: Commit::new(router),
             gate: Mutex::new(EpochGate {
-                work: Work::Tasks(Arc::new(Vec::new())),
+                round: Arc::new(Vec::new()),
                 gen: 0,
                 done: false,
             }),
@@ -132,7 +111,6 @@ impl<'a> Scheduler<'a> {
             cursor: AtomicU64::new(0),
             round_done: AtomicUsize::new(0),
             round_pool: Mutex::new(Vec::new()),
-            epoch_msgs: AtomicUsize::new(0),
             stagnant: AtomicUsize::new(0),
             prev_live: AtomicUsize::new(p),
             profile,
@@ -154,13 +132,10 @@ impl<'a> Scheduler<'a> {
     /// Returns the first recorded panic.
     pub fn run(&self, workers: usize) -> Option<(usize, Box<dyn Any + Send>)> {
         let workers = workers.max(1);
-        // The worker count decides whether a commit is published, which
-        // never affects simulation output. Epoch 1 is every task, in rank
-        // order.
-        self.commit.workers.store(workers, Ordering::Relaxed);
+        // Epoch 1 is every task, in rank order.
         {
             let mut g = self.gate.lock();
-            g.work = Work::Tasks(Arc::new((0..self.slots.len()).collect()));
+            g.round = Arc::new((0..self.slots.len()).collect());
             g.gen = 1;
             g.done = self.slots.is_empty();
             self.round_done.store(0, Ordering::Relaxed);
@@ -204,14 +179,14 @@ impl<'a> Scheduler<'a> {
         })
     }
 
-    /// Claim the next unit of the current phase if `gen` is still
-    /// current. `None` means: phase drained or advanced — refresh via the
+    /// Claim the next task of the current round if `gen` is still
+    /// current. `None` means: round drained or advanced — refresh via the
     /// gate.
     fn try_claim(&self, gen: u64, units: usize) -> Option<usize> {
         loop {
             let c = self.cursor.load(Ordering::Acquire);
             // The cursor carries gen mod 2^32; compare masked, or a run
-            // past 2^32 phases would never match again and hang.
+            // past 2^32 rounds would never match again and hang.
             if c >> 32 != gen & 0xffff_ffff {
                 return None;
             }
@@ -237,10 +212,10 @@ impl<'a> Scheduler<'a> {
         self.slots[rank].step(rank, &mut body, &self.shared);
     }
 
-    /// One worker: claim and execute units of the current phase, and of
-    /// every phase it chains into, until the universe completes. When no
-    /// unit is claimable it hands its outbox in and counts its units done;
-    /// if the phase has not advanced, another worker owns its tail and will
+    /// One worker: claim and step tasks of the current round, and of every
+    /// round it chains into, until the universe completes. When no task is
+    /// claimable it hands its outbox in and counts its tasks done; if the
+    /// round has not advanced, another worker owns its tail and will
     /// publish the next one: sleep on the gate until it does.
     fn worker_loop(&self, widx: usize) {
         // A universe run inside a rank's step (on this thread, at one
@@ -249,43 +224,27 @@ impl<'a> Scheduler<'a> {
         let mut prof = WorkerProfile::default();
         let mut g = self.gate.lock();
         while !g.done {
-            let (gen, work) = (g.gen, g.work.clone());
+            let (gen, round) = (g.gen, Arc::clone(&g.round));
             drop(g);
             let mut done = 0;
-            while let Some(i) = self.try_claim(gen, work.units()) {
+            while let Some(i) = self.try_claim(gen, round.len()) {
                 let t0 = self.profile.then(std::time::Instant::now);
-                match &work {
-                    Work::Tasks(round) => self.step(round[i]),
-                    Work::Commit(cw) => self.commit.push_unit(cw, i),
-                }
+                self.step(round[i]);
                 done += 1;
                 if let Some(t0) = t0 {
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    match &work {
-                        Work::Tasks(_) => {
-                            prof.run_ns += ns;
-                            prof.tasks += 1;
-                        }
-                        Work::Commit(_) => {
-                            prof.commit_ns += ns;
-                            prof.shards += 1;
-                        }
-                    }
+                    prof.run_ns += t0.elapsed().as_nanos() as u64;
+                    prof.tasks += 1;
                 }
             }
             if done > 0 {
                 OUTBOX.with(|o| self.commit.hand_in(&mut o.borrow_mut()));
-                if self.round_done.fetch_add(done, Ordering::AcqRel) + done == work.units() {
-                    // Last units of the phase: advance it (single-threaded
-                    // by construction: every other worker has counted its
-                    // units and is waiting on the gate or about to). The
-                    // advance delivers the epoch's messages, or publishes
-                    // them: commit time.
+                if self.round_done.fetch_add(done, Ordering::AcqRel) + done == round.len() {
+                    // Last tasks of the round: commit the epoch and
+                    // advance (single-threaded by construction: every
+                    // other worker has handed its outbox in, counted its
+                    // tasks and is waiting on the gate or about to).
                     let t0 = self.profile.then(std::time::Instant::now);
-                    match &work {
-                        Work::Tasks(round) => self.finish_round(round),
-                        Work::Commit(cw) => self.finish_epoch(self.commit.finish(cw), cw.yielded),
-                    }
+                    self.finish_round(&round);
                     if let Some(t0) = t0 {
                         prof.commit_ns += t0.elapsed().as_nanos() as u64;
                     }
@@ -293,7 +252,7 @@ impl<'a> Scheduler<'a> {
             }
             // Not held across the sleep: `publish_tasks` reuses a displaced
             // round vector once no worker shares it.
-            drop(work);
+            drop(round);
             g = self.gate.lock();
             if !g.done && g.gen == gen {
                 let idle0 = self.profile.then(std::time::Instant::now);
@@ -316,40 +275,34 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// The executed round is complete: collect the tasks that yielded,
-    /// then the commit runs here or is published.
+    /// The executed round is complete: commit the epoch's messages, wake
+    /// the ranks they satisfied, detect stagnation and deadlock, and
+    /// publish the next round (the tasks that yielded and the ones woken)
+    /// in rank order.
     fn finish_round(&self, round: &[usize]) {
         // Every member was stepped exactly once.
         self.shared
             .switches
             .fetch_add(round.len() as u64, Ordering::Relaxed);
+        self.shared.epochs.fetch_add(1, Ordering::Relaxed);
         let mut next = self.commit.pools.idx_pool.take();
         next.extend(round.iter().filter(|&&tid| self.slots[tid].yielded()));
         let yielded = next.len();
-        let (begun, msgs) = self.commit.begin(next);
         // Progress signal for the stagnation detector below: a pure
         // function of the epoch contents.
-        self.epoch_msgs.store(msgs, Ordering::Relaxed);
-        match begun {
-            Begun::Delivered(next) => self.finish_epoch(next, yielded),
-            // This worker re-enters its claim loop and takes outboxes
-            // alongside the woken pool.
-            Begun::Published(cw) => self.publish(Work::Commit(cw)),
-        }
-    }
-
-    /// Deliveries are committed: `next[..yielded]` are the tasks that
-    /// yielded, the rest the ranks whose armed wait a delivery satisfied.
-    /// Wake those, detect stagnation and deadlock, and publish the next
-    /// round in rank order.
-    fn finish_epoch(&self, mut next: Vec<usize>, yielded: usize) {
-        self.shared.epochs.fetch_add(1, Ordering::Relaxed);
+        let msgs = self.commit.deliver(&mut next);
         // A wait left armed by a body that then panicked out of its leaf
-        // sits on a task that is not blocked: drop that one, wake the rest.
+        // sits on a task that is not blocked: drop that one, and empty its
+        // satisfied wait so that later deposits into the dead rank's
+        // mailbox are not counted as pattern checks. Wake the rest.
         let mut seen = 0;
         next.retain(|&tid| {
             seen += 1;
-            seen <= yielded || self.slots[tid].unblock()
+            if seen <= yielded || self.slots[tid].unblock() {
+                return true;
+            }
+            self.commit.router.mailboxes[tid].clear_wait();
+            false
         });
         let woken_count = next.len() - yielded;
         self.shared
@@ -370,7 +323,6 @@ impl<'a> Scheduler<'a> {
         // count.
         let live = self.shared.live.load(Ordering::Acquire);
         if live > 0 && self.crashes_armed {
-            let msgs = self.epoch_msgs.swap(0, Ordering::Relaxed);
             let prev = self.prev_live.swap(live, Ordering::Relaxed);
             if msgs > 0 || woken_count > 0 || prev != live {
                 self.stagnant.store(0, Ordering::Relaxed);
@@ -429,37 +381,34 @@ impl<'a> Scheduler<'a> {
             next.clear();
             self.commit.pools.idx_pool.put(next);
         }
-        self.publish(Work::Tasks(arc));
+        self.publish(arc);
     }
 
-    /// Install `work` as the next claimable phase. The cursor moves last:
-    /// claims validate its gen half, so no worker can touch the new phase
+    /// Install `round` as the next claimable round. The cursor moves last:
+    /// claims validate its gen half, so no worker can touch the new round
     /// before the gate state it pairs with is visible.
-    fn publish(&self, work: Work) {
-        let units = work.units();
+    fn publish(&self, round: Arc<Vec<usize>>) {
+        let units = round.len();
         let mut g = self.gate.lock();
         g.gen += 1;
-        let prev = std::mem::replace(&mut g.work, work);
+        let prev = std::mem::replace(&mut g.round, round);
         self.round_done.store(0, Ordering::Relaxed);
         self.cursor
             .store((g.gen & 0xffff_ffff) << 32, Ordering::Release);
-        // A one-unit phase is fully served by the publishing worker itself
+        // A one-task round is fully served by the publishing worker itself
         // — waking the pool for it would just thrash the sleeping workers
         // during serial phases of the program. They stay parked until a
-        // wider phase (or `done`) arrives; the publisher alone keeps the
+        // wider round (or `done`) arrives; the publisher alone keeps the
         // simulation live.
         if units > 1 {
             self.gate_cv.notify_all();
         }
         drop(g);
         // The displaced round vector feeds a later `publish_tasks` (its
-        // `Arc` becomes unique once every worker re-reads the gate);
-        // commit work is dropped as usual.
-        if let Work::Tasks(arc) = prev {
-            let mut pool = self.round_pool.lock();
-            if pool.len() < 4 {
-                pool.push(arc);
-            }
+        // `Arc` becomes unique once every worker re-reads the gate).
+        let mut pool = self.round_pool.lock();
+        if pool.len() < 4 {
+            pool.push(prev);
         }
     }
 }

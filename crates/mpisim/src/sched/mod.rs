@@ -16,7 +16,7 @@
 //! | module | owns | invariant in one line |
 //! |---|---|---|
 //! | `epoch` | gate, claim cursor, publish (rounds in rank order), worker loop and outbox hand-in, deadlock and stagnation detection | one generation-tagged phase at a time; the worker whose count completes it advances it |
-//! | `commit` | outbox push (inline or one unit per outbox), the woken ranks, scratch pools | each sender's messages reach each mailbox in send order; nothing else is ordered |
+//! | `commit` | outbox push on the committing worker, the woken ranks, scratch pools | each sender's messages reach each mailbox in send order; nothing else is ordered |
 //! | `task` | slot, states, staging into the thread's outbox, poisoning, the spin limit, **how a rank waits**: the three wait leaves (`claim` / `probe` on a pattern, `park_until_deposit` on any deposit, `yield_now_async`), and try-mode, in which a receive tries once and the park returns `Pending` unarmed | one worker touches a task at a time; check and arm, store the state, suspend |
 //! | [`poll`] | [`RankBody`](poll::RankBody), [`Step`](poll::Step), the future body (an `async` program, [`crate::Universe::run_poll`]), [`block_inline`](poll::block_inline) | a body suspends only through the wait leaves |
 //! | `thread` | the thread body (a synchronous closure on a parked OS thread, [`crate::Universe::run`]), the baton and the outbox it carries, `suspend_in_place` | the rank thread runs only while a worker is blocked in its `proceed` |

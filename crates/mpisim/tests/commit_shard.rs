@@ -88,8 +88,8 @@ fn storm_log(p: usize, per: usize, seed: u64, workers: usize) -> (Vec<RankLog>, 
 }
 
 /// Assert 4 and 8 workers reproduce the 1-worker run bit for bit, model
-/// counters included. Their storms' epochs are wide enough that the
-/// commit publishes one unit per outbox.
+/// counters included. Their storms' epochs are wide enough that several
+/// workers step senders and hand in outboxes to one commit.
 fn assert_workers_match_one(p: usize, per: usize, seed: u64) {
     let oracle = storm_log(p, per, seed, 1);
     for workers in [4usize, 8] {
@@ -115,8 +115,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 2, ..ProptestConfig::default() })]
 
     // p = 1024: the paper-scale regime. per = 2 stages 8192 messages per
-    // epoch wave, wide enough that the multi-worker runs publish their
-    // commits.
+    // epoch wave, spread over the outboxes of every worker.
     #[test]
     fn commit_identical_across_workers_p1024(seed in any::<u64>()) {
         assert_workers_match_one(1024, 2, seed);

@@ -262,9 +262,8 @@ fn sync_waits_inside_poll_bodies_panic_naming_the_async_api() {
 #[test]
 fn a_wait_left_armed_by_a_panicking_leaf_wakes_nobody() {
     // Epoch 1 stages 3 × 43 messages into rank 0's mailbox and one around
-    // the ring of the other three: 132 messages, enough that 4 workers
-    // publish the commit whenever more than one of them stepped a sender
-    // (how many did is up to the host).
+    // the ring of the other three: 132 messages, in as many outboxes as
+    // workers stepped a sender (how many did is up to the host).
     const TO_ZERO: u64 = 43;
     let body = |sync_wait: bool| {
         move |env: mpisim::ProcEnv| async move {

@@ -148,9 +148,8 @@ fn fold(acc: u64, x: u64) -> u64 {
 #[test]
 fn commit_fan_in_all_to_one_4096() {
     // Every rank floods rank 0: the epoch commit carries ~16k messages to
-    // ONE mailbox, which the published outboxes of several workers fill
-    // at once, under its lock, in no order across senders, without
-    // losing determinism. This is exactly the fan-in the paper's
+    // ONE mailbox from the outboxes of several workers, in no order
+    // across senders, without losing determinism. This is exactly the fan-in the paper's
     // 2^15-rank MPI_Comm_split produces at its gather roots.
     let p = 1 << 12;
     let per = 4;

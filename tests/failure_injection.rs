@@ -144,9 +144,10 @@ fn coop_deadlock_diagnostics(workers: usize) -> Vec<Option<(usize, String)>> {
 
 #[test]
 fn coop_deadlock_diagnostics_exact_under_sharded_commit() {
-    // Deadlock poisoning runs behind the commit's push barrier; the
-    // diagnostics must stay *exact*: same rank, same `waited_for` text,
-    // for every worker count — byte-identical to the 1-worker run.
+    // Deadlock poisoning runs on the committing worker once every
+    // outbox is pushed; the diagnostics must stay *exact*: same rank,
+    // same `waited_for` text, for every worker count — byte-identical to
+    // the 1-worker run.
     let oracle = coop_deadlock_diagnostics(1);
     for (r, d) in oracle.iter().enumerate() {
         let (rank, text) = d.as_ref().expect("every rank deadlocks");
