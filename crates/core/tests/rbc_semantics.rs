@@ -224,10 +224,10 @@ fn rbc_creation_generates_zero_messages() {
         r
     });
     assert_eq!(
-        res.traffic.messages, 0,
+        res.metrics.messages, 0,
         "RBC created log2(16) communicators per rank with zero messages"
     );
-    assert_eq!(res.traffic.bytes, 0);
+    assert_eq!(res.metrics.bytes, 0);
 }
 
 /// `rbc::wait_async` on an `ibcast` over 8 poll-mode ranks: the broadcast

@@ -50,15 +50,11 @@ pub trait Backend: Send + Sync {
     fn world(&self, world: &Comm) -> Result<Self::C>;
 
     /// Derive the communicator for ranks `f..=l` (in `parent`'s rank
-    /// space). For RBC this is local and O(1); for native MPI it is a
-    /// blocking collective over the new group.
-    fn split_range(&self, parent: &Self::C, f: usize, l: usize, tag: Tag) -> Result<Self::C>;
-
-    /// Maybe-async twin of [`Backend::split_range`]: identical result, but
-    /// any communication suspends instead of blocking, so the driver can
-    /// run as an async rank body (`Universe::run_poll`). RBC resolves
-    /// synchronously (the split is local); native MPI awaits the
-    /// `create_group` collective.
+    /// space). For RBC this is local and O(1) and resolves without
+    /// suspending; for native MPI it awaits a `create_group` collective
+    /// over the new group. Any communication suspends instead of
+    /// blocking, so the driver can run as an async rank body
+    /// (`Universe::run_poll`).
     fn split_range_async(
         &self,
         parent: &Self::C,
@@ -85,19 +81,15 @@ impl Backend for RbcBackend {
         Ok(RbcComm::create(world))
     }
 
-    fn split_range(&self, parent: &RbcComm, f: usize, l: usize, _tag: Tag) -> Result<RbcComm> {
-        parent.split(f, l)
-    }
-
     async fn split_range_async(
         &self,
         parent: &RbcComm,
         f: usize,
         l: usize,
-        tag: Tag,
+        _tag: Tag,
     ) -> Result<RbcComm> {
         // RBC splits are local arithmetic — nothing to suspend on.
-        self.split_range(parent, f, l, tag)
+        parent.split(f, l)
     }
 
     fn coll_scales(&self, _c: &RbcComm) -> CollScales {
@@ -120,11 +112,6 @@ impl Backend for MpiBackend {
         Ok(world.clone())
     }
 
-    fn split_range(&self, parent: &Comm, f: usize, l: usize, tag: Tag) -> Result<Comm> {
-        let group = parent.group().subrange(f, l, 1);
-        parent.create_group(&group, tag)
-    }
-
     async fn split_range_async(&self, parent: &Comm, f: usize, l: usize, tag: Tag) -> Result<Comm> {
         let group = parent.group().subrange(f, l, 1);
         parent.create_group_async(&group, tag).await
@@ -142,7 +129,7 @@ impl Backend for MpiBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpisim::Universe;
+    use mpisim::{block_inline, Universe};
 
     #[test]
     fn schedule_parity() {
@@ -159,8 +146,8 @@ mod tests {
             let mb = MpiBackend.world(&env.world).unwrap();
             let me = env.rank();
             let (f, l) = if me < 3 { (0, 2) } else { (3, 5) };
-            let rc = RbcBackend.split_range(&rb, f, l, 900).unwrap();
-            let mc = MpiBackend.split_range(&mb, f, l, 902).unwrap();
+            let rc = block_inline(RbcBackend.split_range_async(&rb, f, l, 900)).unwrap();
+            let mc = block_inline(MpiBackend.split_range_async(&mb, f, l, 902)).unwrap();
             (rc.rank(), rc.size(), mc.rank(), mc.size())
         });
         for (r, (rr, rs, mr, ms)) in res.per_rank.into_iter().enumerate() {
@@ -176,11 +163,11 @@ mod tests {
             let (f, l) = if me < 4 { (0, 3) } else { (4, 7) };
             let rb = RbcBackend.world(&env.world).unwrap();
             let t0 = env.now();
-            RbcBackend.split_range(&rb, f, l, 0).unwrap();
+            block_inline(RbcBackend.split_range_async(&rb, f, l, 0)).unwrap();
             let rbc_cost = env.now() - t0;
             let mb = MpiBackend.world(&env.world).unwrap();
             let t0 = env.now();
-            MpiBackend.split_range(&mb, f, l, 904).unwrap();
+            block_inline(MpiBackend.split_range_async(&mb, f, l, 904)).unwrap();
             let mpi_cost = env.now() - t0;
             (rbc_cost, mpi_cost)
         });

@@ -4,12 +4,11 @@
 //! The two construction paths the paper benchmarks (Fig. 5) are implemented
 //! with their real algorithms so their costs *emerge* from the α–β model:
 //!
-//! * [`Comm::split`] — `MPI_Comm_split`: by default the distributed
-//!   sample-sort algorithm of the private `splitdist` module (O(p log p) work,
+//! * [`Comm::split`] — `MPI_Comm_split`: the distributed sample-sort
+//!   algorithm of the private `splitdist` module (O(p log p) work,
 //!   O(√p + p/groups) memory per rank — what production MPI stacks run at
-//!   scale); the textbook all-gather of `(color, key)` over the **parent**
-//!   plus local O(p log p) grouping survives behind
-//!   [`SplitAlgo::Allgather`] as the correctness oracle;
+//!   scale; DESIGN.md §6). The textbook all-gather split is a test oracle
+//!   in `splitdist`'s unit tests;
 //! * [`Comm::create_group`] — `MPI_Comm_create_group`: collective only over
 //!   the **new group**'s members, a context-ID-mask all-reduce over that
 //!   group, and explicit O(g) group-array construction (the linear cost the
@@ -24,7 +23,7 @@ use crate::context::{mask_and, CtxMask, CtxPool};
 use crate::datum::ops;
 use crate::error::{MpiError, Result};
 use crate::group::Group;
-use crate::model::{CreateGroupAlgo, SplitAlgo};
+use crate::model::CreateGroupAlgo;
 use crate::msg::{ContextId, SrcFilter, Tag};
 use crate::proc::ProcState;
 use crate::tags;
@@ -59,30 +58,10 @@ impl Comm {
         }
     }
 
-    /// Internal: a communicator *view* sharing this communicator's context
-    /// but restricted to `group`. This is what communicator-construction
-    /// algorithms communicate over before the new context exists (and is,
-    /// conceptually, exactly RBC's trick).
-    pub(crate) fn view(&self, group: Group) -> Result<Comm> {
-        let rank = group
-            .inverse(self.state.global_rank)
-            .ok_or_else(|| MpiError::Usage("calling process not in view group".into()))?;
-        Ok(Comm {
-            state: Arc::clone(&self.state),
-            inner: Arc::new(CommInner {
-                ctx: self.inner.ctx,
-                group,
-                rank,
-            }),
-        })
-    }
-
-    /// Internal: re-home this process's handle onto a new context/group
-    /// (used by `icomm_create_group`, which computes context IDs itself).
-    pub(crate) fn clone_with_ctx(&self, ctx: ContextId, group: Group) -> Result<Comm> {
-        self.with_new_ctx(ctx, group)
-    }
-
+    /// Internal: this process's handle on `group` under context `ctx`.
+    /// With the parent's own context it is a *view*: what
+    /// communicator-construction algorithms communicate over before the
+    /// new context exists (and is, conceptually, exactly RBC's trick).
     pub(crate) fn with_new_ctx(&self, ctx: ContextId, group: Group) -> Result<Comm> {
         let rank = group
             .inverse(self.state.global_rank)
@@ -150,7 +129,7 @@ impl Comm {
 
     /// [`Comm::dup`] as a maybe-async core.
     pub async fn dup_async(&self) -> Result<Comm> {
-        let view = self.view(self.inner.group.clone())?;
+        let view = self.with_new_ctx(self.ctx(), self.inner.group.clone())?;
         let ctx = self.agree_ctx_async(&view, tags::CTX_AGREE, 1, 0).await?;
         self.with_new_ctx(ctx, self.inner.group.clone())
     }
@@ -158,10 +137,7 @@ impl Comm {
     /// `MPI_Comm_split`: every process of the parent passes a `color` and a
     /// `key`; processes are grouped by color and ranked by `(key, rank)`.
     ///
-    /// Dispatches on [`crate::model::VendorProfile::split_algo`]: the
-    /// distributed sample sort (`splitdist`, DESIGN.md §6) by default, or the
-    /// legacy all-gather oracle. Both produce identical groups, ranks,
-    /// and context IDs; they differ only in cost and memory shape.
+    /// Runs the distributed sample sort of `splitdist` (DESIGN.md §6).
     pub fn split(&self, color: u64, key: u64) -> Result<Comm> {
         crate::sched::poll::block_inline(self.split_async(color, key))
     }
@@ -183,62 +159,7 @@ impl Comm {
 
     /// [`Comm::split_with`] as a maybe-async core.
     pub async fn split_with_async(&self, color: Option<u64>, key: u64) -> Result<Option<Comm>> {
-        match self.state.router.vendor.split_algo {
-            SplitAlgo::DistributedSort => {
-                crate::splitdist::split_distributed(self, color, key).await
-            }
-            SplitAlgo::Allgather => self.split_allgather(color, key).await,
-        }
-    }
-
-    /// The textbook `MPI_Comm_split`: all-gather every rank's
-    /// `(defined, color, key)` over the parent (Ω(α log p + βp), Θ(p)
-    /// memory per rank), group locally, one mask agreement over the
-    /// parent, and explicit O(g) group construction. Kept as the
-    /// correctness oracle for the distributed algorithm.
-    async fn split_allgather(&self, color: Option<u64>, key: u64) -> Result<Option<Comm>> {
-        let p = self.size();
-        let triple = (u64::from(color.is_some()), color.unwrap_or(0), key);
-        let pairs = coll::allgather1_async(self, triple, tags::SPLIT_GATHER).await?;
-        // Local grouping: sort defined ranks by (color, key, parent rank).
-        let mut order: Vec<usize> = (0..p).filter(|&i| pairs[i].0 == 1).collect();
-        order.sort_by_key(|&i| (pairs[i].1, pairs[i].2, i));
-        let log_p = (usize::BITS - (p - 1).leading_zeros()).max(1) as u64;
-        self.charge(Time(
-            (p as f64 * log_p as f64 * self.state.router.vendor.split_sort_ns).round() as u64,
-        ));
-        // Distinct colors in sorted order determine each group's context-ID
-        // index within one shared agreement over the parent.
-        let mut colors: Vec<u64> = order.iter().map(|&i| pairs[i].1).collect();
-        colors.dedup();
-        if colors.is_empty() {
-            return Ok(None); // every rank passed MPI_UNDEFINED
-        }
-        let (my_idx, group) = match color {
-            Some(c) => {
-                let idx = colors.binary_search(&c).expect("own color present");
-                let my_ranks: Vec<usize> = order
-                    .iter()
-                    .copied()
-                    .filter(|&i| pairs[i].1 == c)
-                    .map(|i| self.inner.group.translate(i))
-                    .collect();
-                let g = my_ranks.len();
-                // Explicit group array construction, O(g).
-                self.charge(Time(
-                    (g as f64 * self.state.router.vendor.group_build_ns_per_member).round() as u64,
-                ));
-                (idx, Some(Group::from_ranks(my_ranks)))
-            }
-            None => (0, None),
-        };
-        let ctx = self
-            .agree_ctx_async(self, tags::CTX_AGREE, colors.len(), my_idx)
-            .await?;
-        match group {
-            Some(g) => Ok(Some(self.with_new_ctx(ctx, g)?)),
-            None => Ok(None),
-        }
+        crate::splitdist::split_distributed(self, color, key).await
     }
 
     /// `MPI_Comm_create_group`: blocking collective over the members of
@@ -251,7 +172,7 @@ impl Comm {
 
     /// [`Comm::create_group`] as a maybe-async core.
     pub async fn create_group_async(&self, group: &Group, tag: Tag) -> Result<Comm> {
-        let view = self.view(group.clone())?;
+        let view = self.with_new_ctx(self.ctx(), group.clone())?;
         let g = group.len();
         let vendor = &self.state.router.vendor;
         // Explicit O(g) group representation (paper §III: "the process

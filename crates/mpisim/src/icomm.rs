@@ -75,13 +75,13 @@ pub fn icomm_create_group(parent: &Comm, group: &Group, tag: Tag) -> Result<Icom
             c: c + 1,
         };
         parent.proc_state().charge(LOCAL_CREATE_COST);
-        let comm = parent.clone_with_ctx(ctx, group.clone())?;
+        let comm = parent.with_new_ctx(ctx, group.clone())?;
         return Ok(IcommCreate(Nbc::ready(parent.proc_state(), Some(comm))));
     }
 
     // General path: first process picks the ID and broadcasts it over the
     // group (using the parent's context and the user tag).
-    let view = parent.view(group.clone())?;
+    let view = parent.with_new_ctx(parent.ctx(), group.clone())?;
     let payload = (my_rank == 0).then(|| {
         let b = parent
             .proc_state()
@@ -94,7 +94,7 @@ pub fn icomm_create_group(parent: &Comm, group: &Group, tag: Tag) -> Result<Icom
         let id = coll::bcast_shared_async(&view, payload, 0, tag).await?[0];
         let [a, b, f, l, c] = id;
         let ctx = ContextId::Wide { a, b, f, l, c };
-        Ok(Some(view.clone_with_ctx(ctx, group)?))
+        Ok(Some(view.with_new_ctx(ctx, group)?))
     };
     Ok(IcommCreate(Nbc::start(
         Arc::clone(parent.proc_state()),

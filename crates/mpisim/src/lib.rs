@@ -11,9 +11,9 @@
 //!   message-delivery order (synchronous programs on a parked thread per
 //!   rank, `async` ones as stackless futures up to 2^20 ranks);
 //! * native communicators ([`Comm`]) whose construction runs the *real*
-//!   algorithms (all-gather for `MPI_Comm_split`, context-ID-mask
-//!   all-reduce for `MPI_Comm_create_group`) so that their costs emerge
-//!   from the α–β model rather than being hard-coded;
+//!   algorithms (a distributed sample sort for `MPI_Comm_split`,
+//!   context-ID-mask all-reduce for `MPI_Comm_create_group`) so that their
+//!   costs emerge from the α–β model rather than being hard-coded;
 //! * blocking collectives ([`coll`]) and nonblocking collective state
 //!   machines ([`nbcoll`]), generic over [`Transport`] so the RBC library
 //!   reuses them verbatim;
@@ -58,7 +58,7 @@ pub use datum::{ops, Datum, SortKey, Zeroed};
 pub use error::{MpiError, Result};
 pub use faults::{FaultPlan, RankBlame, RankHealth, RoundBlame, SlowdownSpec};
 pub use group::Group;
-pub use model::{CostModel, CostScale, CreateGroupAlgo, SplitAlgo, VendorProfile};
+pub use model::{CostModel, CostScale, CreateGroupAlgo, VendorProfile};
 pub use msg::{ContextId, MsgInfo, Tag};
 pub use nbcoll::{Progress, Request};
 pub use obs::{MetricsSnapshot, OpClass, SchedProfile, Trace, TraceEvent, WorkerProfile};

@@ -121,23 +121,6 @@ pub enum CreateGroupAlgo {
     LeaderRing,
 }
 
-/// Which algorithm `MPI_Comm_split` uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SplitAlgo {
-    /// Distributed sample sort of the `(color, key, rank)` triples over the
-    /// parent communicator, followed by per-color-segment table
-    /// construction — O(p log p) total work and O(p/groups + samples)
-    /// memory per rank (what production MPICH does at scale, and the only
-    /// variant the simulator can run at p = 2^15).
-    #[default]
-    DistributedSort,
-    /// The textbook algorithm: all-gather all p `(color, key)` pairs on
-    /// every rank and group locally. Θ(p) memory per rank — Θ(p²) across
-    /// a simulated universe — which is why it is kept only as the
-    /// correctness oracle for the distributed variant.
-    Allgather,
-}
-
 /// An MPI implementation personality.
 #[derive(Clone, Debug)]
 pub struct VendorProfile {
@@ -170,16 +153,12 @@ pub struct VendorProfile {
     /// represent as a stride range (no array is materialised).
     pub group_build_ns_per_member: f64,
     /// Per-element·log(m) cost of the local sorts inside `comm_split`,
-    /// charged on the `m` elements a rank *actually* sorts. Under
-    /// [`SplitAlgo::DistributedSort`] that is each bucket leader's ≈√p
-    /// triples — a measured sort+exchange cost that emerges per rank (the
-    /// rank-0 splitter-sample sort is charged through the machine's
-    /// generic `compute_ns_per_elem`, shared with jquick's sample sort);
-    /// the legacy [`SplitAlgo::Allgather`] path sorts all p pairs on
-    /// every rank and is charged accordingly.
+    /// charged on the `m` elements a rank *actually* sorts: each bucket
+    /// leader's ≈√p triples of the distributed sort (DESIGN.md §6) — a
+    /// measured sort+exchange cost that emerges per rank (the rank-0
+    /// splitter-sample sort is charged through the machine's generic
+    /// `compute_ns_per_elem`, shared with jquick's sample sort).
     pub split_sort_ns: f64,
-    /// Which `MPI_Comm_split` algorithm to run (see [`SplitAlgo`]).
-    pub split_algo: SplitAlgo,
 }
 
 /// Per-operation-class collective scaling factors.
@@ -225,7 +204,6 @@ impl VendorProfile {
             create_group_algo: CreateGroupAlgo::MaskAllreduce,
             group_build_ns_per_member: 150.0,
             split_sort_ns: 20.0,
-            split_algo: SplitAlgo::DistributedSort,
         }
     }
 
@@ -254,7 +232,6 @@ impl VendorProfile {
             // regime visible within the sweep (see EXPERIMENTS.md).
             group_build_ns_per_member: 2000.0,
             split_sort_ns: 20.0,
-            split_algo: SplitAlgo::DistributedSort,
         }
     }
 
@@ -279,7 +256,6 @@ impl VendorProfile {
             create_group_algo: CreateGroupAlgo::LeaderRing,
             group_build_ns_per_member: 3000.0,
             split_sort_ns: 20.0,
-            split_algo: SplitAlgo::DistributedSort,
         }
     }
 }

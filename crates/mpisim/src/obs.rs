@@ -26,8 +26,6 @@
 //!   wall-clock is *deliberately outside* the deterministic domain — it
 //!   exists to attribute multicore speedup, never to be diffed.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use parking_lot::Mutex;
 
 use crate::proc::ProcState;
@@ -166,9 +164,10 @@ pub struct TraceRecord {
     pub ev: TraceEvent,
 }
 
-/// Per-rank trace buffer, cache-line aligned like the router's traffic
-/// cells. Only the owning rank's body ever appends, so the mutex is
-/// uncontended; it exists because future bodies migrate across workers.
+/// Per-rank trace buffer, cache-line aligned like the router's per-rank
+/// clock and counter cells. Only the owning rank's body ever appends, so
+/// the mutex is uncontended; it exists because future bodies migrate
+/// across workers.
 #[repr(align(64))]
 #[derive(Default)]
 pub(crate) struct TraceCell(Mutex<Vec<(Time, TraceEvent)>>);
@@ -446,31 +445,6 @@ pub fn mark(state: &ProcState, label: impl FnOnce() -> String) {
 // Model metrics (deterministic, exact-gated)
 // ---------------------------------------------------------------------------
 
-/// Per-rank, per-class volume counters, cache-line aligned. Always on:
-/// two relaxed atomic adds per send is noise next to message pricing.
-#[repr(align(64))]
-#[derive(Default)]
-pub(crate) struct ClassCell {
-    msgs: [AtomicU64; OpClass::COUNT],
-    bytes: [AtomicU64; OpClass::COUNT],
-}
-
-impl ClassCell {
-    #[inline]
-    pub(crate) fn add(&self, class: OpClass, bytes: usize) {
-        self.msgs[class as usize].fetch_add(1, Ordering::Relaxed);
-        self.bytes[class as usize].fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn msgs_of(&self, class: OpClass) -> u64 {
-        self.msgs[class as usize].load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn bytes_of(&self, class: OpClass) -> u64 {
-        self.bytes[class as usize].load(Ordering::Relaxed)
-    }
-}
-
 /// The deterministic model-metric snapshot of a run. Every field is a
 /// pure function of `(program, seed, fault seed)` — identical for every
 /// worker count — so CI compares these at **exact
@@ -689,18 +663,6 @@ mod tests {
             assert_eq!(OpClass::from_u8(c as u8), c);
         }
         assert_eq!(OpClass::from_u8(250), OpClass::Other);
-    }
-
-    #[test]
-    fn class_cell_buckets() {
-        let cell = ClassCell::default();
-        cell.add(OpClass::Bcast, 100);
-        cell.add(OpClass::Bcast, 24);
-        cell.add(OpClass::P2p, 8);
-        assert_eq!(cell.msgs_of(OpClass::Bcast), 2);
-        assert_eq!(cell.bytes_of(OpClass::Bcast), 124);
-        assert_eq!(cell.msgs_of(OpClass::P2p), 1);
-        assert_eq!(cell.bytes_of(OpClass::Scan), 0);
     }
 
     #[test]

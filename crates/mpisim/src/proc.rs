@@ -44,33 +44,35 @@ impl std::fmt::Display for WaitReason {
     }
 }
 
-/// Cumulative message traffic of a simulation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Traffic {
-    /// Total messages deposited into mailboxes.
-    pub messages: u64,
-    /// Total payload bytes deposited.
-    pub bytes: u64,
-}
-
-/// Per-sender traffic counters, padded to a cache line so that parallel
-/// scheduler workers incrementing different ranks' counters never false-share
-/// — the old pair of global `AtomicU64`s was a guaranteed all-workers
-/// contention point (two `fetch_add`s on shared lines per send).
+/// One rank's virtual clock and its per-[`OpClass`] send counters,
+/// padded to a cache line so that scheduler workers stepping different
+/// ranks never false-share. The cells live on the router (rather than
+/// privately on each [`ProcState`]) so that blame diagnostics can report
+/// any rank's last virtual-time activity when an operation stalls, and so
+/// the metrics snapshot can sum every rank's counters.
 #[repr(align(64))]
 #[derive(Default)]
-struct TrafficCell {
-    messages: AtomicU64,
-    bytes: AtomicU64,
+struct RankCell {
+    clock: crate::time::VirtualClock,
+    msgs: [AtomicU64; OpClass::COUNT],
+    bytes: [AtomicU64; OpClass::COUNT],
 }
 
-/// One rank's virtual clock, padded to a cache line for the same reason as
-/// [`TrafficCell`]. Clocks live on the router (rather than privately on
-/// each [`ProcState`]) so that blame diagnostics can report any rank's
-/// last virtual-time activity when an operation stalls.
-#[repr(align(64))]
-#[derive(Default)]
-struct ClockCell(crate::time::VirtualClock);
+impl RankCell {
+    #[inline]
+    fn count_class(&self, class: OpClass, bytes: usize) {
+        self.msgs[class as usize].fetch_add(1, Ordering::Relaxed);
+        self.bytes[class as usize].fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    fn msgs_of(&self, class: OpClass) -> u64 {
+        self.msgs[class as usize].load(Ordering::Relaxed)
+    }
+
+    fn bytes_of(&self, class: OpClass) -> u64 {
+        self.bytes[class as usize].load(Ordering::Relaxed)
+    }
+}
 
 /// Shared fabric connecting all ranks: one mailbox per rank plus the
 /// cost model. Sends stage their messages with the scheduler for commit
@@ -88,13 +90,10 @@ pub struct Router {
     /// every fault decision is a hash of the perturbation seed, never a
     /// function of scheduling.
     pub faults: FaultState,
-    /// Traffic accounting, sharded by sender rank (summed on read).
-    traffic: Vec<TrafficCell>,
-    /// Per-rank virtual clocks, indexed by global rank.
-    clocks: Vec<ClockCell>,
-    /// Per-sender, per-[`OpClass`] volume counters (always on; summed on
-    /// read into the deterministic [`MetricsSnapshot`]).
-    class_cells: Vec<crate::obs::ClassCell>,
+    /// Per-rank virtual clocks and per-[`OpClass`] send counters, indexed
+    /// by global rank (always on; the counters are summed on read into the
+    /// deterministic [`MetricsSnapshot`]).
+    cells: Vec<RankCell>,
     /// Per-rank event-trace buffers, allocated only when the run traces.
     trace: Option<Vec<crate::obs::TraceCell>>,
 }
@@ -108,9 +107,7 @@ impl Router {
             cost,
             vendor,
             faults,
-            traffic: (0..p).map(|_| TrafficCell::default()).collect(),
-            clocks: (0..p).map(|_| ClockCell::default()).collect(),
-            class_cells: (0..p).map(|_| Default::default()).collect(),
+            cells: (0..p).map(|_| RankCell::default()).collect(),
             trace: None,
         }
     }
@@ -140,21 +137,18 @@ impl Router {
     /// counters (epochs, wake-ups, switches) are merged in by the
     /// universe, which owns the scheduler.
     pub fn metrics_base(&self) -> MetricsSnapshot {
-        let t = self.traffic();
-        let mut snap = MetricsSnapshot {
-            messages: t.messages,
-            bytes: t.bytes,
-            ..Default::default()
-        };
+        let mut snap = MetricsSnapshot::default();
         for class in OpClass::ALL {
             let i = class as usize;
-            for cell in &self.class_cells {
+            for cell in &self.cells {
                 let m = cell.msgs_of(class);
                 snap.class_msgs[i] += m;
                 snap.class_bytes[i] += cell.bytes_of(class);
                 snap.class_max_rank_msgs[i] = snap.class_max_rank_msgs[i].max(m);
             }
         }
+        snap.messages = snap.class_msgs.iter().sum();
+        snap.bytes = snap.class_bytes.iter().sum();
         snap.mailbox_scans = self.mailboxes.iter().map(|m| m.scans()).sum();
         snap
     }
@@ -162,23 +156,7 @@ impl Router {
     /// Rank `r`'s current virtual clock — its last virtual-time activity,
     /// as seen by blame diagnostics.
     pub fn clock_of(&self, r: usize) -> Time {
-        self.clocks[r].0.now()
-    }
-
-    /// Snapshot of global traffic so far (sums the per-sender shards).
-    pub fn traffic(&self) -> Traffic {
-        let mut t = Traffic::default();
-        for cell in &self.traffic {
-            t.messages += cell.messages.load(Ordering::Relaxed);
-            t.bytes += cell.bytes.load(Ordering::Relaxed);
-        }
-        t
-    }
-
-    fn count_send(&self, src: usize, bytes: usize) {
-        let cell = &self.traffic[src];
-        cell.messages.fetch_add(1, Ordering::Relaxed);
-        cell.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.cells[r].clock.now()
     }
 
     /// Number of ranks this router connects.
@@ -192,7 +170,7 @@ impl Router {
 pub struct ProcState {
     /// This process's rank in `MPI_COMM_WORLD`.
     pub global_rank: usize,
-    /// The shared fabric (also owns this rank's clock — see `ClockCell`).
+    /// The shared fabric (also owns this rank's clock — see `RankCell`).
     pub router: Arc<Router>,
     /// Deterministic per-rank random stream (pivot selection, jitter).
     pub rng: Mutex<StdRng>,
@@ -260,7 +238,7 @@ impl ProcState {
 
     #[inline]
     fn clock(&self) -> &crate::time::VirtualClock {
-        &self.router.clocks[self.global_rank].0
+        &self.router.cells[self.global_rank].clock
     }
 
     /// This rank's current virtual clock.
@@ -341,8 +319,7 @@ impl ProcState {
             transfer += Time::from_nanos(jit);
             self.trace_push(|| TraceEvent::FaultJitter { ns: jit });
         }
-        self.router.count_send(self.global_rank, bytes);
-        self.router.class_cells[self.global_rank].add(self.cur_class(), bytes);
+        self.router.cells[self.global_rank].count_class(self.cur_class(), bytes);
         (t0, t0 + transfer)
     }
 
@@ -694,6 +671,24 @@ mod tests {
     }
 
     #[test]
+    fn rank_cell_counts_per_class() {
+        let cell = RankCell::default();
+        cell.count_class(OpClass::Bcast, 100);
+        cell.count_class(OpClass::Bcast, 24);
+        cell.count_class(OpClass::P2p, 8);
+        assert_eq!(cell.msgs_of(OpClass::Bcast), 2);
+        assert_eq!(cell.bytes_of(OpClass::Bcast), 124);
+        assert_eq!(cell.msgs_of(OpClass::P2p), 1);
+        assert_eq!(cell.bytes_of(OpClass::Scan), 0);
+    }
+
+    #[test]
+    fn rank_cell_is_two_cache_lines() {
+        // One clock plus two per-class counter arrays, padded to 64 bytes.
+        assert_eq!(std::mem::size_of::<RankCell>(), 128);
+    }
+
+    #[test]
     fn send_recv_updates_clocks() {
         let cost = CostModel::supermuc_like();
         let got = on_two(FaultPlan::default(), |me| async move {
@@ -796,9 +791,9 @@ mod tests {
             // traffic), receives fail with a self-blaming timeout.
             me.advance_to(Time::from_micros(10));
             assert!(me.crashed());
-            let before = (me.now(), me.router.traffic());
+            let before = (me.now(), me.router.metrics_base());
             me.send_global::<u64>(1, 7, ContextId::WORLD, vec![2], CostScale::NEUTRAL);
-            assert_eq!((me.now(), me.router.traffic()), before);
+            assert_eq!((me.now(), me.router.metrics_base()), before);
             Some(recv(&me, from_rank0()).await.unwrap_err())
         });
         match &got[0] {

@@ -1,4 +1,5 @@
-//! Distributed-sort `MPI_Comm_split` ([`crate::model::SplitAlgo::DistributedSort`]).
+//! Distributed-sort `MPI_Comm_split`, the only split algorithm
+//! ([`Comm::split`]).
 //!
 //! The textbook split all-gathers all p `(color, key)` pairs on every rank:
 //! Θ(p) memory per rank and Θ(p²) across a simulated universe, which is why
@@ -34,8 +35,9 @@
 //!    shared-`Arc` payload, so all members of a group reference one host
 //!    allocation while in flight.
 //! 6. **Context agreement** — one mask all-reduce over the parent claims
-//!    one context ID per distinct color, exactly like the legacy path, so
-//!    both algorithms yield identical context IDs.
+//!    one context ID per distinct color, exactly like the textbook
+//!    all-gather split, so both yield identical context IDs (the unit tests
+//!    below keep that split as the oracle).
 //!
 //! Memory per rank is O(√p) for the sort plus O(g) only where a dense
 //! table is unavoidable; the benchmark's contiguous-halves split stays
@@ -415,7 +417,7 @@ pub(crate) async fn split_distributed(
 
     // Phase 6: context agreement over the parent — one ID per distinct
     // color, claimed in segment (= sorted color) order, identical to the
-    // legacy algorithm's IDs.
+    // all-gather oracle's IDs.
     if n_colors == 0 {
         return Ok(None); // every rank passed MPI_UNDEFINED
     }
@@ -467,6 +469,212 @@ pub(crate) async fn split_distributed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SimConfig, Universe};
+    use proptest::prelude::*;
+
+    /// The textbook `MPI_Comm_split`: all-gather every rank's
+    /// `(defined, color, key)` over the parent (Ω(α log p + βp), Θ(p)
+    /// memory per rank), group locally, one mask agreement over the
+    /// parent, and explicit O(g) group construction. The oracle
+    /// [`split_distributed`] must agree with.
+    async fn split_allgather(parent: &Comm, color: Option<u64>, key: u64) -> Result<Option<Comm>> {
+        let p = parent.size();
+        let vendor = &parent.state().router.vendor;
+        let triple = (u64::from(color.is_some()), color.unwrap_or(0), key);
+        let pairs = coll::allgather1_async(parent, triple, tags::SPLIT_GATHER).await?;
+        // Local grouping: sort defined ranks by (color, key, parent rank).
+        let mut order: Vec<usize> = (0..p).filter(|&i| pairs[i].0 == 1).collect();
+        order.sort_by_key(|&i| (pairs[i].1, pairs[i].2, i));
+        let log_p = (usize::BITS - (p - 1).leading_zeros()).max(1) as u64;
+        parent.charge(Time(
+            (p as f64 * log_p as f64 * vendor.split_sort_ns).round() as u64,
+        ));
+        // Distinct colors in sorted order determine each group's context-ID
+        // index within one shared agreement over the parent.
+        let mut colors: Vec<u64> = order.iter().map(|&i| pairs[i].1).collect();
+        colors.dedup();
+        if colors.is_empty() {
+            return Ok(None); // every rank passed MPI_UNDEFINED
+        }
+        let (my_idx, group) = match color {
+            Some(c) => {
+                let idx = colors.binary_search(&c).expect("own color present");
+                let my_ranks: Vec<usize> = order
+                    .iter()
+                    .copied()
+                    .filter(|&i| pairs[i].1 == c)
+                    .map(|i| parent.group().translate(i))
+                    .collect();
+                let g = my_ranks.len();
+                // Explicit group array construction, O(g).
+                parent.charge(Time(
+                    (g as f64 * vendor.group_build_ns_per_member).round() as u64
+                ));
+                (idx, Some(Group::from_ranks(my_ranks)))
+            }
+            None => (0, None),
+        };
+        let ctx = parent
+            .agree_ctx_async(parent, tags::CTX_AGREE, colors.len(), my_idx)
+            .await?;
+        match group {
+            Some(g) => Ok(Some(parent.with_new_ctx(ctx, g)?)),
+            None => Ok(None),
+        }
+    }
+
+    /// What a rank observes about its new communicator: `(new_rank, size,
+    /// context id, ordered global member list)`; `None` for `MPI_UNDEFINED`.
+    type SplitView = Option<(usize, usize, String, Vec<usize>)>;
+
+    /// Deterministic per-rank `(color, key)` assignment: `None` color with
+    /// probability ~1/8, colors from `0..colors_max`, keys from a small range
+    /// so ties exercise the rank tie-breaker.
+    fn assignment(p: usize, colors_max: u64, seed: u64) -> Vec<(Option<u64>, u64)> {
+        (0..p)
+            .map(|r| {
+                let mut s = seed
+                    .wrapping_add(r as u64)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    | 1;
+                s ^= s >> 31;
+                s = s.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                s ^= s >> 29;
+                let color = if s.is_multiple_of(8) {
+                    None
+                } else {
+                    Some((s >> 3) % colors_max)
+                };
+                let key = (s >> 17) % 4;
+                (color, key)
+            })
+            .collect()
+    }
+
+    /// Split `p` ranks by `assign`, through [`Comm::split_with_async`] or,
+    /// with `oracle`, through [`split_allgather`].
+    fn split_tables(
+        p: usize,
+        cfg: SimConfig,
+        assign: &[(Option<u64>, u64)],
+        oracle: bool,
+    ) -> (Vec<SplitView>, Vec<Time>) {
+        // A future body: these universes go to p = 1024, several per case.
+        let assign = &assign.to_vec();
+        let res = Universe::run_poll(p, cfg, move |env| async move {
+            let w = &env.world;
+            let (color, key) = assign[w.rank()];
+            let c = if oracle {
+                split_allgather(w, color, key).await
+            } else {
+                w.split_with_async(color, key).await
+            };
+            c.unwrap().map(|c| {
+                (
+                    c.rank(),
+                    c.size(),
+                    format!("{}", c.ctx()),
+                    c.group().iter_globals().collect::<Vec<_>>(),
+                )
+            })
+        });
+        (res.per_rank, res.clocks)
+    }
+
+    /// Run one assignment under both algorithms at 1 and 4 workers and
+    /// assert table equality plus worker-count determinism.
+    fn check_case(p: usize, colors_max: u64, seed: u64) {
+        let assign = assignment(p, colors_max, seed);
+        let mut oracle: Option<Vec<SplitView>> = None;
+        for workers in [1, 4] {
+            let cfg = SimConfig::default().with_workers(workers).with_seed(seed);
+            let (dist, dist_clocks) = split_tables(p, cfg.clone(), &assign, false);
+            let (gath, _) = split_tables(p, cfg.clone(), &assign, true);
+            assert_eq!(
+                dist, gath,
+                "distributed split must equal the all-gather oracle (p={p} seed={seed})"
+            );
+            // Both worker counts agree on the tables too.
+            match &oracle {
+                None => oracle = Some(dist),
+                Some(o) => assert_eq!(
+                    &dist, o,
+                    "tables must not depend on the worker count (p={p} seed={seed})"
+                ),
+            }
+            // Virtual time of the distributed run is a pure function of the
+            // program.
+            let (_, again) = split_tables(p, cfg, &assign, false);
+            assert_eq!(dist_clocks, again, "clocks must be stable");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+        // The oracle at the small and medium scales: p = 7 (odd, partial
+        // buckets) and p = 64.
+        #[test]
+        fn distributed_split_matches_allgather_oracle(
+            colors_max in 1u64..6,
+            seed in any::<u64>(),
+        ) {
+            for p in [7usize, 64] {
+                check_case(p, colors_max, seed);
+            }
+        }
+    }
+
+    /// The large point of the oracle sweep: p = 1024 at 1 and 4 workers
+    /// (fixed seeds — each case runs six thousand-rank universes, so the
+    /// sweep stays out of the proptest loop).
+    #[test]
+    fn distributed_split_matches_oracle_at_1024() {
+        for seed in [3u64, 0xA5A5_5A5A] {
+            check_case(1024, 5, seed);
+        }
+    }
+
+    /// `MPI_UNDEFINED` everywhere: both algorithms must return `None` on every
+    /// rank without claiming a context ID.
+    #[test]
+    fn all_undefined_yields_no_communicator() {
+        for oracle in [false, true] {
+            let res = Universe::run(5, SimConfig::default(), |env| {
+                let w = &env.world;
+                let c = if oracle {
+                    crate::block_inline(split_allgather(w, None, 7))
+                } else {
+                    w.split_with(None, 7)
+                };
+                c.unwrap().is_none()
+            });
+            assert!(res.per_rank.into_iter().all(|b| b), "oracle {oracle}");
+        }
+    }
+
+    /// Key collisions fall back to parent-rank order — the MPI-specified tie
+    /// break — identically under both algorithms.
+    #[test]
+    fn equal_keys_break_ties_by_parent_rank() {
+        for oracle in [false, true] {
+            let res = Universe::run(8, SimConfig::default(), |env| {
+                let w = &env.world;
+                let c = if oracle {
+                    crate::block_inline(split_allgather(w, Some(0), 42))
+                        .unwrap()
+                        .expect("defined color always yields a communicator")
+                } else {
+                    w.split(0, 42).unwrap()
+                };
+                (c.rank(), c.group().iter_globals().collect::<Vec<_>>())
+            });
+            for (r, (nr, members)) in res.per_rank.into_iter().enumerate() {
+                assert_eq!(nr, r, "oracle {oracle}");
+                assert_eq!(members, (0..8).collect::<Vec<_>>(), "oracle {oracle}");
+            }
+        }
+    }
 
     #[test]
     fn seg_combine_merges_runs() {

@@ -40,8 +40,9 @@ pub const ALLTOALL: Tag = RESERVED_BASE + 18;
 
 /// Context-ID mask agreement during `split`/`dup`.
 pub const CTX_AGREE: Tag = RESERVED_BASE + 20;
-/// All-gather of `(color, key)` during the legacy all-gather
-/// `MPI_Comm_split` (the correctness oracle, `SplitAlgo::Allgather`).
+/// All-gather of `(color, key)` in the textbook all-gather
+/// `MPI_Comm_split`. Only the test oracle for the distributed split
+/// (`splitdist`'s unit tests) sends on it; the tag stays reserved.
 pub const SPLIT_GATHER: Tag = RESERVED_BASE + 22;
 /// Exclusive tag of blocking `scatter`.
 pub const SCATTER: Tag = RESERVED_BASE + 24;
@@ -52,8 +53,8 @@ pub const ALLGATHERV: Tag = RESERVED_BASE + 28; // +2, +3 for the bcasts
 /// Exclusive tag of blocking `alltoallw`.
 pub const ALLTOALLW: Tag = RESERVED_BASE + 34;
 
-// Distributed-sort `MPI_Comm_split` (`SplitAlgo::DistributedSort`, the
-// default): sample-sort of `(color, key, rank)` triples over the parent.
+// Distributed-sort `MPI_Comm_split` (`splitdist`, the only split
+// algorithm): sample-sort of `(color, key, rank)` triples over the parent.
 /// Sample gather + splitter broadcast (claims +1 for the gatherv payload
 /// and +2 for the broadcast).
 pub const SPLIT_SAMPLE: Tag = RESERVED_BASE + 36;

@@ -143,33 +143,6 @@ pub trait Transport: Clone + Send + Sync + 'static {
         Ok(())
     }
 
-    /// Blocking receive keeping the payload behind an `Arc` (no copy):
-    /// the receive path of fan-out stages that forward the buffer onward
-    /// with [`Transport::send_shared`].
-    fn recv_shared<T: Datum>(&self, src: Src, tag: Tag) -> Result<(Arc<Vec<T>>, Status)> {
-        block_inline(recv_shared_async(self, src, tag))
-    }
-
-    /// Nonblocking shared-receive attempt (see [`Transport::recv_shared`]).
-    fn try_recv_shared<T: Datum>(
-        &self,
-        src: Src,
-        tag: Tag,
-    ) -> Result<Option<(Arc<Vec<T>>, Status)>> {
-        if let Src::Rank(r) = src {
-            self.check_rank(r)?;
-        }
-        let pat = self.pattern(src, tag);
-        match self.state().try_recv_match(&pat)? {
-            None => Ok(None),
-            Some(m) => {
-                let (data, info) = m.take_shared::<T>()?;
-                let st = self.status_of(&info);
-                Ok(Some((data, st)))
-            }
-        }
-    }
-
     /// Blocking receive.
     fn recv<T: Datum>(&self, src: Src, tag: Tag) -> Result<(Vec<T>, Status)> {
         block_inline(recv_async(self, src, tag))
@@ -239,7 +212,7 @@ pub trait Transport: Clone + Send + Sync + 'static {
 // Free functions rather than trait methods so `Transport` stays object- and
 // vtable-simple: an `async fn` in the trait would force every implementor
 // through return-position-impl-trait plumbing for three operations whose
-// bodies are identical anyway. `Transport::{recv, recv_shared, probe}` are
+// bodies are identical anyway. `Transport::{recv, probe}` are
 // `block_inline` over these (see `crate::sched::poll::block_inline`).
 
 /// One poll of a blocking receive of `src`/`tag` on `tr`: the leaf of
@@ -265,7 +238,9 @@ pub fn recv_async<T: Datum, C: Transport>(
     })
 }
 
-/// [`Transport::recv_shared`] for maybe-async workloads.
+/// Receive keeping the payload behind an `Arc` (no copy): the receive
+/// path of fan-out stages that forward the buffer onward with
+/// [`Transport::send_shared`].
 pub fn recv_shared_async<T: Datum, C: Transport>(
     tr: &C,
     src: Src,

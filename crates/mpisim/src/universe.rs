@@ -167,14 +167,6 @@ impl SimConfig {
         self
     }
 
-    /// Replace the `MPI_Comm_split` algorithm (the legacy
-    /// [`crate::model::SplitAlgo::Allgather`] survives as the correctness
-    /// oracle for the default distributed sort).
-    pub fn with_split_algo(mut self, algo: crate::model::SplitAlgo) -> SimConfig {
-        self.vendor.split_algo = algo;
-        self
-    }
-
     /// Replace the base RNG seed.
     pub fn with_seed(mut self, seed: u64) -> SimConfig {
         self.seed = seed;
@@ -240,15 +232,13 @@ impl ProcEnv {
 }
 
 /// Outcome of a simulation: per-rank return values, final virtual clocks,
-/// and the total message traffic.
+/// and the model counters (message and byte totals among them).
 #[derive(Debug)]
 pub struct SimResult<R> {
     /// Each rank body's return value, indexed by rank.
     pub per_rank: Vec<R>,
     /// Each rank's virtual clock at exit.
     pub clocks: Vec<Time>,
-    /// Total messages/bytes sent during the run.
-    pub traffic: crate::proc::Traffic,
     /// Deterministic model counters of the run (messages, bytes,
     /// per-class volumes, mailbox scans, epochs, wake-ups, switches) —
     /// pure functions of `(program, seed, fault plan)`, so CI gates them
@@ -398,7 +388,7 @@ fn build_fabric(p: usize, cfg: &SimConfig) -> (Arc<Router>, Vec<Arc<ProcState>>)
 }
 
 /// Assemble a [`SimResult`] from a completed run's raw state: per-rank
-/// values, final clocks, traffic, the deterministic metrics snapshot
+/// values, final clocks, the deterministic metrics snapshot
 /// (with the scheduler's epoch/wakeup/switch counters spliced in), the
 /// optional trace, and the optional wall-clock profile.
 fn assemble_result<R>(
@@ -412,14 +402,12 @@ fn assemble_result<R>(
         .map(|r| r.expect("rank completed"))
         .collect();
     let clocks = states.iter().map(|s| s.now()).collect();
-    let traffic = router.traffic();
     let mut metrics = router.metrics_base();
     (metrics.epochs, metrics.wakeups, metrics.switches) = sched_counters;
     let trace = router.collect_trace();
     SimResult {
         per_rank,
         clocks,
-        traffic,
         metrics,
         trace,
         sched_profile,

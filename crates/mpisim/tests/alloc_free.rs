@@ -13,9 +13,9 @@
 //! `Universe::run_poll` (a future body is polled on the worker's thread;
 //! a synchronous body would run on a thread of its own) at `workers = 1`:
 //! the scheduler then runs its worker loop on the calling thread (no
-//! allocating thread spawns, no `Arc`-published commit phase:
-//! `shard_target` returns 1 and the commit stays inline). This file is
-//! its own integration-test binary with a single `#[test]` so no
+//! allocating thread spawns), and that one worker hands in its outbox and
+//! pushes it into the mailboxes as it stands, on the same thread. This
+//! file is its own integration-test binary with a single `#[test]` so no
 //! concurrent test pollutes the counters.
 //!
 //! The collectives in the storm are `reduce`, `scan` and `barrier`;

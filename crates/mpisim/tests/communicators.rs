@@ -255,8 +255,8 @@ fn traffic_accounting_counts_messages_and_bytes() {
             w.recv::<u64>(Src::Rank(0), 5).unwrap();
         }
     });
-    assert_eq!(res.traffic.messages, 1);
-    assert_eq!(res.traffic.bytes, 24);
+    assert_eq!(res.metrics.messages, 1);
+    assert_eq!(res.metrics.bytes, 24);
 }
 
 #[test]
@@ -271,5 +271,5 @@ fn rbc_style_view_traffic_is_zero_for_pure_splits() {
             .ok();
     });
     // Native creation DID send messages (mask agreement).
-    assert!(res.traffic.messages > 0);
+    assert!(res.metrics.messages > 0);
 }

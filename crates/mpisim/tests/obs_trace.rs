@@ -83,7 +83,10 @@ fn tracing_has_zero_observer_effect() {
     assert!(on.trace.is_some_and(|t| !t.is_empty()));
     assert_eq!(off.per_rank, on.per_rank);
     assert_eq!(off.clocks, on.clocks);
-    assert_eq!(off.traffic, on.traffic);
+    assert_eq!(
+        (off.metrics.messages, off.metrics.bytes),
+        (on.metrics.messages, on.metrics.bytes)
+    );
     assert_eq!(off.metrics, on.metrics);
 }
 

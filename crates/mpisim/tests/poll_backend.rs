@@ -128,14 +128,13 @@ fn observe(
 ) -> (
     Vec<RankLog>,
     Vec<mpisim::Time>,
-    mpisim::proc::Traffic,
     mpisim::MetricsSnapshot,
     String,
 ) {
     let cfg = sched(workers).with_seed(seed).with_trace(true);
     let res = run_as(body, p, cfg, move |env| rank_program(env, per));
     let trace = res.trace.as_ref().map(|t| t.to_text()).unwrap_or_default();
-    (res.per_rank, res.clocks, res.traffic, res.metrics, trace)
+    (res.per_rank, res.clocks, res.metrics, trace)
 }
 
 proptest! {
@@ -178,7 +177,7 @@ fn bodies_match_at_2_10_and_worker_counts_up_the_pow2_ladder() {
             (s, g)
         };
         let res = run_as(body, 1 << exp, sched(workers).with_seed(42), program);
-        (res.per_rank, res.clocks, res.traffic, res.metrics)
+        (res.per_rank, res.clocks, res.metrics)
     };
     assert_eq!(run(Body::Thread, 10, 4), run(Body::Future, 10, 4));
     let top = if cfg!(debug_assertions) { 12 } else { 15 };
@@ -203,10 +202,10 @@ fn sync_run_under_poll_equals_sync_run_under_cooperative() {
             .with_trace(true);
         let res = Universe::run(12, cfg, |env| block_inline(rank_program(env, 2)));
         let trace = res.trace.expect("tracing was requested").to_text();
-        (res.per_rank, res.clocks, res.traffic, res.metrics, trace)
+        (res.per_rank, res.clocks, res.metrics, trace)
     };
     let coop = on(Backend::Cooperative, 1);
-    assert!(coop.3.switches > 0 && !coop.4.is_empty());
+    assert!(coop.2.switches > 0 && !coop.3.is_empty());
     for (backend, workers) in [
         (Backend::Poll, 1),
         (Backend::Poll, 4),

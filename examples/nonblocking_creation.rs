@@ -81,7 +81,7 @@ fn main() {
             env.now() - t0
         });
         let max_t: Time = res.per_rank.iter().copied().max().unwrap();
-        println!("{method:<30}| {max_t:>12} | {:>8}", res.traffic.messages);
+        println!("{method:<30}| {max_t:>12} | {:>8}", res.metrics.messages);
     }
     println!("\nThe §VI range case and RBC both create log2({p}) levels of communicators");
     println!("with ZERO messages; blocking creation pays a collective per level. The");
