@@ -96,7 +96,7 @@ impl RbcComm {
     /// and a scatter + ring-allgather full-bandwidth algorithm above the
     /// α/β crossover.
     pub fn bcast_auto<T: Datum>(&self, data: &mut Vec<T>, root: usize) -> Result<()> {
-        mpisim::coll_large::bcast_auto(self, data, root, tags::BCAST)
+        mpisim::coll_large::bcast_auto(self, data, root, tags::BCAST_LARGE)
     }
 
     /// Size-adaptive reduction (extension; reduce-scatter + gather above
@@ -107,7 +107,7 @@ impl RbcComm {
         root: usize,
         op: impl Fn(&T, &T) -> T,
     ) -> Result<Option<Vec<T>>> {
-        mpisim::coll_large::reduce_auto(self, data, root, tags::REDUCE, op)
+        mpisim::coll_large::reduce_auto(self, data, root, tags::REDUCE_LARGE, op)
     }
 }
 

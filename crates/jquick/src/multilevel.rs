@@ -15,15 +15,16 @@
 //! the group sizes are fixed fractions of p — the two §IV weaknesses
 //! JQuick was designed to fix.
 
-use mpisim::{block_inline, coll, recv_async, tags, MpiError, Result, SortKey, Src, Transport};
+use mpisim::distsort::select_splitters_async;
+use mpisim::{block_inline, coll, recv_async, MpiError, Result, SortKey, Src, Transport};
 use rbc::RbcComm;
 
 use crate::partition::{from_ordinals, local_sort_charged, to_ordinals};
 use crate::pivot::draw_samples;
 use crate::verify::KeyBits;
 
+/// Splitter selection: sample gatherv (+1 payload) and broadcast (+2).
 const TAG_SAMPLES: u64 = 110;
-const TAG_SPLITTERS: u64 = 113;
 const TAG_ROUTE: u64 = 115;
 
 /// Configuration of the k-way recursion.
@@ -90,21 +91,7 @@ pub async fn multilevel_sample_sort_async<T: SortKey + mpisim::Datum>(
 
         // 1. Agree on k-1 splitters from a gathered sample.
         let samples = draw_samples(&data, cfg.oversample, comm.state());
-        let gathered = coll::gatherv_async(&comm, samples, 0, tags::GATHERV).await?;
-        let mut splitters: Vec<T::Ordinal> = match gathered {
-            Some(per_rank) => {
-                let mut all: Vec<T::Ordinal> = per_rank.into_iter().flatten().collect();
-                comm.charge_compute(all.len() * 4);
-                all.sort_unstable_by(SortKey::cmp_key);
-                if all.is_empty() {
-                    Vec::new()
-                } else {
-                    (1..k).map(|i| all[i * all.len() / k]).collect()
-                }
-            }
-            None => Vec::new(),
-        };
-        coll::bcast_async(&comm, &mut splitters, 0, TAG_SPLITTERS).await?;
+        let splitters = select_splitters_async(&comm, samples, k, TAG_SAMPLES).await?;
 
         // 2. Partition into k pieces and route piece i to group i.
         //    Groups are contiguous rank ranges of near-equal size.

@@ -4,20 +4,36 @@
 //!
 //! The binomial algorithms in [`crate::coll`] are optimal for small inputs
 //! (O(α log p) startups) but move β·l·log p volume on the bottleneck path.
-//! This module provides the classic full-bandwidth alternatives:
+//! The full-bandwidth alternatives here run on `coll`'s own trees, each in
+//! a block of consecutive tags from `tag` (RBC's are
+//! [`crate::tags::BCAST_LARGE`] and [`crate::tags::REDUCE_LARGE`]):
 //!
-//! * [`bcast_large`] — van-de-Geijn broadcast: binomial *scatter* of
-//!   segments followed by a ring all-gather. Bottleneck volume ≈ 2·l·β
-//!   plus O(α·(p + log p)) startups: wins once `l·β ≫ p·α`.
-//! * [`reduce_large`] — reduce-scatter (recursive halving) followed by a
-//!   binomial gather of the owned segments: ≈ 2·l·β volume.
-//! * [`bcast_auto`] / [`reduce_auto`] — pick the algorithm by message size
-//!   against the α/β crossover, like production MPI implementations do.
+//! * [`bcast_large`] — van de Geijn, tags `tag..=tag+3`: the root's length
+//!   down the binomial tree (`tag`), [`coll::scatterv`] of p segments,
+//!   segment `i` to rank `root + i` (`tag+1`, `tag+2`), then a p−1 round
+//!   ring all-gather from `rank − 1` to `rank + 1` (`tag+3`). ≈ 2·l·β
+//!   volume plus O(α·(p + log p)): wins once `l·β ≫ p·α`. Fewer elements
+//!   than ranks take the binomial broadcast on `tag+1`.
+//! * [`reduce_large`] — tags `tag..=tag+2`: recursive-halving
+//!   reduce-scatter, log p rounds swapping half the current slice with
+//!   `rank ^ half` (`tag`), leaving rank `i` the `i`-th slice, then one
+//!   [`coll::gatherv`] to the root (`tag+1`, `tag+2`), which concatenates.
+//!   ≈ 2·l·β volume. Unless p is a power of two and there are at least p
+//!   elements, it is the binomial [`coll::reduce`] on `tag`.
+//! * [`bcast_auto`] / [`reduce_auto`] — in the large algorithm's tag block,
+//!   pick by size against [`large_threshold_bytes`], like production MPI
+//!   implementations. `bcast_auto` broadcasts the length once and below
+//!   the crossover takes the binomial broadcast on `tag+1`; `reduce_auto`
+//!   decides on the local count, which MPI requires to agree.
+//!
+//! Each is an `*_async` core driven by [`block_inline`], as in `coll`.
 
+use crate::coll;
 use crate::datum::Datum;
 use crate::error::Result;
 use crate::msg::Tag;
-use crate::transport::{Src, Transport};
+use crate::sched::poll::block_inline;
+use crate::transport::{recv_async, Src, Transport};
 
 /// Crossover: below this many bytes the binomial algorithms win.
 /// Derived from `2·l·β + p·α < log p · (α + l·β)` at the default model;
@@ -35,6 +51,12 @@ pub fn large_threshold_bytes(p: usize, alpha_ns: u64, beta_ns_per_byte: f64) -> 
     (((p as f64 - log_p) * alpha_ns as f64) / denom) as usize
 }
 
+/// Whether a payload of `bytes` is past the crossover on `tr`'s cost model.
+fn is_large(tr: &impl Transport, bytes: usize) -> bool {
+    let model = &tr.state().router.cost;
+    bytes >= large_threshold_bytes(tr.size(), model.alpha.as_nanos(), model.beta_ns_per_byte)
+}
+
 /// Split `len` into `parts` contiguous segments (first `len % parts` get
 /// one extra).
 fn segment(len: usize, parts: usize, i: usize) -> (usize, usize) {
@@ -45,104 +67,88 @@ fn segment(len: usize, parts: usize, i: usize) -> (usize, usize) {
     (start, sz)
 }
 
+/// The slice `[lo, hi)` of `0..len` that recursive halving into `n` (a
+/// power of two) parts leaves with part `i`: each bit of `i`, highest
+/// first, keeps the lower (0) or upper (1) half, so part `i` is the `i`-th
+/// slice in order.
+fn halving_slice(i: usize, n: usize, len: usize) -> (usize, usize) {
+    let (mut lo, mut hi) = (0, len);
+    let mut bit = n / 2;
+    while bit > 0 {
+        let mid = lo + (hi - lo) / 2;
+        (lo, hi) = if i & bit == 0 { (lo, mid) } else { (mid, hi) };
+        bit >>= 1;
+    }
+    (lo, hi)
+}
+
 /// Van-de-Geijn broadcast: scatter + ring allgather. Falls back to the
-/// binomial broadcast for tiny payloads or p < 2. Uses tags `tag`/`tag+1`.
+/// binomial broadcast for fewer elements than ranks. Uses tags
+/// `tag..=tag+3` (see the module docs).
 pub fn bcast_large<T: Datum>(
     tr: &impl Transport,
     data: &mut Vec<T>,
     root: usize,
     tag: Tag,
 ) -> Result<()> {
-    let p = tr.size();
-    let r = tr.rank();
-    tr.check_rank(root)?;
-    if p == 1 {
-        return Ok(());
-    }
-    // Everyone needs the length to size segments; the root's count is
-    // metadata in real MPI (count argument) — model it the same way by
-    // broadcasting the length binomially (one word).
-    let mut len_msg = vec![data.len() as u64];
-    crate::coll::bcast(tr, &mut len_msg, root, tag)?;
-    let len = len_msg[0] as usize;
-    if len < p {
-        // Degenerate segments; binomial handles it.
-        return crate::coll::bcast(tr, data, root, tag + 1);
+    block_inline(bcast_large_async(tr, data, root, tag))
+}
+
+/// [`bcast_large`] as a maybe-async core.
+pub async fn bcast_large_async<T: Datum>(
+    tr: &impl Transport,
+    data: &mut Vec<T>,
+    root: usize,
+    tag: Tag,
+) -> Result<()> {
+    bcast_sized(tr, data, root, tag, false).await
+}
+
+/// [`bcast_large`] (`auto` false) and [`bcast_auto`] (`auto` true): the
+/// root's length decides, once every rank has it.
+async fn bcast_sized<T: Datum>(
+    tr: &impl Transport,
+    data: &mut Vec<T>,
+    root: usize,
+    tag: Tag,
+    auto: bool,
+) -> Result<()> {
+    let (p, r) = (tr.size(), tr.rank());
+    let mut len = vec![data.len() as u64];
+    coll::bcast_async(tr, &mut len, root, tag).await?;
+    let len = len[0] as usize;
+    if len < p || (auto && !is_large(tr, len * T::width())) {
+        return coll::bcast_async(tr, data, root, tag + 1).await;
     }
     let rel = (r + p - root) % p;
-
-    // Phase 1: binomial scatter. Each node receives the range of segments
-    // it is responsible for distributing and keeps segment `rel`.
-    // The root starts owning all segments [0, p).
-    let mut my_range = (0usize, p); // segment index range [lo, hi)
-    let mut my_part: Vec<T>;
-    if rel == 0 {
-        my_part = std::mem::take(data);
-    } else {
-        // Receive my segment range from the parent.
-        let (v, _) = tr.recv::<T>(Src::Any, tag + 1)?;
-        my_part = v;
-        // Reconstruct my range: parent sent [rel, parent_hi).
-        let lsb = rel & rel.wrapping_neg();
-        my_range = (rel, (rel + lsb).min(p));
-    }
-    // Forward the upper half of my range down the binomial tree.
-    let top = p.next_power_of_two();
-    let mut m = if rel == 0 {
-        top >> 1
-    } else {
-        (rel & rel.wrapping_neg()) >> 1
-    };
-    while m > 0 {
-        let child_lo = my_range.0 + m;
-        if child_lo < my_range.1 {
-            let child = (rel + m + root) % p;
-            // Elements of segments [child_lo, my_range.1).
-            let (e_lo, _) = segment(len, p, child_lo);
-            let seg_end = if my_range.1 == p {
-                len
-            } else {
-                segment(len, p, my_range.1).0
-            };
-            let (base_lo, _) = segment(len, p, my_range.0);
-            let send_slice = my_part[e_lo - base_lo..seg_end - base_lo].to_vec();
-            my_part.truncate(e_lo - base_lo);
-            tr.send_vec(send_slice, child, tag + 1)?;
-            my_range.1 = child_lo;
-        }
-        m >>= 1;
-    }
-    debug_assert_eq!(
-        my_range,
-        (rel, rel + 1).min((rel, p)),
-        "each node ends with one segment"
-    );
-
-    // Phase 2: ring allgather of the p segments.
-    let mut segments: Vec<Option<Vec<T>>> = (0..p).map(|_| None).collect();
-    segments[rel] = Some(my_part);
-    let next = (rel + 1) % p;
-    let prev = (rel + p - 1) % p;
-    let mut have = rel; // segment index I most recently obtained
-    for _ in 0..p - 1 {
-        let out = segments[have].clone().expect("segment present");
-        tr.send_vec(out, (next + root) % p, tag + 2)?;
-        let (v, _) = tr.recv::<T>(Src::Rank((prev + root) % p), tag + 2)?;
+    let blocks = (rel == 0).then(|| {
+        let mut segs: Vec<Vec<T>> = (0..p)
+            .map(|i| {
+                let (start, sz) = segment(len, p, i);
+                data[start..start + sz].to_vec()
+            })
+            .collect();
+        segs.rotate_right(root);
+        segs
+    });
+    // `segments[i]` is the segment rank `root + i` starts with.
+    let mut segments: Vec<Vec<T>> = vec![Vec::new(); p];
+    segments[rel] = coll::scatterv_async(tr, blocks, root, tag + 1).await?;
+    let mut have = rel;
+    for _ in 1..p {
+        tr.send(&segments[have], (r + 1) % p, tag + 3)?;
         have = (have + p - 1) % p;
-        segments[have] = Some(v);
+        segments[have] = recv_async::<T, _>(tr, Src::Rank((r + p - 1) % p), tag + 3)
+            .await?
+            .0;
     }
-
-    // Reassemble.
-    let mut out = Vec::with_capacity(len);
-    for s in segments {
-        out.extend(s.expect("all segments gathered"));
-    }
-    *data = out;
+    *data = segments.concat();
     Ok(())
 }
 
 /// Reduce via recursive-halving reduce-scatter + binomial gather to root.
-/// Requires a commutative, associative `op`. Uses tags `tag`..`tag+2`.
+/// Requires a commutative, associative `op`. Uses tags `tag..=tag+2` (see
+/// the module docs).
 pub fn reduce_large<T: Datum>(
     tr: &impl Transport,
     data: &[T],
@@ -150,89 +156,68 @@ pub fn reduce_large<T: Datum>(
     tag: Tag,
     op: impl Fn(&T, &T) -> T,
 ) -> Result<Option<Vec<T>>> {
-    let p = tr.size();
-    let r = tr.rank();
+    block_inline(reduce_large_async(tr, data, root, tag, op))
+}
+
+/// [`reduce_large`] as a maybe-async core.
+pub async fn reduce_large_async<T: Datum>(
+    tr: &impl Transport,
+    data: &[T],
+    root: usize,
+    tag: Tag,
+    op: impl Fn(&T, &T) -> T,
+) -> Result<Option<Vec<T>>> {
+    let (p, r, len) = (tr.size(), tr.rank(), data.len());
     tr.check_rank(root)?;
-    if p == 1 {
-        return Ok(Some(data.to_vec()));
-    }
-    let len = data.len();
     if !p.is_power_of_two() || len < p {
         // Recursive halving needs a power of two; fall back otherwise.
-        return crate::coll::reduce(tr, data, root, tag, op);
+        return coll::reduce_async(tr, data, root, tag, op).await;
     }
-
-    // Phase 1: reduce-scatter by recursive halving. After round k, each
-    // process holds the partial reduction of a 1/2^k slice.
-    let mut lo = 0usize;
-    let mut hi = len;
-    let mut buf = data.to_vec(); // working copy of [lo, hi)
-    let mut group = p; // current group size
+    // `buf` reduces part `r / group` of `p / group`, `group` this rank's
+    // group, which halves every round.
+    let mut buf = data.to_vec();
+    let mut group = p;
     while group > 1 {
         let half = group / 2;
-        let in_low = (r % group) < half;
-        let partner = if in_low { r + half } else { r - half };
-        let mid = lo + (hi - lo) / 2;
-        // Send the half I am NOT keeping; receive the half I keep.
-        let (keep_range, send_range) = if in_low {
-            ((lo, mid), (mid, hi))
-        } else {
-            ((mid, hi), (lo, mid))
-        };
-        let send_part = buf[send_range.0 - lo..send_range.1 - lo].to_vec();
-        tr.send_vec(send_part, partner, tag)?;
-        let (v, _) = tr.recv::<T>(Src::Rank(partner), tag)?;
-        let mut kept: Vec<T> = buf[keep_range.0 - lo..keep_range.1 - lo].to_vec();
-        for (a, b) in kept.iter_mut().zip(v.iter()) {
+        let partner = r ^ half;
+        let (lo, _) = halving_slice(r / group, p / group, len);
+        let keep = halving_slice(r / half, p / half, len);
+        let give = halving_slice(partner / half, p / half, len);
+        tr.send(&buf[give.0 - lo..give.1 - lo], partner, tag)?;
+        let (v, _) = recv_async::<T, _>(tr, Src::Rank(partner), tag).await?;
+        let mut kept = buf[keep.0 - lo..keep.1 - lo].to_vec();
+        for (a, b) in kept.iter_mut().zip(&v) {
             *a = op(a, b);
         }
         tr.charge_compute(kept.len());
         buf = kept;
-        lo = keep_range.0;
-        hi = keep_range.1;
         group = half;
     }
-
-    // Phase 2: gather the slices to the root (variable sizes -> gatherv),
-    // annotated with their offsets for reassembly.
-    let gathered = crate::coll::gatherv(tr, buf, root, tag + 1)?;
-    let offsets = crate::coll::gather(tr, vec![lo as u64], root, tag + 3)?;
-    match (gathered, offsets) {
-        (Some(parts), Some(offs)) => {
-            let mut out = vec![parts.iter().flatten().next().copied().expect("nonempty"); len];
-            for (part, off) in parts.into_iter().zip(offs) {
-                let off = off as usize;
-                out[off..off + part.len()].copy_from_slice(&part);
-            }
-            Ok(Some(out))
-        }
-        _ => Ok(None),
-    }
+    let parts = coll::gatherv_async(tr, buf, root, tag + 1).await?;
+    Ok(parts.map(|parts| parts.concat()))
 }
 
-/// Size-adaptive broadcast.
+/// Size-adaptive broadcast. Uses [`bcast_large`]'s tags.
 pub fn bcast_auto<T: Datum>(
     tr: &impl Transport,
     data: &mut Vec<T>,
     root: usize,
     tag: Tag,
 ) -> Result<()> {
-    let model = &tr.state().router.cost;
-    let threshold =
-        large_threshold_bytes(tr.size(), model.alpha.as_nanos(), model.beta_ns_per_byte);
-    // All ranks must agree on the algorithm: the count is an interface
-    // contract in MPI (same on all ranks), so agree on the root's count
-    // via a tiny broadcast only when sizes could differ.
-    let mut len_msg = vec![data.len() as u64];
-    crate::coll::bcast(tr, &mut len_msg, root, tag)?;
-    if (len_msg[0] as usize) * T::width() >= threshold {
-        bcast_large(tr, data, root, tag + 1)
-    } else {
-        crate::coll::bcast(tr, data, root, tag + 4)
-    }
+    block_inline(bcast_auto_async(tr, data, root, tag))
 }
 
-/// Size-adaptive reduction.
+/// [`bcast_auto`] as a maybe-async core.
+pub async fn bcast_auto_async<T: Datum>(
+    tr: &impl Transport,
+    data: &mut Vec<T>,
+    root: usize,
+    tag: Tag,
+) -> Result<()> {
+    bcast_sized(tr, data, root, tag, true).await
+}
+
+/// Size-adaptive reduction. Uses [`reduce_large`]'s tags.
 pub fn reduce_auto<T: Datum>(
     tr: &impl Transport,
     data: &[T],
@@ -240,13 +225,21 @@ pub fn reduce_auto<T: Datum>(
     tag: Tag,
     op: impl Fn(&T, &T) -> T,
 ) -> Result<Option<Vec<T>>> {
-    let model = &tr.state().router.cost;
-    let threshold =
-        large_threshold_bytes(tr.size(), model.alpha.as_nanos(), model.beta_ns_per_byte);
-    if data.len() * T::width() >= threshold {
-        reduce_large(tr, data, root, tag, op)
+    block_inline(reduce_auto_async(tr, data, root, tag, op))
+}
+
+/// [`reduce_auto`] as a maybe-async core.
+pub async fn reduce_auto_async<T: Datum>(
+    tr: &impl Transport,
+    data: &[T],
+    root: usize,
+    tag: Tag,
+    op: impl Fn(&T, &T) -> T,
+) -> Result<Option<Vec<T>>> {
+    if is_large(tr, data.len() * T::width()) {
+        reduce_large_async(tr, data, root, tag, op).await
     } else {
-        crate::coll::reduce(tr, data, root, tag, op)
+        coll::reduce_async(tr, data, root, tag, op).await
     }
 }
 
@@ -396,6 +389,104 @@ mod tests {
                 if rank == 0 {
                     assert_eq!(r, Some(p as u64));
                 }
+            }
+        }
+        // Which algorithms ran: the auto pair sends as many messages and
+        // ends at the same clocks as a run of the pair it should pick, and
+        // sends another count than the other pair. Below p elements both
+        // are binomial, so 64 elements stand in for the small payload.
+        let run = |len: usize, pick: Option<bool>| {
+            Universe::run_default(p, move |env| {
+                let w = &env.world;
+                let mut b = if w.rank() == 3 {
+                    vec![9u64; len]
+                } else {
+                    Vec::new()
+                };
+                let mine = vec![1u64; len];
+                let sum = ops::sum::<u64>();
+                match pick {
+                    None => {
+                        bcast_auto(w, &mut b, 3, 700).unwrap();
+                        reduce_auto(w, &mine, 0, 720, sum).unwrap();
+                    }
+                    Some(true) => {
+                        bcast_large(w, &mut b, 3, 700).unwrap();
+                        reduce_large(w, &mine, 0, 720, sum).unwrap();
+                    }
+                    Some(false) => {
+                        crate::coll::bcast(w, &mut vec![len as u64], 3, 700).unwrap();
+                        crate::coll::bcast(w, &mut b, 3, 701).unwrap();
+                        crate::coll::reduce(w, &mine, 0, 720, sum).unwrap();
+                    }
+                }
+            })
+        };
+        for len in [64usize, 1 << 15] {
+            let large = len * 8 >= large_threshold_bytes(p, 10_000, 1.0);
+            assert_eq!(large, len == 1 << 15);
+            let (auto, picked, other) = (
+                run(len, None),
+                run(len, Some(large)),
+                run(len, Some(!large)),
+            );
+            assert_eq!(auto.metrics.messages, picked.metrics.messages, "len={len}");
+            assert_eq!(auto.clocks, picked.clocks, "len={len}");
+            assert_ne!(auto.metrics.messages, other.metrics.messages, "len={len}");
+        }
+    }
+
+    #[test]
+    fn halving_slices_tile_the_range_in_rank_order() {
+        for (len, n) in [(8usize, 8usize), (9, 4), (100, 16), (5, 1)] {
+            let mut covered = 0;
+            for i in 0..n {
+                let (lo, hi) = halving_slice(i, n, len);
+                assert_eq!(lo, covered, "len={len} n={n} i={i}");
+                assert!(hi >= lo);
+                covered = hi;
+            }
+            assert_eq!(covered, len);
+        }
+    }
+
+    /// The auto cores in future bodies (`run_poll`) against the sync
+    /// functions in thread bodies (`run`), on both paths, at a power of two
+    /// and at two other sizes (where `reduce_large` falls back).
+    #[test]
+    fn auto_cores_under_run_poll_match_the_sync_functions() {
+        fn input(rank: usize, len: usize) -> (Vec<u64>, Vec<u64>) {
+            let b = if rank == 3 {
+                (0..len as u64).collect()
+            } else {
+                Vec::new()
+            };
+            (b, (0..len as u64).map(|i| i * 31 + rank as u64).collect())
+        }
+        for p in [8usize, 13, 64] {
+            for len in [4usize, 1 << 15] {
+                let sync = Universe::run_default(p, move |env| {
+                    let w = &env.world;
+                    let (mut b, mine) = input(w.rank(), len);
+                    bcast_auto(w, &mut b, 3, 700).unwrap();
+                    let r = reduce_auto(w, &mine, 0, 720, ops::sum::<u64>()).unwrap();
+                    (b, r)
+                });
+                let poll =
+                    Universe::run_poll(p, crate::SimConfig::default(), move |env| async move {
+                        let w = &env.world;
+                        let (mut b, mine) = input(w.rank(), len);
+                        bcast_auto_async(w, &mut b, 3, 700).await.unwrap();
+                        let r = reduce_auto_async(w, &mine, 0, 720, ops::sum::<u64>())
+                            .await
+                            .unwrap();
+                        (b, r)
+                    });
+                let expected: Vec<u64> = (0..len as u64).collect();
+                assert!(sync.per_rank.iter().all(|(b, _)| *b == expected));
+                assert!(sync.per_rank[0].1.is_some());
+                assert_eq!(sync.per_rank, poll.per_rank, "p={p} len={len}");
+                assert_eq!(sync.clocks, poll.clocks, "p={p} len={len}");
             }
         }
     }

@@ -9,7 +9,8 @@
 //!
 //! * [`select_splitters`] — gather a sample to rank 0, sort it, pick
 //!   `parts - 1` evenly spaced splitters, and broadcast them: the splitter
-//!   step of every single-level sample sort.
+//!   step of the sample sort, of each level of the multi-level one, and of
+//!   the distributed split.
 //! * [`bucket_of`] — binary-search an element into the bucket its splitters
 //!   define.
 //! * [`encode_runs`] / [`decode_runs`] — the staged exchange's wire format:

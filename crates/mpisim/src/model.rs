@@ -152,13 +152,6 @@ pub struct VendorProfile {
     /// The distributed-sort split skips this charge for groups it can
     /// represent as a stride range (no array is materialised).
     pub group_build_ns_per_member: f64,
-    /// Per-element·log(m) cost of the local sorts inside `comm_split`,
-    /// charged on the `m` elements a rank *actually* sorts: each bucket
-    /// leader's ≈√p triples of the distributed sort (DESIGN.md §6) — a
-    /// measured sort+exchange cost that emerges per rank (the rank-0
-    /// splitter-sample sort is charged through the machine's generic
-    /// `compute_ns_per_elem`, shared with jquick's sample sort).
-    pub split_sort_ns: f64,
 }
 
 /// Per-operation-class collective scaling factors.
@@ -203,7 +196,6 @@ impl VendorProfile {
             create_group_member_overhead_ns: 0.0,
             create_group_algo: CreateGroupAlgo::MaskAllreduce,
             group_build_ns_per_member: 150.0,
-            split_sort_ns: 20.0,
         }
     }
 
@@ -231,7 +223,6 @@ impl VendorProfile {
             // p = 2^11, so the constant is scaled up to keep the linear
             // regime visible within the sweep (see EXPERIMENTS.md).
             group_build_ns_per_member: 2000.0,
-            split_sort_ns: 20.0,
         }
     }
 
@@ -255,7 +246,6 @@ impl VendorProfile {
             create_group_member_overhead_ns: 20_000.0,
             create_group_algo: CreateGroupAlgo::LeaderRing,
             group_build_ns_per_member: 3000.0,
-            split_sort_ns: 20.0,
         }
     }
 }

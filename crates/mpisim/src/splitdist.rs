@@ -18,7 +18,7 @@
 //! 2. **Route** — each rank sends its single triple to the *leader* of its
 //!    splitter bucket (rank ⌊b·p/k⌋); an all-reduced count vector tells
 //!    each leader how many triples to expect. Leaders sort their ≈√p
-//!    triples locally (charged per [`crate::model::VendorProfile::split_sort_ns`]).
+//!    triples locally (charged per `SPLIT_SORT_NS`).
 //! 3. **Position scans** — an exclusive prefix sum assigns every sorted
 //!    triple its global position, and a segmented color scan finds, for
 //!    each leader, where its first color's segment starts and how many
@@ -63,6 +63,13 @@ type Triple = (u64, u64, u64);
 
 /// Samples contributed per splitter (sample size ≈ `k · OVERSAMPLE`).
 const OVERSAMPLE: usize = 16;
+
+/// Per-element·log(m) cost (ns) of the local sort inside `comm_split`,
+/// charged on the `m` triples a bucket leader *actually* sorts (≈√p,
+/// DESIGN.md §6); the same on every vendor. The rank-0 splitter-sample
+/// sort is charged through the machine's generic `compute_ns_per_elem`,
+/// shared with jquick's sample sort.
+const SPLIT_SORT_NS: f64 = 20.0;
 
 /// Segmented color-scan state: `[nonempty, first_color, last_color,
 /// distinct_runs, global_start_of_last_run]`. The combine below is the
@@ -229,9 +236,7 @@ pub(crate) async fn split_distributed(
         let m = held.len();
         if m > 1 {
             let log_m = f64::from(usize::BITS - (m - 1).leading_zeros());
-            state.charge(Time(
-                (m as f64 * log_m * vendor.split_sort_ns).round() as u64
-            ));
+            state.charge(Time((m as f64 * log_m * SPLIT_SORT_NS).round() as u64));
         }
     }
     let m = held.len() as u64;
@@ -487,7 +492,7 @@ mod tests {
         order.sort_by_key(|&i| (pairs[i].1, pairs[i].2, i));
         let log_p = (usize::BITS - (p - 1).leading_zeros()).max(1) as u64;
         parent.charge(Time(
-            (p as f64 * log_p as f64 * vendor.split_sort_ns).round() as u64,
+            (p as f64 * log_p as f64 * SPLIT_SORT_NS).round() as u64
         ));
         // Distinct colors in sorted order determine each group's context-ID
         // index within one shared agreement over the parent.

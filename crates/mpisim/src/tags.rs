@@ -79,6 +79,14 @@ pub const SPLIT_NOTIFY: Tag = RESERVED_BASE + 54;
 /// Dense member tables accompanying [`SPLIT_NOTIFY`] headers.
 pub const SPLIT_TABLE: Tag = RESERVED_BASE + 56;
 
+// Large-input collectives (`coll_large`, §V-D).
+/// Size-adaptive broadcast (`bcast_auto`): length broadcast, then either
+/// the binomial broadcast (+1) or scatterv (+1, +2) and the ring (+3).
+pub const BCAST_LARGE: Tag = RESERVED_BASE + 58;
+/// Size-adaptive reduction (`reduce_auto`): recursive halving or the
+/// binomial reduce, then the slices' gatherv (+1, +2).
+pub const REDUCE_LARGE: Tag = RESERVED_BASE + 62;
+
 // Default tags for nonblocking collectives (paper: `RBC_IBCAST_TAG` etc.).
 // Users may pass their own tag instead to run several operations of the
 // same class concurrently.
@@ -113,45 +121,54 @@ mod tests {
 
     #[test]
     fn all_distinct_with_headroom() {
+        // (tag, how many consecutive tags it claims). Every claim is padded
+        // to an even width: each op may also use tag+1 for a second stream.
         let tags = [
-            BCAST,
-            REDUCE,
-            ALLREDUCE,
-            SCAN,
-            EXSCAN,
-            GATHER,
-            GATHERV,
-            ALLGATHER,
-            BARRIER,
-            ALLTOALL,
-            CTX_AGREE,
-            SPLIT_GATHER,
-            SCATTER,
-            SCATTERV,
-            ALLTOALLW,
-            SPLIT_SAMPLE,
-            SPLIT_COUNT,
-            SPLIT_ROUTE,
-            SPLIT_POS_SCAN,
-            SPLIT_SEG_SCAN,
-            SPLIT_NCOLORS,
-            SPLIT_LEADERS,
-            SPLIT_PORTION,
-            SPLIT_NOTIFY,
-            SPLIT_TABLE,
-            IBCAST,
-            IREDUCE,
-            ISCAN,
-            IEXSCAN,
-            IGATHER,
-            IGATHERV,
-            IBARRIER,
-            IALLREDUCE,
+            (BCAST, 1),
+            (REDUCE, 1),
+            (ALLREDUCE, 1),
+            (SCAN, 1),
+            (EXSCAN, 1),
+            (GATHER, 1),
+            (GATHERV, 2),
+            (ALLGATHER, 1),
+            (BARRIER, 1),
+            (ALLTOALL, 1),
+            (CTX_AGREE, 1),
+            (SPLIT_GATHER, 1),
+            (SCATTER, 1),
+            (SCATTERV, 2),
+            (ALLGATHERV, 4),
+            (ALLTOALLW, 1),
+            (SPLIT_SAMPLE, 3),
+            (SPLIT_COUNT, 1),
+            (SPLIT_ROUTE, 1),
+            (SPLIT_POS_SCAN, 1),
+            (SPLIT_SEG_SCAN, 1),
+            (SPLIT_NCOLORS, 1),
+            (SPLIT_LEADERS, 1),
+            (SPLIT_PORTION, 1),
+            (SPLIT_NOTIFY, 1),
+            (SPLIT_TABLE, 1),
+            (BCAST_LARGE, 4),
+            (REDUCE_LARGE, 3),
+            (IBCAST, 1),
+            (IREDUCE, 1),
+            (ISCAN, 1),
+            (IEXSCAN, 1),
+            (IGATHER, 1),
+            (IGATHERV, 2),
+            (IBARRIER, 1),
+            (IALLREDUCE, 1),
         ];
+        let claim = |&(t, w): &(Tag, u64)| t..t + w.max(2);
         for (i, a) in tags.iter().enumerate() {
             for b in &tags[i + 1..] {
-                // Each op may also use tag+1 for a second stream.
-                assert!(a.abs_diff(*b) >= 2, "tags {a} and {b} too close");
+                let (a, b) = (claim(a), claim(b));
+                assert!(
+                    a.end <= b.start || b.end <= a.start,
+                    "tags {a:?} and {b:?} overlap"
+                );
             }
         }
     }

@@ -7,7 +7,7 @@
 # when any exceeds its ceiling; lower the ceiling when a PR lowers the
 # count. Run from the repository root.
 set -euo pipefail
-max_unsafe=7 max_instant=3 max_knobs=8 max_fields=9 max_vendor_fields=9
+max_unsafe=7 max_instant=3 max_knobs=8 max_fields=9 max_vendor_fields=8
 unsafe=$(grep -ro unsafe crates/mpisim/src | wc -l)
 instant=$(grep -ro Instant crates/mpisim/src | wc -l)
 knobs=$(grep -rohP 'MPISIM_[A-Z]+(_[A-Z]+)*(?![A-Z_])' crates/*/src | sort -u | wc -l)
