@@ -182,11 +182,14 @@ where
         // concurrent levels, at this rank's current virtual time.
         mpisim::obs::mark(world.proc_state(), || format!("jquick wave {wave}"));
         wave += 1;
-        // 1. Start and drive all levels concurrently.
-        let mut metas = Vec::new();
-        let mut levels = Vec::new();
+        // 1. Start and drive all levels concurrently. The wave consumes
+        //    `active`, and its two vectors hold exactly its tasks (at most
+        //    two): they are alive for the whole wave, on every rank.
         active.sort_by_key(|t| t.task.lo);
-        for at in active.drain(..) {
+        let wave_tasks = std::mem::take(&mut active);
+        let mut metas = Vec::with_capacity(wave_tasks.len());
+        let mut levels = Vec::with_capacity(wave_tasks.len());
+        for at in wave_tasks {
             let ActiveTask {
                 task,
                 comm,
@@ -226,32 +229,17 @@ where
                 LevelOutcome::Stuck { data } => {
                     stats.stuck_retries += 1;
                     let stuck = meta.stuck + 1;
-                    if stuck >= cfg.max_stuck_retries {
-                        // Blocking agreement: are all elements equal?
-                        let local_min = data
-                            .iter()
-                            .copied()
-                            .min_by(SortKey::cmp_key)
-                            .expect("task load >= 1");
-                        let local_max = data.iter().copied().max_by(SortKey::cmp_key).unwrap();
-                        let mm = coll::allreduce_async(
-                            &meta.comm,
-                            &[(local_min, local_max)],
-                            TAG_MINMAX,
-                            |a: &(T::Ordinal, T::Ordinal), b: &(T::Ordinal, T::Ordinal)| {
-                                let mn = if b.0.cmp_key(&a.0).is_lt() { b.0 } else { a.0 };
-                                let mx = if b.1.cmp_key(&a.1).is_gt() { b.1 } else { a.1 };
-                                (mn, mx)
-                            },
-                        )
-                        .await?[0];
-                        if mm.0.cmp_key(&mm.1).is_eq() {
-                            // All equal: the task is sorted in place.
-                            stats.settled_equal += 1;
-                            let my_lo = meta.task.lo.max(layout.prefix(me));
-                            settled.push(Settled { lo: my_lo, data });
-                            continue;
-                        }
+                    // Boxed: the agreement runs only after repeated
+                    // degenerate splits, and inline its future would size
+                    // every rank's sort future.
+                    if stuck >= cfg.max_stuck_retries
+                        && Box::pin(all_equal(&meta.comm, &data)).await?
+                    {
+                        // All equal: the task is sorted in place.
+                        stats.settled_equal += 1;
+                        let my_lo = meta.task.lo.max(layout.prefix(me));
+                        settled.push(Settled { lo: my_lo, data });
+                        continue;
                     }
                     // Retry with the flipped comparator and a fresh pivot.
                     active.push(ActiveTask {
@@ -360,6 +348,29 @@ where
         )));
     }
     Ok((from_ordinals(out), stats))
+}
+
+/// The stuck task's blocking agreement: are all its elements equal? A
+/// min/max all-reduce over the task communicator.
+async fn all_equal<T: SortKey + Datum, C: Transport>(comm: &C, data: &[T]) -> Result<bool> {
+    let local_min = data
+        .iter()
+        .copied()
+        .min_by(SortKey::cmp_key)
+        .expect("task load >= 1");
+    let local_max = data.iter().copied().max_by(SortKey::cmp_key).unwrap();
+    let mm = coll::allreduce_async(
+        comm,
+        &[(local_min, local_max)],
+        TAG_MINMAX,
+        |a: &(T, T), b: &(T, T)| {
+            let mn = if b.0.cmp_key(&a.0).is_lt() { b.0 } else { a.0 };
+            let mx = if b.1.cmp_key(&a.1).is_gt() { b.1 } else { a.1 };
+            (mn, mx)
+        },
+    )
+    .await?[0];
+    Ok(mm.0.cmp_key(&mm.1).is_eq())
 }
 
 // Helper shims: `Backend::C: Transport` implies `Clone`, but keeping the

@@ -165,6 +165,7 @@ mod tests {
     use super::*;
     use crate::basecase::{settle, BaseTask};
     use crate::pivot::PivotCfg;
+    use crate::{jquick_sort_async, JQuickConfig, RbcBackend};
     use mpisim::{nbcoll, SimConfig, Universe};
     use rbc::RbcComm;
 
@@ -210,12 +211,16 @@ mod tests {
 
     // Heap per task in flight, counted without a timer (u64 keys on RBC).
     // The driver boxes each level and each base case once; a level's
-    // exchange lives inside it. Nothing here is polled, so nothing is
-    // received; the greedy exchange has nothing to send.
+    // exchange lives inside it. The sort's own future is the rank body of
+    // a future-body run, boxed once per rank for the whole sort. Nothing
+    // here is polled, so nothing is received; the greedy exchange has
+    // nothing to send.
     #[test]
     fn the_jquick_cores_stay_within_their_byte_budgets() {
         Universe::run_default(1, |env| {
             let c = RbcComm::create(&env.world);
+            let cfg = JQuickConfig::default();
+            let sort = jquick_sort_async(&RbcBackend, &env.world, vec![7u64], 1, &cfg);
             let (layout, task) = (Layout::new(1, 1), TaskRange { lo: 0, hi: 1 });
             let (scales, kind, none) =
                 (CollScales::NEUTRAL, AssignmentKind::Greedy, Vec::<u64>::new);
@@ -229,6 +234,7 @@ mod tests {
                 ("greedy exchange", size_of_val(&greedy), 120),
                 ("staged exchange", size_of_val(&staged), 208),
                 ("base case", size_of_val(&base), 176),
+                ("jquick_sort_async", size_of_val(&sort), 800),
             ];
             for (name, bytes, budget) in sizes {
                 assert!(bytes <= budget, "{name}: {bytes} B, budget {budget} B");

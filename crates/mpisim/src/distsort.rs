@@ -18,6 +18,8 @@
 //!   plus a position-sorted value vector, halving the bytes of the naive
 //!   `(value, position)` pair encoding whenever runs are long.
 
+use std::sync::Arc;
+
 use crate::datum::{Datum, SortKey};
 use crate::error::Result;
 use crate::msg::Tag;
@@ -26,7 +28,8 @@ use crate::transport::Transport;
 /// Gather every rank's `sample` contribution to rank 0, sort the union,
 /// pick `parts - 1` evenly spaced splitters, and broadcast them to all
 /// ranks. Claims tags `tag` (gatherv metadata), `tag + 1` (gatherv
-/// payload), and `tag + 2` (broadcast).
+/// payload), and `tag + 2` (broadcast). Every rank gets the broadcast's
+/// shared buffer, not a copy of its own: the splitters are only read.
 ///
 /// Rank 0 is charged `4` compute units per gathered sample for the local
 /// sort (the constant the jquick sample sort always used). Returns an
@@ -37,7 +40,7 @@ pub fn select_splitters<T: SortKey + Datum>(
     sample: Vec<T>,
     parts: usize,
     tag: Tag,
-) -> Result<Vec<T>> {
+) -> Result<Arc<Vec<T>>> {
     crate::sched::poll::block_inline(select_splitters_async(tr, sample, parts, tag))
 }
 
@@ -48,23 +51,19 @@ pub async fn select_splitters_async<T: SortKey + Datum>(
     sample: Vec<T>,
     parts: usize,
     tag: Tag,
-) -> Result<Vec<T>> {
+) -> Result<Arc<Vec<T>>> {
     let gathered = crate::coll::gatherv_async(tr, sample, 0, tag).await?;
-    let mut splitters: Vec<T> = match gathered {
-        Some(per_rank) => {
-            let mut all: Vec<T> = per_rank.into_iter().flatten().collect();
-            tr.charge_compute(all.len() * 4);
-            all.sort_by(T::cmp_key);
-            if all.is_empty() || parts <= 1 {
-                Vec::new()
-            } else {
-                (1..parts).map(|i| all[i * all.len() / parts]).collect()
-            }
-        }
-        None => Vec::new(),
-    };
-    crate::coll::bcast_async(tr, &mut splitters, 0, tag + 2).await?;
-    Ok(splitters)
+    let splitters = gathered.map(|per_rank| {
+        let mut all: Vec<T> = per_rank.into_iter().flatten().collect();
+        tr.charge_compute(all.len() * 4);
+        all.sort_by(T::cmp_key);
+        Arc::new(if all.is_empty() || parts <= 1 {
+            Vec::new()
+        } else {
+            (1..parts).map(|i| all[i * all.len() / parts]).collect()
+        })
+    });
+    crate::coll::bcast_shared_async(tr, splitters, 0, tag + 2).await
 }
 
 /// The bucket index of `x` among the `splitters.len() + 1` buckets the
@@ -150,6 +149,8 @@ mod tests {
         assert!(first.windows(2).all(|w| w[0] <= w[1]));
         for s in &res.per_rank {
             assert_eq!(s, first, "all ranks must agree on the splitters");
+            // One buffer, the broadcast's, not a copy per rank.
+            assert!(Arc::ptr_eq(s, first), "one shared buffer");
         }
     }
 

@@ -21,10 +21,10 @@
 //!   communicator creation with 5-tuple context IDs, constant-time for
 //!   process ranges;
 //! * a virtual-time cost model ([`CostModel`], [`VendorProfile`]): every
-//!   message carries `send_time` and `arrival = send_time + α + bytes·β`,
-//!   and a receive sets `clock = max(clock, arrival)`. Benchmarks report
-//!   virtual milliseconds, which is what makes the paper's figures
-//!   reproducible at laptop scale (see DESIGN.md).
+//!   message carries `arrival = t + α + bytes·β`, `t` the sender's clock
+//!   at the send, and a receive sets `clock = max(clock, arrival)`.
+//!   Benchmarks report virtual milliseconds, which is what makes the
+//!   paper's figures reproducible at laptop scale (see DESIGN.md).
 
 #![warn(missing_docs)]
 

@@ -62,8 +62,9 @@
 //! `commit_fan_in_all_to_one_4096`: within a quarter of the hashed
 //! index's time, which paid the same `memmove` per claim), and
 //! `tests/mailbox_diff.rs` drains a 2^14-source bucket. Slab and vectors
-//! only ever grow, to a size set by the peak pending population, so a
-//! steady-state storm touches the allocator not at all.
+//! only ever grow, doubling from one element, to a size set by the peak
+//! pending population, so a steady-state storm touches the allocator not
+//! at all.
 //!
 //! # Blocking and wake-ups
 //!
@@ -168,6 +169,7 @@ impl Inner {
             .ok()
             .filter(|&idx| idx != NIL)
             .expect("fewer than 2^32 - 1 pending messages");
+        grow_from_one(&mut self.slab);
         self.slab.push(Node {
             msg: Some(m),
             next: NIL,
@@ -191,11 +193,14 @@ impl Inner {
         let b = self.bucket_of(ctx, tag).unwrap_or_else(|| {
             match self.buckets.get_mut(self.live) {
                 Some(spare) => (spare.ctx, spare.tag) = (ctx, tag),
-                None => self.buckets.push(Bucket {
-                    ctx,
-                    tag,
-                    srcs: Vec::new(),
-                }),
+                None => {
+                    grow_from_one(&mut self.buckets);
+                    self.buckets.push(Bucket {
+                        ctx,
+                        tag,
+                        srcs: Vec::new(),
+                    })
+                }
             }
             self.live += 1;
             self.live - 1
@@ -213,6 +218,7 @@ impl Inner {
             tail: node,
         };
         let at = srcs.partition_point(|f| f.key() < fifo.key());
+        grow_from_one(srcs);
         srcs.insert(at, fifo);
     }
 
@@ -278,6 +284,16 @@ impl Inner {
             .msg
             .as_ref();
         Some(head.expect("a linked node holds a message").info())
+    }
+}
+
+/// Make room for one more element of a full `v`, doubling from one. `Vec`'s
+/// own growth starts at four elements, which a mailbox holding one or two
+/// messages, buckets or sources (most of them, at small n/p) would carry
+/// as dead weight per rank.
+fn grow_from_one<T>(v: &mut Vec<T>) {
+    if v.len() == v.capacity() {
+        v.reserve_exact(v.capacity().max(1));
     }
 }
 
@@ -477,6 +493,32 @@ mod tests {
         mb.push(msg(2, 5, 0, 10, 222)); // physically second, arrives early
         let m = mb.try_claim(&pat(SrcFilter::Any, 5, 0)).unwrap();
         assert_eq!(m.src_global, 2);
+    }
+
+    // A mailbox holds its peak population's capacity for the rest of the
+    // run: slab, buckets and sources grow from one element, doubling, so
+    // the common one- and two-message mailbox carries no spare slots.
+    #[test]
+    fn slab_buckets_and_sources_grow_from_one() {
+        let mb = Mailbox::new();
+        let caps = || {
+            let g = mb.inner.lock();
+            let srcs = g.buckets.iter().map(|b| b.srcs.capacity()).max();
+            let srcs = srcs.unwrap_or(0);
+            (g.slab.capacity(), g.buckets.capacity(), srcs)
+        };
+        assert_eq!(caps(), (0, 0, 0));
+        mb.push(msg(1, 5, 0, 10, 1));
+        assert_eq!(caps(), (1, 1, 1));
+        mb.push(msg(2, 5, 0, 20, 2));
+        assert_eq!(caps(), (2, 1, 2));
+        mb.push(msg(3, 5, 0, 30, 3));
+        mb.push(msg(3, 6, 0, 30, 4));
+        assert_eq!(caps(), (4, 2, 4));
+        // Claims keep the capacity; a refill reuses it.
+        while mb.try_claim(&pat(SrcFilter::Any, 5, 0)).is_some() {}
+        mb.push(msg(4, 5, 0, 40, 5));
+        assert_eq!(caps(), (4, 2, 4));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! messages carry it (no serialization, and no per-message `Box`
 //! allocation). Element count, byte size and
 //! type name are read through that table ([`Message::count`],
-//! [`Message::bytes`], [`Message::type_name`]) instead of being stored, so
-//! a message is 88 bytes: the simulator moves one by value at every hop
+//! [`Message::bytes`], [`Message::type_name`]) instead of being stored, and
+//! neither is the send time (a receive reads only the arrival), so a
+//! message is 80 bytes: the simulator moves one by value at every hop
 //! of a send (stage, commit, mailbox slab, claim), and below roughly a
 //! hundred bytes such a move is a few inline vector stores where the
 //! former 136-byte header was a `memcpy` call each time. An
@@ -184,9 +185,8 @@ pub struct Message {
     pub tag: Tag,
     /// Context ID of the communicator it was sent over.
     pub ctx: ContextId,
-    /// Sender's virtual clock when the send was issued.
-    pub send_time: Time,
-    /// `send_time + α + bytes·β` under the sender's cost model.
+    /// The sender's clock at the send plus `α + bytes·β` under its cost
+    /// model: all a receive needs of the send's timing.
     pub arrival: Time,
     payload: Payload,
 }
@@ -319,6 +319,8 @@ impl Drop for OwnedVec {
 
 impl Message {
     /// Package `data` into a message with precomputed arrival time.
+    /// `send_time` is only checked against `arrival` (debug builds); the
+    /// message does not store it.
     pub fn new<T: Datum>(
         src_global: usize,
         tag: Tag,
@@ -327,11 +329,11 @@ impl Message {
         send_time: Time,
         arrival: Time,
     ) -> Message {
+        debug_assert!(send_time <= arrival, "a message arrives after its send");
         Message {
             src_global,
             tag,
             ctx,
-            send_time,
             arrival,
             payload: Payload::Owned(OwnedVec::new(data)),
         }
@@ -339,7 +341,8 @@ impl Message {
 
     /// Package a shared buffer into a message without copying it: the `Arc`
     /// is cloned per destination, so a p-way fan-out of `l` bytes costs
-    /// O(p) instead of O(p·l) at the sender.
+    /// O(p) instead of O(p·l) at the sender. `send_time` as in
+    /// [`Message::new`].
     pub fn new_shared<T: Datum>(
         src_global: usize,
         tag: Tag,
@@ -348,11 +351,11 @@ impl Message {
         send_time: Time,
         arrival: Time,
     ) -> Message {
+        debug_assert!(send_time <= arrival, "a message arrives after its send");
         Message {
             src_global,
             tag,
             ctx,
-            send_time,
             arrival,
             payload: Payload::Shared(data),
         }
@@ -592,8 +595,9 @@ mod tests {
     fn a_message_moves_inline_and_its_option_is_free() {
         // Every hop of a send moves a `Message` by value, and the staging
         // vectors and mailbox slab hold `Option<Message>`: past ~100 bytes
-        // each move is a `memcpy` call (see the module docs).
-        assert!(std::mem::size_of::<Message>() <= 96);
+        // each move is a `memcpy` call (see the module docs), and every
+        // byte is held once per pending message.
+        assert!(std::mem::size_of::<Message>() <= 80);
         assert_eq!(
             std::mem::size_of::<Option<Message>>(),
             std::mem::size_of::<Message>()

@@ -284,7 +284,8 @@ impl ProcState {
 
     /// Price one outgoing message of `bytes` payload bytes: charge the send
     /// overhead, apply vendor jitter, record traffic, and return the
-    /// `(send_time, arrival)` pair stamped onto the message.
+    /// `(send_time, arrival)` pair the message is built from (it keeps
+    /// only `arrival`).
     fn price_send(&self, bytes: usize, scale: CostScale) -> (Time, Time) {
         let t0 = self.now();
         self.advance(self.router.cost.send_overhead);

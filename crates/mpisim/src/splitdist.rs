@@ -208,14 +208,19 @@ pub(crate) async fn split_distributed(
     };
     let splitters = select_splitters_async(parent, sample, k, tags::SPLIT_SAMPLE).await?;
 
-    // Phase 2: per-bucket counts, then route my triple to its leader.
+    // Phase 2: per-bucket counts, then route my triple to its leader. A
+    // leader keeps its own bucket's count; neither k-vector outlives the
+    // all-reduce.
     let my_b = triple.as_ref().map(|t| bucket_of(&splitters, t));
-    let mut counts = vec![0u64; k];
-    if let Some(b) = my_b {
-        counts[b] = 1;
-    }
-    let counts =
-        coll::allreduce_async(parent, &counts, tags::SPLIT_COUNT, ops::sum::<u64>()).await?;
+    let expect: Option<usize> = {
+        let mut mine = vec![0u64; k];
+        if let Some(b) = my_b {
+            mine[b] = 1;
+        }
+        let counts =
+            coll::allreduce_async(parent, &mine, tags::SPLIT_COUNT, ops::sum::<u64>()).await?;
+        my_bucket.map(|b| counts[b] as usize)
+    };
 
     let mut held: Vec<Triple> = Vec::new();
     if let (Some(t), Some(b)) = (triple, my_b) {
@@ -226,8 +231,7 @@ pub(crate) async fn split_distributed(
             parent.send_vec(vec![t], dest, tags::SPLIT_ROUTE)?;
         }
     }
-    if let Some(b) = my_bucket {
-        let expect = counts[b] as usize;
+    if let Some(expect) = expect {
         while held.len() < expect {
             let (v, _) = recv_async::<Triple, _>(parent, Src::Any, tags::SPLIT_ROUTE).await?;
             held.extend_from_slice(&v);

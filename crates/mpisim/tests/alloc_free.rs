@@ -168,9 +168,9 @@ async fn storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
 }
 
 /// The one knob the measurement depends on, pinned: 1 worker (inline
-/// commits on the calling thread). The default sharded commit orders
-/// with the in-place unstable sort; the serial reference's stable
-/// `sort_by_key` allocates scratch by design and is never the default.
+/// commits on the calling thread). The commit pushes each handed-in
+/// outbox as it stands, with no ordering pass and so no scratch to
+/// allocate.
 fn storm_cfg(seed: u64) -> SimConfig {
     SimConfig::cooperative().with_seed(seed).with_workers(1)
 }
