@@ -2,21 +2,17 @@
 //!
 //! A message carries its sender's *global* rank, a tag, and the context ID
 //! of the communicator it was sent over — exactly the header fields MPI uses
-//! for matching (§III of the paper). Payloads are typed `Vec<T>` stored as
-//! raw parts plus a reference to the element type's `&'static`
-//! `ElemType` table: type id, name, width and the routine that frees a
-//! buffer as the `Vec<T>` it came from, one table per `T` however many
-//! messages carry it (no serialization, and no per-message `Box`
-//! allocation). Element count, byte size and
-//! type name are read through that table ([`Message::count`],
+//! for matching (§III of the paper). A payload is a typed `Vec<T>` behind
+//! an `Arc` with `T` erased (no serialization): element count, byte size
+//! and type name are read through it ([`Message::count`],
 //! [`Message::bytes`], [`Message::type_name`]) instead of being stored, and
 //! neither is the send time (a receive reads only the arrival), so a
-//! message is 80 bytes: the simulator moves one by value at every hop
-//! of a send (stage, commit, mailbox slab, claim), and below roughly a
+//! message is 64 bytes: the simulator moves one by value at every hop of
+//! a send (stage, commit, mailbox slab, claim), and below roughly a
 //! hundred bytes such a move is a few inline vector stores where the
-//! former 136-byte header was a `memcpy` call each time. An
-//! exclusively-owned payload that is dropped untaken (a type mismatch, a
-//! message left in a mailbox at teardown) is freed as the `Vec<T>` it was.
+//! former 136-byte header was a `memcpy` call each time. The price of the
+//! one representation is one heap block per message, the `Arc`'s 40-byte
+//! header (two counts and the `Vec`), next to the payload buffer itself.
 //!
 //! # Zero-copy fan-out
 //!
@@ -29,14 +25,13 @@
 //! `Arc` ([`Message::take_shared`]); a receiver that needs ownership pays
 //! at most one copy, at its own rank, off the sender's critical path
 //! ([`Message::take`] unwraps without copying when it holds the last
-//! reference). Virtual-time cost accounting is unchanged — a shared send is
-//! still a full `α + bytes·β` message; only the *simulator's* wall-clock
-//! copying is elided.
+//! reference, as a point-to-point message always does). Virtual-time
+//! cost accounting is unchanged — a shared send is still a full
+//! `α + bytes·β` message; only the *simulator's* wall-clock copying is
+//! elided.
 
-use std::any::{Any, TypeId};
+use std::any::Any;
 use std::fmt;
-use std::mem::ManuallyDrop;
-use std::ptr::NonNull;
 use std::sync::Arc;
 
 use crate::datum::Datum;
@@ -188,71 +183,18 @@ pub struct Message {
     /// The sender's clock at the send plus `α + bytes·β` under its cost
     /// model: all a receive needs of the send's timing.
     pub arrival: Time,
-    payload: Payload,
+    /// The payload, shared with the sibling messages of a one-to-many send
+    /// (and possibly with the sender itself) or held by this message alone.
+    payload: Arc<dyn SharedVec>,
 }
 
-/// What a message knows about its payload's element type once the static
-/// `T` is erased: one `&'static` table per `T` (a promoted constant, see
-/// [`ElemType::of`]), referenced by every payload of that type.
-struct ElemType {
-    id: TypeId,
-    /// `type_name::<T>`, for mismatch diagnostics (not yet a `const fn`,
-    /// hence a pointer).
-    name: fn() -> &'static str,
-    /// `T::width`.
-    width: fn() -> usize,
-    /// Frees an owned payload's buffer as the empty `Vec<T>` it came
-    /// from.
-    free: unsafe fn(NonNull<u8>, usize),
-}
-
-struct ElemTypeOf<T>(std::marker::PhantomData<T>);
-
-impl<T: Datum> ElemTypeOf<T> {
-    const TABLE: ElemType = ElemType {
-        id: TypeId::of::<T>(),
-        name: std::any::type_name::<T>,
-        width: T::width,
-        free: free_as::<T>,
-    };
-}
-
-impl ElemType {
-    fn of<T: Datum>() -> &'static ElemType {
-        &ElemTypeOf::<T>::TABLE
-    }
-
-    /// The error of taking a payload of this type as a `Vec<T>`.
-    fn mismatch<T: Datum>(&self) -> MpiError {
-        MpiError::TypeMismatch {
-            expected: std::any::type_name::<T>(),
-            got: (self.name)(),
-        }
-    }
-}
-
-/// Frees a payload buffer by reassembling and dropping the empty `Vec<T>`
-/// it came from (elements are `Copy`, so no destructors are skipped).
-unsafe fn free_as<T: Datum>(ptr: NonNull<u8>, cap: usize) {
-    drop(unsafe { Vec::from_raw_parts(ptr.as_ptr().cast::<T>(), 0, cap) });
-}
-
-/// Payload storage: exclusively owned (ordinary point-to-point) or shared
-/// among the messages of one fan-out (see the module docs).
-enum Payload {
-    /// A `Vec<T>` owned by this message alone, stored as raw parts.
-    Owned(OwnedVec),
-    /// A `Vec<T>` behind an `Arc`, shared with the sibling messages of a
-    /// one-to-many send (and possibly with the sender itself).
-    Shared(Arc<dyn SharedVec>),
-}
-
-/// An `Arc<Vec<T>>` with `T` erased: it reports its length and element
-/// table from behind the `Arc`, and upcasts to `dyn Any` for the typed
-/// downcast of a take.
+/// A payload: a `Vec<T>` behind an `Arc` with `T` erased. It reports its
+/// length, element width and element type name from behind the `Arc`, and
+/// upcasts to `dyn Any` for the typed downcast of a take.
 trait SharedVec: Any + Send + Sync {
     fn len(&self) -> usize;
-    fn elem(&self) -> &'static ElemType;
+    fn width(&self) -> usize;
+    fn type_name(&self) -> &'static str;
 }
 
 impl<T: Datum> SharedVec for Vec<T> {
@@ -260,65 +202,18 @@ impl<T: Datum> SharedVec for Vec<T> {
         Vec::len(self)
     }
 
-    fn elem(&self) -> &'static ElemType {
-        ElemType::of::<T>()
-    }
-}
-
-/// The raw parts of an exclusively-owned `Vec<T>` payload: no heap
-/// allocation beyond the buffer itself (a `Box<dyn Any + Send>` would be
-/// one more per message). Its `Drop` frees the buffer through the
-/// element table's `free`.
-///
-/// Safety invariant: `(ptr, len, cap)` are the raw parts of a live
-/// `Vec<T>` exclusively owned by this value, and `elem` is the table of
-/// that same `T`.
-struct OwnedVec {
-    ptr: NonNull<u8>,
-    len: usize,
-    cap: usize,
-    elem: &'static ElemType,
-}
-
-// SAFETY: the buffer is exclusively owned (moved out of a unique `Vec`)
-// and `T: Datum` implies `T: Send`.
-unsafe impl Send for OwnedVec {}
-
-impl OwnedVec {
-    fn new<T: Datum>(data: Vec<T>) -> OwnedVec {
-        let mut data = ManuallyDrop::new(data);
-        OwnedVec {
-            ptr: NonNull::new(data.as_mut_ptr().cast::<u8>()).expect("a Vec's pointer is non-null"),
-            len: data.len(),
-            cap: data.capacity(),
-            elem: ElemType::of::<T>(),
-        }
+    fn width(&self) -> usize {
+        T::width()
     }
 
-    /// Reassemble the owned `Vec<T>`, or `None` on an element-type
-    /// mismatch (in which case dropping `self` frees the buffer under its
-    /// true type).
-    fn take<T: Datum>(self) -> Option<Vec<T>> {
-        if self.elem.id != TypeId::of::<T>() {
-            return None;
-        }
-        let this = ManuallyDrop::new(self);
-        // SAFETY: the type just matched, so these are the raw parts of a
-        // Vec<T>; ManuallyDrop forgoes the freeing drop.
-        Some(unsafe { Vec::from_raw_parts(this.ptr.as_ptr().cast::<T>(), this.len, this.cap) })
-    }
-}
-
-impl Drop for OwnedVec {
-    fn drop(&mut self) {
-        // SAFETY: struct invariant — `elem` is the table of the buffer's
-        // element type, so its `free` is monomorphized for it.
-        unsafe { (self.elem.free)(self.ptr, self.cap) }
+    fn type_name(&self) -> &'static str {
+        std::any::type_name::<T>()
     }
 }
 
 impl Message {
-    /// Package `data` into a message with precomputed arrival time.
+    /// Package `data` into a message with precomputed arrival time: the
+    /// `Vec` moves behind a fresh `Arc`, its elements are not copied.
     /// `send_time` is only checked against `arrival` (debug builds); the
     /// message does not store it.
     pub fn new<T: Datum>(
@@ -329,14 +224,7 @@ impl Message {
         send_time: Time,
         arrival: Time,
     ) -> Message {
-        debug_assert!(send_time <= arrival, "a message arrives after its send");
-        Message {
-            src_global,
-            tag,
-            ctx,
-            arrival,
-            payload: Payload::Owned(OwnedVec::new(data)),
-        }
+        Message::new_shared(src_global, tag, ctx, Arc::new(data), send_time, arrival)
     }
 
     /// Package a shared buffer into a message without copying it: the `Arc`
@@ -357,35 +245,25 @@ impl Message {
             tag,
             ctx,
             arrival,
-            payload: Payload::Shared(data),
+            payload: data,
         }
-    }
-
-    /// The status header and the payload's element table, whichever way
-    /// the payload is stored.
-    fn header(&self) -> (MsgInfo, &'static ElemType) {
-        let (count, elem) = match &self.payload {
-            Payload::Owned(v) => (v.len, v.elem),
-            Payload::Shared(a) => (a.len(), a.elem()),
-        };
-        let info = MsgInfo {
-            src_global: self.src_global,
-            tag: self.tag,
-            count,
-            bytes: count * (elem.width)(),
-            arrival: self.arrival,
-        };
-        (info, elem)
     }
 
     /// The status header of this message.
     pub fn info(&self) -> MsgInfo {
-        self.header().0
+        let count = self.payload.len();
+        MsgInfo {
+            src_global: self.src_global,
+            tag: self.tag,
+            count,
+            bytes: count * self.payload.width(),
+            arrival: self.arrival,
+        }
     }
 
     /// Number of payload elements.
     pub fn count(&self) -> usize {
-        self.info().count
+        self.payload.len()
     }
 
     /// Payload size in bytes (elements × element width).
@@ -395,40 +273,31 @@ impl Message {
 
     /// `type_name` of the payload element type, for mismatch diagnostics.
     pub fn type_name(&self) -> &'static str {
-        (self.header().1.name)()
+        self.payload.type_name()
     }
 
-    /// Consume the message, extracting its typed payload. A shared payload
-    /// is unwrapped without copying when this message holds the last
-    /// reference, and cloned otherwise (at most one copy per receiver).
+    /// Consume the message, extracting its typed payload. The `Vec` is
+    /// moved out without copying when this message holds the last
+    /// reference, as every point-to-point message does, and cloned
+    /// otherwise (at most one copy per receiver of a fan-out).
     pub fn take<T: Datum>(self) -> Result<(Vec<T>, MsgInfo)> {
-        let (info, elem) = self.header();
-        let data = match self.payload {
-            Payload::Owned(b) => b.take::<T>(),
-            Payload::Shared(a) => downcast::<T>(a).map(Arc::unwrap_or_clone),
-        };
-        data.map(|v| (v, info)).ok_or_else(|| elem.mismatch::<T>())
+        let (data, info) = self.take_shared::<T>()?;
+        Ok((Arc::unwrap_or_clone(data), info))
     }
 
-    /// Consume the message, extracting its payload behind an `Arc` without
-    /// copying — the receive path of fan-out stages that only read or
-    /// forward the buffer. An owned payload is wrapped in a fresh `Arc`
-    /// (moves the `Vec`, no element copy).
+    /// Consume the message, extracting its payload behind its `Arc`
+    /// without copying — the receive path of fan-out stages that only
+    /// read or forward the buffer.
     pub fn take_shared<T: Datum>(self) -> Result<(Arc<Vec<T>>, MsgInfo)> {
-        let (info, elem) = self.header();
-        let data = match self.payload {
-            Payload::Owned(b) => b.take::<T>().map(Arc::new),
-            Payload::Shared(a) => downcast::<T>(a),
-        };
-        data.map(|v| (v, info)).ok_or_else(|| elem.mismatch::<T>())
+        let info = self.info();
+        let got = self.type_name();
+        let any: Arc<dyn Any + Send + Sync> = self.payload;
+        let data = any.downcast().map_err(|_| MpiError::TypeMismatch {
+            expected: std::any::type_name::<T>(),
+            got,
+        })?;
+        Ok((data, info))
     }
-}
-
-/// The typed `Arc` behind a shared payload, `None` on an element-type
-/// mismatch.
-fn downcast<T: Datum>(shared: Arc<dyn SharedVec>) -> Option<Arc<Vec<T>>> {
-    let any: Arc<dyn Any + Send + Sync> = shared;
-    any.downcast().ok()
 }
 
 impl fmt::Debug for Message {
@@ -490,6 +359,23 @@ mod tests {
         );
         let (v, _) = last.take::<u64>().unwrap();
         assert_eq!(v, vec![9]);
+    }
+
+    #[test]
+    fn takes_move_the_sent_buffer_without_copying() {
+        let sent = vec![1u64, 2, 3];
+        let at = sent.as_ptr();
+        let m = Message::new::<u64>(0, 1, ContextId::WORLD, sent, Time(0), Time(5));
+        assert_eq!(m.take::<u64>().unwrap().0.as_ptr(), at);
+        let sent = vec![4u64, 5];
+        let at = sent.as_ptr();
+        let m = Message::new::<u64>(0, 1, ContextId::WORLD, sent, Time(0), Time(5));
+        assert_eq!(m.take_shared::<u64>().unwrap().0.as_ptr(), at);
+        // The last reference of a shared payload moves too.
+        let sent = Arc::new(vec![6u64]);
+        let at = sent.as_ptr();
+        let m = Message::new_shared::<u64>(0, 1, ContextId::WORLD, sent, Time(0), Time(5));
+        assert_eq!(m.take::<u64>().unwrap().0.as_ptr(), at);
     }
 
     #[test]
@@ -597,7 +483,7 @@ mod tests {
         // vectors and mailbox slab hold `Option<Message>`: past ~100 bytes
         // each move is a `memcpy` call (see the module docs), and every
         // byte is held once per pending message.
-        assert!(std::mem::size_of::<Message>() <= 80);
+        assert!(std::mem::size_of::<Message>() <= 64);
         assert_eq!(
             std::mem::size_of::<Option<Message>>(),
             std::mem::size_of::<Message>()
@@ -620,8 +506,8 @@ mod tests {
         assert_eq!((shared.count(), shared.bytes()), (3, 48));
         assert_eq!(shared.type_name(), "(u64, u64)");
         assert_eq!((shared.info().count, shared.info().bytes), (3, 48));
-        // The diagnostic names both types, whichever way the payload is
-        // stored and whichever take was asked for.
+        // The diagnostic names both types, whichever constructor built the
+        // message and whichever take was asked for.
         for (m, got) in [(owned, "u32"), (shared, "(u64, u64)")] {
             match m.take_shared::<f64>().unwrap_err() {
                 MpiError::TypeMismatch { expected, got: g } => {

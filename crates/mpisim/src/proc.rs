@@ -460,10 +460,7 @@ impl ProcState {
         data: Vec<T>,
         scale: CostScale,
     ) {
-        let bytes = data.len() * T::width();
-        self.send_with(dest_global, bytes, scale, |t0, arrival| {
-            Message::new(self.global_rank, tag, ctx, data, t0, arrival)
-        });
+        self.send_global_shared(dest_global, tag, ctx, Arc::new(data), scale);
     }
 
     /// Like [`ProcState::send_global`], but shipping a shared buffer: the
@@ -479,22 +476,6 @@ impl ProcState {
         data: Arc<Vec<T>>,
         scale: CostScale,
     ) {
-        let bytes = data.len() * T::width();
-        self.send_with(dest_global, bytes, scale, |t0, arrival| {
-            Message::new_shared(self.global_rank, tag, ctx, data, t0, arrival)
-        });
-    }
-
-    /// The body of every send: price `bytes`, build the message from its
-    /// send and arrival times with `message`, trace it and stage it.
-    #[inline(always)]
-    fn send_with(
-        &self,
-        dest_global: usize,
-        bytes: usize,
-        scale: CostScale,
-        message: impl FnOnce(Time, Time) -> Message,
-    ) {
         // Crash-stop: a crashed rank's sends silently stop matching — no
         // pricing, no clock motion, no traffic, no staging. Peers observe
         // the silence as a timeout carrying a RoundBlame, never as a hang.
@@ -502,8 +483,8 @@ impl ProcState {
             self.trace_push(|| TraceEvent::FaultDrop { dest: dest_global });
             return;
         }
-        let (t0, arrival) = self.price_send(bytes, scale);
-        let msg = message(t0, arrival);
+        let (t0, arrival) = self.price_send(data.len() * T::width(), scale);
+        let msg = Message::new_shared(self.global_rank, tag, ctx, data, t0, arrival);
         self.trace_push(|| TraceEvent::Send {
             dest: dest_global,
             bytes: msg.bytes(),

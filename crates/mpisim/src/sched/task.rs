@@ -270,6 +270,7 @@ pub(super) fn swap_outbox(outbox: Outbox) -> Outbox {
 }
 
 #[inline]
+#[allow(unsafe_code)]
 pub(super) fn current_slot() -> Option<&'static TaskSlot> {
     // SAFETY: `CURRENT` is followed only inside `TaskSlot::step`, whose
     // `&self` outlives the body's execution: a worker's is non-null only

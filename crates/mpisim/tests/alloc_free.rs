@@ -3,7 +3,8 @@
 //! reduce, a scan, a JQuick-style staged exchange (run-length encode →
 //! ship → decode), a receive of the wrong element type, and two barriers,
 //! every iteration — allocates **exactly one block per payload buffer it
-//! creates and nothing else** once the scheduler's commit buffers and the
+//! creates plus one per message** (the `Arc` that holds the payload) and
+//! nothing else once the scheduler's commit buffers and the
 //! mailboxes are warm, that a warm run frees exactly the bytes it
 //! allocates, and that the total allocation count of a warm run is itself
 //! deterministic.
@@ -88,17 +89,17 @@ const UNIVERSE_WARMUP: usize = 8;
 const CHUNK: usize = 16;
 
 /// Blocks one iteration allocates over all `P = 8` ranks: one per
-/// payload buffer it creates, nothing else.
+/// payload buffer it creates plus one per message, nothing else.
 ///
-/// | step | buffers | blocks |
-/// |---|---|---:|
-/// | ring send | the `send` copy, every rank | 8 |
-/// | reduce | the accumulator (`data.to_vec()`), every rank; children forward it | 8 |
-/// | scan | the accumulator, every rank, plus one `send` copy per round for each `r + d < p` (d = 1, 2, 4: 7 + 6 + 4) | 25 |
-/// | exchange | `tagged`, `runs`, `vals`, the `send(&runs)` copy, `decoded`, every rank | 40 |
-/// | mismatch | the `u64` `send` copy, freed untaken by the `u32` receive | 8 |
-/// | barriers | empty payloads, no block | 0 |
-const PER_ITER: u64 = 8 + 8 + 25 + 40 + 8;
+/// | step | buffers | blocks | messages |
+/// |---|---|---:|---:|
+/// | ring send | the `send` copy, every rank | 8 | 8 |
+/// | reduce | the accumulator (`data.to_vec()`), every rank; children forward it | 8 | 7 |
+/// | scan | the accumulator, every rank, plus one `send` copy per round for each `r + d < p` (d = 1, 2, 4: 7 + 6 + 4) | 25 | 17 |
+/// | exchange | `tagged`, `runs`, `vals`, the `send(&runs)` copy, `decoded`, every rank | 40 | 16 |
+/// | mismatch | the `u64` `send` copy, freed untaken by the `u32` receive | 8 | 8 |
+/// | barriers | empty payloads, no block; two dissemination barriers of 24 messages | 0 | 48 |
+const PER_ITER: u64 = (8 + 8 + 25 + 40 + 8) + (8 + 7 + 17 + 16 + 8 + 48);
 
 /// The storm program.
 async fn storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
@@ -146,8 +147,8 @@ async fn storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
         let decoded = distsort::decode_runs(&rruns, rvals);
         assert_eq!(decoded.len(), CHUNK);
         // A receive of the wrong element type: the matched `u64` payload
-        // is dropped untaken, so its buffer is freed through the
-        // message's element table (the byte balance checks it).
+        // is dropped untaken, and its buffer and `Arc` are freed with the
+        // message (the byte balance checks it).
         w.send(&[i as u64], next, 600).unwrap();
         let err = recv_async::<u32, _>(w, Src::Rank(prev), 600)
             .await
