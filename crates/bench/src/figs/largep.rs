@@ -142,9 +142,9 @@ fn jquick_time(p: usize, n_per: u64) -> Time {
 ///   overridable via `MPISIM_TRACE_OUT`) — drop into Perfetto /
 ///   `chrome://tracing`, one track per rank in virtual microseconds.
 /// * `results/host/BENCH_sched_profile.json` — the host wall-clock
-///   scheduler profile (per-worker run/commit/idle split, outbox-unit
-///   claims, outbox-pool hits). It measures this machine, not the model, so it
-///   lives under `results/host/`, which no check reads.
+///   scheduler profile (per-worker run/commit/idle split and task
+///   claims). It measures this machine, not the model, so it lives under
+///   `results/host/`, which no check reads.
 pub fn traced_slice() {
     let p = 1usize << 10;
     let n = 8 * p as u64;

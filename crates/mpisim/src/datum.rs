@@ -1,8 +1,9 @@
 //! Element ("datatype") support.
 //!
 //! MPI moves typed buffers; the simulator does the same with plain-old-data
-//! Rust types. Payloads travel as `Vec<T>` behind `Box<dyn Any>` — no
-//! serialization — so [`Datum`] only requires `Copy + Send + 'static`.
+//! Rust types. Payloads travel as `Vec<T>` behind an `Arc` with `T`
+//! erased ([`crate::msg`]) — no serialization — so [`Datum`] only
+//! requires `Copy + Send + Sync + 'static`.
 
 use std::cmp::Ordering;
 

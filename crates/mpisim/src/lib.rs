@@ -45,6 +45,7 @@ pub mod model;
 pub mod msg;
 pub mod nbcoll;
 pub mod obs;
+#[doc(hidden)]
 pub mod pool;
 pub mod proc;
 pub mod sched;

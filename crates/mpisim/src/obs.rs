@@ -539,20 +539,12 @@ pub struct WorkerProfile {
 pub struct SchedProfile {
     /// One entry per worker, indexed by worker id.
     pub workers: Vec<WorkerProfile>,
-    /// Outbox pool reuses across all commits (an outbox swapped in for
-    /// one handed in).
-    pub pool_hits: u64,
-    /// Outbox pool misses (fresh, empty outboxes) across all commits.
-    pub pool_misses: u64,
 }
 
 impl SchedProfile {
     /// Render as JSON (hand-rolled; the workspace vendors no serde).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"pool_hits\":{},\"pool_misses\":{},\"workers\":[",
-            self.pool_hits, self.pool_misses
-        );
+        let mut out = String::from("{\"workers\":[");
         for (i, w) in self.workers.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -689,12 +681,10 @@ mod tests {
                 shards: 3,
                 merge_runs: 6,
             }],
-            pool_hits: 4,
-            pool_misses: 1,
         };
         let js = prof.to_json();
         assert!(js.contains("\"worker\":0"), "{js}");
-        assert!(js.contains("\"pool_hits\":4"), "{js}");
+        assert!(js.starts_with("{\"workers\":[{\"worker\":0,"), "{js}");
         assert!(js.contains("\"merge_runs\":6"), "{js}");
     }
 }

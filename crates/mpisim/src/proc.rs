@@ -121,11 +121,6 @@ impl Router {
         self.trace = Some((0..p).map(|_| Default::default()).collect());
     }
 
-    /// Whether the deterministic event trace is being recorded.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Merge the per-rank trace buffers into the global `(t, rank, seq)`
     /// order (`None` when tracing is off).
     pub fn collect_trace(&self) -> Option<Trace> {
@@ -263,11 +258,6 @@ impl ProcState {
     /// `clock = max(clock, t)` — applied when a receive completes.
     pub fn advance_to(&self, t: Time) {
         self.clock().advance_to(t);
-    }
-
-    /// Overwrite the clock (used by barrier-style resynchronisation).
-    pub fn set_clock(&self, t: Time) {
-        self.clock().set(t);
     }
 
     /// Charge local computation over `elems` elements.
@@ -421,12 +411,6 @@ impl ProcState {
             text: blame.to_string(),
         });
         blame
-    }
-
-    /// Blame with no pattern context (used by nonblocking-collective and
-    /// sorter wave timeouts).
-    pub fn stall_blame(&self) -> RoundBlame {
-        self.blame_for(None)
     }
 
     /// Fill in the blame of a [`MpiError::Timeout`] produced below the

@@ -18,64 +18,63 @@
 //! the next round, whose order is not kept either: the epoch layer sorts
 //! it by rank.
 //!
-//! Outboxes are recycled through [`SchedPools`], so a steady-state commit
-//! allocates nothing (DESIGN.md §10).
+//! The outboxes themselves are recycled: each full one a worker hands in
+//! is swapped for a spare the commit drained earlier, so a steady-state
+//! commit allocates nothing (DESIGN.md §10).
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use super::task::Outbox;
-use crate::pool::Pool;
 use crate::proc::Router;
 
-/// The commit-scratch pool families of one scheduler. Pooled buffers are
-/// always handed out drained, so only their *capacity* survives an epoch.
+/// The outboxes of one scheduler, between workers and the commit.
 #[derive(Default)]
-pub(super) struct SchedPools {
-    /// Outboxes, swapped in for the ones workers hand in.
-    pub(super) outbox_pool: Pool<Outbox>,
-    /// Round / next-round index vectors (used by the epoch layer).
-    pub(super) idx_pool: Pool<Vec<usize>>,
+struct Handed {
+    /// Handed in during the current round, in hand-in order.
+    full: Vec<Outbox>,
+    /// Drained by an earlier commit; a worker takes one in exchange for
+    /// its full outbox. Only their capacity survives an epoch.
+    spare: Vec<Outbox>,
 }
 
 /// One scheduler's commit pipeline.
 pub(super) struct Commit {
     pub(super) router: Arc<Router>,
-    /// The outboxes handed in during the current round.
-    handed: Mutex<Vec<Outbox>>,
-    pub(super) pools: SchedPools,
+    handed: Mutex<Handed>,
 }
 
 impl Commit {
     pub(super) fn new(router: Arc<Router>) -> Commit {
         Commit {
             router,
-            handed: Mutex::new(Vec::new()),
-            pools: SchedPools::default(),
+            handed: Mutex::new(Handed::default()),
         }
     }
 
-    /// A worker ran out of round tasks: take what it staged, leaving it
-    /// an emptied outbox of the pool. An empty outbox is kept.
+    /// A worker ran out of round tasks: take what it staged, leaving it a
+    /// spare outbox (a new one if none is left). An empty outbox is kept.
     pub(super) fn hand_in(&self, outbox: &mut Outbox) {
         if !outbox.is_empty() {
-            let full = std::mem::replace(outbox, self.pools.outbox_pool.take());
-            self.handed.lock().push(full);
+            let mut handed = self.handed.lock();
+            let spare = handed.spare.pop().unwrap_or_default();
+            handed.full.push(std::mem::replace(outbox, spare));
         }
     }
 
     /// Push everything handed in during the round, appending to `next`
-    /// (the tasks that yielded) every rank a push woke. Returns how many
-    /// messages the epoch staged. Must be called after the round barrier,
-    /// by one worker.
+    /// (the tasks that yielded) every rank a push woke, and keep each
+    /// drained outbox as a spare. Returns how many messages the epoch
+    /// staged. Must be called after the round barrier, by one worker.
     pub(super) fn deliver(&self, next: &mut Vec<usize>) -> usize {
         let mut handed = self.handed.lock();
+        let Handed { full, spare } = &mut *handed;
         let mut msgs = 0;
-        for mut outbox in handed.drain(..) {
+        for mut outbox in full.drain(..) {
             msgs += outbox.len();
             self.push_outbox(&mut outbox, next);
-            self.pools.outbox_pool.put(outbox);
+            spare.push(outbox);
         }
         msgs
     }

@@ -76,10 +76,11 @@ pub(crate) struct Scheduler<'a> {
     /// Tasks of the current round that have completed their step.
     round_done: AtomicUsize,
     commit: Commit,
-    /// Displaced round `Arc`s: `publish_tasks` reuses one when no worker
-    /// still holds a clone (always true at 1 worker), so steady-state
-    /// round publishing is allocation-free.
-    round_pool: Mutex<Vec<Arc<Vec<usize>>>>,
+    /// The round the last [`publish`](Self::publish) displaced. The next
+    /// `finish_round` builds its round in place in it when no worker still
+    /// holds a clone (always true at 1 worker), so steady-state round
+    /// publishing is allocation-free.
+    spare: Mutex<Option<Arc<Vec<usize>>>>,
     /// Consecutive epochs without observable progress (see
     /// [`STAGNANT_EPOCH_LIMIT`]).
     stagnant: AtomicUsize,
@@ -110,7 +111,7 @@ impl<'a> Scheduler<'a> {
             gate_cv: Condvar::new(),
             cursor: AtomicU64::new(0),
             round_done: AtomicUsize::new(0),
-            round_pool: Mutex::new(Vec::new()),
+            spare: Mutex::new(None),
             stagnant: AtomicUsize::new(0),
             prev_live: AtomicUsize::new(p),
             profile,
@@ -171,11 +172,8 @@ impl<'a> Scheduler<'a> {
         if !self.profile {
             return None;
         }
-        let (pool_hits, pool_misses) = self.commit.pools.outbox_pool.counters();
         Some(SchedProfile {
             workers: std::mem::take(&mut *self.profiles.lock()),
-            pool_hits,
-            pool_misses,
         })
     }
 
@@ -250,8 +248,8 @@ impl<'a> Scheduler<'a> {
                     }
                 }
             }
-            // Not held across the sleep: `publish_tasks` reuses a displaced
-            // round vector once no worker shares it.
+            // Not held across the sleep: `finish_round` reuses a displaced
+            // round once no worker shares it.
             drop(round);
             g = self.gate.lock();
             if !g.done && g.gen == gen {
@@ -285,12 +283,20 @@ impl<'a> Scheduler<'a> {
             .switches
             .fetch_add(round.len() as u64, Ordering::Relaxed);
         self.shared.epochs.fetch_add(1, Ordering::Relaxed);
-        let mut next = self.commit.pools.idx_pool.take();
+        // The next round, built in the spare round when nobody shares it.
+        let mut next_round = self
+            .spare
+            .lock()
+            .take()
+            .filter(|r| Arc::strong_count(r) == 1)
+            .unwrap_or_default();
+        let next = Arc::get_mut(&mut next_round).expect("an unshared round");
+        next.clear();
         next.extend(round.iter().filter(|&&tid| self.slots[tid].yielded()));
         let yielded = next.len();
         // Progress signal for the stagnation detector below: a pure
         // function of the epoch contents.
-        let msgs = self.commit.deliver(&mut next);
+        let msgs = self.commit.deliver(next);
         // A wait left armed by a body that then panicked out of its leaf
         // sits on a task that is not blocked: drop that one, and empty its
         // satisfied wait so that later deposits into the dead rank's
@@ -330,14 +336,14 @@ impl<'a> Scheduler<'a> {
                 self.stagnant.store(0, Ordering::Relaxed);
                 // Yielded (polling) tasks are already in `next`; blocked
                 // ones join it.
-                poison(&self.slots, &mut next, false);
+                poison(&self.slots, next, false);
             }
         }
         // Nothing runnable but tasks remain: deadlock. The poisoned
         // tasks run once more so their waits can return the timeout
         // error.
         if next.is_empty() && live > 0 {
-            poison(&self.slots, &mut next, true);
+            poison(&self.slots, next, true);
             if next.is_empty() {
                 eprintln!(
                     "mpisim: scheduler invariant broken: {live} live tasks, none \
@@ -355,33 +361,8 @@ impl<'a> Scheduler<'a> {
             // most once and a yielded task is never blocked), so the
             // unstable sort has one result.
             next.sort_unstable();
-            self.publish_tasks(next);
+            self.publish(next_round);
         }
-    }
-
-    /// Publish the next task round, reusing a displaced round `Arc` when
-    /// no worker still holds a clone of it. At 1 worker that is always
-    /// true by the time the next publish happens (the sole worker re-reads
-    /// the gate, dropping its clone, before it can finish another round);
-    /// a still-referenced `Arc` just falls back to a fresh allocation.
-    fn publish_tasks(&self, mut next: Vec<usize>) {
-        let cand = self.round_pool.lock().pop();
-        let arc = match cand {
-            Some(mut a) => match Arc::get_mut(&mut a) {
-                Some(v) => {
-                    v.clear();
-                    v.append(&mut next);
-                    a
-                }
-                None => Arc::new(std::mem::take(&mut next)),
-            },
-            None => Arc::new(std::mem::take(&mut next)),
-        };
-        if next.capacity() > 0 {
-            next.clear();
-            self.commit.pools.idx_pool.put(next);
-        }
-        self.publish(arc);
     }
 
     /// Install `round` as the next claimable round. The cursor moves last:
@@ -404,11 +385,7 @@ impl<'a> Scheduler<'a> {
             self.gate_cv.notify_all();
         }
         drop(g);
-        // The displaced round vector feeds a later `publish_tasks` (its
-        // `Arc` becomes unique once every worker re-reads the gate).
-        let mut pool = self.round_pool.lock();
-        if pool.len() < 4 {
-            pool.push(prev);
-        }
+        // Unique again once every worker has re-read the gate.
+        *self.spare.lock() = Some(prev);
     }
 }

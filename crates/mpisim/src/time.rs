@@ -82,14 +82,9 @@ impl Time {
     }
 }
 
-/// A shared-state virtual clock: per-rank simulated time that several
-/// parties may advance — the rank's own operations, and the scheduler,
-/// which moves a rank's clock forward
-/// through the ready-queue when a wake-up delivers a message whose arrival
-/// lies in the rank's future.
-///
-/// All operations are monotone except [`VirtualClock::set`], which
-/// barrier-style resynchronisation uses deliberately.
+/// A rank's simulated time, advanced only by the rank's own operations:
+/// a charge, a send's overhead, a receive's `max(clock, arrival)` rule.
+/// Every operation is monotone: a clock never moves back.
 #[derive(Debug, Default)]
 pub struct VirtualClock(AtomicU64);
 
@@ -113,11 +108,6 @@ impl VirtualClock {
     /// of the α–β model.
     pub fn advance_to(&self, t: Time) {
         self.0.fetch_max(t.as_nanos(), Ordering::Relaxed);
-    }
-
-    /// Overwrite the reading (barrier-style resynchronisation).
-    pub fn set(&self, t: Time) {
-        self.0.store(t.as_nanos(), Ordering::Relaxed);
     }
 }
 

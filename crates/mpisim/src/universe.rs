@@ -46,25 +46,16 @@ use crate::sched::{
 };
 use crate::time::Time;
 
-/// Which runtime executes the rank bodies. There is one: both variants
-/// name the epoch scheduler, and no library code tells them apart.
+/// Both variants name the one runtime, the epoch scheduler
+/// ([`crate::sched`]), and nothing reads the value. It is kept, with
+/// [`SimConfig::with_backend`], only because the perf ledger under
+/// `benchmark/` spells both variants; ROADMAP item 1(a) deletes both.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// The epoch scheduler: all ranks stepped from
-    /// [`SimConfig::coop_workers`] OS threads under an epoch discipline
-    /// that makes runs **bit-for-bit deterministic in `(program, seed)`
-    /// for any worker count**: message deliveries commit at epoch
-    /// boundaries, each sender's in send order (see [`crate::sched`] and
-    /// DESIGN.md §5). What a rank body is follows from the entry point,
-    /// not from this value: [`Universe::run`] builds thread bodies (a
-    /// parked OS thread per rank, two hand-offs per step; synchronous
-    /// programs to about 2^12 ranks), [`Universe::run_poll`] builds future
-    /// bodies (the paper's 2^15 ranks, and 2^20). Output is byte-identical
-    /// between the two for the same program.
+    /// The epoch scheduler.
     Cooperative,
-    /// A synonym of [`Backend::Cooperative`]. Both names stay until the
-    /// perf ledger under `benchmark/`, which spells both, is revised
-    /// (ROADMAP item 1(a)).
+    /// The epoch scheduler.
     Poll,
 }
 
@@ -79,8 +70,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// OS thread stack size of the thread bodies [`Universe::run`] builds.
     pub stack_size: usize,
-    /// Which runtime executes rank bodies (there is one, see [`Backend`]).
-    pub backend: Backend,
     /// Worker threads of the cooperative scheduler. The epoch discipline
     /// makes the schedule — and therefore message-delivery order — a pure
     /// function of `(program, seed)` for **every** worker count, so this
@@ -117,7 +106,6 @@ impl Default for SimConfig {
             vendor: VendorProfile::neutral(),
             seed: 0x5bc,
             stack_size: 1 << 20,
-            backend: Backend::Cooperative,
             coop_workers: 1,
             faults: FaultPlan::default(),
             trace: false,
@@ -148,9 +136,11 @@ impl SimConfig {
         }
     }
 
-    /// Replace the backend.
-    pub fn with_backend(mut self, backend: Backend) -> SimConfig {
-        self.backend = backend;
+    /// Returns `self` unchanged: there is one runtime (see [`Backend`]).
+    /// Kept only for the perf ledger under `benchmark/`; ROADMAP item 1(a)
+    /// deletes it with [`Backend`].
+    #[doc(hidden)]
+    pub fn with_backend(self, _backend: Backend) -> SimConfig {
         self
     }
 

@@ -9,7 +9,7 @@
 //! validating the same library code (DESIGN.md §12).
 
 use mpisim::{
-    block_inline, coll, nbcoll, ops, Backend, MetricsSnapshot, ProcEnv, SimConfig, SimResult, Src,
+    block_inline, coll, nbcoll, ops, MetricsSnapshot, ProcEnv, SimConfig, SimResult, Src,
     Transport, Universe,
 };
 use proptest::prelude::*;
@@ -190,29 +190,19 @@ fn bodies_match_at_2_10_and_worker_counts_up_the_pow2_ladder() {
     }
 }
 
-// `Backend::Cooperative` and `Backend::Poll` are two names of the epoch
-// scheduler: a synchronous program under either gets thread bodies and the
-// same bytes, at any worker count.
+// A synchronous program gets thread bodies and the same bytes at any
+// worker count.
 #[test]
 fn sync_run_under_poll_equals_sync_run_under_cooperative() {
-    let on = |backend: Backend, workers: usize| {
-        let cfg = sched(workers)
-            .with_backend(backend)
-            .with_seed(5)
-            .with_trace(true);
+    let on = |workers: usize| {
+        let cfg = sched(workers).with_seed(5).with_trace(true);
         let res = Universe::run(12, cfg, |env| block_inline(rank_program(env, 2)));
         let trace = res.trace.expect("tracing was requested").to_text();
         (res.per_rank, res.clocks, res.metrics, trace)
     };
-    let coop = on(Backend::Cooperative, 1);
-    assert!(coop.2.switches > 0 && !coop.3.is_empty());
-    for (backend, workers) in [
-        (Backend::Poll, 1),
-        (Backend::Poll, 4),
-        (Backend::Cooperative, 4),
-    ] {
-        assert_eq!(coop, on(backend, workers), "{backend:?}, {workers} workers");
-    }
+    let one = on(1);
+    assert!(one.2.switches > 0 && !one.3.is_empty());
+    assert_eq!(one, on(4), "4 workers");
 }
 
 fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
@@ -224,8 +214,7 @@ fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
 
 // A synchronous call that has to wait inside a future body cannot suspend
 // the body: it must panic, naming the API to use instead, whichever
-// primitive it bottoms out in (a receive, a collective's receive, a yield)
-// and whichever name the scheduler was configured by.
+// primitive it bottoms out in (a receive, a collective's receive, a yield).
 #[test]
 fn sync_waits_inside_poll_bodies_panic_naming_the_async_api() {
     type SyncOp = fn(&mpisim::Comm);
@@ -237,20 +226,16 @@ fn sync_waits_inside_poll_bodies_panic_naming_the_async_api() {
         ("barrier", |w| coll::barrier(w, 11).unwrap()),
         ("yield_now", |_| mpisim::yield_now()),
     ];
-    for backend in [Backend::Poll, Backend::Cooperative] {
-        for (name, op) in ops {
-            let err = std::panic::catch_unwind(|| {
-                Universe::run_poll(2, sched(1).with_backend(backend), move |env| async move {
-                    op(&env.world)
-                })
-            })
-            .expect_err(name);
-            let msg = panic_message(err);
-            assert!(
-                msg.contains("_async API"),
-                "sync {name} in a future body should point at the *_async API: {msg}"
-            );
-        }
+    for (name, op) in ops {
+        let err = std::panic::catch_unwind(|| {
+            Universe::run_poll(2, sched(1), move |env| async move { op(&env.world) })
+        })
+        .expect_err(name);
+        let msg = panic_message(err);
+        assert!(
+            msg.contains("_async API"),
+            "sync {name} in a future body should point at the *_async API: {msg}"
+        );
     }
 }
 

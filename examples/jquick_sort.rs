@@ -12,17 +12,23 @@ use jquick::{
 use mpisim::{SimConfig, Transport, Universe, VendorProfile};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+mod common;
+
+const USAGE: &str = "usage: jquick_sort [p] [n_per_proc] [rbc|mpi]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let p: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(16);
-    let n_per: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1000);
-    let backend = args.get(3).map(String::as_str).unwrap_or("rbc").to_string();
+    let p: usize = common::arg(1, 16, USAGE);
+    let n_per: u64 = common::arg(2, 1000, USAGE);
+    let backend: String = common::arg(3, "rbc".to_string(), USAGE);
+    if backend != "rbc" && backend != "mpi" {
+        common::usage_exit(USAGE);
+    }
     let n = n_per * p as u64;
 
     println!("JQuick: sorting {n} doubles on {p} simulated processes ({backend} backend)\n");
 
     let cfg = SimConfig::default().with_vendor(VendorProfile::intel_like());
-    let backend_name = backend.clone();
+    let mpi = backend == "mpi";
     let res = Universe::run(p, cfg, move |env| {
         let w = &env.world;
         let layout = Layout::new(n, p as u64);
@@ -35,7 +41,7 @@ fn main() {
 
         w.barrier().unwrap();
         let t0 = env.now();
-        let (out, stats) = if backend_name == "mpi" {
+        let (out, stats) = if mpi {
             jquick_sort(&MpiBackend, w, data, n, &JQuickConfig::default()).unwrap()
         } else {
             jquick_sort(&RbcBackend, w, data, n, &JQuickConfig::default()).unwrap()

@@ -16,11 +16,12 @@ use mpisim::icomm::icomm_create_group;
 use mpisim::{Group, SimConfig, Time, Transport, Universe, VendorProfile};
 use rbc::RbcComm;
 
+mod common;
+
+const USAGE: &str = "usage: nonblocking_creation [p]";
+
 fn main() {
-    let p: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
+    let p: usize = common::arg(1, 64, USAGE);
     assert!(p.is_power_of_two(), "use a power of two for clean halving");
 
     println!("building a full halving tree of communicators over {p} processes\n");

@@ -12,10 +12,13 @@ use jquick::quickhull::{quickhull, quickhull_reference, Point};
 use mpisim::{Transport, Universe};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+mod common;
+
+const USAGE: &str = "usage: quickhull [p] [points_per_proc]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let p: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8);
-    let m: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(5000);
+    let p: usize = common::arg(1, 8, USAGE);
+    let m: usize = common::arg(2, 5000, USAGE);
 
     let res = Universe::run_default(p, move |env| {
         let w = &env.world;

@@ -15,6 +15,10 @@ use mpisim::{Time, Transport, Universe};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rbc::RbcComm;
 
+mod common;
+
+const USAGE: &str = "usage: sorting_comparison [p] [n_per]";
+
 fn skewed(rank: u64, m: usize) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(rank * 31 + 5);
     (0..m)
@@ -26,9 +30,8 @@ fn skewed(rank: u64, m: usize) -> Vec<f64> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let p: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(16);
-    let n_per: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(2000);
+    let p: usize = common::arg(1, 16, USAGE);
+    let n_per: usize = common::arg(2, 2000, USAGE);
     assert!(
         p.is_power_of_two(),
         "hypercube quicksort needs a power of two"

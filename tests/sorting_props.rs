@@ -10,7 +10,7 @@ use jquick::{
     verify_sorted, AssignmentKind, Dist, JQuickConfig, Layout, PivotCfg, RbcBackend, SampleSortCfg,
     Schedule, TaskRange,
 };
-use mpisim::{Backend, Progress, SimConfig, SortKey, Transport, Universe};
+use mpisim::{Progress, SimConfig, SortKey, Transport, Universe};
 use proptest::prelude::*;
 
 /// Generate each rank's input slice from a seed + distribution selector.
@@ -405,15 +405,12 @@ fn jquick_on_f64_edges_equals_the_sequential_sort() {
     }
 }
 
-/// One p = 64 poll-backend JQuick run: `(max_time ns, messages, bytes,
+/// One p = 64 future-body JQuick run: `(max_time ns, messages, bytes,
 /// FNV-1a digest over every rank's SortStats fields and output keys, in
 /// rank order)`.
 fn golden_run(dist: Dist) -> (u64, u64, u64, u64) {
     let (p, n) = (64usize, 64 * 200 + 17u64);
-    let cfg = SimConfig::default()
-        .with_backend(Backend::Poll)
-        .with_workers(1)
-        .with_seed(2018);
+    let cfg = SimConfig::default().with_workers(1).with_seed(2018);
     let res = Universe::run_poll(p, cfg, move |env| async move {
         let w = &env.world;
         let layout = Layout::new(n, p as u64);
