@@ -25,7 +25,7 @@ pub fn reps(full: usize) -> usize {
     }
 }
 
-/// `BENCH_QUICK=1` shrinks sweeps so `cargo bench` stays fast; the figure
+/// `BENCH_QUICK=1` shrinks sweeps so the golden check stays fast; the figure
 /// binaries run full sweeps by default.
 pub fn quick_mode() -> bool {
     std::env::var("BENCH_QUICK").is_ok_and(|v| v != "0")

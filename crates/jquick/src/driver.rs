@@ -167,7 +167,7 @@ where
     } else {
         active.push(ActiveTask {
             task: root,
-            comm: wc_clone(&wc),
+            comm: wc.clone(),
             first_proc: 0,
             level: 0,
             stuck: 0,
@@ -200,7 +200,7 @@ where
             } = at;
             stats.max_level = stats.max_level.max(level);
             let lv = level::start(
-                clone_c::<B>(&comm),
+                comm.clone(),
                 backend.coll_scales(&comm),
                 layout,
                 task,
@@ -267,7 +267,7 @@ where
                             bases.push(BaseTask { task: sub, data: d });
                         } else {
                             pending.push(PendingCreate {
-                                parent_comm: clone_c::<B>(&meta.comm),
+                                parent_comm: meta.comm.clone(),
                                 parent_first: meta.first_proc,
                                 sub,
                                 level: meta.level + 1,
@@ -371,16 +371,6 @@ async fn all_equal<T: SortKey + Datum, C: Transport>(comm: &C, data: &[T]) -> Re
     )
     .await?[0];
     Ok(mm.0.cmp_key(&mm.1).is_eq())
-}
-
-// Helper shims: `Backend::C: Transport` implies `Clone`, but keeping the
-// calls in one place documents that comm handles are cheap to clone.
-fn wc_clone<C: Transport>(c: &C) -> C {
-    c.clone()
-}
-
-fn clone_c<B: Backend>(c: &B::C) -> B::C {
-    c.clone()
 }
 
 struct TaskMeta<C> {

@@ -72,6 +72,19 @@ impl Comm {
         })
     }
 
+    /// `MpiError::Usage` naming a member of `group` that is not a process
+    /// of the universe; the creation entry points check this before any
+    /// member sends.
+    pub(crate) fn check_members(&self, group: &Group) -> Result<()> {
+        let p = self.state.router.nprocs();
+        match group.member_outside(p) {
+            Some(g) => Err(MpiError::Usage(format!(
+                "group member {g} is outside the universe of {p} processes"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// The process group of this communicator.
     pub fn group(&self) -> &Group {
         &self.inner.group
@@ -165,13 +178,15 @@ impl Comm {
     /// `MPI_Comm_create_group`: blocking collective over the members of
     /// `group` only (paper \[1\]). The `tag` distinguishes concurrent
     /// creations on the same parent — overlapping creations with the same
-    /// tag have undefined behaviour, exactly as in MPI.
+    /// tag have undefined behaviour, exactly as in MPI. A member that is
+    /// not a process of the universe is an [`MpiError::Usage`].
     pub fn create_group(&self, group: &Group, tag: Tag) -> Result<Comm> {
         crate::sched::poll::block_inline(self.create_group_async(group, tag))
     }
 
     /// [`Comm::create_group`] as a maybe-async core.
     pub async fn create_group_async(&self, group: &Group, tag: Tag) -> Result<Comm> {
+        self.check_members(group)?;
         let view = self.with_new_ctx(self.ctx(), group.clone())?;
         let g = group.len();
         let vendor = &self.state.router.vendor;

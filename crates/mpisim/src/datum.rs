@@ -45,17 +45,6 @@ impl<A: Datum, B: Datum, C: Datum> Datum for (A, B, C) {}
 impl<A: Datum, B: Datum, C: Datum, D: Datum> Datum for (A, B, C, D) {}
 impl<T: Datum, const N: usize> Datum for [T; N] {}
 
-/// Elements with an additive identity, for `sum`-style reductions.
-pub trait Zeroed: Datum {
-    /// The additive identity of the type.
-    const ZERO: Self;
-}
-
-macro_rules! impl_zeroed {
-    ($($t:ty),*) => { $(impl Zeroed for $t { const ZERO: Self = 0 as $t; })* };
-}
-impl_zeroed!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
-
 /// A total order usable for sorting keys. `f64` gets IEEE-754 `total_cmp`.
 ///
 /// **Tie contract:** `a.cmp_key(&b) == Ordering::Equal` implies that `a`
@@ -171,12 +160,12 @@ impl<A: SortKey, B: SortKey, C: SortKey> SortKey for (A, B, C) {
 /// stay generic; the helpers below cover the MPI builtins the paper needs
 /// (`MPI_SUM` for prefix sums, `MPI_BAND` for context-ID masks, min/max).
 pub mod ops {
-    use super::{Datum, SortKey, Zeroed};
+    use super::{Datum, SortKey};
 
     /// `MPI_SUM`.
     pub fn sum<T>() -> impl Fn(&T, &T) -> T + Clone + Send + Sync + 'static
     where
-        T: Zeroed + std::ops::Add<Output = T>,
+        T: Datum + std::ops::Add<Output = T>,
     {
         |a: &T, b: &T| *a + *b
     }

@@ -131,6 +131,19 @@ impl Group {
         }
     }
 
+    /// A member whose global rank is `p` or above, i.e. not a process of
+    /// a universe of `p`: the last member of a Range group (O(1)), the
+    /// first such member of a Dense one (one walk, no allocation).
+    pub(crate) fn member_outside(&self, p: usize) -> Option<usize> {
+        match &self.repr {
+            Repr::Range { first, stride, len } => {
+                let last = first + stride * (len - 1);
+                (last >= p).then_some(last)
+            }
+            Repr::Dense(v) => v.iter().copied().find(|&g| g >= p),
+        }
+    }
+
     /// Whether the global rank is a member.
     pub fn contains_global(&self, global: usize) -> bool {
         self.inverse(global).is_some()

@@ -57,7 +57,10 @@ pub struct IcommCreate(Nbc<Option<Comm>>);
 /// Begin nonblocking creation of a communicator over `group`, a subset of
 /// `parent`'s processes. Must be called by every member of `group` (and
 /// only those). `tag` disambiguates concurrent creations on one parent.
+/// A member that is not a process of the universe is an
+/// [`MpiError::Usage`].
 pub fn icomm_create_group(parent: &Comm, group: &Group, tag: Tag) -> Result<IcommCreate> {
+    parent.check_members(group)?;
     let me = parent.proc_state().global_rank;
     let my_rank = group
         .inverse(me)

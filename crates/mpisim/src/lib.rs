@@ -56,7 +56,7 @@ pub mod transport;
 pub mod universe;
 
 pub use comm::Comm;
-pub use datum::{ops, Datum, SortKey, Zeroed};
+pub use datum::{ops, Datum, SortKey};
 pub use error::{MpiError, Result};
 pub use faults::{FaultPlan, RankBlame, RankHealth, RoundBlame, SlowdownSpec};
 pub use group::Group;

@@ -27,7 +27,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mpisim::{coll, distsort, ops, recv_async, MpiError, SimConfig, Src, Transport, Universe};
+use jquick::exchange::{decode_runs, encode_runs};
+use mpisim::{coll, ops, recv_async, MpiError, SimConfig, Src, Transport, Universe};
 
 /// Counts every allocation event (alloc, alloc_zeroed, and realloc —
 /// a realloc that moves is a fresh allocation for our purposes) and sums
@@ -137,14 +138,14 @@ async fn storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
             tagged.push((x, base + k as u64));
         }
         tagged.sort_unstable_by_key(|&(_, pos)| pos);
-        let (runs, vals) = distsort::encode_runs(tagged);
+        let (runs, vals) = encode_runs(tagged);
         w.send(&runs, next, 500).unwrap();
         w.send_vec(vals, next, 501).unwrap();
         let (rruns, _) = recv_async::<(u64, u64), _>(w, Src::Rank(prev), 500)
             .await
             .unwrap();
         let (rvals, _) = recv_async::<u64, _>(w, Src::Rank(prev), 501).await.unwrap();
-        let decoded = distsort::decode_runs(&rruns, rvals);
+        let decoded = decode_runs(&rruns, rvals);
         assert_eq!(decoded.len(), CHUNK);
         // A receive of the wrong element type: the matched `u64` payload
         // is dropped untaken, and its buffer and `Arc` are freed with the

@@ -90,6 +90,29 @@ fn create_group_ibm_ring_algo_works_too() {
 }
 
 #[test]
+fn create_group_naming_a_rank_outside_the_universe_is_a_usage_error() {
+    // Range {0, 99} (checked at its last member) and dense [0, 99, 1]
+    // (walked); rank 0 must get an error naming 99, not wait on it.
+    let res = Universe::run_default(4, |env| {
+        let w = &env.world;
+        if w.rank() != 0 {
+            return Vec::new();
+        }
+        [Group::from_ranks(vec![0, 99]), Group::from_ranks(vec![0, 99, 1])]
+            .iter()
+            .map(|g| match w.create_group(g, 5) {
+                Err(mpisim::MpiError::Usage(msg)) => msg,
+                other => panic!("expected a usage error, got {:?}", other.map(|c| c.size())),
+            })
+            .collect()
+    });
+    assert_eq!(res.per_rank[0].len(), 2);
+    for msg in &res.per_rank[0] {
+        assert!(msg.contains("99"), "{msg}");
+    }
+}
+
+#[test]
 fn context_isolation_between_parent_and_child() {
     // A message sent on the parent must not be matched by a receive on the
     // child communicator, even with identical rank and tag.

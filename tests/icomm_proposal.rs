@@ -183,3 +183,27 @@ fn strided_subgroup_of_strided_parent_still_constant_time() {
     assert_eq!(res.per_rank[2], Some((true, 2)));
     assert_eq!(res.per_rank[1], None);
 }
+
+#[test]
+fn a_group_naming_a_rank_outside_the_universe_is_a_usage_error() {
+    // Range {1, 99} and dense [1, 99, 0]: rank 1 is the broadcast root of
+    // both, and must get an error naming 99 before it sends to it.
+    let res = Universe::run_default(4, |env| {
+        let w = &env.world;
+        if w.rank() != 1 {
+            return Vec::new();
+        }
+        [Group::from_ranks(vec![1, 99]), Group::from_ranks(vec![1, 99, 0])]
+            .iter()
+            .map(|g| match icomm_create_group(w, g, 5) {
+                Err(mpisim::MpiError::Usage(msg)) => msg,
+                Err(e) => panic!("expected a usage error, got {e}"),
+                Ok(_) => panic!("expected a usage error, got a pending creation"),
+            })
+            .collect()
+    });
+    assert_eq!(res.per_rank[1].len(), 2);
+    for msg in &res.per_rank[1] {
+        assert!(msg.contains("99"), "{msg}");
+    }
+}

@@ -10,21 +10,50 @@
 //! `Comm::barrier_async` and 1 for plain point-to-point traffic: the
 //! generic `coll::barrier_async` on a communicator and the RBC barrier on
 //! a subrange.
+//!
+//! The binomial broadcast from root 0 is a walk of its tree: a rank
+//! forwards once its receive completes, to its children largest subtree
+//! first, one `send_overhead` apart, and a child's receive completes
+//! `T + recv_overhead` after its parent starts that send, where
+//! `T = transfer_time_scaled(bytes, scale)`. The scale is the vendor's
+//! bcast scale for `Comm::bcast_async` and neutral for `coll::bcast_async`
+//! on a communicator or an RBC subrange (what `RbcComm::bcast` runs).
+//! Payloads stay at or below every vendor's jitter threshold, above which
+//! the transfer time is drawn at random.
 
-use mpisim::{coll, CostModel, SimConfig, Time, Transport, Universe, VendorProfile};
+use mpisim::{coll, CostModel, CostScale, SimConfig, Time, Transport, Universe, VendorProfile};
 use rbc::RbcComm;
 
 const SIZES: [usize; 9] = [1, 2, 3, 5, 8, 13, 64, 1000, 1024];
 
-/// Which barrier a run measures.
+/// Which implementation of a collective a run measures.
 #[derive(Clone, Copy, Debug)]
-enum Barrier {
-    /// `Comm::barrier_async`: the vendor's barrier cost scale applies.
+enum Path {
+    /// The `Comm` method: the vendor's cost scale for the collective applies.
     Native,
-    /// `coll::barrier_async` over the communicator as a plain transport.
+    /// The generic `coll` core over the communicator as a plain transport.
     Plain,
-    /// `RbcComm::barrier_async` on ranks `2..=p + 1` of `p + 3`.
+    /// The generic `coll` core on ranks `2..=p + 1` of `p + 3`, split off
+    /// by RBC.
     RbcSubrange,
+}
+
+const PATHS: [Path; 3] = [Path::Native, Path::Plain, Path::RbcSubrange];
+
+/// Which collective a run measures.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Barrier,
+    /// Broadcast of this many bytes from rank 0.
+    Bcast(usize),
+}
+
+fn vendors() -> [VendorProfile; 3] {
+    [
+        VendorProfile::neutral(),
+        VendorProfile::intel_like(),
+        VendorProfile::ibm_like(),
+    ]
 }
 
 fn expected(p: usize, cost: &CostModel, alpha_factor: f64) -> Time {
@@ -33,29 +62,73 @@ fn expected(p: usize, cost: &CostModel, alpha_factor: f64) -> Time {
     Time::from_nanos(rounds * round.as_nanos())
 }
 
-/// Every participating rank's `(clock after − clock before)` the barrier.
-fn barrier_spans(kind: Barrier, p: usize, vendor: VendorProfile) -> Vec<Time> {
-    let world = match kind {
-        Barrier::RbcSubrange => p + 3,
-        Barrier::Native | Barrier::Plain => p,
+/// Every rank's clock after the binomial broadcast from rank 0, relative
+/// to a common start, by a walk of the tree. Rank `r`'s parent is
+/// `r & (r - 1)`, so parents come before their children in rank order.
+fn bcast_clocks(p: usize, cost: &CostModel, t: Time) -> Vec<Time> {
+    let mut received = vec![Time::ZERO; p];
+    let mut clocks = vec![Time::ZERO; p];
+    for r in 0..p {
+        let lsb = if r == 0 {
+            p.next_power_of_two()
+        } else {
+            r & r.wrapping_neg()
+        };
+        let mut clock = received[r];
+        for k in (0..lsb.trailing_zeros()).rev() {
+            let child = r + (1 << k);
+            if child < p {
+                received[child] = clock + t + cost.recv_overhead;
+                clock += cost.send_overhead;
+            }
+        }
+        clocks[r] = clock;
+    }
+    clocks
+}
+
+/// Every participating rank's `(clock before, clock after − clock before)`
+/// the collective, in rank order of the communicator it runs on.
+fn spans(path: Path, op: Op, p: usize, vendor: VendorProfile) -> Vec<(Time, Time)> {
+    let world = match path {
+        Path::RbcSubrange => p + 3,
+        Path::Native | Path::Plain => p,
     };
     let cfg = SimConfig::default().with_vendor(vendor);
     let res = Universe::run_poll(world, cfg, move |env| async move {
         let w = &env.world;
-        let sub = match kind {
-            Barrier::RbcSubrange if (2..=p + 1).contains(&w.rank()) => {
+        let sub = match path {
+            Path::RbcSubrange if (2..=p + 1).contains(&w.rank()) => {
                 Some(RbcComm::create(w).split(2, p + 1).unwrap())
             }
-            Barrier::RbcSubrange => return None,
-            Barrier::Native | Barrier::Plain => None,
+            Path::RbcSubrange => return None,
+            Path::Native | Path::Plain => None,
+        };
+        let mut data = match op {
+            Op::Bcast(bytes) if sub.as_ref().map_or(w.rank(), |s| s.rank()) == 0 => {
+                vec![7u8; bytes]
+            }
+            Op::Barrier | Op::Bcast(_) => Vec::new(),
         };
         let t0 = env.now();
-        match kind {
-            Barrier::Native => w.barrier_async().await.unwrap(),
-            Barrier::Plain => coll::barrier_async(w, 7).await.unwrap(),
-            Barrier::RbcSubrange => sub.as_ref().unwrap().barrier_async().await.unwrap(),
+        match (path, op) {
+            (Path::Native, Op::Barrier) => w.barrier_async().await.unwrap(),
+            (Path::Plain, Op::Barrier) => coll::barrier_async(w, 7).await.unwrap(),
+            (Path::RbcSubrange, Op::Barrier) => {
+                sub.as_ref().unwrap().barrier_async().await.unwrap()
+            }
+            (Path::Native, Op::Bcast(_)) => w.bcast_async(&mut data, 0).await.unwrap(),
+            (Path::Plain, Op::Bcast(_)) => coll::bcast_async(w, &mut data, 0, 7).await.unwrap(),
+            (Path::RbcSubrange, Op::Bcast(_)) => {
+                coll::bcast_async(sub.as_ref().unwrap(), &mut data, 0, 7)
+                    .await
+                    .unwrap()
+            }
         }
-        Some(env.now() - t0)
+        if let Op::Bcast(bytes) = op {
+            assert_eq!(data, vec![7u8; bytes]);
+        }
+        Some((t0, env.now() - t0))
     });
     res.per_rank.into_iter().flatten().collect()
 }
@@ -63,27 +136,61 @@ fn barrier_spans(kind: Barrier, p: usize, vendor: VendorProfile) -> Vec<Time> {
 #[test]
 fn dissemination_barrier_makespan_is_exact() {
     let cost = CostModel::supermuc_like();
-    for vendor in [
-        VendorProfile::neutral(),
-        VendorProfile::intel_like(),
-        VendorProfile::ibm_like(),
-    ] {
+    for vendor in vendors() {
         let native = vendor.coll_scale.barrier.alpha_factor;
-        for kind in [Barrier::Native, Barrier::Plain, Barrier::RbcSubrange] {
-            let a = match kind {
-                Barrier::Native => native,
-                Barrier::Plain | Barrier::RbcSubrange => 1.0,
+        for path in PATHS {
+            let a = match path {
+                Path::Native => native,
+                Path::Plain | Path::RbcSubrange => 1.0,
             };
             for p in SIZES {
-                let spans = barrier_spans(kind, p, vendor.clone());
-                assert_eq!(spans.len(), p, "{kind:?} p {p}");
+                let spans: Vec<Time> = spans(path, Op::Barrier, p, vendor.clone())
+                    .into_iter()
+                    .map(|(_, span)| span)
+                    .collect();
+                assert_eq!(spans.len(), p, "{path:?} p {p}");
                 let want = expected(p, &cost, a);
                 assert!(
                     spans.iter().all(|&t| t == want),
-                    "{} {kind:?} p {p}: want {want:?} on every rank, got {:?}",
+                    "{} {path:?} p {p}: want {want:?} on every rank, got {:?}",
                     vendor.name,
                     spans.iter().max()
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn binomial_broadcast_clocks_are_exact() {
+    let cost = CostModel::supermuc_like();
+    for vendor in vendors() {
+        for path in PATHS {
+            let scale = match path {
+                Path::Native => vendor.coll_scale.bcast,
+                Path::Plain | Path::RbcSubrange => CostScale::NEUTRAL,
+            };
+            for bytes in [8, 8 * 1024] {
+                assert!(bytes <= vendor.jitter_threshold);
+                let t = cost.transfer_time_scaled(bytes, scale);
+                for p in SIZES {
+                    let got = spans(path, Op::Bcast(bytes), p, vendor.clone());
+                    assert_eq!(got.len(), p, "{path:?} p {p}");
+                    // Fresh clocks: every rank starts the broadcast at once.
+                    assert!(got.iter().all(|&(t0, _)| t0 == got[0].0), "{path:?} p {p}");
+                    let got: Vec<Time> = got.into_iter().map(|(_, span)| span).collect();
+                    let want = bcast_clocks(p, &cost, t);
+                    assert_eq!(
+                        got, want,
+                        "{} {path:?} {bytes} B p {p}: rank clocks",
+                        vendor.name
+                    );
+                    if p.is_power_of_two() {
+                        let levels = p.trailing_zeros() as u64;
+                        let makespan = (t + cost.recv_overhead) * levels;
+                        assert_eq!(got.iter().max(), Some(&makespan), "{path:?} p {p}");
+                    }
+                }
             }
         }
     }
@@ -96,4 +203,18 @@ fn the_formula_reads_the_probed_values() {
     assert_eq!(expected(1024, &cost, 1.0), Time::from_nanos(105_000));
     assert_eq!(expected(1024, &cost, intel), Time::from_nanos(125_000));
     assert_eq!(expected(1, &cost, 1.0), Time::ZERO);
+    let makespan = |p, bytes, scale| {
+        let t = cost.transfer_time_scaled(bytes, scale);
+        bcast_clocks(p, &cost, t).into_iter().max().unwrap()
+    };
+    let intel_bcast = VendorProfile::intel_like().coll_scale.bcast;
+    assert_eq!(
+        makespan(1024, 8, CostScale::NEUTRAL),
+        Time::from_nanos(105_080)
+    );
+    assert_eq!(
+        makespan(1024, 8 * 1024, intel_bcast),
+        Time::from_nanos(370_760)
+    );
+    assert_eq!(makespan(1, 8, CostScale::NEUTRAL), Time::ZERO);
 }
