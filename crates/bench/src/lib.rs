@@ -7,6 +7,7 @@
 //! repetitions** (the paper uses 5 reps for microbenchmarks, 7/3 for
 //! sorting).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fs;

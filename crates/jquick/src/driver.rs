@@ -33,7 +33,7 @@ use crate::basecase::{self, BaseTask, Settled};
 use crate::exchange::AssignmentKind;
 use crate::layout::{Layout, TaskRange};
 use crate::level::{self, LevelOutcome};
-use crate::partition::{from_ordinals, to_ordinals};
+use crate::partition::{from_ordinals, to_ordinals, Segments};
 use crate::pivot::PivotCfg;
 
 /// User tags for the driver's blocking agreements.
@@ -93,7 +93,7 @@ struct ActiveTask<T, C> {
     first_proc: u64,
     level: u32,
     stuck: u32,
-    data: Vec<T>,
+    data: Segments<T>,
 }
 
 struct PendingCreate<T, C> {
@@ -101,7 +101,7 @@ struct PendingCreate<T, C> {
     parent_first: u64,
     sub: TaskRange,
     level: u32,
-    data: Vec<T>,
+    data: Segments<T>,
 }
 
 /// Sort `data` across all processes of `world`. `n` is the global element
@@ -171,7 +171,7 @@ where
             first_proc: 0,
             level: 0,
             stuck: 0,
-            data,
+            data: Segments::from(data),
         });
     }
 
@@ -238,6 +238,7 @@ where
                         // All equal: the task is sorted in place.
                         stats.settled_equal += 1;
                         let my_lo = meta.task.lo.max(layout.prefix(me));
+                        let data = data.into_vec();
                         settled.push(Settled { lo: my_lo, data });
                         continue;
                     }
@@ -264,7 +265,12 @@ where
                             continue;
                         }
                         if sub.nprocs(&layout) <= 2 {
-                            bases.push(BaseTask { task: sub, data: d });
+                            // Concatenated once, as it is queued: the views'
+                            // buffers need not wait for phase 2.
+                            bases.push(BaseTask {
+                                task: sub,
+                                data: d.into_vec(),
+                            });
                         } else {
                             pending.push(PendingCreate {
                                 parent_comm: meta.comm.clone(),
@@ -352,7 +358,7 @@ where
 
 /// The stuck task's blocking agreement: are all its elements equal? A
 /// min/max all-reduce over the task communicator.
-async fn all_equal<T: SortKey + Datum, C: Transport>(comm: &C, data: &[T]) -> Result<bool> {
+async fn all_equal<T: SortKey + Datum, C: Transport>(comm: &C, data: &Segments<T>) -> Result<bool> {
     let local_min = data
         .iter()
         .copied()

@@ -7,8 +7,16 @@
 //!   its (at most ~4) contiguous chunks directly to their target
 //!   processes, then "receives messages until n/p elements have been
 //!   received". A receiver may face Θ(min(p, n/p)) incoming messages in
-//!   the worst case. The partition writes each element straight into the
-//!   chunk it is sent in ([`partition_into`]).
+//!   the worst case. No key is copied for the exchange: each chunk is a
+//!   range of one side of the level's partition ([`Parted`]) and goes out
+//!   as a view of it ([`Transport::send_slice`]), or, when it is that
+//!   whole side, as the side itself; the receiver keeps each arrived
+//!   chunk, in arrival order, as a piece of its next level's [`Segments`]
+//!   ([`Transport::try_recv_slice`]), and that level's partition reads
+//!   them in place. Keys of at most a cache line are the exception both
+//!   ways: such a chunk travels as a copy, and such a
+//!   side is gathered into one buffer as it arrives, because a piece of
+//!   its own would cost its reader more than its bytes.
 //! * staged — a bounded-degree stand-in for the deterministic message
 //!   assignment of \[20\]: elements travel to their targets by recursive
 //!   bisection of the process range, one send and O(1) receives per
@@ -22,22 +30,25 @@
 //! receive order, and with it element order and virtual time, is that of
 //! the arrivals.
 //!
-//! Both take the same inputs: `data` is my unpartitioned window∩task slice,
-//! split by `pivot` under `strict`; `s_excl`/`off_excl` are my prefix
+//! Both take the same inputs: `keys` is my window∩task slice as the level
+//! partitioned it (smalls, then larges); `s_excl`/`off_excl` are my prefix
 //! counts within the task; `s_total` the task-wide small count.
 //! `first_proc` maps task-comm ranks to global process indices
 //! (`global = first_proc + rank`). Both return my received small and large
 //! elements (exactly my window's intersection with each side — perfect
-//! balance). Each does its local work when called and returns a future
+//! balance) as segment lists: views of the senders' buffers for greedy,
+//! one buffer per side for staged, which reassembles its elements by
+//! position. Each does its local work when called and returns a future
 //! holding only what its receives need.
 
 use std::future::Future;
+use std::sync::Arc;
 
-use mpisim::{Result, SortKey, Src, Transport};
+use mpisim::{Result, SharedSlice, SortKey, Src, Tag, Transport};
 
-use crate::assign::{greedy_assignment, recv_expectation};
+use crate::assign::{greedy_assignment, recv_expectation, OutMsg};
 use crate::layout::{Layout, TaskRange};
-use crate::partition::{partition, partition_into, Strictness};
+use crate::partition::{Parted, Piece, Segments, CACHE_LINE};
 
 /// Tags used inside a level; plain user tags, safe because simultaneously
 /// active tasks share at most one process (the janus).
@@ -67,67 +78,63 @@ pub enum AssignmentKind {
 // Greedy
 // ---------------------------------------------------------------------------
 
-/// Greedy exchange: every process partitions its data straight into its
-/// messages (`my_small` counts its smalls), sends each to the final owner,
-/// then receives until its expectation is met.
+/// Greedy exchange: every process sends each of its chunks to the final
+/// owner, as a view of its side's partition buffer (`keys`) unless the
+/// side is one chunk, keeps the chunk addressed to itself without a
+/// message, then receives views until its expectation is met.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn greedy<'c, T: SortKey, C: Transport>(
     c: &'c C,
     layout: Layout,
     task: TaskRange,
     first_proc: u64,
-    data: Vec<T>,
-    pivot: T,
-    strict: Strictness,
-    my_small: u64,
+    keys: Parted<T>,
     s_excl: u64,
     off_excl: u64,
     s_total: u64,
-) -> Result<impl Future<Output = Result<(Vec<T>, Vec<T>)>> + 'c> {
+) -> Result<impl Future<Output = Result<(Segments<T>, Segments<T>)>> + 'c> {
     let me = first_proc + c.rank() as u64;
     let exp = recv_expectation(&layout, &task, s_total, me);
     let (n_small, n_large) = (exp.small_count as usize, exp.large_count as usize);
-    let l_len = data.len() as u64 - my_small;
-    let msgs = greedy_assignment(&layout, &task, s_excl, my_small, l_len, off_excl, s_total);
+    let (my_small, my_large) = (keys.small.len() as u64, keys.large.len() as u64);
+    let msgs = greedy_assignment(
+        &layout, &task, s_excl, my_small, my_large, off_excl, s_total,
+    );
     let n_small_msgs = msgs.partition_point(|m| m.small);
     debug_assert!(msgs[n_small_msgs..].iter().all(|m| !m.small));
-    let lens: Vec<usize> = msgs
-        .iter()
-        .map(|m| m.local_range.1 - m.local_range.0)
-        .collect();
-    let chunks = partition_into(data, &pivot, strict, n_small_msgs, &lens);
+    // A side of at most a cache line is gathered into one buffer as its
+    // pieces arrive, instead of kept in pieces (see `CACHE_LINE`).
+    let gather = [n_small, n_large].map(|want| want * size_of::<T>() <= CACHE_LINE);
     // Fire all sends up front (nonblocking, buffered), smalls first as
-    // `greedy_assignment` lists them. A chunk addressed to myself is
-    // delivered locally without a message.
-    let (mut got_small, mut got_large) = (Vec::new(), Vec::new());
-    for (m, chunk) in msgs.iter().zip(chunks) {
-        let (got, want, tag) = match m.small {
-            true => (&mut got_small, n_small, tags::X_SMALL),
-            false => (&mut got_large, n_large, tags::X_LARGE),
-        };
-        if m.target == me {
-            append(got, want, &chunk);
-        } else {
-            c.send_vec(chunk, (m.target - first_proc) as usize, tag)?;
-        }
-    }
+    // `greedy_assignment` lists them.
+    let (mut got_small, mut got_large) = (Segments::new(), Segments::new());
+    let (small_msgs, large_msgs) = msgs.split_at(n_small_msgs);
+    let side =
+        |keys, msgs, got, tag, want| send_side(c, keys, msgs, got, tag, want, me, first_proc);
+    let want = |n, gather| if gather { Some(n) } else { None };
+    side(
+        keys.small,
+        small_msgs,
+        &mut got_small,
+        tags::X_SMALL,
+        want(n_small, gather[0]),
+    )?;
+    side(
+        keys.large,
+        large_msgs,
+        &mut got_large,
+        tags::X_LARGE,
+        want(n_large, gather[1]),
+    )?;
     // Receive until the window's worth of each side has arrived: every
-    // sweep takes all small chunks there, then all large ones.
-    let take_arrived = move |tag, got: &mut Vec<T>, want: usize| -> Result<()> {
-        while got.len() < want {
-            match c.try_recv::<T>(Src::Any, tag)? {
-                None => break,
-                Some((v, _)) => append(got, want, &v),
-            }
-        }
-        debug_assert!(got.len() <= want);
-        Ok(())
-    };
+    // sweep takes all small chunks there, then all large ones. `left`
+    // counts what each side still waits for.
+    let mut left = [n_small - got_small.len(), n_large - got_large.len()];
     Ok(async move {
         loop {
-            take_arrived(tags::X_SMALL, &mut got_small, n_small)?;
-            take_arrived(tags::X_LARGE, &mut got_large, n_large)?;
-            if got_small.len() == n_small && got_large.len() == n_large {
+            take_arrived(c, tags::X_SMALL, &mut got_small, &mut left[0], gather[0])?;
+            take_arrived(c, tags::X_LARGE, &mut got_large, &mut left[1], gather[1])?;
+            if left == [0, 0] {
                 return Ok((got_small, got_large));
             }
             c.state().park_until_deposit().await;
@@ -135,13 +142,91 @@ pub(crate) fn greedy<'c, T: SortKey, C: Transport>(
     })
 }
 
-/// Append a kept or received chunk to a side that wants `want` elements,
-/// sized exactly at its first chunk, not before any is in flight.
-fn append<T: Copy>(got: &mut Vec<T>, want: usize, chunk: &[T]) {
-    if got.is_empty() {
-        got.reserve_exact(want);
+/// Take every chunk of `tag` that has arrived into `got`, until the
+/// `left` keys it still waits for are there; copied into one buffer if the
+/// side `gather`s.
+fn take_arrived<T: SortKey, C: Transport>(
+    c: &C,
+    tag: Tag,
+    got: &mut Segments<T>,
+    left: &mut usize,
+    gather: bool,
+) -> Result<()> {
+    while *left > 0 {
+        let Some((v, _)) = c.try_recv_slice::<T>(Src::Any, tag)? else {
+            break;
+        };
+        let want = got.len() + *left;
+        *left = left
+            .checked_sub(v.len())
+            .expect("no more than the window's worth arrives");
+        match gather {
+            true => got.gather(v, want),
+            false => got.push(v),
+        }
     }
-    got.extend_from_slice(chunk);
+    Ok(())
+}
+
+/// Send one side's chunks `msgs` (in order) from the side's keys, keeping
+/// the chunk addressed to myself in `got` without a message. A side that
+/// is one chunk goes as it is: moved into the message when I own it. A
+/// side cut into chunks goes as views of one shared buffer, except that a
+/// chunk of at most `CACHE_LINE` bytes goes as a copy: a view of it
+/// would cost its reader more than its bytes, and could keep a large
+/// buffer alive for a few keys.
+#[allow(clippy::too_many_arguments)]
+fn send_side<T: SortKey, C: Transport>(
+    c: &C,
+    keys: Piece<T>,
+    msgs: &[OutMsg],
+    got: &mut Segments<T>,
+    tag: Tag,
+    gather: Option<usize>,
+    me: u64,
+    first_proc: u64,
+) -> Result<()> {
+    let dest = |m: &OutMsg| (m.target - first_proc) as usize;
+    let keep = |got: &mut Segments<T>, piece: Piece<T>| match gather {
+        Some(want) => got.gather(piece, want),
+        None => got.push(piece),
+    };
+    let copy = |got: &mut Segments<T>, m: &OutMsg, chunk: &[T]| match m.target == me {
+        true => {
+            keep(got, Piece::Own(chunk.to_vec()));
+            Ok(())
+        }
+        false => c.send(chunk, dest(m), tag),
+    };
+    let small = |m: &OutMsg| (m.local_range.1 - m.local_range.0) * size_of::<T>() <= CACHE_LINE;
+    match (msgs, keys) {
+        ([m], keys) if m.target == me => {
+            keep(got, keys);
+            Ok(())
+        }
+        ([m], Piece::Own(v)) => c.send_vec(v, dest(m), tag),
+        ([m], Piece::View(v)) => c.send_slice(v.buffer(), v.range(), dest(m), tag),
+        (msgs, keys) if msgs.iter().all(small) => msgs
+            .iter()
+            .try_for_each(|m| copy(got, m, &keys[m.local_range.0..m.local_range.1])),
+        (msgs, keys) => {
+            let (buf, at) = match keys {
+                Piece::Own(v) => (Arc::new(v), 0),
+                Piece::View(v) => (Arc::clone(v.buffer()), v.range().start),
+            };
+            for m in msgs {
+                let range = at + m.local_range.0..at + m.local_range.1;
+                if small(m) {
+                    copy(got, m, &buf[range])?;
+                } else if m.target == me {
+                    keep(got, SharedSlice::new(Arc::clone(&buf), range).into());
+                } else {
+                    c.send_slice(&buf, range, dest(m), tag)?;
+                }
+            }
+            Ok(())
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -177,27 +262,25 @@ pub(crate) fn staged<'c, T: SortKey, C: Transport>(
     layout: Layout,
     task: TaskRange,
     first_proc: u64,
-    data: Vec<T>,
-    pivot: T,
-    strict: Strictness,
+    keys: Parted<T>,
     s_excl: u64,
     off_excl: u64,
     s_total: u64,
-) -> impl Future<Output = Result<(Vec<T>, Vec<T>)>> + 'c {
+) -> impl Future<Output = Result<(Segments<T>, Segments<T>)>> + 'c {
     let me = first_proc + c.rank() as u64;
-    let (small, large) = partition(data, &pivot, strict);
     let (mut a, mut b) = task.procs(&layout);
     debug_assert_eq!(a, first_proc);
     let cut = task.lo + s_total;
     // Tag every element with its destination position.
-    let mut held = Vec::with_capacity(small.len() + large.len());
-    for (i, x) in small.into_iter().enumerate() {
+    let mut held = Vec::with_capacity(keys.small.len() + keys.large.len());
+    for (i, &x) in keys.small.iter().enumerate() {
         held.push((x, task.lo + s_excl + i as u64));
     }
     let l_excl = off_excl - s_excl;
-    for (i, x) in large.into_iter().enumerate() {
+    for (i, &x) in keys.large.iter().enumerate() {
         held.push((x, cut + l_excl + i as u64));
     }
+    drop(keys);
     async move {
         while a < b {
             let mid = a + (b - a + 1).div_ceil(2); // left half is the larger
@@ -249,7 +332,8 @@ pub(crate) fn staged<'c, T: SortKey, C: Transport>(
         held.sort_by_key(|&(_, pos)| pos);
         c.charge_compute(held.len());
         let k = held.partition_point(|&(_, pos)| pos < cut);
-        let elems = |run: &[(T, u64)]| run.iter().map(|&(x, _)| x).collect();
+        let elems =
+            |run: &[(T, u64)]| Segments::from(run.iter().map(|&(x, _)| x).collect::<Vec<T>>());
         Ok((elems(&held[..k]), elems(&held[k..])))
     }
 }

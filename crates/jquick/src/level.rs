@@ -19,8 +19,8 @@ use mpisim::{coll, ops, Result, Scaled, SortKey, Transport};
 
 use crate::exchange::{self, AssignmentKind};
 use crate::layout::{Layout, TaskRange};
-use crate::partition::{count_small, sample_median, Strictness};
-use crate::pivot::{draw_samples, PivotCfg};
+use crate::partition::{sample_median, Parted, Segments, Strictness};
+use crate::pivot::{draw_segment_samples, PivotCfg};
 
 /// Level-internal user tags (see `exchange::tags` for the exchange's).
 mod ltags {
@@ -38,21 +38,22 @@ pub enum LevelOutcome<T> {
         /// Global number of elements below the pivot.
         s_total: u64,
         /// Elements of the small half landing in my window.
-        small: Vec<T>,
+        small: Segments<T>,
         /// Elements of the large half landing in my window.
-        large: Vec<T>,
+        large: Segments<T>,
     },
     /// Degenerate pivot (`s_total ∈ {0, N}`): no data moved; retry with the
     /// flipped comparator (paper's `<`/`≤` switching handles duplicates).
     Stuck {
-        /// The unchanged local data, returned to the caller.
-        data: Vec<T>,
+        /// The local data, in its order: the input view itself when the
+        /// level got one.
+        data: Segments<T>,
     },
 }
 
 /// Start a level and run it to its first receive that misses. `c` is the
 /// task communicator (rank `i` ⇔ global process `first_proc + i`); `data`
-/// is my window∩task slice.
+/// is my window∩task slice, as the views the previous level delivered.
 #[allow(clippy::too_many_arguments)]
 pub fn start<T: SortKey, C: Transport>(
     c: C,
@@ -62,7 +63,7 @@ pub fn start<T: SortKey, C: Transport>(
     level: u32,
     kind: AssignmentKind,
     pivot_cfg: &PivotCfg,
-    data: Vec<T>,
+    data: Segments<T>,
 ) -> Result<Nbc<LevelOutcome<T>>> {
     let samples = pivot_cfg.per_proc(task.nprocs(&layout));
     let state = Arc::clone(c.state());
@@ -82,35 +83,45 @@ pub(crate) fn run<T: SortKey, C: Transport>(
     level: u32,
     kind: AssignmentKind,
     samples: u64,
-    data: Vec<T>,
+    data: Segments<T>,
 ) -> impl Future<Output = Result<LevelOutcome<T>>> {
     let (f, l) = task.procs(&layout);
     debug_assert_eq!(c.size() as u64, l - f + 1, "task comm must cover the task");
-    let me = f + c.rank() as u64;
-    debug_assert_eq!(data.len() as u64, task.load_of(&layout, me));
+    debug_assert_eq!(
+        data.len() as u64,
+        task.load_of(&layout, f + c.rank() as u64)
+    );
     async move {
         let scaled = |scale: CostScale| Scaled::new(c.clone(), scale);
 
         // Step 1: the task's first process gathers the samples and
         // broadcasts their median.
-        let sample = draw_samples(&data, samples, c.state());
-        let gathered =
-            coll::gatherv_as_they_arrive_async(&scaled(scales.gather), sample, 0, ltags::SAMPLES)
-                .await?;
-        let mut pivot: Vec<T> = gathered
-            .map(|per_rank| {
-                let all: Vec<T> = per_rank.into_iter().flatten().collect();
-                c.charge_compute(all.len() * 4); // sample sort
-                vec![sample_median(all)]
-            })
-            .unwrap_or_default();
-        coll::bcast_async(&scaled(scales.bcast), &mut pivot, 0, ltags::PIVOT).await?;
+        let (keys, n_small) = {
+            let sample = draw_segment_samples(&data, samples, c.state());
+            let gathered = coll::gatherv_as_they_arrive_async(
+                &scaled(scales.gather),
+                sample,
+                0,
+                ltags::SAMPLES,
+            )
+            .await?;
+            let mut pivot: Vec<T> = gathered
+                .map(|per_rank| {
+                    let all: Vec<T> = per_rank.into_iter().flatten().collect();
+                    c.charge_compute(all.len() * 4); // sample sort
+                    vec![sample_median(all)]
+                })
+                .unwrap_or_default();
+            coll::bcast_async(&scaled(scales.bcast), &mut pivot, 0, ltags::PIVOT).await?;
 
-        // Step 2: local partition (O(n/p) charged): the count here, the
-        // scatter in the exchange.
-        c.charge_compute(data.len());
-        let (pivot, strict) = (pivot[0], Strictness::for_level(level));
-        let n_small = count_small(&data, &pivot, strict) as u64;
+            // Step 2: local partition (O(n/p) charged), in one pass that
+            // counts the smalls for the prefix sum on the way. The pivot's
+            // scope ends here, so the rest of the level does not carry it.
+            c.charge_compute(data.len());
+            let keys = Parted::new(data, &pivot[0], Strictness::for_level(level));
+            let n_small = keys.small.len() as u64;
+            (keys, n_small)
+        };
 
         // Step 3: prefix-sum the small counts; the last process broadcasts
         // the total.
@@ -126,13 +137,19 @@ pub(crate) fn run<T: SortKey, C: Transport>(
         coll::bcast_async(&scaled(scales.bcast), &mut total, last, ltags::TOTAL).await?;
         let s_total = total[0];
         if s_total == 0 || s_total == task.len() {
-            // Degenerate split: the data is its own partition. Keep it, and
-            // let the driver retry with the flipped comparator.
+            // Degenerate split: the data is its own partition, and a
+            // one-sided split kept it as it came. Hand it back, and let the
+            // driver retry with the flipped comparator.
+            let mut data = Segments::from(keys.small);
+            data.push(keys.large);
             return Ok(LevelOutcome::Stuck { data });
         }
 
         // Step 4: data exchange. `off_excl` counts the task's elements
-        // held by task processes before me.
+        // held by task processes before me. (Derived here rather than
+        // before the first await, so the future does not carry them.)
+        let f = task.procs(&layout).0;
+        let me = f + c.rank() as u64;
         let off_excl = if me == f {
             0
         } else {
@@ -140,16 +157,10 @@ pub(crate) fn run<T: SortKey, C: Transport>(
         };
         let (small, large) = match kind {
             AssignmentKind::Greedy => {
-                exchange::greedy(
-                    &c, layout, task, f, data, pivot, strict, n_small, s_excl, off_excl, s_total,
-                )?
-                .await?
+                exchange::greedy(&c, layout, task, f, keys, s_excl, off_excl, s_total)?.await?
             }
             AssignmentKind::Staged => {
-                exchange::staged(
-                    &c, layout, task, f, data, pivot, strict, s_excl, off_excl, s_total,
-                )
-                .await?
+                exchange::staged(&c, layout, task, f, keys, s_excl, off_excl, s_total).await?
             }
         };
         Ok(LevelOutcome::Split {
@@ -169,7 +180,7 @@ mod tests {
     use mpisim::{nbcoll, SimConfig, Universe};
     use rbc::RbcComm;
 
-    // A degenerate split moves no data and scatters nothing: on all-equal
+    // A degenerate split moves no data and keeps no copy: on all-equal
     // keys (`<` puts them all right, `≤` all left) every rank gets back the
     // very `Vec` it passed in: same buffer, capacity, keys and order.
     #[test]
@@ -184,16 +195,18 @@ mod tests {
             let res = Universe::run_poll(p, SimConfig::default(), move |env| async move {
                 let c = RbcComm::create(&env.world);
                 let me = env.rank() as u64;
-                // Spare capacity, which a scatter would not keep.
+                // Spare capacity, which a partitioned copy would not keep.
                 let mut data = Vec::with_capacity(layout.cap(me) as usize + 3);
                 data.resize(layout.cap(me) as usize, 5u64);
                 let (buf, len, cap) = (data.as_ptr() as usize, data.len(), data.capacity());
                 let scales = CollScales::NEUTRAL;
                 let pivot_cfg = PivotCfg::default();
+                let data = Segments::from(data);
                 let mut lv = start(c, scales, layout, task, level, kind, &pivot_cfg, data).unwrap();
                 nbcoll::wait_async(&mut lv).await.unwrap();
                 match lv.into_out() {
                     Some(LevelOutcome::Stuck { data }) => {
+                        let data = data.into_vec();
                         data.as_ptr() as usize == buf
                             && (data.len(), data.capacity()) == (len, cap)
                             && data.iter().all(|&x| x == 5)
@@ -224,10 +237,19 @@ mod tests {
             let (layout, task) = (Layout::new(1, 1), TaskRange { lo: 0, hi: 1 });
             let (scales, kind, none) =
                 (CollScales::NEUTRAL, AssignmentKind::Greedy, Vec::<u64>::new);
-            let level = run(c.clone(), scales, layout, task, 0, kind, 1, vec![7u64]);
-            let lt = Strictness::Lt;
-            let greedy = exchange::greedy(&c, layout, task, 0, none(), 0, lt, 0, 0, 0, 0).unwrap();
-            let staged = exchange::staged(&c, layout, task, 0, none(), 0, lt, 0, 0, 0);
+            let level = run(
+                c.clone(),
+                scales,
+                layout,
+                task,
+                0,
+                kind,
+                1,
+                vec![7u64].into(),
+            );
+            let parted = || Parted::new(Segments::new(), &0, Strictness::Lt);
+            let greedy = exchange::greedy(&c, layout, task, 0, parted(), 0, 0, 0).unwrap();
+            let staged = exchange::staged(&c, layout, task, 0, parted(), 0, 0, 0);
             let base = settle(c.clone(), layout, 0, BaseTask { task, data: none() });
             let sizes = [
                 ("level", size_of_val(&level), 608),

@@ -12,6 +12,8 @@
 use mpisim::proc::ProcState;
 use mpisim::SortKey;
 
+use crate::partition::Segments;
+
 /// Sampling parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct PivotCfg {
@@ -43,10 +45,20 @@ impl PivotCfg {
 /// Draw `m` random elements from `data` with replacement, using the rank's
 /// deterministic RNG stream.
 pub fn draw_samples<T: SortKey>(data: &[T], m: u64, state: &ProcState) -> Vec<T> {
-    if data.is_empty() {
+    draw(data.len(), |i| data[i], m, state)
+}
+
+/// [`draw_samples`] from the concatenation of `keys`, indexed through its
+/// views: the same draws, the same samples.
+pub fn draw_segment_samples<T: SortKey>(keys: &Segments<T>, m: u64, state: &ProcState) -> Vec<T> {
+    draw(keys.len(), |i| keys.get(i), m, state)
+}
+
+fn draw<T>(len: usize, at: impl Fn(usize) -> T, m: u64, state: &ProcState) -> Vec<T> {
+    if len == 0 {
         return Vec::new();
     }
-    (0..m).map(|_| data[state.rand_index(data.len())]).collect()
+    (0..m).map(|_| at(state.rand_index(len))).collect()
 }
 
 #[cfg(test)]
@@ -88,6 +100,22 @@ mod tests {
         let s = draw_samples(&data, 32, &state);
         assert_eq!(s.len(), 32);
         assert!(s.iter().all(|x| data.contains(x)));
+    }
+
+    #[test]
+    fn segment_samples_are_the_samples_of_the_concatenation() {
+        let data: Vec<u64> = (100..200).collect();
+        let buf = Arc::new(data.clone());
+        let mut keys = Segments::new();
+        for r in [0..7, 7..8, 8..60, 60..100] {
+            keys.push(mpisim::SharedSlice::new(Arc::clone(&buf), r));
+        }
+        let (a, b) = (mk_state(), mk_state());
+        assert_eq!(
+            draw_segment_samples(&keys, 32, &a),
+            draw_samples(&data, 32, &b)
+        );
+        assert!(draw_segment_samples(&Segments::<u64>::new(), 4, &a).is_empty());
     }
 
     #[test]

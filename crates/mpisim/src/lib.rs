@@ -61,7 +61,7 @@ pub use error::{MpiError, Result};
 pub use faults::{FaultPlan, RankBlame, RankHealth, RoundBlame, SlowdownSpec};
 pub use group::Group;
 pub use model::{CostModel, CostScale, CreateGroupAlgo, VendorProfile};
-pub use msg::{ContextId, MsgInfo, Tag};
+pub use msg::{ContextId, MsgInfo, SharedSlice, Tag};
 pub use nbcoll::{Progress, Request};
 pub use obs::{MetricsSnapshot, OpClass, SchedProfile, Trace, TraceEvent, WorkerProfile};
 pub use proc::WaitReason;

@@ -2,8 +2,9 @@
 //!
 //! A message carries its sender's *global* rank, a tag, and the context ID
 //! of the communicator it was sent over — exactly the header fields MPI uses
-//! for matching (§III of the paper). A payload is a typed `Vec<T>` behind
-//! an `Arc` with `T` erased (no serialization): element count, byte size
+//! for matching (§III of the paper). A payload is a typed `Vec<T>`, or a
+//! view of one (see "Sliced payloads"), behind an `Arc` with `T` erased
+//! (no serialization): element count, byte size
 //! and type name are read through it ([`Message::count`],
 //! [`Message::bytes`], [`Message::type_name`]) instead of being stored, and
 //! neither is the send time (a receive reads only the arrival), so a
@@ -29,9 +30,30 @@
 //! cost accounting is unchanged — a shared send is still a full
 //! `α + bytes·β` message; only the *simulator's* wall-clock copying is
 //! elided.
+//!
+//! # Sliced payloads
+//!
+//! A message can also carry a sub-range of a shared buffer, a
+//! [`SharedSlice`] ([`Message::new_slice`],
+//! [`crate::Transport::send_slice`]): a sender that lays out all its
+//! outgoing data in one buffer (JQuick's partition, whose greedy exchange
+//! cuts each side into per-target chunks) sends each chunk as a view of
+//! it, with no copy per message. The message reports the range's length,
+//! so `count`, `bytes` and every α–β charge are those of an owned send of
+//! the same elements. A receiver that keeps the view
+//! ([`Message::take_slice`], [`crate::Transport::try_recv_slice`]) reads
+//! the sender's buffer in place; [`Message::take`] and
+//! [`Message::take_shared`] copy exactly the range, so every receiver
+//! written for owned payloads works unchanged. A view of a whole buffer
+//! travels as that buffer's `Arc`, like a shared send. The buffer lives
+//! until its last view is dropped: a receiver that holds views holds the
+//! senders' whole buffers, which is what keeping them costs, and why
+//! JQuick cuts each side of its partition into a buffer of its own (its
+//! readers are in one subtask).
 
 use std::any::Any;
 use std::fmt;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 use crate::datum::Datum;
@@ -188,9 +210,99 @@ pub struct Message {
     payload: Arc<dyn SharedVec>,
 }
 
-/// A payload: a `Vec<T>` behind an `Arc` with `T` erased. It reports its
-/// length, element width and element type name from behind the `Arc`, and
-/// upcasts to `dyn Any` for the typed downcast of a take.
+/// A read-only view of the elements `range` of a shared buffer. Cloning
+/// it clones the `Arc`, not the elements; the buffer is freed with its
+/// last view (or other `Arc`). The range is kept as two `u32`s, so a view
+/// is two words and an enum of it and a `Vec` is three: a view lies
+/// within the first 2^32 − 1 elements of its buffer.
+#[derive(Clone)]
+pub struct SharedSlice<T> {
+    buf: Arc<Vec<T>>,
+    start: u32,
+    end: u32,
+}
+
+impl<T> SharedSlice<T> {
+    /// The view of `buf[range]`.
+    ///
+    /// # Panics
+    /// If `range` is not within `buf`, or ends past element 2^32 − 1.
+    pub fn new(buf: Arc<Vec<T>>, range: Range<usize>) -> SharedSlice<T> {
+        assert!(
+            range.start <= range.end && range.end <= buf.len(),
+            "slice {range:?} of a buffer of {}",
+            buf.len()
+        );
+        let end = u32::try_from(range.end).expect("a view ends below element 2^32");
+        SharedSlice {
+            buf,
+            start: range.start as u32,
+            end,
+        }
+    }
+
+    /// The whole buffer this view is part of.
+    pub fn buffer(&self) -> &Arc<Vec<T>> {
+        &self.buf
+    }
+
+    /// Where in [`SharedSlice::buffer`] this view lies.
+    pub fn range(&self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+
+    /// Whether this view spans its whole buffer.
+    fn is_whole(&self) -> bool {
+        self.start == 0 && self.end as usize == self.buf.len()
+    }
+
+    /// The buffer itself, moved out without copying, when this view spans
+    /// all of it and holds its last reference; the view otherwise.
+    pub fn try_unwrap(self) -> std::result::Result<Vec<T>, SharedSlice<T>> {
+        if !self.is_whole() {
+            return Err(self);
+        }
+        let end = self.end;
+        Arc::try_unwrap(self.buf).map_err(|buf| SharedSlice { buf, start: 0, end })
+    }
+
+    /// The elements as an owned `Vec`: the buffer itself when
+    /// [`SharedSlice::try_unwrap`] can move it out, a copy of exactly the
+    /// range otherwise.
+    pub fn into_vec(self) -> Vec<T>
+    where
+        T: Clone,
+    {
+        self.try_unwrap().unwrap_or_else(|view| view.to_vec())
+    }
+}
+
+impl<T> From<Arc<Vec<T>>> for SharedSlice<T> {
+    /// The view of all of `buf`.
+    fn from(buf: Arc<Vec<T>>) -> SharedSlice<T> {
+        let end = buf.len();
+        SharedSlice::new(buf, 0..end)
+    }
+}
+
+impl<T> Deref for SharedSlice<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.buf[self.start as usize..self.end as usize]
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for SharedSlice<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// A payload: a `Vec<T>` or a [`SharedSlice<T>`] behind an `Arc` with `T`
+/// erased. It reports its length, element width and element type name
+/// from behind the `Arc`, and upcasts to `dyn Any` for the typed downcast
+/// of a take.
 trait SharedVec: Any + Send + Sync {
     fn len(&self) -> usize;
     fn width(&self) -> usize;
@@ -209,6 +321,26 @@ impl<T: Datum> SharedVec for Vec<T> {
     fn type_name(&self) -> &'static str {
         std::any::type_name::<T>()
     }
+}
+
+impl<T: Datum> SharedVec for SharedSlice<T> {
+    fn len(&self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    fn width(&self) -> usize {
+        T::width()
+    }
+
+    fn type_name(&self) -> &'static str {
+        std::any::type_name::<T>()
+    }
+}
+
+/// A payload downcast to its element type: a whole buffer or a view.
+enum Typed<T> {
+    Whole(Arc<Vec<T>>),
+    Slice(Arc<SharedSlice<T>>),
 }
 
 impl Message {
@@ -249,6 +381,32 @@ impl Message {
         }
     }
 
+    /// Package a view of a shared buffer into a message without copying
+    /// it: the message counts, and is priced by, the view's elements only.
+    /// A view of a whole buffer travels as that buffer's `Arc`, exactly as
+    /// [`Message::new_shared`] sends it, and costs no block of its own.
+    /// `send_time` as in [`Message::new`].
+    pub fn new_slice<T: Datum>(
+        src_global: usize,
+        tag: Tag,
+        ctx: ContextId,
+        data: SharedSlice<T>,
+        send_time: Time,
+        arrival: Time,
+    ) -> Message {
+        if data.is_whole() {
+            return Message::new_shared(src_global, tag, ctx, data.buf, send_time, arrival);
+        }
+        debug_assert!(send_time <= arrival, "a message arrives after its send");
+        Message {
+            src_global,
+            tag,
+            ctx,
+            arrival,
+            payload: Arc::new(data),
+        }
+    }
+
     /// The status header of this message.
     pub fn info(&self) -> MsgInfo {
         let count = self.payload.len();
@@ -279,23 +437,54 @@ impl Message {
     /// Consume the message, extracting its typed payload. The `Vec` is
     /// moved out without copying when this message holds the last
     /// reference, as every point-to-point message does, and cloned
-    /// otherwise (at most one copy per receiver of a fan-out).
+    /// otherwise (at most one copy per receiver of a fan-out). A sliced
+    /// payload is copied, exactly its range.
     pub fn take<T: Datum>(self) -> Result<(Vec<T>, MsgInfo)> {
-        let (data, info) = self.take_shared::<T>()?;
-        Ok((Arc::unwrap_or_clone(data), info))
+        let (data, info) = self.typed::<T>()?;
+        let data = match data {
+            Typed::Whole(v) => Arc::unwrap_or_clone(v),
+            Typed::Slice(s) => s.to_vec(),
+        };
+        Ok((data, info))
     }
 
     /// Consume the message, extracting its payload behind its `Arc`
     /// without copying — the receive path of fan-out stages that only
-    /// read or forward the buffer.
+    /// read or forward the buffer. A sliced payload is copied, exactly its
+    /// range, into a fresh `Arc`.
     pub fn take_shared<T: Datum>(self) -> Result<(Arc<Vec<T>>, MsgInfo)> {
+        let (data, info) = self.typed::<T>()?;
+        let data = match data {
+            Typed::Whole(v) => v,
+            Typed::Slice(s) => Arc::new(s.to_vec()),
+        };
+        Ok((data, info))
+    }
+
+    /// Consume the message, extracting its payload as a view without
+    /// copying, whichever way it was sent: a whole buffer becomes the view
+    /// of all of it.
+    pub fn take_slice<T: Datum>(self) -> Result<(SharedSlice<T>, MsgInfo)> {
+        let (data, info) = self.typed::<T>()?;
+        let data = match data {
+            Typed::Whole(v) => SharedSlice::from(v),
+            Typed::Slice(s) => Arc::unwrap_or_clone(s),
+        };
+        Ok((data, info))
+    }
+
+    /// The payload downcast to `T`, and the status header.
+    fn typed<T: Datum>(self) -> Result<(Typed<T>, MsgInfo)> {
         let info = self.info();
         let got = self.type_name();
         let any: Arc<dyn Any + Send + Sync> = self.payload;
-        let data = any.downcast().map_err(|_| MpiError::TypeMismatch {
-            expected: std::any::type_name::<T>(),
-            got,
-        })?;
+        let data = match any.downcast() {
+            Ok(whole) => Typed::Whole(whole),
+            Err(any) => Typed::Slice(any.downcast().map_err(|_| MpiError::TypeMismatch {
+                expected: std::any::type_name::<T>(),
+                got,
+            })?),
+        };
         Ok((data, info))
     }
 }
@@ -404,6 +593,72 @@ mod tests {
             m.take_shared::<f64>().unwrap_err(),
             MpiError::TypeMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn a_sliced_payload_counts_and_takes_its_range_only() {
+        let buf = Arc::new(vec![1u64, 2, 3, 4, 5]);
+        let slice = |r| {
+            let view = SharedSlice::new(Arc::clone(&buf), r);
+            Message::new_slice(0, 1, ContextId::WORLD, view, Time(0), Time(5))
+        };
+        let m = slice(1..4);
+        assert_eq!((m.count(), m.bytes(), m.type_name()), (3, 24, "u64"));
+        assert_eq!((m.info().count, m.info().bytes), (3, 24));
+        // The view comes out without a copy: it reads the sent buffer.
+        let (view, info) = m.take_slice::<u64>().unwrap();
+        assert_eq!((&*view, info.count), (&[2u64, 3, 4][..], 3));
+        assert_eq!(view.as_ptr(), buf[1..].as_ptr());
+        // Owned and shared takes copy exactly the range.
+        let (owned, _) = slice(2..5).take::<u64>().unwrap();
+        assert_eq!((owned.len(), owned.capacity()), (3, 3));
+        assert_eq!(owned, vec![3, 4, 5]);
+        let (shared, _) = slice(0..2).take_shared::<u64>().unwrap();
+        assert_eq!((*shared).clone(), vec![1, 2]);
+        assert_ne!(shared.as_ptr(), buf.as_ptr());
+        let (empty, info) = slice(5..5).take::<u64>().unwrap();
+        assert!(empty.is_empty() && info.bytes == 0);
+        // A whole-buffer payload taken as a view is the view of all of it.
+        let m = Message::new_shared(0, 1, ContextId::WORLD, Arc::clone(&buf), Time(0), Time(5));
+        let (view, _) = m.take_slice::<u64>().unwrap();
+        assert_eq!((view.len(), view.as_ptr()), (5, buf.as_ptr()));
+        // A sliced payload of the wrong type names both types.
+        match slice(0..1).take_slice::<f64>().unwrap_err() {
+            MpiError::TypeMismatch { expected, got } => assert_eq!((expected, got), ("f64", "u64")),
+            other => panic!("expected TypeMismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_full_view_holding_the_last_reference_moves_its_buffer_out() {
+        let v = vec![7u64, 8, 9];
+        let at = v.as_ptr();
+        let back = SharedSlice::from(Arc::new(v)).into_vec();
+        assert_eq!(back.as_ptr(), at);
+        // A part, or a buffer another view still holds, is copied.
+        let buf = Arc::new(vec![7u64, 8, 9]);
+        let part = SharedSlice::new(Arc::clone(&buf), 1..3).into_vec();
+        assert_eq!(part, vec![8, 9]);
+        let whole = SharedSlice::from(Arc::clone(&buf)).into_vec();
+        assert_ne!(whole.as_ptr(), buf.as_ptr());
+    }
+
+    #[test]
+    fn a_view_is_two_words_and_unwraps_only_whole_and_alone() {
+        assert_eq!(size_of::<SharedSlice<u64>>(), 2 * size_of::<usize>());
+        let buf = Arc::new(vec![1u64, 2]);
+        let view = SharedSlice::from(Arc::clone(&buf));
+        let view = view.try_unwrap().expect_err("another reference is alive");
+        let part = SharedSlice::new(Arc::clone(&buf), 0..1);
+        assert!(part.try_unwrap().is_err(), "a part is never the buffer");
+        drop(buf);
+        assert_eq!(view.try_unwrap().ok(), Some(vec![1, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "slice 2..4 of a buffer of 3")]
+    fn a_slice_past_its_buffer_panics() {
+        let _ = SharedSlice::new(Arc::new(vec![1u64, 2, 3]), 2..4);
     }
 
     #[test]

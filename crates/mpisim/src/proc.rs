@@ -19,7 +19,7 @@ use crate::error::{MpiError, Result};
 use crate::faults::{FaultState, RankBlame, RoundBlame, BLAME_CAP};
 use crate::mailbox::Mailbox;
 use crate::model::{CostModel, CostScale, VendorProfile};
-use crate::msg::{ContextId, MatchPattern, Message, MsgInfo, SrcFilter, Tag};
+use crate::msg::{ContextId, MatchPattern, Message, MsgInfo, SharedSlice, SrcFilter, Tag};
 use crate::obs::{MetricsSnapshot, OpClass, Trace, TraceEvent};
 use crate::time::Time;
 
@@ -460,6 +460,38 @@ impl ProcState {
         data: Arc<Vec<T>>,
         scale: CostScale,
     ) {
+        let bytes = data.len() * T::width();
+        self.send_priced(dest_global, bytes, scale, |t0, arrival| {
+            Message::new_shared(self.global_rank, tag, ctx, data, t0, arrival)
+        });
+    }
+
+    /// Like [`ProcState::send_global_shared`], but shipping a view of a
+    /// shared buffer: priced, counted and traced as an owned send of the
+    /// view's elements.
+    pub fn send_global_slice<T: Datum>(
+        &self,
+        dest_global: usize,
+        tag: Tag,
+        ctx: ContextId,
+        data: SharedSlice<T>,
+        scale: CostScale,
+    ) {
+        let bytes = data.len() * T::width();
+        self.send_priced(dest_global, bytes, scale, |t0, arrival| {
+            Message::new_slice(self.global_rank, tag, ctx, data, t0, arrival)
+        });
+    }
+
+    /// Price a send of `bytes` to `dest_global`, build its message from the
+    /// send time and the arrival, and stage it.
+    fn send_priced(
+        &self,
+        dest_global: usize,
+        bytes: usize,
+        scale: CostScale,
+        message: impl FnOnce(Time, Time) -> Message,
+    ) {
         // Crash-stop: a crashed rank's sends silently stop matching — no
         // pricing, no clock motion, no traffic, no staging. Peers observe
         // the silence as a timeout carrying a RoundBlame, never as a hang.
@@ -467,8 +499,8 @@ impl ProcState {
             self.trace_push(|| TraceEvent::FaultDrop { dest: dest_global });
             return;
         }
-        let (t0, arrival) = self.price_send(data.len() * T::width(), scale);
-        let msg = Message::new_shared(self.global_rank, tag, ctx, data, t0, arrival);
+        let (t0, arrival) = self.price_send(bytes, scale);
+        let msg = message(t0, arrival);
         self.trace_push(|| TraceEvent::Send {
             dest: dest_global,
             bytes: msg.bytes(),

@@ -9,13 +9,14 @@
 //! comparison the paper makes.
 
 use std::future::{poll_fn, Future};
+use std::ops::Range;
 use std::sync::Arc;
 use std::task::{ready, Poll};
 
 use crate::datum::Datum;
 use crate::error::{MpiError, Result};
 use crate::model::CostScale;
-use crate::msg::{ContextId, MatchPattern, Message, MsgInfo, SrcFilter, Tag};
+use crate::msg::{ContextId, MatchPattern, Message, MsgInfo, SharedSlice, SrcFilter, Tag};
 use crate::proc::ProcState;
 use crate::sched::poll::block_inline;
 use crate::time::Time;
@@ -143,6 +144,28 @@ pub trait Transport: Clone + Send + Sync + 'static {
         Ok(())
     }
 
+    /// Buffered send of the elements `range` of a shared buffer: clones
+    /// the `Arc` into the message, copies no element. Counted and priced
+    /// as an owned send of those elements; the buffer lives until the
+    /// receiver drops the message or its view.
+    fn send_slice<T: Datum>(
+        &self,
+        data: &Arc<Vec<T>>,
+        range: Range<usize>,
+        dest: usize,
+        tag: Tag,
+    ) -> Result<()> {
+        self.check_rank(dest)?;
+        self.state().send_global_slice(
+            self.translate(dest),
+            tag,
+            self.ctx(),
+            SharedSlice::new(Arc::clone(data), range),
+            self.cost_scale(),
+        );
+        Ok(())
+    }
+
     /// Blocking receive.
     fn recv<T: Datum>(&self, src: Src, tag: Tag) -> Result<(Vec<T>, Status)> {
         block_inline(recv_async(self, src, tag))
@@ -150,18 +173,18 @@ pub trait Transport: Clone + Send + Sync + 'static {
 
     /// Nonblocking receive attempt.
     fn try_recv<T: Datum>(&self, src: Src, tag: Tag) -> Result<Option<(Vec<T>, Status)>> {
-        if let Src::Rank(r) = src {
-            self.check_rank(r)?;
-        }
-        let pat = self.pattern(src, tag);
-        match self.state().try_recv_match(&pat)? {
-            None => Ok(None),
-            Some(m) => {
-                let (data, info) = m.take::<T>()?;
-                let st = self.status_of(&info);
-                Ok(Some((data, st)))
-            }
-        }
+        try_take(self, src, tag, Message::take::<T>)
+    }
+
+    /// Nonblocking receive attempt keeping the payload as a view, without
+    /// copying it: of the sender's buffer for a [`Transport::send_slice`],
+    /// of the whole payload otherwise.
+    fn try_recv_slice<T: Datum>(
+        &self,
+        src: Src,
+        tag: Tag,
+    ) -> Result<Option<(SharedSlice<T>, Status)>> {
+        try_take(self, src, tag, Message::take_slice::<T>)
     }
 
     /// Blocking probe (`MPI_Probe`).
@@ -214,6 +237,28 @@ pub trait Transport: Clone + Send + Sync + 'static {
 // through return-position-impl-trait plumbing for three operations whose
 // bodies are identical anyway. `Transport::{recv, probe}` are
 // `block_inline` over these (see `crate::sched::poll::block_inline`).
+
+/// One nonblocking receive attempt of `src`/`tag` on `tr`, its payload
+/// extracted by `take`.
+#[inline]
+fn try_take<C: Transport, D>(
+    tr: &C,
+    src: Src,
+    tag: Tag,
+    take: impl FnOnce(Message) -> Result<(D, MsgInfo)>,
+) -> Result<Option<(D, Status)>> {
+    if let Src::Rank(r) = src {
+        tr.check_rank(r)?;
+    }
+    let pat = tr.pattern(src, tag);
+    match tr.state().try_recv_match(&pat)? {
+        None => Ok(None),
+        Some(m) => {
+            let (data, info) = take(m)?;
+            Ok(Some((data, tr.status_of(&info))))
+        }
+    }
+}
 
 /// One poll of a blocking receive of `src`/`tag` on `tr`: the leaf of
 /// every receive core. It rebuilds the pattern on every poll, so a

@@ -1,9 +1,11 @@
 //! The allocation contract of the hot path: a counting global allocator
 //! proves that a steady-state epoch — ring point-to-point traffic, a
-//! reduce, a scan, a JQuick-style staged exchange (run-length encode →
-//! ship → decode), a receive of the wrong element type, and two barriers,
-//! every iteration — allocates **exactly one block per payload buffer it
-//! creates plus one per message** (the `Arc` that holds the payload) and
+//! sliced fan-out (one buffer, a view of it to every other rank, received
+//! as views), a reduce, a scan, a JQuick-style staged exchange (run-length
+//! encode → ship → decode), a receive of the wrong element type, and two
+//! barriers, every iteration — allocates **exactly one block per payload
+//! buffer it creates plus one per message** (the `Arc` that holds the
+//! payload, or for a view the `Arc` of the view) and
 //! nothing else once the scheduler's commit buffers and the
 //! mailboxes are warm, that a warm run frees exactly the bytes it
 //! allocates, and that the total allocation count of a warm run is itself
@@ -26,6 +28,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use std::sync::Arc;
 
 use jquick::exchange::{decode_runs, encode_runs};
 use mpisim::{coll, ops, recv_async, MpiError, SimConfig, Src, Transport, Universe};
@@ -88,6 +92,8 @@ const ITERS: usize = 40;
 const UNIVERSE_WARMUP: usize = 8;
 /// Elements per payload.
 const CHUNK: usize = 16;
+/// Elements per view of the sliced fan-out.
+const VIEW: usize = 4;
 
 /// Blocks one iteration allocates over all `P = 8` ranks: one per
 /// payload buffer it creates plus one per message, nothing else.
@@ -95,12 +101,13 @@ const CHUNK: usize = 16;
 /// | step | buffers | blocks | messages |
 /// |---|---|---:|---:|
 /// | ring send | the `send` copy, every rank | 8 | 8 |
+/// | sliced fan-out | one buffer per rank, its `Vec` and its `Arc`; a view of it to each of the 7 others, received as a view (no key buffer) | 16 | 56 |
 /// | reduce | the accumulator (`data.to_vec()`), every rank; children forward it | 8 | 7 |
 /// | scan | the accumulator, every rank, plus one `send` copy per round for each `r + d < p` (d = 1, 2, 4: 7 + 6 + 4) | 25 | 17 |
 /// | exchange | `tagged`, `runs`, `vals`, the `send(&runs)` copy, `decoded`, every rank | 40 | 16 |
 /// | mismatch | the `u64` `send` copy, freed untaken by the `u32` receive | 8 | 8 |
 /// | barriers | empty payloads, no block; two dissemination barriers of 24 messages | 0 | 48 |
-const PER_ITER: u64 = (8 + 8 + 25 + 40 + 8) + (8 + 7 + 17 + 16 + 8 + 48);
+const PER_ITER: u64 = (8 + 16 + 8 + 25 + 40 + 8) + (8 + 56 + 7 + 17 + 16 + 8 + 48);
 
 /// The storm program.
 async fn storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
@@ -120,6 +127,19 @@ async fn storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
         w.send(&payload, next, 100).unwrap();
         let (v, st) = recv_async::<u64, _>(w, Src::Rank(prev), 100).await.unwrap();
         assert_eq!((st.source, v.len()), (prev, CHUNK));
+        // Sliced fan-out: one buffer, the view of its `k`-th `VIEW` keys
+        // to the `k`-th other rank; its views are taken at the end of the
+        // iteration, and the buffer goes with the last of them.
+        let fan = Arc::new(
+            (0..(p - 1) * VIEW)
+                .map(|k| (r * p + k) as u64)
+                .collect::<Vec<_>>(),
+        );
+        for (k, dest) in (0..p).filter(|&d| d != r).enumerate() {
+            w.send_slice(&fan, k * VIEW..(k + 1) * VIEW, dest, 700)
+                .unwrap();
+        }
+        drop(fan);
         // Binomial reduce to rank 0.
         coll::reduce_async(w, &payload, 0, 200, ops::sum::<u64>())
             .await
@@ -155,6 +175,20 @@ async fn storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
             .await
             .unwrap_err();
         assert!(matches!(err, MpiError::TypeMismatch { .. }), "{err:?}");
+        // The fan-out's views, one from every other rank, read in place:
+        // the view reaches the whole sent buffer.
+        for src in (0..p).filter(|&s| s != r) {
+            let view = loop {
+                match w.try_recv_slice::<u64>(Src::Rank(src), 700).unwrap() {
+                    Some((view, _)) => break view,
+                    None => w.proc_state().park_until_deposit().await,
+                }
+            };
+            let k = if r < src { r } else { r - 1 };
+            assert_eq!(view.range(), k * VIEW..(k + 1) * VIEW);
+            assert_eq!(view.buffer().len(), (p - 1) * VIEW);
+            assert_eq!(view[0], (src * p + k * VIEW) as u64);
+        }
         // Quiesce the iteration, snapshot the global counter, and hold
         // every rank until the snapshot is taken, so that consecutive
         // snapshots bracket exactly one iteration of every rank. With

@@ -3,14 +3,16 @@
 //! duplicate patterns), the output must be globally sorted, perfectly
 //! balanced (JQuick), and a permutation of the input.
 
+use std::sync::Arc;
+
 use jquick::basecase::{self, merge_kept_half, BaseTask};
-use jquick::partition::{partition, partition_into, Strictness};
+use jquick::partition::{partition, Parted, Piece, Segments, Strictness};
 use jquick::{
     fingerprint, generate_workload, hypercube, jquick_sort, jquick_sort_async, samplesort,
     verify_sorted, AssignmentKind, Dist, JQuickConfig, Layout, PivotCfg, RbcBackend, SampleSortCfg,
     Schedule, TaskRange,
 };
-use mpisim::{Progress, SimConfig, SortKey, Transport, Universe};
+use mpisim::{Progress, SharedSlice, SimConfig, SortKey, Transport, Universe};
 use proptest::prelude::*;
 
 /// Generate each rank's input slice from a seed + distribution selector.
@@ -155,36 +157,50 @@ fn same<T: SortKey>(got: &[T], want: &[T]) -> bool {
     got.len() == want.len() && got.iter().zip(want).all(|(g, w)| g.cmp_key(w).is_eq())
 }
 
-/// `partition_into` against the same push loop: each side is cut at two
-/// seeded points (one to three chunks, some possibly empty; an empty side
-/// into none), and the chunks must be exactly the slices of the push
-/// loop's sides, in order and exactly sized.
-fn check_partition_into<T: SortKey + std::fmt::Debug>(data: &[T], pivot: T, cut_seed: u64) {
-    let cut = |side: &[T], salt: u64| -> Vec<usize> {
-        if side.is_empty() {
-            return Vec::new();
-        }
-        let mut at = keys(cut_seed ^ salt, 2, side.len() as u64 + 1);
-        at.sort_unstable();
-        let bounds = [0, at[0] as usize, at[1] as usize, side.len()];
-        bounds.windows(2).map(|w| w[1] - w[0]).collect()
-    };
+/// The level's fused partition ([`Parted::new`]) against the same push
+/// loop, over the input cut at two seeded points into one to three views
+/// of one shared buffer (an empty piece is no view): the small and large
+/// sides must be the push loop's, bit for bit and in order. A one-sided
+/// split of one view keeps that view; any other side is a buffer of its
+/// own, exactly sized.
+fn check_fused_partition<T: SortKey + std::fmt::Debug>(data: &[T], pivot: T, cut_seed: u64) {
+    let mut at = keys(cut_seed, 2, data.len() as u64 + 1);
+    at.sort_unstable();
+    let bounds = [0, at[0] as usize, at[1] as usize, data.len()];
+    let buf = Arc::new(data.to_vec());
     for strict in [Strictness::Lt, Strictness::Le] {
         let want: (Vec<T>, Vec<T>) = data.iter().partition(|&x| strict.is_small(x, &pivot));
-        let (s_lens, l_lens) = (cut(&want.0, 1), cut(&want.1, 2));
-        let lens = [&s_lens[..], &l_lens].concat();
-        let got = partition_into(data.to_vec(), &pivot, strict, s_lens.len(), &lens);
-        assert_eq!(got.len(), lens.len(), "one chunk per length");
-        let mut sides = [&want.0[..], &want.1[..]];
-        for (k, chunk) in got.iter().enumerate() {
-            let side = &mut sides[usize::from(k >= s_lens.len())];
-            let (head, rest) = side.split_at(lens[k]);
-            assert!(
-                same(chunk, head),
-                "{strict:?} pivot {pivot:?} lens {lens:?} data {data:?}: chunk {k} {chunk:?}"
-            );
-            assert_eq!(chunk.capacity(), chunk.len(), "chunk {k} is exactly sized");
-            *side = rest;
+        let mut input = Segments::new();
+        for w in bounds.windows(2) {
+            input.push(SharedSlice::new(Arc::clone(&buf), w[0]..w[1]));
+        }
+        let pieces = input.pieces().count();
+        let got = Parted::new(input, &pivot, strict);
+        let case = format!("{strict:?} pivot {pivot:?} cuts {bounds:?} data {data:?}");
+        assert!(
+            same(&got.small, &want.0) && same(&got.large, &want.1),
+            "{case}: got {:?} | {:?}",
+            got.small,
+            got.large
+        );
+        let one_sided = want.0.is_empty() || want.1.is_empty();
+        for side in [&got.small, &got.large] {
+            match side {
+                Piece::View(v) => {
+                    assert!(
+                        pieces == 1 && one_sided,
+                        "{case}: only a kept input is a view"
+                    );
+                    assert!(
+                        Arc::ptr_eq(v.buffer(), &buf),
+                        "{case}: the input view is kept"
+                    );
+                }
+                Piece::Own(v) => {
+                    assert!(!(pieces == 1 && one_sided && !v.is_empty()), "{case}");
+                    assert_eq!(v.capacity(), v.len(), "{case}: exactly sized");
+                }
+            }
         }
     }
 }
@@ -251,21 +267,22 @@ proptest! {
     }
 
     #[test]
-    fn partition_into_matches_push_loop(
+    fn fused_partition_matches_push_loop(
         len in 0usize..200,
         seed in any::<u64>(),
         cut_seed in any::<u64>(),
         pivot in 0u64..8,
     ) {
         let data = keys(seed, len, 8);
-        check_partition_into(&data, pivot, cut_seed);
-        check_partition_into(&data, 0, cut_seed);
-        check_partition_into(&data, 8, cut_seed);
+        check_fused_partition(&data, pivot, cut_seed);
+        // All-small and all-large under one of the two comparators.
+        check_fused_partition(&data, 0, cut_seed);
+        check_fused_partition(&data, 8, cut_seed);
         // The images JQuick sorts `f64` keys as, edge values as pivots.
         let images: Vec<u64> = data.iter().map(|&i| F64_EDGES[i as usize].to_ordinal()).collect();
-        check_partition_into(&images, F64_EDGES[pivot as usize].to_ordinal(), cut_seed);
+        check_fused_partition(&images, F64_EDGES[pivot as usize].to_ordinal(), cut_seed);
         let pairs: Vec<(u64, u64)> = data.iter().map(|&k| (k / 4, k % 4)).collect();
-        check_partition_into(&pairs, (pivot / 4, pivot % 4), cut_seed);
+        check_fused_partition(&pairs, (pivot / 4, pivot % 4), cut_seed);
     }
 
     // Every split of a multiset into two sorted runs, every `cap_left`: the

@@ -20,8 +20,18 @@
 //! on a communicator or an RBC subrange (what `RbcComm::bcast` runs).
 //! Payloads stay at or below every vendor's jitter threshold, above which
 //! the transfer time is drawn at random.
+//!
+//! The Hillis–Steele inclusive scan (every JQuick level's step 3) is a
+//! round-by-round walk: in the round of distance `d`, every rank `r` with
+//! `r + d < p` sends its running prefix (one `send_overhead`; it arrives
+//! `T` after the send starts), then every rank with `r >= d` receives from
+//! `r - d` (`clock = max(clock, arrival) + recv_overhead`) and folds it in,
+//! charged one compute step per element. The scale is the vendor's scan
+//! scale for `Comm::scan_async` and neutral for `coll::scan_async`.
 
-use mpisim::{coll, CostModel, CostScale, SimConfig, Time, Transport, Universe, VendorProfile};
+use mpisim::{
+    coll, ops, CostModel, CostScale, SimConfig, Time, Transport, Universe, VendorProfile,
+};
 use rbc::RbcComm;
 
 const SIZES: [usize; 9] = [1, 2, 3, 5, 8, 13, 64, 1000, 1024];
@@ -46,6 +56,8 @@ enum Op {
     Barrier,
     /// Broadcast of this many bytes from rank 0.
     Bcast(usize),
+    /// Inclusive sum scan of this many bytes (`u64` elements) per rank.
+    Scan(usize),
 }
 
 fn vendors() -> [VendorProfile; 3] {
@@ -87,6 +99,26 @@ fn bcast_clocks(p: usize, cost: &CostModel, t: Time) -> Vec<Time> {
     clocks
 }
 
+/// Every rank's clock after the Hillis–Steele scan of `len` elements,
+/// relative to a common start, by a walk of its rounds.
+fn scan_clocks(p: usize, cost: &CostModel, t: Time, len: usize) -> Vec<Time> {
+    let mut clocks = vec![Time::ZERO; p];
+    let mut d = 1;
+    while d < p {
+        // Every send of the round leaves before any receive of it.
+        let sent: Vec<Time> = clocks.clone();
+        for clock in &mut clocks[..p - d] {
+            *clock += cost.send_overhead;
+        }
+        for r in d..p {
+            clocks[r] = clocks[r].max(sent[r - d] + t) + cost.recv_overhead;
+            clocks[r] += cost.compute_cost(len);
+        }
+        d *= 2;
+    }
+    clocks
+}
+
 /// Every participating rank's `(clock before, clock after − clock before)`
 /// the collective, in rank order of the communicator it runs on.
 fn spans(path: Path, op: Op, p: usize, vendor: VendorProfile) -> Vec<(Time, Time)> {
@@ -108,10 +140,11 @@ fn spans(path: Path, op: Op, p: usize, vendor: VendorProfile) -> Vec<(Time, Time
             Op::Bcast(bytes) if sub.as_ref().map_or(w.rank(), |s| s.rank()) == 0 => {
                 vec![7u8; bytes]
             }
-            Op::Barrier | Op::Bcast(_) => Vec::new(),
+            Op::Barrier | Op::Bcast(_) | Op::Scan(_) => Vec::new(),
         };
         let t0 = env.now();
         match (path, op) {
+            (_, Op::Scan(_)) => {}
             (Path::Native, Op::Barrier) => w.barrier_async().await.unwrap(),
             (Path::Plain, Op::Barrier) => coll::barrier_async(w, 7).await.unwrap(),
             (Path::RbcSubrange, Op::Barrier) => {
@@ -127,6 +160,18 @@ fn spans(path: Path, op: Op, p: usize, vendor: VendorProfile) -> Vec<(Time, Time
         }
         if let Op::Bcast(bytes) = op {
             assert_eq!(data, vec![7u8; bytes]);
+        }
+        if let Op::Scan(bytes) = op {
+            let me = sub.as_ref().map_or(w.rank(), |s| s.rank()) as u64;
+            let mine = vec![me + 1; bytes / 8];
+            let prefix = match path {
+                Path::Native => w.scan_async(&mine, ops::sum()).await,
+                Path::Plain => coll::scan_async(w, &mine, 7, ops::sum()).await,
+                Path::RbcSubrange => {
+                    coll::scan_async(sub.as_ref().unwrap(), &mine, 7, ops::sum()).await
+                }
+            };
+            assert_eq!(prefix.unwrap(), vec![(me + 1) * (me + 2) / 2; bytes / 8]);
         }
         Some((t0, env.now() - t0))
     });
@@ -190,6 +235,35 @@ fn binomial_broadcast_clocks_are_exact() {
                         let makespan = (t + cost.recv_overhead) * levels;
                         assert_eq!(got.iter().max(), Some(&makespan), "{path:?} p {p}");
                     }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn hillis_steele_scan_clocks_are_exact() {
+    let cost = CostModel::supermuc_like();
+    for vendor in vendors() {
+        for path in PATHS {
+            let scale = match path {
+                Path::Native => vendor.coll_scale.scan,
+                Path::Plain | Path::RbcSubrange => CostScale::NEUTRAL,
+            };
+            for bytes in [8, 8 * 1024] {
+                assert!(bytes <= vendor.jitter_threshold);
+                let t = cost.transfer_time_scaled(bytes, scale);
+                for p in SIZES {
+                    let got = spans(path, Op::Scan(bytes), p, vendor.clone());
+                    assert_eq!(got.len(), p, "{path:?} p {p}");
+                    assert!(got.iter().all(|&(t0, _)| t0 == got[0].0), "{path:?} p {p}");
+                    let got: Vec<Time> = got.into_iter().map(|(_, span)| span).collect();
+                    let want = scan_clocks(p, &cost, t, bytes / 8);
+                    assert_eq!(
+                        got, want,
+                        "{} {path:?} {bytes} B p {p}: rank clocks",
+                        vendor.name
+                    );
                 }
             }
         }
