@@ -26,7 +26,7 @@
 //!   Benchmarks report virtual milliseconds, which is what makes the
 //!   paper's figures reproducible at laptop scale (see DESIGN.md).
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod coll;

@@ -252,7 +252,7 @@ impl<O: Send> Nbc<O> {
         };
         let class = obs::class_guard(&self.state, self.class);
         let mut cx = Context::from_waker(Waker::noop());
-        let polled = crate::sched::try_mode(|| core.as_mut().poll(&mut cx));
+        let polled = crate::sched::try_mode(&self.state, || core.as_mut().poll(&mut cx));
         self.class = self.state.cur_class();
         drop(class);
         match polled {

@@ -401,7 +401,7 @@ impl Drop for SpanGuard<'_> {
 #[inline]
 pub fn span<'a>(state: &'a ProcState, class: OpClass, label: &'static str) -> SpanGuard<'a> {
     let prev = state.set_op_class_raw(class as u8);
-    let traced = !crate::sched::in_try_mode();
+    let traced = !crate::sched::in_try_mode(state);
     if traced {
         state.trace_push(|| TraceEvent::Begin { class, label });
     }

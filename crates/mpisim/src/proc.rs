@@ -21,6 +21,7 @@ use crate::mailbox::Mailbox;
 use crate::model::{CostModel, CostScale, VendorProfile};
 use crate::msg::{ContextId, MatchPattern, Message, MsgInfo, SharedSlice, SrcFilter, Tag};
 use crate::obs::{MetricsSnapshot, OpClass, Trace, TraceEvent};
+use crate::sched::TaskSlot;
 use crate::time::Time;
 
 /// Why a rank is parked at a blocking point — the explicit wait state a
@@ -82,6 +83,9 @@ pub struct Router {
     /// Destination mailboxes, indexed by global rank. Each mailbox carries
     /// its own lock: two ranks' deliveries never contend.
     pub mailboxes: Vec<Mailbox>,
+    /// Each rank's scheduling state, indexed by global rank: what its
+    /// wait leaves store and the scheduler reads (`sched/task.rs`).
+    pub(crate) slots: Vec<TaskSlot>,
     /// The α–β cost model all messages are priced under.
     pub cost: CostModel,
     /// Vendor pathology profile (jitter, collective scaling).
@@ -104,6 +108,7 @@ impl Router {
     pub fn new(p: usize, cost: CostModel, vendor: VendorProfile, faults: FaultState) -> Router {
         Router {
             mailboxes: (0..p).map(|_| Mailbox::new()).collect(),
+            slots: (0..p).map(|_| TaskSlot::new()).collect(),
             cost,
             vendor,
             faults,
@@ -507,7 +512,7 @@ impl ProcState {
             class: self.cur_class(),
             arrival,
         });
-        crate::sched::stage_send(dest_global, msg);
+        crate::sched::stage_send(self, dest_global, msg);
     }
 
     /// One poll of a blocking receive matching `pat`; applies the
@@ -519,14 +524,13 @@ impl ProcState {
     /// [`ProcState::try_recv_match`], and a miss is `Pending`.
     #[inline]
     pub fn poll_recv(&self, pat: &MatchPattern) -> Poll<Result<Message>> {
-        if crate::sched::in_try_mode() {
+        if crate::sched::in_try_mode(self) {
             return tried(self.try_recv_match(pat));
         }
         if self.crashed() {
             return Poll::Ready(Err(self.crashed_err("recv", pat)));
         }
-        let mb = &self.router.mailboxes[self.global_rank];
-        crate::sched::claim(mb, pat, self.global_rank, self.now()).map(|claimed| {
+        crate::sched::claim(self, pat).map(|claimed| {
             let m = claimed.map_err(|e| self.enrich_timeout(e, Some(pat)))?;
             self.account_delivery(&m);
             Ok(m)
@@ -556,7 +560,7 @@ impl ProcState {
         let hit = self.router.mailboxes[self.global_rank].try_claim(pat);
         match &hit {
             Some(m) => self.account_delivery(m),
-            None if crate::sched::missed(self.global_rank) => {
+            None if crate::sched::missed(self) => {
                 return Err(self.poisoned_err("try_recv", pat));
             }
             None => {}
@@ -574,7 +578,7 @@ impl ProcState {
     /// deadlock detector poisons it, in which case the next sweep fails
     /// with the poisoned receive's [`MpiError::Timeout`].
     pub async fn park_until_deposit(&self) {
-        crate::sched::park_until_deposit(&self.router.mailboxes[self.global_rank]).await
+        crate::sched::park_until_deposit(self).await
     }
 
     /// One poll of a blocking probe: a matching message is available,
@@ -582,14 +586,13 @@ impl ProcState {
     /// subsequent receive does). Waits like [`ProcState::poll_recv`], and
     /// in try-mode is one [`ProcState::iprobe_match`].
     pub fn poll_probe(&self, pat: &MatchPattern) -> Poll<Result<MsgInfo>> {
-        if crate::sched::in_try_mode() {
+        if crate::sched::in_try_mode(self) {
             return tried(self.iprobe_match(pat));
         }
         if self.crashed() {
             return Poll::Ready(Err(self.crashed_err("probe", pat)));
         }
-        let mb = &self.router.mailboxes[self.global_rank];
-        crate::sched::probe(mb, pat, self.global_rank, self.now())
+        crate::sched::probe(self, pat)
             .map(|probed| probed.map_err(|e| self.enrich_timeout(e, Some(pat))))
     }
 
@@ -601,7 +604,7 @@ impl ProcState {
         }
         match self.router.mailboxes[self.global_rank].probe(pat) {
             Some(i) => Ok(Some(i)),
-            None if crate::sched::missed(self.global_rank) => Err(self.poisoned_err("iprobe", pat)),
+            None if crate::sched::missed(self) => Err(self.poisoned_err("iprobe", pat)),
             None => Ok(None),
         }
     }

@@ -36,7 +36,7 @@ use parking_lot::{Condvar, Mutex};
 
 use super::commit::Commit;
 use super::poll::RankBody;
-use super::task::{poison, swap_outbox, Outbox, SchedShared, TaskSlot, OUTBOX};
+use super::task::{poison, swap_outbox, Outbox, SchedShared, OUTBOX};
 use crate::obs::{SchedProfile, WorkerProfile};
 use crate::proc::Router;
 
@@ -62,7 +62,6 @@ const STAGNANT_EPOCH_LIMIT: usize = 64;
 /// for `'a`.
 pub(crate) struct Scheduler<'a> {
     shared: Arc<SchedShared>,
-    slots: Vec<TaskSlot>,
     /// The rank programs. A body's lock is taken only by the worker that
     /// won its task's claim, so it never waits.
     bodies: Vec<Mutex<Option<Box<dyn RankBody + 'a>>>>,
@@ -94,11 +93,12 @@ pub(crate) struct Scheduler<'a> {
 }
 
 impl<'a> Scheduler<'a> {
-    /// `p` empty task slots delivering through `router`.
-    pub fn new(p: usize, router: Arc<Router>, profile: bool) -> Scheduler<'a> {
+    /// One task without a body per rank of `router`, which holds the
+    /// tasks' slots and mailboxes.
+    pub fn new(router: Arc<Router>, profile: bool) -> Scheduler<'a> {
+        let p = router.nprocs();
         let shared = Arc::new(SchedShared::new(p));
         Scheduler {
-            slots: (0..p).map(|_| TaskSlot::new()).collect(),
             bodies: (0..p).map(|_| Mutex::new(None)).collect(),
             shared,
             crashes_armed: router.faults.has_crashes(),
@@ -136,9 +136,9 @@ impl<'a> Scheduler<'a> {
         // Epoch 1 is every task, in rank order.
         {
             let mut g = self.gate.lock();
-            g.round = Arc::new((0..self.slots.len()).collect());
+            g.round = Arc::new((0..self.bodies.len()).collect());
             g.gen = 1;
-            g.done = self.slots.is_empty();
+            g.done = self.bodies.is_empty();
             self.round_done.store(0, Ordering::Relaxed);
             self.cursor.store(1 << 32, Ordering::Release);
         }
@@ -207,7 +207,7 @@ impl<'a> Scheduler<'a> {
         let mut body = self.bodies[rank]
             .try_lock()
             .expect("the claim CAS gives a task to one worker");
-        self.slots[rank].step(rank, &mut body, &self.shared);
+        self.commit.router.slots[rank].step(rank, &mut body, &self.shared);
     }
 
     /// One worker: claim and step tasks of the current round, and of every
@@ -292,7 +292,8 @@ impl<'a> Scheduler<'a> {
             .unwrap_or_default();
         let next = Arc::get_mut(&mut next_round).expect("an unshared round");
         next.clear();
-        next.extend(round.iter().filter(|&&tid| self.slots[tid].yielded()));
+        let slots = &self.commit.router.slots;
+        next.extend(round.iter().filter(|&&tid| slots[tid].yielded()));
         let yielded = next.len();
         // Progress signal for the stagnation detector below: a pure
         // function of the epoch contents.
@@ -304,7 +305,7 @@ impl<'a> Scheduler<'a> {
         let mut seen = 0;
         next.retain(|&tid| {
             seen += 1;
-            if seen <= yielded || self.slots[tid].unblock() {
+            if seen <= yielded || slots[tid].unblock() {
                 return true;
             }
             self.commit.router.mailboxes[tid].clear_wait();
@@ -336,14 +337,14 @@ impl<'a> Scheduler<'a> {
                 self.stagnant.store(0, Ordering::Relaxed);
                 // Yielded (polling) tasks are already in `next`; blocked
                 // ones join it.
-                poison(&self.slots, next, false);
+                poison(slots, next, false);
             }
         }
         // Nothing runnable but tasks remain: deadlock. The poisoned
         // tasks run once more so their waits can return the timeout
         // error.
         if next.is_empty() && live > 0 {
-            poison(&self.slots, next, true);
+            poison(slots, next, true);
             if next.is_empty() {
                 eprintln!(
                     "mpisim: scheduler invariant broken: {live} live tasks, none \

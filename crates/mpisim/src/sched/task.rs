@@ -1,6 +1,11 @@
 //! One rank as a schedulable task: its slot, its states, where its sends
 //! are staged, and the one protocol by which it waits.
 //!
+//! The slots sit on the [`Router`](crate::proc::Router), one per rank
+//! like the mailboxes, and every leaf here takes the [`ProcState`] of the
+//! rank that calls it: a rank finds its own slot through its own state,
+//! never through an ambient pointer.
+//!
 //! **Invariant:** a slot is touched only by the worker that holds the
 //! task in `ST_RUNNING` (claimed through the epoch cursor), by the body
 //! itself while that worker is inside `proceed` (on that worker's thread,
@@ -17,7 +22,8 @@
 //! carries it, `sched/thread.rs`). A task runs to the end of its step
 //! before its worker steps another, so each task's sends of an epoch form
 //! one run of one outbox, in send order; that is all the commit needs
-//! (`sched/commit.rs`).
+//! (`sched/commit.rs`). A send from a rank that is not running (through a
+//! communicator kept past its universe) panics.
 //!
 //! # How a rank waits
 //!
@@ -25,8 +31,9 @@
 //!
 //! 1. check the mailbox and arm its wait slot, in one step *under the
 //!    mailbox lock*,
-//! 2. store how the task runs again (`ST_BLOCKED`: when the commit wakes
-//!    it; `ST_READY`: next epoch),
+//! 2. store how the task runs again: `ST_BLOCKED`, when the commit wakes
+//!    it; a yield stores nothing, and the step it ends stores `ST_READY`,
+//!    next epoch,
 //! 3. **suspend**; on resumption a poisoned task clears the slot and
 //!    fails, any other starts over.
 //!
@@ -40,14 +47,17 @@
 //! pending at once (a hand-rolled `join` of two receives).
 //!
 //! "Suspend" is the only step that depends on the kind of body, and it is
-//! one question: [`suspend_in_place`]. A thread body answers on its rank
-//! thread by handing the baton back to its worker and returns `true` when
-//! it is stepped again, so the leaf loops and the future it sits in never
-//! observes `Pending`; that is why
+//! one question: [`suspend_in_place`]. [`TaskSlot::step`] marks the
+//! stepping thread for the length of the step, in one thread-local
+//! `Option<bool>` (`Some(true)` once the body yielded), and a leaf asks
+//! that mark. Inside a step (a future body) the answer is `false` and the
+//! leaf returns `Pending` up the await chain. Outside one, on a thread
+//! body's rank thread, the leaf hands the baton back to its worker and
+//! gets `true` when it is stepped again, so the leaf loops and the future
+//! it sits in never observes `Pending`; that is why
 //! [`block_inline`](super::poll::block_inline) may assume one poll. A
-//! future body answers `false` and the leaf returns `Pending` up the
-//! await chain. Every MPI call runs on a scheduler task: a leaf reached
-//! anywhere else panics.
+//! wait that has to suspend on any other thread panics: every MPI call
+//! runs on a scheduler task.
 //!
 //! Three leaves run that protocol:
 //!
@@ -55,7 +65,7 @@
 //! |---|---|---|
 //! | [`claim`] / [`probe`] | the pattern | when a matching message is deposited |
 //! | [`park_until_deposit`] | "any deposit" (nothing to match) | when *any* message is deposited into the rank's own mailbox |
-//! | [`yield_now_async`] | nothing (`ST_READY`) | next epoch, unconditionally |
+//! | [`yield_now_async`] | nothing (the step stores `ST_READY`) | next epoch, unconditionally |
 //!
 //! The second is how the libraries' polling loops wait (`nbcoll` waits,
 //! the JQuick driver): a sweep of `try_recv`s that all missed can only
@@ -104,8 +114,7 @@ use crate::error::{MpiError, Result};
 use crate::faults::RoundBlame;
 use crate::mailbox::Mailbox;
 use crate::msg::{MatchPattern, Message, MsgInfo};
-use crate::proc::WaitReason;
-use crate::time::Time;
+use crate::proc::{ProcState, WaitReason};
 
 /// In a round, or about to be placed in one: a task that yielded, or that
 /// the commit woke.
@@ -160,11 +169,13 @@ pub(crate) fn record_panic(store: &SchedShared, rank: usize, payload: Box<dyn An
 }
 
 /// One rank's scheduling state; see the module invariant for who may
-/// touch what. The rank's body is not here: the scheduler owns it
+/// touch what. It lives on the [`Router`](crate::proc::Router), next to
+/// the rank's mailbox, so a wait leaf finds it through the rank's
+/// [`ProcState`]. The rank's body is not here: the scheduler owns it
 /// (`sched/epoch.rs`).
-pub(super) struct TaskSlot {
-    /// One of the `ST_*` states. A wait leaf stores `ST_READY` or
-    /// `ST_BLOCKED` before it suspends the body.
+pub(crate) struct TaskSlot {
+    /// One of the `ST_*` states. A wait leaf stores `ST_BLOCKED` before it
+    /// suspends the body; a step that ends in a yield stores `ST_READY`.
     status: AtomicU8,
     /// Set by the deadlock and stagnation detectors; waits observe it and
     /// return `MpiError::Timeout` instead of parking again.
@@ -177,7 +188,7 @@ pub(super) struct TaskSlot {
 }
 
 impl TaskSlot {
-    pub(super) fn new() -> TaskSlot {
+    pub(crate) fn new() -> TaskSlot {
         TaskSlot {
             status: AtomicU8::new(ST_READY),
             poisoned: AtomicBool::new(false),
@@ -215,9 +226,9 @@ impl TaskSlot {
     ) {
         self.status.store(ST_RUNNING, Ordering::Release);
         self.misses.store(0, Ordering::Relaxed);
-        let prev = CURRENT.with(|c| c.replace(self));
+        let outer = STEP.with(|s| s.replace(Some(false)));
         let step = body.as_mut().expect("body installed").proceed();
-        CURRENT.with(|c| c.set(prev));
+        let yielded = STEP.with(|s| s.replace(outer)) == Some(true);
         if step == Step::Finished {
             self.status.store(ST_FINISHED, Ordering::Release);
             // Dropped on finish, so at 2^20 ranks the tail of a run does
@@ -225,11 +236,16 @@ impl TaskSlot {
             *body = None;
             shared.live.fetch_sub(1, Ordering::AcqRel);
         } else if self.status.load(Ordering::Acquire) == ST_RUNNING {
-            eprintln!(
-                "mpisim: rank {rank} suspended outside a wait leaf \
-                 (awaited a non-mpisim future?)"
-            );
-            std::process::abort();
+            // No wait leaf blocked the task: it yielded, or it awaited
+            // something that is not a leaf.
+            if !yielded {
+                eprintln!(
+                    "mpisim: rank {rank} suspended outside a wait leaf \
+                     (awaited a non-mpisim future?)"
+                );
+                std::process::abort();
+            }
+            self.status.store(ST_READY, Ordering::Release);
         }
     }
 }
@@ -255,10 +271,10 @@ pub(super) fn poison(slots: &[TaskSlot], next: &mut Vec<usize>, only_blocked: bo
 pub(super) type Outbox = Vec<(usize, Message)>;
 
 thread_local! {
-    /// The task this thread runs the body of: on a worker the one it is
-    /// stepping (null outside `step`), on a thread body's rank thread its
-    /// own ([`adopt`]).
-    static CURRENT: Cell<*const TaskSlot> = const { Cell::new(std::ptr::null()) };
+    /// `Some` while this thread is inside [`TaskSlot::step`], and then
+    /// whether the body it steps has yielded; `None` on every other
+    /// thread, a thread body's rank thread included.
+    pub(super) static STEP: Cell<Option<bool>> = const { Cell::new(None) };
     /// The outbox the sends of this thread's current task go to.
     pub(super) static OUTBOX: RefCell<Outbox> = const { RefCell::new(Vec::new()) };
 }
@@ -269,60 +285,48 @@ pub(super) fn swap_outbox(outbox: Outbox) -> Outbox {
     OUTBOX.with(|o| o.replace(outbox))
 }
 
+/// The task slot of `state`'s rank.
 #[inline]
-#[allow(unsafe_code)]
-pub(super) fn current_slot() -> Option<&'static TaskSlot> {
-    // SAFETY: `CURRENT` is followed only inside `TaskSlot::step`, whose
-    // `&self` outlives the body's execution: a worker's is non-null only
-    // there, and a rank thread (`adopt`) runs only while a worker is
-    // blocked there for the same slot. The 'static reaches this module's
-    // leaves and the thread body's baton, nothing that outlives the step.
-    unsafe { CURRENT.with(|c| c.get()).as_ref() }
+fn slot_of(state: &ProcState) -> &TaskSlot {
+    &state.router.slots[state.global_rank]
 }
 
-/// Make `slot` the calling thread's current task for the rest of the
-/// thread's life. For the rank thread of a thread body, which runs the
-/// program a worker's `step` of `slot` is blocked on, so that staging,
-/// poisoning and the wait leaves find the slot there.
-pub(super) fn adopt(slot: &'static TaskSlot) {
-    CURRENT.with(|c| c.set(slot));
-}
-
-/// Stage an outgoing message of the current task for delivery at the
-/// next epoch commit.
+/// Stage an outgoing message of `state`'s rank, which must be running,
+/// for delivery at the next epoch commit.
 #[inline]
-pub(crate) fn stage_send(dest: usize, msg: Message) {
+pub(crate) fn stage_send(state: &ProcState, dest: usize, msg: Message) {
     assert!(
-        current_slot().is_some(),
+        slot_of(state).status.load(Ordering::Relaxed) == ST_RUNNING,
         "MPI calls run on a scheduler task"
     );
     OUTBOX.with(|o| o.borrow_mut().push((dest, msg)));
 }
 
-/// A nonblocking receive or probe of `rank`, the current task, missed:
-/// count it and say whether the task has been poisoned.
+/// A nonblocking receive or probe of `state`'s rank missed: count it and
+/// say whether the task has been poisoned.
 ///
 /// # Panics
 ///
 /// On the [`MISS_LIMIT`]-th miss of one task step.
-pub(crate) fn missed(rank: usize) -> bool {
-    let slot = current_slot().expect("MPI calls run on a scheduler task");
+pub(crate) fn missed(state: &ProcState) -> bool {
+    let slot = slot_of(state);
     let misses = slot.misses.load(Ordering::Relaxed) + 1;
     slot.misses.store(misses, Ordering::Relaxed);
     if misses == MISS_LIMIT {
         panic!(
-            "rank {rank}: {MISS_LIMIT} nonblocking receives or probes missed without \
+            "rank {}: {MISS_LIMIT} nonblocking receives or probes missed without \
              the rank ever waiting; a polling loop must call `mpisim::yield_now()` \
-             between polls (or `wait` on the request), or it never gives up its turn"
+             between polls (or `wait` on the request), or it never gives up its turn",
+            state.global_rank
         );
     }
     slot.poisoned.load(Ordering::Acquire)
 }
 
-/// Run `poll` with the current task in try-mode (see the module docs).
+/// Run `poll` with `state`'s task in try-mode (see the module docs).
 #[inline]
-pub(crate) fn try_mode<R>(poll: impl FnOnce() -> R) -> R {
-    let slot = current_slot().expect("MPI calls run on a scheduler task");
+pub(crate) fn try_mode<R>(state: &ProcState, poll: impl FnOnce() -> R) -> R {
+    let slot = slot_of(state);
     let outer = slot.try_mode.load(Ordering::Relaxed);
     slot.try_mode.store(true, Ordering::Relaxed);
     let out = poll();
@@ -330,108 +334,82 @@ pub(crate) fn try_mode<R>(poll: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Whether the current task is inside [`try_mode`].
+/// Whether `state`'s task is inside [`try_mode`].
 #[inline]
-pub(crate) fn in_try_mode() -> bool {
-    current_slot().is_some_and(|s| s.try_mode.load(Ordering::Relaxed))
+pub(crate) fn in_try_mode(state: &ProcState) -> bool {
+    slot_of(state).try_mode.load(Ordering::Relaxed)
 }
 
-fn deadlock_err(rank: usize, reason: WaitReason, vnow: Time) -> MpiError {
+fn deadlock_err(state: &ProcState, reason: WaitReason) -> MpiError {
     MpiError::Timeout {
-        rank,
+        rank: state.global_rank,
         waited_for: format!("{reason} [cooperative deadlock: every rank is blocked]"),
-        virtual_now: vnow,
+        virtual_now: state.now(),
         // The scheduler has no fault-state access; `ProcState` fills the
         // blame in on the way out (`enrich_timeout`).
         blame: RoundBlame::default(),
     }
 }
 
-/// One poll of a wait for `pat` on the current task's mailbox `mb`
-/// (steps 1–3 of the module docs); [`claim`] and [`probe`] are its two
+/// One poll of a wait for `pat` on the mailbox of `state`'s rank (steps
+/// 1–3 of the module docs); [`claim`] and [`probe`] are its two
 /// instantiations. It keeps nothing between polls, so the future that
-/// polls it holds only its pattern. `vnow` is the rank's clock, for the
-/// error of a wait that can never end.
+/// polls it holds only its pattern.
 fn poll_wait<T>(
-    mb: &Mailbox,
+    state: &ProcState,
     pat: &MatchPattern,
-    rank: usize,
-    vnow: Time,
     reason: fn(MatchPattern) -> WaitReason,
     check_or_arm: fn(&Mailbox, &MatchPattern) -> Option<T>,
 ) -> Poll<Result<T>> {
-    let slot = current_slot().expect("scheduler waits run on a scheduler task");
+    let (slot, mb) = (slot_of(state), &state.router.mailboxes[state.global_rank]);
     loop {
         if slot.poisoned.load(Ordering::Acquire) {
             // The poison path wakes without a deposit: the slot may still
             // hold this wait.
             mb.clear_wait();
-            return Poll::Ready(Err(deadlock_err(rank, reason(pat.clone()), vnow)));
+            return Poll::Ready(Err(deadlock_err(state, reason(pat.clone()))));
         }
         if let Some(v) = check_or_arm(mb, pat) {
             return Poll::Ready(Ok(v));
         }
         slot.status.store(ST_BLOCKED, Ordering::Release);
-        if !suspend_in_place(slot) {
+        if !suspend_in_place(false) {
             return Poll::Pending;
         }
     }
 }
 
-/// One poll of a blocking claim from a scheduler task.
-pub(crate) fn claim(
-    mb: &Mailbox,
-    pat: &MatchPattern,
-    rank: usize,
-    vnow: Time,
-) -> Poll<Result<Message>> {
-    poll_wait(
-        mb,
-        pat,
-        rank,
-        vnow,
-        WaitReason::Recv,
-        Mailbox::claim_or_wait,
-    )
+/// One poll of a blocking claim of `state`'s rank.
+pub(crate) fn claim(state: &ProcState, pat: &MatchPattern) -> Poll<Result<Message>> {
+    poll_wait(state, pat, WaitReason::Recv, Mailbox::claim_or_wait)
 }
 
-/// One poll of a blocking probe from a scheduler task.
-pub(crate) fn probe(
-    mb: &Mailbox,
-    pat: &MatchPattern,
-    rank: usize,
-    vnow: Time,
-) -> Poll<Result<MsgInfo>> {
-    poll_wait(
-        mb,
-        pat,
-        rank,
-        vnow,
-        WaitReason::Probe,
-        Mailbox::probe_or_wait,
-    )
+/// One poll of a blocking probe of `state`'s rank.
+pub(crate) fn probe(state: &ProcState, pat: &MatchPattern) -> Poll<Result<MsgInfo>> {
+    poll_wait(state, pat, WaitReason::Probe, Mailbox::probe_or_wait)
 }
 
 /// The future of [`park_until_deposit`]: one suspension with the mailbox's
 /// wait slot armed for any deposit.
 struct DepositFut<'a> {
-    mb: &'a Mailbox,
+    state: &'a ProcState,
     armed: bool,
 }
 
 impl Future for DepositFut<'_> {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        let slot = current_slot().expect("scheduler waits run on a scheduler task");
+        let state = self.state;
+        let (slot, mb) = (slot_of(state), &state.router.mailboxes[state.global_rank]);
         if !self.armed {
             self.armed = true;
             if slot.try_mode.load(Ordering::Relaxed) {
                 // The sweep before this park counted its misses already.
                 return Poll::Pending;
             }
-            self.mb.wait_any();
+            mb.wait_any();
             slot.status.store(ST_BLOCKED, Ordering::Release);
-            if !suspend_in_place(slot) {
+            if !suspend_in_place(false) {
                 return Poll::Pending;
             }
         }
@@ -439,18 +417,21 @@ impl Future for DepositFut<'_> {
         // poison path wakes without one, and the caller's next sweep
         // turns the poison into its `MpiError::Timeout`.
         if slot.poisoned.load(Ordering::Acquire) {
-            self.mb.clear_wait();
+            mb.clear_wait();
         }
         Poll::Ready(())
     }
 }
 
-/// Park the current task until `mb`, its own mailbox, receives any
-/// deposit: the wait of a polling loop whose sweep of non-blocking
-/// receives all missed. Nothing is deposited between that sweep and the
-/// suspension (tasks run only between commits), so no wake-up is lost.
-pub(crate) fn park_until_deposit(mb: &Mailbox) -> impl Future<Output = ()> + '_ {
-    DepositFut { mb, armed: false }
+/// Park `state`'s task until its own mailbox receives any deposit: the
+/// wait of a polling loop whose sweep of non-blocking receives all
+/// missed. Nothing is deposited between that sweep and the suspension
+/// (tasks run only between commits), so no wake-up is lost.
+pub(crate) fn park_until_deposit(state: &ProcState) -> impl Future<Output = ()> + '_ {
+    DepositFut {
+        state,
+        armed: false,
+    }
 }
 
 /// The future of [`yield_now_async`]: one suspension, nothing armed, so
@@ -466,9 +447,7 @@ impl Future for YieldFut {
             return Poll::Ready(());
         }
         self.fired = true;
-        let slot = current_slot().expect("scheduler waits run on a scheduler task");
-        slot.status.store(ST_READY, Ordering::Release);
-        if suspend_in_place(slot) {
+        if suspend_in_place(true) {
             Poll::Ready(())
         } else {
             Poll::Pending

@@ -13,30 +13,34 @@
 //! enters through [`crate::Universe::run_poll`].
 //!
 //! **Invariant:** the rank thread runs only while a worker is blocked in
-//! `proceed` inside [`TaskSlot::step`] for its task. It is therefore "the
-//! body itself" of the `sched/task.rs` invariant: it adopts that slot as
-//! its current task, and poisoning and the wait leaves work on it
-//! unchanged. The baton carries the worker's outbox both ways: the rank
+//! `proceed` inside `TaskSlot::step` for its task. It is therefore "the
+//! body itself" of the `sched/task.rs` invariant, and its leaves reach the
+//! task's slot through the rank's `ProcState` as a future body's do. It is
+//! inside no step itself: that is how [`suspend_in_place`] tells it from a
+//! worker. The baton carries the worker's outbox both ways: the rank
 //! thread installs it for its turn, stages into it, and hands it back, so
 //! its sends land in the worker's outbox as a future body's would. The
 //! mutex hand-off orders what the two sides wrote.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::thread::{Builder, Scope};
 
 use parking_lot::{Condvar, Mutex};
 
 use super::poll::{RankBody, Step};
-use super::task::{adopt, current_slot, record_panic, swap_outbox, Outbox, SchedShared, TaskSlot};
+use super::task::{record_panic, swap_outbox, Outbox, SchedShared, STEP};
 
 /// Who holds the baton, and with it the stepping worker's outbox.
 enum Turn {
-    /// The scheduler: the rank thread is parked (or not yet started).
+    /// The scheduler: the rank thread is parked (or not yet started), or
+    /// it blocked in a wait leaf.
     Worker(Outbox),
-    /// The rank thread, for the task a worker is inside `step` of. The
+    /// The scheduler, after the rank thread yielded.
+    Yielded(Outbox),
+    /// The rank thread, while a worker is inside `step` of its task. The
     /// outbox is taken out while the rank thread runs.
-    Rank(&'static TaskSlot, Outbox),
+    Rank(Outbox),
     /// Nobody any more: the closure returned or panicked, or the body was
     /// dropped before its first step.
     Finished(Outbox),
@@ -54,27 +58,24 @@ impl Baton {
     }
 
     /// Rank side: park until a worker hands the baton over, then install
-    /// its outbox. `None` when the body was dropped instead.
-    fn await_turn(&self) -> Option<&'static TaskSlot> {
+    /// its outbox. False when the body was dropped instead.
+    fn await_turn(&self) -> bool {
         let mut turn = self.turn.lock();
         loop {
             match &mut *turn {
-                Turn::Worker(_) => self.moved.wait(&mut turn),
-                Turn::Rank(slot, outbox) => {
+                Turn::Rank(outbox) => {
                     swap_outbox(std::mem::take(outbox));
-                    return Some(*slot);
+                    return true;
                 }
-                Turn::Finished(_) => return None,
+                Turn::Finished(_) => return false,
+                Turn::Worker(_) | Turn::Yielded(_) => self.moved.wait(&mut turn),
             }
         }
     }
 }
 
 thread_local! {
-    /// The task this thread is the rank thread of (null on every other
-    /// thread). Only ever compared, never followed.
-    static MY_SLOT: Cell<*const TaskSlot> = const { Cell::new(std::ptr::null()) };
-    /// This rank thread's baton.
+    /// This rank thread's baton (`None` on every other thread).
     static MY_BATON: RefCell<Option<Arc<Baton>>> = const { RefCell::new(None) };
 }
 
@@ -108,11 +109,9 @@ impl ThreadBody {
             .name(format!("rank{rank}"))
             .stack_size(stack_size)
             .spawn_scoped(scope, move || {
-                let Some(slot) = mine.await_turn() else {
+                if !mine.await_turn() {
                     return;
-                };
-                adopt(slot);
-                MY_SLOT.with(|s| s.set(slot));
+                }
                 MY_BATON.with(|b| *b.borrow_mut() = Some(Arc::clone(&mine)));
                 if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
                     record_panic(&store, rank, payload);
@@ -132,15 +131,18 @@ impl ThreadBody {
 
 impl RankBody for ThreadBody {
     fn proceed(&mut self) -> Step {
-        let slot = current_slot().expect("a body is stepped inside TaskSlot::step");
         let mut turn = self.baton.turn.lock();
-        *turn = Turn::Rank(slot, swap_outbox(Outbox::new()));
+        *turn = Turn::Rank(swap_outbox(Outbox::new()));
         self.baton.moved.notify_one();
         loop {
             self.baton.moved.wait(&mut turn);
             let (outbox, step) = match &mut *turn {
-                Turn::Rank(..) => continue,
+                Turn::Rank(_) => continue,
                 Turn::Worker(outbox) => (outbox, Step::Suspended),
+                Turn::Yielded(outbox) => {
+                    STEP.with(|s| s.set(Some(true)));
+                    (outbox, Step::Suspended)
+                }
                 Turn::Finished(outbox) => (outbox, Step::Finished),
             };
             swap_outbox(std::mem::take(outbox));
@@ -158,27 +160,32 @@ impl Drop for ThreadBody {
     }
 }
 
-/// The scheduler's suspension seam. On the rank thread of `slot`'s task:
-/// hand the baton back to the worker and return `true` once the task is
-/// stepped again. Anywhere else (a future body on a worker, also one of a
-/// universe nested inside a rank thread) return `false`.
+/// The scheduler's suspension seam, reached from a wait leaf that stored
+/// how its task runs again (`yielded`: it stored nothing). Inside a
+/// `TaskSlot::step` (a future body, also one of a universe nested in a
+/// rank thread) mark a yield on the step and return `false`: the leaf
+/// returns `Pending`. On a rank thread hand the baton back and return
+/// `true` once the task is stepped again; anywhere else, panic.
 #[inline]
-pub(super) fn suspend_in_place(slot: &TaskSlot) -> bool {
-    // Out of line so that the future body's path, which always answers
-    // `false`, carries one call and no thread-local access sequence.
-    #[inline(never)]
-    fn my_slot() -> *const TaskSlot {
-        MY_SLOT.with(|s| s.get())
-    }
-    if !std::ptr::eq(my_slot(), slot) {
-        return false;
-    }
+pub(super) fn suspend_in_place(yielded: bool) -> bool {
+    let in_step = STEP.with(|s| s.replace(s.get().map(|y| y || yielded)));
+    in_step.is_none() && hand_back(yielded)
+}
+
+/// [`suspend_in_place`] on a rank thread; out of line, so that a future
+/// body's leaves carry one call to it.
+#[inline(never)]
+fn hand_back(yielded: bool) -> bool {
     let baton = MY_BATON.with(|b| b.borrow().clone());
-    let baton = baton.expect("a rank thread holds its baton");
-    baton.hand(Turn::Worker(swap_outbox(Outbox::new())));
-    baton
-        .await_turn()
-        .expect("a body that started is stepped until it finishes");
+    let baton = baton.expect("MPI calls run on a scheduler task");
+    let outbox = swap_outbox(Outbox::new());
+    baton.hand(if yielded {
+        Turn::Yielded(outbox)
+    } else {
+        Turn::Worker(outbox)
+    });
+    let stepped = baton.await_turn();
+    assert!(stepped, "a body that started is stepped until it finishes");
     true
 }
 

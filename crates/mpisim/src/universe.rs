@@ -334,8 +334,7 @@ impl Universe {
         states: &[Arc<ProcState>],
         body_of: impl Fn(usize, Arc<ProcState>, Arc<sched::SchedShared>) -> Box<dyn RankBody + 'a>,
     ) -> ((u64, u64, u64), Option<crate::obs::SchedProfile>) {
-        let mut scheduler =
-            sched::Scheduler::new(states.len(), Arc::clone(router), cfg.sched_profile);
+        let mut scheduler = sched::Scheduler::new(Arc::clone(router), cfg.sched_profile);
         let store = scheduler.panic_store();
         for (rank, state) in states.iter().enumerate() {
             let body = body_of(rank, Arc::clone(state), Arc::clone(&store));

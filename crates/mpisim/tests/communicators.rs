@@ -98,13 +98,16 @@ fn create_group_naming_a_rank_outside_the_universe_is_a_usage_error() {
         if w.rank() != 0 {
             return Vec::new();
         }
-        [Group::from_ranks(vec![0, 99]), Group::from_ranks(vec![0, 99, 1])]
-            .iter()
-            .map(|g| match w.create_group(g, 5) {
-                Err(mpisim::MpiError::Usage(msg)) => msg,
-                other => panic!("expected a usage error, got {:?}", other.map(|c| c.size())),
-            })
-            .collect()
+        [
+            Group::from_ranks(vec![0, 99]),
+            Group::from_ranks(vec![0, 99, 1]),
+        ]
+        .iter()
+        .map(|g| match w.create_group(g, 5) {
+            Err(mpisim::MpiError::Usage(msg)) => msg,
+            other => panic!("expected a usage error, got {:?}", other.map(|c| c.size())),
+        })
+        .collect()
     });
     assert_eq!(res.per_rank[0].len(), 2);
     for msg in &res.per_rank[0] {

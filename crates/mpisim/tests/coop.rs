@@ -247,7 +247,7 @@ proptest! {
 #[test]
 fn coop_many_sequential_universes() {
     // Scheduler state must not leak between runs (fresh slots, rank
-    // threads joined, thread-local CURRENT restored).
+    // threads joined, the thread-local step mark cleared).
     let launches = Arc::new(AtomicUsize::new(0));
     for round in 0..10u64 {
         let launches = Arc::clone(&launches);
@@ -385,13 +385,15 @@ fn concurrent_solo_universes_match_their_solo_runs() {
 // Thread bodies: what `Universe::run` builds on the scheduler
 // ---------------------------------------------------------------------------
 
-/// A ring exchange and an all-reduce on 6 ranks, one worker, as thread
-/// bodies (`sync`) or future bodies.
-fn inner_universe(sync: bool) -> (Vec<u64>, Vec<Time>) {
+/// A ring exchange with a yield in it and an all-reduce on 6 ranks, one
+/// worker, as thread bodies (`sync`) or future bodies: the results, the
+/// clocks and the scheduler's epochs and steps.
+fn inner_universe(sync: bool) -> (Vec<u64>, Vec<Time>, (u64, u64)) {
     let cfg = SimConfig::cooperative().with_seed(3).with_workers(1);
     let program = |env: mpisim::ProcEnv| async move {
         let w = &env.world;
         w.send(&[w.rank() as u64], (w.rank() + 1) % 6, 1).unwrap();
+        mpisim::yield_now_async().await;
         let (v, _) = mpisim::recv_async::<u64, _>(w, Src::Any, 1).await.unwrap();
         let sum = w.allreduce_async(&[v[0] * 10], ops::sum::<u64>()).await;
         sum.unwrap()[0] + v[0]
@@ -401,14 +403,15 @@ fn inner_universe(sync: bool) -> (Vec<u64>, Vec<Time>) {
     } else {
         Universe::run_poll(6, cfg, program)
     };
-    (res.per_rank, res.clocks)
+    let steps = (res.metrics.epochs, res.metrics.switches);
+    (res.per_rank, res.clocks, steps)
 }
 
 // A universe run from inside a rank body. With one inner worker the inner
-// scheduler runs on the outer body's thread, so an inner wait reaches
-// `suspend_in_place` on a thread that is the rank thread of *another*
-// task: it must suspend the inner body (the slot comparison), not hand
-// the outer baton back.
+// scheduler runs on the outer body's thread, so an inner wait or yield
+// reaches `suspend_in_place` on a thread that is the rank thread of
+// *another* task: inside the inner step it must suspend the inner body,
+// not hand the outer baton back.
 #[test]
 fn a_universe_nested_in_a_rank_body_matches_its_solo_run() {
     let solo = inner_universe(true);
@@ -432,6 +435,15 @@ fn a_universe_nested_in_a_rank_body_matches_its_solo_run() {
         });
         assert!(nested.per_rank.iter().all(|got| *got == solo));
     }
+}
+
+// A communicator outlives its universe, but its rank runs no more: a send
+// through it is an MPI call off every scheduler task, and says so.
+#[test]
+#[should_panic(expected = "MPI calls run on a scheduler task")]
+fn a_comm_returned_out_of_a_finished_universe_panics_when_it_sends() {
+    let mut worlds = Universe::run_default(2, |env| env.world.clone()).per_rank;
+    let _ = worlds.swap_remove(0).send(&[1u64], 1, 0);
 }
 
 // A universe run inside a rank's step, on the worker that steps it, must

@@ -193,14 +193,17 @@ fn a_group_naming_a_rank_outside_the_universe_is_a_usage_error() {
         if w.rank() != 1 {
             return Vec::new();
         }
-        [Group::from_ranks(vec![1, 99]), Group::from_ranks(vec![1, 99, 0])]
-            .iter()
-            .map(|g| match icomm_create_group(w, g, 5) {
-                Err(mpisim::MpiError::Usage(msg)) => msg,
-                Err(e) => panic!("expected a usage error, got {e}"),
-                Ok(_) => panic!("expected a usage error, got a pending creation"),
-            })
-            .collect()
+        [
+            Group::from_ranks(vec![1, 99]),
+            Group::from_ranks(vec![1, 99, 0]),
+        ]
+        .iter()
+        .map(|g| match icomm_create_group(w, g, 5) {
+            Err(mpisim::MpiError::Usage(msg)) => msg,
+            Err(e) => panic!("expected a usage error, got {e}"),
+            Ok(_) => panic!("expected a usage error, got a pending creation"),
+        })
+        .collect()
     });
     assert_eq!(res.per_rank[1].len(), 2);
     for msg in &res.per_rank[1] {
