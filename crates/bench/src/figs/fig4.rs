@@ -5,7 +5,7 @@
 //! dominated); for large n/p RBC outperforms the vendor scans by up to an
 //! order of magnitude (paper: factor up to 16).
 
-use mpisim::{nbcoll, ops, SimConfig, Time, VendorProfile};
+use mpisim::{nbcoll, ops, SimConfig, Time, Transport, VendorProfile};
 use rbc::RbcComm;
 
 use crate::figs::scale;

@@ -23,7 +23,7 @@
 //! collective's communication structure changed, which no timing table
 //! would catch as crisply.
 
-use mpisim::{OpClass, ProcEnv, SimConfig, Universe};
+use mpisim::{OpClass, ProcEnv, SimConfig, Transport, Universe};
 
 use crate::{pow2_sweep, Table};
 

@@ -204,6 +204,7 @@ pub fn ms(t: Time) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpisim::Transport;
 
     #[test]
     fn sweep_shapes() {

@@ -2,95 +2,19 @@
 //!
 //! "Collective operations are implemented with point-to-point communication
 //! provided by the RBC library. ... All implementations exploit binomial
-//! tree based communication patterns." Each blocking collective uses a
-//! distinct exclusive reserved tag; as long as user code avoids reserved
-//! tags, blocking collectives never interfere with other communication.
+//! tree based communication patterns." The thirteen blocking collectives
+//! (`bcast`, `reduce`, `scan`, ..., with their `_async` forms) are
+//! [`mpisim::Transport`]'s provided methods, which `RbcComm` implements at
+//! neutral cost; each uses a distinct exclusive reserved tag, so as long as
+//! user code avoids reserved tags, blocking collectives never interfere
+//! with other communication. This module adds only the size-adaptive
+//! extensions [`RbcComm::bcast_auto`] and [`RbcComm::reduce_auto`].
 
-use mpisim::{coll, tags, Datum, Result};
+use mpisim::{tags, Datum, Result};
 
 use crate::comm::RbcComm;
 
 impl RbcComm {
-    /// `rbc::Bcast` — binomial broadcast from `root`.
-    pub fn bcast<T: Datum>(&self, data: &mut Vec<T>, root: usize) -> Result<()> {
-        coll::bcast(self, data, root, tags::BCAST)
-    }
-
-    /// `rbc::Reduce` — binomial reduction to `root` (`Some` on root only).
-    pub fn reduce<T: Datum>(
-        &self,
-        data: &[T],
-        root: usize,
-        op: impl Fn(&T, &T) -> T,
-    ) -> Result<Option<Vec<T>>> {
-        coll::reduce(self, data, root, tags::REDUCE, op)
-    }
-
-    /// `rbc::Scan` — inclusive prefix.
-    pub fn scan<T: Datum>(&self, data: &[T], op: impl Fn(&T, &T) -> T) -> Result<Vec<T>> {
-        coll::scan(self, data, tags::SCAN, op)
-    }
-
-    /// Exclusive prefix (`None` on rank 0). Extension in the spirit of
-    /// §V-D's "easy to extend our library by additional collective
-    /// operations"; Janus Quicksort's data assignment needs it.
-    pub fn exscan<T: Datum>(&self, data: &[T], op: impl Fn(&T, &T) -> T) -> Result<Option<Vec<T>>> {
-        coll::exscan(self, data, tags::EXSCAN, op)
-    }
-
-    /// `rbc::Gather` — equal-count gather to `root`.
-    pub fn gather<T: Datum>(&self, data: Vec<T>, root: usize) -> Result<Option<Vec<T>>> {
-        coll::gather(self, data, root, tags::GATHER)
-    }
-
-    /// `rbc::Gatherv` — variable-count gather to `root`, per-source.
-    pub fn gatherv<T: Datum>(&self, data: Vec<T>, root: usize) -> Result<Option<Vec<Vec<T>>>> {
-        coll::gatherv(self, data, root, tags::GATHERV)
-    }
-
-    /// `rbc::Barrier` — dissemination barrier.
-    pub fn barrier(&self) -> Result<()> {
-        coll::barrier(self, tags::BARRIER)
-    }
-
-    /// Maybe-async twin of [`RbcComm::barrier`]: identical rounds and
-    /// tags, but suspends instead of blocking so it can run inside an
-    /// async rank body (`Universe::run_poll`).
-    pub async fn barrier_async(&self) -> Result<()> {
-        coll::barrier_async(self, tags::BARRIER).await
-    }
-
-    /// All-reduce (extension; reduce + bcast).
-    pub fn allreduce<T: Datum>(&self, data: &[T], op: impl Fn(&T, &T) -> T) -> Result<Vec<T>> {
-        coll::allreduce(self, data, tags::ALLREDUCE, op)
-    }
-
-    /// One-item all-gather (extension).
-    pub fn allgather1<T: Datum>(&self, item: T) -> Result<Vec<T>> {
-        coll::allgather1(self, item, tags::ALLGATHER)
-    }
-
-    /// Scatter of equal blocks from `root` (extension).
-    pub fn scatter<T: Datum>(&self, data: Option<Vec<T>>, root: usize) -> Result<Vec<T>> {
-        coll::scatter(self, data, root, tags::SCATTER)
-    }
-
-    /// Scatter of variable blocks from `root` (extension).
-    pub fn scatterv<T: Datum>(&self, blocks: Option<Vec<Vec<T>>>, root: usize) -> Result<Vec<T>> {
-        coll::scatterv(self, blocks, root, tags::SCATTERV)
-    }
-
-    /// Variable-count all-gather (extension).
-    pub fn allgatherv<T: Datum>(&self, data: Vec<T>) -> Result<Vec<Vec<T>>> {
-        coll::allgatherv(self, data, tags::ALLGATHERV)
-    }
-
-    /// Personalized all-to-all (extension; used by the sample sort
-    /// baseline).
-    pub fn alltoallv<T: Datum>(&self, send: Vec<Vec<T>>) -> Result<Vec<Vec<T>>> {
-        coll::alltoallv(self, send, tags::ALLTOALL)
-    }
-
     /// Size-adaptive broadcast (extension per §V-D: additional collectives
     /// "for large input sizes"): uses the binomial tree for small payloads
     /// and a scatter + ring-allgather full-bandwidth algorithm above the

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use mpisim::msg::SrcFilter;
-use mpisim::{Comm, ContextId, CostScale, MpiError, Result, Time, Transport};
+use mpisim::{Comm, ContextId, MpiError, Result, Time, Transport};
 
 /// Constant local cost of creating/splitting an RBC communicator.
 const CREATE_COST: Time = Time(50);
@@ -159,12 +159,6 @@ impl Transport for RbcComm {
             let me = self.clone();
             SrcFilter::Filter(Arc::new(move |global| me.rank_of_global(global).is_some()))
         })
-    }
-
-    fn cost_scale(&self) -> CostScale {
-        // RBC composes collectives from raw point-to-point calls: no vendor
-        // collective overhead ever applies.
-        CostScale::NEUTRAL
     }
 }
 

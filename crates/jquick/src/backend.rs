@@ -7,12 +7,13 @@
 //!   a blocking collective whose cost grows with the group size (and is
 //!   catastrophic under the IBM-like profile).
 //!
-//! Both backends run the *same* JQuick code; collective traffic is scaled
-//! by the backend's [`CollScales`] (vendor profile for native MPI, neutral
-//! for RBC), mirroring that native JQuick uses `MPI_Ibcast`/`MPI_Iscan`
-//! etc. while RBC JQuick uses RBC's p2p-composed collectives.
+//! Both backends run the *same* JQuick code; collective traffic is priced
+//! by the communicator's own [`Transport::coll_scale`] (the vendor profile
+//! for a native `Comm`, neutral for an `RbcComm`), mirroring that native
+//! JQuick uses `MPI_Ibcast`/`MPI_Iscan` etc. while RBC JQuick uses RBC's
+//! p2p-composed collectives. A backend decides only how communicators are
+//! built.
 
-use mpisim::model::CollScales;
 use mpisim::{Comm, Result, Tag, Transport};
 use rbc::RbcComm;
 
@@ -63,9 +64,6 @@ pub trait Backend: Send + Sync {
         tag: Tag,
     ) -> impl std::future::Future<Output = Result<Self::C>> + Send;
 
-    /// Cost scaling of collective operations on this backend's comms.
-    fn coll_scales(&self, c: &Self::C) -> CollScales;
-
     /// Short name for statistics and benchmark labels.
     fn name(&self) -> &'static str;
 }
@@ -92,10 +90,6 @@ impl Backend for RbcBackend {
         parent.split(f, l)
     }
 
-    fn coll_scales(&self, _c: &RbcComm) -> CollScales {
-        CollScales::NEUTRAL
-    }
-
     fn name(&self) -> &'static str {
         "rbc"
     }
@@ -115,10 +109,6 @@ impl Backend for MpiBackend {
     async fn split_range_async(&self, parent: &Comm, f: usize, l: usize, tag: Tag) -> Result<Comm> {
         let group = parent.group().subrange(f, l, 1);
         parent.create_group_async(&group, tag).await
-    }
-
-    fn coll_scales(&self, c: &Comm) -> CollScales {
-        c.proc_state().router.vendor.coll_scale
     }
 
     fn name(&self) -> &'static str {

@@ -40,6 +40,10 @@ use crate::pivot::PivotCfg;
 const TAG_MINMAX: u64 = 70;
 const TAG_CREATE_BASE: u64 = 60;
 
+/// Degenerate-split retries before checking whether the task's elements
+/// are all equal (and settling it in place if so).
+const MAX_STUCK_RETRIES: u32 = 3;
+
 /// Tunables of a JQuick run (all defaults follow the paper).
 #[derive(Clone, Debug)]
 pub struct JQuickConfig {
@@ -49,9 +53,6 @@ pub struct JQuickConfig {
     pub assignment: AssignmentKind,
     /// Pivot-selection parameters.
     pub pivot: PivotCfg,
-    /// Degenerate-split retries before checking whether the task's
-    /// elements are all equal (and settling it in place if so).
-    pub max_stuck_retries: u32,
 }
 
 impl Default for JQuickConfig {
@@ -60,7 +61,6 @@ impl Default for JQuickConfig {
             schedule: Schedule::Alternating,
             assignment: AssignmentKind::Greedy,
             pivot: PivotCfg::default(),
-            max_stuck_retries: 3,
         }
     }
 }
@@ -201,7 +201,6 @@ where
             stats.max_level = stats.max_level.max(level);
             let lv = level::start(
                 comm.clone(),
-                backend.coll_scales(&comm),
                 layout,
                 task,
                 level,
@@ -232,9 +231,7 @@ where
                     // Boxed: the agreement runs only after repeated
                     // degenerate splits, and inline its future would size
                     // every rank's sort future.
-                    if stuck >= cfg.max_stuck_retries
-                        && Box::pin(all_equal(&meta.comm, &data)).await?
-                    {
+                    if stuck >= MAX_STUCK_RETRIES && Box::pin(all_equal(&meta.comm, &data)).await? {
                         // All equal: the task is sorted in place.
                         stats.settled_equal += 1;
                         let my_lo = meta.task.lo.max(layout.prefix(me));

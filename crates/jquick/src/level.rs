@@ -6,16 +6,17 @@
 //! of them (one per task) and polls them round-robin, and "progress in one
 //! subtask [never] delays progress in another subtask". The core awaits
 //! the collectives' own cores, with the nonblocking gather's child order.
-//! Collective traffic runs through a [`Scaled`] wrapper carrying the
-//! backend's collective cost profile (vendor scales for native MPI,
-//! neutral for RBC); the exchange is plain point-to-point in both cases.
+//! Each collective runs over the task communicator's
+//! [`Transport::coll_view`] of its class, so it is priced as that
+//! communicator prices its own collectives (vendor scales for a native
+//! `Comm`, neutral for an `RbcComm`); the exchange is plain point-to-point
+//! in both cases.
 
 use std::future::Future;
 use std::sync::Arc;
 
-use mpisim::model::{CollScales, CostScale};
 use mpisim::nbcoll::Nbc;
-use mpisim::{coll, ops, Result, Scaled, SortKey, Transport};
+use mpisim::{coll, ops, OpClass, Result, SortKey, Transport};
 
 use crate::exchange::{self, AssignmentKind};
 use crate::layout::{Layout, TaskRange};
@@ -54,10 +55,8 @@ pub enum LevelOutcome<T> {
 /// Start a level and run it to its first receive that misses. `c` is the
 /// task communicator (rank `i` ⇔ global process `first_proc + i`); `data`
 /// is my window∩task slice, as the views the previous level delivered.
-#[allow(clippy::too_many_arguments)]
 pub fn start<T: SortKey, C: Transport>(
     c: C,
-    scales: CollScales,
     layout: Layout,
     task: TaskRange,
     level: u32,
@@ -67,17 +66,12 @@ pub fn start<T: SortKey, C: Transport>(
 ) -> Result<Nbc<LevelOutcome<T>>> {
     let samples = pivot_cfg.per_proc(task.nprocs(&layout));
     let state = Arc::clone(c.state());
-    Nbc::start(
-        state,
-        run(c, scales, layout, task, level, kind, samples, data),
-    )
+    Nbc::start(state, run(c, layout, task, level, kind, samples, data))
 }
 
 /// The level's core: `samples` is my share of the pivot sample.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run<T: SortKey, C: Transport>(
     c: C,
-    scales: CollScales,
     layout: Layout,
     task: TaskRange,
     level: u32,
@@ -92,14 +86,12 @@ pub(crate) fn run<T: SortKey, C: Transport>(
         task.load_of(&layout, f + c.rank() as u64)
     );
     async move {
-        let scaled = |scale: CostScale| Scaled::new(c.clone(), scale);
-
         // Step 1: the task's first process gathers the samples and
         // broadcasts their median.
         let (keys, n_small) = {
             let sample = draw_segment_samples(&data, samples, c.state());
             let gathered = coll::gatherv_as_they_arrive_async(
-                &scaled(scales.gather),
+                &c.coll_view(OpClass::Gather),
                 sample,
                 0,
                 ltags::SAMPLES,
@@ -112,7 +104,7 @@ pub(crate) fn run<T: SortKey, C: Transport>(
                     vec![sample_median(all)]
                 })
                 .unwrap_or_default();
-            coll::bcast_async(&scaled(scales.bcast), &mut pivot, 0, ltags::PIVOT).await?;
+            coll::bcast_async(&c.coll_view(OpClass::Bcast), &mut pivot, 0, ltags::PIVOT).await?;
 
             // Step 2: local partition (O(n/p) charged), in one pass that
             // counts the smalls for the prefix sum on the way. The pivot's
@@ -125,8 +117,13 @@ pub(crate) fn run<T: SortKey, C: Transport>(
 
         // Step 3: prefix-sum the small counts; the last process broadcasts
         // the total.
-        let incl =
-            coll::scan_async(&scaled(scales.scan), &[n_small], ltags::SCAN, ops::sum()).await?[0];
+        let incl = coll::scan_async(
+            &c.coll_view(OpClass::Scan),
+            &[n_small],
+            ltags::SCAN,
+            ops::sum(),
+        )
+        .await?[0];
         let s_excl = incl - n_small;
         let last = c.size() - 1;
         let mut total = if c.rank() == last {
@@ -134,7 +131,7 @@ pub(crate) fn run<T: SortKey, C: Transport>(
         } else {
             Vec::new()
         };
-        coll::bcast_async(&scaled(scales.bcast), &mut total, last, ltags::TOTAL).await?;
+        coll::bcast_async(&c.coll_view(OpClass::Bcast), &mut total, last, ltags::TOTAL).await?;
         let s_total = total[0];
         if s_total == 0 || s_total == task.len() {
             // Degenerate split: the data is its own partition, and a
@@ -199,10 +196,9 @@ mod tests {
                 let mut data = Vec::with_capacity(layout.cap(me) as usize + 3);
                 data.resize(layout.cap(me) as usize, 5u64);
                 let (buf, len, cap) = (data.as_ptr() as usize, data.len(), data.capacity());
-                let scales = CollScales::NEUTRAL;
                 let pivot_cfg = PivotCfg::default();
                 let data = Segments::from(data);
-                let mut lv = start(c, scales, layout, task, level, kind, &pivot_cfg, data).unwrap();
+                let mut lv = start(c, layout, task, level, kind, &pivot_cfg, data).unwrap();
                 nbcoll::wait_async(&mut lv).await.unwrap();
                 match lv.into_out() {
                     Some(LevelOutcome::Stuck { data }) => {
@@ -235,24 +231,14 @@ mod tests {
             let cfg = JQuickConfig::default();
             let sort = jquick_sort_async(&RbcBackend, &env.world, vec![7u64], 1, &cfg);
             let (layout, task) = (Layout::new(1, 1), TaskRange { lo: 0, hi: 1 });
-            let (scales, kind, none) =
-                (CollScales::NEUTRAL, AssignmentKind::Greedy, Vec::<u64>::new);
-            let level = run(
-                c.clone(),
-                scales,
-                layout,
-                task,
-                0,
-                kind,
-                1,
-                vec![7u64].into(),
-            );
+            let (kind, none) = (AssignmentKind::Greedy, Vec::<u64>::new);
+            let level = run(c.clone(), layout, task, 0, kind, 1, vec![7u64].into());
             let parted = || Parted::new(Segments::new(), &0, Strictness::Lt);
             let greedy = exchange::greedy(&c, layout, task, 0, parted(), 0, 0, 0).unwrap();
             let staged = exchange::staged(&c, layout, task, 0, parted(), 0, 0, 0);
             let base = settle(c.clone(), layout, 0, BaseTask { task, data: none() });
             let sizes = [
-                ("level", size_of_val(&level), 608),
+                ("level", size_of_val(&level), 552),
                 ("greedy exchange", size_of_val(&greedy), 120),
                 ("staged exchange", size_of_val(&staged), 208),
                 ("base case", size_of_val(&base), 176),

@@ -138,12 +138,14 @@ fn comm_create_phases(p: usize) -> bool {
 fn peak_heap_per_rank_stays_within_its_budget() {
     // Budget: the measured peak plus 4 % for the future layouts of another
     // compiler, rounded to 10 B. Measured, in debug and release builds
-    // alike: 3920 B for JQuick at n/p = 8 and 3771 B for comm creation
-    // (3933 and 3780 B when their budgets were set; 5383 and 4817 B before
-    // the per-rank state was cut, DESIGN.md §14); 12 602 B for JQuick at
-    // n/p = 2^10, of which 8192 B are the rank's keys, so a second copy of
-    // them alive at the peak fails the budget (13 906 B when the exchange
-    // copied every chunk into its receiver's buffer).
+    // alike: 3858 B for JQuick at n/p = 8 and 3772 B for comm creation
+    // (3920 B for JQuick while each level carried its backend's collective
+    // scales; 3933 and 3780 B when their budgets were set; 5383 and 4817 B
+    // before the per-rank state was cut, DESIGN.md §14); 12 537 B for
+    // JQuick at n/p = 2^10 (12 603 B with the scales), of which 8192 B are
+    // the rank's keys, so a second copy of them alive at the peak fails
+    // the budget (13 906 B when the exchange copied every chunk into its
+    // receiver's buffer).
     let runs = [
         ("JQuick, n/p = 8", peak_per_rank(P, |p| jquick(p, 8)), 4090),
         ("comm creation", peak_per_rank(P, comm_create_phases), 3930),

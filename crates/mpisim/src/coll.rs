@@ -4,13 +4,16 @@
 //! optimized for a specific network, but theoretically optimal for small
 //! input sizes" (paper §V-D): O(α log p) startups, O(β·l·log p) volume.
 //!
-//! Because these are generic over `Transport`, the *same algorithms* serve
-//! as both the vendor ("native MPI") collectives — run through a
-//! [`crate::transport::Scaled`] wrapper carrying the vendor cost profile —
-//! and as RBC's collectives (neutral costs). That mirrors the paper's
-//! finding that RBC collectives perform like their MPI counterparts: any
-//! measured difference comes from communicator construction and vendor
-//! overheads, not the algorithms.
+//! These are the cores behind [`Transport`]'s provided collectives
+//! (`Transport::bcast`, ...), which run them over
+//! [`Transport::coll_view`] of their class with their reserved tag. So the
+//! *same algorithms* serve as both the vendor ("native MPI") collectives —
+//! a native communicator's view carries the vendor cost profile — and as
+//! RBC's collectives (neutral costs). That mirrors the paper's finding
+//! that RBC collectives perform like their MPI counterparts: any measured
+//! difference comes from communicator construction and vendor overheads,
+//! not the algorithms. Called directly, a core runs at the cost scale of
+//! the transport it is given, on the caller's tag.
 //!
 //! # Maybe-async
 //!
@@ -31,7 +34,7 @@ use std::future::Future;
 use std::sync::Arc;
 
 use crate::datum::Datum;
-use crate::error::Result;
+use crate::error::{MpiError, Result};
 use crate::msg::Tag;
 use crate::obs::{self, OpClass};
 use crate::sched::poll::block_inline;
@@ -529,8 +532,13 @@ pub async fn alltoallv_async<T: Datum>(
 ) -> Result<Vec<Vec<T>>> {
     let p = tr.size();
     let r = tr.rank();
+    if send.len() != p {
+        return Err(MpiError::Usage(format!(
+            "alltoallv needs one bucket per rank: {} buckets for {p} ranks",
+            send.len()
+        )));
+    }
     let _span = obs::span(tr.state(), OpClass::Other, "alltoallv");
-    assert_eq!(send.len(), p, "alltoallv needs one bucket per rank");
     let mut out: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
     for (i, bucket) in send.into_iter().enumerate() {
         if i == r {
@@ -554,7 +562,9 @@ pub async fn alltoallv_async<T: Datum>(
 /// Binomial-tree scatter of variable-size blocks: the root provides one
 /// vector per rank; every rank receives its block. The inverse of
 /// [`gatherv`], with the same two-message-per-edge framing
-/// (tags `tag` and `tag + 1`).
+/// (tags `tag` and `tag + 1`). `blocks` is read at the root only; a root
+/// passing `None` or other than one block per rank gets
+/// [`MpiError::Usage`] before it sends anything.
 pub fn scatterv<T: Datum>(
     tr: &impl Transport,
     blocks: Option<Vec<Vec<T>>>,
@@ -574,17 +584,29 @@ pub async fn scatterv_async<T: Datum>(
     let p = tr.size();
     let r = tr.rank();
     tr.check_rank(root)?;
+    let blocks = match blocks {
+        _ if r != root => None,
+        Some(blocks) if blocks.len() == p => Some(blocks),
+        Some(blocks) => {
+            return Err(MpiError::Usage(format!(
+                "scatterv needs one block per rank: {} blocks for {p} ranks",
+                blocks.len()
+            )))
+        }
+        None => {
+            return Err(MpiError::Usage(
+                "the scatterv root provides no blocks".into(),
+            ))
+        }
+    };
     let _span = obs::span(tr.state(), OpClass::Other, "scatterv");
-    if p == 1 {
-        let mut blocks = blocks.expect("root provides blocks");
-        return Ok(blocks.swap_remove(0));
-    }
     let rel = (r + p - root) % p;
     // Receive my bundle (all blocks for my subtree) from the parent, or
     // start with everything at the root.
-    let (mut meta, mut payload): (Vec<(u64, u64)>, Vec<T>) = if rel == 0 {
-        let blocks = blocks.expect("root provides blocks");
-        assert_eq!(blocks.len(), p, "scatterv needs one block per rank");
+    let (mut meta, mut payload): (Vec<(u64, u64)>, Vec<T>) = if let Some(blocks) = blocks {
+        if p == 1 {
+            return Ok(blocks.into_iter().next().unwrap_or_default());
+        }
         let meta = blocks
             .iter()
             .enumerate()
@@ -647,7 +669,10 @@ pub async fn scatterv_async<T: Datum>(
     Ok(payload)
 }
 
-/// Equal-count scatter: the root's `data` is split into `p` equal blocks.
+/// Equal-count scatter: the root's `data` is split into `p` equal blocks
+/// (empty ones for empty `data`). `data` is read at the root only; a count
+/// not divisible by `p` there is an [`MpiError::Usage`], returned before
+/// the root sends anything.
 pub fn scatter<T: Datum>(
     tr: &impl Transport,
     data: Option<Vec<T>>,
@@ -665,11 +690,23 @@ pub async fn scatter_async<T: Datum>(
     tag: Tag,
 ) -> Result<Vec<T>> {
     let p = tr.size();
-    let blocks = data.map(|d| {
-        assert!(d.len() % p == 0, "scatter needs count divisible by p");
-        let each = d.len() / p;
-        d.chunks(each).map(<[T]>::to_vec).collect::<Vec<_>>()
-    });
+    let blocks = match data {
+        Some(d) if tr.rank() == root => {
+            if d.len() % p != 0 {
+                return Err(MpiError::Usage(format!(
+                    "scatter needs a count divisible by {p} ranks, got {}",
+                    d.len()
+                )));
+            }
+            let each = d.len() / p;
+            Some(
+                (0..p)
+                    .map(|i| d[i * each..(i + 1) * each].to_vec())
+                    .collect(),
+            )
+        }
+        _ => None,
+    };
     scatterv_async(tr, blocks, root, tag).await
 }
 

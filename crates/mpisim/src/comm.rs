@@ -15,6 +15,13 @@
 //!   paper observes in Intel MPI). The IBM-like vendor profile instead
 //!   serialises agreement through a leader ring, reproducing the
 //!   "disproportionately slow" behaviour of Fig. 5.
+//!
+//! Its blocking collectives are [`Transport`]'s provided methods, the same
+//! binomial algorithms as RBC's; `Comm` only prices them, overriding
+//! [`Transport::coll_scale`] with its vendor profile's
+//! [`CollScales`](crate::model::CollScales). The six MPI-3 nonblocking
+//! collectives (`ibcast`, ...) run [`crate::nbcoll`]'s machines over the
+//! same [`Transport::coll_view`].
 
 use std::sync::Arc;
 
@@ -23,12 +30,13 @@ use crate::context::{mask_and, CtxMask, CtxPool};
 use crate::datum::ops;
 use crate::error::{MpiError, Result};
 use crate::group::Group;
-use crate::model::CreateGroupAlgo;
+use crate::model::{CostScale, CreateGroupAlgo};
 use crate::msg::{ContextId, SrcFilter, Tag};
+use crate::obs::OpClass;
 use crate::proc::ProcState;
 use crate::tags;
 use crate::time::Time;
-use crate::transport::Transport;
+use crate::transport::{Scaled, Transport};
 
 struct CommInner {
     ctx: ContextId,
@@ -245,253 +253,6 @@ impl Comm {
         self.with_new_ctx(ctx, group.clone())
     }
 
-    // ---- blocking collectives (vendor implementations) ----------------------
-    //
-    // These are the "native MPI" collectives: the same binomial algorithms
-    // as RBC's, but run through the vendor cost profile.
-
-    fn scaled(&self, scale: crate::model::CostScale) -> crate::transport::Scaled<Comm> {
-        crate::transport::Scaled::new(self.clone(), scale)
-    }
-
-    /// `MPI_Bcast` under the vendor's bcast cost scaling.
-    pub fn bcast<T: crate::datum::Datum>(&self, data: &mut Vec<T>, root: usize) -> Result<()> {
-        let s = self.state.router.vendor.coll_scale.bcast;
-        coll::bcast(&self.scaled(s), data, root, tags::BCAST)
-    }
-
-    /// `MPI_Reduce`: elementwise `op`-fold to `root` (returns `Some` there).
-    pub fn reduce<T: crate::datum::Datum>(
-        &self,
-        data: &[T],
-        root: usize,
-        op: impl Fn(&T, &T) -> T,
-    ) -> Result<Option<Vec<T>>> {
-        let s = self.state.router.vendor.coll_scale.reduce;
-        coll::reduce(&self.scaled(s), data, root, tags::REDUCE, op)
-    }
-
-    /// `MPI_Allreduce`: elementwise `op`-fold, result everywhere.
-    pub fn allreduce<T: crate::datum::Datum>(
-        &self,
-        data: &[T],
-        op: impl Fn(&T, &T) -> T,
-    ) -> Result<Vec<T>> {
-        let s = self.state.router.vendor.coll_scale.reduce;
-        coll::allreduce(&self.scaled(s), data, tags::ALLREDUCE, op)
-    }
-
-    /// `MPI_Scan`: inclusive prefix `op`-fold by rank.
-    pub fn scan<T: crate::datum::Datum>(
-        &self,
-        data: &[T],
-        op: impl Fn(&T, &T) -> T,
-    ) -> Result<Vec<T>> {
-        let s = self.state.router.vendor.coll_scale.scan;
-        coll::scan(&self.scaled(s), data, tags::SCAN, op)
-    }
-
-    /// `MPI_Exscan`: exclusive prefix fold (`None` on rank 0).
-    pub fn exscan<T: crate::datum::Datum>(
-        &self,
-        data: &[T],
-        op: impl Fn(&T, &T) -> T,
-    ) -> Result<Option<Vec<T>>> {
-        let s = self.state.router.vendor.coll_scale.scan;
-        coll::exscan(&self.scaled(s), data, tags::EXSCAN, op)
-    }
-
-    /// `MPI_Gather` of equal-sized blocks (returns `Some` at `root`).
-    pub fn gather<T: crate::datum::Datum>(
-        &self,
-        data: Vec<T>,
-        root: usize,
-    ) -> Result<Option<Vec<T>>> {
-        let s = self.state.router.vendor.coll_scale.gather;
-        coll::gather(&self.scaled(s), data, root, tags::GATHER)
-    }
-
-    /// `MPI_Gatherv`: variable-sized blocks, one `Vec` per rank at `root`.
-    pub fn gatherv<T: crate::datum::Datum>(
-        &self,
-        data: Vec<T>,
-        root: usize,
-    ) -> Result<Option<Vec<Vec<T>>>> {
-        let s = self.state.router.vendor.coll_scale.gather;
-        coll::gatherv(&self.scaled(s), data, root, tags::GATHERV)
-    }
-
-    /// `MPI_Allgather` of one element per rank.
-    pub fn allgather1<T: crate::datum::Datum>(&self, item: T) -> Result<Vec<T>> {
-        let s = self.state.router.vendor.coll_scale.gather;
-        coll::allgather1(&self.scaled(s), item, tags::ALLGATHER)
-    }
-
-    /// `MPI_Barrier`.
-    pub fn barrier(&self) -> Result<()> {
-        let s = self.state.router.vendor.coll_scale.barrier;
-        coll::barrier(&self.scaled(s), tags::BARRIER)
-    }
-
-    /// `MPI_Alltoallv`: `send[i]` goes to rank `i`; returns one block per source.
-    pub fn alltoallv<T: crate::datum::Datum>(&self, send: Vec<Vec<T>>) -> Result<Vec<Vec<T>>> {
-        let s = self.state.router.vendor.coll_scale.other;
-        coll::alltoallv(&self.scaled(s), send, tags::ALLTOALL)
-    }
-
-    /// `MPI_Scatter`: `root` splits `data` into equal blocks, one per rank.
-    pub fn scatter<T: crate::datum::Datum>(
-        &self,
-        data: Option<Vec<T>>,
-        root: usize,
-    ) -> Result<Vec<T>> {
-        let s = self.state.router.vendor.coll_scale.other;
-        coll::scatter(&self.scaled(s), data, root, tags::SCATTER)
-    }
-
-    /// `MPI_Scatterv`: `root` sends `blocks[i]` to rank `i`.
-    pub fn scatterv<T: crate::datum::Datum>(
-        &self,
-        blocks: Option<Vec<Vec<T>>>,
-        root: usize,
-    ) -> Result<Vec<T>> {
-        let s = self.state.router.vendor.coll_scale.other;
-        coll::scatterv(&self.scaled(s), blocks, root, tags::SCATTERV)
-    }
-
-    /// `MPI_Allgatherv`: every rank receives every rank's block.
-    pub fn allgatherv<T: crate::datum::Datum>(&self, data: Vec<T>) -> Result<Vec<Vec<T>>> {
-        let s = self.state.router.vendor.coll_scale.gather;
-        coll::allgatherv(&self.scaled(s), data, tags::ALLGATHERV)
-    }
-
-    // ---- maybe-async collectives -------------------------------------------
-    //
-    // The `*_async` twins of the blocking collectives above: identical
-    // algorithms and vendor scaling (they share the `coll::*_async` cores),
-    // usable from poll-mode rank bodies where the sync forms would panic.
-
-    /// [`Comm::bcast`] as a maybe-async core.
-    pub async fn bcast_async<T: crate::datum::Datum>(
-        &self,
-        data: &mut Vec<T>,
-        root: usize,
-    ) -> Result<()> {
-        let s = self.state.router.vendor.coll_scale.bcast;
-        coll::bcast_async(&self.scaled(s), data, root, tags::BCAST).await
-    }
-
-    /// [`Comm::reduce`] as a maybe-async core.
-    pub async fn reduce_async<T: crate::datum::Datum>(
-        &self,
-        data: &[T],
-        root: usize,
-        op: impl Fn(&T, &T) -> T,
-    ) -> Result<Option<Vec<T>>> {
-        let s = self.state.router.vendor.coll_scale.reduce;
-        coll::reduce_async(&self.scaled(s), data, root, tags::REDUCE, op).await
-    }
-
-    /// [`Comm::allreduce`] as a maybe-async core.
-    pub async fn allreduce_async<T: crate::datum::Datum>(
-        &self,
-        data: &[T],
-        op: impl Fn(&T, &T) -> T,
-    ) -> Result<Vec<T>> {
-        let s = self.state.router.vendor.coll_scale.reduce;
-        coll::allreduce_async(&self.scaled(s), data, tags::ALLREDUCE, op).await
-    }
-
-    /// [`Comm::scan`] as a maybe-async core.
-    pub async fn scan_async<T: crate::datum::Datum>(
-        &self,
-        data: &[T],
-        op: impl Fn(&T, &T) -> T,
-    ) -> Result<Vec<T>> {
-        let s = self.state.router.vendor.coll_scale.scan;
-        coll::scan_async(&self.scaled(s), data, tags::SCAN, op).await
-    }
-
-    /// [`Comm::exscan`] as a maybe-async core.
-    pub async fn exscan_async<T: crate::datum::Datum>(
-        &self,
-        data: &[T],
-        op: impl Fn(&T, &T) -> T,
-    ) -> Result<Option<Vec<T>>> {
-        let s = self.state.router.vendor.coll_scale.scan;
-        coll::exscan_async(&self.scaled(s), data, tags::EXSCAN, op).await
-    }
-
-    /// [`Comm::gather`] as a maybe-async core.
-    pub async fn gather_async<T: crate::datum::Datum>(
-        &self,
-        data: Vec<T>,
-        root: usize,
-    ) -> Result<Option<Vec<T>>> {
-        let s = self.state.router.vendor.coll_scale.gather;
-        coll::gather_async(&self.scaled(s), data, root, tags::GATHER).await
-    }
-
-    /// [`Comm::gatherv`] as a maybe-async core.
-    pub async fn gatherv_async<T: crate::datum::Datum>(
-        &self,
-        data: Vec<T>,
-        root: usize,
-    ) -> Result<Option<Vec<Vec<T>>>> {
-        let s = self.state.router.vendor.coll_scale.gather;
-        coll::gatherv_async(&self.scaled(s), data, root, tags::GATHERV).await
-    }
-
-    /// [`Comm::allgather1`] as a maybe-async core.
-    pub async fn allgather1_async<T: crate::datum::Datum>(&self, item: T) -> Result<Vec<T>> {
-        let s = self.state.router.vendor.coll_scale.gather;
-        coll::allgather1_async(&self.scaled(s), item, tags::ALLGATHER).await
-    }
-
-    /// [`Comm::barrier`] as a maybe-async core.
-    pub async fn barrier_async(&self) -> Result<()> {
-        let s = self.state.router.vendor.coll_scale.barrier;
-        coll::barrier_async(&self.scaled(s), tags::BARRIER).await
-    }
-
-    /// [`Comm::alltoallv`] as a maybe-async core.
-    pub async fn alltoallv_async<T: crate::datum::Datum>(
-        &self,
-        send: Vec<Vec<T>>,
-    ) -> Result<Vec<Vec<T>>> {
-        let s = self.state.router.vendor.coll_scale.other;
-        coll::alltoallv_async(&self.scaled(s), send, tags::ALLTOALL).await
-    }
-
-    /// [`Comm::scatter`] as a maybe-async core.
-    pub async fn scatter_async<T: crate::datum::Datum>(
-        &self,
-        data: Option<Vec<T>>,
-        root: usize,
-    ) -> Result<Vec<T>> {
-        let s = self.state.router.vendor.coll_scale.other;
-        coll::scatter_async(&self.scaled(s), data, root, tags::SCATTER).await
-    }
-
-    /// [`Comm::scatterv`] as a maybe-async core.
-    pub async fn scatterv_async<T: crate::datum::Datum>(
-        &self,
-        blocks: Option<Vec<Vec<T>>>,
-        root: usize,
-    ) -> Result<Vec<T>> {
-        let s = self.state.router.vendor.coll_scale.other;
-        coll::scatterv_async(&self.scaled(s), blocks, root, tags::SCATTERV).await
-    }
-
-    /// [`Comm::allgatherv`] as a maybe-async core.
-    pub async fn allgatherv_async<T: crate::datum::Datum>(
-        &self,
-        data: Vec<T>,
-    ) -> Result<Vec<Vec<T>>> {
-        let s = self.state.router.vendor.coll_scale.gather;
-        coll::allgatherv_async(&self.scaled(s), data, tags::ALLGATHERV).await
-    }
-
     // ---- nonblocking collectives (MPI-3 style, vendor implementations) -------
 
     /// `MPI_Ibcast`.
@@ -499,9 +260,8 @@ impl Comm {
         &self,
         data: Option<Vec<T>>,
         root: usize,
-    ) -> Result<crate::nbcoll::Ibcast<T, crate::transport::Scaled<Comm>>> {
-        let s = self.state.router.vendor.coll_scale.bcast;
-        crate::nbcoll::ibcast(&self.scaled(s), data, root, tags::IBCAST)
+    ) -> Result<crate::nbcoll::Ibcast<T, Scaled<Comm>>> {
+        crate::nbcoll::ibcast(&self.coll_view(OpClass::Bcast), data, root, tags::IBCAST)
     }
 
     /// `MPI_Ireduce`.
@@ -510,12 +270,17 @@ impl Comm {
         data: &[T],
         root: usize,
         op: F,
-    ) -> Result<crate::nbcoll::Ireduce<T, crate::transport::Scaled<Comm>, F>>
+    ) -> Result<crate::nbcoll::Ireduce<T, Scaled<Comm>, F>>
     where
         F: Fn(&T, &T) -> T + Send + 'static,
     {
-        let s = self.state.router.vendor.coll_scale.reduce;
-        crate::nbcoll::ireduce(&self.scaled(s), data, root, tags::IREDUCE, op)
+        crate::nbcoll::ireduce(
+            &self.coll_view(OpClass::Reduce),
+            data,
+            root,
+            tags::IREDUCE,
+            op,
+        )
     }
 
     /// `MPI_Iscan` (inclusive; the machine also exposes the exclusive
@@ -524,12 +289,11 @@ impl Comm {
         &self,
         data: &[T],
         op: F,
-    ) -> Result<crate::nbcoll::Iscan<T, crate::transport::Scaled<Comm>, F>>
+    ) -> Result<crate::nbcoll::Iscan<T, Scaled<Comm>, F>>
     where
         F: Fn(&T, &T) -> T + Send + 'static,
     {
-        let s = self.state.router.vendor.coll_scale.scan;
-        crate::nbcoll::iscan(&self.scaled(s), data, tags::ISCAN, op)
+        crate::nbcoll::iscan(&self.coll_view(OpClass::Scan), data, tags::ISCAN, op)
     }
 
     /// `MPI_Igather`.
@@ -537,9 +301,8 @@ impl Comm {
         &self,
         data: Vec<T>,
         root: usize,
-    ) -> Result<crate::nbcoll::Igather<T, crate::transport::Scaled<Comm>>> {
-        let s = self.state.router.vendor.coll_scale.gather;
-        crate::nbcoll::igather(&self.scaled(s), data, root, tags::IGATHER)
+    ) -> Result<crate::nbcoll::Igather<T, Scaled<Comm>>> {
+        crate::nbcoll::igather(&self.coll_view(OpClass::Gather), data, root, tags::IGATHER)
     }
 
     /// `MPI_Igatherv`.
@@ -547,15 +310,13 @@ impl Comm {
         &self,
         data: Vec<T>,
         root: usize,
-    ) -> Result<crate::nbcoll::Igatherv<T, crate::transport::Scaled<Comm>>> {
-        let s = self.state.router.vendor.coll_scale.gather;
-        crate::nbcoll::igatherv(&self.scaled(s), data, root, tags::IGATHERV)
+    ) -> Result<crate::nbcoll::Igatherv<T, Scaled<Comm>>> {
+        crate::nbcoll::igatherv(&self.coll_view(OpClass::Gather), data, root, tags::IGATHERV)
     }
 
     /// `MPI_Ibarrier`.
-    pub fn ibarrier(&self) -> Result<crate::nbcoll::Ibarrier<crate::transport::Scaled<Comm>>> {
-        let s = self.state.router.vendor.coll_scale.barrier;
-        crate::nbcoll::ibarrier(&self.scaled(s), tags::IBARRIER)
+    pub fn ibarrier(&self) -> Result<crate::nbcoll::Ibarrier<Scaled<Comm>>> {
+        crate::nbcoll::ibarrier(&self.coll_view(OpClass::Barrier), tags::IBARRIER)
     }
 }
 
@@ -588,5 +349,11 @@ impl Transport for Comm {
         // A native communicator owns its context: any message in it comes
         // from a member.
         SrcFilter::Any
+    }
+
+    fn coll_scale(&self, class: OpClass) -> CostScale {
+        // The vendor's collectives: the same algorithms as RBC's, priced by
+        // the vendor profile.
+        self.state.router.vendor.coll_scale.of(class)
     }
 }

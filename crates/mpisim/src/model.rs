@@ -8,6 +8,7 @@
 //! whose observed pathologies (Fig. 4, 5, 8, 9) the two non-neutral profiles
 //! model; see DESIGN.md §1 for the substitution argument.
 
+use crate::obs::OpClass;
 use crate::time::Time;
 
 /// Machine-level communication costs (α–β model, §II of the paper).
@@ -154,7 +155,8 @@ pub struct VendorProfile {
     pub group_build_ns_per_member: f64,
 }
 
-/// Per-operation-class collective scaling factors.
+/// Per-operation-class collective scaling factors, one field per
+/// collective [`OpClass`].
 #[derive(Clone, Copy, Debug)]
 pub struct CollScales {
     /// Scaling of broadcast-internal traffic.
@@ -181,6 +183,20 @@ impl CollScales {
         barrier: CostScale::NEUTRAL,
         other: CostScale::NEUTRAL,
     };
+
+    /// The scale of the traffic of class `class`: neutral for
+    /// point-to-point traffic, the class's field otherwise.
+    pub fn of(&self, class: OpClass) -> CostScale {
+        match class {
+            OpClass::P2p => CostScale::NEUTRAL,
+            OpClass::Bcast => self.bcast,
+            OpClass::Reduce => self.reduce,
+            OpClass::Scan => self.scan,
+            OpClass::Gather => self.gather,
+            OpClass::Barrier => self.barrier,
+            OpClass::Other => self.other,
+        }
+    }
 }
 
 impl VendorProfile {

@@ -35,9 +35,12 @@ use crate::time::Time;
 // Operation classes
 // ---------------------------------------------------------------------------
 
-/// The collective class an operation's traffic is attributed to. Mirrors
-/// the [`CollScales`](crate::model::CollScales) cost buckets so measured
-/// volumes line up with the cost model's per-collective scaling.
+/// The collective class an operation's traffic is attributed to, and the
+/// one it is priced by: [`CollScales::of`](crate::model::CollScales::of)
+/// maps each class but `P2p` to its cost bucket, and
+/// [`Transport::coll_view`](crate::Transport::coll_view) runs a collective
+/// of the class under it, so measured volumes line up with the cost
+/// model's per-collective scaling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum OpClass {

@@ -54,7 +54,7 @@ pub trait RankBody: Send {
 ///
 /// On a thread body every wait leaf resolves in place (see the module
 /// docs), so the first poll returns `Ready`; this is how the synchronous
-/// public API (`Transport::recv`, `Comm::bcast`, `jquick_sort`, …) runs
+/// public API (`Transport::recv`, `Transport::bcast`, `jquick_sort`, …) runs
 /// the shared async cores.
 ///
 /// # Panics

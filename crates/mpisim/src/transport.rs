@@ -1,24 +1,32 @@
-//! The `Transport` abstraction: typed point-to-point over some rank space.
+//! The `Transport` abstraction: typed point-to-point over some rank space,
+//! and the one collective facade on top of it.
 //!
 //! Collective algorithms (blocking in [`crate::coll`], nonblocking state
 //! machines in [`crate::nbcoll`]) are written once, generically over
-//! `Transport`. Both the native [`crate::comm::Comm`] and RBC's range
-//! communicator implement it; the only differences between "vendor MPI
-//! collectives" and "RBC collectives" are therefore (a) the communicator
-//! construction path and (b) the vendor [`CostScale`] — exactly the
-//! comparison the paper makes.
+//! `Transport`, and the thirteen blocking collectives with their `_async`
+//! forms are provided methods of the trait: every communicator gets them,
+//! each run over [`Transport::coll_view`] of its operation class with its
+//! exclusive reserved tag ([`crate::tags`]). Both the native
+//! [`crate::comm::Comm`] and RBC's range communicator implement it; the
+//! only differences between "vendor MPI collectives" and "RBC
+//! collectives" are therefore (a) the communicator construction path and
+//! (b) [`Transport::coll_scale`] — the vendor [`CostScale`] of each class
+//! for `Comm`, neutral for RBC — exactly the comparison the paper makes.
 
 use std::future::{poll_fn, Future};
 use std::ops::Range;
 use std::sync::Arc;
 use std::task::{ready, Poll};
 
+use crate::coll;
 use crate::datum::Datum;
 use crate::error::{MpiError, Result};
 use crate::model::CostScale;
 use crate::msg::{ContextId, MatchPattern, Message, MsgInfo, SharedSlice, SrcFilter, Tag};
+use crate::obs::OpClass;
 use crate::proc::ProcState;
 use crate::sched::poll::block_inline;
+use crate::tags;
 use crate::time::Time;
 
 /// Source argument of receives/probes, in communicator rank space.
@@ -43,10 +51,49 @@ pub struct Status {
     pub bytes: usize,
 }
 
-/// Typed point-to-point operations over some rank space.
+/// The blocking collectives of [`Transport`], one entry each:
+/// `fn name / name_async<T>(args; trailing args) -> Out = (Class, TAG);`.
+/// `name_async` runs the [`crate::coll`] core of the same name over
+/// [`Transport::coll_view`] of `OpClass::Class`, with the reserved tag
+/// `tags::TAG` between the arguments and the trailing ones (a reduction's
+/// operator); the view is built when the call is made, and the future owns
+/// it. `name` drives `name_async` with `block_inline`, so the two forms
+/// cannot drift apart.
+macro_rules! collectives {
+    ($(
+        $(#[$doc:meta])*
+        fn $name:ident / $name_async:ident $(<$t:ident>)?
+            ($($arg:ident: $arg_ty:ty),* $(; $($post:ident: $post_ty:ty),*)?)
+            -> $out:ty = ($class:ident, $tag:ident);
+    )*) => {$(
+        $(#[$doc])*
+        fn $name$(<$t: Datum>)?(
+            &self,
+            $($arg: $arg_ty,)*
+            $($($post: $post_ty),*)?
+        ) -> Result<$out> {
+            block_inline(self.$name_async($($arg,)* $($($post),*)?))
+        }
+
+        #[doc = concat!("[`Transport::", stringify!($name), "`] for maybe-async workloads.")]
+        fn $name_async$(<$t: Datum>)?(
+            &self,
+            $($arg: $arg_ty,)*
+            $($($post: $post_ty),*)?
+        ) -> impl Future<Output = Result<$out>> + Send {
+            let view = self.coll_view(OpClass::$class);
+            async move { coll::$name_async(&view, $($arg,)* tags::$tag, $($($post),*)?).await }
+        }
+    )*};
+}
+
+/// Typed point-to-point operations over some rank space, and the blocking
+/// collectives over them.
 ///
-/// Implementors supply the five projection methods; sends, receives, probes,
-/// and virtual-time accounting are provided generically on top.
+/// Implementors supply the seven projection methods; sends, receives,
+/// probes, virtual-time accounting and the collectives are provided
+/// generically on top. A communicator whose collectives cost what the
+/// vendor's do overrides [`Transport::coll_scale`], nothing else.
 pub trait Transport: Clone + Send + Sync + 'static {
     /// This process's rank within the communicator.
     fn rank(&self) -> usize;
@@ -67,6 +114,21 @@ pub trait Transport: Clone + Send + Sync + 'static {
     /// Cost scaling of messages sent through this transport.
     fn cost_scale(&self) -> CostScale {
         CostScale::NEUTRAL
+    }
+
+    /// Cost scaling of the traffic inside this communicator's collectives
+    /// of class `class`. Neutral unless overridden: RBC composes its
+    /// collectives from plain point-to-point (paper §V-D), a native
+    /// communicator prices them by its vendor profile.
+    fn coll_scale(&self, class: OpClass) -> CostScale {
+        let _ = class;
+        CostScale::NEUTRAL
+    }
+
+    /// This transport with [`Transport::coll_scale`] of `class` on every
+    /// message: what a collective of that class runs over.
+    fn coll_view(&self, class: OpClass) -> Scaled<Self> {
+        Scaled::new(self.clone(), self.coll_scale(class))
     }
 
     // ---- provided API ------------------------------------------------------
@@ -209,6 +271,47 @@ pub trait Transport: Clone + Send + Sync + 'static {
             tag,
             done: None,
         }
+    }
+
+    // ---- blocking collectives ---------------------------------------------
+
+    collectives! {
+        /// `MPI_Bcast`: binomial broadcast from `root`; `data` is replaced on
+        /// every other rank.
+        fn bcast / bcast_async<T>(data: &mut Vec<T>, root: usize) -> () = (Bcast, BCAST);
+        /// `MPI_Reduce`: elementwise `op`-fold to `root` (`Some` there only).
+        fn reduce / reduce_async<T>(data: &[T], root: usize; op: impl Fn(&T, &T) -> T + Send)
+            -> Option<Vec<T>> = (Reduce, REDUCE);
+        /// `MPI_Allreduce`: elementwise `op`-fold, result everywhere.
+        fn allreduce / allreduce_async<T>(data: &[T]; op: impl Fn(&T, &T) -> T + Send)
+            -> Vec<T> = (Reduce, ALLREDUCE);
+        /// `MPI_Scan`: inclusive prefix `op`-fold by rank.
+        fn scan / scan_async<T>(data: &[T]; op: impl Fn(&T, &T) -> T + Send)
+            -> Vec<T> = (Scan, SCAN);
+        /// `MPI_Exscan`: exclusive prefix fold (`None` on rank 0).
+        fn exscan / exscan_async<T>(data: &[T]; op: impl Fn(&T, &T) -> T + Send)
+            -> Option<Vec<T>> = (Scan, EXSCAN);
+        /// `MPI_Gather` of equal-sized blocks, concatenated in rank order at
+        /// `root` (`Some` there only).
+        fn gather / gather_async<T>(data: Vec<T>, root: usize) -> Option<Vec<T>> = (Gather, GATHER);
+        /// `MPI_Gatherv`: variable-sized blocks, one `Vec` per rank at `root`.
+        fn gatherv / gatherv_async<T>(data: Vec<T>, root: usize)
+            -> Option<Vec<Vec<T>>> = (Gather, GATHERV);
+        /// `MPI_Allgather` of one element per rank.
+        fn allgather1 / allgather1_async<T>(item: T) -> Vec<T> = (Gather, ALLGATHER);
+        /// `MPI_Allgatherv`: every rank receives every rank's block.
+        fn allgatherv / allgatherv_async<T>(data: Vec<T>) -> Vec<Vec<T>> = (Gather, ALLGATHERV);
+        /// `MPI_Barrier`: dissemination barrier.
+        fn barrier / barrier_async() -> () = (Barrier, BARRIER);
+        /// `MPI_Alltoallv`: `send[i]` goes to rank `i`; returns one block per
+        /// source.
+        fn alltoallv / alltoallv_async<T>(send: Vec<Vec<T>>) -> Vec<Vec<T>> = (Other, ALLTOALL);
+        /// `MPI_Scatter`: `root` splits `data` into equal blocks, one per rank.
+        fn scatter / scatter_async<T>(data: Option<Vec<T>>, root: usize)
+            -> Vec<T> = (Other, SCATTER);
+        /// `MPI_Scatterv`: `root` sends `blocks[i]` to rank `i`.
+        fn scatterv / scatterv_async<T>(blocks: Option<Vec<Vec<T>>>, root: usize)
+            -> Vec<T> = (Other, SCATTERV);
     }
 
     // ---- virtual time ------------------------------------------------------
@@ -403,5 +506,8 @@ impl<C: Transport> Transport for Scaled<C> {
     }
     fn cost_scale(&self) -> CostScale {
         self.scale
+    }
+    fn coll_scale(&self, class: OpClass) -> CostScale {
+        self.inner.coll_scale(class)
     }
 }

@@ -343,3 +343,53 @@ fn allgatherv_everyone_gets_everything() {
         }
     }
 }
+
+#[test]
+fn scatter_of_nothing_gives_every_rank_an_empty_block() {
+    for &p in SIZES {
+        let res = Universe::run_default(p, |env| env.world.scatter(Some(Vec::<u64>::new()), 0));
+        for (r, got) in res.per_rank.into_iter().enumerate() {
+            assert_eq!(got, Ok(Vec::new()), "p={p} rank={r}");
+        }
+    }
+}
+
+/// Run a collective on 4 ranks where rank `bad` passes a malformed
+/// argument: it must get `Usage` at once, and every peer, left waiting,
+/// a `Timeout` with a `RoundBlame` (one naming `bad` among them) — never
+/// a hang or a panic.
+fn malformed_on(bad: usize, coll: impl Fn(&ProcEnv, bool) -> mpisim::Result<Vec<u64>> + Sync) {
+    let res = Universe::run_default(4, |env| coll(&env, env.rank() == bad));
+    let mut blamed = Vec::new();
+    for (r, got) in res.per_rank.into_iter().enumerate() {
+        match got {
+            Err(mpisim::MpiError::Usage(_)) if r == bad => {}
+            Err(mpisim::MpiError::Timeout { blame, .. }) if r != bad && !blame.is_empty() => {
+                blamed.extend(blame.ranks());
+            }
+            other => panic!("rank {r} (bad {bad}): {other:?}"),
+        }
+    }
+    assert!(blamed.contains(&bad), "bad {bad}, blamed {blamed:?}");
+}
+
+#[test]
+fn malformed_collective_arguments_are_usage_errors_not_panics() {
+    // alltoallv with a bucket short.
+    malformed_on(1, |env, bad| {
+        let n = if bad { 3 } else { 4 };
+        let got = env.world.alltoallv(vec![vec![1u64]; n])?;
+        Ok(got.concat())
+    });
+    // scatterv: the root passes too few blocks, or none.
+    malformed_on(2, |env, bad| {
+        let blocks = bad.then(|| vec![vec![1u64]; 3]);
+        env.world.scatterv(blocks, 2)
+    });
+    malformed_on(0, |env, _| env.world.scatterv(None::<Vec<Vec<u64>>>, 0));
+    // scatter: a count the ranks do not divide.
+    malformed_on(3, |env, bad| {
+        let data = bad.then(|| vec![1u64; 6]);
+        env.world.scatter(data, 3)
+    });
+}

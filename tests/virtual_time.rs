@@ -17,7 +17,7 @@
 //! `T + recv_overhead` after its parent starts that send, where
 //! `T = transfer_time_scaled(bytes, scale)`. The scale is the vendor's
 //! bcast scale for `Comm::bcast_async` and neutral for `coll::bcast_async`
-//! on a communicator or an RBC subrange (what `RbcComm::bcast` runs).
+//! on a communicator or an RBC subrange (what an `RbcComm`'s `bcast` runs).
 //! Payloads stay at or below every vendor's jitter threshold, above which
 //! the transfer time is drawn at random.
 //!
@@ -28,9 +28,18 @@
 //! `r - d` (`clock = max(clock, arrival) + recv_overhead`) and folds it in,
 //! charged one compute step per element. The scale is the vendor's scan
 //! scale for `Comm::scan_async` and neutral for `coll::scan_async`.
+//!
+//! Which scale each collective runs under is pinned for all of them at
+//! once: under the Intel-like profile, whose six class scales all differ,
+//! `Comm`'s thirteen blocking collectives and six nonblocking ones must
+//! leave the clocks and message counts of the `coll` / `nbcoll` core over
+//! the world scaled by the field this file names for them, and an
+//! `RbcComm`'s those of the core over the range at neutral cost.
 
+use mpisim::model::CollScales;
 use mpisim::{
-    coll, ops, CostModel, CostScale, SimConfig, Time, Transport, Universe, VendorProfile,
+    coll, nbcoll, ops, tags, Comm, CostModel, CostScale, Progress, Scaled, SimConfig, Time,
+    Transport, Universe, VendorProfile,
 };
 use rbc::RbcComm;
 
@@ -291,4 +300,280 @@ fn the_formula_reads_the_probed_values() {
         Time::from_nanos(370_760)
     );
     assert_eq!(makespan(1, 8, CostScale::NEUTRAL), Time::ZERO);
+}
+
+/// A collective of the facade, for the pricing test below.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Coll {
+    Bcast,
+    Reduce,
+    Allreduce,
+    Scan,
+    Exscan,
+    Gather,
+    Gatherv,
+    Allgather1,
+    Allgatherv,
+    Barrier,
+    Alltoallv,
+    Scatter,
+    Scatterv,
+    Ibcast,
+    Ireduce,
+    Iscan,
+    Igather,
+    Igatherv,
+    Ibarrier,
+}
+
+impl Coll {
+    const BLOCKING: [Coll; 13] = [
+        Coll::Bcast,
+        Coll::Reduce,
+        Coll::Allreduce,
+        Coll::Scan,
+        Coll::Exscan,
+        Coll::Gather,
+        Coll::Gatherv,
+        Coll::Allgather1,
+        Coll::Allgatherv,
+        Coll::Barrier,
+        Coll::Alltoallv,
+        Coll::Scatter,
+        Coll::Scatterv,
+    ];
+    const NONBLOCKING: [Coll; 6] = [
+        Coll::Ibcast,
+        Coll::Ireduce,
+        Coll::Iscan,
+        Coll::Igather,
+        Coll::Igatherv,
+        Coll::Ibarrier,
+    ];
+
+    /// The vendor scale a native communicator runs this collective under.
+    fn scale(self, s: &CollScales) -> CostScale {
+        match self {
+            Coll::Bcast | Coll::Ibcast => s.bcast,
+            Coll::Reduce | Coll::Allreduce | Coll::Ireduce => s.reduce,
+            Coll::Scan | Coll::Exscan | Coll::Iscan => s.scan,
+            Coll::Gather
+            | Coll::Gatherv
+            | Coll::Allgather1
+            | Coll::Allgatherv
+            | Coll::Igather
+            | Coll::Igatherv => s.gather,
+            Coll::Barrier | Coll::Ibarrier => s.barrier,
+            Coll::Alltoallv | Coll::Scatter | Coll::Scatterv => s.other,
+        }
+    }
+}
+
+/// Rank `r`'s contribution: `LEN` words, large enough for every β factor
+/// to move a clock, small enough to stay below every jitter threshold.
+fn words(r: usize) -> Vec<u64> {
+    const LEN: usize = 64;
+    (0..LEN as u64).map(|i| r as u64 * 1000 + i).collect()
+}
+
+/// Run `op` through `c`'s facade method (`core == None`) or through the
+/// generic core over `core` with the method's reserved tag. Returns what
+/// the rank received, flattened.
+fn run_blocking<C: Transport, R: Transport>(c: &C, core: Option<&R>, op: Coll) -> Vec<u64> {
+    let (r, p) = (c.rank(), c.size());
+    let root = p - 1;
+    let sum = ops::sum::<u64>;
+    let flat = |v: Vec<Vec<u64>>| v.concat();
+    let blocks = || (r == root).then(|| (0..p).map(words).collect::<Vec<_>>());
+    let out = match (op, core) {
+        (Coll::Bcast, None) => {
+            let mut d = words(r);
+            c.bcast(&mut d, root).map(|()| d)
+        }
+        (Coll::Bcast, Some(t)) => {
+            let mut d = words(r);
+            coll::bcast(t, &mut d, root, tags::BCAST).map(|()| d)
+        }
+        (Coll::Reduce, None) => c
+            .reduce(&words(r), root, sum())
+            .map(Option::unwrap_or_default),
+        (Coll::Reduce, Some(t)) => {
+            coll::reduce(t, &words(r), root, tags::REDUCE, sum()).map(Option::unwrap_or_default)
+        }
+        (Coll::Allreduce, None) => c.allreduce(&words(r), sum()),
+        (Coll::Allreduce, Some(t)) => coll::allreduce(t, &words(r), tags::ALLREDUCE, sum()),
+        (Coll::Scan, None) => c.scan(&words(r), sum()),
+        (Coll::Scan, Some(t)) => coll::scan(t, &words(r), tags::SCAN, sum()),
+        (Coll::Exscan, None) => c.exscan(&words(r), sum()).map(Option::unwrap_or_default),
+        (Coll::Exscan, Some(t)) => {
+            coll::exscan(t, &words(r), tags::EXSCAN, sum()).map(Option::unwrap_or_default)
+        }
+        (Coll::Gather, None) => c.gather(words(r), root).map(Option::unwrap_or_default),
+        (Coll::Gather, Some(t)) => {
+            coll::gather(t, words(r), root, tags::GATHER).map(Option::unwrap_or_default)
+        }
+        (Coll::Gatherv, None) => c
+            .gatherv(words(r), root)
+            .map(|v| flat(v.unwrap_or_default())),
+        (Coll::Gatherv, Some(t)) => {
+            coll::gatherv(t, words(r), root, tags::GATHERV).map(|v| flat(v.unwrap_or_default()))
+        }
+        (Coll::Allgather1, None) => c.allgather1(r as u64),
+        (Coll::Allgather1, Some(t)) => coll::allgather1(t, r as u64, tags::ALLGATHER),
+        (Coll::Allgatherv, None) => c.allgatherv(words(r)).map(flat),
+        (Coll::Allgatherv, Some(t)) => coll::allgatherv(t, words(r), tags::ALLGATHERV).map(flat),
+        (Coll::Barrier, None) => c.barrier().map(|()| Vec::new()),
+        (Coll::Barrier, Some(t)) => coll::barrier(t, tags::BARRIER).map(|()| Vec::new()),
+        (Coll::Alltoallv, None) => c.alltoallv((0..p).map(words).collect()).map(flat),
+        (Coll::Alltoallv, Some(t)) => {
+            coll::alltoallv(t, (0..p).map(words).collect(), tags::ALLTOALL).map(flat)
+        }
+        (Coll::Scatter, None) => c.scatter(blocks().map(flat), root),
+        (Coll::Scatter, Some(t)) => coll::scatter(t, blocks().map(flat), root, tags::SCATTER),
+        (Coll::Scatterv, None) => c.scatterv(blocks(), root),
+        (Coll::Scatterv, Some(t)) => coll::scatterv(t, blocks(), root, tags::SCATTERV),
+        (nonblocking, _) => panic!("{nonblocking:?} is not a blocking collective"),
+    };
+    out.unwrap()
+}
+
+/// Run a nonblocking `op` on `w`: through its `Comm` method
+/// (`core == None`) or through the `nbcoll` machine over `core` with the
+/// method's reserved tag.
+fn run_nonblocking(w: &Comm, core: Option<&Scaled<Comm>>, op: Coll) -> Vec<u64> {
+    let (r, root) = (w.rank(), w.size() - 1);
+    let sum = ops::sum::<u64>;
+    let wait = |m: &mut dyn Progress| nbcoll::wait(m).unwrap();
+    match op {
+        Coll::Ibcast => {
+            let d = (r == root).then(|| words(r));
+            let mut m = match core {
+                None => w.ibcast(d, root),
+                Some(t) => nbcoll::ibcast(t, d, root, tags::IBCAST),
+            }
+            .unwrap();
+            wait(&mut m);
+            m.into_data().unwrap()
+        }
+        Coll::Ireduce => {
+            let mut m = match core {
+                None => w.ireduce(&words(r), root, sum()),
+                Some(t) => nbcoll::ireduce(t, &words(r), root, tags::IREDUCE, sum()),
+            }
+            .unwrap();
+            wait(&mut m);
+            m.result().map(<[u64]>::to_vec).unwrap_or_default()
+        }
+        Coll::Iscan => {
+            let mut m = match core {
+                None => w.iscan(&words(r), sum()),
+                Some(t) => nbcoll::iscan(t, &words(r), tags::ISCAN, sum()),
+            }
+            .unwrap();
+            wait(&mut m);
+            m.inclusive().unwrap().to_vec()
+        }
+        Coll::Igather => {
+            let mut m = match core {
+                None => w.igather(words(r), root),
+                Some(t) => nbcoll::igather(t, words(r), root, tags::IGATHER),
+            }
+            .unwrap();
+            wait(&mut m);
+            m.result().unwrap_or_default()
+        }
+        Coll::Igatherv => {
+            let mut m = match core {
+                None => w.igatherv(words(r), root),
+                Some(t) => nbcoll::igatherv(t, words(r), root, tags::IGATHERV),
+            }
+            .unwrap();
+            wait(&mut m);
+            m.result().unwrap_or_default().concat()
+        }
+        Coll::Ibarrier => {
+            let mut m = match core {
+                None => w.ibarrier(),
+                Some(t) => nbcoll::ibarrier(t, tags::IBARRIER),
+            }
+            .unwrap();
+            wait(&mut m);
+            Vec::new()
+        }
+        blocking => panic!("{blocking:?} is not a nonblocking collective"),
+    }
+}
+
+/// What a run leaves that pricing can move: each rank's output and clock,
+/// and the message and byte counts, per class too.
+type Footprint = (Vec<(Vec<u64>, Time)>, u64, u64, Vec<u64>);
+
+/// `op` on `p` ranks under `vendor`, on the world (`rbc == false`) or on
+/// an `RbcComm` over it: through the facade (`core == None`) or through
+/// the core over that communicator scaled by `core`.
+fn footprint(
+    op: Coll,
+    p: usize,
+    vendor: &VendorProfile,
+    rbc: bool,
+    core: Option<CostScale>,
+) -> Footprint {
+    let cfg = SimConfig::default().with_vendor(vendor.clone());
+    let res = Universe::run(p, cfg, move |env| {
+        let w = &env.world;
+        let out = if rbc {
+            let rc = RbcComm::create(w);
+            let scaled = core.map(|s| Scaled::new(rc.clone(), s));
+            run_blocking(&rc, scaled.as_ref(), op)
+        } else {
+            let scaled = core.map(|s| Scaled::new(w.clone(), s));
+            if Coll::BLOCKING.contains(&op) {
+                run_blocking(w, scaled.as_ref(), op)
+            } else {
+                run_nonblocking(w, scaled.as_ref(), op)
+            }
+        };
+        (out, env.now())
+    });
+    let m = res.metrics;
+    (res.per_rank, m.messages, m.bytes, m.class_msgs.to_vec())
+}
+
+#[test]
+fn every_collective_is_priced_by_its_class() {
+    let vendor = VendorProfile::intel_like();
+    let s = &vendor.coll_scale;
+    let classes = [s.bcast, s.reduce, s.scan, s.gather, s.barrier, s.other];
+    for (i, a) in classes.iter().enumerate() {
+        assert!(
+            classes[i + 1..].iter().all(|b| b != a),
+            "two classes share {a:?}"
+        );
+    }
+    for p in [1, 2, 5, 8] {
+        for op in Coll::BLOCKING.into_iter().chain(Coll::NONBLOCKING) {
+            let native = footprint(op, p, &vendor, false, None);
+            let mine = op.scale(s);
+            assert_eq!(
+                native,
+                footprint(op, p, &vendor, false, Some(mine)),
+                "{op:?} at p = {p} on Comm"
+            );
+            // The test can tell the classes apart: under any other class's
+            // scale the run differs (a barrier carries no bytes, so it
+            // sees only α, which is 1.2 for every Intel-like class).
+            let payload = !matches!(op, Coll::Barrier | Coll::Ibarrier);
+            for other in classes.into_iter().filter(|&o| o != mine) {
+                if p == 8 && (payload || other.alpha_factor != mine.alpha_factor) {
+                    let priced = footprint(op, p, &vendor, false, Some(other));
+                    assert_ne!(native, priced, "{op:?} at p = {p} under {other:?}");
+                }
+            }
+        }
+        for op in Coll::BLOCKING {
+            let rbc = footprint(op, p, &vendor, true, None);
+            let neutral = footprint(op, p, &vendor, true, Some(CostScale::NEUTRAL));
+            assert_eq!(rbc, neutral, "{op:?} at p = {p} on RbcComm");
+        }
+    }
 }
