@@ -5,34 +5,28 @@
 //! dominated); for large n/p RBC outperforms the vendor scans by up to an
 //! order of magnitude (paper: factor up to 16).
 
-use mpisim::{nbcoll, ops, SimConfig, Time, Transport, VendorProfile};
+use mpisim::{nbcoll, ops, Comm, SimConfig, Time, Transport, VendorProfile};
 use rbc::RbcComm;
 
 use crate::figs::scale;
 use crate::{measure_async, ms, pow2_sweep, reps, Table};
 
-fn vendor_iscan(p: usize, n_per: usize, vendor: VendorProfile) -> Time {
+/// `Iscan` on the communicator `comm` builds over the world: MPI's with
+/// `Comm::clone`, RBC's with `RbcComm::create`.
+fn iscan<C: Transport>(
+    p: usize,
+    n_per: usize,
+    vendor: VendorProfile,
+    comm: fn(&Comm) -> C,
+) -> Time {
     let cfg = SimConfig::cooperative().with_vendor(vendor);
     measure_async(p, cfg, reps(5), move |env, rep| async move {
-        let w = &env.world;
-        let data: Vec<f64> = (0..n_per).map(|i| (i + rep) as f64).collect();
-        w.barrier_async().await.unwrap();
-        let t0 = env.now();
-        let mut sm = w.iscan(&data, ops::sum::<f64>()).unwrap();
-        nbcoll::wait_async(&mut sm).await.unwrap();
-        env.now() - t0
-    })
-}
-
-fn rbc_iscan(p: usize, n_per: usize, vendor: VendorProfile) -> Time {
-    let cfg = SimConfig::cooperative().with_vendor(vendor);
-    measure_async(p, cfg, reps(5), move |env, rep| async move {
-        let w = RbcComm::create(&env.world);
+        let w = comm(&env.world);
         let data: Vec<f64> = (0..n_per).map(|i| (i + rep) as f64).collect();
         w.barrier_async().await.unwrap();
         let t0 = env.now();
         let mut sm = w.iscan(&data, ops::sum::<f64>(), None).unwrap();
-        rbc::wait_async(&mut sm).await.unwrap();
+        nbcoll::wait_async(&mut sm).await.unwrap();
         env.now() - t0
     })
 }
@@ -47,9 +41,9 @@ pub fn run() -> Vec<Table> {
     );
     for n_per in pow2_sweep(0, scale::max_elem_exp()) {
         let n_per = n_per as usize;
-        let ibm = vendor_iscan(p, n_per, VendorProfile::ibm_like());
-        let intel = vendor_iscan(p, n_per, VendorProfile::intel_like());
-        let rbc = rbc_iscan(p, n_per, VendorProfile::ibm_like());
+        let ibm = iscan(p, n_per, VendorProfile::ibm_like(), Comm::clone);
+        let intel = iscan(p, n_per, VendorProfile::intel_like(), Comm::clone);
+        let rbc = iscan(p, n_per, VendorProfile::ibm_like(), RbcComm::create);
         t.push(n_per as u64, vec![ms(ibm), ms(intel), ms(rbc)]);
     }
     t.print();

@@ -7,7 +7,7 @@
 //! broadcast/reduce, with jitter) fall behind — "our range-based
 //! communicator creation does not come with hidden overheads".
 
-use mpisim::{ops, Request, SimConfig, Time, Transport, VendorProfile};
+use mpisim::{ops, Comm, ProcEnv, Request, SimConfig, Time, Transport, VendorProfile};
 use rbc::RbcComm;
 
 use crate::figs::scale;
@@ -37,23 +37,16 @@ impl Op {
     }
 }
 
-async fn run_native(env: mpisim::ProcEnv, op: Op, n: usize, rep: usize) -> Time {
-    let w = &env.world;
-    let data: Vec<f64> = (0..n).map(|i| (i + rep) as f64).collect();
-    w.barrier_async().await.unwrap();
-    let t0 = env.now();
-    let mut req = match op {
-        Op::Bcast => Request::new(w.ibcast((w.rank() == 0).then_some(data), 0).unwrap()),
-        Op::Reduce => Request::new(w.ireduce(&data, 0, ops::sum::<f64>()).unwrap()),
-        Op::Scan => Request::new(w.iscan(&data, ops::sum::<f64>()).unwrap()),
-        Op::Gather => Request::new(w.igather(data, 0).unwrap()),
-    };
-    req.wait_async().await.unwrap();
-    env.now() - t0
-}
-
-async fn run_rbc(env: mpisim::ProcEnv, op: Op, n: usize, rep: usize) -> Time {
-    let w = RbcComm::create(&env.world);
+/// One rep of `op` on the communicator `comm` builds over the world: MPI's
+/// with `Comm::clone`, RBC's with `RbcComm::create`.
+async fn kernel<C: Transport>(
+    env: ProcEnv,
+    comm: fn(&Comm) -> C,
+    op: Op,
+    n: usize,
+    rep: usize,
+) -> Time {
+    let w = comm(&env.world);
     let data: Vec<f64> = (0..n).map(|i| (i + rep) as f64).collect();
     w.barrier_async().await.unwrap();
     let t0 = env.now();
@@ -65,6 +58,14 @@ async fn run_rbc(env: mpisim::ProcEnv, op: Op, n: usize, rep: usize) -> Time {
     };
     req.wait_async().await.unwrap();
     env.now() - t0
+}
+
+/// `op` with `n` elements per rank under `vendor`, on `comm`'s communicator.
+fn time<C: Transport>(vendor: &VendorProfile, comm: fn(&Comm) -> C, op: Op, n: usize) -> Time {
+    let cfg = SimConfig::cooperative().with_vendor(vendor.clone());
+    measure_async(scale::p_elems(), cfg, reps(5), move |env, rep| {
+        kernel(env, comm, op, n, rep)
+    })
 }
 
 /// One panel of Fig. 9: `op` under `vendor`, MPI vs RBC, swept over n/p.
@@ -82,20 +83,8 @@ pub fn panel(op: Op, vendor: VendorProfile) -> Table {
     );
     for n in pow2_sweep(0, max_exp) {
         let n = n as usize;
-        let v = vendor.clone();
-        let native = measure_async(
-            p,
-            SimConfig::cooperative().with_vendor(v.clone()),
-            reps(5),
-            move |env, rep| run_native(env, op, n, rep),
-        );
-        let v = vendor.clone();
-        let rbc = measure_async(
-            p,
-            SimConfig::cooperative().with_vendor(v),
-            reps(5),
-            move |env, rep| run_rbc(env, op, n, rep),
-        );
+        let native = time(&vendor, Comm::clone, op, n);
+        let rbc = time(&vendor, RbcComm::create, op, n);
         t.push(n as u64, vec![ms(native), ms(rbc)]);
     }
     t

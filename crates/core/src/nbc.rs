@@ -8,110 +8,41 @@
 //! one process. A reserved tag *space* would not suffice for the latter
 //! (§V-D) — hence explicit per-operation tags.
 //!
+//! The collectives themselves (`ibcast`, `ireduce`, `iallreduce`, `iscan`,
+//! `igather`, `igatherv`, `ibarrier`) and `irecv` are [`Transport`]'s
+//! provided methods, with exactly this signature: the last argument is
+//! the tag, `None` for the default below. An [`RbcComm`] prices them
+//! neutrally, so they are the native ones minus the vendor's cost scale.
+//! What this module adds is `isend`'s check of the reserved tag space and
+//! the paper's names for the default tags.
+//!
 //! The request machinery (`rbc::Request` smart pointer, `Test`, `Wait`,
 //! `Testall`, `Waitall`) is shared with the substrate's state machines.
 
-use mpisim::nbcoll::{self, Iallreduce, Ibarrier, Ibcast, Igather, Igatherv, Ireduce, Iscan};
-use mpisim::{tags, Datum, MpiError, Result, Src, Tag, Transport};
+use mpisim::{tags, Datum, MpiError, Result, Tag, Transport};
 
 use crate::comm::RbcComm;
 
 // Default tags, re-exported under their paper names.
 
-/// Default tag of [`RbcComm::ibcast`] (the paper's `RBC_IBCAST_TAG`).
+/// Default tag of [`Transport::ibcast`] (the paper's `RBC_IBCAST_TAG`).
 pub const RBC_IBCAST_TAG: Tag = tags::IBCAST;
-/// Default tag of [`RbcComm::ireduce`].
+/// Default tag of [`Transport::ireduce`].
 pub const RBC_IREDUCE_TAG: Tag = tags::IREDUCE;
-/// Default tag of [`RbcComm::iscan`].
+/// Default tag of [`Transport::iscan`].
 pub const RBC_ISCAN_TAG: Tag = tags::ISCAN;
-/// Default tag for exclusive-prefix use of [`RbcComm::iscan`].
+/// Default tag for exclusive-prefix use of [`Transport::iscan`].
 pub const RBC_IEXSCAN_TAG: Tag = tags::IEXSCAN;
-/// Default tag of [`RbcComm::igather`].
+/// Default tag of [`Transport::igather`].
 pub const RBC_IGATHER_TAG: Tag = tags::IGATHER;
-/// Default tag of [`RbcComm::igatherv`] (payload stream uses +1).
+/// Default tag of [`Transport::igatherv`] (payload stream uses +1).
 pub const RBC_IGATHERV_TAG: Tag = tags::IGATHERV;
-/// Default tag of [`RbcComm::ibarrier`].
+/// Default tag of [`Transport::ibarrier`].
 pub const RBC_IBARRIER_TAG: Tag = tags::IBARRIER;
-/// Default tag of [`RbcComm::iallreduce`] (broadcast phase uses +1).
+/// Default tag of [`Transport::iallreduce`] (broadcast phase uses +1).
 pub const RBC_IALLREDUCE_TAG: Tag = tags::IALLREDUCE;
 
 impl RbcComm {
-    /// `rbc::Ibcast` — nonblocking broadcast. Root passes `Some(data)`.
-    pub fn ibcast<T: Datum>(
-        &self,
-        data: Option<Vec<T>>,
-        root: usize,
-        tag: Option<Tag>,
-    ) -> Result<Ibcast<T, RbcComm>> {
-        nbcoll::ibcast(self, data, root, tag.unwrap_or(RBC_IBCAST_TAG))
-    }
-
-    /// `rbc::Ireduce` — nonblocking reduction to `root`.
-    pub fn ireduce<T: Datum, F>(
-        &self,
-        data: &[T],
-        root: usize,
-        op: F,
-        tag: Option<Tag>,
-    ) -> Result<Ireduce<T, RbcComm, F>>
-    where
-        F: Fn(&T, &T) -> T + Send + 'static,
-    {
-        nbcoll::ireduce(self, data, root, tag.unwrap_or(RBC_IREDUCE_TAG), op)
-    }
-
-    /// `rbc::Iscan` — nonblocking prefix; the machine exposes both the
-    /// inclusive and the exclusive prefix on completion.
-    pub fn iscan<T: Datum, F>(
-        &self,
-        data: &[T],
-        op: F,
-        tag: Option<Tag>,
-    ) -> Result<Iscan<T, RbcComm, F>>
-    where
-        F: Fn(&T, &T) -> T + Send + 'static,
-    {
-        nbcoll::iscan(self, data, tag.unwrap_or(RBC_ISCAN_TAG), op)
-    }
-
-    /// `rbc::Igather` — nonblocking equal-count gather.
-    pub fn igather<T: Datum>(
-        &self,
-        data: Vec<T>,
-        root: usize,
-        tag: Option<Tag>,
-    ) -> Result<Igather<T, RbcComm>> {
-        nbcoll::igather(self, data, root, tag.unwrap_or(RBC_IGATHER_TAG))
-    }
-
-    /// `rbc::Igatherv` — nonblocking variable-count gather.
-    pub fn igatherv<T: Datum>(
-        &self,
-        data: Vec<T>,
-        root: usize,
-        tag: Option<Tag>,
-    ) -> Result<Igatherv<T, RbcComm>> {
-        nbcoll::igatherv(self, data, root, tag.unwrap_or(RBC_IGATHERV_TAG))
-    }
-
-    /// `rbc::Ibarrier` — nonblocking barrier.
-    pub fn ibarrier(&self, tag: Option<Tag>) -> Result<Ibarrier<RbcComm>> {
-        nbcoll::ibarrier(self, tag.unwrap_or(RBC_IBARRIER_TAG))
-    }
-
-    /// Nonblocking all-reduce (extension).
-    pub fn iallreduce<T: Datum, F>(
-        &self,
-        data: &[T],
-        op: F,
-        tag: Option<Tag>,
-    ) -> Result<Iallreduce<T, RbcComm, F>>
-    where
-        F: Fn(&T, &T) -> T + Send + 'static,
-    {
-        nbcoll::iallreduce(self, data, tag.unwrap_or(RBC_IALLREDUCE_TAG), op)
-    }
-
     /// `rbc::Isend` — nonblocking send. Buffered: the request is complete
     /// immediately, but is returned for API fidelity. A tag in the
     /// library-reserved space ([`tags::RESERVED_BASE`] and up) is a usage
@@ -124,12 +55,6 @@ impl RbcComm {
         }
         self.send_vec(data, dest, tag)
     }
-
-    /// `rbc::Irecv` — nonblocking receive (specific source or
-    /// `Src::Any` = `MPI_ANY_SOURCE`, range-filtered per §V-C).
-    pub fn irecv<T: Datum>(&self, src: Src, tag: Tag) -> mpisim::transport::RecvReq<T, RbcComm> {
-        <Self as mpisim::Transport>::irecv(self, src, tag)
-    }
 }
 
 // Blanket re-exports so user code can write `rbc::wait`, `rbc::waitall`...
@@ -138,7 +63,7 @@ pub use mpisim::nbcoll::{testall, waitall, Progress, Request};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpisim::{ops, Transport, Universe};
+    use mpisim::{ops, Src, Universe};
 
     /// Figure 1 of the paper, verbatim: nonblocking broadcast from rank 0
     /// to ranks 0..s/2−1 and from rank s/2 to ranks s/2..s−1, both RBC

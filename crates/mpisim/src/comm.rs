@@ -16,22 +16,23 @@
 //!   serialises agreement through a leader ring, reproducing the
 //!   "disproportionately slow" behaviour of Fig. 5.
 //!
-//! Its blocking collectives are [`Transport`]'s provided methods, the same
-//! binomial algorithms as RBC's; `Comm` only prices them, overriding
-//! [`Transport::coll_scale`] with its vendor profile's
-//! [`CollScales`](crate::model::CollScales). The six MPI-3 nonblocking
-//! collectives (`ibcast`, ...) run [`crate::nbcoll`]'s machines over the
-//! same [`Transport::coll_view`].
+//! Its collectives, blocking and nonblocking, are [`Transport`]'s provided
+//! methods, the same binomial algorithms as RBC's; `Comm` only prices
+//! them, overriding [`Transport::coll_scale`] with its vendor profile's
+//! [`CollScales`](crate::model::CollScales). What it adds are six one-line
+//! adapters with the MPI-3 signatures (`ibcast`, ...): `MPI_I*` take no
+//! tag, so each calls the trait's method on its reserved default.
 
 use std::sync::Arc;
 
 use crate::coll;
 use crate::context::{mask_and, CtxMask, CtxPool};
-use crate::datum::ops;
+use crate::datum::{ops, Datum};
 use crate::error::{MpiError, Result};
 use crate::group::Group;
 use crate::model::{CostScale, CreateGroupAlgo};
 use crate::msg::{ContextId, SrcFilter, Tag};
+use crate::nbcoll::{Ibarrier, Ibcast, Igather, Igatherv, Ireduce, Iscan};
 use crate::obs::OpClass;
 use crate::proc::ProcState;
 use crate::tags;
@@ -253,70 +254,55 @@ impl Comm {
         self.with_new_ctx(ctx, group.clone())
     }
 
-    // ---- nonblocking collectives (MPI-3 style, vendor implementations) -------
+    // ---- nonblocking collectives: MPI's tagless signatures -----------------
+    // `MPI_I*` take no tag: each runs `Transport`'s method of its name on
+    // the reserved default.
 
-    /// `MPI_Ibcast`.
-    pub fn ibcast<T: crate::datum::Datum>(
+    /// `MPI_Ibcast`: [`Transport::ibcast`] on its reserved tag.
+    pub fn ibcast<T: Datum>(
         &self,
         data: Option<Vec<T>>,
         root: usize,
-    ) -> Result<crate::nbcoll::Ibcast<T, Scaled<Comm>>> {
-        crate::nbcoll::ibcast(&self.coll_view(OpClass::Bcast), data, root, tags::IBCAST)
+    ) -> Result<Ibcast<T, Scaled<Comm>>> {
+        Transport::ibcast(self, data, root, None)
     }
 
-    /// `MPI_Ireduce`.
-    pub fn ireduce<T: crate::datum::Datum, F>(
+    /// `MPI_Ireduce`: [`Transport::ireduce`] on its reserved tag.
+    pub fn ireduce<T: Datum, F: Fn(&T, &T) -> T + Send + 'static>(
         &self,
         data: &[T],
         root: usize,
         op: F,
-    ) -> Result<crate::nbcoll::Ireduce<T, Scaled<Comm>, F>>
-    where
-        F: Fn(&T, &T) -> T + Send + 'static,
-    {
-        crate::nbcoll::ireduce(
-            &self.coll_view(OpClass::Reduce),
-            data,
-            root,
-            tags::IREDUCE,
-            op,
-        )
+    ) -> Result<Ireduce<T, Scaled<Comm>, F>> {
+        Transport::ireduce(self, data, root, op, None)
     }
 
-    /// `MPI_Iscan` (inclusive; the machine also exposes the exclusive
-    /// prefix).
-    pub fn iscan<T: crate::datum::Datum, F>(
+    /// `MPI_Iscan`: [`Transport::iscan`] on its reserved tag.
+    pub fn iscan<T: Datum, F: Fn(&T, &T) -> T + Send + 'static>(
         &self,
         data: &[T],
         op: F,
-    ) -> Result<crate::nbcoll::Iscan<T, Scaled<Comm>, F>>
-    where
-        F: Fn(&T, &T) -> T + Send + 'static,
-    {
-        crate::nbcoll::iscan(&self.coll_view(OpClass::Scan), data, tags::ISCAN, op)
+    ) -> Result<Iscan<T, Scaled<Comm>, F>> {
+        Transport::iscan(self, data, op, None)
     }
 
-    /// `MPI_Igather`.
-    pub fn igather<T: crate::datum::Datum>(
+    /// `MPI_Igather`: [`Transport::igather`] on its reserved tag.
+    pub fn igather<T: Datum>(&self, data: Vec<T>, root: usize) -> Result<Igather<T, Scaled<Comm>>> {
+        Transport::igather(self, data, root, None)
+    }
+
+    /// `MPI_Igatherv`: [`Transport::igatherv`] on its reserved tag.
+    pub fn igatherv<T: Datum>(
         &self,
         data: Vec<T>,
         root: usize,
-    ) -> Result<crate::nbcoll::Igather<T, Scaled<Comm>>> {
-        crate::nbcoll::igather(&self.coll_view(OpClass::Gather), data, root, tags::IGATHER)
+    ) -> Result<Igatherv<T, Scaled<Comm>>> {
+        Transport::igatherv(self, data, root, None)
     }
 
-    /// `MPI_Igatherv`.
-    pub fn igatherv<T: crate::datum::Datum>(
-        &self,
-        data: Vec<T>,
-        root: usize,
-    ) -> Result<crate::nbcoll::Igatherv<T, Scaled<Comm>>> {
-        crate::nbcoll::igatherv(&self.coll_view(OpClass::Gather), data, root, tags::IGATHERV)
-    }
-
-    /// `MPI_Ibarrier`.
-    pub fn ibarrier(&self) -> Result<crate::nbcoll::Ibarrier<Scaled<Comm>>> {
-        crate::nbcoll::ibarrier(&self.coll_view(OpClass::Barrier), tags::IBARRIER)
+    /// `MPI_Ibarrier`: [`Transport::ibarrier`] on its reserved tag.
+    pub fn ibarrier(&self) -> Result<Ibarrier<Scaled<Comm>>> {
+        Transport::ibarrier(self, None)
     }
 }
 

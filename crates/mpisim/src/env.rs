@@ -7,12 +7,15 @@
 //! default, a well-formed value configures, and anything else **panics**
 //! with a message naming the variable and the expected shape. A mistyped
 //! sweep knob silently falling back to the default would make the
-//! experiment vacuous: `MPISIM_TRACE=yes` silently tracing nothing would
-//! byte-diff two empty traces, and a mistyped `MPISIM_FAULT_CRASH`
-//! injecting nothing would measure a fault sweep without faults. The only
-//! deliberately lenient knobs are `MPISIM_COOP_WORKERS` (a machine-shape
-//! hint, not an experiment axis) and `MPISIM_TRACE_OUT` (a path, any
-//! string is plausible).
+//! experiment vacuous: a mistyped `MPISIM_FAULT_CRASH` injecting nothing
+//! would measure a fault sweep without faults. The only deliberately
+//! lenient knobs are `MPISIM_COOP_WORKERS` (a machine-shape hint, not an
+//! experiment axis) and `MPISIM_TRACE_OUT` (a path, any string is
+//! plausible).
+//!
+//! The event trace and the scheduler profile have no knob: a program
+//! that wants them asks with `SimConfig::with_trace` /
+//! `SimConfig::with_sched_profile`.
 
 use crate::faults::SlowdownSpec;
 use crate::time::Time;
@@ -39,31 +42,8 @@ pub fn coop_workers_from(var: Option<&str>) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Observability knobs (MPISIM_TRACE*, MPISIM_SCHED_PROFILE)
+// Observability knob (MPISIM_TRACE_OUT)
 // ---------------------------------------------------------------------------
-
-/// Parse a strict boolean knob: unset, blank, or `0` is off, `1` is on,
-/// anything else panics. `yes`/`true` are deliberately rejected — a trace
-/// sweep that silently traced nothing would byte-diff empty traces.
-fn bool_knob(name: &str, var: Option<&str>) -> bool {
-    match var.map(str::trim) {
-        None | Some("") | Some("0") => false,
-        Some("1") => true,
-        Some(s) => panic!("{name}={s:?} is not a boolean knob (expected \"0\" or \"1\")"),
-    }
-}
-
-/// Parse `MPISIM_TRACE` (strict boolean): enable the deterministic event
-/// trace ([`crate::obs::Trace`]).
-pub fn trace_from(var: Option<&str>) -> bool {
-    bool_knob("MPISIM_TRACE", var)
-}
-
-/// Parse `MPISIM_SCHED_PROFILE` (strict boolean): enable the wall-clock
-/// scheduler phase profile ([`crate::obs::SchedProfile`]).
-pub fn sched_profile_from(var: Option<&str>) -> bool {
-    bool_knob("MPISIM_SCHED_PROFILE", var)
-}
 
 /// Parse `MPISIM_TRACE_OUT` (an output path for exporters; lenient —
 /// unset or blank means the exporter's default path).
@@ -194,34 +174,7 @@ mod tests {
         assert_eq!(coop_workers_from(Some(" 8 ")), 8);
     }
 
-    // ---- observability knobs ----------------------------------------------
-
-    #[test]
-    fn trace_knob_parses_strictly() {
-        assert!(!trace_from(None));
-        assert!(!trace_from(Some("")));
-        assert!(!trace_from(Some("0")));
-        assert!(trace_from(Some("1")));
-        assert!(trace_from(Some(" 1 ")));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a boolean knob")]
-    fn trace_knob_rejects_yes() {
-        trace_from(Some("yes"));
-    }
-
-    #[test]
-    fn sched_profile_knob_parses_strictly() {
-        assert!(!sched_profile_from(None));
-        assert!(sched_profile_from(Some("1")));
-    }
-
-    #[test]
-    #[should_panic(expected = "MPISIM_SCHED_PROFILE")]
-    fn sched_profile_knob_names_itself_in_panics() {
-        sched_profile_from(Some("true"));
-    }
+    // ---- trace output knob ------------------------------------------------
 
     #[test]
     fn trace_out_is_lenient() {

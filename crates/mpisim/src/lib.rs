@@ -64,8 +64,7 @@ pub use model::{CostModel, CostScale, CreateGroupAlgo, VendorProfile};
 pub use msg::{ContextId, MsgInfo, SharedSlice, Tag};
 pub use nbcoll::{Progress, Request};
 pub use obs::{MetricsSnapshot, OpClass, SchedProfile, Trace, TraceEvent, WorkerProfile};
-pub use proc::WaitReason;
-pub use sched::poll::{block_inline, RankBody, Step};
+pub use sched::poll::block_inline;
 pub use sched::{yield_now, yield_now_async};
 pub use time::{Time, VirtualClock};
 pub use transport::{probe_async, recv_async, recv_shared_async, Scaled, Src, Status, Transport};

@@ -28,7 +28,13 @@
 //!
 //! All operations are generic over [`Transport`] and take an explicit tag,
 //! so several can be in flight simultaneously on overlapping
-//! communicators — the property Janus Quicksort relies on.
+//! communicators — the property Janus Quicksort relies on. A
+//! communicator starts them through [`Transport`]'s provided methods of
+//! the same names ([`Transport::ibcast`], …), which run these functions
+//! over its [`Transport::coll_view`] of the operation's class, on the
+//! caller's tag or the reserved default; the functions here take any
+//! transport as it is, priced by its own
+//! [`Transport::cost_scale`].
 //!
 //! The waits ([`wait`], [`waitall`], [`sweep_until_done`]) are the paper's
 //! `rbc::Wait`: they test, and between two unproductive tests the rank

@@ -24,26 +24,9 @@ use crate::obs::{MetricsSnapshot, OpClass, Trace, TraceEvent};
 use crate::sched::TaskSlot;
 use crate::time::Time;
 
-/// Why a rank is parked at a blocking point — the explicit wait state a
-/// cooperative task carries while suspended. Surfaced in deadlock
-/// diagnostics ("rank 5 blocked in recv(Exact(3), tag=7, ctx#2)").
-#[derive(Clone, Debug)]
-pub enum WaitReason {
-    /// Blocked in a receive for this pattern.
-    Recv(MatchPattern),
-    /// Blocked in a probe for this pattern.
-    Probe(MatchPattern),
-}
-
-impl std::fmt::Display for WaitReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (verb, pat) = match self {
-            WaitReason::Recv(p) => ("recv", p),
-            WaitReason::Probe(p) => ("probe", p),
-        };
-        write!(f, "{verb}({:?}, tag={}, {})", pat.src, pat.tag, pat.ctx)
-    }
-}
+/// Why a polling loop the scheduler poisoned stalls: no further progress
+/// is possible.
+const POISONED: &str = "cooperative stall: no further progress possible";
 
 /// One rank's virtual clock and its per-[`OpClass`] send counters,
 /// padded to a cache line so that scheduler workers stepping different
@@ -329,45 +312,43 @@ impl ProcState {
         matches!(self.router.faults.crash_time(self.global_rank), Some(at) if self.now() >= at)
     }
 
-    /// Timeout error for an operation attempted by this rank *after* its
-    /// own crash point.
-    fn crashed_err(&self, verb: &str, pat: &MatchPattern) -> MpiError {
-        let at = self
-            .router
-            .faults
-            .crash_time(self.global_rank)
-            .expect("crashed_err on a rank with no crash scheduled");
+    /// The [`MpiError::Timeout`] of this rank's `verb` stalled on `pat`:
+    /// `verb(src, tag=…, ctx) [why]`, with the [`RoundBlame`] of the ranks
+    /// `pat` waits on. Every stall ends here: a crash-stopped rank, a
+    /// poisoned polling loop, and the scheduler's deadlock detector.
+    pub(crate) fn stalled(
+        &self,
+        verb: &str,
+        pat: &MatchPattern,
+        why: impl std::fmt::Display,
+    ) -> MpiError {
         MpiError::Timeout {
             rank: self.global_rank,
             waited_for: format!(
-                "{verb}({:?}, tag={}, {}) [rank crashed at {at}]",
+                "{verb}({:?}, tag={}, {}) [{why}]",
                 pat.src, pat.tag, pat.ctx
             ),
             virtual_now: self.now(),
-            blame: self.blame_for(Some(pat)),
+            blame: self.blame_for(pat),
         }
     }
 
-    /// Timeout error for a polling (nonblocking) operation whose task the
-    /// cooperative scheduler poisoned: no further progress is possible.
-    fn poisoned_err(&self, verb: &str, pat: &MatchPattern) -> MpiError {
-        MpiError::Timeout {
-            rank: self.global_rank,
-            waited_for: format!(
-                "{verb}({:?}, tag={}, {}) [cooperative stall: no further progress possible]",
-                pat.src, pat.tag, pat.ctx
-            ),
-            virtual_now: self.now(),
-            blame: self.blame_for(Some(pat)),
+    /// `Ok` while this rank runs; once it has crash-stopped (see
+    /// [`ProcState::crashed`]), the timeout of its `verb` on `pat`.
+    fn alive(&self, verb: &str, pat: &MatchPattern) -> Result<()> {
+        match self.router.faults.crash_time(self.global_rank) {
+            Some(at) if self.now() >= at => {
+                Err(self.stalled(verb, pat, format_args!("rank crashed at {at}")))
+            }
+            _ => Ok(()),
         }
     }
 
     /// Build the [`RoundBlame`] for an operation of this rank stalled on
-    /// `pat` (`None` when no receive pattern is known, e.g. a nonblocking
-    /// collective). Triggered crashes take global priority: whatever the
-    /// pattern nominally waits on, a rank that has crash-stopped is the
-    /// root cause, so the blame names exactly the triggered-crashed ranks.
-    pub fn blame_for(&self, pat: Option<&MatchPattern>) -> RoundBlame {
+    /// `pat`. Triggered crashes take global priority: whatever the pattern
+    /// nominally waits on, a rank that has crash-stopped is the root
+    /// cause, so the blame names exactly the triggered-crashed ranks.
+    pub fn blame_for(&self, pat: &MatchPattern) -> RoundBlame {
         let faults = &self.router.faults;
         let p = self.router.nprocs();
         let me = self.global_rank;
@@ -384,14 +365,14 @@ impl ProcState {
                 omitted,
             )
         } else {
-            match pat.map(|p| &p.src) {
-                Some(SrcFilter::Exact(g)) => (vec![*g], 0),
-                Some(f @ (SrcFilter::Filter(_) | SrcFilter::Strided { .. })) => {
+            match &pat.src {
+                SrcFilter::Exact(g) => (vec![*g], 0),
+                f @ (SrcFilter::Filter(_) | SrcFilter::Strided { .. }) => {
                     let all: Vec<usize> = (0..p).filter(|&r| r != me && f.matches(r)).collect();
                     let omitted = all.len().saturating_sub(BLAME_CAP);
                     (all.into_iter().take(BLAME_CAP).collect(), omitted)
                 }
-                Some(SrcFilter::Any) | None => {
+                SrcFilter::Any => {
                     let listed: Vec<usize> = (0..p).filter(|&r| r != me).take(BLAME_CAP).collect();
                     let omitted = p.saturating_sub(1).saturating_sub(listed.len());
                     (listed, omitted)
@@ -416,26 +397,6 @@ impl ProcState {
             text: blame.to_string(),
         });
         blame
-    }
-
-    /// Fill in the blame of a [`MpiError::Timeout`] produced below the
-    /// level that knows the fault state (scheduler poisoning). Errors that
-    /// already carry blame pass through untouched.
-    fn enrich_timeout(&self, e: MpiError, pat: Option<&MatchPattern>) -> MpiError {
-        match e {
-            MpiError::Timeout {
-                rank,
-                waited_for,
-                virtual_now,
-                blame,
-            } if blame.is_empty() => MpiError::Timeout {
-                rank,
-                waited_for,
-                virtual_now,
-                blame: self.blame_for(pat),
-            },
-            other => other,
-        }
     }
 
     /// Deposit `data` into `dest_global`'s mailbox. Buffered semantics:
@@ -527,11 +488,11 @@ impl ProcState {
         if crate::sched::in_try_mode(self) {
             return tried(self.try_recv_match(pat));
         }
-        if self.crashed() {
-            return Poll::Ready(Err(self.crashed_err("recv", pat)));
+        if let Err(e) = self.alive("recv", pat) {
+            return Poll::Ready(Err(e));
         }
         crate::sched::claim(self, pat).map(|claimed| {
-            let m = claimed.map_err(|e| self.enrich_timeout(e, Some(pat)))?;
+            let m = claimed?;
             self.account_delivery(&m);
             Ok(m)
         })
@@ -554,14 +515,12 @@ impl ProcState {
     /// must fail loudly, not spin forever); a miss counts towards the
     /// spin limit of [`crate::sched`].
     pub fn try_recv_match(&self, pat: &MatchPattern) -> Result<Option<Message>> {
-        if self.crashed() {
-            return Err(self.crashed_err("try_recv", pat));
-        }
+        self.alive("try_recv", pat)?;
         let hit = self.router.mailboxes[self.global_rank].try_claim(pat);
         match &hit {
             Some(m) => self.account_delivery(m),
             None if crate::sched::missed(self) => {
-                return Err(self.poisoned_err("try_recv", pat));
+                return Err(self.stalled("try_recv", pat, POISONED));
             }
             None => {}
         }
@@ -589,22 +548,19 @@ impl ProcState {
         if crate::sched::in_try_mode(self) {
             return tried(self.iprobe_match(pat));
         }
-        if self.crashed() {
-            return Poll::Ready(Err(self.crashed_err("probe", pat)));
+        if let Err(e) = self.alive("probe", pat) {
+            return Poll::Ready(Err(e));
         }
         crate::sched::probe(self, pat)
-            .map(|probed| probed.map_err(|e| self.enrich_timeout(e, Some(pat))))
     }
 
     /// Nonblocking probe. Fails on self-crash and task poisoning, and
     /// counts a miss, exactly like [`ProcState::try_recv_match`].
     pub fn iprobe_match(&self, pat: &MatchPattern) -> Result<Option<MsgInfo>> {
-        if self.crashed() {
-            return Err(self.crashed_err("iprobe", pat));
-        }
+        self.alive("iprobe", pat)?;
         match self.router.mailboxes[self.global_rank].probe(pat) {
             Some(i) => Ok(Some(i)),
-            None if crate::sched::missed(self) => Err(self.poisoned_err("iprobe", pat)),
+            None if crate::sched::missed(self) => Err(self.stalled("iprobe", pat, POISONED)),
             None => Ok(None),
         }
     }
@@ -849,18 +805,18 @@ mod tests {
     fn blame_candidates_follow_the_pattern() {
         let procs = setup(12);
         procs[3].advance(Time::from_micros(9));
-        let exact = procs[0].blame_for(Some(&MatchPattern {
+        let exact = procs[0].blame_for(&MatchPattern {
             ctx: ContextId::WORLD,
             src: SrcFilter::Exact(3),
             tag: 1,
-        }));
+        });
         assert_eq!(exact.ranks(), vec![3]);
         assert_eq!(exact.waiting_on[0].last_activity, Time::from_micros(9));
-        let any = procs[0].blame_for(Some(&MatchPattern {
+        let any = procs[0].blame_for(&MatchPattern {
             ctx: ContextId::WORLD,
             src: SrcFilter::Any,
             tag: 1,
-        }));
+        });
         assert_eq!(any.ranks(), vec![1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(any.omitted, 3);
     }

@@ -18,7 +18,7 @@
 //! | `epoch` | gate, claim cursor, publish (rounds in rank order, the next built in the displaced one), worker loop and outbox hand-in, deadlock and stagnation detection | one generation-tagged phase at a time; the worker whose count completes it advances it |
 //! | `commit` | outbox push on the committing worker, the woken ranks, the handed-in and spare outboxes | each sender's messages reach each mailbox in send order; nothing else is ordered |
 //! | `task` | slot (one per rank, on the `Router`), states, the thread-local step mark, staging into the thread's outbox, poisoning, the spin limit, **how a rank waits**: the three wait leaves (`claim` / `probe` on a pattern, `park_until_deposit` on any deposit, each given the rank's `ProcState`; `yield_now_async`), and try-mode, in which a receive tries once and the park returns `Pending` unarmed | one worker touches a task at a time; check and arm, store the state, suspend |
-//! | [`poll`] | [`RankBody`](poll::RankBody), [`Step`](poll::Step), the future body (an `async` program, [`crate::Universe::run_poll`]), [`block_inline`](poll::block_inline) | a body suspends only through the wait leaves |
+//! | [`poll`] | `RankBody`, `Step` (both crate-private), the future body (an `async` program, [`crate::Universe::run_poll`]), [`block_inline`](poll::block_inline) | a body suspends only through the wait leaves |
 //! | `thread` | the thread body (a synchronous closure on a parked OS thread, [`crate::Universe::run`]), the baton and the outbox it carries, `suspend_in_place` (inside a step: `Pending`; on a rank thread: hand the baton back) | the rank thread runs only while a worker is blocked in its `proceed` |
 //!
 //! DESIGN.md §4 argues the wait protocol and the two bodies, §5 why

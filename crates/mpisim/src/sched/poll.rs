@@ -1,8 +1,9 @@
 //! Rank bodies: what the scheduler steps, and how a future is stepped.
 //!
-//! The scheduler knows one kind of task: a [`RankBody`], stepped once per
-//! claimed unit with [`RankBody::proceed`] until it reports
-//! [`Step::Finished`]. Two implementations exist, one per entry point.
+//! The scheduler knows one kind of task: a `RankBody`, stepped once per
+//! claimed unit with `RankBody::proceed` until it reports
+//! `Step::Finished`. Both are crate-private: two implementations exist,
+//! one per entry point, and nothing outside `mpisim` adds one.
 //! `FutureBody` wraps an `async` rank program
 //! ([`crate::Universe::run_poll`]): the compiler's async transform keeps
 //! exactly the live locals of the current await point, so a rank costs a
@@ -10,7 +11,7 @@
 //! (`sched/thread.rs`) wraps a synchronous closure on a parked OS thread
 //! of its own ([`crate::Universe::run`]).
 //!
-//! **Invariant:** a body returns [`Step::Suspended`] only after one of
+//! **Invariant:** a body returns `Step::Suspended` only after one of
 //! the scheduler's wait leaves (`sched/task.rs`) stored how the task runs
 //! again; a `Pending` from anything else has no wake-up source and aborts
 //! the process.
@@ -35,7 +36,7 @@ use super::task::{record_panic, SchedShared};
 
 /// What a step of a [`RankBody`] did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Step {
+pub(crate) enum Step {
     /// Suspended in a wait leaf, which recorded whether the task runs
     /// again next epoch (a yield) or when the commit wakes it.
     Suspended,
@@ -45,7 +46,7 @@ pub enum Step {
 
 /// One simulated rank as the scheduler sees it: one claimed unit of an
 /// epoch round = one `proceed`.
-pub trait RankBody: Send {
+pub(crate) trait RankBody: Send {
     /// Run until the body yields, parks, or finishes.
     fn proceed(&mut self) -> Step;
 }

@@ -96,7 +96,8 @@
 //! Sends never block, so an epoch that commits with nothing runnable and
 //! nothing woken can make no further progress. The epoch layer then
 //! *poisons* the blocked tasks: each joins the next round, and step 3
-//! above returns [`MpiError::Timeout`] naming what it waited for, in the
+//! above returns [`crate::MpiError::Timeout`] naming what it waited for
+//! and blaming the ranks it waited on (`ProcState::stalled`), in the
 //! epoch the round empties, with no wall clock involved.
 
 use std::any::Any;
@@ -110,11 +111,10 @@ use parking_lot::Mutex;
 
 use super::poll::{block_inline, RankBody, Step};
 use super::suspend_in_place;
-use crate::error::{MpiError, Result};
-use crate::faults::RoundBlame;
+use crate::error::Result;
 use crate::mailbox::Mailbox;
 use crate::msg::{MatchPattern, Message, MsgInfo};
-use crate::proc::{ProcState, WaitReason};
+use crate::proc::ProcState;
 
 /// In a round, or about to be placed in one: a task that yielded, or that
 /// the commit woke.
@@ -340,17 +340,6 @@ pub(crate) fn in_try_mode(state: &ProcState) -> bool {
     slot_of(state).try_mode.load(Ordering::Relaxed)
 }
 
-fn deadlock_err(state: &ProcState, reason: WaitReason) -> MpiError {
-    MpiError::Timeout {
-        rank: state.global_rank,
-        waited_for: format!("{reason} [cooperative deadlock: every rank is blocked]"),
-        virtual_now: state.now(),
-        // The scheduler has no fault-state access; `ProcState` fills the
-        // blame in on the way out (`enrich_timeout`).
-        blame: RoundBlame::default(),
-    }
-}
-
 /// One poll of a wait for `pat` on the mailbox of `state`'s rank (steps
 /// 1–3 of the module docs); [`claim`] and [`probe`] are its two
 /// instantiations. It keeps nothing between polls, so the future that
@@ -358,7 +347,7 @@ fn deadlock_err(state: &ProcState, reason: WaitReason) -> MpiError {
 fn poll_wait<T>(
     state: &ProcState,
     pat: &MatchPattern,
-    reason: fn(MatchPattern) -> WaitReason,
+    verb: &str,
     check_or_arm: fn(&Mailbox, &MatchPattern) -> Option<T>,
 ) -> Poll<Result<T>> {
     let (slot, mb) = (slot_of(state), &state.router.mailboxes[state.global_rank]);
@@ -367,7 +356,8 @@ fn poll_wait<T>(
             // The poison path wakes without a deposit: the slot may still
             // hold this wait.
             mb.clear_wait();
-            return Poll::Ready(Err(deadlock_err(state, reason(pat.clone()))));
+            let why = "cooperative deadlock: every rank is blocked";
+            return Poll::Ready(Err(state.stalled(verb, pat, why)));
         }
         if let Some(v) = check_or_arm(mb, pat) {
             return Poll::Ready(Ok(v));
@@ -381,12 +371,12 @@ fn poll_wait<T>(
 
 /// One poll of a blocking claim of `state`'s rank.
 pub(crate) fn claim(state: &ProcState, pat: &MatchPattern) -> Poll<Result<Message>> {
-    poll_wait(state, pat, WaitReason::Recv, Mailbox::claim_or_wait)
+    poll_wait(state, pat, "recv", Mailbox::claim_or_wait)
 }
 
 /// One poll of a blocking probe of `state`'s rank.
 pub(crate) fn probe(state: &ProcState, pat: &MatchPattern) -> Poll<Result<MsgInfo>> {
-    poll_wait(state, pat, WaitReason::Probe, Mailbox::probe_or_wait)
+    poll_wait(state, pat, "probe", Mailbox::probe_or_wait)
 }
 
 /// The future of [`park_until_deposit`]: one suspension with the mailbox's

@@ -3,15 +3,18 @@
 //!
 //! Collective algorithms (blocking in [`crate::coll`], nonblocking state
 //! machines in [`crate::nbcoll`]) are written once, generically over
-//! `Transport`, and the thirteen blocking collectives with their `_async`
-//! forms are provided methods of the trait: every communicator gets them,
-//! each run over [`Transport::coll_view`] of its operation class with its
-//! exclusive reserved tag ([`crate::tags`]). Both the native
-//! [`crate::comm::Comm`] and RBC's range communicator implement it; the
-//! only differences between "vendor MPI collectives" and "RBC
-//! collectives" are therefore (a) the communicator construction path and
-//! (b) [`Transport::coll_scale`] — the vendor [`CostScale`] of each class
-//! for `Comm`, neutral for RBC — exactly the comparison the paper makes.
+//! `Transport`, and every collective is a provided method of the trait:
+//! the thirteen blocking ones with their `_async` forms (the
+//! `collectives!` table) and the seven nonblocking ones (the
+//! `nonblocking!` table, RBC's signatures: the last argument is the
+//! operation's tag, `None` for its reserved default). Every communicator
+//! gets them, each run over [`Transport::coll_view`] of its operation
+//! class. Both the native [`crate::comm::Comm`] and RBC's range
+//! communicator implement it; the only differences between "vendor MPI
+//! collectives" and "RBC collectives" are therefore (a) the communicator
+//! construction path and (b) [`Transport::coll_scale`] — the vendor
+//! [`CostScale`] of each class for `Comm`, neutral for RBC — exactly the
+//! comparison the paper makes.
 
 use std::future::{poll_fn, Future};
 use std::ops::Range;
@@ -23,6 +26,7 @@ use crate::datum::Datum;
 use crate::error::{MpiError, Result};
 use crate::model::CostScale;
 use crate::msg::{ContextId, MatchPattern, Message, MsgInfo, SharedSlice, SrcFilter, Tag};
+use crate::nbcoll::{self, Iallreduce, Ibarrier, Ibcast, Igather, Igatherv, Ireduce, Iscan};
 use crate::obs::OpClass;
 use crate::proc::ProcState;
 use crate::sched::poll::block_inline;
@@ -87,12 +91,39 @@ macro_rules! collectives {
     )*};
 }
 
-/// Typed point-to-point operations over some rank space, and the blocking
+/// The nonblocking collectives of [`Transport`], one entry each:
+/// `fn name[generics](args; trailing args) -> Request = (Class, TAG);`.
+/// `name` starts the [`crate::nbcoll`] machine of the same name over
+/// [`Transport::coll_view`] of `OpClass::Class`, on the caller's `tag`, or
+/// on the reserved `tags::TAG` when it is `None` (paper §V-B: "the user can
+/// specify an own user-defined tag"); the tag goes between the arguments
+/// and the trailing ones, as in `collectives!`. The request owns the view.
+macro_rules! nonblocking {
+    ($(
+        $(#[$doc:meta])*
+        fn $name:ident [$($gen:tt)*]
+            ($($arg:ident: $arg_ty:ty),* $(; $($post:ident: $post_ty:ty),*)?)
+            -> $req:ty = ($class:ident, $tag:ident);
+    )*) => {$(
+        $(#[$doc])*
+        fn $name<$($gen)*>(
+            &self,
+            $($arg: $arg_ty,)*
+            $($($post: $post_ty,)*)?
+            tag: Option<Tag>,
+        ) -> Result<$req> {
+            let tag = tag.unwrap_or(tags::$tag);
+            nbcoll::$name(&self.coll_view(OpClass::$class), $($arg,)* tag $(, $($post),*)?)
+        }
+    )*};
+}
+
+/// Typed point-to-point operations over some rank space, and the
 /// collectives over them.
 ///
 /// Implementors supply the seven projection methods; sends, receives,
-/// probes, virtual-time accounting and the collectives are provided
-/// generically on top. A communicator whose collectives cost what the
+/// probes, virtual-time accounting and the blocking and nonblocking
+/// collectives are provided generically on top. A communicator whose collectives cost what the
 /// vendor's do overrides [`Transport::coll_scale`], nothing else.
 pub trait Transport: Clone + Send + Sync + 'static {
     /// This process's rank within the communicator.
@@ -263,7 +294,9 @@ pub trait Transport: Clone + Send + Sync + 'static {
         Ok(self.state().iprobe_match(&pat)?.map(|i| self.status_of(&i)))
     }
 
-    /// Nonblocking receive: returns a pollable request.
+    /// Nonblocking receive (`MPI_Irecv` / `rbc::Irecv`; `Src::Any` is
+    /// range-filtered on an RBC communicator, paper §V-C): returns a
+    /// pollable request.
     fn irecv<T: Datum>(&self, src: Src, tag: Tag) -> RecvReq<T, Self> {
         RecvReq {
             tr: self.clone(),
@@ -312,6 +345,38 @@ pub trait Transport: Clone + Send + Sync + 'static {
         /// `MPI_Scatterv`: `root` sends `blocks[i]` to rank `i`.
         fn scatterv / scatterv_async<T>(blocks: Option<Vec<Vec<T>>>, root: usize)
             -> Vec<T> = (Other, SCATTERV);
+    }
+
+    // ---- nonblocking collectives ------------------------------------------
+
+    nonblocking! {
+        /// `MPI_Ibcast` / `rbc::Ibcast`: nonblocking binomial broadcast from
+        /// `root`, which passes `Some(data)`.
+        fn ibcast[T: Datum](data: Option<Vec<T>>, root: usize)
+            -> Ibcast<T, Scaled<Self>> = (Bcast, IBCAST);
+        /// `MPI_Ireduce` / `rbc::Ireduce`: nonblocking elementwise
+        /// `op`-fold to `root`.
+        fn ireduce[T: Datum, F: Fn(&T, &T) -> T + Send + 'static](data: &[T], root: usize; op: F)
+            -> Ireduce<T, Scaled<Self>, F> = (Reduce, IREDUCE);
+        /// `MPI_Iallreduce`: nonblocking reduce to rank 0, then broadcast
+        /// (on `tag` and `tag + 1`).
+        fn iallreduce[T: Datum, F: Fn(&T, &T) -> T + Send + 'static](data: &[T]; op: F)
+            -> Iallreduce<T, Scaled<Self>, F> = (Reduce, IALLREDUCE);
+        /// `MPI_Iscan` / `rbc::Iscan`: nonblocking prefix fold; the request
+        /// holds both the inclusive and the exclusive prefix.
+        fn iscan[T: Datum, F: Fn(&T, &T) -> T + Send + 'static](data: &[T]; op: F)
+            -> Iscan<T, Scaled<Self>, F> = (Scan, ISCAN);
+        /// `MPI_Igather` / `rbc::Igather`: nonblocking equal-count gather to
+        /// `root`.
+        fn igather[T: Datum](data: Vec<T>, root: usize)
+            -> Igather<T, Scaled<Self>> = (Gather, IGATHER);
+        /// `MPI_Igatherv` / `rbc::Igatherv`: nonblocking variable-count
+        /// gather to `root` (on `tag` and `tag + 1`).
+        fn igatherv[T: Datum](data: Vec<T>, root: usize)
+            -> Igatherv<T, Scaled<Self>> = (Gather, IGATHERV);
+        /// `MPI_Ibarrier` / `rbc::Ibarrier`: nonblocking dissemination
+        /// barrier.
+        fn ibarrier[]() -> Ibarrier<Scaled<Self>> = (Barrier, IBARRIER);
     }
 
     // ---- virtual time ------------------------------------------------------

@@ -122,16 +122,13 @@ impl SimConfig {
     /// / `MPISIM_FAULT_CRASH` / `MPISIM_FAULT_JITTER` knobs (strict
     /// parsing; see [`FaultPlan::from_env`]) — unlike the worker count,
     /// a fault plan *does* change what is simulated, deterministically.
-    /// `MPISIM_TRACE=1` turns on the deterministic event trace and
-    /// `MPISIM_SCHED_PROFILE=1` the wall-clock scheduler profile (both
-    /// strict boolean knobs; see [`crate::env`]).
+    /// The event trace and the scheduler profile stay off: turn them on
+    /// with [`SimConfig::with_trace`] / [`SimConfig::with_sched_profile`].
     pub fn cooperative() -> SimConfig {
         use crate::env;
         SimConfig {
             coop_workers: env::coop_workers_from(env::var("MPISIM_COOP_WORKERS").as_deref()),
             faults: FaultPlan::from_env(),
-            trace: env::trace_from(env::var("MPISIM_TRACE").as_deref()),
-            sched_profile: env::sched_profile_from(env::var("MPISIM_SCHED_PROFILE").as_deref()),
             ..SimConfig::default()
         }
     }

@@ -288,36 +288,52 @@ fn a_wait_left_armed_by_a_panicking_leaf_wakes_nobody() {
 
 // Both kinds of body park through one protocol and are poisoned by one
 // detector, so a deadlocked wait must report the same `MpiError::Timeout`
-// (rank, what it waited for, virtual time, blame) from either.
+// (rank, what it waited for, virtual time, blame) from either. The blame
+// is built where the wait stalls, and names the ranks its pattern waits
+// on: the exact peer of a receive, every other rank for `Src::Any`.
 #[test]
 fn deadlock_errors_match_across_bodies() {
-    async fn recv_cycle(env: mpisim::ProcEnv) -> String {
+    /// The error's text and the ranks its blame names.
+    fn blamed(err: mpisim::MpiError) -> (String, Vec<usize>) {
+        let ranks = match &err {
+            mpisim::MpiError::Timeout { blame, .. } => blame.ranks(),
+            _ => Vec::new(),
+        };
+        (format!("{err:?}"), ranks)
+    }
+    async fn recv_cycle(env: mpisim::ProcEnv) -> (String, Vec<usize>) {
         let w = env.world;
         let peer = (w.rank() + 1) % w.size();
         let err = mpisim::recv_async::<u64, _>(&w, Src::Rank(peer), 3).await;
-        format!("{:?}", err.unwrap_err())
+        blamed(err.unwrap_err())
     }
-    async fn lonely_probe(env: mpisim::ProcEnv) -> String {
+    async fn lonely_probe(env: mpisim::ProcEnv) -> (String, Vec<usize>) {
         // Real traffic first, so the clocks in the error are not all zero.
         let w = env.world;
         w.barrier_async().await.unwrap();
         let err = mpisim::probe_async(&w, Src::Any, 99).await;
-        format!("{:?}", err.unwrap_err())
+        blamed(err.unwrap_err())
     }
+    const P: usize = 3;
     for workers in [1, 4] {
         for (what, verb) in [(0, "recv("), (1, "probe(")] {
             let on = |body| match what {
-                0 => run_as(body, 3, sched(workers), recv_cycle).per_rank,
-                _ => run_as(body, 3, sched(workers), lonely_probe).per_rank,
+                0 => run_as(body, P, sched(workers), recv_cycle).per_rank,
+                _ => run_as(body, P, sched(workers), lonely_probe).per_rank,
             };
             let thread = on(Body::Thread);
             assert_eq!(thread, on(Body::Future), "{verb}..) at {workers} workers");
-            for (rank, e) in thread.iter().enumerate() {
+            for (rank, (e, blamed)) in thread.iter().enumerate() {
                 assert!(
                     e.starts_with(&format!("Timeout {{ rank: {rank}, waited_for: \"{verb}"))
                         && e.contains("cooperative deadlock"),
                     "rank {rank}: {e}"
                 );
+                let waits_on: Vec<usize> = match what {
+                    0 => vec![(rank + 1) % P],
+                    _ => (0..P).filter(|&r| r != rank).collect(),
+                };
+                assert_eq!(blamed, &waits_on, "rank {rank}'s blame: {e}");
             }
         }
     }

@@ -31,14 +31,16 @@
 //!
 //! Which scale each collective runs under is pinned for all of them at
 //! once: under the Intel-like profile, whose six class scales all differ,
-//! `Comm`'s thirteen blocking collectives and six nonblocking ones must
+//! `Comm`'s thirteen blocking collectives and seven nonblocking ones must
 //! leave the clocks and message counts of the `coll` / `nbcoll` core over
 //! the world scaled by the field this file names for them, and an
-//! `RbcComm`'s those of the core over the range at neutral cost.
+//! `RbcComm`'s those of the core over the range at neutral cost. A
+//! nonblocking collective given a user tag runs on it, and leaves the
+//! messages on its reserved tag alone.
 
 use mpisim::model::CollScales;
 use mpisim::{
-    coll, nbcoll, ops, tags, Comm, CostModel, CostScale, Progress, Scaled, SimConfig, Time,
+    coll, nbcoll, ops, tags, CostModel, CostScale, Progress, Scaled, SimConfig, Tag, Time,
     Transport, Universe, VendorProfile,
 };
 use rbc::RbcComm;
@@ -320,6 +322,7 @@ enum Coll {
     Scatterv,
     Ibcast,
     Ireduce,
+    Iallreduce,
     Iscan,
     Igather,
     Igatherv,
@@ -342,9 +345,10 @@ impl Coll {
         Coll::Scatter,
         Coll::Scatterv,
     ];
-    const NONBLOCKING: [Coll; 6] = [
+    const NONBLOCKING: [Coll; 7] = [
         Coll::Ibcast,
         Coll::Ireduce,
+        Coll::Iallreduce,
         Coll::Iscan,
         Coll::Igather,
         Coll::Igatherv,
@@ -355,7 +359,7 @@ impl Coll {
     fn scale(self, s: &CollScales) -> CostScale {
         match self {
             Coll::Bcast | Coll::Ibcast => s.bcast,
-            Coll::Reduce | Coll::Allreduce | Coll::Ireduce => s.reduce,
+            Coll::Reduce | Coll::Allreduce | Coll::Ireduce | Coll::Iallreduce => s.reduce,
             Coll::Scan | Coll::Exscan | Coll::Iscan => s.scan,
             Coll::Gather
             | Coll::Gatherv
@@ -365,6 +369,20 @@ impl Coll {
             | Coll::Igatherv => s.gather,
             Coll::Barrier | Coll::Ibarrier => s.barrier,
             Coll::Alltoallv | Coll::Scatter | Coll::Scatterv => s.other,
+        }
+    }
+
+    /// A nonblocking collective's reserved default tag.
+    fn reserved(self) -> Tag {
+        match self {
+            Coll::Ibcast => tags::IBCAST,
+            Coll::Ireduce => tags::IREDUCE,
+            Coll::Iallreduce => tags::IALLREDUCE,
+            Coll::Iscan => tags::ISCAN,
+            Coll::Igather => tags::IGATHER,
+            Coll::Igatherv => tags::IGATHERV,
+            Coll::Ibarrier => tags::IBARRIER,
+            blocking => panic!("{blocking:?} has no default tag"),
         }
     }
 }
@@ -437,19 +455,25 @@ fn run_blocking<C: Transport, R: Transport>(c: &C, core: Option<&R>, op: Coll) -
     out.unwrap()
 }
 
-/// Run a nonblocking `op` on `w`: through its `Comm` method
-/// (`core == None`) or through the `nbcoll` machine over `core` with the
-/// method's reserved tag.
-fn run_nonblocking(w: &Comm, core: Option<&Scaled<Comm>>, op: Coll) -> Vec<u64> {
-    let (r, root) = (w.rank(), w.size() - 1);
+/// Run a nonblocking `op` on `c`: through its facade method on `tag`
+/// (`core == None`) or through the `nbcoll` machine over `core` on the
+/// same tag, the method's reserved one for `None`.
+fn run_nonblocking<C: Transport>(
+    c: &C,
+    core: Option<&Scaled<C>>,
+    op: Coll,
+    tag: Option<Tag>,
+) -> Vec<u64> {
+    let (r, root) = (c.rank(), c.size() - 1);
     let sum = ops::sum::<u64>;
     let wait = |m: &mut dyn Progress| nbcoll::wait(m).unwrap();
+    let on = tag.unwrap_or(op.reserved());
     match op {
         Coll::Ibcast => {
             let d = (r == root).then(|| words(r));
             let mut m = match core {
-                None => w.ibcast(d, root),
-                Some(t) => nbcoll::ibcast(t, d, root, tags::IBCAST),
+                None => c.ibcast(d, root, tag),
+                Some(t) => nbcoll::ibcast(t, d, root, on),
             }
             .unwrap();
             wait(&mut m);
@@ -457,17 +481,26 @@ fn run_nonblocking(w: &Comm, core: Option<&Scaled<Comm>>, op: Coll) -> Vec<u64> 
         }
         Coll::Ireduce => {
             let mut m = match core {
-                None => w.ireduce(&words(r), root, sum()),
-                Some(t) => nbcoll::ireduce(t, &words(r), root, tags::IREDUCE, sum()),
+                None => c.ireduce(&words(r), root, sum(), tag),
+                Some(t) => nbcoll::ireduce(t, &words(r), root, on, sum()),
             }
             .unwrap();
             wait(&mut m);
             m.result().map(<[u64]>::to_vec).unwrap_or_default()
         }
+        Coll::Iallreduce => {
+            let mut m = match core {
+                None => c.iallreduce(&words(r), sum(), tag),
+                Some(t) => nbcoll::iallreduce(t, &words(r), on, sum()),
+            }
+            .unwrap();
+            wait(&mut m);
+            m.result().unwrap().to_vec()
+        }
         Coll::Iscan => {
             let mut m = match core {
-                None => w.iscan(&words(r), sum()),
-                Some(t) => nbcoll::iscan(t, &words(r), tags::ISCAN, sum()),
+                None => c.iscan(&words(r), sum(), tag),
+                Some(t) => nbcoll::iscan(t, &words(r), on, sum()),
             }
             .unwrap();
             wait(&mut m);
@@ -475,8 +508,8 @@ fn run_nonblocking(w: &Comm, core: Option<&Scaled<Comm>>, op: Coll) -> Vec<u64> 
         }
         Coll::Igather => {
             let mut m = match core {
-                None => w.igather(words(r), root),
-                Some(t) => nbcoll::igather(t, words(r), root, tags::IGATHER),
+                None => c.igather(words(r), root, tag),
+                Some(t) => nbcoll::igather(t, words(r), root, on),
             }
             .unwrap();
             wait(&mut m);
@@ -484,8 +517,8 @@ fn run_nonblocking(w: &Comm, core: Option<&Scaled<Comm>>, op: Coll) -> Vec<u64> 
         }
         Coll::Igatherv => {
             let mut m = match core {
-                None => w.igatherv(words(r), root),
-                Some(t) => nbcoll::igatherv(t, words(r), root, tags::IGATHERV),
+                None => c.igatherv(words(r), root, tag),
+                Some(t) => nbcoll::igatherv(t, words(r), root, on),
             }
             .unwrap();
             wait(&mut m);
@@ -493,8 +526,8 @@ fn run_nonblocking(w: &Comm, core: Option<&Scaled<Comm>>, op: Coll) -> Vec<u64> 
         }
         Coll::Ibarrier => {
             let mut m = match core {
-                None => w.ibarrier(),
-                Some(t) => nbcoll::ibarrier(t, tags::IBARRIER),
+                None => c.ibarrier(tag),
+                Some(t) => nbcoll::ibarrier(t, on),
             }
             .unwrap();
             wait(&mut m);
@@ -504,34 +537,47 @@ fn run_nonblocking(w: &Comm, core: Option<&Scaled<Comm>>, op: Coll) -> Vec<u64> 
     }
 }
 
+/// Run `op` on `c`: through the facade (`core == None`) or through the
+/// core over `c` scaled by `core`. With a user `tag` (nonblocking only),
+/// every rank first sends every other a stray message on the op's
+/// reserved tag, which a collective running there would take.
+fn run_on<C: Transport>(c: &C, core: Option<CostScale>, op: Coll, tag: Option<Tag>) -> Vec<u64> {
+    let scaled = core.map(|s| Scaled::new(c.clone(), s));
+    if tag.is_some() {
+        for dest in (0..c.size()).filter(|&d| d != c.rank()) {
+            c.send(&words(c.rank()), dest, op.reserved()).unwrap();
+        }
+    }
+    if Coll::BLOCKING.contains(&op) {
+        run_blocking(c, scaled.as_ref(), op)
+    } else {
+        run_nonblocking(c, scaled.as_ref(), op, tag)
+    }
+}
+
 /// What a run leaves that pricing can move: each rank's output and clock,
 /// and the message and byte counts, per class too.
 type Footprint = (Vec<(Vec<u64>, Time)>, u64, u64, Vec<u64>);
 
 /// `op` on `p` ranks under `vendor`, on the world (`rbc == false`) or on
-/// an `RbcComm` over it: through the facade (`core == None`) or through
-/// the core over that communicator scaled by `core`.
+/// an `RbcComm` over it, on `tag` ([`run_on`]): through the facade
+/// (`core == None`) or through the core over that communicator scaled by
+/// `core`.
 fn footprint(
     op: Coll,
     p: usize,
     vendor: &VendorProfile,
     rbc: bool,
     core: Option<CostScale>,
+    tag: Option<Tag>,
 ) -> Footprint {
     let cfg = SimConfig::default().with_vendor(vendor.clone());
     let res = Universe::run(p, cfg, move |env| {
         let w = &env.world;
         let out = if rbc {
-            let rc = RbcComm::create(w);
-            let scaled = core.map(|s| Scaled::new(rc.clone(), s));
-            run_blocking(&rc, scaled.as_ref(), op)
+            run_on(&RbcComm::create(w), core, op, tag)
         } else {
-            let scaled = core.map(|s| Scaled::new(w.clone(), s));
-            if Coll::BLOCKING.contains(&op) {
-                run_blocking(w, scaled.as_ref(), op)
-            } else {
-                run_nonblocking(w, scaled.as_ref(), op)
-            }
+            run_on(w, core, op, tag)
         };
         (out, env.now())
     });
@@ -552,11 +598,11 @@ fn every_collective_is_priced_by_its_class() {
     }
     for p in [1, 2, 5, 8] {
         for op in Coll::BLOCKING.into_iter().chain(Coll::NONBLOCKING) {
-            let native = footprint(op, p, &vendor, false, None);
+            let native = footprint(op, p, &vendor, false, None, None);
             let mine = op.scale(s);
             assert_eq!(
                 native,
-                footprint(op, p, &vendor, false, Some(mine)),
+                footprint(op, p, &vendor, false, Some(mine), None),
                 "{op:?} at p = {p} on Comm"
             );
             // The test can tell the classes apart: under any other class's
@@ -565,15 +611,36 @@ fn every_collective_is_priced_by_its_class() {
             let payload = !matches!(op, Coll::Barrier | Coll::Ibarrier);
             for other in classes.into_iter().filter(|&o| o != mine) {
                 if p == 8 && (payload || other.alpha_factor != mine.alpha_factor) {
-                    let priced = footprint(op, p, &vendor, false, Some(other));
+                    let priced = footprint(op, p, &vendor, false, Some(other), None);
                     assert_ne!(native, priced, "{op:?} at p = {p} under {other:?}");
                 }
             }
         }
-        for op in Coll::BLOCKING {
-            let rbc = footprint(op, p, &vendor, true, None);
-            let neutral = footprint(op, p, &vendor, true, Some(CostScale::NEUTRAL));
+        for op in Coll::BLOCKING.into_iter().chain(Coll::NONBLOCKING) {
+            let rbc = footprint(op, p, &vendor, true, None, None);
+            let neutral = footprint(op, p, &vendor, true, Some(CostScale::NEUTRAL), None);
             assert_eq!(rbc, neutral, "{op:?} at p = {p} on RbcComm");
+        }
+    }
+}
+
+/// A nonblocking collective given a user tag (paper §V-B) runs on that
+/// tag: its run equals the core's on it, with a stray message on the
+/// reserved tag waiting at every rank from every other, which a
+/// collective on the reserved tag would take first. On `Comm` and on
+/// `RbcComm`, under the Intel-like profile.
+#[test]
+fn a_user_tag_replaces_the_reserved_one() {
+    const USER: Tag = 900;
+    let vendor = VendorProfile::intel_like();
+    for op in Coll::NONBLOCKING {
+        for (rbc, scale) in [
+            (false, op.scale(&vendor.coll_scale)),
+            (true, CostScale::NEUTRAL),
+        ] {
+            let facade = footprint(op, 5, &vendor, rbc, None, Some(USER));
+            let core = footprint(op, 5, &vendor, rbc, Some(scale), Some(USER));
+            assert_eq!(facade, core, "{op:?} on tag {USER}, rbc {rbc}");
         }
     }
 }
